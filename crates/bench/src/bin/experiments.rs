@@ -11,92 +11,24 @@
 //! experiments -- traversal              # §VI-C top-down vs bottom-up
 //! experiments -- uncompressed           # §VI-E vs GPU uncompressed analytics
 //! experiments -- ablation               # §IV design-choice ablations
-//! experiments -- fine                   # fine-grained CPU engine wall-clock bench
-//! experiments -- serve                  # concurrent serving load test
-//! experiments -- all                    # everything above (except serve)
+//! experiments -- all                    # everything above
 //!
 //! Options: --scale <f64>    dataset scale factor (default 0.3)
-//!          --threads <n>    worker threads for the `fine` bench (default 4)
-//!          --reps <n>       repetitions per measurement (default 3)
-//!          --out <path>     JSON output of the `fine` bench
-//!                           (default BENCH_fine_grained.json)
-//!          --dataset <ids>  datasets for the `fine`/`serve` benches,
-//!                           comma-separated (default A,B) — `--dataset B`
-//!                           re-baselines dataset B without re-running A
-//!          --warm           also run all six tasks on ONE shared Engine
-//!                           session and record cold vs warm init in the
-//!                           JSON (the session-amortization contract)
-//!          --clients <n>    closed-loop client threads for `serve`
-//!                           (default 8)
-//!          --duration-ms <n> load window per dataset for `serve`
-//!                           (default 2000)
-//!          --mix <name>     serve task mix: all|counting|sequences
-//!                           (default all)
-//!          --no-cache       disable the results cache for `serve`
-//!          --transport <t>  serve transport: in-process|tcp|both
-//!                           (default both; `tcp` drives a real loopback
-//!                           tadoc-server over the wire protocol)
-//!          --queue-depth <n> admission queue capacity for the tcp
-//!                           transport (default 64)
-//!          --serve-out <path> JSON output of the `serve` bench
-//!                           (default BENCH_serve.json)
 //! ```
 //!
-//! The `fine` command validates every report's schema (all six tasks
-//! present, all speedups finite) and exits non-zero on a violation — the
-//! `bench-smoke` CI job runs it at reduced scale for exactly that check.
-//! The `serve` command does the same for its load-test report (queries
-//! answered, zero oracle divergences, finite ordered latency percentiles) —
-//! the `serve-gate` CI job runs it at reduced scale.
+//! Wall-clock performance of the CPU engine and the server is measured by
+//! the repository benchmark (`benchmark/`, declared in `BENCHMARK.json`),
+//! not here.
 
 use bench::experiments::{self, ExperimentScale};
-use bench::serve::{self, ServeMix, ServeTransport};
-use datagen::DatasetId;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = ExperimentScale::default();
-    let mut threads = 4usize;
-    let mut reps = 3u32;
-    let mut out = "BENCH_fine_grained.json".to_string();
-    let mut warm = false;
-    let mut clients = 8usize;
-    let mut duration_ms = 2000u64;
-    let mut mix = ServeMix::All;
-    let mut results_cache = true;
-    let mut serve_out = "BENCH_serve.json".to_string();
-    let mut transports = vec![ServeTransport::InProcess, ServeTransport::Tcp];
-    let mut queue_depth = 64usize;
-    let mut datasets = vec![DatasetId::A, DatasetId::B];
     let mut commands: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--dataset" => {
-                i += 1;
-                datasets = args
-                    .get(i)
-                    .map(|s| {
-                        s.split(',')
-                            .map(|id| match id.trim() {
-                                "A" => DatasetId::A,
-                                "B" => DatasetId::B,
-                                "C" => DatasetId::C,
-                                "D" => DatasetId::D,
-                                "E" => DatasetId::E,
-                                other => {
-                                    eprintln!("unknown dataset: {other} (expected A-E)");
-                                    std::process::exit(2);
-                                }
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                    .filter(|d| !d.is_empty())
-                    .unwrap_or_else(|| {
-                        eprintln!("--dataset requires a comma-separated list of A-E");
-                        std::process::exit(2);
-                    });
-            }
             "--scale" => {
                 i += 1;
                 let value = args
@@ -107,104 +39,6 @@ fn main() {
                         std::process::exit(2);
                     });
                 scale = ExperimentScale(value);
-            }
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--reps" => {
-                i += 1;
-                reps = args
-                    .get(i)
-                    .and_then(|s| s.parse::<u32>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--reps requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--out" => {
-                i += 1;
-                out = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--out requires a path");
-                    std::process::exit(2);
-                });
-            }
-            "--warm" => warm = true,
-            "--clients" => {
-                i += 1;
-                clients = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--clients requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--duration-ms" => {
-                i += 1;
-                duration_ms = args
-                    .get(i)
-                    .and_then(|s| s.parse::<u64>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--duration-ms requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--mix" => {
-                i += 1;
-                mix = args
-                    .get(i)
-                    .and_then(|s| ServeMix::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("--mix requires one of: all, counting, sequences");
-                        std::process::exit(2);
-                    });
-            }
-            "--no-cache" => results_cache = false,
-            "--transport" => {
-                i += 1;
-                transports = match args.get(i).map(String::as_str) {
-                    Some("both") => vec![ServeTransport::InProcess, ServeTransport::Tcp],
-                    Some(name) => match ServeTransport::parse(name) {
-                        Some(t) => vec![t],
-                        None => {
-                            eprintln!("--transport requires one of: in-process, tcp, both");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        eprintln!("--transport requires one of: in-process, tcp, both");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--queue-depth" => {
-                i += 1;
-                queue_depth = args
-                    .get(i)
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--queue-depth requires a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--serve-out" => {
-                i += 1;
-                serve_out = args.get(i).cloned().unwrap_or_else(|| {
-                    eprintln!("--serve-out requires a path");
-                    std::process::exit(2);
-                });
             }
             "--help" | "-h" => {
                 print_usage();
@@ -229,30 +63,16 @@ fn main() {
             "traversal" => print!("{}", experiments::traversal_comparison(scale)),
             "uncompressed" => print!("{}", experiments::uncompressed_comparison(scale)),
             "ablation" => print!("{}", experiments::ablation(scale)),
-            "fine" => run_fine(scale, threads, reps, &out, &datasets, warm),
-            "serve" => run_serve_bench(
-                scale,
-                threads,
-                clients,
-                duration_ms,
-                mix,
-                results_cache,
-                &transports,
-                queue_depth,
-                &serve_out,
-                &datasets,
-            ),
             "all" => {
                 println!("{}", experiments::table1());
                 println!("{}", experiments::table2(scale));
                 // Run the grid once and reuse it for fig9, fig10 and summary.
-                let cells = experiments::run_grid_public(scale);
+                let cells = experiments::run_grid(scale);
                 println!("{}", experiments::fig9_from_cells(&cells));
                 println!("{}", experiments::fig10_from_cells(&cells));
                 println!("{}", experiments::traversal_comparison(scale));
                 println!("{}", experiments::uncompressed_comparison(scale));
                 println!("{}", experiments::ablation(scale));
-                run_fine(scale, threads, reps, &out, &datasets, warm);
             }
             other => {
                 eprintln!("unknown command: {other}");
@@ -264,112 +84,9 @@ fn main() {
     }
 }
 
-/// Runs the fine-grained CPU bench on the selected datasets and writes the
-/// machine-readable JSON used to track the perf trajectory across PRs.
-/// Exits non-zero if any report fails schema validation (missing task, NaN
-/// or non-positive speedup) — the `bench-smoke` CI contract.
-fn run_fine(
-    scale: ExperimentScale,
-    threads: usize,
-    reps: u32,
-    out: &str,
-    datasets: &[DatasetId],
-    warm: bool,
-) {
-    let mut reports = Vec::new();
-    for &id in datasets {
-        let report = experiments::fine_grained_report(id, scale, threads, reps, warm);
-        print!("{}", report.render());
-        println!();
-        reports.push(report);
-    }
-    let problems: Vec<String> = reports
-        .iter()
-        .flat_map(experiments::FineGrainedReport::schema_problems)
-        .collect();
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("schema violation: {p}");
-        }
-        std::process::exit(1);
-    }
-    let json = experiments::fine_grained_json(&reports);
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs the concurrent-serving load test on the selected datasets and
-/// writes the machine-readable JSON.  Exits non-zero if any report fails
-/// schema validation (no queries answered, an answer diverged from the
-/// sequential oracle, non-finite or disordered latency numbers) — the
-/// `serve-gate` CI contract.
-#[allow(clippy::too_many_arguments)]
-fn run_serve_bench(
-    scale: ExperimentScale,
-    threads: usize,
-    clients: usize,
-    duration_ms: u64,
-    mix: ServeMix,
-    results_cache: bool,
-    transports: &[ServeTransport],
-    queue_depth: usize,
-    out: &str,
-    datasets: &[DatasetId],
-) {
-    let mut reports = Vec::new();
-    for &id in datasets {
-        for &transport in transports {
-            let report = serve::run_serve(serve::ServeConfig {
-                dataset: id,
-                scale,
-                clients,
-                threads,
-                duration: std::time::Duration::from_millis(duration_ms),
-                mix,
-                results_cache,
-                transport,
-                queue_depth,
-            })
-            .unwrap_or_else(|e| {
-                eprintln!("serve bench failed ({}, {}): {e}", id.label(), transport.name());
-                std::process::exit(1);
-            });
-            print!("{}", report.render());
-            println!();
-            reports.push(report);
-        }
-    }
-    let problems: Vec<String> = reports
-        .iter()
-        .flat_map(serve::ServeReport::schema_problems)
-        .collect();
-    if !problems.is_empty() {
-        for p in &problems {
-            eprintln!("schema violation: {p}");
-        }
-        std::process::exit(1);
-    }
-    let json = serve::serve_json(&reports);
-    match std::fs::write(out, &json) {
-        Ok(()) => println!("wrote {out}"),
-        Err(e) => {
-            eprintln!("failed to write {out}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn print_usage() {
     println!(
-        "usage: experiments [--scale <f>] [--threads <n>] [--reps <n>] [--out <path>] \
-         [--dataset <A,B,...>] [--warm] [--clients <n>] [--duration-ms <n>] \
-         [--mix <all|counting|sequences>] [--no-cache] \
-         [--transport <in-process|tcp|both>] [--queue-depth <n>] [--serve-out <path>] \
-         <table1|table2|fig9|fig10|summary|traversal|uncompressed|ablation|fine|serve|all>..."
+        "usage: experiments [--scale <f>] \
+         <table1|table2|fig9|fig10|summary|traversal|uncompressed|ablation|all>..."
     );
 }

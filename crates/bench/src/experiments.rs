@@ -10,12 +10,10 @@ use gtadoc::traversal::TraversalStrategy;
 use sequitur::{ArchiveStats, Dag, TadocArchive};
 use tadoc::apps::{run_task, Task, TaskConfig};
 use tadoc::cost::{ClusterSpec, CpuSpec};
-use tadoc::fine_grained::{run_task_with_mode, Engine, ExecutionMode, FineGrainedConfig};
-use tadoc::parallel::ParallelConfig;
 use uncompressed::gpu::run_gpu_uncompressed;
 
 /// Scale factor applied to every dataset preset (1.0 = the default
-/// reproduction size documented in EXPERIMENTS.md).
+/// reproduction size of `datagen::DatasetPreset::generate`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentScale(pub f64);
 
@@ -199,12 +197,6 @@ pub fn run_cell(prepared: &PreparedDataset, task: Task, platform: &Platform) -> 
         cpu_is_cluster: is_cluster,
         strategy: gpu.strategy,
     }
-}
-
-/// Public alias of [`run_grid`] for the experiments binary (kept separate so
-/// the grid can be computed once and reused across figure renderers).
-pub fn run_grid_public(scale: ExperimentScale) -> Vec<CellResult> {
-    run_grid(scale)
 }
 
 /// Runs the full (platform × dataset × task) grid used by Figures 9 and 10.
@@ -488,443 +480,6 @@ pub fn uncompressed_comparison(scale: ExperimentScale) -> String {
         "average: {:.2}x   (paper: ~2x)\n",
         average(speedups.into_iter())
     ));
-    out
-}
-
-// ---------------------------------------------------------------------------
-// Fine-grained CPU engine: wall-clock execution-mode comparison
-// ---------------------------------------------------------------------------
-
-/// Wall-clock timings of one task under the three CPU execution modes.
-#[derive(Debug, Clone)]
-pub struct ModeCell {
-    /// The task measured.
-    pub task: Task,
-    /// Fastest-rep wall-clock nanoseconds of the sequential baseline.
-    pub sequential_ns: u64,
-    /// Fastest-rep wall-clock nanoseconds of coarse-grained (file-partition)
-    /// parallelism.
-    pub coarse_ns: u64,
-    /// Fastest-rep wall-clock nanoseconds of the fine-grained engine.
-    pub fine_ns: u64,
-    /// Finalize-phase nanoseconds of the fine-grained correctness-gate run:
-    /// the ordered k-way merge of per-shard runs into the columnar result
-    /// (the step that replaced the final hash table).  Taken from the gate
-    /// execution, not the fastest rep, so it is an observation of the phase
-    /// split, not a third timing to race against `fine_ns`.
-    pub fine_finalize_ns: u64,
-}
-
-impl ModeCell {
-    /// Fine-grained speedup over the sequential baseline.
-    pub fn speedup_vs_sequential(&self) -> f64 {
-        self.sequential_ns as f64 / self.fine_ns.max(1) as f64
-    }
-
-    /// Fine-grained speedup over the coarse-grained runner.
-    pub fn speedup_vs_coarse(&self) -> f64 {
-        self.coarse_ns as f64 / self.fine_ns.max(1) as f64
-    }
-}
-
-/// Cold-vs-warm init timings of one task on a shared [`Engine`] session.
-///
-/// All six tasks run on **one** engine in paper order: the first task's cold
-/// run also pays for artifacts later tasks share (DAG levels, weights), so a
-/// later task's `cold_init_ns` covers only what no earlier task had already
-/// cached — exactly the amortization a serving deployment sees.
-#[derive(Debug, Clone)]
-pub struct WarmCell {
-    /// The task measured.
-    pub task: Task,
-    /// Init-phase nanoseconds of the task's first (cold) run on the session.
-    pub cold_init_ns: u64,
-    /// Total (init + traversal) nanoseconds of the cold run.
-    pub cold_total_ns: u64,
-    /// Fastest init-phase nanoseconds over the warm repetitions.
-    pub warm_init_ns: u64,
-    /// Fastest total nanoseconds over the warm repetitions.
-    pub warm_total_ns: u64,
-}
-
-impl WarmCell {
-    /// How much the warm init phase shrank versus the cold one.
-    pub fn init_speedup(&self) -> f64 {
-        self.cold_init_ns as f64 / self.warm_init_ns.max(1) as f64
-    }
-
-    /// End-to-end warm-vs-cold speedup.
-    pub fn total_speedup(&self) -> f64 {
-        self.cold_total_ns as f64 / self.warm_total_ns.max(1) as f64
-    }
-}
-
-/// The fine-grained benchmark for one dataset: all six tasks under all three
-/// execution modes, on real threads and real wall clocks (no cost model).
-#[derive(Debug, Clone)]
-pub struct FineGrainedReport {
-    /// Dataset label (Table II letter).
-    pub dataset: String,
-    /// Dataset scale factor the corpus was generated at (recorded so the
-    /// committed JSON documents how to regenerate itself).
-    pub scale: f64,
-    /// Number of files in the generated corpus.
-    pub num_files: usize,
-    /// Total token count of the corpus.
-    pub total_tokens: usize,
-    /// Worker threads used by the parallel modes.
-    pub threads: usize,
-    /// Repetitions per measurement (the fastest is reported).
-    pub reps: u32,
-    /// Chunking threshold (work-item indices per chunk) the fine engine ran
-    /// with — recorded so the committed numbers name the decomposition they
-    /// were measured under.
-    pub chunk_elements: usize,
-    /// One row per task.
-    pub cells: Vec<ModeCell>,
-    /// Cold-vs-warm session measurements (`--warm`); `None` when the warm
-    /// pass was not requested.
-    pub warm: Option<Vec<WarmCell>>,
-}
-
-impl FineGrainedReport {
-    /// Validates the report's schema: every task of [`Task::ALL`] must be
-    /// present exactly once with finite, positive speedups.  Returns the
-    /// problems found (empty = valid).  This is what the `bench-smoke` CI
-    /// job runs at reduced scale — it guards the JSON schema and the
-    /// engine's ability to produce a number for every task, not the timings
-    /// themselves.
-    pub fn schema_problems(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        for task in Task::ALL {
-            match self.cells.iter().filter(|c| c.task == task).count() {
-                1 => {}
-                n => problems.push(format!(
-                    "dataset {}: task {} appears {n} times (expected 1)",
-                    self.dataset,
-                    task.name()
-                )),
-            }
-        }
-        for cell in &self.cells {
-            for (label, value) in [
-                ("fine_vs_sequential", cell.speedup_vs_sequential()),
-                ("fine_vs_coarse", cell.speedup_vs_coarse()),
-            ] {
-                if !value.is_finite() || value <= 0.0 {
-                    problems.push(format!(
-                        "dataset {}: task {} has invalid {label} speedup {value}",
-                        self.dataset,
-                        cell.task.name()
-                    ));
-                }
-            }
-        }
-        if let Some(warm) = &self.warm {
-            for task in Task::ALL {
-                match warm.iter().filter(|c| c.task == task).count() {
-                    1 => {}
-                    n => problems.push(format!(
-                        "dataset {}: warm cell for task {} appears {n} times (expected 1)",
-                        self.dataset,
-                        task.name()
-                    )),
-                }
-            }
-            for cell in warm {
-                if cell.cold_total_ns == 0 || cell.warm_total_ns == 0 {
-                    problems.push(format!(
-                        "dataset {}: warm cell for task {} has a zero total",
-                        self.dataset,
-                        cell.task.name()
-                    ));
-                }
-                for (label, value) in [
-                    ("warm_init", cell.init_speedup()),
-                    ("warm_total", cell.total_speedup()),
-                ] {
-                    if !value.is_finite() || value <= 0.0 {
-                        problems.push(format!(
-                            "dataset {}: task {} has invalid {label} speedup {value}",
-                            self.dataset,
-                            cell.task.name()
-                        ));
-                    }
-                }
-            }
-        }
-        problems
-    }
-}
-
-/// Times `run` alone and reports the **fastest** of `reps` repetitions;
-/// digest checks happen outside the measured window so the reported ratios
-/// reflect only the execution modes themselves.
-///
-/// The minimum, not the mean: the reference runner is a single time-sliced
-/// core, where any rep can absorb scheduler noise from the host.  The
-/// fastest rep is the closest observation of the code's actual cost, and
-/// all three execution modes are measured identically, so the ratios stay
-/// honest.
-fn min_ns<R, F: FnMut() -> R>(reps: u32, mut run: F) -> u64 {
-    std::hint::black_box(run()); // warm-up
-    let mut best = u64::MAX;
-    for _ in 0..reps.max(1) {
-        let start = std::time::Instant::now();
-        let result = run();
-        best = best.min(start.elapsed().as_nanos() as u64);
-        std::hint::black_box(result);
-    }
-    best
-}
-
-/// Measures cold vs warm init on one shared [`Engine`] session: each task's
-/// first run is its cold observation, the fastest of `reps` repeats is its
-/// warm one.  Every output is digest-checked against the sequential
-/// reference, and every repeat must actually report
-/// [`warm`](tadoc::timing::PhaseTimings::warm) — a cache miss on a repeat is
-/// a bug, not noise, so it panics.
-fn measure_warm_session(
-    archive: &TadocArchive,
-    dag: &Dag,
-    threads: usize,
-    reps: u32,
-) -> Vec<WarmCell> {
-    let cfg = TaskConfig::default();
-    let engine = Engine::builder(archive, dag)
-        .threads(threads)
-        .build()
-        .expect("bench engine configuration is valid");
-    let mut cells = Vec::new();
-    for task in Task::ALL {
-        let reference = run_task(archive, dag, task, cfg).output.digest();
-        let cold = engine.run(task, cfg).expect("valid bench task config");
-        assert_eq!(
-            cold.output.digest(),
-            reference,
-            "{} session output diverges from sequential",
-            task.name()
-        );
-        let cold_init_ns = cold.timings.init.as_nanos() as u64;
-        let cold_total_ns = cold.timings.total().as_nanos() as u64;
-        let mut warm_init_ns = u64::MAX;
-        let mut warm_total_ns = u64::MAX;
-        for _ in 0..reps.max(1) {
-            let warm = engine.run(task, cfg).expect("valid bench task config");
-            assert!(
-                warm.timings.warm,
-                "{} repeat run missed the session cache",
-                task.name()
-            );
-            let result = std::hint::black_box(warm);
-            warm_init_ns = warm_init_ns.min(result.timings.init.as_nanos() as u64);
-            warm_total_ns = warm_total_ns.min(result.timings.total().as_nanos() as u64);
-        }
-        cells.push(WarmCell {
-            task,
-            cold_init_ns,
-            cold_total_ns,
-            warm_init_ns,
-            warm_total_ns,
-        });
-    }
-    cells
-}
-
-/// Measures one dataset under the three execution modes; `warm` adds the
-/// shared-session cold-vs-warm pass ([`WarmCell`]).
-pub fn fine_grained_report(
-    id: DatasetId,
-    scale: ExperimentScale,
-    threads: usize,
-    reps: u32,
-    warm: bool,
-) -> FineGrainedReport {
-    let prepared = prepare_dataset(id, scale);
-    let cfg = TaskConfig::default();
-    let archive = &prepared.archive;
-    let dag = &prepared.dag;
-    let fine_cfg = FineGrainedConfig::with_threads(threads);
-    let modes = [
-        ExecutionMode::Sequential,
-        ExecutionMode::CoarseGrained(ParallelConfig {
-            num_threads: threads,
-        }),
-        ExecutionMode::FineGrained(fine_cfg),
-    ];
-
-    let mut cells = Vec::new();
-    for task in Task::ALL {
-        let reference = run_task(archive, dag, task, cfg).output.digest();
-        let mut ns = [0u64; 3];
-        let mut fine_finalize_ns = 0u64;
-        for (slot, mode) in ns.iter_mut().zip(modes) {
-            // Correctness gate, outside the timed window.
-            let exec = run_task_with_mode(archive, dag, task, cfg, mode);
-            assert_eq!(
-                exec.output.digest(),
-                reference,
-                "{} output diverges under {}",
-                task.name(),
-                mode.name()
-            );
-            if matches!(mode, ExecutionMode::FineGrained(_)) {
-                fine_finalize_ns = exec.timings.finalize.as_nanos() as u64;
-            }
-            *slot = min_ns(reps, || run_task_with_mode(archive, dag, task, cfg, mode));
-        }
-        cells.push(ModeCell {
-            task,
-            sequential_ns: ns[0],
-            coarse_ns: ns[1],
-            fine_ns: ns[2],
-            fine_finalize_ns,
-        });
-    }
-
-    let warm_cells = warm.then(|| measure_warm_session(archive, dag, threads, reps));
-
-    FineGrainedReport {
-        dataset: id.label().to_string(),
-        scale: scale.0,
-        num_files: prepared.corpus.files.len(),
-        total_tokens: prepared.corpus.total_tokens(),
-        threads,
-        reps,
-        chunk_elements: fine_cfg.chunk_elements,
-        cells,
-        warm: warm_cells,
-    }
-}
-
-impl FineGrainedReport {
-    /// Renders the report as an aligned text table.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "FINE-GRAINED CPU ENGINE (dataset {}, {} files, {} tokens, {} threads, best of {} reps)\n",
-            self.dataset, self.num_files, self.total_tokens, self.threads, self.reps
-        ));
-        out.push_str(
-            "task                    sequential(ms)  coarse(ms)   fine(ms)     finalize(ms)  fine vs seq  fine vs coarse\n",
-        );
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{:<23} {:<15.3} {:<12.3} {:<12.3} {:<13.3} {:<12.2} {:.2}\n",
-                c.task.name(),
-                c.sequential_ns as f64 / 1e6,
-                c.coarse_ns as f64 / 1e6,
-                c.fine_ns as f64 / 1e6,
-                c.fine_finalize_ns as f64 / 1e6,
-                c.speedup_vs_sequential(),
-                c.speedup_vs_coarse()
-            ));
-        }
-        if let Some(warm) = &self.warm {
-            out.push_str(
-                "\nSHARED ENGINE SESSION (one engine, six tasks in order, then warm repeats)\n",
-            );
-            out.push_str(
-                "task                    cold init(ms)   warm init(ms)  init speedup  cold total(ms)  warm total(ms)\n",
-            );
-            for c in warm {
-                out.push_str(&format!(
-                    "{:<23} {:<15.3} {:<14.3} {:<13.2} {:<15.3} {:.3}\n",
-                    c.task.name(),
-                    c.cold_init_ns as f64 / 1e6,
-                    c.warm_init_ns as f64 / 1e6,
-                    c.init_speedup(),
-                    c.cold_total_ns as f64 / 1e6,
-                    c.warm_total_ns as f64 / 1e6,
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Bench notes committed alongside the numbers: observations a reader of
-/// `BENCH_fine_grained.json` needs in order not to misread them.
-pub const BENCH_NOTES: &[&str] = &[
-    "The runner is single-core: fine-vs-sequential speedups above 1.0 come \
-     from algorithmic reuse and cheaper per-occurrence work, not from thread \
-     scaling (the 4 workers are time-sliced).",
-    "Each *_ns value is the fastest of `reps` repetitions (all three modes \
-     measured identically): on a time-sliced single core the minimum strips \
-     host scheduler noise that a mean would smear into the ratios.",
-    "Dataset B coarse termVector has historically run at ~1.0x against fine \
-     (0.993x fine-vs-coarse at PR 3): coarse file-partitioning cannot split \
-     four huge files any further, so it degenerates to near-sequential with \
-     partition overhead.  Re-baseline B alone with `experiments -- fine \
-     --dataset B --out BENCH_B.json` instead of re-running both datasets.",
-    "`fine_finalize_ns` is the finalize phase of the fine engine's \
-     correctness-gate run: the ordered k-way merge of per-shard runs into \
-     the columnar result (the step that replaced the final hash table).  It \
-     comes from a single observation, not the fastest rep, so compare it \
-     against the phase split, not against `fine_ns`.",
-    "The `warm` block (from `--warm`) runs all six tasks in order on ONE \
-     shared Engine session: each task's first run is its cold observation \
-     (it only computes artifacts no earlier task already cached — wordCount \
-     pays for the DAG levels and rule weights, sequenceCount then only for \
-     its head/tail buffers), and warm_*_ns is the fastest of `reps` repeat \
-     runs served entirely from the session cache.",
-];
-
-/// Renders a list of fine-grained reports as the machine-readable JSON the
-/// perf trajectory of future PRs is tracked against
-/// (`BENCH_fine_grained.json`).
-pub fn fine_grained_json(reports: &[FineGrainedReport]) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"fine_grained_cpu\",\n  \"unit\": \"ns\",\n  \"notes\": [\n");
-    for (i, note) in BENCH_NOTES.iter().enumerate() {
-        out.push_str(&format!(
-            "    \"{}\"{}\n",
-            note.replace('"', "\\\""),
-            if i + 1 == BENCH_NOTES.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n  \"datasets\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\n      \"dataset\": \"{}\",\n      \"scale\": {:.3},\n      \"num_files\": {},\n      \"total_tokens\": {},\n      \"threads\": {},\n      \"reps\": {},\n      \"chunk_elements\": {},\n      \"apps\": [\n",
-            r.dataset, r.scale, r.num_files, r.total_tokens, r.threads, r.reps, r.chunk_elements
-        ));
-        for (j, c) in r.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"task\": \"{}\", \"sequential_ns\": {}, \"coarse_ns\": {}, \"fine_ns\": {}, \"fine_finalize_ns\": {}, \"speedup_fine_vs_sequential\": {:.3}, \"speedup_fine_vs_coarse\": {:.3}}}{}\n",
-                c.task.name(),
-                c.sequential_ns,
-                c.coarse_ns,
-                c.fine_ns,
-                c.fine_finalize_ns,
-                c.speedup_vs_sequential(),
-                c.speedup_vs_coarse(),
-                if j + 1 == r.cells.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("      ]");
-        if let Some(warm) = &r.warm {
-            out.push_str(",\n      \"warm\": [\n");
-            for (j, c) in warm.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"task\": \"{}\", \"cold_init_ns\": {}, \"warm_init_ns\": {}, \"speedup_warm_init\": {:.3}, \"cold_total_ns\": {}, \"warm_total_ns\": {}, \"speedup_warm_total\": {:.3}}}{}\n",
-                    c.task.name(),
-                    c.cold_init_ns,
-                    c.warm_init_ns,
-                    c.init_speedup(),
-                    c.cold_total_ns,
-                    c.warm_total_ns,
-                    c.total_speedup(),
-                    if j + 1 == warm.len() { "" } else { "," }
-                ));
-            }
-            out.push_str("      ]");
-        }
-        out.push_str(&format!(
-            "\n    }}{}\n",
-            if i + 1 == reports.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
     out
 }
 

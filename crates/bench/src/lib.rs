@@ -1,10 +1,17 @@
 //! # bench
 //!
-//! The experiment harness that regenerates every table and figure of the
-//! G-TADOC evaluation (Section VI), plus the ablation studies for the design
-//! choices of Section IV.  See `EXPERIMENTS.md` at the repository root for
-//! the mapping from paper artefact to harness command, and `DESIGN.md` for
-//! the substitutions made (simulated GPUs, synthetic datasets).
+//! The experiment harness that regenerates the **paper's artefacts** — and
+//! nothing else: every table and figure of the G-TADOC evaluation (Section
+//! VI: Table I/II, Figure 9/10, the §VI-C traversal comparison, the §VI-E
+//! uncompressed comparison) plus the ablation studies for the design choices
+//! of Section IV.  The README's *Reproducing the experiments* maps each
+//! artefact to its command and states the substitutions made (simulated
+//! GPUs, synthetic datasets).  The one non-paper target is the
+//! `arena_probe` Criterion bench.
+//!
+//! Performance of the serving stack itself (compression, archive load,
+//! engine sessions, the TCP server) is **not** measured here: that is the
+//! repository benchmark in `benchmark/`, declared by `BENCHMARK.json`.
 //!
 //! The `experiments` binary drives everything:
 //!
@@ -14,11 +21,10 @@
 
 #![forbid(unsafe_code)]
 
-// Benchmarks measure the engine the users get; an engine with fault
-// injection compiled in is a different engine (registry lookups on every
-// chunk claim and merge fold).  Refuse to build rather than quietly measure
-// the instrumented one — CI's bench-smoke additionally string-scans the
-// release binary for failpoint payloads as a belt-and-braces check.
+// The paper artefacts are modelled from the engine the users get; an engine
+// with fault injection compiled in is a different engine (registry lookups
+// on every chunk claim and merge fold).  Refuse to build rather than quietly
+// model the instrumented one.
 #[cfg(feature = "failpoints")]
 compile_error!(
     "the bench crate must never be built with fault injection armed: \
@@ -26,11 +32,8 @@ compile_error!(
 );
 
 pub mod experiments;
-pub mod serve;
 
 pub use experiments::{
-    ablation, fig10, fig9, fine_grained_json, fine_grained_report, prepare_dataset, summary,
-    table1, table2, traversal_comparison, uncompressed_comparison, CellResult, ExperimentScale,
-    FineGrainedReport, ModeCell, Platform, PreparedDataset,
+    ablation, fig10, fig9, prepare_dataset, summary, table1, table2, traversal_comparison,
+    uncompressed_comparison, CellResult, ExperimentScale, Platform, PreparedDataset,
 };
-pub use serve::{run_serve, serve_json, ServeConfig, ServeMix, ServeReport};

@@ -23,7 +23,7 @@
 //!
 //! The absolute times it produces are estimates, not measurements; the
 //! reproduction relies on them only for the *shape* of the paper's results
-//! (see `DESIGN.md` and `EXPERIMENTS.md`).
+//! (see the README's *Reproducing the experiments*).
 
 #![forbid(unsafe_code)]
 

@@ -110,6 +110,11 @@ impl TadocArchive {
     }
 
     /// Deserializes an archive previously produced by [`TadocArchive::to_bytes`].
+    ///
+    /// Total on arbitrary bytes: every outcome is `Ok` of a
+    /// [validated](Self::validate) archive or a typed [`Error`], never a
+    /// panic, and no count read from the input is allocated for before it is
+    /// bounded by the bytes that remain.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut cur = Cursor { buf: bytes, pos: 0 };
         let magic = cur.take(8)?;
@@ -121,14 +126,16 @@ impl TadocArchive {
             return Err(Error::Corrupt(format!("unsupported version {version}")));
         }
 
-        let word_count = cur.u32()? as usize;
+        // Each `count(n)` argument is the smallest encoding of one element:
+        // a string is at least its `u32` length prefix.
+        let word_count = cur.count(4)?;
         let mut words = Vec::with_capacity(word_count);
         for _ in 0..word_count {
             words.push(cur.string()?);
         }
         let dictionary = Dictionary::from_words(words);
 
-        let file_count = cur.u32()? as usize;
+        let file_count = cur.count(4 + 8 + 8)?;
         let mut files = Vec::with_capacity(file_count);
         for _ in 0..file_count {
             let name = cur.string()?;
@@ -141,24 +148,49 @@ impl TadocArchive {
             });
         }
 
-        let rule_count = cur.u32()? as usize;
+        let rule_count = cur.count(4)?;
         let mut rules = Vec::with_capacity(rule_count);
         for _ in 0..rule_count {
-            let len = cur.u32()? as usize;
+            let len = cur.count(4)?;
             let mut body = Vec::with_capacity(len);
             for _ in 0..len {
-                body.push(Symbol::decode(cur.u32()?));
+                let raw = cur.u32()?;
+                let sym = Symbol::try_decode(raw)
+                    .ok_or_else(|| Error::Corrupt(format!("invalid symbol tag in 0x{raw:08x}")))?;
+                body.push(sym);
             }
             rules.push(body);
         }
-        let grammar = Grammar::new(rules);
-        grammar.validate()?;
 
-        Ok(Self {
+        let archive = Self {
             dictionary,
-            grammar,
+            grammar: Grammar::new(rules),
             files,
-        })
+        };
+        archive.validate()?;
+        Ok(archive)
+    }
+
+    /// Validates everything a traversal indexes by: the grammar's structure
+    /// ([`Grammar::validate`]: rule references in range, splitters only in
+    /// the root, no cycle) and every word id against the dictionary.  An
+    /// out-of-range word id would index past the per-word tables the
+    /// analytics tasks size by the vocabulary.
+    pub fn validate(&self) -> Result<()> {
+        self.grammar.validate()?;
+        let vocabulary = self.dictionary.len();
+        for (i, body) in self.grammar.rules.iter().enumerate() {
+            let stray = body
+                .iter()
+                .filter_map(|sym| sym.as_word())
+                .find(|&w| w as usize >= vocabulary);
+            if let Some(w) = stray {
+                return Err(Error::InvalidReference(format!(
+                    "rule {i} references word {w} but the dictionary holds {vocabulary} words"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Writes the archive to a file.
@@ -207,8 +239,12 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(Error::Corrupt(format!(
                 "unexpected end of archive at offset {}",
                 self.pos
@@ -217,6 +253,21 @@ impl<'a> Cursor<'a> {
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
+    }
+
+    /// Reads a `u32` element count and bounds it by the bytes that remain:
+    /// `count` elements of at least `min_element_bytes` each must still fit,
+    /// so a hostile count can never size an allocation past the input.
+    fn count(&mut self, min_element_bytes: usize) -> Result<usize> {
+        let count = self.u32()? as usize;
+        if count > self.remaining() / min_element_bytes {
+            return Err(Error::Corrupt(format!(
+                "count {count} at offset {} exceeds the {} bytes that remain",
+                self.pos - 4,
+                self.remaining()
+            )));
+        }
+        Ok(count)
     }
 
     fn u32(&mut self) -> Result<u32> {

@@ -133,11 +133,25 @@ impl Grammar {
     }
 
     /// Topological order of rules with children before parents (leaves first).
+    ///
+    /// Defined for acyclic rule graphs, which is what [`Grammar::validate`]
+    /// admits; on a cyclic graph the back edges are skipped.
     pub fn topological_order_children_first(&self) -> Vec<RuleId> {
+        self.children_first_dfs().0
+    }
+
+    /// One depth-first search over every rule: the children-first finishing
+    /// order, plus the first *back edge* met — a reference `(from, to)` to a
+    /// rule still on the DFS stack.  A DFS that starts from every unvisited
+    /// rule meets a back edge exactly when the rule graph has a cycle,
+    /// reachable from the root or not.  Iterative (a 100k-deep chain must not
+    /// overflow the call stack) and linear: every rule is pushed once and
+    /// every body element scanned once.
+    fn children_first_dfs(&self) -> (Vec<RuleId>, Option<(RuleId, RuleId)>) {
         let n = self.rules.len();
-        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = in stack, 2 = done
+        let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on the stack, 2 = done
         let mut order = Vec::with_capacity(n);
-        // Iterative DFS to avoid deep recursion on pathological grammars.
+        let mut back_edge = None;
         for start in 0..n as u32 {
             if state[start as usize] != 0 {
                 continue;
@@ -152,9 +166,13 @@ impl Grammar {
                     let sym = body[new_idx];
                     new_idx += 1;
                     if let Symbol::Rule(c) = sym {
-                        if state[c as usize] == 0 {
-                            next_child = Some(c);
-                            break;
+                        match state[c as usize] {
+                            0 => {
+                                next_child = Some(c);
+                                break;
+                            }
+                            1 => back_edge = back_edge.or(Some((rule, c))),
+                            _ => {}
                         }
                     }
                 }
@@ -162,18 +180,19 @@ impl Grammar {
                 if let Some(c) = next_child {
                     state[c as usize] = 1;
                     stack.push((c, 0));
-                } else if new_idx >= body.len() {
+                } else {
                     state[rule as usize] = 2;
                     order.push(rule);
                     stack.pop();
                 }
             }
         }
-        order
+        (order, back_edge)
     }
 
     /// Validates structural well-formedness: every referenced rule exists,
     /// splitters only occur in the root, and the rule graph is acyclic.
+    /// Linear in the grammar size.
     pub fn validate(&self) -> Result<()> {
         if self.rules.is_empty() {
             return Err(Error::Corrupt("grammar has no rules".into()));
@@ -196,28 +215,11 @@ impl Grammar {
                 }
             }
         }
-        // Cycle detection via the children-first order: every rule must appear.
-        let order = self.topological_order_children_first();
-        if order.len() != self.rules.len() {
-            return Err(Error::Corrupt("rule graph contains a cycle".into()));
-        }
-        // A cycle through the DFS would revisit an in-stack node; detect by
-        // checking that no rule (transitively) contains itself.
-        let mut reachable: Vec<std::collections::BTreeSet<u32>> =
-            vec![Default::default(); self.rules.len()];
-        for &r in &order {
-            let mut set = std::collections::BTreeSet::new();
-            for sym in &self.rules[r as usize] {
-                if let Symbol::Rule(c) = sym {
-                    set.insert(*c);
-                    let child_set = reachable[*c as usize].clone();
-                    set.extend(child_set);
-                }
-            }
-            if set.contains(&r) {
-                return Err(Error::Corrupt(format!("rule {r} is part of a cycle")));
-            }
-            reachable[r as usize] = set;
+        // Only now is every reference in range, which the DFS indexes by.
+        if let (_, Some((from, to))) = self.children_first_dfs() {
+            return Err(Error::Corrupt(format!(
+                "rule {from} references rule {to}, which closes a cycle"
+            )));
         }
         Ok(())
     }

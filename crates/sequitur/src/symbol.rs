@@ -94,14 +94,25 @@ impl Symbol {
     }
 
     /// Decodes a tagged 32-bit integer produced by [`Symbol::encode`].
+    ///
+    /// # Panics
+    /// Panics on the unused tag `0b11`; decode untrusted input with
+    /// [`Symbol::try_decode`].
     #[inline]
     pub fn decode(raw: u32) -> Symbol {
+        Symbol::try_decode(raw).unwrap_or_else(|| panic!("invalid symbol tag in 0x{raw:08x}"))
+    }
+
+    /// Decodes a tagged 32-bit integer, or `None` if it carries the unused
+    /// tag `0b11` (no [`Symbol::encode`] output does).
+    #[inline]
+    pub fn try_decode(raw: u32) -> Option<Symbol> {
         let payload = raw & MAX_PAYLOAD;
         match raw & TAG_MASK {
-            TAG_WORD => Symbol::Word(payload),
-            TAG_RULE => Symbol::Rule(payload),
-            TAG_SPLIT => Symbol::Splitter(payload),
-            _ => panic!("invalid symbol tag in 0x{raw:08x}"),
+            TAG_WORD => Some(Symbol::Word(payload)),
+            TAG_RULE => Some(Symbol::Rule(payload)),
+            TAG_SPLIT => Some(Symbol::Splitter(payload)),
+            _ => None,
         }
     }
 }

@@ -1,14 +1,12 @@
 //! Long-lived execution sessions: [`Engine`], [`EngineBuilder`], and the
 //! cached analysis layer shared by every query of a session.
 //!
-//! The per-call entry points ([`run_task_fine_grained`](super::run_task_fine_grained),
-//! [`run_task_with_mode`](super::run_task_with_mode)) rebuild everything on
-//! every call: a fresh [`WorkerPool`] is spawned, the DAG is regrouped into
-//! levels, rule and file weights are repropagated, head/tail buffers are
-//! reassembled.  That is exactly backwards for the serving scenario the
-//! paper (and TADOC before it) targets — the compressed corpus is a
-//! long-lived analytic substrate queried many times, so everything derived
-//! only from the *archive* should be paid for once.
+//! A per-call entry point would rebuild everything on every call: spawn a
+//! fresh [`WorkerPool`], regroup the DAG into levels, repropagate rule and
+//! file weights, reassemble head/tail buffers.  That is exactly backwards
+//! for the serving scenario the paper (and TADOC before it) targets — the
+//! compressed corpus is a long-lived analytic substrate queried many times,
+//! so everything derived only from the *archive* should be paid for once.
 //!
 //! An [`Engine`] borrows the archive and DAG for its whole lifetime
 //! (immutability for free — no invalidation logic exists because no
@@ -26,9 +24,8 @@
 //! [`shared_init`](crate::timing::PhaseTimings::shared_init) records the
 //! time a query spent *computing* shared artifacts (zero on a warm run) and
 //! [`warm`](crate::timing::PhaseTimings::warm) flags runs served entirely
-//! from cache — see the
-//! `--warm` mode of the experiments binary, which commits the measured
-//! amortization to `BENCH_fine_grained.json`.
+//! from cache — the repository benchmark reports the measured amortization
+//! as its `tadoc.fine.*.cold_ms` (`oneshot`) / `warm_ms` (`session`) rows.
 
 // The session layer (this module and `exec`) is the error boundary of the
 // fine path: every fallible edge must either return a typed error or carry a
@@ -41,8 +38,8 @@ use super::head_tail::{build_head_tail, levels_bottom_up, levels_top_down, HeadT
 use super::scratch::ScratchPool;
 use super::{
     build_term_vector_prep, parallel_file_weights, parallel_rule_weights, root_chunks,
-    run_fine_with_cache, sequence_work_items, ExecutionMode, FileWeightLists, FineGrainedConfig,
-    SeqItem, TermVectorPrep, TvScratch,
+    run_fine_with_cache, sequence_work_items, FileWeightLists, FineGrainedConfig, SeqItem,
+    TermVectorPrep, TvScratch,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
 use crate::parallel::{run_task_parallel, ParallelConfig};
@@ -61,11 +58,10 @@ use std::time::{Duration, Instant};
 
 /// A configuration the [`EngineBuilder`] (or [`Engine::run`]) refuses.
 ///
-/// The legacy one-shot wrappers silently normalized these (clamping thread
-/// counts to 1, falling back to the sequential path on `sequence_length ==
-/// 0`); the session API makes them loud instead, because a service that
-/// builds an engine once should learn about a nonsense knob at build time,
-/// not by silently running on one thread forever.
+/// Nothing is silently normalized (no clamping of a zero thread count to 1,
+/// no sequential fallback on `sequence_length == 0`): a service that builds
+/// an engine once should learn about a nonsense knob at build time, not by
+/// silently running on one thread forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `num_threads` was 0; a pool needs at least the calling thread.
@@ -126,8 +122,8 @@ pub enum EngineError {
     /// An invalid configuration knob (see [`ConfigError`]).
     Config(ConfigError),
     /// The archive/DAG failed structural validation at build time
-    /// (out-of-range rule references, cycles, an empty root, or a DAG that
-    /// was not derived from this grammar).
+    /// (out-of-range rule or word references, cycles, an empty root, or a
+    /// DAG that was not derived from this grammar).
     InvalidArchive {
         /// What the validator found.
         reason: String,
@@ -671,8 +667,7 @@ enum ModeKind {
 ///
 /// Defaults: fine-grained mode, `available_parallelism` worker threads, the
 /// default chunk threshold (4096 indices).  [`build`](Self::build) rejects
-/// invalid knobs with a typed [`ConfigError`] — the builder is where the
-/// scattered `max(1)` clamps of the one-shot paths became loud errors.
+/// invalid knobs with a typed [`ConfigError`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineBuilder<'a> {
     archive: &'a TadocArchive,
@@ -699,24 +694,6 @@ impl<'a> EngineBuilder<'a> {
     /// Selects the fine-grained level-synchronized back end (the default).
     pub fn fine_grained(mut self) -> Self {
         self.kind = ModeKind::Fine;
-        self
-    }
-
-    /// Adopts an existing [`ExecutionMode`] wholesale, including any thread
-    /// count / chunk threshold it carries.
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        match mode {
-            ExecutionMode::Sequential => self.kind = ModeKind::Sequential,
-            ExecutionMode::CoarseGrained(pcfg) => {
-                self.kind = ModeKind::Coarse;
-                self.num_threads = pcfg.num_threads;
-            }
-            ExecutionMode::FineGrained(fcfg) => {
-                self.kind = ModeKind::Fine;
-                self.num_threads = fcfg.num_threads;
-                self.chunk_elements = fcfg.chunk_elements;
-            }
-        }
         self
     }
 
@@ -752,8 +729,8 @@ impl<'a> EngineBuilder<'a> {
     /// # Errors
     /// [`EngineError::Config`] for a nonsense knob;
     /// [`EngineError::InvalidArchive`] when the grammar fails structural
-    /// validation (out-of-range rule references, cycles, empty root,
-    /// misplaced splitters) or the DAG does not match the grammar — caught
+    /// validation (out-of-range rule or word references, cycles, empty
+    /// root, misplaced splitters) or the DAG does not match the grammar — caught
     /// here, at build time, instead of panicking mid-traversal on the first
     /// query.
     pub fn build(self) -> Result<Engine<'a>, EngineError> {
@@ -796,12 +773,12 @@ impl<'a> EngineBuilder<'a> {
 
 /// Structural validation of the archive/DAG pair a session is built over.
 /// Every traversal in the engine assumes these invariants (in-range rule
-/// references, acyclicity, a DAG derived from *this* grammar); violating
-/// them used to surface as a panic (or worse, an index-out-of-bounds abort)
-/// deep inside the first query.
+/// and word references, acyclicity, a DAG derived from *this* grammar);
+/// violating them used to surface as a panic (or worse, an
+/// index-out-of-bounds abort) deep inside the first query.
 fn validate_archive(archive: &TadocArchive, dag: &Dag) -> Result<(), EngineError> {
     let grammar = &archive.grammar;
-    grammar
+    archive
         .validate()
         .map_err(|e| EngineError::InvalidArchive {
             reason: e.to_string(),
@@ -872,7 +849,7 @@ enum EngineInner {
 /// repeated queries pay the shared initialization (DAG levels, rule/file
 /// weights, head/tail buffers, chunk decompositions, the term-vector CSR)
 /// **once** instead of once per call.  Outputs are byte-identical to the
-/// one-shot paths; only the amortization differs, and it is observable via
+/// sequential reference ([`run_task`]); the amortization is observable via
 /// [`PhaseTimings::shared_init`] / [`PhaseTimings::warm`].
 ///
 /// Every query method takes `&self`, and `Engine` is [`Sync`]: N client
@@ -945,12 +922,13 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The execution mode this session dispatches to.
-    pub fn mode(&self) -> ExecutionMode {
+    /// Short name of the execution mode this session dispatches to:
+    /// `"sequential"`, `"coarse"` or `"fine"`.
+    pub fn mode(&self) -> &'static str {
         match &self.inner {
-            EngineInner::Sequential => ExecutionMode::Sequential,
-            EngineInner::Coarse(pcfg) => ExecutionMode::CoarseGrained(*pcfg),
-            EngineInner::Fine(state) => ExecutionMode::FineGrained(state.fcfg),
+            EngineInner::Sequential => "sequential",
+            EngineInner::Coarse(_) => "coarse",
+            EngineInner::Fine(_) => "fine",
         }
     }
 
@@ -1243,7 +1221,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("mode", &self.mode().name())
+            .field("mode", &self.mode())
             .field("epochs", &self.epochs())
             .finish()
     }
@@ -1253,7 +1231,6 @@ impl std::fmt::Debug for Engine<'_> {
 #[allow(clippy::unwrap_used)] // tests may assert by unwrapping
 mod tests {
     use super::*;
-    use crate::fine_grained::run_task_with_mode;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
     fn build_archive() -> (TadocArchive, Dag) {
@@ -1415,28 +1392,10 @@ mod tests {
                     got.output,
                     baseline.output,
                     "mode {} diverges on {}",
-                    engine.mode().name(),
+                    engine.mode(),
                     task.name()
                 );
             }
-        }
-    }
-
-    #[test]
-    fn engine_matches_one_shot_wrapper_outputs() {
-        let (archive, dag) = build_archive();
-        let cfg = TaskConfig::default();
-        let engine = Engine::builder(&archive, &dag).threads(4).build().unwrap();
-        for task in Task::ALL {
-            let via_engine = engine.run(task, cfg).unwrap();
-            let via_wrapper = run_task_with_mode(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                ExecutionMode::FineGrained(FineGrainedConfig::with_threads(4)),
-            );
-            assert_eq!(via_engine.output, via_wrapper.output, "{}", task.name());
         }
     }
 

@@ -152,8 +152,8 @@ pub fn build_head_tail(
     work: &mut WorkStats,
 ) -> HeadTail {
     // Precondition assert for direct callers only: both Engine entry points
-    // reject `l == 0` with `ConfigError::ZeroSequenceLength` (and the
-    // one-shot wrapper defers to the sequential path) before reaching here.
+    // reject `l == 0` with `ConfigError::ZeroSequenceLength` before reaching
+    // here.
     assert!(l >= 1, "sequence length must be at least 1");
     let n = dag.num_rules;
     let keep = l - 1;

@@ -9,8 +9,7 @@
 //!    Rules are grouped by dependency depth ([`head_tail::levels_top_down`]
 //!    / [`head_tail::levels_bottom_up`]); all rules of one level are
 //!    processed in parallel across one long-lived [`exec::WorkerPool`]
-//!    (parked threads, created once per [`Engine`] session — or once per
-//!    call through the one-shot wrappers), and the pool's
+//!    (parked threads, created once per [`Engine`] session), and the pool's
 //!    generation-counted epoch barrier between levels plays the role of the
 //!    GPU's mask/stop-flag round barrier (Algorithm 1 top-down for
 //!    rule/file weights, Algorithm 2 bottom-up for head/tail assembly —
@@ -68,9 +67,8 @@
 //! long-lived object owning the persistent pool and a lazily-cached
 //! analysis layer (DAG levels, rule/file weights, head/tail buffers, chunk
 //! decompositions, the term-vector CSR) shared by every query over the
-//! borrowed archive.  [`run_task_fine_grained`] and [`run_task_with_mode`]
-//! remain as one-shot compatibility wrappers that rebuild everything per
-//! call.
+//! borrowed archive.  The builder also selects the sequential and
+//! coarse-grained back ends, so one facade runs all three modes.
 //!
 //! Outputs are byte-identical to the sequential oracle for all six tasks
 //! (asserted by `tests/cross_implementation.rs`, `tests/engine_session.rs`
@@ -88,15 +86,13 @@ pub use engine::{
     CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions, TaskSpec,
 };
 
-use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
-use crate::parallel::{run_task_parallel, ParallelConfig};
+use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use arena::shard::{sort_fold, CountEntry, MaskEntry, ShardBuf};
-use engine::{Analysis, FineCtx, RunCharge};
+use engine::{FineCtx, RunCharge};
 use exec::{DisjointSlots, WorkerPool};
 use merge::{par_merge_postings, par_merge_rows, PostingRun};
-use scratch::ScratchPool;
 use file_csr::FileCsr;
 use sequences::{count_range_windows, count_root_chunk, root_chunks, RootChunk};
 use sequitur::{Dag, Grammar, Symbol, TadocArchive, WordId};
@@ -134,137 +130,15 @@ impl Default for FineGrainedConfig {
     }
 }
 
-impl FineGrainedConfig {
-    /// A configuration with `num_threads` workers and default chunking.
-    pub fn with_threads(num_threads: usize) -> Self {
-        Self {
-            num_threads: num_threads.max(1),
-            ..Default::default()
-        }
-    }
-}
-
-/// How a task is executed on the CPU: the three modes the benchmarks compare.
-///
-/// All three modes produce byte-identical [`AnalyticsOutput`]s:
-///
-/// ```
-/// use sequitur::compress::{compress_corpus, CompressOptions};
-/// use sequitur::Dag;
-/// use tadoc::apps::{Task, TaskConfig};
-/// use tadoc::fine_grained::{run_task_with_mode, ExecutionMode, FineGrainedConfig};
-/// use tadoc::parallel::ParallelConfig;
-///
-/// let corpus = vec![
-///     ("a.txt".to_string(), "the cat sat on the mat the cat sat".to_string()),
-///     ("b.txt".to_string(), "the dog sat on the mat".to_string()),
-/// ];
-/// let archive = compress_corpus(&corpus, CompressOptions::default());
-/// let dag = Dag::from_grammar(&archive.grammar);
-/// let cfg = TaskConfig::default();
-///
-/// let modes = [
-///     ExecutionMode::Sequential,
-///     ExecutionMode::CoarseGrained(ParallelConfig { num_threads: 2 }),
-///     ExecutionMode::FineGrained(FineGrainedConfig::with_threads(2)),
-/// ];
-/// let outputs: Vec<_> = modes
-///     .iter()
-///     .map(|&m| run_task_with_mode(&archive, &dag, Task::WordCount, cfg, m).output)
-///     .collect();
-/// assert_eq!(outputs[0], outputs[1]);
-/// assert_eq!(outputs[0], outputs[2]);
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub enum ExecutionMode {
-    /// The sequential TADOC baseline.
-    Sequential,
-    /// Coarse-grained file-partition parallelism (the design the paper
-    /// contrasts G-TADOC with).
-    CoarseGrained(ParallelConfig),
-    /// Fine-grained level-synchronized parallelism (this module).
-    FineGrained(FineGrainedConfig),
-}
-
-impl ExecutionMode {
-    /// Short mode name for reports and benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ExecutionMode::Sequential => "sequential",
-            ExecutionMode::CoarseGrained(_) => "coarse",
-            ExecutionMode::FineGrained(_) => "fine",
-        }
-    }
-}
-
-/// Runs `task` under the chosen execution mode — the one-shot counterpart
-/// of building an [`Engine`] with
-/// [`EngineBuilder::execution_mode`](engine::EngineBuilder::execution_mode):
-/// identical outputs, but nothing is reused between calls.
-pub fn run_task_with_mode(
-    archive: &TadocArchive,
-    dag: &Dag,
-    task: Task,
-    cfg: TaskConfig,
-    mode: ExecutionMode,
-) -> TaskExecution {
-    match mode {
-        ExecutionMode::Sequential => run_task(archive, dag, task, cfg),
-        ExecutionMode::CoarseGrained(pcfg) => run_task_parallel(archive, dag, task, cfg, pcfg),
-        ExecutionMode::FineGrained(fcfg) => run_task_fine_grained(archive, dag, task, cfg, fcfg),
-    }
-}
-
-/// Runs `task` with fine-grained (level-synchronized, arena-backed)
-/// parallelism — the **one-shot compatibility wrapper** around the
-/// session API.
-///
-/// A fresh [`WorkerPool`] and an empty session cache are created per call
-/// and torn down afterwards, so every call pays the full shared-analysis
-/// cost (DAG levels, weights, head/tail buffers).  Callers running more
-/// than one query over the same archive should hold an [`Engine`] instead,
-/// which keeps the pool parked and the analysis cached across queries.
-///
-/// Degenerate configurations keep their historical semantics: zero threads
-/// or a zero chunk threshold are clamped to 1, and a sequence-sensitive
-/// task with `sequence_length == 0` defers to the sequential path.  The
-/// [`Engine`] builder surfaces all three as typed [`ConfigError`]s instead.
-pub fn run_task_fine_grained(
-    archive: &TadocArchive,
-    dag: &Dag,
-    task: Task,
-    cfg: TaskConfig,
-    fcfg: FineGrainedConfig,
-) -> TaskExecution {
-    if task.is_sequence_sensitive() && cfg.sequence_length == 0 {
-        // Degenerate configuration: defer to the sequential semantics.
-        return run_task(archive, dag, task, cfg);
-    }
-    let fcfg = FineGrainedConfig {
-        num_threads: fcfg.num_threads.max(1),
-        chunk_elements: fcfg.chunk_elements.max(1),
-    };
-    let pool = WorkerPool::new(fcfg.num_threads);
-    let analysis = Analysis::default();
-    let tv_scratch = ScratchPool::default();
-    let ctx = FineCtx {
-        fcfg,
-        analysis: &analysis,
-        tv_scratch: &tv_scratch,
-    };
-    run_fine_with_cache(archive, dag, task, cfg, ctx, &pool)
-}
-
 /// Dispatches one fine-grained task over an existing pool and session
-/// context — the shared back end of [`Engine::run`] and the one-shot
-/// wrapper.  Takes only shared references to the session state (the
-/// [`FineCtx`] is `Copy`): all mutation happens through the analysis
-/// layer's once-filled cells and the leased per-query scratch, which is
-/// what lets [`Engine::run`] accept `&self`.
+/// context — the back end of [`Engine::run`].  Takes only shared references
+/// to the session state (the [`FineCtx`] is `Copy`): all mutation happens
+/// through the analysis layer's once-filled cells and the leased per-query
+/// scratch, which is what lets [`Engine::run`] accept `&self`.
 ///
-/// The caller is responsible for configuration validation (the builder) or
-/// normalization (the wrapper); `cfg.sequence_length` must be at least 1
-/// for sequence-sensitive tasks.
+/// The caller (the builder and [`Engine::run_with`]) has validated the
+/// configuration; `cfg.sequence_length` must be at least 1 for
+/// sequence-sensitive tasks.
 pub(crate) fn run_fine_with_cache(
     archive: &TadocArchive,
     dag: &Dag,
@@ -1337,6 +1211,7 @@ fn ranked_inverted_index_fine_impl<K: sequences::SeqKey>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::apps::run_task;
     use crate::weights;
     use sequitur::compress::{compress_corpus, CompressOptions};
     use sequitur::fxhash::FxHashMap;
@@ -1345,6 +1220,15 @@ mod tests {
         let archive = compress_corpus(corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
         (archive, dag)
+    }
+
+    /// One cold query on a fresh session built from `builder`.
+    fn run_cold(builder: EngineBuilder<'_>, task: Task, cfg: TaskConfig) -> TaskExecution {
+        builder
+            .build()
+            .expect("valid engine configuration")
+            .run(task, cfg)
+            .expect("valid task configuration")
     }
 
     fn redundant_corpus() -> Vec<(String, String)> {
@@ -1443,11 +1327,10 @@ mod tests {
         for task in Task::ALL {
             let seq = run_task(&archive, &dag, task, cfg);
             for threads in [1usize, 3, 8] {
-                let fcfg = FineGrainedConfig {
-                    num_threads: threads,
-                    chunk_elements: 7,
-                };
-                let fine = run_task_fine_grained(&archive, &dag, task, cfg, fcfg);
+                let builder = Engine::builder(&archive, &dag)
+                    .threads(threads)
+                    .chunk_elements(7);
+                let fine = run_cold(builder, task, cfg);
                 assert_eq!(
                     fine.output,
                     seq.output,
@@ -1465,13 +1348,7 @@ mod tests {
             let cfg = TaskConfig { sequence_length: l };
             for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
                 let seq = run_task(&archive, &dag, task, cfg);
-                let fine = run_task_fine_grained(
-                    &archive,
-                    &dag,
-                    task,
-                    cfg,
-                    FineGrainedConfig::with_threads(4),
-                );
+                let fine = run_cold(Engine::builder(&archive, &dag).threads(4), task, cfg);
                 assert_eq!(fine.output, seq.output, "task {} l={l}", task.name());
             }
         }
@@ -1479,8 +1356,9 @@ mod tests {
 
     #[test]
     fn degenerate_corpora_are_handled() {
+        // (A corpus of nothing but empty files has an empty root, which
+        // `Engine::build` refuses: `builder_rejects_structurally_invalid_archives`.)
         let corpora: Vec<Vec<(String, String)>> = vec![
-            vec![("empty".to_string(), String::new())],
             vec![
                 ("empty".to_string(), String::new()),
                 ("tiny".to_string(), "x".to_string()),
@@ -1493,46 +1371,19 @@ mod tests {
             let (archive, dag) = build(&corpus);
             for task in Task::ALL {
                 let seq = run_task(&archive, &dag, task, cfg);
-                let fine = run_task_fine_grained(
-                    &archive,
-                    &dag,
-                    task,
-                    cfg,
-                    FineGrainedConfig::with_threads(3),
-                );
+                let fine = run_cold(Engine::builder(&archive, &dag).threads(3), task, cfg);
                 assert_eq!(fine.output, seq.output, "task {}", task.name());
             }
         }
     }
 
     #[test]
-    fn execution_mode_dispatch_agrees() {
-        let (archive, dag) = build(&redundant_corpus());
-        let cfg = TaskConfig::default();
-        let modes = [
-            ExecutionMode::Sequential,
-            ExecutionMode::CoarseGrained(ParallelConfig { num_threads: 3 }),
-            ExecutionMode::FineGrained(FineGrainedConfig::with_threads(3)),
-        ];
-        assert_eq!(modes[0].name(), "sequential");
-        assert_eq!(modes[1].name(), "coarse");
-        assert_eq!(modes[2].name(), "fine");
-        let baseline = run_task(&archive, &dag, Task::InvertedIndex, cfg);
-        for mode in modes {
-            let got = run_task_with_mode(&archive, &dag, Task::InvertedIndex, cfg, mode);
-            assert_eq!(got.output, baseline.output, "mode {}", mode.name());
-        }
-    }
-
-    #[test]
     fn work_stats_are_recorded() {
         let (archive, dag) = build(&redundant_corpus());
-        let exec = run_task_fine_grained(
-            &archive,
-            &dag,
+        let exec = run_cold(
+            Engine::builder(&archive, &dag).threads(2),
             Task::WordCount,
             TaskConfig::default(),
-            FineGrainedConfig::with_threads(2),
         );
         assert!(exec.timings.traversal_work.total_ops() > 0);
         assert!(exec.timings.init_work.total_ops() > 0);

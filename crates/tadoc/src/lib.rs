@@ -15,6 +15,10 @@
 //!   scheduling on real CPU threads — level-synchronized DAG traversal,
 //!   arena-backed per-worker tables, sharded lock-free merges, and rule-local
 //!   sequence counting (see the module docs for the paper mapping);
+//! * one facade over all three execution modes: [`Engine`], built with
+//!   `Engine::builder(..).{sequential,coarse_grained,fine_grained}()`; the
+//!   free function [`run_task`] stays as the sequential reference every test
+//!   and benchmark compares against;
 //! * a ground-truth *oracle* that computes every task on the decompressed
 //!   token streams (used to validate both TADOC and G-TADOC);
 //! * the CPU and 10-node-cluster analytic cost models used by the experiment
@@ -34,15 +38,9 @@ pub mod timing;
 pub mod weights;
 
 pub use apps::{run_task, Task, TaskConfig};
-pub use fine_grained::{
-    run_task_fine_grained, run_task_with_mode, ConfigError, Engine, EngineBuilder, ExecutionMode,
-    FineGrainedConfig, TaskSpec,
-};
+pub use fine_grained::{ConfigError, Engine, EngineBuilder, FineGrainedConfig, TaskSpec};
 pub use results::{
     AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,
 };
 pub use timing::{PhaseTimings, WorkStats};
-
-/// Re-exported hash map type used by all result tables.
-pub use sequitur::fxhash::FxHashMap;

@@ -48,8 +48,10 @@ pub fn partition_files(num_files: usize, parts: usize) -> Vec<Vec<FileId>> {
 }
 
 /// Runs `task` with coarse-grained (file-partition) parallelism and merges the
-/// partial results.
-pub fn run_task_parallel(
+/// partial results.  Reached through
+/// [`EngineBuilder::coarse_grained`](crate::fine_grained::EngineBuilder::coarse_grained),
+/// which validates the thread count first.
+pub(crate) fn run_task_parallel(
     archive: &TadocArchive,
     dag: &Dag,
     task: Task,

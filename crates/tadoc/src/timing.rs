@@ -86,10 +86,9 @@ pub struct PhaseTimings {
     /// levels, rule/file weights, head/tail buffers, chunk lists, the
     /// term-vector CSR).  On a cold [`Engine`](crate::fine_grained::Engine)
     /// run this is most of `init`; on a warm run every artifact is served
-    /// from the session cache and this is [`Duration::ZERO`].  The one-shot
-    /// wrapper (`run_task_fine_grained`) never reuses anything, so it pays
-    /// this on every call; the sequential and coarse paths do not break out
-    /// a shared portion and leave it zero.
+    /// from the session cache and this is [`Duration::ZERO`].  The
+    /// sequential and coarse paths do not break out a shared portion and
+    /// leave it zero.
     pub shared_init: Duration,
     /// Portion of `traversal` spent turning shard rows into the final
     /// [`AnalyticsOutput`](crate::results::AnalyticsOutput): merging the
@@ -99,17 +98,17 @@ pub struct PhaseTimings {
     /// zero.
     pub finalize: Duration,
     /// `true` when every shared artifact the task needed was served from a
-    /// warm session cache (nothing was computed this run).  Always `false`
-    /// for one-shot runs and for the sequential/coarse modes, which cache
-    /// nothing.
+    /// warm session cache (nothing was computed this run), or the whole
+    /// output came from the results cache.  Otherwise always `false` for
+    /// [`run_task`](crate::apps::run_task) and the sequential/coarse modes,
+    /// which keep no analysis layer.
     pub warm: bool,
     /// Set when the run was *degraded*: the fine-grained path faulted and
     /// the engine served the query through the sequential fallback instead.
     /// `None` on every run served by the requested path.
     pub degraded: Option<Degradation>,
     /// Results-cache accounting for this query: `Some` only on engines
-    /// built with the results cache enabled, `None` everywhere else
-    /// (one-shot wrappers, cache-less engines).
+    /// built with the results cache enabled, `None` everywhere else.
     pub results_cache: Option<ResultsCacheStats>,
 }
 

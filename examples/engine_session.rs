@@ -36,7 +36,7 @@ fn main() {
         .expect("valid engine configuration");
     println!(
         "built a {} engine session (pool parked, cache empty)\n",
-        engine.mode().name()
+        engine.mode()
     );
 
     // Batched queries: the first pass fills the cache (each task computes
@@ -80,15 +80,14 @@ fn main() {
         engine.epochs()
     );
 
-    // The one-shot wrappers remain as the compatibility surface and agree
-    // byte-for-byte with the session.
-    let via_wrapper = run_task_with_mode(
-        &archive,
-        &dag,
-        Task::WordCount,
-        TaskConfig::default(),
-        ExecutionMode::FineGrained(FineGrainedConfig::with_threads(4)),
-    );
-    assert_eq!(via_wrapper.output, cold[0].output);
-    println!("one-shot wrapper output matches the session output");
+    // The same facade runs the sequential TADOC baseline; it agrees
+    // byte-for-byte with the fine-grained session.
+    let sequential = Engine::builder(&archive, &dag)
+        .sequential()
+        .build()
+        .expect("valid engine configuration")
+        .run(Task::WordCount, TaskConfig::default())
+        .expect("valid task configuration");
+    assert_eq!(sequential.output, cold[0].output);
+    println!("sequential-mode output matches the fine-grained session output");
 }

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use sequitur::{ArchiveStats, Dag, Grammar, Symbol, TadocArchive};
     pub use tadoc::apps::{run_task, Task, TaskConfig};
     pub use tadoc::fine_grained::{
-        run_task_fine_grained, run_task_with_mode, CancelToken, ConfigError, Engine,
-        EngineBuilder, EngineError, ExecutionMode, FineGrainedConfig, QueryOptions, TaskSpec,
+        CancelToken, ConfigError, Engine, EngineBuilder, EngineError, FineGrainedConfig,
+        QueryOptions, TaskSpec,
     };
     pub use tadoc::results::AnalyticsOutput;
 }

@@ -2,12 +2,14 @@
 //! uncompressed oracle, sequential CPU TADOC, coarse-grained parallel TADOC,
 //! fine-grained parallel TADOC, and G-TADOC (both traversal strategies where
 //! applicable, on all three GPU presets) must produce identical results.
+//! The coarse and fine back ends are reached through `Engine`.
 
+mod common;
+
+use common::run_cold;
 use datagen::CorpusConfig;
 use g_tadoc_repro::prelude::*;
 use gtadoc::traversal::TraversalStrategy;
-use tadoc::fine_grained::{run_task_fine_grained, FineGrainedConfig};
-use tadoc::parallel::{run_task_parallel, ParallelConfig};
 
 fn corpora() -> Vec<(&'static str, Vec<(String, String)>)> {
     let shared = "the quick brown fox jumps over the lazy dog and the cat watches ".repeat(8);
@@ -64,12 +66,10 @@ fn all_implementations_agree_on_all_tasks() {
             let cpu = run_task(&archive, &dag, task, cfg);
             assert_eq!(cpu.output, oracle_out, "[{name}] CPU TADOC vs oracle on {}", task.name());
 
-            let parallel = run_task_parallel(
-                &archive,
-                &dag,
+            let parallel = run_cold(
+                Engine::builder(&archive, &dag).coarse_grained().threads(3),
                 task,
                 cfg,
-                ParallelConfig { num_threads: 3 },
             );
             assert_eq!(
                 parallel.output,
@@ -119,12 +119,10 @@ fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
         let cfg = TaskConfig::default();
         for task in Task::ALL {
             let sequential = run_task(archive, &dag, task, cfg);
-            let coarse = run_task_parallel(
-                archive,
-                &dag,
+            let coarse = run_cold(
+                Engine::builder(archive, &dag).coarse_grained().threads(4),
                 task,
                 cfg,
-                ParallelConfig { num_threads: 4 },
             );
             assert_eq!(
                 coarse.output,
@@ -133,13 +131,7 @@ fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
                 task.name()
             );
             for threads in [1usize, 4, 8] {
-                let fine = run_task_fine_grained(
-                    archive,
-                    &dag,
-                    task,
-                    cfg,
-                    FineGrainedConfig::with_threads(threads),
-                );
+                let fine = run_cold(Engine::builder(archive, &dag).threads(threads), task, cfg);
                 assert_eq!(
                     fine.output,
                     sequential.output,
@@ -180,14 +172,12 @@ fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
             task.name()
         );
         for threads in [1usize, 4, 8] {
-            let coarse = run_task_parallel(
-                &archive,
-                &dag,
+            let coarse = run_cold(
+                Engine::builder(&archive, &dag)
+                    .coarse_grained()
+                    .threads(threads),
                 task,
                 cfg,
-                ParallelConfig {
-                    num_threads: threads,
-                },
             );
             assert_eq!(
                 coarse.output,
@@ -195,13 +185,7 @@ fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
                 "coarse ({threads} threads) vs sequential on {} with an empty file",
                 task.name()
             );
-            let fine = run_task_fine_grained(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                FineGrainedConfig::with_threads(threads),
-            );
+            let fine = run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
             assert_eq!(
                 fine.output,
                 sequential.output,
@@ -245,15 +229,12 @@ fn dataset_b_shaped_corpus_agrees_on_all_tasks_at_all_thread_counts() {
         let sequential = run_task(&archive, &dag, task, cfg);
         for threads in [1usize, 4, 8] {
             for chunk_elements in [default_chunk, 512] {
-                let fine = run_task_fine_grained(
-                    &archive,
-                    &dag,
+                let fine = run_cold(
+                    Engine::builder(&archive, &dag)
+                        .threads(threads)
+                        .chunk_elements(chunk_elements),
                     task,
                     cfg,
-                    FineGrainedConfig {
-                        num_threads: threads,
-                        chunk_elements,
-                    },
                 );
                 assert_eq!(
                     fine.output,

@@ -1,13 +1,13 @@
 //! Digest stability: `AnalyticsOutput::digest` is part of the serving
-//! contract (`bench::serve` compares every answer against oracle digests,
-//! and the results cache assumes a digest identifies an output).  These
-//! pinned values were captured from the hash-map-backed representation;
-//! the ordered columnar representation must reproduce them bit-for-bit,
-//! so a digest change can never slip in silently with a representation
-//! change.
+//! contract (the repository benchmark and the concurrent-serving tests
+//! compare every answer against oracle digests).  These pinned values were
+//! captured from the hash-map-backed representation; the ordered columnar
+//! representation must reproduce them bit-for-bit, so a digest change can
+//! never slip in silently with a representation change.
+
+mod common;
 
 use g_tadoc_repro::prelude::*;
-use sequitur::Dag;
 
 fn fixed_corpus() -> Vec<(String, String)> {
     vec![
@@ -67,16 +67,10 @@ fn fine_grained_digests_match_the_pinned_values() {
     let dag = Dag::from_grammar(&archive.grammar);
     let cfg = TaskConfig::default();
     for threads in [1, 4, 8] {
-        let fine = FineGrainedConfig::with_threads(threads);
         for (task, &(name, pinned)) in Task::ALL.into_iter().zip(PINNED) {
             assert_eq!(task.name(), name);
-            let exec = run_task_with_mode(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                ExecutionMode::FineGrained(fine),
-            );
+            let exec =
+                common::run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
             assert_eq!(
                 exec.output.digest(),
                 pinned,

@@ -68,32 +68,30 @@ fn one_engine_all_tasks_twice_matches_oracle_on_both_corpus_shapes() {
     }
 }
 
-/// The retained one-shot wrapper and the session facade must agree on every
-/// task and execution mode — the compatibility contract of the redesign.
+/// One facade, three back ends: a sequential, a coarse-grained and a
+/// fine-grained session must each answer every task exactly like the
+/// sequential reference `run_task`.
 #[test]
-fn engine_facade_agrees_with_run_task_with_mode_wrapper() {
+fn engine_modes_agree_with_sequential_reference() {
     let corpus = a_shaped_corpus();
     let archive = compress_corpus(&corpus, CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let cfg = TaskConfig::default();
-    let modes = [
-        ExecutionMode::Sequential,
-        ExecutionMode::CoarseGrained(tadoc::parallel::ParallelConfig { num_threads: 3 }),
-        ExecutionMode::FineGrained(FineGrainedConfig::with_threads(3)),
-    ];
-    for mode in modes {
-        let engine = Engine::builder(&archive, &dag)
-            .execution_mode(mode)
-            .build()
-            .expect("valid engine config");
+    let builder = Engine::builder(&archive, &dag).threads(3);
+    for (mode, builder) in [
+        ("sequential", builder.sequential()),
+        ("coarse", builder.coarse_grained()),
+        ("fine", builder.fine_grained()),
+    ] {
+        let engine = builder.build().expect("valid engine config");
+        assert_eq!(engine.mode(), mode);
         for task in Task::ALL {
-            let via_wrapper = run_task_with_mode(&archive, &dag, task, cfg, mode);
+            let reference = run_task(&archive, &dag, task, cfg);
             let via_engine = engine.run(task, cfg).expect("valid task config");
             assert_eq!(
                 via_engine.output,
-                via_wrapper.output,
-                "mode {} task {} diverges between wrapper and engine",
-                mode.name(),
+                reference.output,
+                "mode {mode} task {} diverges from the sequential reference",
                 task.name()
             );
         }

@@ -7,8 +7,10 @@
 //! Plus a file-skewed regression corpus for the CSR-based term-vector
 //! kernel, whose workers own statically partitioned file ranges.
 
+mod common;
+
+use common::run_cold;
 use g_tadoc_repro::prelude::*;
-use tadoc::fine_grained::{run_task_fine_grained, FineGrainedConfig};
 
 /// A corpus whose grammar is a deep chain: repeated doubling yields nested
 /// rules (each level referencing the previous), i.e. many near-empty DAG
@@ -66,13 +68,7 @@ fn all_tasks_agree_across_thread_counts_on_many_tiny_levels() {
         let sequential = run_task(&archive, &dag, task, cfg);
         assert_eq!(sequential.output, oracle, "sequential vs oracle on {}", task.name());
         for threads in [1usize, 4, 8] {
-            let fine = run_task_fine_grained(
-                &archive,
-                &dag,
-                task,
-                cfg,
-                FineGrainedConfig::with_threads(threads),
-            );
+            let fine = run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
             assert_eq!(
                 fine.output,
                 sequential.output,
@@ -85,20 +81,18 @@ fn all_tasks_agree_across_thread_counts_on_many_tiny_levels() {
 
 #[test]
 fn repeated_runs_reuse_fresh_pools_without_interference() {
-    // Every run creates (and drops) its own pool; loop a task enough times
-    // that leaked or wedged helper threads would show up as a hang or a
-    // wrong result.
+    // Every run builds (and drops) its own session and pool; loop a task
+    // enough times that leaked or wedged helper threads would show up as a
+    // hang or a wrong result.
     let archive = compress_corpus(&deep_chain_corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let cfg = TaskConfig::default();
     let expected = run_task(&archive, &dag, Task::SequenceCount, cfg).output;
     for _ in 0..20 {
-        let fine = run_task_fine_grained(
-            &archive,
-            &dag,
+        let fine = run_cold(
+            Engine::builder(&archive, &dag).threads(4),
             Task::SequenceCount,
             cfg,
-            FineGrainedConfig::with_threads(4),
         );
         assert_eq!(fine.output, expected);
     }
@@ -115,12 +109,10 @@ fn term_vector_fine_matches_sequential_on_file_skew() {
     let sequential = run_task(&archive, &dag, Task::TermVector, cfg);
     assert_eq!(sequential.output, oracle, "sequential vs oracle");
     for threads in [1usize, 2, 4, 8] {
-        let fine = run_task_fine_grained(
-            &archive,
-            &dag,
+        let fine = run_cold(
+            Engine::builder(&archive, &dag).threads(threads),
             Task::TermVector,
             cfg,
-            FineGrainedConfig::with_threads(threads),
         );
         assert_eq!(
             fine.output,

@@ -3,18 +3,26 @@
 //! * Sequitur compression is lossless for arbitrary token streams and
 //!   arbitrary file splits;
 //! * the archive binary format round-trips;
-//! * the grammar respects rule-utility and acyclicity invariants;
+//! * archive decoding is total: arbitrary, header-prefixed, bit-flipped and
+//!   truncated bytes give `Ok` or a typed error — never a panic or an
+//!   oversized allocation — and whatever decodes is served exactly like the
+//!   sequential reference;
+//! * the grammar respects rule-utility and acyclicity invariants; the linear
+//!   cycle check agrees with the transitive-closure reference it replaced;
 //! * rule weights equal true expansion counts; file weights partition them;
 //! * the GPU hash table behaves like a map; the pool-backed local tables
 //!   behave like maps; the memory pool never overlaps regions;
 //! * G-TADOC word count and sequence count agree with the oracle on random
 //!   corpora.
 
+mod common;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use g_tadoc_repro::prelude::*;
 use gtadoc::hashtable::{local_table, GpuHashTable};
+use sequitur::archive::{MAGIC, VERSION};
 use sequitur::compress::compress_token_files;
 use sequitur::Dictionary;
 use tadoc::timing::WorkStats;
@@ -304,15 +312,8 @@ proptest! {
         for task in Task::ALL {
             let reference = tadoc::run_task(&archive, &dag, task, cfg).output;
             for threads in [1usize, 4, 8] {
-                let fine = tadoc::fine_grained::run_task_with_mode(
-                    &archive,
-                    &dag,
-                    task,
-                    cfg,
-                    tadoc::fine_grained::ExecutionMode::FineGrained(
-                        tadoc::fine_grained::FineGrainedConfig::with_threads(threads),
-                    ),
-                );
+                let fine =
+                    common::run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
                 prop_assert_eq!(
                     &fine.output,
                     &reference,
@@ -321,6 +322,291 @@ proptest! {
                     threads
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Archive bytes are untrusted input: decoding is total, and what decodes is
+// served correctly
+// ---------------------------------------------------------------------------
+
+/// Serialized form of a small redundant three-file archive, the subject the
+/// corruption properties mutate.
+fn sample_archive_bytes() -> Vec<u8> {
+    let shared = "the quick brown fox jumps over the lazy dog ".repeat(4);
+    let corpus: Vec<(String, String)> = (0..3)
+        .map(|i| (format!("doc{i}"), format!("{shared} unique{i} {shared}")))
+        .collect();
+    compress_corpus(&corpus, CompressOptions::default()).to_bytes()
+}
+
+/// `from_bytes` must return (no panic, no abort).  Whatever it accepts must
+/// be servable: the engine build must not panic and, if it builds, all six
+/// tasks answer undegraded and equal to the sequential reference.
+fn check_decoding_is_total(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let Ok(archive) = TadocArchive::from_bytes(bytes) else {
+        return Ok(());
+    };
+    let dag = Dag::from_grammar(&archive.grammar);
+    let Ok(engine) = Engine::builder(&archive, &dag).threads(2).build() else {
+        return Ok(());
+    };
+    let cfg = TaskConfig::default();
+    for task in Task::ALL {
+        let reference = run_task(&archive, &dag, task, cfg);
+        let exec = engine.run(task, cfg);
+        prop_assert!(exec.is_ok(), "{} failed: {:?}", task.name(), exec.err());
+        let exec = exec.expect("checked above");
+        prop_assert!(
+            exec.timings.degraded.is_none(),
+            "{} degraded: {:?}",
+            task.name(),
+            exec.timings.degraded
+        );
+        prop_assert_eq!(&exec.output, &reference.output, "task {}", task.name());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn from_bytes_is_total_on_arbitrary_bytes(bytes in vec(0u8..=255, 0..256)) {
+        check_decoding_is_total(&bytes)?;
+    }
+
+    // Past the magic and version every next field is a count: random bytes
+    // there are exactly the hostile-length case.
+    #[test]
+    fn from_bytes_is_total_behind_a_valid_header(tail in vec(0u8..=255, 0..256)) {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
+        bytes.extend_from_slice(&tail);
+        check_decoding_is_total(&bytes)?;
+    }
+
+    #[test]
+    fn from_bytes_is_total_on_bit_flipped_archives(
+        flips in vec((0usize..1 << 20, 0u32..8), 1..9),
+    ) {
+        let mut bytes = sample_archive_bytes();
+        let len = bytes.len();
+        for (pos, bit) in flips {
+            bytes[pos % len] ^= 1 << bit;
+        }
+        check_decoding_is_total(&bytes)?;
+    }
+
+    #[test]
+    fn from_bytes_is_total_on_truncated_archives(cut in 0usize..1 << 20) {
+        let bytes = sample_archive_bytes();
+        let cut = cut % bytes.len();
+        prop_assert!(TadocArchive::from_bytes(&bytes[..cut]).is_err(), "cut at {}", cut);
+    }
+}
+
+/// Hand-encodes an archive so a test controls every count and every raw
+/// symbol word, including ones `Symbol::encode` cannot produce.
+fn encode_archive(words: &[&str], files: &[&str], rules: &[Vec<u32>]) -> Vec<u8> {
+    fn put_str(out: &mut Vec<u8>, s: &str) {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(words.len() as u32).to_le_bytes());
+    for w in words {
+        put_str(&mut out, w);
+    }
+    out.extend_from_slice(&(files.len() as u32).to_le_bytes());
+    for f in files {
+        put_str(&mut out, f);
+        out.extend_from_slice(&[0u8; 16]); // token_count, byte_size
+    }
+    out.extend_from_slice(&(rules.len() as u32).to_le_bytes());
+    for body in rules {
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        for raw in body {
+            out.extend_from_slice(&raw.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// Every count field, set to `u32::MAX` with nothing behind it, is a typed
+/// error — before this was bounded, the 16-byte input of the first case made
+/// `Vec::with_capacity` ask for 103 GB and the process aborted.
+#[test]
+fn from_bytes_bounds_every_count_before_allocating() {
+    let valid = encode_archive(&["a"], &["f"], &[vec![Symbol::Word(0).encode()]]);
+    assert!(TadocArchive::from_bytes(&valid).is_ok());
+    let huge = u32::MAX.to_le_bytes();
+    // Offsets of word_count, file_count, rule_count and the body length.
+    let word_count = MAGIC.len() + 4;
+    let file_count = word_count + 4 + (4 + 1);
+    let rule_count = file_count + 4 + (4 + 1 + 16);
+    let body_len = rule_count + 4;
+    for at in [word_count, file_count, rule_count, body_len] {
+        let mut bytes = valid[..at].to_vec();
+        bytes.extend_from_slice(&huge);
+        assert_eq!(bytes.len(), at + 4);
+        assert!(
+            matches!(
+                TadocArchive::from_bytes(&bytes),
+                Err(sequitur::Error::Corrupt(_))
+            ),
+            "count at offset {at}"
+        );
+        // The same hostile count inside an otherwise intact archive.
+        let mut bytes = valid.clone();
+        bytes[at..at + 4].copy_from_slice(&huge);
+        assert!(
+            TadocArchive::from_bytes(&bytes).is_err(),
+            "count at offset {at}"
+        );
+    }
+}
+
+/// A symbol word carrying the unused tag `0b11` is corrupt input, not a
+/// panic in `Symbol::decode`.
+#[test]
+fn from_bytes_rejects_an_invalid_symbol_tag() {
+    let bytes = encode_archive(&["a"], &["f"], &[vec![0b11 << 30]]);
+    assert!(matches!(
+        TadocArchive::from_bytes(&bytes),
+        Err(sequitur::Error::Corrupt(_))
+    ));
+}
+
+/// A word id at or past the dictionary size is rejected by both doors —
+/// `from_bytes` and `Engine::build` — instead of indexing past the
+/// vocabulary-sized tables of termVector or spilling into the neighbouring
+/// field of a packed sequence key.
+#[test]
+fn word_ids_outside_the_dictionary_are_rejected() {
+    let bytes = encode_archive(
+        &["a", "b"],
+        &["f"],
+        &[vec![Symbol::Word(1).encode(), Symbol::Word(2).encode()]],
+    );
+    assert!(matches!(
+        TadocArchive::from_bytes(&bytes),
+        Err(sequitur::Error::InvalidReference(_))
+    ));
+
+    let mut archive = TadocArchive::from_bytes(&sample_archive_bytes()).expect("valid archive");
+    let vocabulary = archive.vocabulary_size() as u32;
+    archive.grammar.rules[0].push(Symbol::Word(vocabulary));
+    assert!(archive.validate().is_err());
+    let dag = Dag::from_grammar(&archive.grammar);
+    assert!(matches!(
+        Engine::builder(&archive, &dag).threads(2).build().err(),
+        Some(EngineError::InvalidArchive { .. })
+    ));
+}
+
+// ---------------------------------------------------------------------------
+// Cycle detection: fixed cases, and agreement with the validator it replaced
+// ---------------------------------------------------------------------------
+
+#[test]
+fn validate_rejects_cycles_wherever_they_sit() {
+    use Symbol::{Rule, Word};
+    // Self-loop R1 -> R1.
+    let self_loop = Grammar::new(vec![vec![Rule(1)], vec![Rule(1)]]);
+    assert!(self_loop.validate().is_err());
+    // R1 <-> R2, neither reachable from the root.
+    let unreachable = Grammar::new(vec![vec![Word(0)], vec![Rule(2)], vec![Rule(1)]]);
+    assert!(unreachable.validate().is_err());
+    // The same graphs arriving as bytes.
+    for grammar in [&self_loop, &unreachable] {
+        let rules: Vec<Vec<u32>> = grammar
+            .rules
+            .iter()
+            .map(|body| body.iter().map(|sym| sym.encode()).collect())
+            .collect();
+        let bytes = encode_archive(&["a"], &["f"], &rules);
+        assert!(matches!(
+            TadocArchive::from_bytes(&bytes),
+            Err(sequitur::Error::Corrupt(_))
+        ));
+    }
+}
+
+/// A 100k-rule chain R0 -> R1 -> ... -> R99999: validation must neither
+/// recurse (stack overflow) nor build per-rule reachability sets (the
+/// replaced closure needed ~5 * 10^9 set entries here).
+#[test]
+fn validate_handles_a_100k_rule_chain_in_linear_time() {
+    const N: u32 = 100_000;
+    let mut rules: Vec<Vec<Symbol>> = (1..N).map(|next| vec![Symbol::Rule(next)]).collect();
+    rules.push(vec![Symbol::Word(0)]);
+    let mut chain = Grammar::new(rules);
+    assert!(chain.validate().is_ok());
+    assert_eq!(chain.topological_order_children_first().len(), N as usize);
+    // Close the chain into one 100k-long cycle.
+    chain.rules[N as usize - 1] = vec![Symbol::Rule(0)];
+    assert!(chain.validate().is_err());
+}
+
+/// The validator this repository shipped before the back-edge DFS, kept as
+/// the reference: a per-rule transitive closure of cloned `BTreeSet`s over
+/// the children-first order (quadratic in the worst case).
+fn closure_finds_cycle(grammar: &Grammar) -> bool {
+    use std::collections::BTreeSet;
+    let mut reachable: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); grammar.num_rules()];
+    for r in grammar.topological_order_children_first() {
+        let mut set = BTreeSet::new();
+        for sym in &grammar.rules[r as usize] {
+            if let Symbol::Rule(c) = *sym {
+                set.insert(c);
+                set.extend(reachable[c as usize].iter().copied());
+            }
+        }
+        if set.contains(&r) {
+            return true;
+        }
+        reachable[r as usize] = set;
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Random rule graphs with every reference in range and no splitters, so
+    // a cycle is the only reason to reject.  `forward_only` graphs reference
+    // higher-numbered rules only and are acyclic by construction; the rest
+    // reference any rule (self included) and are mostly cyclic — both
+    // verdicts are exercised.
+    #[test]
+    fn linear_cycle_check_agrees_with_the_closure_reference(
+        bodies in vec(vec((0u32..4, 0u32..64), 0..5), 1..12),
+        forward_only in 0u32..2,
+    ) {
+        let n = bodies.len() as u32;
+        let rules: Vec<Vec<Symbol>> = bodies
+            .iter()
+            .enumerate()
+            .map(|(i, body)| {
+                let i = i as u32;
+                body.iter()
+                    .map(|&(kind, pick)| match kind {
+                        0 => Symbol::Word(pick),
+                        _ if forward_only == 1 && i + 1 == n => Symbol::Word(pick),
+                        _ if forward_only == 1 => Symbol::Rule(i + 1 + pick % (n - i - 1)),
+                        _ => Symbol::Rule(pick % n),
+                    })
+                    .collect()
+            })
+            .collect();
+        let grammar = Grammar::new(rules);
+        let cyclic = closure_finds_cycle(&grammar);
+        prop_assert_eq!(grammar.validate().is_err(), cyclic, "grammar {:?}", grammar.rules);
+        if forward_only == 1 {
+            prop_assert!(!cyclic, "forward-only graphs are acyclic");
         }
     }
 }
