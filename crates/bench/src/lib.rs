@@ -6,8 +6,7 @@
 //! uncompressed comparison) plus the ablation studies for the design choices
 //! of Section IV.  The README's *Reproducing the experiments* maps each
 //! artefact to its command and states the substitutions made (simulated
-//! GPUs, synthetic datasets).  The one non-paper target is the
-//! `arena_probe` Criterion bench.
+//! GPUs, synthetic datasets).
 //!
 //! Performance of the serving stack itself (compression, archive load,
 //! engine sessions, the TCP server) is **not** measured here: that is the

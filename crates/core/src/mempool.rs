@@ -7,72 +7,110 @@
 //! by a bump (prefix-sum) allocation — the design described in
 //! "G-TADOC maintained memory pool".
 //!
-//! The pool layout itself is backend-agnostic and lives in the [`arena`]
-//! crate (the fine-grained CPU engine carves per-worker tables out of the
-//! same structure); this module wraps it with the simulated-device memory
-//! accounting.  Region sizing follows the arena sizing contract: consumers
-//! pass `words_required(bound)` per table (0 words for 0 keys — the root's
-//! region, or a worker with no assigned rules), and the tables trust those
+//! Region sizing follows the local tables' sizing contract (see
+//! [`crate::hashtable`]): consumers pass `words_required(bound)` per table
+//! (0 words for 0 keys — the root's region), and the tables trust those
 //! bounds absolutely.
 
 use gpu_sim::Device;
 
-pub use arena::PoolRegion;
+/// A region of the pool owned by one consumer (a rule).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolRegion {
+    /// First `u32` word of the region inside the pool buffer.
+    pub offset: u32,
+    /// Length of the region in `u32` words.
+    pub len: u32,
+}
+
+impl PoolRegion {
+    /// The half-open word range of this region.
+    pub fn range(&self) -> std::ops::Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
+}
 
 /// The memory pool: one flat `u32` buffer plus the per-consumer regions,
 /// charged against a simulated device's memory capacity.
 #[derive(Debug)]
 pub struct MemoryPool {
-    inner: arena::MemoryPool,
+    storage: Vec<u32>,
+    regions: Vec<PoolRegion>,
 }
 
 impl MemoryPool {
-    /// Builds a pool from per-consumer requirements (in `u32` words), charging
-    /// the allocation against `device`'s memory capacity.
+    /// Builds a pool from per-consumer requirements (in `u32` words) with a
+    /// bump (prefix-sum) allocation, charging the allocation against
+    /// `device`'s memory capacity.
+    ///
+    /// # Panics
+    /// Panics if the total exceeds the 4G-word (`u32` offset) addressing
+    /// limit; the dataset must be sharded.
     pub fn allocate(device: &Device, requirements: &[u32]) -> Self {
-        let inner = arena::MemoryPool::from_requirements(requirements);
+        let mut regions = Vec::with_capacity(requirements.len());
+        let mut offset: u64 = 0;
+        for &req in requirements {
+            regions.push(PoolRegion {
+                offset: offset as u32,
+                len: req,
+            });
+            offset += req as u64;
+        }
+        assert!(
+            offset <= u32::MAX as u64,
+            "allocation of {offset} words exceeds the 4G-word pool limit; \
+             shard the dataset"
+        );
         // Charge the device for the backing storage (and release the tracking
         // buffer immediately: the pool keeps its own storage so the simulated
         // capacity check is what matters here).
-        let tracking = device.alloc::<u32>(inner.total_words());
-        drop(tracking);
-        Self { inner }
+        drop(device.alloc::<u32>(offset as usize));
+        Self {
+            storage: vec![0u32; offset as usize],
+            regions,
+        }
     }
 
     /// Number of consumers (regions).
     pub fn num_regions(&self) -> usize {
-        self.inner.num_regions()
+        self.regions.len()
     }
 
     /// Total pool size in `u32` words.
     pub fn total_words(&self) -> usize {
-        self.inner.total_words()
+        self.storage.len()
     }
 
     /// The region of consumer `i`.
     pub fn region(&self, i: usize) -> PoolRegion {
-        self.inner.region(i)
+        self.regions[i]
     }
 
     /// Immutable view of consumer `i`'s region.
     pub fn slice(&self, i: usize) -> &[u32] {
-        self.inner.slice(i)
+        &self.storage[self.regions[i].range()]
     }
 
     /// Mutable view of consumer `i`'s region.
     pub fn slice_mut(&mut self, i: usize) -> &mut [u32] {
-        self.inner.slice_mut(i)
+        let range = self.regions[i].range();
+        &mut self.storage[range]
     }
 
     /// Mutable access to the whole backing storage together with the region
     /// table — what a kernel holding the raw pool pointer would see.
     pub fn storage_and_regions(&mut self) -> (&mut [u32], &[PoolRegion]) {
-        self.inner.storage_and_regions()
+        (&mut self.storage, &self.regions)
     }
 
     /// Verifies that no two regions overlap (invariant test hook).
     pub fn regions_disjoint(&self) -> bool {
-        self.inner.regions_disjoint()
+        let mut sorted: Vec<PoolRegion> =
+            self.regions.iter().copied().filter(|r| r.len > 0).collect();
+        sorted.sort_by_key(|r| r.offset);
+        sorted
+            .windows(2)
+            .all(|w| w[0].offset + w[0].len <= w[1].offset)
     }
 }
 
@@ -124,5 +162,11 @@ mod tests {
             storage[regions[1].offset as usize] = 7;
         }
         assert_eq!(pool.slice(1)[0], 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 4G-word pool limit")]
+    fn over_4g_word_pool_is_rejected_before_allocating() {
+        MemoryPool::allocate(&device(), &[u32::MAX, u32::MAX]);
     }
 }

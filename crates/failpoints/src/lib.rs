@@ -4,8 +4,8 @@
 //! a fault.  With the `enabled` feature the [`fail_point!`] macro expands to
 //! a registry lookup that, when the site is armed, either panics with a
 //! recognizable payload (statement form) or evaluates a caller-supplied
-//! fault expression (expression form, used to return typed errors such as an
-//! arena capacity failure).  Without the feature — the default, and the only
+//! fault expression (expression form, used to return typed errors such as a
+//! full admission queue).  Without the feature — the default, and the only
 //! configuration release builds ship — the macro expands to **nothing**: no
 //! branch, no registry, no atomic load.  The selection happens at macro
 //! *definition* site via `#[cfg]`, so disabled builds carry zero cost.
@@ -24,7 +24,6 @@
 //! |------------------|-----------------------------------------------|
 //! | `worker-epoch`   | entry of every worker's pool-epoch body       |
 //! | `chunk-boundary` | each chunk claimed from a work queue          |
-//! | `arena-reserve`  | arena hash-table insert (capacity check)      |
 //! | `merge-fold`     | shard-buffer merge fold                       |
 
 #![forbid(unsafe_code)]

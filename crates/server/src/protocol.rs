@@ -102,8 +102,6 @@ pub enum WireErrorCode {
     InvalidArchive,
     /// A worker fault that the sequential fallback could not absorb.
     WorkerPanicked,
-    /// An arena capacity fault that the sequential fallback could not absorb.
-    ArenaCapacity,
     /// The query's deadline passed (while queued or in flight).
     DeadlineExceeded,
     /// The query was cancelled (e.g. shutdown drain timeout).
@@ -117,12 +115,14 @@ pub enum WireErrorCode {
 }
 
 impl WireErrorCode {
+    // Byte 4 is reserved: it named an arena-capacity fault the engine can no
+    // longer produce, and is never reused, so an old peer's 4 stays a typed
+    // decode error instead of silently meaning something else.
     fn to_byte(self) -> u8 {
         match self {
             WireErrorCode::Config => 1,
             WireErrorCode::InvalidArchive => 2,
             WireErrorCode::WorkerPanicked => 3,
-            WireErrorCode::ArenaCapacity => 4,
             WireErrorCode::DeadlineExceeded => 5,
             WireErrorCode::Cancelled => 6,
             WireErrorCode::Protocol => 7,
@@ -136,7 +136,6 @@ impl WireErrorCode {
             1 => WireErrorCode::Config,
             2 => WireErrorCode::InvalidArchive,
             3 => WireErrorCode::WorkerPanicked,
-            4 => WireErrorCode::ArenaCapacity,
             5 => WireErrorCode::DeadlineExceeded,
             6 => WireErrorCode::Cancelled,
             7 => WireErrorCode::Protocol,
@@ -172,7 +171,6 @@ impl From<&EngineError> for WireError {
             EngineError::Config(_) => WireErrorCode::Config,
             EngineError::InvalidArchive { .. } => WireErrorCode::InvalidArchive,
             EngineError::WorkerPanicked { .. } => WireErrorCode::WorkerPanicked,
-            EngineError::ArenaCapacity { .. } => WireErrorCode::ArenaCapacity,
             EngineError::DeadlineExceeded => WireErrorCode::DeadlineExceeded,
             EngineError::Cancelled => WireErrorCode::Cancelled,
         };
@@ -1123,20 +1121,43 @@ mod tests {
 
     #[test]
     fn engine_errors_map_to_wire_codes() {
-        assert_eq!(
-            WireError::from(&EngineError::DeadlineExceeded).code,
-            WireErrorCode::DeadlineExceeded
-        );
-        assert_eq!(
-            WireError::from(&EngineError::Cancelled).code,
-            WireErrorCode::Cancelled
-        );
-        assert_eq!(
-            WireError::from(&EngineError::WorkerPanicked {
-                message: "boom".into()
-            })
-            .code,
-            WireErrorCode::WorkerPanicked
-        );
+        let all = [
+            EngineError::Config(tadoc::ConfigError::ZeroThreads),
+            EngineError::InvalidArchive {
+                reason: "cycle".into(),
+            },
+            EngineError::WorkerPanicked {
+                message: "boom".into(),
+            },
+            EngineError::DeadlineExceeded,
+            EngineError::Cancelled,
+        ];
+        for e in &all {
+            // No `_` arm: a new `EngineError` variant fails to compile here
+            // until it is given a wire code and a row above.
+            let expected = match e {
+                EngineError::Config(_) => WireErrorCode::Config,
+                EngineError::InvalidArchive { .. } => WireErrorCode::InvalidArchive,
+                EngineError::WorkerPanicked { .. } => WireErrorCode::WorkerPanicked,
+                EngineError::DeadlineExceeded => WireErrorCode::DeadlineExceeded,
+                EngineError::Cancelled => WireErrorCode::Cancelled,
+            };
+            let wire = WireError::from(e);
+            assert_eq!(wire.code, expected, "{e}");
+            assert_eq!(wire.message, e.to_string());
+        }
+    }
+
+    #[test]
+    fn reserved_error_code_4_is_a_typed_non_fatal_error() {
+        let mut frame = encode_response(&Response::Error(WireError::new(
+            WireErrorCode::WorkerPanicked,
+            "boom",
+        )));
+        assert_eq!(frame[HEADER_LEN], 3);
+        frame[HEADER_LEN] = 4;
+        let err = decode_response(&frame).expect_err("code 4 is reserved");
+        assert_eq!(err, ProtocolError::Malformed("unknown error code".into()));
+        assert!(!is_framing_fatal(&err), "the stream must keep serving");
     }
 }

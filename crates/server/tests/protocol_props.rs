@@ -2,7 +2,8 @@
 //!
 //! * every well-formed request and every result type round-trips through
 //!   encode → decode → encode **byte-identically** (and digest-identically);
-//! * error, overloaded and stats frames round-trip;
+//! * error, overloaded and stats frames round-trip; the reserved error code
+//!   byte 4 decodes to a typed, non-fatal error;
 //! * arbitrary bytes — raw, or wrapped in a well-formed header — never
 //!   panic the decoders, they return typed errors;
 //! * the incremental frame reader never panics on arbitrary byte streams.
@@ -14,8 +15,9 @@ use proptest::prelude::*;
 
 use server::framing::{FrameReader, ReadOutcome};
 use server::protocol::{
-    decode_request, decode_response, encode_request, encode_response, QueryRequest, Request,
-    Response, StatsSnapshot, WireError, WireErrorCode, MAGIC, VERSION,
+    decode_header, decode_request, decode_response, encode_request, encode_response,
+    is_framing_fatal, ProtocolError, QueryRequest, Request, Response, StatsSnapshot, WireError,
+    WireErrorCode, HEADER_LEN, MAGIC, VERSION,
 };
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::results::{
@@ -149,7 +151,6 @@ proptest! {
             WireErrorCode::Config,
             WireErrorCode::InvalidArchive,
             WireErrorCode::WorkerPanicked,
-            WireErrorCode::ArenaCapacity,
             WireErrorCode::DeadlineExceeded,
             WireErrorCode::Cancelled,
             WireErrorCode::Protocol,
@@ -178,6 +179,27 @@ proptest! {
             prop_assert_eq!(&decoded, &resp);
             prop_assert_eq!(encode_response(&decoded), bytes);
         }
+    }
+
+    // Wire code 4 is reserved: whatever message it carries, the frame is a
+    // typed non-fatal error, and the frame behind it still decodes.
+    #[test]
+    fn reserved_error_code_keeps_the_stream_serving(raw_msg in vec(32u8..127, 0..50)) {
+        let msg = String::from_utf8_lossy(&raw_msg).into_owned();
+        let mut stream = encode_response(&Response::Error(WireError::new(
+            WireErrorCode::Internal,
+            msg,
+        )));
+        stream[HEADER_LEN] = 4;
+        stream.extend_from_slice(&encode_response(&Response::ShutdownAck));
+
+        let err = decode_response(&stream).expect_err("code 4 is reserved");
+        prop_assert!(matches!(err, ProtocolError::Malformed(_)));
+        prop_assert!(!is_framing_fatal(&err));
+        let (_, payload_len) = decode_header(&stream).expect("header stays parseable");
+        let (next, _) = decode_response(&stream[HEADER_LEN + payload_len..])
+            .expect("the following frame decodes");
+        prop_assert_eq!(next, Response::ShutdownAck);
     }
 
     // Raw fuzz: arbitrary bytes must yield `Ok` or a typed error from the

@@ -1,7 +1,7 @@
 //! *term vector* on compressed data: per-file word-frequency vectors computed
 //! from per-rule local word tables weighted by per-file rule occurrences.
 
-use crate::results::{FileId, TermVectorResult};
+use crate::results::TermVectorResult;
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use crate::weights::{file_segments, file_weights};
 use sequitur::fxhash::FxHashMap;
@@ -74,35 +74,6 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (TermVectorResult, PhaseTimings
     )
 }
 
-/// Helper shared with the coarse-grained parallel runner: the term vector of a
-/// single file.
-pub fn term_vector_for_file(
-    grammar: &sequitur::Grammar,
-    dag: &Dag,
-    fw: &[FxHashMap<FileId, u64>],
-    file: FileId,
-) -> Vec<(WordId, u64)> {
-    let segments = file_segments(grammar);
-    let mut acc: FxHashMap<WordId, u64> = FxHashMap::default();
-    if let Some(&(start, end)) = segments.get(file as usize) {
-        for sym in &grammar.root()[start..end] {
-            if let Symbol::Word(w) = *sym {
-                *acc.entry(w).or_insert(0) += 1;
-            }
-        }
-    }
-    for (r, rule_fw) in fw.iter().enumerate().skip(1) {
-        if let Some(&occ) = rule_fw.get(&file) {
-            for &(w, c) in &dag.local_words[r] {
-                *acc.entry(w).or_insert(0) += c as u64 * occ;
-            }
-        }
-    }
-    let mut v: Vec<(WordId, u64)> = acc.into_iter().collect();
-    v.sort_unstable();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,22 +109,5 @@ mod tests {
         assert_eq!(result.frequency(0, banana), 1);
         assert_eq!(result.frequency(1, apple), 0);
         assert_eq!(result.frequency(1, banana), 3);
-    }
-
-    #[test]
-    fn single_file_helper_matches_full_run() {
-        let corpus = vec![
-            ("a".to_string(), "one two three one two one".to_string()),
-            ("b".to_string(), "three three one".to_string()),
-        ];
-        let archive = compress_corpus(&corpus, CompressOptions::default());
-        let dag = Dag::from_grammar(&archive.grammar);
-        let (full, _) = run(&archive, &dag);
-        let mut work = WorkStats::default();
-        let fw = file_weights(&archive.grammar, &dag, &mut work);
-        for f in 0..archive.num_files() as FileId {
-            let single = term_vector_for_file(&archive.grammar, &dag, &fw, f);
-            assert_eq!(single, full.vector(f), "file {f}");
-        }
     }
 }

@@ -42,7 +42,6 @@ use super::{
     TermVectorPrep, TvScratch,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
-use crate::parallel::{run_task_parallel, ParallelConfig};
 use crate::results::AnalyticsOutput;
 use crate::timing::{Degradation, PhaseTimings, ResultsCacheStats, Timer, WorkStats};
 use crate::weights::file_segments;
@@ -104,14 +103,13 @@ impl std::error::Error for ConfigError {}
 /// [`EngineBuilder::build`]).  The failure model (see `ARCHITECTURE.md`,
 /// *Failure model & recovery*):
 ///
-/// * A worker panic or arena capacity fault never escapes [`Engine::run`]
-///   as a panic.  The engine heals its pool if the fault poisoned it, then
+/// * A worker panic never escapes [`Engine::run`] as a panic.  The engine heals its pool if the fault poisoned it, then
 ///   **degrades**: the query is retried once on the sequential path
 ///   (oracle-identical by construction) and succeeds with
 ///   [`PhaseTimings::degraded`](crate::timing::PhaseTimings::degraded) set.
-///   [`EngineError::WorkerPanicked`] / [`EngineError::ArenaCapacity`] are
-///   returned only when that fallback *also* fails — a double fault, which
-///   on identical input means the fault is input-shaped, not transient.
+///   [`EngineError::WorkerPanicked`] is returned only when that fallback
+///   *also* fails — a double fault, which on identical input means the
+///   fault is input-shaped, not transient.
 /// * [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] are
 ///   clean cooperative aborts: the session stays healthy, nothing is
 ///   poisoned, and the next query runs normally.
@@ -133,12 +131,6 @@ pub enum EngineError {
         /// The panic message of the original fine-grained fault.
         message: String,
     },
-    /// An arena capacity bound was violated and the sequential fallback
-    /// failed too.
-    ArenaCapacity {
-        /// The violated bound.
-        error: arena::CapacityError,
-    },
     /// The query's deadline passed before it completed.  The session is
     /// not poisoned; subsequent queries run normally.
     DeadlineExceeded,
@@ -158,10 +150,6 @@ impl std::fmt::Display for EngineError {
                 f,
                 "worker panicked ({message}) and the sequential fallback failed"
             ),
-            EngineError::ArenaCapacity { error } => write!(
-                f,
-                "arena capacity exhausted ({error}) and the sequential fallback failed"
-            ),
             EngineError::DeadlineExceeded => write!(f, "query deadline exceeded"),
             EngineError::Cancelled => write!(f, "query cancelled"),
         }
@@ -172,7 +160,6 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Config(e) => Some(e),
-            EngineError::ArenaCapacity { error } => Some(error),
             _ => None,
         }
     }
@@ -224,7 +211,7 @@ impl CancelToken {
 /// [`CancelToken`].  Both are enforced *cooperatively* at chunk boundaries
 /// and between DAG levels on the fine-grained path, so a stuck or oversized
 /// query stops in bounded time without killing the session; the
-/// sequential/coarse paths check them only at query start.
+/// sequential path checks them only at query start.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Time budget for the query; `Some(d)` makes the query return
@@ -659,7 +646,6 @@ impl ResultsCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ModeKind {
     Sequential,
-    Coarse,
     Fine,
 }
 
@@ -682,12 +668,6 @@ impl<'a> EngineBuilder<'a> {
     /// Selects the sequential TADOC baseline back end.
     pub fn sequential(mut self) -> Self {
         self.kind = ModeKind::Sequential;
-        self
-    }
-
-    /// Selects the coarse-grained (file-partition) parallel back end.
-    pub fn coarse_grained(mut self) -> Self {
-        self.kind = ModeKind::Coarse;
         self
     }
 
@@ -743,9 +723,6 @@ impl<'a> EngineBuilder<'a> {
         validate_archive(self.archive, self.dag)?;
         let inner = match self.kind {
             ModeKind::Sequential => EngineInner::Sequential,
-            ModeKind::Coarse => EngineInner::Coarse(ParallelConfig {
-                num_threads: self.num_threads,
-            }),
             ModeKind::Fine => {
                 let fcfg = FineGrainedConfig {
                     num_threads: self.num_threads,
@@ -837,7 +814,6 @@ struct FineState {
 
 enum EngineInner {
     Sequential,
-    Coarse(ParallelConfig),
     Fine(Box<FineState>),
 }
 
@@ -923,11 +899,10 @@ impl<'a> Engine<'a> {
     }
 
     /// Short name of the execution mode this session dispatches to:
-    /// `"sequential"`, `"coarse"` or `"fine"`.
+    /// `"sequential"` or `"fine"`.
     pub fn mode(&self) -> &'static str {
         match &self.inner {
             EngineInner::Sequential => "sequential",
-            EngineInner::Coarse(_) => "coarse",
             EngineInner::Fine(_) => "fine",
         }
     }
@@ -940,7 +915,7 @@ impl<'a> Engine<'a> {
     /// Number of barrier epochs the session has dispatched so far across
     /// every pool it has owned — the persistent pool, healed replacements,
     /// and transient inline pools of contended queries (0 for the
-    /// sequential/coarse modes, which own no pool).  Strictly increasing.
+    /// sequential mode, which owns no pool).  Strictly increasing.
     pub fn epochs(&self) -> u64 {
         match &self.inner {
             EngineInner::Fine(state) => {
@@ -966,7 +941,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Number of analysis-layer fill computations executed so far (0 for
-    /// the sequential/coarse modes, which keep no analysis layer).  Each
+    /// the sequential mode, which keeps no analysis layer).  Each
     /// shared artifact counts once no matter how many concurrent queries
     /// raced to first-touch it — the "filled exactly once" proof hook.
     pub fn analysis_fills(&self) -> u64 {
@@ -991,8 +966,7 @@ impl<'a> Engine<'a> {
     /// See [`EngineError`] for the full failure model; with no limits
     /// attached, the reachable errors are [`EngineError::Config`] (a
     /// sequence-sensitive task with `sequence_length == 0`) and the
-    /// double-fault variants [`EngineError::WorkerPanicked`] /
-    /// [`EngineError::ArenaCapacity`].
+    /// double-fault variant [`EngineError::WorkerPanicked`].
     pub fn run(&self, task: Task, cfg: TaskConfig) -> Result<TaskExecution, EngineError> {
         self.run_with(task, cfg, &QueryOptions::default())
     }
@@ -1002,7 +976,7 @@ impl<'a> Engine<'a> {
     /// The limits are enforced cooperatively: the fine-grained path checks
     /// them at every chunk boundary and between DAG levels, so an abort
     /// surfaces in bounded time and never poisons the session; the
-    /// sequential/coarse paths check them only before the query starts.
+    /// sequential path checks them only before the query starts.
     ///
     /// # Errors
     /// [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] for
@@ -1017,7 +991,7 @@ impl<'a> Engine<'a> {
             return Err(ConfigError::ZeroSequenceLength { task }.into());
         }
         // Pre-flight: an already-tripped limit fails before any work, on
-        // every path (the sequential/coarse backends have no checkpoints).
+        // every path (the sequential back end has no checkpoints).
         if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(EngineError::Cancelled);
         }
@@ -1042,9 +1016,6 @@ impl<'a> Engine<'a> {
         }
         let computed = match &self.inner {
             EngineInner::Sequential => Ok(run_task(self.archive, self.dag, task, cfg)),
-            EngineInner::Coarse(pcfg) => {
-                Ok(run_task_parallel(self.archive, self.dag, task, cfg, *pcfg))
-            }
             EngineInner::Fine(state) => run_fine(
                 self.archive,
                 self.dag,
@@ -1131,8 +1102,8 @@ fn run_fine(
 }
 
 /// The fine path's fault-isolation shell: runs the query on the
-/// exclusively-held pool inside `catch_unwind`, classifies any escaped
-/// payload, heals the pool if the fault poisoned it, and degrades to the
+/// exclusively-held pool inside `catch_unwind`, tells an [`Abort`] from a
+/// fault, heals the pool if the fault poisoned it, and degrades to the
 /// sequential oracle path once.  Faults are **per-query** by construction:
 /// the analysis fills are panic-atomic (a faulted fill leaves its cell
 /// empty), scratch leases dropped mid-unwind are discarded rather than
@@ -1149,8 +1120,8 @@ fn run_fine(
 ///    construction — and mark the result
 ///    [`degraded`](crate::timing::PhaseTimings::degraded).
 /// 4. If the sequential retry *also* faults (a double fault: the input
-///    itself is panic-shaped, not a transient), return the typed error
-///    classified from the original payload.
+///    itself is panic-shaped, not a transient), return
+///    [`EngineError::WorkerPanicked`] with the original fault's message.
 #[allow(clippy::too_many_arguments)] // internal shell mirroring the ladder's inputs
 fn run_fine_on_pool(
     archive: &TadocArchive,
@@ -1179,7 +1150,6 @@ fn run_fine_on_pool(
         });
     }
 
-    let capacity = payload.downcast_ref::<arena::CapacityError>().copied();
     if exec.pool.is_poisoned() {
         let healed = WorkerPool::new(exec.pool.threads());
         let old = std::mem::replace(&mut exec.pool, healed);
@@ -1190,24 +1160,18 @@ fn run_fine_on_pool(
     }));
     match retry {
         Ok(mut execution) => {
-            execution.timings.degraded = Some(match capacity {
-                Some(_) => Degradation::ArenaCapacity,
-                None => Degradation::WorkerPanic,
-            });
+            execution.timings.degraded = Some(Degradation::WorkerPanic);
             Ok(execution)
         }
-        Err(_) => Err(match capacity {
-            Some(error) => EngineError::ArenaCapacity { error },
-            None => EngineError::WorkerPanicked {
-                message: panic_message(payload.as_ref()),
-            },
+        Err(_) => Err(EngineError::WorkerPanicked {
+            message: panic_message(payload.as_ref()),
         }),
     }
 }
 
 /// Best-effort extraction of a human-readable message from a panic payload
-/// (`&str` and `String` cover everything `panic!` produces; typed
-/// `panic_any` payloads are classified before this is consulted).
+/// (`&str` and `String` cover everything `panic!` produces; the typed
+/// [`Abort`] payload is handled before this is consulted).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -1380,13 +1344,8 @@ mod tests {
         for task in Task::ALL {
             let baseline = run_task(&archive, &dag, task, cfg);
             let sequential = Engine::builder(&archive, &dag).sequential().build().unwrap();
-            let coarse = Engine::builder(&archive, &dag)
-                .coarse_grained()
-                .threads(3)
-                .build()
-                .unwrap();
             let fine = Engine::builder(&archive, &dag).threads(3).build().unwrap();
-            for engine in [&sequential, &coarse, &fine] {
+            for engine in [&sequential, &fine] {
                 let got = engine.run(task, cfg).unwrap();
                 assert_eq!(
                     got.output,

@@ -203,7 +203,7 @@ pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
     threads: usize,
     /// Set when an epoch faulted with anything other than a controlled
-    /// [`Abort`]: worker-local state (arena regions mid-write, shard buffers
+    /// [`Abort`]: worker-local state (scratch mid-write, shard buffers
     /// mid-merge) may be inconsistent, and the owner should rebuild the pool
     /// before trusting it with another query.  The *barrier* is intact
     /// either way — a poisoned pool still completes epochs.
@@ -482,8 +482,8 @@ impl WorkerPool {
 
     /// Hands one owned input to each worker (`f(worker_id, input)`) and
     /// returns the results in worker order.  Used to move each worker's
-    /// disjoint arena region into its thread; because worker ids are stable,
-    /// region `w` lands on the same OS thread in every phase.
+    /// owned buffers into its thread; because worker ids are stable, input
+    /// `w` lands on the same OS thread in every phase.
     ///
     /// Accepts at most [`Self::threads`] inputs; workers beyond the input
     /// count idle through the epoch.

@@ -1,9 +1,8 @@
 //! Fine-grained parallel CPU execution engine.
 //!
 //! This module brings the G-TADOC scheduling (so far only realised on the
-//! `gpu-sim` backend) onto real CPU threads, replacing the coarse-grained
-//! file-partition parallelism of [`crate::parallel`] with the design the
-//! paper argues for:
+//! `gpu-sim` backend) onto real CPU threads — the design the paper argues
+//! for over coarse file-partition parallelism:
 //!
 //! 1. **Level-synchronized DAG traversal on a persistent worker pool.**
 //!    Rules are grouped by dependency depth ([`head_tail::levels_top_down`]
@@ -16,7 +15,7 @@
 //!    `rule.numOutEdge` ordering falls out of the layer grouping, since every
 //!    child sits in a strictly deeper layer than all of its parents).
 //!    Because worker ids are pinned to OS threads for the lifetime of the
-//!    pool, a worker's arena region stays on the same thread across levels
+//!    pool, a worker's shard buffers stay on the same thread across levels
 //!    and phases, and small DAG levels no longer pay a thread-spawn each.
 //! 2. **Private per-worker accumulators** (Figure 5's lock-free local
 //!    tables, in CPU-appropriate form).  Every worker owns its accumulation
@@ -24,9 +23,10 @@
 //!    tasks, a dense `counts[word]` scratch with touched-word tracking for
 //!    term vector (word ids are already a perfect hash of the vocabulary) —
 //!    the CPU twin of the paper's observation that a table owned by one
-//!    thread needs no locks.  (The flat open-addressing tables of
-//!    [`arena::flat64`] remain the substrate of the simulated GPU engine,
-//!    where dynamic allocation per thread is not an option.)
+//!    thread needs no locks.  (The paper's flat open-addressing tables and
+//!    memory pool live with the simulated GPU engine in `gtadoc`, where
+//!    dynamic allocation per thread is not an option; this engine probes
+//!    no hash table.)
 //! 3. **Sharded lock-free global merge over append-and-compact buffers.**
 //!    Instead of the global table's bucket locks (Figure 5's
 //!    `lock`/`entries` buffers), the CPU merge assigns every key hash-shard
@@ -67,8 +67,8 @@
 //! long-lived object owning the persistent pool and a lazily-cached
 //! analysis layer (DAG levels, rule/file weights, head/tail buffers, chunk
 //! decompositions, the term-vector CSR) shared by every query over the
-//! borrowed archive.  The builder also selects the sequential and
-//! coarse-grained back ends, so one facade runs all three modes.
+//! borrowed archive.  The builder also selects the sequential back end, so
+//! one facade runs both modes.
 //!
 //! Outputs are byte-identical to the sequential oracle for all six tasks
 //! (asserted by `tests/cross_implementation.rs`, `tests/engine_session.rs`

@@ -8,15 +8,12 @@
 //! * the six CompressDirect analytics tasks (*word count, sort, inverted
 //!   index, term vector, sequence count, ranked inverted index*) executed
 //!   directly on the compressed grammar, sequentially;
-//! * the coarse-grained parallel variant that partitions files across CPU
-//!   threads and merges partial results (the TADOC parallel design G-TADOC's
-//!   fine-grained scheduling is contrasted with);
 //! * the **fine-grained parallel engine** ([`fine_grained`]): the G-TADOC
 //!   scheduling on real CPU threads — level-synchronized DAG traversal,
-//!   arena-backed per-worker tables, sharded lock-free merges, and rule-local
-//!   sequence counting (see the module docs for the paper mapping);
-//! * one facade over all three execution modes: [`Engine`], built with
-//!   `Engine::builder(..).{sequential,coarse_grained,fine_grained}()`; the
+//!   private per-worker shard buffers, sharded lock-free merges, and
+//!   rule-local sequence counting (see the module docs for the paper mapping);
+//! * one facade over both execution modes: [`Engine`], built with
+//!   `Engine::builder(..).{sequential,fine_grained}()`; the
 //!   free function [`run_task`] stays as the sequential reference every test
 //!   and benchmark compares against;
 //! * a ground-truth *oracle* that computes every task on the decompressed
@@ -32,7 +29,6 @@ pub mod apps;
 pub mod cost;
 pub mod fine_grained;
 pub mod oracle;
-pub mod parallel;
 pub mod results;
 pub mod timing;
 pub mod weights;

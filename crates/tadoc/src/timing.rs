@@ -52,9 +52,6 @@ pub enum Degradation {
     /// A worker panicked mid-query; the pool was healed (rebuilt) and the
     /// query retried on the sequential path.
     WorkerPanic,
-    /// An arena capacity bound was violated mid-query; the query was
-    /// retried on the sequential path (which sizes nothing up front).
-    ArenaCapacity,
 }
 
 /// A snapshot of the session results cache taken as a query completed,
@@ -87,21 +84,20 @@ pub struct PhaseTimings {
     /// term-vector CSR).  On a cold [`Engine`](crate::fine_grained::Engine)
     /// run this is most of `init`; on a warm run every artifact is served
     /// from the session cache and this is [`Duration::ZERO`].  The
-    /// sequential and coarse paths do not break out a shared portion and
-    /// leave it zero.
+    /// sequential path does not break out a shared portion and leaves it
+    /// zero.
     pub shared_init: Duration,
     /// Portion of `traversal` spent turning shard rows into the final
     /// [`AnalyticsOutput`](crate::results::AnalyticsOutput): merging the
     /// per-shard sorted runs and building the ordered columnar tables.
-    /// Recorded by the fine-grained finalizers; the sequential and coarse
-    /// paths, which interleave result construction with the scan, leave it
-    /// zero.
+    /// Recorded by the fine-grained finalizers; the sequential path, which
+    /// interleaves result construction with the scan, leaves it zero.
     pub finalize: Duration,
     /// `true` when every shared artifact the task needed was served from a
     /// warm session cache (nothing was computed this run), or the whole
     /// output came from the results cache.  Otherwise always `false` for
-    /// [`run_task`](crate::apps::run_task) and the sequential/coarse modes,
-    /// which keep no analysis layer.
+    /// [`run_task`](crate::apps::run_task) and the sequential mode, which
+    /// keep no analysis layer.
     pub warm: bool,
     /// Set when the run was *degraded*: the fine-grained path faulted and
     /// the engine served the query through the sequential fallback instead.

@@ -2,7 +2,7 @@
 //!
 //! The engine's performance claims rest on a handful of hand-written
 //! `unsafe` concurrency primitives (`exec::DisjointSlots`, the worker pool's
-//! lifetime-erased job pointer, the arena's raw region slicing).  Nothing in
+//! lifetime-erased job pointer, head/tail assembly's cross-slot reads).  Nothing in
 //! the stock toolchain checks the *repo-specific* invariants those
 //! primitives depend on, so this crate does: a dependency-free analyzer run
 //! as

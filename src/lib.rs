@@ -7,10 +7,10 @@
 //! tests, and downstream users can depend on a single crate:
 //!
 //! * [`sequitur`] — Sequitur grammar compression and the TADOC archive format;
-//! * [`tadoc`] — the CPU TADOC baseline (six analytics tasks, sequential and
-//!   coarse-grained parallel), the fine-grained parallel CPU engine
-//!   (level-synchronized DAG traversal with arena-backed tables), and the
-//!   CPU/cluster cost models;
+//! * [`tadoc`] — the sequential CPU TADOC baseline (six analytics tasks), the
+//!   fine-grained parallel CPU engine (level-synchronized DAG traversal,
+//!   per-worker shard buffers merged lock-free), and the CPU/cluster cost
+//!   models;
 //! * [`gpu_sim`] — the SIMT GPU simulator substrate (Pascal/Volta/Turing);
 //! * [`gtadoc`] — G-TADOC itself: fine-grained thread scheduling, GPU memory
 //!   pool, thread-safe hash tables, head/tail sequence support, top-down and

@@ -4,8 +4,8 @@ use g_tadoc_repro::prelude::*;
 use tadoc::apps::TaskExecution;
 
 /// Runs one **cold** query on a fresh session built from `builder` — the one
-/// way the suites reach the coarse- and fine-grained back ends:
-/// `run_cold(Engine::builder(&archive, &dag).coarse_grained().threads(3), task, cfg)`.
+/// way the suites reach the fine-grained back end:
+/// `run_cold(Engine::builder(&archive, &dag).threads(3), task, cfg)`.
 /// A session per call keeps every comparison independent of what earlier
 /// queries cached (and creates and drops a worker pool each time).
 pub fn run_cold(builder: EngineBuilder<'_>, task: Task, cfg: TaskConfig) -> TaskExecution {

@@ -1,8 +1,8 @@
 //! Cross-implementation integration tests: for every analytics task, the
-//! uncompressed oracle, sequential CPU TADOC, coarse-grained parallel TADOC,
-//! fine-grained parallel TADOC, and G-TADOC (both traversal strategies where
-//! applicable, on all three GPU presets) must produce identical results.
-//! The coarse and fine back ends are reached through `Engine`.
+//! uncompressed oracle, sequential CPU TADOC, fine-grained parallel TADOC,
+//! and G-TADOC (both traversal strategies where applicable, on all three GPU
+//! presets) must produce identical results.  The fine back end is reached
+//! through `Engine`.
 
 mod common;
 
@@ -66,15 +66,11 @@ fn all_implementations_agree_on_all_tasks() {
             let cpu = run_task(&archive, &dag, task, cfg);
             assert_eq!(cpu.output, oracle_out, "[{name}] CPU TADOC vs oracle on {}", task.name());
 
-            let parallel = run_cold(
-                Engine::builder(&archive, &dag).coarse_grained().threads(3),
-                task,
-                cfg,
-            );
+            let fine = run_cold(Engine::builder(&archive, &dag).threads(3), task, cfg);
             assert_eq!(
-                parallel.output,
+                fine.output,
                 oracle_out,
-                "[{name}] parallel TADOC vs oracle on {}",
+                "[{name}] fine-grained TADOC vs oracle on {}",
                 task.name()
             );
 
@@ -89,9 +85,10 @@ fn all_implementations_agree_on_all_tasks() {
     }
 }
 
-/// The fine-grained CPU engine must be byte-identical to the sequential and
-/// coarse-grained paths on every task, on the paper's Figure-1 corpus and on
-/// a Zipfian synthetic corpus, at several worker-pool sizes.
+/// The fine-grained CPU engine must be byte-identical to the sequential
+/// path on every task, on the paper's Figure-1 corpus and on a Zipfian
+/// synthetic corpus, at several worker-pool sizes.  (The name is pinned by
+/// the tier-1 floor list; sequential and fine are the two CPU modes.)
 #[test]
 fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
     let figure1 = corpora().swap_remove(0).1;
@@ -119,17 +116,6 @@ fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
         let cfg = TaskConfig::default();
         for task in Task::ALL {
             let sequential = run_task(archive, &dag, task, cfg);
-            let coarse = run_cold(
-                Engine::builder(archive, &dag).coarse_grained().threads(4),
-                task,
-                cfg,
-            );
-            assert_eq!(
-                coarse.output,
-                sequential.output,
-                "[{name}] coarse vs sequential on {}",
-                task.name()
-            );
             for threads in [1usize, 4, 8] {
                 let fine = run_cold(Engine::builder(archive, &dag).threads(threads), task, cfg);
                 assert_eq!(
@@ -144,12 +130,9 @@ fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
 }
 
 /// An archive containing an empty file (alongside tiny and normal files)
-/// must agree across sequential, coarse and fine on **all six tasks** and at
-/// 1/4/8 worker threads.  The empty file makes region sizing degenerate —
-/// workers can end up with zero assigned rules, so their arena tables get
-/// `words_required(0) == 0` regions, exercising the zero-capacity contract
-/// on the production path (the historical mod-by-zero panic of the probe
-/// loop).
+/// must agree across sequential and fine on **all six tasks** and at 1/4/8
+/// worker threads.  The empty file makes work partitioning degenerate —
+/// workers can end up with zero assigned rules and empty shard buffers.
 #[test]
 fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
     let corpus = vec![
@@ -172,19 +155,6 @@ fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
             task.name()
         );
         for threads in [1usize, 4, 8] {
-            let coarse = run_cold(
-                Engine::builder(&archive, &dag)
-                    .coarse_grained()
-                    .threads(threads),
-                task,
-                cfg,
-            );
-            assert_eq!(
-                coarse.output,
-                sequential.output,
-                "coarse ({threads} threads) vs sequential on {} with an empty file",
-                task.name()
-            );
             let fine = run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
             assert_eq!(
                 fine.output,

@@ -68,9 +68,8 @@ fn one_engine_all_tasks_twice_matches_oracle_on_both_corpus_shapes() {
     }
 }
 
-/// One facade, three back ends: a sequential, a coarse-grained and a
-/// fine-grained session must each answer every task exactly like the
-/// sequential reference `run_task`.
+/// One facade, two back ends: a sequential and a fine-grained session must
+/// each answer every task exactly like the sequential reference `run_task`.
 #[test]
 fn engine_modes_agree_with_sequential_reference() {
     let corpus = a_shaped_corpus();
@@ -80,7 +79,6 @@ fn engine_modes_agree_with_sequential_reference() {
     let builder = Engine::builder(&archive, &dag).threads(3);
     for (mode, builder) in [
         ("sequential", builder.sequential()),
-        ("coarse", builder.coarse_grained()),
         ("fine", builder.fine_grained()),
     ] {
         let engine = builder.build().expect("valid engine config");

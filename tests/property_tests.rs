@@ -142,39 +142,38 @@ proptest! {
         }
     }
 
-    // Adversarial fill factors for the arena tables: `max_keys` sized
+    // Adversarial fill factors for the per-rule tables: `max_keys` sized
     // exactly for the number of distinct keys inserted (the tightest legal
-    // bound, including 0), duplicate-heavy insert streams, and values past
-    // 32 bits for `flat64`.  Iteration must agree with the model too — it
-    // drives every merge scan in the fine-grained engine.
+    // bound, including 0) under duplicate-heavy insert streams.  Iteration
+    // must agree with the model too — it drives every bottom-up merge scan
+    // of the simulated GPU traversal.
     #[test]
-    fn flat64_behaves_like_a_map_at_tight_capacity(
+    fn local_table_iteration_agrees_with_a_map_at_tight_capacity(
         keys in vec(0u32..30, 0..30),
         reps in 1usize..6,
     ) {
         let distinct: std::collections::BTreeSet<u32> = keys.iter().copied().collect();
-        let mut region = vec![0u32; arena::flat64::words_required(distinct.len() as u32) as usize];
-        arena::flat64::init(&mut region);
+        let mut region = vec![0u32; local_table::words_required(distinct.len() as u32) as usize];
+        local_table::init(&mut region);
         let mut model = std::collections::HashMap::new();
-        let big = u32::MAX as u64; // force 64-bit accumulation
         for _ in 0..reps {
             for &key in &keys {
-                arena::flat64::insert_add(&mut region, key, big + key as u64);
-                *model.entry(key).or_insert(0u64) += big + key as u64;
+                local_table::insert_add(&mut region, key, key + 1);
+                *model.entry(key).or_insert(0u32) += key + 1;
             }
         }
-        prop_assert_eq!(arena::flat64::len(&region) as usize, model.len());
+        prop_assert_eq!(local_table::len(&region) as usize, model.len());
         for (k, v) in &model {
-            prop_assert_eq!(arena::flat64::get(&region, *k), Some(*v));
+            prop_assert_eq!(local_table::get(&region, *k), Some(*v));
         }
-        let mut pairs: Vec<(u32, u64)> = arena::flat64::iter(&region).collect();
+        let mut pairs: Vec<(u32, u32)> = local_table::iter(&region).collect();
         pairs.sort_unstable();
-        let mut expected: Vec<(u32, u64)> = model.into_iter().collect();
+        let mut expected: Vec<(u32, u32)> = model.into_iter().collect();
         expected.sort_unstable();
         prop_assert_eq!(pairs, expected);
     }
 
-    // Same adversarial shapes for the `u32 → u32` codec, driven straight to
+    // The same codec driven straight to
     // 100% slot occupancy: every slot of the region must be usable when the
     // consumer's bound is exact.
     #[test]
