@@ -83,32 +83,6 @@ impl<K: Ord> ShardEntry for CountEntry<K> {
     }
 }
 
-/// A set-membership entry: equal keys collapse to one (posting lists, where
-/// only *whether* a (word, file) pair occurred matters).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SetEntry<K> {
-    /// The key witnessed.
-    pub key: K,
-}
-
-impl<K> SetEntry<K> {
-    /// A new membership witness for `key`.
-    #[inline]
-    pub fn new(key: K) -> Self {
-        Self { key }
-    }
-}
-
-impl<K: Ord> ShardEntry for SetEntry<K> {
-    type Key = K;
-    #[inline]
-    fn key(&self) -> &K {
-        &self.key
-    }
-    #[inline]
-    fn absorb(&mut self, _other: &mut Self) {}
-}
-
 /// A bitmask entry: equal keys OR their masks.  Used for posting lists — the
 /// key is `(word, file_block)` and the mask holds one bit per file of the
 /// 64-file block, so a rule occurring in many files costs one entry per
@@ -251,18 +225,6 @@ mod tests {
         assert_eq!(
             merged,
             vec![CountEntry::new(1, 1), CountEntry::new(5, 10)]
-        );
-    }
-
-    #[test]
-    fn set_entries_dedup() {
-        let mut buf = ShardBuf::default();
-        for f in [2u32, 1, 2, 2, 1] {
-            buf.push(SetEntry::new((7u32, f)));
-        }
-        assert_eq!(
-            buf.into_sorted(),
-            vec![SetEntry::new((7, 1)), SetEntry::new((7, 2))]
         );
     }
 

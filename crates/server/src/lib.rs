@@ -12,8 +12,8 @@
 //! * [`queue`] — the bounded admission queue with shed-on-full semantics.
 //! * [`server`] — the std-TCP server: acceptor, fixed connection handler
 //!   pool, bounded admission in front of one shared engine session,
-//!   deadline/cancellation plumbed through `run_with`, compatible queued
-//!   queries batched through `run_all`, graceful drain-then-refuse
+//!   deadline/cancellation plumbed through `run_with` for every query,
+//!   each answered as soon as it is done, graceful drain-then-refuse
 //!   shutdown.
 //! * [`client`] — a blocking client library (the `tadoc-client` CLI and the
 //!   bench harness's TCP transport both build on it).

@@ -193,7 +193,7 @@ pub struct StatsSnapshot {
     pub max_queue_depth: u64,
     /// Batches drained from the admission queue.
     pub batches: u64,
-    /// Queries that drained as part of a multi-query `run_all` batch.
+    /// Queries that left the queue in a drain of two or more.
     pub batched_queries: u64,
     /// Frames that failed to parse.
     pub protocol_errors: u64,

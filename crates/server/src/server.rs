@@ -16,10 +16,11 @@
 //!
 //! Admission contract: handlers **never block and never queue unboundedly**
 //! — a full queue sheds the request immediately with
-//! [`Response::Overloaded`].  Admitted queries carry their deadline and the
-//! server's drain [`CancelToken`] through [`Engine::run_with`]; compatible
-//! queued queries (no per-query deadline) drain as one
-//! [`Engine::run_all`] batch so shared prerequisites are computed once.
+//! [`Response::Overloaded`].  Every admitted query carries its deadline and
+//! the server's drain [`CancelToken`] through [`Engine::run_with`] and is
+//! answered as soon as it is done, whatever else left the queue with it
+//! (the session's analysis layer already shares prerequisites between
+//! queries).
 //!
 //! Graceful shutdown (a [`Request::Shutdown`] frame or
 //! [`ServerHandle::shutdown`]): the acceptor stops, open connections close
@@ -40,7 +41,7 @@ use std::time::{Duration, Instant};
 use failpoints::fail_point;
 use sequitur::{Dag, TadocArchive};
 use tadoc::apps::{Task, TaskConfig};
-use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions, TaskSpec};
+use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions};
 
 use crate::framing::{FrameReadError, FrameReader, ReadOutcome};
 use crate::protocol::{
@@ -58,7 +59,7 @@ pub struct ServerConfig {
     pub executor_threads: usize,
     /// Admission queue capacity; a full queue sheds with `Overloaded`.
     pub queue_depth: usize,
-    /// Maximum queries drained (and possibly batched) per executor turn.
+    /// Maximum queries one executor takes from the queue per drain.
     pub batch_max: usize,
     /// Worker threads of the underlying engine session.
     pub engine_threads: usize,
@@ -499,30 +500,16 @@ fn executor_loop(
 ) {
     while let Some(batch) = queue.drain(config.batch_max) {
         Counters::bump(&shared.counters.batches);
-        // Queries without a per-query deadline are compatible: they drain
-        // as one `run_all` batch so shared prerequisites compute once.
-        // Deadline-carrying queries run individually under `run_with`.
-        // During shutdown drain everything runs individually so the drain
-        // token can cut an overlong drain short.
-        let draining = shared.is_shutting_down();
-        let mut plain: Vec<Job> = Vec::new();
-        for job in batch {
-            if job.deadline.is_none() && !draining {
-                plain.push(job);
-            } else {
-                let resp = run_one(engine, &job, drain_cancel);
-                Counters::bump(&shared.counters.queries_answered);
-                drop(job.reply.send(resp));
-            }
+        if batch.len() >= 2 {
+            shared
+                .counters
+                .batched_queries
+                .fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
-        if plain.len() >= 2 {
-            run_batch(engine, plain, shared, drain_cancel);
-        } else {
-            for job in plain {
-                let resp = run_one(engine, &job, drain_cancel);
-                Counters::bump(&shared.counters.queries_answered);
-                drop(job.reply.send(resp));
-            }
+        for job in batch {
+            let resp = run_one(engine, &job, drain_cancel);
+            Counters::bump(&shared.counters.queries_answered);
+            drop(job.reply.send(resp));
         }
     }
 }
@@ -547,35 +534,5 @@ fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Respon
             WireErrorCode::Internal,
             "query execution panicked",
         )),
-    }
-}
-
-/// Runs compatible queries as one `run_all` batch, falling back to
-/// individual execution if the batch as a whole fails (one bad spec must
-/// not take down its batch-mates).
-fn run_batch(engine: &Engine<'_>, jobs: Vec<Job>, shared: &Shared, drain_cancel: &CancelToken) {
-    let specs: Vec<TaskSpec> = jobs
-        .iter()
-        .map(|j| TaskSpec {
-            task: j.task,
-            cfg: j.cfg,
-        })
-        .collect();
-    let outcome = catch_unwind(AssertUnwindSafe(|| engine.run_all(&specs)));
-    match outcome {
-        Ok(Ok(execs)) => {
-            for (job, exec) in jobs.iter().zip(execs) {
-                Counters::bump(&shared.counters.queries_answered);
-                Counters::bump(&shared.counters.batched_queries);
-                drop(job.reply.send(Response::Result(exec.output)));
-            }
-        }
-        _ => {
-            for job in jobs {
-                let resp = run_one(engine, &job, drain_cancel);
-                Counters::bump(&shared.counters.queries_answered);
-                drop(job.reply.send(resp));
-            }
-        }
     }
 }

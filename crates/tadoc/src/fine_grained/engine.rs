@@ -43,7 +43,7 @@ use super::{
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
 use crate::results::AnalyticsOutput;
-use crate::timing::{Degradation, PhaseTimings, ResultsCacheStats, Timer, WorkStats};
+use crate::timing::{Degradation, PhaseTimings, ResultsCacheStats, Timer};
 use crate::weights::file_segments;
 use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, Grammar, TadocArchive};
@@ -209,9 +209,8 @@ impl CancelToken {
 /// Per-query execution limits for [`Engine::run_with`]: an optional
 /// deadline (a time budget measured from query start) and an optional
 /// [`CancelToken`].  Both are enforced *cooperatively* at chunk boundaries
-/// and between DAG levels on the fine-grained path, so a stuck or oversized
-/// query stops in bounded time without killing the session; the
-/// sequential path checks them only at query start.
+/// and between DAG levels, so a stuck or oversized query stops in bounded
+/// time without killing the session.
 #[derive(Debug, Clone, Default)]
 pub struct QueryOptions {
     /// Time budget for the query; `Some(d)` makes the query return
@@ -241,53 +240,11 @@ impl QueryOptions {
 }
 
 // ---------------------------------------------------------------------------
-// Task specs (batched queries)
-// ---------------------------------------------------------------------------
-
-/// One query of a batched [`Engine::run_all`] call: a task plus its
-/// per-query configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskSpec {
-    /// The task to run.
-    pub task: Task,
-    /// Its per-query configuration.
-    pub cfg: TaskConfig,
-}
-
-impl TaskSpec {
-    /// A spec running `task` under the default [`TaskConfig`].
-    pub fn new(task: Task) -> Self {
-        Self {
-            task,
-            cfg: TaskConfig::default(),
-        }
-    }
-
-    /// Overrides the sequence length `l` (only meaningful for the
-    /// sequence-sensitive tasks).
-    pub fn with_sequence_length(mut self, l: usize) -> Self {
-        self.cfg.sequence_length = l;
-        self
-    }
-
-    /// All six tasks under the default configuration, in paper order.
-    pub fn all() -> Vec<TaskSpec> {
-        Task::ALL.into_iter().map(TaskSpec::new).collect()
-    }
-}
-
-impl From<Task> for TaskSpec {
-    fn from(task: Task) -> Self {
-        TaskSpec::new(task)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The analysis layer (immutable, once-filled) and per-query charge
 // ---------------------------------------------------------------------------
 
-/// What one query charged for shared-artifact computation: the time and work
-/// it spent *filling* analysis cells (both zero on a fully warm query).
+/// What one query charged for shared-artifact computation: the time it
+/// spent *filling* analysis cells (zero on a fully warm query).
 ///
 /// The charge is **per-query local** — each task path owns one on its stack
 /// and threads it through the `ensure_*` calls — so concurrent queries never
@@ -299,17 +256,14 @@ impl From<Task> for TaskSpec {
 pub(crate) struct RunCharge {
     /// Wall-clock spent computing shared artifacts this query.
     pub(crate) time: Duration,
-    /// Work performed computing shared artifacts this query.
-    pub(crate) work: WorkStats,
     /// Whether any artifact was computed (false ⇒ the query was warm).
     pub(crate) computed: bool,
 }
 
 impl RunCharge {
-    /// Records that `time`/`work` was spent filling an analysis cell.
-    fn note(&mut self, time: Duration, work: WorkStats) {
+    /// Records that `time` was spent filling an analysis cell.
+    fn note(&mut self, time: Duration) {
         self.time += time;
-        self.work.merge(&work);
         self.computed = true;
     }
 }
@@ -385,19 +339,18 @@ pub(crate) struct Analysis {
 
 impl Analysis {
     /// Fills `cell` at most once, charging the computing query (and only
-    /// it) for the time and work.  Waiters block inside `get_or_init` and
-    /// come out warm.
+    /// it) for the time.  Waiters block inside `get_or_init` and come out
+    /// warm.
     fn fill<'c, T>(
         &self,
         cell: &'c OnceLock<T>,
         charge: &mut RunCharge,
-        compute: impl FnOnce(&mut WorkStats) -> T,
+        compute: impl FnOnce() -> T,
     ) -> &'c T {
         cell.get_or_init(|| {
             let timer = Timer::start();
-            let mut work = WorkStats::default();
-            let value = compute(&mut work);
-            charge.note(timer.elapsed(), work);
+            let value = compute();
+            charge.note(timer.elapsed());
             self.fills.fetch_add(1, Ordering::Relaxed);
             value
         })
@@ -413,7 +366,7 @@ impl Analysis {
         dag: &Dag,
         charge: &mut RunCharge,
     ) -> &Vec<Vec<u32>> {
-        self.fill(&self.levels_top_down, charge, |_| levels_top_down(dag))
+        self.fill(&self.levels_top_down, charge, || levels_top_down(dag))
     }
 
     pub(crate) fn ensure_levels_bottom_up(
@@ -421,7 +374,7 @@ impl Analysis {
         dag: &Dag,
         charge: &mut RunCharge,
     ) -> &Vec<Vec<u32>> {
-        self.fill(&self.levels_bottom_up, charge, |_| levels_bottom_up(dag))
+        self.fill(&self.levels_bottom_up, charge, || levels_bottom_up(dag))
     }
 
     pub(crate) fn ensure_segments(
@@ -429,7 +382,7 @@ impl Analysis {
         grammar: &Grammar,
         charge: &mut RunCharge,
     ) -> &Vec<(usize, usize)> {
-        self.fill(&self.segments, charge, |_| file_segments(grammar))
+        self.fill(&self.segments, charge, || file_segments(grammar))
     }
 
     pub(crate) fn ensure_rule_weights(
@@ -439,8 +392,8 @@ impl Analysis {
         charge: &mut RunCharge,
     ) -> &Vec<u64> {
         let levels = self.ensure_levels_top_down(dag, charge);
-        self.fill(&self.rule_weights, charge, |work| {
-            parallel_rule_weights(dag, levels, pool, work)
+        self.fill(&self.rule_weights, charge, || {
+            parallel_rule_weights(dag, levels, pool)
         })
     }
 
@@ -453,8 +406,8 @@ impl Analysis {
     ) -> &FileWeightLists {
         let levels = self.ensure_levels_top_down(dag, charge);
         let segments = self.ensure_segments(grammar, charge);
-        self.fill(&self.file_weights, charge, |work| {
-            parallel_file_weights(grammar, dag, levels, segments, pool, work)
+        self.fill(&self.file_weights, charge, || {
+            parallel_file_weights(grammar, dag, levels, segments, pool)
         })
     }
 
@@ -464,7 +417,7 @@ impl Analysis {
         fcfg: FineGrainedConfig,
         charge: &mut RunCharge,
     ) -> &Vec<super::exec::Chunk> {
-        self.fill(&self.word_chunks, charge, |_| {
+        self.fill(&self.word_chunks, charge, || {
             super::exec::chunk_ranges(
                 (0..dag.num_rules).map(|r| dag.local_words[r].len()),
                 fcfg.chunk_elements,
@@ -480,7 +433,7 @@ impl Analysis {
         charge: &mut RunCharge,
     ) -> &(Vec<super::exec::Chunk>, Vec<super::sequences::RootChunk>) {
         let segments = self.ensure_segments(grammar, charge);
-        self.fill(&self.index_chunks, charge, |_| {
+        self.fill(&self.index_chunks, charge, || {
             let rule_chunks = super::exec::chunk_ranges(
                 (0..dag.num_rules).map(|r| if r == 0 { 0 } else { dag.local_words[r].len() }),
                 fcfg.chunk_elements,
@@ -499,8 +452,8 @@ impl Analysis {
         charge: &mut RunCharge,
     ) -> &TermVectorPrep {
         let segments = self.ensure_segments(&archive.grammar, charge);
-        self.fill(&self.term_vector, charge, |work| {
-            build_term_vector_prep(archive, dag, segments, fcfg, pool, work)
+        self.fill(&self.term_vector, charge, || {
+            build_term_vector_prep(archive, dag, segments, fcfg, pool)
         })
     }
 
@@ -535,13 +488,8 @@ impl Analysis {
                 }
             }
         };
-        cell.get_or_init(|| {
-            let timer = Timer::start();
-            let mut work = WorkStats::default();
-            let ht = build_head_tail(grammar, dag, levels, l, pool, &mut work);
-            charge.note(timer.elapsed(), work);
-            self.fills.fetch_add(1, Ordering::Relaxed);
-            ht
+        self.fill(&cell, charge, || {
+            build_head_tail(grammar, dag, levels, l, pool)
         });
         cell
     }
@@ -553,18 +501,20 @@ impl Analysis {
         charge: &mut RunCharge,
     ) -> &Vec<SeqItem> {
         let segments = self.ensure_segments(grammar, charge);
-        self.fill(&self.sequence_items, charge, |_| {
+        self.fill(&self.sequence_items, charge, || {
             sequence_work_items(grammar, segments, fcfg.chunk_elements)
         })
     }
 }
 
-/// The borrowed context a fine-grained task path runs against: the fixed
-/// configuration, the shared [`Analysis`] layer, and the scratch pool the
-/// term-vector path leases its dense regions from.  `Copy` by design — the
-/// dispatch clones it freely into every task function.
+/// The borrowed context a fine-grained task path runs against: the archive
+/// and its DAG, the fixed configuration, the shared [`Analysis`] layer, and
+/// the scratch pool the term-vector path leases its dense regions from.
+/// `Copy` by design — the dispatch clones it freely into every kernel.
 #[derive(Clone, Copy)]
 pub(crate) struct FineCtx<'e> {
+    pub(crate) archive: &'e TadocArchive,
+    pub(crate) dag: &'e Dag,
     pub(crate) fcfg: FineGrainedConfig,
     pub(crate) analysis: &'e Analysis,
     pub(crate) tv_scratch: &'e ScratchPool<Vec<TvScratch>>,
@@ -580,7 +530,7 @@ pub(crate) struct FineCtx<'e> {
 const RESULTS_CACHE_CAP: usize = 256;
 
 /// Whole-output memoization keyed by `(Task, TaskConfig)` — sound because
-/// the archive is immutable for the engine's lifetime and every mode is
+/// the archive is immutable for the engine's lifetime and the engine is
 /// deterministic for a fixed key.  Exact-key semantics: distinct configs
 /// never alias (the full `TaskConfig` is the key, even for tasks that
 /// ignore `sequence_length`).  Opt-in via [`EngineBuilder::results_cache`];
@@ -642,48 +592,28 @@ impl ResultsCache {
 // Builder
 // ---------------------------------------------------------------------------
 
-/// Which execution back end an [`Engine`] dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ModeKind {
-    Sequential,
-    Fine,
-}
-
 /// Configures and validates an [`Engine`].  Created by [`Engine::builder`].
 ///
-/// Defaults: fine-grained mode, `available_parallelism` worker threads, the
-/// default chunk threshold (4096 indices).  [`build`](Self::build) rejects
+/// Defaults: `available_parallelism` worker threads, the default chunk
+/// threshold (4096 indices).  [`build`](Self::build) rejects
 /// invalid knobs with a typed [`ConfigError`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineBuilder<'a> {
     archive: &'a TadocArchive,
     dag: &'a Dag,
-    kind: ModeKind,
     num_threads: usize,
     chunk_elements: usize,
     results_cache: bool,
 }
 
 impl<'a> EngineBuilder<'a> {
-    /// Selects the sequential TADOC baseline back end.
-    pub fn sequential(mut self) -> Self {
-        self.kind = ModeKind::Sequential;
-        self
-    }
-
-    /// Selects the fine-grained level-synchronized back end (the default).
-    pub fn fine_grained(mut self) -> Self {
-        self.kind = ModeKind::Fine;
-        self
-    }
-
-    /// Sets the worker thread count (parallel modes; must be ≥ 1).
+    /// Sets the worker thread count (must be ≥ 1).
     pub fn threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads;
         self
     }
 
-    /// Sets the chunking threshold (fine mode; must be ≥ 1).
+    /// Sets the chunking threshold (must be ≥ 1).
     pub fn chunk_elements(mut self, chunk_elements: usize) -> Self {
         self.chunk_elements = chunk_elements;
         self
@@ -703,8 +633,7 @@ impl<'a> EngineBuilder<'a> {
     }
 
     /// Validates the configuration **and the archive/DAG structure**, then
-    /// builds the engine, spawning the persistent worker pool for the fine
-    /// mode.
+    /// builds the engine, spawning the persistent worker pool.
     ///
     /// # Errors
     /// [`EngineError::Config`] for a nonsense knob;
@@ -721,28 +650,19 @@ impl<'a> EngineBuilder<'a> {
             return Err(ConfigError::ZeroChunkElements.into());
         }
         validate_archive(self.archive, self.dag)?;
-        let inner = match self.kind {
-            ModeKind::Sequential => EngineInner::Sequential,
-            ModeKind::Fine => {
-                let fcfg = FineGrainedConfig {
-                    num_threads: self.num_threads,
-                    chunk_elements: self.chunk_elements,
-                };
-                EngineInner::Fine(Box::new(FineState {
-                    fcfg,
-                    exec: Mutex::new(ExecState {
-                        pool: WorkerPool::new(fcfg.num_threads),
-                        epochs_retired: 0,
-                    }),
-                    analysis: Analysis::default(),
-                    tv_scratch: ScratchPool::default(),
-                }))
-            }
-        };
         Ok(Engine {
             archive: self.archive,
             dag: self.dag,
-            inner,
+            fcfg: FineGrainedConfig {
+                num_threads: self.num_threads,
+                chunk_elements: self.chunk_elements,
+            },
+            exec: Mutex::new(ExecState {
+                pool: WorkerPool::new(self.num_threads),
+                epochs_retired: 0,
+            }),
+            analysis: Analysis::default(),
+            tv_scratch: ScratchPool::default(),
             results: self.results_cache.then(ResultsCache::default),
         })
     }
@@ -782,7 +702,7 @@ fn validate_archive(archive: &TadocArchive, dag: &Dag) -> Result<(), EngineError
 // Engine
 // ---------------------------------------------------------------------------
 
-/// The execution half of the fine mode's state — the admission point.
+/// The execution half of the engine's state — the admission point.
 ///
 /// **Admission contract**: one query at a time owns the shared persistent
 /// pool, claimed with `try_lock` (never blocking).  A query that finds the
@@ -798,23 +718,6 @@ struct ExecState {
     /// Epochs dispatched by pools this session has already retired — healed
     /// after poisoning, or transient inline pools after a contended query.
     epochs_retired: u64,
-}
-
-/// The fine mode's owned state, boxed to keep [`EngineInner`]'s variants
-/// near the same size.  Split by mutability: `exec` (the pool) is the one
-/// exclusively-held piece, `analysis` is immutable-once-filled and shared
-/// by every concurrent query, `tv_scratch` leases per-query mutable
-/// regions.
-struct FineState {
-    fcfg: FineGrainedConfig,
-    exec: Mutex<ExecState>,
-    analysis: Analysis,
-    tv_scratch: ScratchPool<Vec<TvScratch>>,
-}
-
-enum EngineInner {
-    Sequential,
-    Fine(Box<FineState>),
 }
 
 /// A long-lived, **concurrently shareable** execution session over one
@@ -843,7 +746,7 @@ enum EngineInner {
 /// use sequitur::compress::{compress_corpus, CompressOptions};
 /// use sequitur::Dag;
 /// use tadoc::apps::{Task, TaskConfig};
-/// use tadoc::fine_grained::{Engine, TaskSpec};
+/// use tadoc::fine_grained::Engine;
 ///
 /// let corpus = vec![
 ///     ("a.txt".to_string(), "the cat sat on the mat the cat sat".to_string()),
@@ -862,10 +765,10 @@ enum EngineInner {
 /// assert!(warm.timings.warm);
 /// assert!(warm.timings.shared_init.is_zero());
 ///
-/// // Batched queries share prerequisites through the same analysis layer,
-/// // and concurrent clients can share the engine by reference.
-/// let execs = engine.run_all(&TaskSpec::all()).unwrap();
-/// assert_eq!(execs.len(), 6);
+/// // Later tasks share prerequisites through the same analysis layer
+/// // (sort needs nothing wordCount did not already fill), and concurrent
+/// // clients can share the engine by reference.
+/// assert!(engine.run(Task::Sort, TaskConfig::default()).unwrap().timings.warm);
 /// std::thread::scope(|s| {
 ///     for _ in 0..2 {
 ///         s.spawn(|| engine.run(Task::WordCount, TaskConfig::default()).unwrap());
@@ -878,32 +781,28 @@ enum EngineInner {
 pub struct Engine<'a> {
     archive: &'a TadocArchive,
     dag: &'a Dag,
-    inner: EngineInner,
+    // Split by mutability: `exec` (the pool) is the one exclusively-held
+    // piece, `analysis` is immutable-once-filled and shared by every
+    // concurrent query, `tv_scratch` leases per-query mutable regions.
+    fcfg: FineGrainedConfig,
+    exec: Mutex<ExecState>,
+    analysis: Analysis,
+    tv_scratch: ScratchPool<Vec<TvScratch>>,
     /// Whole-output memoization, present when the builder enabled it.
     results: Option<ResultsCache>,
 }
 
 impl<'a> Engine<'a> {
-    /// Starts building a session over `archive`/`dag` (fine-grained mode,
-    /// default thread count and chunk threshold).
+    /// Starts building a session over `archive`/`dag` (default thread count
+    /// and chunk threshold).
     pub fn builder(archive: &'a TadocArchive, dag: &'a Dag) -> EngineBuilder<'a> {
         let defaults = FineGrainedConfig::default();
         EngineBuilder {
             archive,
             dag,
-            kind: ModeKind::Fine,
             num_threads: defaults.num_threads,
             chunk_elements: defaults.chunk_elements,
             results_cache: false,
-        }
-    }
-
-    /// Short name of the execution mode this session dispatches to:
-    /// `"sequential"` or `"fine"`.
-    pub fn mode(&self) -> &'static str {
-        match &self.inner {
-            EngineInner::Sequential => "sequential",
-            EngineInner::Fine(_) => "fine",
         }
     }
 
@@ -914,41 +813,27 @@ impl<'a> Engine<'a> {
 
     /// Number of barrier epochs the session has dispatched so far across
     /// every pool it has owned — the persistent pool, healed replacements,
-    /// and transient inline pools of contended queries (0 for the
-    /// sequential mode, which owns no pool).  Strictly increasing.
+    /// and transient inline pools of contended queries.  Strictly
+    /// increasing.
     pub fn epochs(&self) -> u64 {
-        match &self.inner {
-            EngineInner::Fine(state) => {
-                let exec = state.exec.lock().unwrap_or_else(PoisonError::into_inner);
-                exec.epochs_retired + exec.pool.epochs()
-            }
-            _ => 0,
-        }
+        let exec = self.exec.lock().unwrap_or_else(PoisonError::into_inner);
+        exec.epochs_retired + exec.pool.epochs()
     }
 
-    /// Runs `f` against the session's persistent worker pool (fine mode
-    /// only; `None` otherwise).  The pool is exclusively held for the
-    /// duration of `f` — a concurrent query arriving meanwhile is admitted
-    /// inline per the admission contract, never blocked.
-    pub fn with_worker_pool<R>(&self, f: impl FnOnce(&WorkerPool) -> R) -> Option<R> {
-        match &self.inner {
-            EngineInner::Fine(state) => {
-                let exec = state.exec.lock().unwrap_or_else(PoisonError::into_inner);
-                Some(f(&exec.pool))
-            }
-            _ => None,
-        }
+    /// Runs `f` against the session's persistent worker pool.  The pool is
+    /// exclusively held for the duration of `f` — a concurrent query
+    /// arriving meanwhile is admitted inline per the admission contract,
+    /// never blocked.
+    pub fn with_worker_pool<R>(&self, f: impl FnOnce(&WorkerPool) -> R) -> R {
+        let exec = self.exec.lock().unwrap_or_else(PoisonError::into_inner);
+        f(&exec.pool)
     }
 
-    /// Number of analysis-layer fill computations executed so far (0 for
-    /// the sequential mode, which keeps no analysis layer).  Each
+    /// Number of analysis-layer fill computations executed so far.  Each
     /// shared artifact counts once no matter how many concurrent queries
     /// raced to first-touch it — the "filled exactly once" proof hook.
     pub fn analysis_fills(&self) -> u64 {
-        match &self.inner {
-            EngineInner::Fine(state) => state.analysis.fills(),
-            _ => 0,
-        }
+        self.analysis.fills()
     }
 
     /// Cumulative results-cache `(hits, misses)`, or `None` when the cache
@@ -973,10 +858,9 @@ impl<'a> Engine<'a> {
 
     /// Runs one task under per-query limits (deadline, cancellation).
     ///
-    /// The limits are enforced cooperatively: the fine-grained path checks
-    /// them at every chunk boundary and between DAG levels, so an abort
-    /// surfaces in bounded time and never poisons the session; the
-    /// sequential path checks them only before the query starts.
+    /// The limits are enforced cooperatively, at every chunk boundary and
+    /// between DAG levels, so an abort surfaces in bounded time and never
+    /// poisons the session.
     ///
     /// # Errors
     /// [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] for
@@ -990,8 +874,7 @@ impl<'a> Engine<'a> {
         if task.is_sequence_sensitive() && cfg.sequence_length == 0 {
             return Err(ConfigError::ZeroSequenceLength { task }.into());
         }
-        // Pre-flight: an already-tripped limit fails before any work, on
-        // every path (the sequential back end has no checkpoints).
+        // Pre-flight: an already-tripped limit fails before any work.
         if opts.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
             return Err(EngineError::Cancelled);
         }
@@ -1014,19 +897,8 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let computed = match &self.inner {
-            EngineInner::Sequential => Ok(run_task(self.archive, self.dag, task, cfg)),
-            EngineInner::Fine(state) => run_fine(
-                self.archive,
-                self.dag,
-                task,
-                cfg,
-                state,
-                opts.cancel.as_ref().map(CancelToken::flag),
-                deadline,
-            ),
-        };
-        let mut exec = computed?;
+        let cancel = opts.cancel.as_ref().map(CancelToken::flag);
+        let mut exec = self.admit(task, cfg, cancel, deadline)?;
         if let Some(cache) = &self.results {
             if exec.timings.degraded.is_none() {
                 cache.insert(task, cfg, exec.output.clone());
@@ -1036,67 +908,47 @@ impl<'a> Engine<'a> {
         Ok(exec)
     }
 
-    /// Runs a batch of queries on the shared session, computing shared
-    /// prerequisites once (whichever query needs an artifact first builds
-    /// it; everyone after gets it warm).  The whole batch is validated
-    /// before anything runs, so a bad spec never leaves a half-executed
-    /// batch behind.
-    ///
-    /// # Errors
-    /// The first [`EngineError::Config`] among the specs, if any; otherwise
-    /// whatever [`run`](Self::run) returns for the failing query.
-    pub fn run_all(&self, specs: &[TaskSpec]) -> Result<Vec<TaskExecution>, EngineError> {
-        for spec in specs {
-            if spec.task.is_sequence_sensitive() && spec.cfg.sequence_length == 0 {
-                return Err(ConfigError::ZeroSequenceLength { task: spec.task }.into());
+    /// The admission point (see [`ExecState`] for the contract): claims the
+    /// shared pool with a non-blocking `try_lock`, or — when another query
+    /// holds it — runs inline on a transient single-worker pool, folding
+    /// the transient pool's dispatched epochs into the shared accounting
+    /// afterwards so [`Engine::epochs`] stays monotonic.
+    fn admit(
+        &self,
+        task: Task,
+        cfg: TaskConfig,
+        cancel: Option<Arc<AtomicBool>>,
+        deadline: Option<Instant>,
+    ) -> Result<TaskExecution, EngineError> {
+        let ctx = FineCtx {
+            archive: self.archive,
+            dag: self.dag,
+            fcfg: self.fcfg,
+            analysis: &self.analysis,
+            tv_scratch: &self.tv_scratch,
+        };
+        match self.exec.try_lock() {
+            Ok(mut exec) => run_fine_on_pool(task, cfg, ctx, &mut exec, cancel, deadline),
+            Err(TryLockError::Poisoned(poisoned)) => {
+                // The ladder below never unwinds while the guard is held, so
+                // a poisoned mutex is unreachable — but heal defensively
+                // rather than asserting on a std implementation detail.
+                let mut exec = poisoned.into_inner();
+                run_fine_on_pool(task, cfg, ctx, &mut exec, cancel, deadline)
             }
-        }
-        specs.iter().map(|s| self.run(s.task, s.cfg)).collect()
-    }
-}
-
-/// The fine path's admission point (see [`ExecState`] for the contract):
-/// claims the shared pool with a non-blocking `try_lock`, or — when another
-/// query holds it — runs inline on a transient single-worker pool, folding
-/// the transient pool's dispatched epochs into the shared accounting
-/// afterwards so [`Engine::epochs`] stays monotonic.
-fn run_fine(
-    archive: &TadocArchive,
-    dag: &Dag,
-    task: Task,
-    cfg: TaskConfig,
-    state: &FineState,
-    cancel: Option<Arc<AtomicBool>>,
-    deadline: Option<Instant>,
-) -> Result<TaskExecution, EngineError> {
-    let ctx = FineCtx {
-        fcfg: state.fcfg,
-        analysis: &state.analysis,
-        tv_scratch: &state.tv_scratch,
-    };
-    match state.exec.try_lock() {
-        Ok(mut exec) => run_fine_on_pool(archive, dag, task, cfg, ctx, &mut exec, cancel, deadline),
-        Err(TryLockError::Poisoned(poisoned)) => {
-            // The ladder below never unwinds while the guard is held, so a
-            // poisoned mutex is unreachable — but heal defensively rather
-            // than asserting on a std implementation detail.
-            let mut exec = poisoned.into_inner();
-            run_fine_on_pool(archive, dag, task, cfg, ctx, &mut exec, cancel, deadline)
-        }
-        Err(TryLockError::WouldBlock) => {
-            let mut local = ExecState {
-                pool: WorkerPool::new(1),
-                epochs_retired: 0,
-            };
-            let result =
-                run_fine_on_pool(archive, dag, task, cfg, ctx, &mut local, cancel, deadline);
-            let dispatched = local.epochs_retired + local.pool.epochs();
-            state
-                .exec
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .epochs_retired += dispatched;
-            result
+            Err(TryLockError::WouldBlock) => {
+                let mut local = ExecState {
+                    pool: WorkerPool::new(1),
+                    epochs_retired: 0,
+                };
+                let result = run_fine_on_pool(task, cfg, ctx, &mut local, cancel, deadline);
+                let dispatched = local.epochs_retired + local.pool.epochs();
+                self.exec
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .epochs_retired += dispatched;
+                result
+            }
         }
     }
 }
@@ -1122,10 +974,7 @@ fn run_fine(
 /// 4. If the sequential retry *also* faults (a double fault: the input
 ///    itself is panic-shaped, not a transient), return
 ///    [`EngineError::WorkerPanicked`] with the original fault's message.
-#[allow(clippy::too_many_arguments)] // internal shell mirroring the ladder's inputs
 fn run_fine_on_pool(
-    archive: &TadocArchive,
-    dag: &Dag,
     task: Task,
     cfg: TaskConfig,
     ctx: FineCtx<'_>,
@@ -1135,7 +984,7 @@ fn run_fine_on_pool(
 ) -> Result<TaskExecution, EngineError> {
     exec.pool.install_control(cancel, deadline);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_fine_with_cache(archive, dag, task, cfg, ctx, &exec.pool)
+        run_fine_with_cache(task, cfg, ctx, &exec.pool)
     }));
     exec.pool.clear_control();
     let payload = match result {
@@ -1156,7 +1005,7 @@ fn run_fine_on_pool(
         exec.epochs_retired += old.epochs();
     }
     let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_task(archive, dag, task, cfg)
+        run_task(ctx.archive, ctx.dag, task, cfg)
     }));
     match retry {
         Ok(mut execution) => {
@@ -1185,7 +1034,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("mode", &self.mode())
             .field("epochs", &self.epochs())
             .finish()
     }
@@ -1294,17 +1142,6 @@ mod tests {
                 task: Task::SequenceCount
             }))
         );
-        // Batch validation happens before anything executes.
-        let specs = [
-            TaskSpec::new(Task::WordCount),
-            TaskSpec::new(Task::RankedInvertedIndex).with_sequence_length(0),
-        ];
-        assert_eq!(
-            engine.run_all(&specs).err(),
-            Some(EngineError::Config(ConfigError::ZeroSequenceLength {
-                task: Task::RankedInvertedIndex
-            }))
-        );
         assert_eq!(engine.epochs(), 0, "nothing may have run");
         // Non-sequence tasks ignore the knob entirely.
         assert!(engine.run(Task::WordCount, cfg).is_ok());
@@ -1341,20 +1178,11 @@ mod tests {
     fn all_modes_agree_through_the_engine_facade() {
         let (archive, dag) = build_archive();
         let cfg = TaskConfig::default();
+        let engine = Engine::builder(&archive, &dag).threads(3).build().unwrap();
         for task in Task::ALL {
             let baseline = run_task(&archive, &dag, task, cfg);
-            let sequential = Engine::builder(&archive, &dag).sequential().build().unwrap();
-            let fine = Engine::builder(&archive, &dag).threads(3).build().unwrap();
-            for engine in [&sequential, &fine] {
-                let got = engine.run(task, cfg).unwrap();
-                assert_eq!(
-                    got.output,
-                    baseline.output,
-                    "mode {} diverges on {}",
-                    engine.mode(),
-                    task.name()
-                );
-            }
+            let got = engine.run(task, cfg).unwrap();
+            assert_eq!(got.output, baseline.output, "diverges on {}", task.name());
         }
     }
 
@@ -1371,12 +1199,6 @@ mod tests {
             assert!(
                 warm.timings.shared_init.is_zero(),
                 "{} warm run must compute no shared artifacts",
-                task.name()
-            );
-            assert_eq!(
-                warm.timings.init_work.total_ops(),
-                0,
-                "{} warm init must perform no shared work",
                 task.name()
             );
         }
@@ -1411,20 +1233,17 @@ mod tests {
                 engine.run(Task::SequenceCount, cfg).unwrap().output
             })
             .collect();
-        match &engine.inner {
-            EngineInner::Fine(state) => {
-                let slots = state.analysis.head_tail.lock().unwrap();
-                assert_eq!(
-                    slots.map.len(),
-                    HEAD_TAIL_CACHE_CAP,
-                    "cache must stay bounded"
-                );
-                assert!(
-                    !slots.map.contains_key(&1) && !slots.map.contains_key(&2),
-                    "oldest lengths must have been evicted first"
-                );
-            }
-            _ => unreachable!("fine mode owns a cache"),
+        {
+            let slots = engine.analysis.head_tail.lock().unwrap();
+            assert_eq!(
+                slots.map.len(),
+                HEAD_TAIL_CACHE_CAP,
+                "cache must stay bounded"
+            );
+            assert!(
+                !slots.map.contains_key(&1) && !slots.map.contains_key(&2),
+                "oldest lengths must have been evicted first"
+            );
         }
         // An evicted length recomputes (cold) but stays correct.
         let again = engine

@@ -19,9 +19,7 @@
 //! which serialized the assembly tail of every level.)
 
 use super::exec::{DisjointSlots, WorkerPool};
-use crate::timing::WorkStats;
 use sequitur::{Dag, Grammar, Symbol};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-rule head/tail buffers (CPU twin of the simulator's `HeadTail`).
 #[derive(Debug, Clone)]
@@ -149,7 +147,6 @@ pub fn build_head_tail(
     levels: &[Vec<u32>],
     l: usize,
     pool: &WorkerPool,
-    work: &mut WorkStats,
 ) -> HeadTail {
     // Precondition assert for direct callers only: both Engine entry points
     // reject `l == 0` with `ConfigError::ZeroSequenceLength` before reaching
@@ -166,8 +163,6 @@ pub fn build_head_tail(
         let head_slots = DisjointSlots::new(&mut head);
         let tail_slots = DisjointSlots::new(&mut tail);
         let short_slots = DisjointSlots::new(&mut short_expansion);
-        let scanned = AtomicU64::new(0);
-        let moved = AtomicU64::new(0);
         for level in levels {
             pool.checkpoint(); // cancel/deadline, once per DAG level
             // Lock-free assembly: every worker writes only its own rules'
@@ -188,16 +183,12 @@ pub fn build_head_tail(
                         &tail_slots,
                         &short_slots,
                     );
-                    moved.fetch_add((h.len() + t.len()) as u64 * 4, Ordering::Relaxed);
                     head_slots.set(r, h);
                     tail_slots.set(r, t);
                     short_slots.set(r, s);
                 }
-                scanned.fetch_add(dag.rule_lengths[r] as u64, Ordering::Relaxed);
             });
         }
-        work.elements_scanned += scanned.into_inner();
-        work.bytes_moved += moved.into_inner();
     }
 
     HeadTail {
@@ -252,9 +243,7 @@ mod tests {
                 let archive = compress_corpus(&sample_corpus(), CompressOptions::default());
                 let dag = Dag::from_grammar(&archive.grammar);
                 let levels = levels_bottom_up(&dag);
-                let mut work = WorkStats::default();
-                let ht = build_head_tail(&archive.grammar, &dag, &levels, l, &pool, &mut work);
-                assert!(work.elements_scanned > 0, "work stats must be recorded");
+                let ht = build_head_tail(&archive.grammar, &dag, &levels, l, &pool);
                 let keep = l - 1;
                 for r in 1..dag.num_rules as u32 {
                     let full = archive.grammar.expand_rule_words(r);

@@ -31,12 +31,8 @@
 //!   same pool the traversal used.  Segment outputs concatenate in key
 //!   order — the per-segment merges *are* the merge, the final assembly is
 //!   run concatenation.
-//!
-//! Merged elements are charged to [`WorkStats::bytes_moved`]: the merge
-//! moves every element exactly once and performs no table operations.
 
 use super::exec::WorkerPool;
-use crate::timing::WorkStats;
 
 /// Below this many total elements a parallel merge would be all overhead;
 /// merge serially on the calling worker instead.
@@ -154,19 +150,13 @@ fn segment_bounds<K: Copy + Ord>(run_keys: &[Vec<K>], splitters: &[K]) -> Vec<Ve
 /// Parallel k-way merge of sorted `(key, value)` runs for `Copy` keys: the
 /// key range is split into one segment per pool worker and the segments
 /// merge concurrently.  Falls back to a serial merge for small inputs or a
-/// 1-thread pool.  Charges one moved element per input element to
-/// `work.bytes_moved`.
-pub fn par_merge_rows<K, V>(
-    runs: Vec<Vec<(K, V)>>,
-    pool: &WorkerPool,
-    work: &mut WorkStats,
-) -> Vec<(K, V)>
+/// 1-thread pool.
+pub fn par_merge_rows<K, V>(runs: Vec<Vec<(K, V)>>, pool: &WorkerPool) -> Vec<(K, V)>
 where
     K: Copy + Ord + Send + Sync,
     V: Copy + Send + Sync,
 {
     let total: usize = runs.iter().map(Vec::len).sum();
-    work.bytes_moved += (total * std::mem::size_of::<(K, V)>()) as u64;
     let mut runs: Vec<Vec<(K, V)>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
     if runs.len() <= 1 {
         return runs.pop().unwrap_or_default();
@@ -246,19 +236,13 @@ impl<K, V> PostingRun<K, V> {
 /// like [`par_merge_rows`]; each worker copies whole posting lists with
 /// `extend_from_slice`.  Shard runs are key-disjoint so no posting lists
 /// ever need combining — a key's list passes through byte-identically.
-pub fn par_merge_postings<K, V>(
-    runs: Vec<PostingRun<K, V>>,
-    pool: &WorkerPool,
-    work: &mut WorkStats,
-) -> PostingRun<K, V>
+pub fn par_merge_postings<K, V>(runs: Vec<PostingRun<K, V>>, pool: &WorkerPool) -> PostingRun<K, V>
 where
     K: Copy + Ord + Send + Sync,
     V: Copy + Send + Sync,
 {
     let total_keys: usize = runs.iter().map(PostingRun::len).sum();
     let total_values: usize = runs.iter().map(|r| r.values.len()).sum();
-    work.bytes_moved += (total_keys * std::mem::size_of::<K>()
-        + total_values * std::mem::size_of::<V>()) as u64;
     let mut runs: Vec<PostingRun<K, V>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
     if runs.len() <= 1 {
         return runs.pop().unwrap_or_default();
@@ -375,10 +359,8 @@ mod tests {
         for threads in [1, 3, 8] {
             let pool = WorkerPool::new(threads);
             let runs = shard_runs(&pairs, threads);
-            let mut work = WorkStats::default();
-            let merged = par_merge_rows(runs, &pool, &mut work);
+            let merged = par_merge_rows(runs, &pool);
             assert_eq!(merged, reference, "{threads} threads");
-            assert!(work.bytes_moved > 0);
         }
     }
 
@@ -397,8 +379,7 @@ mod tests {
             b.offsets.push(b.values.len());
         }
         let pool = WorkerPool::new(2);
-        let mut work = WorkStats::default();
-        let merged = par_merge_postings(vec![a, b], &pool, &mut work);
+        let merged = par_merge_postings(vec![a, b], &pool);
         assert_eq!(merged.keys, vec![1, 2, 4, 6]);
         assert_eq!(merged.offsets, vec![0, 1, 3, 6, 7]);
         assert_eq!(merged.values, vec![7, 1, 4, 2, 3, 5, 0]);
@@ -423,9 +404,8 @@ mod tests {
         }
         let wide = WorkerPool::new(8);
         let narrow = WorkerPool::new(1);
-        let mut work = WorkStats::default();
-        let par = par_merge_postings(runs.clone(), &wide, &mut work);
-        let ser = par_merge_postings(runs, &narrow, &mut work);
+        let par = par_merge_postings(runs.clone(), &wide);
+        let ser = par_merge_postings(runs, &narrow);
         assert_eq!(par.keys, ser.keys);
         assert_eq!(par.offsets, ser.offsets);
         assert_eq!(par.values, ser.values);
@@ -435,12 +415,11 @@ mod tests {
     #[test]
     fn empty_and_single_run_pass_through() {
         let pool = WorkerPool::new(2);
-        let mut work = WorkStats::default();
-        let merged = par_merge_rows(Vec::<Vec<(u32, u64)>>::new(), &pool, &mut work);
+        let merged = par_merge_rows(Vec::<Vec<(u32, u64)>>::new(), &pool);
         assert!(merged.is_empty());
-        let one = par_merge_rows(vec![vec![(3u32, 1u64)], vec![]], &pool, &mut work);
+        let one = par_merge_rows(vec![vec![(3u32, 1u64)], vec![]], &pool);
         assert_eq!(one, vec![(3, 1)]);
-        let none = par_merge_postings(Vec::<PostingRun<u32, u32>>::new(), &pool, &mut work);
+        let none = par_merge_postings(Vec::<PostingRun<u32, u32>>::new(), &pool);
         assert!(none.is_empty());
         assert_eq!(none.offsets, vec![0]);
     }

@@ -36,15 +36,26 @@
 //!    their shards in [`arena::shard::ShardBuf`]s (an append per
 //!    occurrence, self-compacting by sort + fold), so no per-worker hash
 //!    maps are materialised on the traversal hot path and each shard's
-//!    merge is one sort + fold.
+//!    merge is one sort + fold.  This scheme exists **once**, in
+//!    `driver::run_sharded`; `wordCount`/`sort`, `invertedIndex`,
+//!    `sequenceCount` and `rankedInvertedIndex` are `driver::Kernel`s —
+//!    which artifacts they `ensure_*`, what a work item emits, how a
+//!    shard's sorted entries become its columnar run, which k-way merge
+//!    finalizes.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
 //!    an oversized rule body (dataset B's root holds most of the corpus),
 //!    local-word list, or root segment is split at
 //!    [`FineGrainedConfig::chunk_elements`] and every chunk is weighted
-//!    individually into [`exec::partition_by_cost`] or the dynamic work
-//!    queue — the CPU analogue of the paper's thread groups for oversized
-//!    rules (Section IV-B), applied to every app path.
+//!    individually into [`exec::partition_by_cost`] or claimed from the
+//!    dynamic work queue of `driver::claim_loop` (the one claim loop,
+//!    with the one per-claim cancel/deadline checkpoint) — the CPU analogue
+//!    of the paper's thread groups for oversized rules (Section IV-B),
+//!    applied to every app path.  The phase clock around it
+//!    (`driver::run_phases`) records wall-clock only: the fine engine
+//!    leaves [`PhaseTimings::init_work`](crate::timing::PhaseTimings::init_work)
+//!    / `traversal_work` at their `Default`; the sequential reference
+//!    counts abstract work for the cost model.
 //! 5. **File-major CSR accumulation for term vector.**  The top-down pass
 //!    produces rule-major `(file, occurrences)` tables; term vector consumes
 //!    their transpose ([`file_csr::FileCsr`]) so files can be statically
@@ -67,13 +78,14 @@
 //! long-lived object owning the persistent pool and a lazily-cached
 //! analysis layer (DAG levels, rule/file weights, head/tail buffers, chunk
 //! decompositions, the term-vector CSR) shared by every query over the
-//! borrowed archive.  The builder also selects the sequential back end, so
-//! one facade runs both modes.
+//! borrowed archive.  [`run_task`](crate::apps::run_task) stays beside it as
+//! the sequential reference and the degrade ladder's fallback.
 //!
 //! Outputs are byte-identical to the sequential oracle for all six tasks
 //! (asserted by `tests/cross_implementation.rs`, `tests/engine_session.rs`
 //! and the unit tests below).
 
+mod driver;
 pub mod engine;
 pub mod exec;
 pub mod file_csr;
@@ -82,21 +94,22 @@ pub mod merge;
 pub(crate) mod scratch;
 pub mod sequences;
 
-pub use engine::{
-    CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions, TaskSpec,
-};
+pub use engine::{CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions};
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;
-use crate::timing::{PhaseTimings, Timer, WorkStats};
 use arena::shard::{sort_fold, CountEntry, MaskEntry, ShardBuf};
+use driver::{claim_loop, run_phases, run_sharded, Kernel, Shards};
 use engine::{FineCtx, RunCharge};
-use exec::{DisjointSlots, WorkerPool};
-use merge::{par_merge_postings, par_merge_rows, PostingRun};
+use exec::{Chunk, DisjointSlots, WorkerPool};
 use file_csr::FileCsr;
-use sequences::{count_range_windows, count_root_chunk, root_chunks, RootChunk};
+use head_tail::HeadTail;
+use merge::{par_merge_postings, par_merge_rows, PostingRun};
+use sequences::{count_range_windows, count_root_chunk, root_chunks, RootChunk, SeqKey};
 use sequitur::{Dag, Grammar, Symbol, TadocArchive, WordId};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Per-rule per-file occurrence counts in compact form: `fw[r]` holds rule
 /// `r`'s `(file, occurrences)` pairs sorted by file id.  The compact lists
@@ -138,21 +151,35 @@ impl Default for FineGrainedConfig {
 ///
 /// The caller (the builder and [`Engine::run_with`]) has validated the
 /// configuration; `cfg.sequence_length` must be at least 1 for
-/// sequence-sensitive tasks.
+/// sequence-sensitive tasks.  The sequence tasks pick their key type here:
+/// packed `u64` windows when they fit ([`sequences::can_pack`]), owned
+/// [`Sequence`]s otherwise.
 pub(crate) fn run_fine_with_cache(
-    archive: &TadocArchive,
-    dag: &Dag,
     task: Task,
     cfg: TaskConfig,
     ctx: FineCtx<'_>,
     pool: &WorkerPool,
 ) -> TaskExecution {
+    let l = cfg.sequence_length;
+    let packed = sequences::can_pack(l, ctx.archive.vocabulary_size());
     match task {
-        Task::WordCount | Task::Sort => word_count_fine(archive, dag, task, ctx, pool),
-        Task::InvertedIndex => inverted_index_fine(archive, dag, ctx, pool),
-        Task::TermVector => term_vector_fine(archive, dag, ctx, pool),
-        Task::SequenceCount => sequence_count_fine(archive, dag, cfg, ctx, pool),
-        Task::RankedInvertedIndex => ranked_inverted_index_fine(archive, dag, cfg, ctx, pool),
+        Task::WordCount | Task::Sort => {
+            run_sharded(pool, |charge| WordCount::new(ctx, task, pool, charge))
+        }
+        Task::InvertedIndex => run_sharded(pool, |charge| InvertedIndex::new(ctx, pool, charge)),
+        Task::TermVector => term_vector_fine(ctx, pool),
+        Task::SequenceCount if packed => run_sharded(pool, |charge| {
+            SequenceCount::<u64>::new(ctx, l, pool, charge)
+        }),
+        Task::SequenceCount => run_sharded(pool, |charge| {
+            SequenceCount::<Sequence>::new(ctx, l, pool, charge)
+        }),
+        Task::RankedInvertedIndex if packed => {
+            run_sharded(pool, |charge| RankedIndex::<u64>::new(ctx, l, pool, charge))
+        }
+        Task::RankedInvertedIndex => run_sharded(pool, |charge| {
+            RankedIndex::<Sequence>::new(ctx, l, pool, charge)
+        }),
     }
 }
 
@@ -165,19 +192,13 @@ pub(crate) fn run_fine_with_cache(
 /// parallel (atomic adds), with a barrier between layers.  `levels` must be
 /// the top-down level schedule of `dag`
 /// ([`head_tail::levels_top_down`]); sessions pass their cached copy.
-fn parallel_rule_weights(
-    dag: &Dag,
-    levels: &[Vec<u32>],
-    pool: &WorkerPool,
-    work: &mut WorkStats,
-) -> Vec<u64> {
+fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> Vec<u64> {
     let n = dag.num_rules;
     let weights: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     if n == 0 {
         return Vec::new();
     }
     weights[0].store(1, Ordering::Relaxed);
-    let edges = AtomicU64::new(0);
     for level in levels {
         pool.checkpoint(); // cancel/deadline, once per DAG level
         pool.for_range(level.len(), |i| {
@@ -186,16 +207,11 @@ fn parallel_rule_weights(
             if w == 0 {
                 return;
             }
-            let children = &dag.children[r];
-            for &(c, freq) in children {
+            for &(c, freq) in &dag.children[r] {
                 weights[c as usize].fetch_add(freq as u64 * w, Ordering::Relaxed);
             }
-            edges.fetch_add(children.len() as u64, Ordering::Relaxed);
         });
     }
-    let edges = edges.into_inner();
-    work.elements_scanned += edges;
-    work.sync_ops += edges;
     weights.into_iter().map(AtomicU64::into_inner).collect()
 }
 
@@ -220,7 +236,6 @@ fn parallel_file_weights(
     levels: &[Vec<u32>],
     segments: &[(usize, usize)],
     pool: &WorkerPool,
-    work: &mut WorkStats,
 ) -> FileWeightLists {
     let n = dag.num_rules;
     if n == 0 {
@@ -234,21 +249,18 @@ fn parallel_file_weights(
     let root = grammar.root();
     for (fid, &(start, end)) in segments.iter().enumerate() {
         for sym in &root[start..end] {
-            work.elements_scanned += 1;
             if let Symbol::Rule(c) = *sym {
                 let list = &mut fw[c as usize];
                 match list.last_mut() {
                     Some(last) if last.0 == fid as FileId => last.1 += 1,
                     _ => list.push((fid as FileId, 1)),
                 }
-                work.table_ops += 1;
             }
         }
     }
 
     // Pull pass, level by level: all parents of a rule live in strictly
     // shallower layers, so their lists are final when the rule's level runs.
-    let ops = AtomicU64::new(0);
     {
         let slots = DisjointSlots::new(&mut fw);
         for level in levels {
@@ -280,22 +292,19 @@ fn parallel_file_weights(
                     let seed = slots.get(r);
                     let gathered: Vec<(FileId, u64)> = if contributors == 1 && seed.is_empty() {
                         let (p, freq) = single;
-                        let parent = slots.get(p as usize);
-                        ops.fetch_add(parent.len() as u64, Ordering::Relaxed);
-                        parent
+                        slots
+                            .get(p as usize)
                             .iter()
                             .map(|&(f, cnt)| (f, cnt * freq as u64))
                             .collect()
                     } else {
                         let mut gathered: Vec<(FileId, u64)> = Vec::new();
-                        let mut local_ops = 0u64;
                         for &(p, freq) in &dag.parents[r] {
                             if p == 0 {
                                 continue; // already covered by the seed
                             }
                             for &(f, cnt) in slots.get(p as usize) {
                                 gathered.push((f, cnt * freq as u64));
-                                local_ops += 1;
                             }
                         }
                         gathered.extend_from_slice(seed); // root seed
@@ -308,7 +317,6 @@ fn parallel_file_weights(
                                 false
                             }
                         });
-                        ops.fetch_add(local_ops, Ordering::Relaxed);
                         gathered
                     };
                     slots.set(r, gathered);
@@ -316,145 +324,84 @@ fn parallel_file_weights(
             });
         }
     }
-    work.table_ops += ops.into_inner();
     fw
 }
 
-/// Transposes per-worker sharded maps into per-shard worker lists so the
-/// merge can own its shard's data without cloning.
-fn transpose_shards<T: Default>(locals: Vec<Vec<T>>, shards: usize) -> Vec<Vec<T>> {
-    let mut by_shard: Vec<Vec<T>> = (0..shards).map(|_| Vec::new()).collect();
-    for mut local in locals {
-        debug_assert_eq!(local.len(), shards);
-        for (s, item) in local.drain(..).enumerate() {
-            by_shard[s].push(item);
-        }
-    }
-    by_shard
-}
+// The per-shard sorted runs `driver::run_sharded` hands to a kernel's
+// finalizer feed straight into the k-way merges of [`merge`] — there is no
+// hash-table collection step anywhere on the finalize path (the old
+// `collect_shard_rows` re-inserted every distinct key into an `FxHashMap`;
+// the `no-hash-finalize` xtask lint keeps it from coming back).
 
-/// The sharded lock-free global merge shared by every task: folds the
-/// workers' stats, hands each shard's per-worker pieces to exactly one merge
-/// worker, and returns the per-shard results (`merge` sees all of one
-/// shard's inputs and owns them).
-fn merge_sharded<T, R, F>(
-    locals: Vec<(Vec<T>, WorkStats)>,
-    pool: &WorkerPool,
-    traversal_work: &mut WorkStats,
-    merge: F,
-) -> Vec<R>
-where
-    T: Send + Default,
-    R: Send,
-    F: Fn(Vec<T>) -> R + Sync,
-{
-    let mut shard_inputs = Vec::with_capacity(locals.len());
-    for (shards, stats) in locals {
-        traversal_work.merge(&stats);
-        shard_inputs.push(shards);
-    }
-    let by_shard = transpose_shards(shard_inputs, pool.threads());
-    pool.map_workers(by_shard, |_s, pieces| merge(pieces))
+/// The shard run of the counting kernels: sorted `(key, count)` rows.
+fn count_rows<K>(entries: Vec<CountEntry<K>>) -> Vec<(K, u64)> {
+    entries.into_iter().map(|e| (e.key, e.count)).collect()
 }
-
-// The per-shard sorted runs produced by `merge_sharded` feed straight into
-// the k-way merges of [`merge`] — there is no hash-table collection step
-// anywhere on the finalize path (the old `collect_shard_rows` re-inserted
-// every distinct key into an `FxHashMap`; the `no-hash-finalize` xtask lint
-// keeps it from coming back).
 
 // ---------------------------------------------------------------------------
 // word count / sort
 // ---------------------------------------------------------------------------
 
-fn word_count_fine(
-    _archive: &TadocArchive,
-    dag: &Dag,
+/// Work items are *chunks* of each rule's local-word list (the root's list
+/// holds most of a few-huge-files corpus, so a whole-rule item would
+/// serialise on one worker); every chunk emits its local-word slice × rule
+/// weight.  The lists are already deduplicated per rule, so on real corpora
+/// the entry total is at most a small multiple of the vocabulary.
+struct WordCount<'e> {
     task: Task,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    let threads = pool.threads();
+    dag: &'e Dag,
+    weights: &'e [u64],
+    chunks: &'e [Chunk],
+}
 
-    // Phase 1: initialization — weights via the level-synchronized top-down
-    // traversal, served from the analysis layer when warm.  The work items
-    // are *chunks* of each rule's local-word list (the root's list holds
-    // most of a few-huge-files corpus, so a whole-rule item would serialise
-    // on one worker), claimed dynamically.
-    let init_timer = Timer::start();
-    let mut charge = RunCharge::default();
-    let weights = ctx.analysis.ensure_rule_weights(dag, pool, &mut charge);
-    let chunks = ctx.analysis.ensure_word_chunks(dag, ctx.fcfg, &mut charge);
-    let init_work = charge.work;
-    let init = init_timer.elapsed();
+impl<'e> WordCount<'e> {
+    fn new(ctx: FineCtx<'e>, task: Task, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
+        Self {
+            task,
+            dag: ctx.dag,
+            weights: ctx.analysis.ensure_rule_weights(ctx.dag, pool, charge),
+            chunks: ctx.analysis.ensure_word_chunks(ctx.dag, ctx.fcfg, charge),
+        }
+    }
+}
 
-    // Phase 2: traversal — every chunk appends its local-word slice × rule
-    // weight straight into per-shard [`ShardBuf`]s.  The local-word lists
-    // are already deduplicated per rule, so on real corpora the entry total
-    // is at most a small multiple of the vocabulary and the self-compacting
-    // buffers fold it without any per-occurrence hash probes; the sharded
-    // merge is one sort + fold per shard.
-    let trav_timer = Timer::start();
-    let queue = exec::WorkQueue::new(chunks.len(), 16);
-    let locals: Vec<(Vec<ShardBuf<CountEntry<WordId>>>, WorkStats)> =
-        pool.collect(|_w| {
-            let mut shards: Vec<ShardBuf<CountEntry<WordId>>> =
-                (0..threads).map(|_| ShardBuf::default()).collect();
-            let mut stats = WorkStats::default();
-            while let Some(range) = queue.next() {
-                pool.checkpoint(); // cancel/deadline, once per claimed chunk
-                for item in range {
-                    let c = chunks[item];
-                    let r = c.item as usize;
-                    let weight = weights[r];
-                    if weight == 0 {
-                        continue;
-                    }
-                    for &(w, cnt) in &dag.local_words[r][c.begin as usize..c.end as usize] {
-                        shards[exec::shard_of(w as u64, threads)]
-                            .push(CountEntry::new(w, cnt as u64 * weight));
-                        stats.table_ops += 1;
-                    }
-                    stats.elements_scanned += c.len() as u64;
-                }
-            }
-            (shards, stats)
-        });
+impl Kernel for WordCount<'_> {
+    type Entry = CountEntry<WordId>;
+    type Scratch = ();
+    type Run = Vec<(WordId, u64)>;
 
-    let mut traversal_work = WorkStats::default();
-    let shard_runs = merge_sharded(locals, pool, &mut traversal_work, |pieces| {
-        ShardBuf::merge(pieces)
-            .into_iter()
-            .map(|e| (e.key, e.count))
-            .collect::<Vec<(WordId, u64)>>()
-    });
-    // Finalize: k-way merge the disjoint shard runs into the ordered
-    // columns — shards interleave in key order, so this is a real merge,
-    // but it touches each row exactly once and probes nothing.
-    let fin_timer = Timer::start();
-    let rows = par_merge_rows(shard_runs, pool, &mut traversal_work);
-    let (words, counts): (Vec<WordId>, Vec<u64>) = rows.into_iter().unzip();
-    let wc = WordCountResult::from_sorted_columns(words, counts);
-    let output = if task == Task::WordCount {
-        AnalyticsOutput::WordCount(wc)
-    } else {
-        AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
-    };
-    let finalize = fin_timer.elapsed();
-    let traversal = trav_timer.elapsed();
+    fn items(&self) -> usize {
+        self.chunks.len()
+    }
 
-    TaskExecution {
-        output,
-        timings: PhaseTimings {
-            init,
-            traversal,
-            init_work,
-            traversal_work,
-            shared_init: charge.time,
-            finalize,
-            warm: !charge.computed,
-            ..Default::default()
-        },
+    #[inline]
+    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
+        let c = self.chunks[item];
+        let r = c.item as usize;
+        let weight = self.weights[r];
+        if weight == 0 {
+            return;
+        }
+        for &(w, cnt) in &self.dag.local_words[r][c.begin as usize..c.end as usize] {
+            out.route(w as u64)
+                .push(CountEntry::new(w, cnt as u64 * weight));
+        }
+    }
+
+    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
+        count_rows(entries)
+    }
+
+    /// Shards interleave in key order, so this is a real merge — but it
+    /// touches each row exactly once and probes nothing.
+    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
+        let (words, counts) = par_merge_rows(runs, pool).into_iter().unzip();
+        let wc = WordCountResult::from_sorted_columns(words, counts);
+        if self.task == Task::WordCount {
+            AnalyticsOutput::WordCount(wc)
+        } else {
+            AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
+        }
     }
 }
 
@@ -462,98 +409,88 @@ fn word_count_fine(
 // inverted index
 // ---------------------------------------------------------------------------
 
-fn inverted_index_fine(
-    archive: &TadocArchive,
-    dag: &Dag,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    let grammar = &archive.grammar;
-    let threads = pool.threads();
+/// Work item space: chunks of each non-root rule's local-word list first,
+/// then chunks of the root's file segments — a few huge files fan out
+/// across the whole pool instead of one worker per file.  Posting
+/// candidates are emitted as `(word, file-block)` bitmask entries (equal
+/// keys OR their masks): packing 64 files per entry means a rule with a
+/// dense file list costs one entry per (word, block) instead of one per
+/// (word, file).
+struct InvertedIndex<'e> {
+    dag: &'e Dag,
+    root: &'e [Symbol],
+    fw: &'e FileWeightLists,
+    rule_chunks: &'e [Chunk],
+    seg_chunks: &'e [RootChunk],
+}
 
-    let init_timer = Timer::start();
-    let mut charge = RunCharge::default();
-    let fw = ctx
-        .analysis
-        .ensure_file_weights(grammar, dag, pool, &mut charge);
-    let (rule_chunks, seg_chunks) =
-        ctx.analysis
-            .ensure_index_chunks(grammar, dag, ctx.fcfg, &mut charge);
-    let init_work = charge.work;
-    let init = init_timer.elapsed();
+impl<'e> InvertedIndex<'e> {
+    fn new(ctx: FineCtx<'e>, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
+        let grammar = &ctx.archive.grammar;
+        let fw = ctx
+            .analysis
+            .ensure_file_weights(grammar, ctx.dag, pool, charge);
+        let (rule_chunks, seg_chunks) = ctx
+            .analysis
+            .ensure_index_chunks(grammar, ctx.dag, ctx.fcfg, charge);
+        Self {
+            dag: ctx.dag,
+            root: grammar.root(),
+            fw,
+            rule_chunks,
+            seg_chunks,
+        }
+    }
+}
 
-    let trav_timer = Timer::start();
-    // Work item space: chunks of each non-root rule's local-word list first,
-    // then chunks of the root's file segments — a few huge files fan out
-    // across the whole pool instead of one worker per file.  Posting
-    // candidates are *appended* as `(word, file-block)` bitmask entries into
-    // per-shard [`ShardBuf`]s (duplicates allowed, self-compacting, equal
-    // keys OR their masks): an append per occurrence is far cheaper than a
-    // hash probe per occurrence, and packing 64 files per entry means a rule
-    // with a dense file list costs one entry per (word, block) instead of
-    // one per (word, file).
-    let num_rule_items = rule_chunks.len();
-    let queue = exec::WorkQueue::new(num_rule_items + seg_chunks.len(), 16);
-    let root = grammar.root();
-    type PostingShards = Vec<ShardBuf<MaskEntry<(WordId, u32)>>>;
-    let locals: Vec<(PostingShards, WorkStats)> =
-        pool.collect(|_w| {
-            let mut shards: PostingShards =
-                (0..threads).map(|_| ShardBuf::default()).collect();
-            let mut stats = WorkStats::default();
-            // The current rule's file list folded into (block, mask) pairs,
-            // rebuilt once per chunk, not once per word.
-            let mut blocks: Vec<(u32, u64)> = Vec::new();
-            while let Some(range) = queue.next() {
-                pool.checkpoint(); // cancel/deadline, once per claimed chunk
-                for item in range {
-                    if item < num_rule_items {
-                        let c = rule_chunks[item];
-                        let r = c.item as usize;
-                        if fw[r].is_empty() {
-                            continue;
-                        }
-                        blocks.clear();
-                        for &(f, _) in &fw[r] {
-                            let block = f / 64;
-                            let bit = 1u64 << (f % 64);
-                            match blocks.last_mut() {
-                                Some(last) if last.0 == block => last.1 |= bit,
-                                _ => blocks.push((block, bit)),
-                            }
-                        }
-                        for &(w, _) in &dag.local_words[r][c.begin as usize..c.end as usize] {
-                            let s = exec::shard_of(w as u64, threads);
-                            for &(block, mask) in &blocks {
-                                shards[s].push(MaskEntry::new((w, block), mask));
-                            }
-                            stats.table_ops += blocks.len() as u64;
-                        }
-                        stats.elements_scanned += c.len() as u64;
-                    } else {
-                        let c = seg_chunks[item - num_rule_items];
-                        for sym in &root[c.begin..c.end] {
-                            stats.elements_scanned += 1;
-                            if let Symbol::Word(w) = *sym {
-                                shards[exec::shard_of(w as u64, threads)].push(MaskEntry::new(
-                                    (w, c.file / 64),
-                                    1u64 << (c.file % 64),
-                                ));
-                                stats.table_ops += 1;
-                            }
-                        }
-                    }
+impl Kernel for InvertedIndex<'_> {
+    type Entry = MaskEntry<(WordId, u32)>;
+    /// The current rule's file list folded into `(block, mask)` pairs,
+    /// rebuilt once per chunk, not once per word.
+    type Scratch = Vec<(u32, u64)>;
+    type Run = PostingRun<WordId, FileId>;
+
+    fn items(&self) -> usize {
+        self.rule_chunks.len() + self.seg_chunks.len()
+    }
+
+    #[inline]
+    fn scan(&self, item: usize, blocks: &mut Self::Scratch, out: &mut Shards<Self::Entry>) {
+        if let Some(c) = self.rule_chunks.get(item) {
+            let r = c.item as usize;
+            if self.fw[r].is_empty() {
+                return;
+            }
+            blocks.clear();
+            for &(f, _) in &self.fw[r] {
+                let block = f / 64;
+                let bit = 1u64 << (f % 64);
+                match blocks.last_mut() {
+                    Some(last) if last.0 == block => last.1 |= bit,
+                    _ => blocks.push((block, bit)),
                 }
             }
-            (shards, stats)
-        });
+            for &(w, _) in &self.dag.local_words[r][c.begin as usize..c.end as usize] {
+                let buf = out.route(w as u64);
+                for &(block, mask) in blocks.iter() {
+                    buf.push(MaskEntry::new((w, block), mask));
+                }
+            }
+        } else {
+            let c = self.seg_chunks[item - self.rule_chunks.len()];
+            for sym in &self.root[c.begin..c.end] {
+                if let Symbol::Word(w) = *sym {
+                    out.route(w as u64)
+                        .push(MaskEntry::new((w, c.file / 64), 1u64 << (c.file % 64)));
+                }
+            }
+        }
+    }
 
-    let mut traversal_work = WorkStats::default();
-    let shard_runs = merge_sharded(locals, pool, &mut traversal_work, |pieces| {
-        // One sort + OR-fold per shard, then expand the sorted
-        // (word, block) mask runs straight into a columnar posting run
-        // (blocks and bits ascend, so the lists come out file-sorted).
-        let entries = ShardBuf::merge(pieces);
+    /// Expands the sorted `(word, block)` mask runs straight into a columnar
+    /// posting run (blocks and bits ascend, so the lists come out
+    /// file-sorted).
+    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
         let mut run = PostingRun::<WordId, FileId>::default();
         let mut i = 0usize;
         while i < entries.len() {
@@ -564,7 +501,10 @@ fn inverted_index_fine(
                 .iter()
                 .position(|e| e.key.0 != w)
                 .map_or(entries.len(), |p| i + p);
-            let total: u32 = entries[i..run_end].iter().map(|e| e.mask.count_ones()).sum();
+            let total: u32 = entries[i..run_end]
+                .iter()
+                .map(|e| e.mask.count_ones())
+                .sum();
             run.values.reserve(total as usize);
             for e in &entries[i..run_end] {
                 let block = e.key.1;
@@ -579,25 +519,15 @@ fn inverted_index_fine(
             run.offsets.push(run.values.len());
         }
         run
-    });
-    let fin_timer = Timer::start();
-    let merged = par_merge_postings(shard_runs, pool, &mut traversal_work);
-    let result = InvertedIndexResult::from_sorted_parts(merged.keys, merged.offsets, merged.values);
-    let finalize = fin_timer.elapsed();
-    let traversal = trav_timer.elapsed();
+    }
 
-    TaskExecution {
-        output: AnalyticsOutput::InvertedIndex(result),
-        timings: PhaseTimings {
-            init,
-            traversal,
-            init_work,
-            traversal_work,
-            shared_init: charge.time,
-            finalize,
-            warm: !charge.computed,
-            ..Default::default()
-        },
+    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
+        let merged = par_merge_postings(runs, pool);
+        AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+            merged.keys,
+            merged.offsets,
+            merged.values,
+        ))
     }
 }
 
@@ -651,7 +581,6 @@ pub(crate) fn build_term_vector_prep(
     segments: &[(usize, usize)],
     fcfg: FineGrainedConfig,
     pool: &WorkerPool,
-    init_work: &mut WorkStats,
 ) -> TermVectorPrep {
     let grammar = &archive.grammar;
     let threads = pool.threads();
@@ -683,115 +612,98 @@ pub(crate) fn build_term_vector_prep(
     }
     let mut seeds: Vec<Option<Vec<CountEntry<u32>>>> = vec![None; num_files];
     if !seed_chunks.is_empty() {
-        let queue = exec::WorkQueue::new(seed_chunks.len(), 1);
         type SeedLists = Vec<(FileId, Vec<CountEntry<u32>>)>;
-        let locals: Vec<(SeedLists, WorkStats)> = pool.collect(|_w| {
-            let mut out: SeedLists = Vec::new();
-            let mut stats = WorkStats::default();
-            while let Some(range) = queue.next() {
-                pool.checkpoint(); // cancel/deadline, once per claimed chunk
-                for ci in range {
-                    let c = seed_chunks[ci];
-                    let mut buf: ShardBuf<CountEntry<u32>> = ShardBuf::default();
-                    for sym in &root[c.begin..c.end] {
-                        stats.elements_scanned += 1;
-                        if let Symbol::Rule(r) = *sym {
-                            buf.push(CountEntry::new(r, 1));
-                        }
-                    }
-                    out.push((c.file, buf.into_sorted()));
+        let locals = claim_loop(pool, seed_chunks.len(), 1, SeedLists::new, |out, ci| {
+            let c = seed_chunks[ci];
+            let mut buf: ShardBuf<CountEntry<u32>> = ShardBuf::default();
+            for sym in &root[c.begin..c.end] {
+                if let Symbol::Rule(r) = *sym {
+                    buf.push(CountEntry::new(r, 1));
                 }
             }
-            (out, stats)
+            out.push((c.file, buf.into_sorted()));
         });
-        for (lists, stats) in locals {
-            init_work.merge(&stats);
-            for (f, list) in lists {
-                seeds[f as usize]
-                    .get_or_insert_with(Vec::new)
-                    .extend(list);
-            }
+        for (f, list) in locals.into_iter().flatten() {
+            seeds[f as usize].get_or_insert_with(Vec::new).extend(list);
         }
         for seed in seeds.iter_mut().flatten() {
             sort_fold(seed);
-            init_work.table_ops += seed.len() as u64;
         }
     }
 
     // Dynamic chunking sized like `for_range`: corpora with fewer files
     // than `threads × 8` must still spread across workers (dataset B has 4
     // huge files — a fixed chunk would hand all of them to one worker).
-    let chunk = (num_files / (threads * 8)).clamp(1, 64);
-    let queue = exec::WorkQueue::new(num_files, chunk);
-    type FileRows = Vec<(usize, Vec<(u32, u64)>)>;
-    let locals: Vec<(FileRows, WorkStats)> = pool.collect(|_w| {
-        let mut occ = vec![0u64; n];
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); dag.num_layers];
-        let mut stats = WorkStats::default();
-        let mut out: FileRows = Vec::new();
-        while let Some(range) = queue.next() {
-            pool.checkpoint(); // cancel/deadline, once per claimed chunk
-            for f in range {
-                // Seed: direct rule references in the file's root segment —
-                // from the pre-folded chunk lists for oversized segments,
-                // from the segment scan otherwise.
-                if let Some(seed) = &seeds[f] {
-                    for &CountEntry { key: c, count } in seed {
+    let claim = (num_files / (threads * 8)).clamp(1, 64);
+    /// One worker's propagation state: the dense `occ[rule]` scratch, the
+    /// per-layer buckets of rules the current file reached, and the
+    /// finished `(file, row)` pairs.
+    struct Propagation {
+        occ: Vec<u64>,
+        buckets: Vec<Vec<u32>>,
+        rows: Vec<(usize, Vec<(u32, u64)>)>,
+    }
+    let locals = claim_loop(
+        pool,
+        num_files,
+        claim,
+        || Propagation {
+            occ: vec![0u64; n],
+            buckets: vec![Vec::new(); dag.num_layers],
+            rows: Vec::new(),
+        },
+        |Propagation { occ, buckets, rows }, f| {
+            // Seed: direct rule references in the file's root segment —
+            // from the pre-folded chunk lists for oversized segments,
+            // from the segment scan otherwise.
+            let mut seed = |c: u32, count: u64| {
+                if occ[c as usize] == 0 {
+                    buckets[dag.layers[c as usize] as usize].push(c);
+                }
+                occ[c as usize] += count;
+            };
+            if let Some(folded) = &seeds[f] {
+                for &CountEntry { key: c, count } in folded {
+                    seed(c, count);
+                }
+            } else if let Some(&(start, end)) = segments.get(f) {
+                for sym in &root[start..end] {
+                    if let Symbol::Rule(c) = *sym {
+                        seed(c, 1);
+                    }
+                }
+            }
+            // Propagate top-down in layer order; children always land
+            // in strictly deeper buckets, so indexed iteration is safe.
+            let mut row: Vec<(u32, u64)> = Vec::new();
+            for layer in 0..buckets.len() {
+                for idx in 0..buckets[layer].len() {
+                    let r = buckets[layer][idx] as usize;
+                    let o = occ[r];
+                    row.push((r as u32, o));
+                    for &(c, freq) in &dag.children[r] {
                         if occ[c as usize] == 0 {
                             buckets[dag.layers[c as usize] as usize].push(c);
                         }
-                        occ[c as usize] += count;
-                        stats.table_ops += 1;
-                    }
-                } else if let Some(&(start, end)) = segments.get(f) {
-                    for sym in &root[start..end] {
-                        stats.elements_scanned += 1;
-                        if let Symbol::Rule(c) = *sym {
-                            if occ[c as usize] == 0 {
-                                buckets[dag.layers[c as usize] as usize].push(c);
-                            }
-                            occ[c as usize] += 1;
-                        }
+                        occ[c as usize] += freq as u64 * o;
                     }
                 }
-                // Propagate top-down in layer order; children always land
-                // in strictly deeper buckets, so indexed iteration is safe.
-                let mut row: Vec<(u32, u64)> = Vec::new();
-                for layer in 0..buckets.len() {
-                    for idx in 0..buckets[layer].len() {
-                        let r = buckets[layer][idx] as usize;
-                        let o = occ[r];
-                        row.push((r as u32, o));
-                        for &(c, freq) in &dag.children[r] {
-                            if occ[c as usize] == 0 {
-                                buckets[dag.layers[c as usize] as usize].push(c);
-                            }
-                            occ[c as usize] += freq as u64 * o;
-                            stats.table_ops += 1;
-                        }
-                    }
-                }
-                // Reset only what this file touched.
-                for bucket in &mut buckets {
-                    for &r in bucket.iter() {
-                        occ[r as usize] = 0;
-                    }
-                    bucket.clear();
-                }
-                out.push((f, row));
             }
-        }
-        (out, stats)
-    });
+            // Reset only what this file touched.
+            for bucket in buckets.iter_mut() {
+                for &r in bucket.iter() {
+                    occ[r as usize] = 0;
+                }
+                bucket.clear();
+            }
+            rows.push((f, row));
+        },
+    );
     let mut rows: Vec<Vec<(u32, u64)>> = vec![Vec::new(); num_files];
-    for (worker_rows, stats) in locals {
-        init_work.merge(&stats);
-        for (f, row) in worker_rows {
-            rows[f] = row;
-        }
+    for (f, row) in locals.into_iter().flat_map(|p| p.rows) {
+        rows[f] = row;
     }
     let csr = FileCsr::from_rows(rows);
-    init_work.table_ops += csr.nnz() as u64;
     let vocab = archive.vocabulary_size();
     let costs: Vec<u64> = (0..num_files)
         .map(|f| {
@@ -811,141 +723,109 @@ pub(crate) fn build_term_vector_prep(
     }
 }
 
-fn term_vector_fine(
-    archive: &TadocArchive,
-    dag: &Dag,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    let grammar = &archive.grammar;
+/// Term vector has nothing to shard — file ownership is disjoint — so it
+/// borrows only the phase clock from the driver.
+fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
+    let grammar = &ctx.archive.grammar;
+    let dag = ctx.dag;
     let threads = pool.threads();
-
-    // Phase 1: initialization — the whole CSR build is a session artifact
-    // ([`TermVectorPrep`]): cold runs compute it here, warm runs skip
-    // straight to the traversal.
-    let init_timer = Timer::start();
-    let mut charge = RunCharge::default();
-    let prep = ctx
-        .analysis
-        .ensure_term_vector_prep(archive, dag, ctx.fcfg, pool, &mut charge);
-    let segments = ctx.analysis.ensure_segments(grammar, &mut charge);
-    let csr = &prep.csr;
-    let (num_files, vocab) = (prep.num_files, prep.vocab);
     let root = grammar.root();
-    let init_work = charge.work;
-    let init = init_timer.elapsed();
-
-    // Phase 2: traversal — file-major accumulation.  Each worker owns a
-    // contiguous file range (cost-balanced for *this* pool's width — the
-    // cached prep stores only the costs) and walks only those files' CSR
-    // entries, accumulating one file at a time into a dense per-worker
-    // `counts[word]` scratch with a touched-word list: word ids are already
-    // a perfect hash of the vocabulary, so the accumulate is a direct array
-    // add (no probing at all) and the per-file cleanup touches only the
-    // file's own words.  File ownership is disjoint, so the "merge" is a
-    // plain scatter of finished vectors.
-    //
-    // The scratch regions are *leased* from the session's [`ScratchPool`]
-    // rather than allocated per query: per-file cleanup restores the
-    // all-zero recycling invariant, so a lease that completes its epoch is
-    // marked clean and returned; a query that unwinds mid-epoch drops its
-    // lease dirty and the pool discards it (see `scratch`).
-    let trav_timer = Timer::start();
-    let ranges = exec::partition_by_cost(&prep.costs, threads);
-    let mut lease = ctx.tv_scratch.lease_with(Vec::new);
-    if lease.len() < threads {
-        lease.resize_with(threads, TvScratch::default);
-    }
-    for s in lease.iter_mut().take(threads) {
-        s.counts.resize(vocab, 0);
-    }
-    type FileVectors = Vec<(usize, Vec<(WordId, u64)>)>;
-    let locals: Vec<(FileVectors, WorkStats)> = {
-        let slots = DisjointSlots::new(&mut lease[..threads]);
-        pool.map_workers(ranges, |w, files| {
-            // SAFETY: worker `w` is handed exactly one input by
-            // `map_workers` and borrows exactly scratch slot `w`; no other
-            // worker touches that slot until the epoch barrier, and the
-            // borrow ends with this closure call.
-            let scratch = unsafe { slots.get_mut(w) };
-            let (counts, touched) = (&mut scratch.counts, &mut scratch.touched);
-            let mut stats = WorkStats::default();
-            stats.bytes_moved += vocab as u64 * 8;
-            let mut vectors: FileVectors = Vec::with_capacity(files.len());
-            for f in files {
-                pool.checkpoint(); // cancel/deadline, once per owned file
-                // Root words of the file's segment.
-                if let Some(&(start, end)) = segments.get(f) {
-                    for sym in &root[start..end] {
-                        stats.elements_scanned += 1;
-                        if let Symbol::Word(w) = *sym {
-                            if counts[w as usize] == 0 {
-                                touched.push(w);
-                            }
-                            counts[w as usize] += 1;
-                            stats.table_ops += 1;
-                        }
-                    }
-                }
-                // Rule-local words scaled by the rule's occurrences in `f`.
-                for (r, occ) in csr.entries(f) {
-                    for &(w, c) in &dag.local_words[r as usize] {
-                        if counts[w as usize] == 0 {
-                            touched.push(w);
-                        }
-                        counts[w as usize] += c as u64 * occ;
-                        stats.table_ops += 1;
-                    }
-                    stats.elements_scanned += dag.rule_lengths[r as usize] as u64;
-                }
-                touched.sort_unstable();
-                let v: Vec<(WordId, u64)> = touched
-                    .iter()
-                    .map(|&w| (w, counts[w as usize]))
-                    .collect();
-                for &w in touched.iter() {
-                    counts[w as usize] = 0;
-                }
-                touched.clear();
-                stats.bytes_moved += v.len() as u64 * 12;
-                vectors.push((f, v));
-            }
-            (vectors, stats)
-        })
-    };
-    // Every worker finished its epoch, so every region is back to the
-    // all-zero invariant — return the lease to the pool for the next query.
-    lease.mark_clean();
-
-    // Finalize: file ownership is disjoint, so the "merge" is a plain
-    // scatter of finished vectors followed by one flattening pass into the
-    // CSR columns.
-    let fin_timer = Timer::start();
-    let mut vectors: Vec<Vec<(WordId, u64)>> = vec![Vec::new(); num_files];
-    let mut traversal_work = WorkStats::default();
-    for (worker_vectors, stats) in locals {
-        traversal_work.merge(&stats);
-        for (f, v) in worker_vectors {
-            vectors[f] = v;
-        }
-    }
-    let result = TermVectorResult::from_rows(vectors);
-    let finalize = fin_timer.elapsed();
-    let traversal = trav_timer.elapsed();
-
-    TaskExecution {
-        output: AnalyticsOutput::TermVector(result),
-        timings: PhaseTimings {
-            init,
-            traversal,
-            init_work,
-            traversal_work,
-            shared_init: charge.time,
-            finalize,
-            warm: !charge.computed,
-            ..Default::default()
+    run_phases(
+        // Initialization — the whole CSR build is a session artifact
+        // ([`TermVectorPrep`]): cold runs compute it here, warm runs skip
+        // straight to the traversal.
+        |charge| {
+            let prep =
+                ctx.analysis
+                    .ensure_term_vector_prep(ctx.archive, dag, ctx.fcfg, pool, charge);
+            (prep, ctx.analysis.ensure_segments(grammar, charge))
         },
-    }
+        // Traversal — file-major accumulation.  Each worker owns a
+        // contiguous file range (cost-balanced for *this* pool's width — the
+        // cached prep stores only the costs) and walks only those files' CSR
+        // entries, accumulating one file at a time into a dense per-worker
+        // `counts[word]` scratch with a touched-word list: word ids are
+        // already a perfect hash of the vocabulary, so the accumulate is a
+        // direct array add (no probing at all) and the per-file cleanup
+        // touches only the file's own words.
+        //
+        // The scratch regions are *leased* from the session's
+        // [`ScratchPool`] rather than allocated per query: per-file cleanup
+        // restores the all-zero recycling invariant, so a lease that
+        // completes its epoch is marked clean and returned; a query that
+        // unwinds mid-epoch drops its lease dirty and the pool discards it
+        // (see `scratch`).
+        |&(prep, segments)| {
+            let ranges = exec::partition_by_cost(&prep.costs, threads);
+            let mut lease = ctx.tv_scratch.lease_with(Vec::new);
+            if lease.len() < threads {
+                lease.resize_with(threads, TvScratch::default);
+            }
+            for s in lease.iter_mut().take(threads) {
+                s.counts.resize(prep.vocab, 0);
+            }
+            type FileVectors = Vec<(usize, Vec<(WordId, u64)>)>;
+            let locals: Vec<FileVectors> = {
+                let slots = DisjointSlots::new(&mut lease[..threads]);
+                pool.map_workers(ranges, |w, files| {
+                    // SAFETY: worker `w` is handed exactly one input by
+                    // `map_workers` and borrows exactly scratch slot `w`; no
+                    // other worker touches that slot until the epoch
+                    // barrier, and the borrow ends with this closure call.
+                    let scratch = unsafe { slots.get_mut(w) };
+                    let (counts, touched) = (&mut scratch.counts, &mut scratch.touched);
+                    let mut vectors: FileVectors = Vec::with_capacity(files.len());
+                    for f in files {
+                        // Cancel/deadline, once per owned file.
+                        pool.checkpoint();
+                        // Root words of the file's segment.
+                        if let Some(&(start, end)) = segments.get(f) {
+                            for sym in &root[start..end] {
+                                if let Symbol::Word(w) = *sym {
+                                    if counts[w as usize] == 0 {
+                                        touched.push(w);
+                                    }
+                                    counts[w as usize] += 1;
+                                }
+                            }
+                        }
+                        // Rule-local words scaled by the rule's occurrences
+                        // in `f`.
+                        for (r, occ) in prep.csr.entries(f) {
+                            for &(w, c) in &dag.local_words[r as usize] {
+                                if counts[w as usize] == 0 {
+                                    touched.push(w);
+                                }
+                                counts[w as usize] += c as u64 * occ;
+                            }
+                        }
+                        touched.sort_unstable();
+                        let v: Vec<(WordId, u64)> =
+                            touched.iter().map(|&w| (w, counts[w as usize])).collect();
+                        for &w in touched.iter() {
+                            counts[w as usize] = 0;
+                        }
+                        touched.clear();
+                        vectors.push((f, v));
+                    }
+                    vectors
+                })
+            };
+            // Every worker finished its epoch, so every region is back to
+            // the all-zero invariant — return the lease for the next query.
+            lease.mark_clean();
+            locals
+        },
+        // Finalize: a plain scatter of finished vectors followed by one
+        // flattening pass into the CSR columns.
+        |(prep, _), locals| {
+            let mut vectors: Vec<Vec<(WordId, u64)>> = vec![Vec::new(); prep.num_files];
+            for (f, v) in locals.into_iter().flatten() {
+                vectors[f] = v;
+            }
+            AnalyticsOutput::TermVector(TermVectorResult::from_rows(vectors))
+        },
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -958,12 +838,21 @@ fn term_vector_fine(
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SeqItem {
     /// Element range `[begin, end)` of rule `r`'s body.
-    Rule { r: usize, begin: usize, end: usize },
+    Rule {
+        r: usize,
+        begin: usize,
+        end: usize,
+    },
     Root(RootChunk),
 }
 
-pub(crate) fn sequence_work_items(grammar: &Grammar, segments: &[(usize, usize)], target: usize) -> Vec<SeqItem> {
-    let body_lens = (0..grammar.rules.len()).map(|r| if r == 0 { 0 } else { grammar.rules[r].len() });
+pub(crate) fn sequence_work_items(
+    grammar: &Grammar,
+    segments: &[(usize, usize)],
+    target: usize,
+) -> Vec<SeqItem> {
+    let body_lens =
+        (0..grammar.rules.len()).map(|r| if r == 0 { 0 } else { grammar.rules[r].len() });
     let mut items: Vec<SeqItem> = exec::chunk_ranges(body_lens, target)
         .into_iter()
         .map(|c| SeqItem::Rule {
@@ -976,235 +865,169 @@ pub(crate) fn sequence_work_items(grammar: &Grammar, segments: &[(usize, usize)]
     items
 }
 
-fn sequence_count_fine(
-    archive: &TadocArchive,
-    dag: &Dag,
-    cfg: TaskConfig,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    if sequences::can_pack(cfg.sequence_length, archive.vocabulary_size()) {
-        sequence_count_fine_impl::<u64>(archive, dag, cfg, ctx, pool)
-    } else {
-        sequence_count_fine_impl::<Sequence>(archive, dag, cfg, ctx, pool)
+/// What both sequence kernels scan: the chunked item space over the
+/// grammar plus the head/tail buffers for sequence length `l`.
+struct SeqScan<'e> {
+    l: usize,
+    grammar: &'e Grammar,
+    ht: Arc<OnceLock<HeadTail>>,
+    items: &'e [SeqItem],
+}
+
+impl<'e> SeqScan<'e> {
+    fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
+        let grammar = &ctx.archive.grammar;
+        Self {
+            l,
+            grammar,
+            ht: ctx
+                .analysis
+                .ensure_head_tail(grammar, ctx.dag, l, pool, charge),
+            items: ctx
+                .analysis
+                .ensure_sequence_items(grammar, ctx.fcfg, charge),
+        }
+    }
+
+    fn head_tail(&self) -> &HeadTail {
+        self.ht.get().expect("filled by ensure_head_tail")
     }
 }
 
-fn sequence_count_fine_impl<K: sequences::SeqKey>(
-    archive: &TadocArchive,
-    dag: &Dag,
-    cfg: TaskConfig,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    let grammar = &archive.grammar;
-    let threads = pool.threads();
-    let l = cfg.sequence_length;
+/// Every window is counted once per rule chunk and emitted with the rule's
+/// weight (root windows with weight 1).
+struct SequenceCount<'e, K> {
+    seq: SeqScan<'e>,
+    weights: &'e [u64],
+    key: PhantomData<fn() -> K>,
+}
 
-    let init_timer = Timer::start();
-    let mut charge = RunCharge::default();
-    let weights = ctx.analysis.ensure_rule_weights(dag, pool, &mut charge);
-    let ht_cell = ctx
-        .analysis
-        .ensure_head_tail(grammar, dag, l, pool, &mut charge);
-    let ht = ht_cell.get().expect("head/tail ensured");
-    let items = ctx
-        .analysis
-        .ensure_sequence_items(grammar, ctx.fcfg, &mut charge);
-    let init_work = charge.work;
-    let init = init_timer.elapsed();
+impl<'e, K> SequenceCount<'e, K> {
+    fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
+        Self {
+            weights: ctx.analysis.ensure_rule_weights(ctx.dag, pool, charge),
+            seq: SeqScan::new(ctx, l, pool, charge),
+            key: PhantomData,
+        }
+    }
+}
 
-    let trav_timer = Timer::start();
-    let queue = exec::WorkQueue::new(items.len(), 16);
-    let locals: Vec<(Vec<ShardBuf<CountEntry<K>>>, WorkStats)> =
-        pool.collect(|_w| {
-            let mut shards: Vec<ShardBuf<CountEntry<K>>> =
-                (0..threads).map(|_| ShardBuf::default()).collect();
-            let mut stats = WorkStats::default();
-            while let Some(range) = queue.next() {
-                pool.checkpoint(); // cancel/deadline, once per claimed chunk
-                for item in range {
-                    match items[item] {
-                        SeqItem::Rule { r, begin, end } => {
-                            let weight = weights[r];
-                            if weight == 0 {
-                                continue;
-                            }
-                            let body = &grammar.rules[r];
-                            count_range_windows(body, ht, begin, end, body.len(), |words, _| {
-                                let key = K::encode(words);
-                                let s = exec::shard_of(key.hash64(), threads);
-                                shards[s].push(CountEntry::new(key, weight));
-                                stats.table_ops += 1;
-                            });
-                            stats.elements_scanned += (end - begin) as u64;
-                        }
-                        SeqItem::Root(chunk) => {
-                            count_root_chunk(grammar.root(), ht, chunk, |words| {
-                                let key = K::encode(words);
-                                let s = exec::shard_of(key.hash64(), threads);
-                                shards[s].push(CountEntry::new(key, 1));
-                                stats.table_ops += 1;
-                            });
-                            stats.elements_scanned += (chunk.end - chunk.begin) as u64;
-                        }
+impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
+    type Entry = CountEntry<K>;
+    type Scratch = ();
+    type Run = Vec<(K, u64)>;
+
+    fn items(&self) -> usize {
+        self.seq.items.len()
+    }
+
+    #[inline]
+    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
+        let ht = self.seq.head_tail();
+        let mut emit = |words: &[u32], weight: u64| {
+            let key = K::encode(words);
+            out.route(key.hash64()).push(CountEntry::new(key, weight));
+        };
+        match self.seq.items[item] {
+            SeqItem::Rule { r, begin, end } => {
+                let weight = self.weights[r];
+                if weight == 0 {
+                    return;
+                }
+                let body = &self.seq.grammar.rules[r];
+                count_range_windows(body, ht, begin, end, body.len(), |words, _| {
+                    emit(words, weight)
+                });
+            }
+            SeqItem::Root(chunk) => {
+                count_root_chunk(self.seq.grammar.root(), ht, chunk, |words| emit(words, 1));
+            }
+        }
+    }
+
+    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
+        count_rows(entries)
+    }
+
+    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
+        AnalyticsOutput::SequenceCount(K::finalize_counts(self.seq.l, runs, pool))
+    }
+}
+
+/// Emits `((sequence key, file), count)`: a rule chunk's local windows are
+/// counted once (folded in the scratch vector), then scaled by the rule's
+/// per-file occurrence counts.  Sharding by the sequence key alone keeps
+/// all files of one sequence in one shard, so the shard run can slice the
+/// sorted entries into per-sequence file lists.
+struct RankedIndex<'e, K> {
+    seq: SeqScan<'e>,
+    fw: &'e FileWeightLists,
+    key: PhantomData<fn() -> K>,
+}
+
+impl<'e, K> RankedIndex<'e, K> {
+    fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
+        let grammar = &ctx.archive.grammar;
+        Self {
+            fw: ctx
+                .analysis
+                .ensure_file_weights(grammar, ctx.dag, pool, charge),
+            seq: SeqScan::new(ctx, l, pool, charge),
+            key: PhantomData,
+        }
+    }
+}
+
+impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
+    type Entry = CountEntry<(K, FileId)>;
+    type Scratch = Vec<CountEntry<K>>;
+    type Run = K::RankedRun;
+
+    fn items(&self) -> usize {
+        self.seq.items.len()
+    }
+
+    #[inline]
+    fn scan(&self, item: usize, local: &mut Self::Scratch, out: &mut Shards<Self::Entry>) {
+        let ht = self.seq.head_tail();
+        match self.seq.items[item] {
+            SeqItem::Rule { r, begin, end } => {
+                let fw = &self.fw[r];
+                if fw.is_empty() {
+                    return;
+                }
+                local.clear();
+                let body = &self.seq.grammar.rules[r];
+                count_range_windows(body, ht, begin, end, body.len(), |words, _| {
+                    local.push(CountEntry::new(K::encode(words), 1));
+                });
+                sort_fold(local);
+                for e in local.drain(..) {
+                    let buf = out.route(e.key.hash64());
+                    for &(f, occ) in fw {
+                        buf.push(CountEntry::new((e.key.clone(), f), e.count * occ));
                     }
                 }
             }
-            (shards, stats)
-        });
-
-    let mut traversal_work = WorkStats::default();
-    let shard_runs = merge_sharded(locals, pool, &mut traversal_work, |pieces| {
-        ShardBuf::merge(pieces)
-            .into_iter()
-            .map(|e| (e.key, e.count))
-            .collect::<Vec<(K, u64)>>()
-    });
-    // Finalize: the key type picks the strategy — packed keys k-way merge
-    // in parallel and decode into the flat arena, owned keys merge
-    // serially by move (see `SeqKey`).
-    let fin_timer = Timer::start();
-    let result = K::finalize_counts(l, shard_runs, pool, &mut traversal_work);
-    let finalize = fin_timer.elapsed();
-    let traversal = trav_timer.elapsed();
-
-    TaskExecution {
-        output: AnalyticsOutput::SequenceCount(result),
-        timings: PhaseTimings {
-            init,
-            traversal,
-            init_work,
-            traversal_work,
-            shared_init: charge.time,
-            finalize,
-            warm: !charge.computed,
-            ..Default::default()
-        },
-    }
-}
-
-fn ranked_inverted_index_fine(
-    archive: &TadocArchive,
-    dag: &Dag,
-    cfg: TaskConfig,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    if sequences::can_pack(cfg.sequence_length, archive.vocabulary_size()) {
-        ranked_inverted_index_fine_impl::<u64>(archive, dag, cfg, ctx, pool)
-    } else {
-        ranked_inverted_index_fine_impl::<Sequence>(archive, dag, cfg, ctx, pool)
-    }
-}
-
-fn ranked_inverted_index_fine_impl<K: sequences::SeqKey>(
-    archive: &TadocArchive,
-    dag: &Dag,
-    cfg: TaskConfig,
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-) -> TaskExecution {
-    let grammar = &archive.grammar;
-    let threads = pool.threads();
-    let l = cfg.sequence_length;
-
-    let init_timer = Timer::start();
-    let mut charge = RunCharge::default();
-    let fw = ctx
-        .analysis
-        .ensure_file_weights(grammar, dag, pool, &mut charge);
-    let ht_cell = ctx
-        .analysis
-        .ensure_head_tail(grammar, dag, l, pool, &mut charge);
-    let ht = ht_cell.get().expect("head/tail ensured");
-    let items = ctx
-        .analysis
-        .ensure_sequence_items(grammar, ctx.fcfg, &mut charge);
-    let init_work = charge.work;
-    let init = init_timer.elapsed();
-
-    let trav_timer = Timer::start();
-    let queue = exec::WorkQueue::new(items.len(), 16);
-    // Shard entries are ((sequence key, file), count): sharding by the
-    // sequence key alone keeps all files of one sequence in one shard, so
-    // the merge can slice the sorted entries into per-sequence file lists.
-    type RankedShards<K> = Vec<ShardBuf<CountEntry<(K, FileId)>>>;
-    let locals: Vec<(RankedShards<K>, WorkStats)> =
-        pool.collect(|_w| {
-            let mut shards: RankedShards<K> =
-                (0..threads).map(|_| ShardBuf::default()).collect();
-            let mut stats = WorkStats::default();
-            let mut local: Vec<CountEntry<K>> = Vec::new();
-            while let Some(range) = queue.next() {
-                pool.checkpoint(); // cancel/deadline, once per claimed chunk
-                for item in range {
-                    match items[item] {
-                        SeqItem::Rule { r, begin, end } => {
-                            if fw[r].is_empty() {
-                                continue;
-                            }
-                            // Count the chunk's local windows once (folded
-                            // in a scratch vector), then scale by the
-                            // per-file occurrence counts.
-                            local.clear();
-                            let body = &grammar.rules[r];
-                            count_range_windows(body, ht, begin, end, body.len(), |words, _| {
-                                local.push(CountEntry::new(K::encode(words), 1));
-                            });
-                            sort_fold(&mut local);
-                            for e in local.drain(..) {
-                                let s = exec::shard_of(e.key.hash64(), threads);
-                                for &(f, occ) in &fw[r] {
-                                    shards[s].push(CountEntry::new(
-                                        (e.key.clone(), f),
-                                        e.count * occ,
-                                    ));
-                                    stats.table_ops += 1;
-                                }
-                            }
-                            stats.elements_scanned += (end - begin) as u64;
-                        }
-                        SeqItem::Root(chunk) => {
-                            count_root_chunk(grammar.root(), ht, chunk, |words| {
-                                let key = K::encode(words);
-                                let s = exec::shard_of(key.hash64(), threads);
-                                shards[s].push(CountEntry::new((key, chunk.file), 1));
-                                stats.table_ops += 1;
-                            });
-                            stats.elements_scanned += (chunk.end - chunk.begin) as u64;
-                        }
-                    }
-                }
+            SeqItem::Root(chunk) => {
+                count_root_chunk(self.seq.grammar.root(), ht, chunk, |words| {
+                    let key = K::encode(words);
+                    out.route(key.hash64())
+                        .push(CountEntry::new((key, chunk.file), 1));
+                });
             }
-            (shards, stats)
-        });
+        }
+    }
 
-    let mut traversal_work = WorkStats::default();
-    let shard_runs = merge_sharded(locals, pool, &mut traversal_work, |pieces| {
-        // One sort + fold per shard, then slice the ((key, file), count)
-        // runs into per-sequence postings ranked by in-file frequency —
-        // columnar posting runs for packed keys, owned rows for the
-        // fallback (see `SeqKey::ranked_run_from_entries`).
-        K::ranked_run_from_entries(ShardBuf::merge(pieces))
-    });
-    let fin_timer = Timer::start();
-    let result = K::finalize_ranked(l, shard_runs, pool, &mut traversal_work);
-    let finalize = fin_timer.elapsed();
-    let traversal = trav_timer.elapsed();
+    /// Slices the sorted `((key, file), count)` entries into per-sequence
+    /// postings ranked by in-file frequency — columnar posting runs for
+    /// packed keys, owned rows for the fallback.
+    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
+        K::ranked_run_from_entries(entries)
+    }
 
-    TaskExecution {
-        output: AnalyticsOutput::RankedInvertedIndex(result),
-        timings: PhaseTimings {
-            init,
-            traversal,
-            init_work,
-            traversal_work,
-            shared_init: charge.time,
-            finalize,
-            warm: !charge.computed,
-            ..Default::default()
-        },
+    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
+        AnalyticsOutput::RankedInvertedIndex(K::finalize_ranked(self.seq.l, runs, pool))
     }
 }
 
@@ -1234,20 +1057,23 @@ mod tests {
     fn redundant_corpus() -> Vec<(String, String)> {
         let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(6);
         (0..7)
-            .map(|i| (format!("doc{i}"), format!("{shared} unique token{i} {shared}")))
+            .map(|i| {
+                (
+                    format!("doc{i}"),
+                    format!("{shared} unique token{i} {shared}"),
+                )
+            })
             .collect()
     }
 
     #[test]
     fn parallel_weights_match_sequential_weights() {
         let (archive, dag) = build(&redundant_corpus());
-        let mut w1 = WorkStats::default();
-        let expected = weights::rule_weights(&dag, &mut w1);
+        let expected = weights::rule_weights(&dag, &mut Default::default());
         let levels = head_tail::levels_top_down(&dag);
         for threads in [1, 3, 8] {
             let pool = WorkerPool::new(threads);
-            let mut w2 = WorkStats::default();
-            let got = parallel_rule_weights(&dag, &levels, &pool, &mut w2);
+            let got = parallel_rule_weights(&dag, &levels, &pool);
             assert_eq!(got, expected, "threads = {threads}");
         }
         let _ = archive;
@@ -1268,21 +1094,16 @@ mod tests {
     #[test]
     fn parallel_file_weights_match_sequential() {
         let (archive, dag) = build(&redundant_corpus());
-        let mut w1 = WorkStats::default();
-        let expected = to_lists(&weights::file_weights(&archive.grammar, &dag, &mut w1));
+        let expected = to_lists(&weights::file_weights(
+            &archive.grammar,
+            &dag,
+            &mut Default::default(),
+        ));
         let levels = head_tail::levels_top_down(&dag);
         let segments = weights::file_segments(&archive.grammar);
         for threads in [1, 4] {
             let pool = WorkerPool::new(threads);
-            let mut w2 = WorkStats::default();
-            let got = parallel_file_weights(
-                &archive.grammar,
-                &dag,
-                &levels,
-                &segments,
-                &pool,
-                &mut w2,
-            );
+            let got = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
             assert_eq!(got, expected, "threads = {threads}");
         }
     }
@@ -1291,14 +1112,12 @@ mod tests {
     fn file_csr_matches_file_weights_on_real_grammars() {
         let (archive, dag) = build(&redundant_corpus());
         let pool = WorkerPool::new(2);
-        let mut work = WorkStats::default();
         let fw = parallel_file_weights(
             &archive.grammar,
             &dag,
             &head_tail::levels_top_down(&dag),
             &weights::file_segments(&archive.grammar),
             &pool,
-            &mut work,
         );
         let num_files = archive.num_files();
         let csr = FileCsr::build(&fw, num_files);
@@ -1375,17 +1194,5 @@ mod tests {
                 assert_eq!(fine.output, seq.output, "task {}", task.name());
             }
         }
-    }
-
-    #[test]
-    fn work_stats_are_recorded() {
-        let (archive, dag) = build(&redundant_corpus());
-        let exec = run_cold(
-            Engine::builder(&archive, &dag).threads(2),
-            Task::WordCount,
-            TaskConfig::default(),
-        );
-        assert!(exec.timings.traversal_work.total_ops() > 0);
-        assert!(exec.timings.init_work.total_ops() > 0);
     }
 }

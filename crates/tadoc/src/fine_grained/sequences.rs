@@ -19,7 +19,6 @@ use super::exec::WorkerPool;
 use super::head_tail::HeadTail;
 use super::merge::{kway_merge_rows, par_merge_postings, par_merge_rows, PostingRun};
 use crate::results::{FileId, RankedInvertedIndexResult, Sequence, SequenceCountResult};
-use crate::timing::WorkStats;
 use arena::shard::CountEntry;
 use sequitur::Symbol;
 
@@ -47,16 +46,9 @@ pub fn pack_sequence(seq: &[u32]) -> u64 {
     key
 }
 
-/// Inverse of [`pack_sequence`].
-pub fn unpack_sequence(key: u64, l: usize) -> Vec<u32> {
-    let mut out = vec![0u32; l];
-    unpack_sequence_into(key, &mut out);
-    out
-}
-
-/// Writes the unpacked words of `key` into `out` (its length is the
-/// sequence length) — the allocation-free form of [`unpack_sequence`] the
-/// finalizers use to decode a merged key column straight into a flat arena.
+/// Inverse of [`pack_sequence`]: writes the unpacked words of `key` into
+/// `out` (its length is the sequence length), allocation-free so the
+/// finalizers decode a merged key column straight into a flat arena.
 pub fn unpack_sequence_into(key: u64, out: &mut [u32]) {
     let mut k = key;
     for slot in out.iter_mut().rev() {
@@ -86,8 +78,6 @@ pub trait SeqKey: Eq + Ord + Clone + std::hash::Hash + Send {
 
     /// Encodes a window.
     fn encode(words: &[u32]) -> Self;
-    /// Decodes back into the result-map key.
-    fn decode(self, l: usize) -> Sequence;
     /// A 64-bit hash for merge sharding.
     fn hash64(&self) -> u64;
 
@@ -105,7 +95,6 @@ pub trait SeqKey: Eq + Ord + Clone + std::hash::Hash + Send {
         l: usize,
         runs: Vec<Vec<(Self, u64)>>,
         pool: &WorkerPool,
-        work: &mut WorkStats,
     ) -> SequenceCountResult
     where
         Self: Sized;
@@ -116,7 +105,6 @@ pub trait SeqKey: Eq + Ord + Clone + std::hash::Hash + Send {
         l: usize,
         runs: Vec<Self::RankedRun>,
         pool: &WorkerPool,
-        work: &mut WorkStats,
     ) -> RankedInvertedIndexResult
     where
         Self: Sized;
@@ -139,9 +127,6 @@ impl SeqKey for u64 {
     #[inline]
     fn encode(words: &[u32]) -> Self {
         pack_sequence(words)
-    }
-    fn decode(self, l: usize) -> Sequence {
-        unpack_sequence(self, l)
     }
     #[inline]
     fn hash64(&self) -> u64 {
@@ -169,9 +154,8 @@ impl SeqKey for u64 {
         l: usize,
         runs: Vec<Vec<(Self, u64)>>,
         pool: &WorkerPool,
-        work: &mut WorkStats,
     ) -> SequenceCountResult {
-        let rows = par_merge_rows(runs, pool, work);
+        let rows = par_merge_rows(runs, pool);
         let mut keys = vec![0u32; rows.len() * l];
         let mut counts = Vec::with_capacity(rows.len());
         for (i, &(key, count)) in rows.iter().enumerate() {
@@ -185,9 +169,8 @@ impl SeqKey for u64 {
         l: usize,
         runs: Vec<Self::RankedRun>,
         pool: &WorkerPool,
-        work: &mut WorkStats,
     ) -> RankedInvertedIndexResult {
-        let merged = par_merge_postings(runs, pool, work);
+        let merged = par_merge_postings(runs, pool);
         let flat = unpack_key_column(&merged.keys, l);
         RankedInvertedIndexResult::from_sorted_parts(l, flat, merged.offsets, merged.values)
     }
@@ -199,9 +182,6 @@ impl SeqKey for Sequence {
     #[inline]
     fn encode(words: &[u32]) -> Self {
         words.to_vec()
-    }
-    fn decode(self, _l: usize) -> Sequence {
-        self
     }
     #[inline]
     fn hash64(&self) -> u64 {
@@ -231,10 +211,7 @@ impl SeqKey for Sequence {
         l: usize,
         runs: Vec<Vec<(Self, u64)>>,
         _pool: &WorkerPool,
-        work: &mut WorkStats,
     ) -> SequenceCountResult {
-        let total: usize = runs.iter().map(Vec::len).sum();
-        work.bytes_moved += (total * (l + 2) * std::mem::size_of::<u64>()) as u64;
         SequenceCountResult::from_unsorted_pairs(l, kway_merge_rows(runs))
     }
 
@@ -242,10 +219,7 @@ impl SeqKey for Sequence {
         l: usize,
         runs: Vec<Self::RankedRun>,
         _pool: &WorkerPool,
-        work: &mut WorkStats,
     ) -> RankedInvertedIndexResult {
-        let total: usize = runs.iter().map(Vec::len).sum();
-        work.bytes_moved += (total * (l + 2) * std::mem::size_of::<u64>()) as u64;
         RankedInvertedIndexResult::from_unsorted_rows(l, kway_merge_rows(runs))
     }
 }
@@ -595,29 +569,25 @@ pub fn count_root_chunk<F: FnMut(&[u32])>(
 mod tests {
     use super::*;
     use crate::fine_grained::exec::WorkerPool;
-    use crate::fine_grained::head_tail::build_head_tail;
+    use crate::fine_grained::head_tail::{build_head_tail, levels_bottom_up};
     use crate::oracle;
-    use crate::timing::WorkStats;
     use crate::weights::{file_segments, rule_weights};
     use sequitur::compress::{compress_corpus, CompressOptions};
     use sequitur::fxhash::FxHashMap;
     use sequitur::Dag;
+
+    fn head_tail(archive: &sequitur::TadocArchive, dag: &Dag, l: usize) -> HeadTail {
+        let levels = levels_bottom_up(dag);
+        build_head_tail(&archive.grammar, dag, &levels, l, &WorkerPool::new(1))
+    }
 
     /// Reconstructs global sequence counts from rule-local counts × weights
     /// and compares against the oracle.
     fn check_corpus(corpus: &[(String, String)], l: usize) {
         let archive = compress_corpus(corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
-        let mut work = WorkStats::default();
-        let ht = build_head_tail(
-                &archive.grammar,
-                &dag,
-                &super::super::head_tail::levels_bottom_up(&dag),
-                l,
-                &WorkerPool::new(1),
-                &mut work,
-            );
-        let weights = rule_weights(&dag, &mut work);
+        let ht = head_tail(&archive, &dag, l);
+        let weights = rule_weights(&dag, &mut Default::default());
 
         let mut counts: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
         for (body, &weight) in archive.grammar.rules.iter().zip(&weights).skip(1) {
@@ -672,8 +642,9 @@ mod tests {
             vec![5, 0, 1_000_000],
             vec![2_000_000, 7, 9],
         ] {
-            let packed = pack_sequence(&seq);
-            assert_eq!(unpack_sequence(packed, seq.len()), seq);
+            let mut unpacked = vec![0u32; seq.len()];
+            unpack_sequence_into(pack_sequence(&seq), &mut unpacked);
+            assert_eq!(unpacked, seq);
         }
         assert_ne!(pack_sequence(&[1, 2]), pack_sequence(&[2, 1]));
         assert_ne!(pack_sequence(&[0, 1]), pack_sequence(&[1]));
@@ -718,15 +689,7 @@ mod tests {
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
         for l in [1usize, 2, 3, 4] {
-            let mut work = WorkStats::default();
-            let ht = build_head_tail(
-                &archive.grammar,
-                &dag,
-                &super::super::head_tail::levels_bottom_up(&dag),
-                l,
-                &WorkerPool::new(1),
-                &mut work,
-            );
+            let ht = head_tail(&archive, &dag, l);
             for body in &archive.grammar.rules {
                 let stream = build_stream(body, &ht, 0, body.len());
                 let mut expected: Vec<(Vec<u32>, u32)> = Vec::new();
@@ -758,15 +721,7 @@ mod tests {
         let segments = file_segments(&archive.grammar);
         let root = archive.grammar.root();
         for l in [2usize, 3, 4] {
-            let mut work = WorkStats::default();
-            let ht = build_head_tail(
-                &archive.grammar,
-                &dag,
-                &super::super::head_tail::levels_bottom_up(&dag),
-                l,
-                &WorkerPool::new(1),
-                &mut work,
-            );
+            let ht = head_tail(&archive, &dag, l);
             let mut whole: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
             for chunk in root_chunks(&segments, usize::MAX) {
                 count_root_chunk(root, &ht, chunk, |words| {
@@ -797,15 +752,7 @@ mod tests {
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
         for l in [2usize, 3] {
-            let mut work = WorkStats::default();
-            let ht = build_head_tail(
-                &archive.grammar,
-                &dag,
-                &super::super::head_tail::levels_bottom_up(&dag),
-                l,
-                &WorkerPool::new(1),
-                &mut work,
-            );
+            let ht = head_tail(&archive, &dag, l);
             for body in archive.grammar.rules.iter().skip(1) {
                 let mut whole: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
                 count_rule_local(body, &ht, |words, _| {
@@ -838,15 +785,7 @@ mod tests {
         let dag = Dag::from_grammar(&archive.grammar);
         let segments = file_segments(&archive.grammar);
         for l in [2usize, 3] {
-            let mut work = WorkStats::default();
-            let ht = build_head_tail(
-                &archive.grammar,
-                &dag,
-                &super::super::head_tail::levels_bottom_up(&dag),
-                l,
-                &WorkerPool::new(1),
-                &mut work,
-            );
+            let ht = head_tail(&archive, &dag, l);
             let mut whole: FxHashMap<(u32, Vec<u32>), u64> = FxHashMap::default();
             for chunk in root_chunks(&segments, usize::MAX) {
                 count_root_chunk(archive.grammar.root(), &ht, chunk, |words| {

@@ -12,10 +12,10 @@
 //!   scheduling on real CPU threads — level-synchronized DAG traversal,
 //!   private per-worker shard buffers, sharded lock-free merges, and
 //!   rule-local sequence counting (see the module docs for the paper mapping);
-//! * one facade over both execution modes: [`Engine`], built with
-//!   `Engine::builder(..).{sequential,fine_grained}()`; the
-//!   free function [`run_task`] stays as the sequential reference every test
-//!   and benchmark compares against;
+//! * the session facade over that engine: [`Engine`], built with
+//!   `Engine::builder(..)`; the free function [`run_task`] stays as the
+//!   sequential reference every test and benchmark compares against (and
+//!   the fallback a faulted engine query degrades to);
 //! * a ground-truth *oracle* that computes every task on the decompressed
 //!   token streams (used to validate both TADOC and G-TADOC);
 //! * the CPU and 10-node-cluster analytic cost models used by the experiment
@@ -34,7 +34,7 @@ pub mod timing;
 pub mod weights;
 
 pub use apps::{run_task, Task, TaskConfig};
-pub use fine_grained::{ConfigError, Engine, EngineBuilder, FineGrainedConfig, TaskSpec};
+pub use fine_grained::{ConfigError, Engine, EngineBuilder, FineGrainedConfig};
 pub use results::{
     AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,

@@ -3,10 +3,13 @@
 //! TADOC and G-TADOC both split execution into an *initialization* phase
 //! (data-structure preparation, light-weight scanning) and a *graph traversal*
 //! phase (the analytics proper); Figure 10 of the paper reports speedups per
-//! phase.  Besides wall-clock, every phase also records [`WorkStats`] —
+//! phase.  Besides wall-clock, every phase of the sequential reference
+//! ([`run_task`](crate::apps::run_task)) also records [`WorkStats`] —
 //! abstract operation counts that feed the platform cost models so the
 //! experiment harness can estimate execution time on the paper's hardware
-//! rather than on whatever machine happens to run this reproduction.
+//! rather than on whatever machine happens to run this reproduction.  The
+//! fine-grained engine records wall-clock only and leaves both
+//! [`WorkStats`] fields at their default: nothing reads them there.
 
 use std::time::{Duration, Instant};
 
@@ -75,9 +78,11 @@ pub struct PhaseTimings {
     pub init: Duration,
     /// DAG traversal phase duration.
     pub traversal: Duration,
-    /// Work performed during initialization.
+    /// Work performed during initialization.  Counted by the sequential
+    /// reference (and the uncompressed baseline) for [`crate::cost`]; left
+    /// at `WorkStats::default()` by the fine-grained engine.
     pub init_work: WorkStats,
-    /// Work performed during traversal.
+    /// Work performed during traversal; same contract as `init_work`.
     pub traversal_work: WorkStats,
     /// Portion of `init` spent *computing* shared session artifacts (DAG
     /// levels, rule/file weights, head/tail buffers, chunk lists, the
@@ -95,9 +100,8 @@ pub struct PhaseTimings {
     pub finalize: Duration,
     /// `true` when every shared artifact the task needed was served from a
     /// warm session cache (nothing was computed this run), or the whole
-    /// output came from the results cache.  Otherwise always `false` for
-    /// [`run_task`](crate::apps::run_task) and the sequential mode, which
-    /// keep no analysis layer.
+    /// output came from the results cache.  Always `false` for
+    /// [`run_task`](crate::apps::run_task), which keeps no analysis layer.
     pub warm: bool,
     /// Set when the run was *degraded*: the fine-grained path faulted and
     /// the engine served the query through the sequential fallback instead.

@@ -9,7 +9,7 @@
 //! ```
 
 use g_tadoc_repro::prelude::*;
-use tadoc::fine_grained::TaskSpec;
+use tadoc::apps::TaskExecution;
 
 fn main() {
     println!("generating the NSFRAA-like dataset A (many small files) ...");
@@ -34,21 +34,24 @@ fn main() {
         .threads(4)
         .build()
         .expect("valid engine configuration");
-    println!(
-        "built a {} engine session (pool parked, cache empty)\n",
-        engine.mode()
-    );
+    println!("built an engine session (pool parked, cache empty)\n");
 
-    // Batched queries: the first pass fills the cache (each task computes
-    // only what no earlier task already cached), the second pass is served
-    // entirely warm.
-    let specs = TaskSpec::all();
+    // All six tasks, twice: the first pass fills the cache (each task
+    // computes only what no earlier task already cached), the second pass
+    // is served entirely warm.
+    let cfg = TaskConfig::default();
+    let pass = || -> Vec<TaskExecution> {
+        Task::ALL
+            .into_iter()
+            .map(|task| engine.run(task, cfg).expect("valid task configuration"))
+            .collect()
+    };
     println!("== pass 1: cold session (cache filling) ==");
-    let cold = engine.run_all(&specs).expect("valid batch");
-    for (spec, exec) in specs.iter().zip(&cold) {
+    let cold = pass();
+    for (task, exec) in Task::ALL.into_iter().zip(&cold) {
         println!(
             "{:<22} init {:>9.1} µs (shared {:>9.1} µs)  traversal {:>9.1} µs",
-            spec.task.name(),
+            task.name(),
             exec.timings.init.as_secs_f64() * 1e6,
             exec.timings.shared_init.as_secs_f64() * 1e6,
             exec.timings.traversal.as_secs_f64() * 1e6,
@@ -56,8 +59,8 @@ fn main() {
     }
 
     println!("\n== pass 2: warm session (everything cached) ==");
-    let warm = engine.run_all(&specs).expect("valid batch");
-    for ((spec, cold_exec), warm_exec) in specs.iter().zip(&cold).zip(&warm) {
+    let warm = pass();
+    for ((task, cold_exec), warm_exec) in Task::ALL.into_iter().zip(&cold).zip(&warm) {
         assert_eq!(
             cold_exec.output, warm_exec.output,
             "warm output must be byte-identical"
@@ -67,7 +70,7 @@ fn main() {
         let warm_init = warm_exec.timings.init.as_secs_f64() * 1e6;
         println!(
             "{:<22} init {:>9.1} µs -> {:>7.2} µs  ({:>6.0}x less init)",
-            spec.task.name(),
+            task.name(),
             cold_init,
             warm_init,
             if warm_init > 0.0 { cold_init / warm_init } else { f64::INFINITY },
@@ -80,14 +83,8 @@ fn main() {
         engine.epochs()
     );
 
-    // The same facade runs the sequential TADOC baseline; it agrees
-    // byte-for-byte with the fine-grained session.
-    let sequential = Engine::builder(&archive, &dag)
-        .sequential()
-        .build()
-        .expect("valid engine configuration")
-        .run(Task::WordCount, TaskConfig::default())
-        .expect("valid task configuration");
+    // The sequential TADOC reference agrees byte-for-byte with the session.
+    let sequential = run_task(&archive, &dag, Task::WordCount, cfg);
     assert_eq!(sequential.output, cold[0].output);
-    println!("sequential-mode output matches the fine-grained session output");
+    println!("sequential reference output matches the engine session output");
 }

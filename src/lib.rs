@@ -62,7 +62,7 @@ pub mod prelude {
     pub use tadoc::apps::{run_task, Task, TaskConfig};
     pub use tadoc::fine_grained::{
         CancelToken, ConfigError, Engine, EngineBuilder, EngineError, FineGrainedConfig,
-        QueryOptions, TaskSpec,
+        QueryOptions,
     };
     pub use tadoc::results::AnalyticsOutput;
 }

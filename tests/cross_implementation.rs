@@ -88,7 +88,8 @@ fn all_implementations_agree_on_all_tasks() {
 /// The fine-grained CPU engine must be byte-identical to the sequential
 /// path on every task, on the paper's Figure-1 corpus and on a Zipfian
 /// synthetic corpus, at several worker-pool sizes.  (The name is pinned by
-/// the tier-1 floor list; sequential and fine are the two CPU modes.)
+/// the tier-1 floor list; the sequential reference and the engine are the
+/// two CPU paths.)
 #[test]
 fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
     let figure1 = corpora().swap_remove(0).1;

@@ -54,16 +54,16 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
     failpoints::reset();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
-    let specs = TaskSpec::all();
-    let oracles: Vec<AnalyticsOutput> = specs
-        .iter()
-        .map(|spec| run_task(&archive, &dag, spec.task, spec.cfg).output)
+    let cfg = TaskConfig::default();
+    let oracles: Vec<AnalyticsOutput> = Task::ALL
+        .into_iter()
+        .map(|task| run_task(&archive, &dag, task, cfg).output)
         .collect();
     for threads in [1usize, 4, 8] {
         for site in FAILPOINTS {
             let mut fired = 0;
-            for (spec, oracle) in specs.iter().zip(&oracles) {
-                let label = format!("site={site} threads={threads} task={}", spec.task.name());
+            for (task, oracle) in Task::ALL.into_iter().zip(&oracles) {
+                let label = format!("site={site} threads={threads} task={}", task.name());
                 let engine = Engine::builder(&archive, &dag)
                     .threads(threads)
                     .build()
@@ -72,7 +72,7 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 // The faulted query must still *succeed* — degraded to the
                 // sequential path, never surfaced as a panic or error.
                 let faulted = engine
-                    .run(spec.task, spec.cfg)
+                    .run(task, cfg)
                     .unwrap_or_else(|e| panic!("{label}: query failed: {e}"));
                 assert_eq!(&faulted.output, oracle, "{label}: degraded output");
                 match faulted.timings.degraded {
@@ -85,7 +85,7 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 failpoints::reset();
                 // The *same* engine keeps serving on the (healed) fine path.
                 let after = engine
-                    .run(spec.task, spec.cfg)
+                    .run(task, cfg)
                     .unwrap_or_else(|e| panic!("{label}: post-fault query failed: {e}"));
                 assert_eq!(&after.output, oracle, "{label}: post-fault output");
                 assert!(
@@ -130,9 +130,7 @@ fn pool_heals_across_repeated_poison_cycles_with_monotonic_epochs() {
             Some(Degradation::WorkerPanic),
             "round {round}"
         );
-        let healthy = engine
-            .with_worker_pool(|pool| !pool.is_poisoned())
-            .expect("fine mode owns a pool");
+        let healthy = engine.with_worker_pool(|pool| !pool.is_poisoned());
         assert!(healthy, "round {round}: pool must be healed");
         let epochs = engine.epochs();
         assert!(
@@ -152,38 +150,52 @@ fn pool_heals_across_repeated_poison_cycles_with_monotonic_epochs() {
     }
 }
 
+/// Every kernel aborts through the driver's checkpoint: on a *warm* engine
+/// (so the hook fires in the traversal's claim loop — or termVector's
+/// per-file loop — not in an analysis fill), each task answers `Cancelled`,
+/// poisons nothing, and its next unrestricted run is a clean fine-path
+/// answer.
 #[test]
 fn cancellation_mid_query_returns_typed_error_and_keeps_the_session_healthy() {
     let _guard = serial();
     failpoints::reset();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
-    let oracle = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
+    let cfg = TaskConfig::default();
     let engine = Engine::builder(&archive, &dag)
         .threads(4)
         .build()
         .expect("valid archive");
 
-    // Deterministic in-flight cancellation: the observation hook cancels the
-    // token the moment execution crosses the first chunk boundary, so the
-    // very checkpoint that ran the hook sees the flag and aborts — no timer
-    // racing the query.
-    let token = CancelToken::new();
-    let hook_token = token.clone();
-    failpoints::observe("chunk-boundary", move || hook_token.cancel());
-    let opts = QueryOptions::new().cancel_token(token);
-    let err = engine
-        .run_with(Task::WordCount, TaskConfig::default(), &opts)
-        .expect_err("hook cancels during the query");
-    assert_eq!(err, EngineError::Cancelled);
-    failpoints::reset();
+    for task in Task::ALL {
+        let oracle = run_task(&archive, &dag, task, cfg);
+        let warmup = engine.run(task, cfg).unwrap();
+        assert_eq!(warmup.output, oracle.output, "{}", task.name());
 
-    // Clean abort: nothing poisoned, the next unrestricted query is served
-    // by the fine path and matches the oracle.
-    assert!(engine.with_worker_pool(|pool| !pool.is_poisoned()).unwrap());
-    let after = engine.run(Task::WordCount, TaskConfig::default()).unwrap();
-    assert_eq!(after.output, oracle.output);
-    assert!(after.timings.degraded.is_none());
+        // Deterministic in-flight cancellation: the observation hook cancels
+        // the token the moment execution crosses the first chunk boundary,
+        // so the very checkpoint that ran the hook sees the flag and aborts
+        // — no timer racing the query.
+        let token = CancelToken::new();
+        let hook_token = token.clone();
+        failpoints::observe("chunk-boundary", move || hook_token.cancel());
+        let opts = QueryOptions::new().cancel_token(token);
+        let err = engine
+            .run_with(task, cfg, &opts)
+            .expect_err("hook cancels during the query");
+        assert_eq!(err, EngineError::Cancelled, "{}", task.name());
+        failpoints::reset();
+
+        // Clean abort: nothing poisoned, the next unrestricted query is
+        // served by the fine path and matches the oracle.  It is still warm:
+        // no analysis cell was left empty, so the abort came out of the
+        // traversal, not out of a fill.
+        assert!(engine.with_worker_pool(|pool| !pool.is_poisoned()));
+        let after = engine.run(task, cfg).unwrap();
+        assert_eq!(after.output, oracle.output, "{}", task.name());
+        assert!(after.timings.degraded.is_none(), "{}", task.name());
+        assert!(after.timings.warm, "{}", task.name());
+    }
 }
 
 #[test]
@@ -211,7 +223,7 @@ fn deadline_mid_query_returns_typed_error_in_bounded_time() {
 
     // The session survives: the identical query, unrestricted, completes
     // and matches the oracle.
-    assert!(engine.with_worker_pool(|pool| !pool.is_poisoned()).unwrap());
+    assert!(engine.with_worker_pool(|pool| !pool.is_poisoned()));
     let cfg = TaskConfig { sequence_length: 3 };
     let oracle = run_task(&archive, &dag, Task::SequenceCount, cfg);
     let after = engine.run(Task::SequenceCount, cfg).unwrap();

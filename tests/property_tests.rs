@@ -287,9 +287,7 @@ proptest! {
         let reference = concat_stable_sort(&runs);
         for threads in [1usize, 4, 8] {
             let pool = tadoc::fine_grained::exec::WorkerPool::new(threads);
-            let mut work = WorkStats::default();
-            let merged =
-                tadoc::fine_grained::merge::par_merge_rows(runs.clone(), &pool, &mut work);
+            let merged = tadoc::fine_grained::merge::par_merge_rows(runs.clone(), &pool);
             prop_assert_eq!(&merged, &reference, "threads = {}", threads);
         }
     }
