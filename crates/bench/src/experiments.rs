@@ -180,7 +180,7 @@ pub fn run_cell(prepared: &PreparedDataset, task: Task, platform: &Platform) -> 
     let mut engine = GtadocEngine::with_params(platform.gpu.clone(), params);
     let gpu: GpuExecution = engine.run_layout(&prepared.layout, task, None);
     assert_eq!(
-        gpu.output, cpu_exec.output,
+        gpu.output, *cpu_exec.output,
         "G-TADOC and TADOC must agree on {} / dataset {}",
         task.name(),
         prepared.id.label()

@@ -253,7 +253,7 @@ mod tests {
         for task in Task::ALL {
             let gpu = engine.run_archive(&archive, task);
             let cpu = run_task(&archive, &dag, task, TaskConfig::default());
-            assert_eq!(gpu.output, cpu.output, "task {}", task.name());
+            assert_eq!(gpu.output, *cpu.output, "task {}", task.name());
             assert!(gpu.total_seconds() > 0.0);
             assert!(gpu.kernel_launches > 0);
         }

@@ -9,6 +9,7 @@
 
 use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::results::AnalyticsOutput;
@@ -66,7 +67,7 @@ impl From<FrameReadError> for ClientError {
 #[derive(Debug)]
 pub enum QueryOutcome {
     /// The query ran; here is its result.
-    Ok(AnalyticsOutput),
+    Ok(Arc<AnalyticsOutput>),
     /// The query was shed at admission: the queue was full.
     Overloaded {
         /// Queue depth the server observed at shed time.

@@ -31,9 +31,14 @@
 //!
 //! Results travel as their **ordered columnar form** directly: sorted key
 //! columns next to value columns, CSR offsets next to flat posting columns —
-//! the same representation the engine finalizes into, so encoding is a
-//! linear copy and a decoded result is bit-for-bit the table the server
-//! held (`AnalyticsOutput::digest` agrees across the wire).
+//! the same representation the engine finalizes into, so a decoded result
+//! is bit-for-bit the table the server held (`AnalyticsOutput::digest`
+//! agrees across the wire).  Every byte moves once: the encoder computes the
+//! exact frame length first and writes header and columns, a slice at a
+//! time, into one buffer of that size; the decoder builds each result
+//! column straight from its byte range.
+
+use std::sync::Arc;
 
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::EngineError;
@@ -202,8 +207,10 @@ pub struct StatsSnapshot {
 /// A server→client frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// The query's result, in ordered columnar form.
-    Result(AnalyticsOutput),
+    /// The query's result, in ordered columnar form.  Shared with whoever
+    /// produced it (the engine's results cache, on a hit): building a
+    /// response never copies the table.
+    Result(Arc<AnalyticsOutput>),
     /// A typed failure.
     Error(WireError),
     /// The request was shed: the admission queue was full.  Contains the
@@ -296,6 +303,13 @@ fn malformed(why: impl Into<String>) -> ProtocolError {
     ProtocolError::Malformed(why.into())
 }
 
+/// The `N` bytes of a `chunks_exact(N)` chunk, as an array.
+fn le<const N: usize>(chunk: &[u8]) -> [u8; N] {
+    let mut bytes = [0u8; N];
+    bytes.copy_from_slice(chunk);
+    bytes
+}
+
 /// Checked reader over an untrusted payload slice.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -358,20 +372,81 @@ impl<'a> Cursor<'a> {
         Ok(len)
     }
 
+    /// Reads a column of `len` `N`-byte elements.  `len` must come from
+    /// [`len_field`](Self::len_field) or [`total`](Self::total), which
+    /// bound it by the bytes that remain.
+    fn column<T, const N: usize>(
+        &mut self,
+        len: usize,
+        decode: impl Fn([u8; N]) -> T,
+    ) -> Result<Vec<T>, ProtocolError> {
+        let bytes = self.take(len * N)?;
+        Ok(bytes.chunks_exact(N).map(|b| decode(le(b))).collect())
+    }
+
     fn u32_vec(&mut self, len: usize) -> Result<Vec<u32>, ProtocolError> {
-        let bytes = self.take(len * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+        self.column(len, u32::from_le_bytes)
     }
 
     fn u64_vec(&mut self, len: usize) -> Result<Vec<u64>, ProtocolError> {
-        let bytes = self.take(len * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+        self.column(len, u64::from_le_bytes)
+    }
+
+    /// Reads a `u32` column followed by a `u64` column, `len` elements
+    /// each, as one column of pairs.
+    fn pair_vec(&mut self, len: usize) -> Result<Vec<(u32, u64)>, ProtocolError> {
+        let firsts = self.take(len * 4)?;
+        let seconds = self.take(len * 8)?;
+        Ok(firsts
+            .chunks_exact(4)
+            .zip(seconds.chunks_exact(8))
+            .map(|(a, b)| (u32::from_le_bytes(le(a)), u64::from_le_bytes(le(b))))
             .collect())
+    }
+
+    /// Reads a CSR offsets column of `num_keys + 1` entries, checking that
+    /// it starts at 0, never decreases, and fits `usize`.
+    fn offsets(&mut self, num_keys: usize, what: &str) -> Result<Vec<usize>, ProtocolError> {
+        let bytes = self.take((num_keys + 1) * 8)?;
+        let mut offsets = Vec::with_capacity(num_keys + 1);
+        let mut previous = 0u64;
+        for b in bytes.chunks_exact(8) {
+            let offset = u64::from_le_bytes(le(b));
+            if offsets.is_empty() && offset != 0 {
+                return Err(malformed(format!("{what}: offsets do not start at 0")));
+            }
+            if offset < previous {
+                return Err(malformed(format!("{what}: offsets decrease")));
+            }
+            previous = offset;
+            offsets.push(
+                usize::try_from(offset)
+                    .map_err(|_| malformed(format!("{what}: offset overflows")))?,
+            );
+        }
+        Ok(offsets)
+    }
+
+    /// The element count a checked offsets column closes on, bounded like
+    /// [`len_field`](Self::len_field): `total * elem_size` bytes must still
+    /// follow, so nothing is reserved beyond what the peer sent bytes for.
+    fn total(
+        &self,
+        offsets: &[usize],
+        elem_size: usize,
+        what: &str,
+    ) -> Result<usize, ProtocolError> {
+        let total = offsets.last().copied().unwrap_or(0);
+        let bytes = total
+            .checked_mul(elem_size)
+            .ok_or_else(|| malformed(format!("{what} count overflows")))?;
+        if bytes > self.remaining() {
+            return Err(malformed(format!(
+                "{what} count {total} needs {bytes} bytes but only {} remain",
+                self.remaining()
+            )));
+        }
+        Ok(total)
     }
 
     fn finish(&self) -> Result<(), ProtocolError> {
@@ -385,65 +460,95 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Append helpers for the encoder.
+// ---------------------------------------------------------------------------
+// Frame writer
+// ---------------------------------------------------------------------------
+
+/// Fills one frame: a buffer of exactly header + payload bytes, written
+/// front to back.  Nothing grows and nothing is copied a second time.
 struct Writer {
     buf: Vec<u8>,
+    pos: usize,
 }
 
 impl Writer {
-    fn new() -> Self {
-        Self { buf: Vec::new() }
+    /// A frame of `kind` whose payload will be exactly `payload_len` bytes
+    /// (at most [`MAX_PAYLOAD_LEN`]; result encoding checks, every other
+    /// payload is a few dozen bytes or a capped message).
+    fn frame(kind: u8, payload_len: usize) -> Self {
+        assert!(payload_len <= MAX_PAYLOAD_LEN as usize);
+        let mut w = Self {
+            buf: vec![0u8; HEADER_LEN + payload_len],
+            pos: 0,
+        };
+        w.bytes(&MAGIC);
+        w.u8(VERSION);
+        w.u8(kind);
+        w.u32(payload_len as u32);
+        w
+    }
+
+    fn bytes(&mut self, src: &[u8]) {
+        self.buf[self.pos..self.pos + src.len()].copy_from_slice(src);
+        self.pos += src.len();
     }
 
     fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.bytes(&[v]);
     }
 
     fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.bytes(&v.to_le_bytes());
     }
 
-    fn u32_slice(&mut self, vs: &[u32]) {
-        for &v in vs {
-            self.u32(v);
+    /// Writes one column: every item of `items` as its `N` bytes.
+    fn column<T: Copy, const N: usize>(&mut self, items: &[T], encode: impl Fn(T) -> [u8; N]) {
+        let end = self.pos + items.len() * N;
+        for (dst, &item) in self.buf[self.pos..end].chunks_exact_mut(N).zip(items) {
+            dst.copy_from_slice(&encode(item));
         }
+        self.pos = end;
     }
 
-    fn u64_slice(&mut self, vs: &[u64]) {
-        for &v in vs {
-            self.u64(v);
-        }
+    fn u32_column(&mut self, vs: &[u32]) {
+        self.column(vs, u32::to_le_bytes);
+    }
+
+    fn u64_column(&mut self, vs: &[u64]) {
+        self.column(vs, u64::to_le_bytes);
+    }
+
+    fn offsets_column(&mut self, offsets: &[usize]) {
+        self.column(offsets, |o| (o as u64).to_le_bytes());
+    }
+
+    /// A `(u32, u64)` pair column travels as a `u32` column followed by a
+    /// `u64` column.
+    fn pair_columns(&mut self, pairs: &[(u32, u64)]) {
+        self.column(pairs, |(first, _)| first.to_le_bytes());
+        self.column(pairs, |(_, second)| second.to_le_bytes());
+    }
+
+    /// The finished frame.  A payload length that disagrees with what was
+    /// written would desynchronise the stream, so it is checked.
+    fn finish(self) -> Vec<u8> {
+        assert_eq!(self.pos, self.buf.len(), "frame length was miscounted");
+        self.buf
     }
 }
 
 // ---------------------------------------------------------------------------
-// Frame-level encode/decode
+// Frame-level decode
 // ---------------------------------------------------------------------------
-
-/// Wraps `payload` in a frame header.  The only panic-free precondition is
-/// `payload.len() <= MAX_PAYLOAD_LEN`, which every encoder in this module
-/// guarantees (the columnar payloads are proportional to result sizes the
-/// server itself produced).
-fn frame(kind: u8, payload: Vec<u8>) -> Vec<u8> {
-    debug_assert!(payload.len() <= MAX_PAYLOAD_LEN as usize);
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
-}
 
 /// Parses a frame header from the front of `buf`.
 ///
-/// Returns `(kind, payload_len)`.  [`ProtocolError::Truncated`] means "feed
-/// me more bytes" — the incremental reader in [`crate::framing`] relies on
-/// the `needed` field to size its next read.
+/// Returns `(kind, payload_len)`.  [`ProtocolError::Truncated`] means the
+/// buffer is shorter than a header.
 pub fn decode_header(buf: &[u8]) -> Result<(u8, usize), ProtocolError> {
     if buf.len() < HEADER_LEN {
         return Err(ProtocolError::Truncated {
@@ -515,7 +620,8 @@ fn task_from_tag(tag: u8) -> Result<Task, ProtocolError> {
 pub fn encode_request(req: &Request) -> Vec<u8> {
     match req {
         Request::Query(q) => {
-            let mut w = Writer::new();
+            let deadline_len = if q.deadline_ms.is_some() { 8 } else { 0 };
+            let mut w = Writer::frame(KIND_QUERY, 1 + 8 + 1 + deadline_len);
             w.u8(task_tag(q.task));
             w.u64(q.cfg.sequence_length as u64);
             match q.deadline_ms {
@@ -525,10 +631,10 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
                 }
                 None => w.u8(0),
             }
-            frame(KIND_QUERY, w.buf)
+            w.finish()
         }
-        Request::Stats => frame(KIND_STATS, Vec::new()),
-        Request::Shutdown => frame(KIND_SHUTDOWN, Vec::new()),
+        Request::Stats => Writer::frame(KIND_STATS, 0).finish(),
+        Request::Shutdown => Writer::frame(KIND_SHUTDOWN, 0).finish(),
     }
 }
 
@@ -576,84 +682,96 @@ pub fn decode_request(buf: &[u8]) -> Result<(Request, usize), ProtocolError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-fn encode_output(out: &AnalyticsOutput) -> Vec<u8> {
-    let mut w = Writer::new();
+/// Exact payload length of `out`'s result frame, from its column lengths
+/// alone.  In `u64`: offsets are 8 bytes on the wire whatever `usize` is.
+fn output_payload_len(out: &AnalyticsOutput) -> u64 {
+    /// Tag and one `u64` count; the sequence tasks add their `l`.
+    const HEAD: u64 = 1 + 8;
+    let posting_len = |keys: usize, offsets: usize, values: usize, value_size: u64| {
+        4 * keys as u64 + 8 * offsets as u64 + value_size * values as u64
+    };
+    match out {
+        AnalyticsOutput::WordCount(r) => HEAD + (4 + 8) * r.table.len() as u64,
+        AnalyticsOutput::Sort(r) => HEAD + (4 + 8) * r.ranked.len() as u64,
+        AnalyticsOutput::InvertedIndex(r) => {
+            let t = &r.table;
+            HEAD + posting_len(t.keys_flat().len(), t.offsets().len(), t.total_values(), 4)
+        }
+        AnalyticsOutput::TermVector(r) => {
+            HEAD + 8 * r.offsets().len() as u64 + (4 + 8) * r.total_terms() as u64
+        }
+        AnalyticsOutput::SequenceCount(r) => {
+            HEAD + 8 + 4 * r.keys_flat().len() as u64 + 8 * r.counts().len() as u64
+        }
+        AnalyticsOutput::RankedInvertedIndex(r) => {
+            let t = &r.table;
+            HEAD + 8
+                + posting_len(
+                    t.keys_flat().len(),
+                    t.offsets().len(),
+                    t.total_values(),
+                    4 + 8,
+                )
+        }
+    }
+}
+
+/// Encodes `out` as a result frame of `payload_len` payload bytes — what
+/// [`output_payload_len`] computed for it.  A result too large for one
+/// frame is answered with a typed error instead of a length that does not
+/// fit the header.
+fn encode_result(out: &AnalyticsOutput, payload_len: u64) -> Vec<u8> {
+    if payload_len > u64::from(MAX_PAYLOAD_LEN) {
+        return encode_error(&WireError::new(
+            WireErrorCode::Internal,
+            "result exceeds the frame cap",
+        ));
+    }
+    let mut w = Writer::frame(KIND_RESULT, payload_len as usize);
     match out {
         AnalyticsOutput::WordCount(r) => {
             w.u8(1);
             w.u64(r.table.len() as u64);
-            w.u32_slice(r.table.keys());
-            w.u64_slice(r.table.values());
+            w.u32_column(r.table.keys());
+            w.u64_column(r.table.values());
         }
         AnalyticsOutput::Sort(r) => {
             w.u8(2);
             w.u64(r.ranked.len() as u64);
-            for &(word, _) in &r.ranked {
-                w.u32(word);
-            }
-            for &(_, count) in &r.ranked {
-                w.u64(count);
-            }
+            w.pair_columns(&r.ranked);
         }
         AnalyticsOutput::InvertedIndex(r) => {
             w.u8(3);
             let t = &r.table;
             w.u64(t.num_keys() as u64);
-            w.u32_slice(t.keys_flat());
-            for &off in t.offsets() {
-                w.u64(off as u64);
-            }
-            w.u32_slice(t.values_flat());
+            w.u32_column(t.keys_flat());
+            w.offsets_column(t.offsets());
+            w.u32_column(t.values_flat());
         }
         AnalyticsOutput::TermVector(r) => {
             w.u8(4);
             w.u64(r.num_files() as u64);
-            let mut off = 0u64;
-            w.u64(0);
-            for row in r.iter() {
-                off += row.len() as u64;
-                w.u64(off);
-            }
-            for row in r.iter() {
-                for &(word, _) in row {
-                    w.u32(word);
-                }
-            }
-            for row in r.iter() {
-                for &(_, count) in row {
-                    w.u64(count);
-                }
-            }
+            w.offsets_column(r.offsets());
+            w.pair_columns(r.terms_flat());
         }
         AnalyticsOutput::SequenceCount(r) => {
             w.u8(5);
             w.u64(r.l as u64);
             w.u64(r.distinct_sequences() as u64);
-            for (key, _) in r.iter() {
-                w.u32_slice(key);
-            }
-            for (_, count) in r.iter() {
-                w.u64(count);
-            }
+            w.u32_column(r.keys_flat());
+            w.u64_column(r.counts());
         }
         AnalyticsOutput::RankedInvertedIndex(r) => {
             w.u8(6);
             let t = &r.table;
             w.u64(r.l as u64);
             w.u64(t.num_keys() as u64);
-            w.u32_slice(t.keys_flat());
-            for &off in t.offsets() {
-                w.u64(off as u64);
-            }
-            for &(file, _) in t.values_flat() {
-                w.u32(file);
-            }
-            for &(_, count) in t.values_flat() {
-                w.u64(count);
-            }
+            w.u32_column(t.keys_flat());
+            w.offsets_column(t.offsets());
+            w.pair_columns(t.values_flat());
         }
     }
-    w.buf
+    w.finish()
 }
 
 /// Checks that width-`w` key rows in a flat arena are strictly ascending.
@@ -671,35 +789,6 @@ fn check_keys_ascending(keys: &[u32], width: usize, what: &str) -> Result<(), Pr
     Ok(())
 }
 
-/// Checks that a CSR offsets column starts at 0, never decreases, and ends
-/// exactly at `total`; returns the offsets as `usize`.
-fn check_offsets(
-    offsets: &[u64],
-    num_keys: usize,
-    total: usize,
-    what: &str,
-) -> Result<Vec<usize>, ProtocolError> {
-    if offsets.len() != num_keys + 1 {
-        return Err(malformed(format!("{what}: bad offsets length")));
-    }
-    if offsets.first() != Some(&0) {
-        return Err(malformed(format!("{what}: offsets do not start at 0")));
-    }
-    if offsets.windows(2).any(|w| w[0] > w[1]) {
-        return Err(malformed(format!("{what}: offsets decrease")));
-    }
-    if offsets.last() != Some(&(total as u64)) {
-        return Err(malformed(format!(
-            "{what}: offsets end at {:?}, expected {total}",
-            offsets.last()
-        )));
-    }
-    offsets
-        .iter()
-        .map(|&o| usize::try_from(o).map_err(|_| malformed(format!("{what}: offset overflows"))))
-        .collect()
-}
-
 fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
     let mut c = Cursor::new(payload);
     let tag = c.u8()?;
@@ -713,42 +802,32 @@ fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
         }
         2 => {
             let n = c.len_field(4 + 8, "sort row")?;
-            let words = c.u32_vec(n)?;
-            let counts = c.u64_vec(n)?;
             AnalyticsOutput::Sort(SortResult {
-                ranked: words.into_iter().zip(counts).collect(),
+                ranked: c.pair_vec(n)?,
             })
         }
         3 => {
             let n = c.len_field(4 + 8, "invertedIndex key")?;
             let words = c.u32_vec(n)?;
-            let offsets = c.u64_vec(n + 1)?;
-            let m = c.len_check_total(&offsets, 4, "invertedIndex posting")?;
+            let offsets = c.offsets(n, "invertedIndex")?;
+            let m = c.total(&offsets, 4, "invertedIndex posting")?;
             let files = c.u32_vec(m)?;
             check_keys_ascending(&words, 1, "invertedIndex")?;
-            let offsets = check_offsets(&offsets, n, m, "invertedIndex")?;
             AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
                 words, offsets, files,
             ))
         }
         4 => {
             let nf = c.len_field(8, "termVector file")?;
-            let offsets = c.u64_vec(nf + 1)?;
-            let m = c.len_check_total(&offsets, 4 + 8, "termVector term")?;
-            let words = c.u32_vec(m)?;
-            let counts = c.u64_vec(m)?;
-            let offsets = check_offsets(&offsets, nf, m, "termVector")?;
-            let mut rows = Vec::with_capacity(nf);
-            for f in 0..nf {
-                let row: Vec<(u32, u64)> = (offsets[f]..offsets[f + 1])
-                    .map(|i| (words[i], counts[i]))
-                    .collect();
-                if row.windows(2).any(|w| w[0].0 >= w[1].0) {
+            let offsets = c.offsets(nf, "termVector")?;
+            let m = c.total(&offsets, 4 + 8, "termVector term")?;
+            let terms = c.pair_vec(m)?;
+            for (f, row) in offsets.windows(2).enumerate() {
+                if terms[row[0]..row[1]].windows(2).any(|w| w[0].0 >= w[1].0) {
                     return Err(malformed(format!("termVector: file {f} row not ascending")));
                 }
-                rows.push(row);
             }
-            AnalyticsOutput::TermVector(TermVectorResult::from_rows(rows))
+            AnalyticsOutput::TermVector(TermVectorResult::from_sorted_parts(offsets, terms))
         }
         5 => {
             let l = usize::try_from(c.u64()?)
@@ -780,13 +859,10 @@ fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
                 .ok_or_else(|| malformed("rankedInvertedIndex: l overflows"))?;
             let n = c.len_field(per_key, "rankedInvertedIndex key")?;
             let keys = c.u32_vec(n * l)?;
-            let offsets = c.u64_vec(n + 1)?;
-            let m = c.len_check_total(&offsets, 4 + 8, "rankedInvertedIndex posting")?;
-            let files = c.u32_vec(m)?;
-            let counts = c.u64_vec(m)?;
+            let offsets = c.offsets(n, "rankedInvertedIndex")?;
+            let m = c.total(&offsets, 4 + 8, "rankedInvertedIndex posting")?;
+            let postings = c.pair_vec(m)?;
             check_keys_ascending(&keys, l, "rankedInvertedIndex")?;
-            let offsets = check_offsets(&offsets, n, m, "rankedInvertedIndex")?;
-            let postings: Vec<(u32, u64)> = files.into_iter().zip(counts).collect();
             AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
                 l, keys, offsets, postings,
             ))
@@ -797,60 +873,34 @@ fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
     Ok(out)
 }
 
-impl<'a> Cursor<'a> {
-    /// Validates a CSR total (the last offset) as an element count small
-    /// enough that `total * elem_size` bytes can still follow — the same
-    /// allocation bound as [`len_field`](Self::len_field), for totals that
-    /// arrive inside an offsets column instead of as their own field.
-    fn len_check_total(
-        &self,
-        offsets: &[u64],
-        elem_size: usize,
-        what: &str,
-    ) -> Result<usize, ProtocolError> {
-        let raw = offsets.last().copied().unwrap_or(0);
-        let total =
-            usize::try_from(raw).map_err(|_| malformed(format!("{what} count overflows")))?;
-        let bytes = total
-            .checked_mul(elem_size)
-            .ok_or_else(|| malformed(format!("{what} count overflows")))?;
-        if bytes > self.remaining() {
-            return Err(malformed(format!(
-                "{what} count {total} needs {bytes} bytes but only {} remain",
-                self.remaining()
-            )));
-        }
-        Ok(total)
-    }
+fn encode_error(e: &WireError) -> Vec<u8> {
+    // Truncate absurdly long messages rather than overflowing the frame
+    // cap; 64 KiB of detail is plenty.
+    let msg = e.message.as_bytes();
+    let msg = &msg[..floor_char_boundary(&e.message, msg.len().min(64 * 1024))];
+    let mut w = Writer::frame(KIND_ERROR, 1 + 4 + msg.len());
+    w.u8(e.code.to_byte());
+    w.u32(msg.len() as u32);
+    w.bytes(msg);
+    w.finish()
 }
 
 /// Encodes a response as one complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Result(out) => frame(KIND_RESULT, encode_output(out)),
-        Response::Error(e) => {
-            let mut w = Writer::new();
-            w.u8(e.code.to_byte());
-            // Truncate absurdly long messages rather than overflowing the
-            // frame cap; 64 KiB of detail is plenty.
-            let msg = e.message.as_bytes();
-            let msg = &msg[..floor_char_boundary(&e.message, msg.len().min(64 * 1024))];
-            w.u32(msg.len() as u32);
-            w.buf.extend_from_slice(msg);
-            frame(KIND_ERROR, w.buf)
-        }
+        Response::Result(out) => encode_result(out, output_payload_len(out)),
+        Response::Error(e) => encode_error(e),
         Response::Overloaded {
             queue_depth,
             capacity,
         } => {
-            let mut w = Writer::new();
+            let mut w = Writer::frame(KIND_OVERLOADED, 4 + 4);
             w.u32(*queue_depth);
             w.u32(*capacity);
-            frame(KIND_OVERLOADED, w.buf)
+            w.finish()
         }
         Response::Stats(s) => {
-            let mut w = Writer::new();
-            for v in [
+            let counters = [
                 s.accepted_connections,
                 s.queries_answered,
                 s.shed,
@@ -859,12 +909,12 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 s.batches,
                 s.batched_queries,
                 s.protocol_errors,
-            ] {
-                w.u64(v);
-            }
-            frame(KIND_STATS_REPLY, w.buf)
+            ];
+            let mut w = Writer::frame(KIND_STATS_REPLY, 8 * counters.len());
+            w.u64_column(&counters);
+            w.finish()
         }
-        Response::ShutdownAck => frame(KIND_SHUTDOWN_ACK, Vec::new()),
+        Response::ShutdownAck => Writer::frame(KIND_SHUTDOWN_ACK, 0).finish(),
     }
 }
 
@@ -880,7 +930,7 @@ fn floor_char_boundary(s: &str, max: usize) -> usize {
 /// Parses a response payload for `kind` (as returned by [`decode_header`]).
 pub fn parse_response(kind: u8, payload: &[u8]) -> Result<Response, ProtocolError> {
     match kind {
-        KIND_RESULT => Ok(Response::Result(decode_output(payload)?)),
+        KIND_RESULT => Ok(Response::Result(Arc::new(decode_output(payload)?))),
         KIND_ERROR => {
             let mut c = Cursor::new(payload);
             let code = WireErrorCode::from_byte(c.u8()?)
@@ -937,8 +987,8 @@ pub fn decode_response(buf: &[u8]) -> Result<(Response, usize), ProtocolError> {
 mod tests {
     use super::*;
 
-    fn sample_outputs() -> Vec<AnalyticsOutput> {
-        vec![
+    fn sample_outputs() -> Vec<Arc<AnalyticsOutput>> {
+        [
             AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(
                 vec![1, 5, 9],
                 vec![10, 2, 7],
@@ -968,6 +1018,8 @@ mod tests {
                 vec![(0, 9), (1, 3), (0, 1)],
             )),
         ]
+        .map(Arc::new)
+        .to_vec()
     }
 
     #[test]
@@ -1040,6 +1092,40 @@ mod tests {
     }
 
     #[test]
+    fn computed_payload_length_is_the_encoded_length() {
+        for out in sample_outputs() {
+            let bytes = encode_response(&Response::Result(Arc::clone(&out)));
+            assert_eq!(
+                output_payload_len(&out),
+                (bytes.len() - HEADER_LEN) as u64,
+                "{}",
+                out.task_name()
+            );
+        }
+    }
+
+    #[test]
+    fn a_result_beyond_the_frame_cap_is_a_typed_error() {
+        let out = &sample_outputs()[0];
+        let fits = encode_result(out, output_payload_len(out));
+        assert!(matches!(
+            decode_response(&fits),
+            Ok((Response::Result(_), _))
+        ));
+        // The table itself is tiny; only the length claimed for it is not.
+        let frame = encode_result(out, u64::from(MAX_PAYLOAD_LEN) + 1);
+        let (resp, consumed) = decode_response(&frame).expect("a well-formed error frame");
+        assert_eq!(consumed, frame.len());
+        assert_eq!(
+            resp,
+            Response::Error(WireError::new(
+                WireErrorCode::Internal,
+                "result exceeds the frame cap"
+            ))
+        );
+    }
+
+    #[test]
     fn header_errors_are_typed() {
         assert!(matches!(
             decode_header(b"NOPE\x01\x01\x00\x00\x00\x00"),
@@ -1087,9 +1173,9 @@ mod tests {
     #[test]
     fn malformed_payloads_are_rejected_not_panicked() {
         // Non-ascending word column.
-        let good = encode_response(&Response::Result(AnalyticsOutput::WordCount(
+        let good = encode_response(&Response::Result(Arc::new(AnalyticsOutput::WordCount(
             WordCountResult::from_sorted_columns(vec![1, 5], vec![1, 1]),
-        )));
+        ))));
         let mut swapped = good.clone();
         // words start right after header + tag + n(u64); rotating the two
         // u32 words reverses their order.

@@ -14,6 +14,11 @@
 //!            └─ poke on shutdown  executors ──> shared Engine (&self)
 //! ```
 //!
+//! A query the engine answers from its results cache is written from the
+//! server's frame table: the handler sends the already-encoded frame of
+//! that very table, so a hot key costs a reference-count bump and a
+//! `write_all`.
+//!
 //! Admission contract: handlers **never block and never queue unboundedly**
 //! — a full queue sheds the request immediately with
 //! [`Response::Overloaded`].  Every admitted query carries its deadline and
@@ -29,12 +34,13 @@
 //! drain token if draining exceeds [`ServerConfig::drain_timeout`] so
 //! shutdown always terminates.
 
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -42,8 +48,9 @@ use failpoints::fail_point;
 use sequitur::{Dag, TadocArchive};
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions};
+use tadoc::results::AnalyticsOutput;
 
-use crate::framing::{FrameReadError, FrameReader, ReadOutcome};
+use crate::framing::{write_frame, FrameReadError, FrameReader, ReadOutcome};
 use crate::protocol::{
     encode_response, is_framing_fatal, parse_request, Request, Response, StatsSnapshot, WireError,
     WireErrorCode,
@@ -87,6 +94,11 @@ impl Default for ServerConfig {
         }
     }
 }
+
+/// How long one response write may make no progress before the connection
+/// counts as broken: a peer that stops reading must not hold its handler
+/// thread (nor delay shutdown) for longer than this.
+pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Serving failures that abort the server itself (per-query failures travel
 /// back to clients as typed [`Response::Error`]s instead).
@@ -202,6 +214,18 @@ impl ServerHandle {
     }
 }
 
+/// What the results cache, and so the frame table, files a table under.
+type QueryKey = (Task, TaskConfig);
+
+/// An executor's answer to one admitted query.
+struct Answer {
+    response: Response,
+    /// Whether the engine served the table from its results cache — the
+    /// only answers the [`FrameTable`] is consulted (and filled) for.
+    /// Misses and degraded results are encoded, written and forgotten.
+    cache_hit: bool,
+}
+
 /// One admitted query: what to run, its limits, and where the handler waits
 /// for the answer.
 struct Job {
@@ -209,7 +233,48 @@ struct Job {
     cfg: TaskConfig,
     /// Absolute expiry, measured from admission (queue wait counts).
     deadline: Option<Instant>,
-    reply: mpsc::SyncSender<Response>,
+    reply: mpsc::SyncSender<Answer>,
+}
+
+/// The encoded result frame of one cached table.
+struct SharedFrame {
+    /// The table `bytes` encodes.  Weak, so the server never keeps alive a
+    /// table the engine has evicted; a `Weak` still pins the *address*, so
+    /// it cannot come to name a different, later table.
+    table: Weak<AnalyticsOutput>,
+    bytes: Arc<[u8]>,
+}
+
+/// Encoded frames of the tables the engine's results cache holds, by query
+/// key.  The engine owns the tables; this owns their frames.  A frame is
+/// served only for the *same* table (pointer identity) the engine has just
+/// returned, so an entry the engine evicted and recomputed is re-encoded,
+/// never answered from the old bytes.  Frames of tables nobody holds any
+/// more are dropped whenever a frame is stored, which bounds the table by
+/// what the engine's byte budget keeps alive.
+#[derive(Default)]
+struct FrameTable {
+    frames: Mutex<HashMap<QueryKey, SharedFrame>>,
+}
+
+impl FrameTable {
+    /// The frame stored for `key`, if it encodes exactly `table`.
+    fn get(&self, key: QueryKey, table: &Arc<AnalyticsOutput>) -> Option<Arc<[u8]>> {
+        let frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
+        let frame = frames.get(&key)?;
+        std::ptr::eq(frame.table.as_ptr(), Arc::as_ptr(table)).then(|| Arc::clone(&frame.bytes))
+    }
+
+    /// Files `bytes` as the frame of `table`, replacing whatever `key` held.
+    fn put(&self, key: QueryKey, table: &Arc<AnalyticsOutput>, bytes: Arc<[u8]>) {
+        let frame = SharedFrame {
+            table: Arc::downgrade(table),
+            bytes,
+        };
+        let mut frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
+        frames.retain(|_, held| held.table.strong_count() > 0);
+        frames.insert(key, frame);
+    }
 }
 
 /// A bound-but-not-yet-running server.
@@ -256,6 +321,7 @@ impl Server {
             .results_cache(self.config.results_cache)
             .build()?;
         let queue = AdmissionQueue::new(self.config.queue_depth);
+        let frames = FrameTable::default();
         let drain_cancel = CancelToken::new();
         let config = &self.config;
         let shared = &*self.shared;
@@ -273,8 +339,8 @@ impl Server {
                 .collect();
             let handlers: Vec<_> = (0..config.handler_threads.max(1))
                 .map(|_| {
-                    let (conn_rx, queue) = (&conn_rx, &queue);
-                    s.spawn(move || handler_loop(conn_rx, queue, shared, config))
+                    let (conn_rx, queue, frames) = (&conn_rx, &queue, &frames);
+                    s.spawn(move || handler_loop(conn_rx, queue, frames, shared, config))
                 })
                 .collect();
 
@@ -348,6 +414,7 @@ fn submit(queue: &AdmissionQueue<Job>, job: Job) -> Push<Job> {
 fn handler_loop(
     conn_rx: &Mutex<mpsc::Receiver<TcpStream>>,
     queue: &AdmissionQueue<Job>,
+    frames: &FrameTable,
     shared: &Shared,
     config: &ServerConfig,
 ) {
@@ -362,20 +429,23 @@ fn handler_loop(
         Counters::bump(&shared.counters.accepted_connections);
         // One misbehaving connection must not take the handler down.
         drop(catch_unwind(AssertUnwindSafe(|| {
-            drop(serve_connection(stream, queue, shared, config));
+            drop(serve_connection(stream, queue, frames, shared, config));
         })));
     }
 }
 
-/// Serves one connection until the peer closes, the stream breaks, framing
-/// becomes unrecoverable, or shutdown closes idle connections.
+/// Serves one connection until the peer closes, the stream breaks (a write
+/// that stalls for [`WRITE_STALL_TIMEOUT`] included), framing becomes
+/// unrecoverable, or shutdown closes idle connections.
 fn serve_connection(
     mut stream: TcpStream,
     queue: &AdmissionQueue<Job>,
+    frames: &FrameTable,
     shared: &Shared,
     config: &ServerConfig,
 ) -> io::Result<()> {
     stream.set_read_timeout(Some(config.read_poll))?;
+    stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let mut reader = FrameReader::new();
     loop {
@@ -393,7 +463,7 @@ fn serve_connection(
                 // close — the stream has no next frame boundary.
                 Counters::bump(&shared.counters.protocol_errors);
                 let resp = Response::Error(WireError::new(WireErrorCode::Protocol, e.to_string()));
-                drop(write_response(&mut stream, &resp));
+                drop(write_response(&mut stream, &resp, None));
                 return Ok(());
             }
             Err(FrameReadError::Io(e)) => return Err(e),
@@ -405,7 +475,7 @@ fn serve_connection(
                 // the stream in sync: answer and keep serving.
                 Counters::bump(&shared.counters.protocol_errors);
                 let resp = Response::Error(WireError::new(WireErrorCode::Protocol, e.to_string()));
-                write_response(&mut stream, &resp)?;
+                write_response(&mut stream, &resp, None)?;
                 if is_framing_fatal(&e) {
                     return Ok(());
                 }
@@ -416,15 +486,16 @@ fn serve_connection(
             Request::Stats => {
                 let mut snap = shared.counters.snapshot();
                 snap.max_queue_depth = snap.max_queue_depth.max(queue.max_depth() as u64);
-                write_response(&mut stream, &Response::Stats(snap))?;
+                write_response(&mut stream, &Response::Stats(snap), None)?;
             }
             Request::Shutdown => {
-                write_response(&mut stream, &Response::ShutdownAck)?;
+                write_response(&mut stream, &Response::ShutdownAck, None)?;
                 shared.trigger_shutdown();
             }
             Request::Query(q) => {
-                let resp = admit_query(q, queue, shared);
-                write_response(&mut stream, &resp)?;
+                let answer = admit_query(q, queue, shared);
+                let filed = answer.cache_hit.then_some((frames, (q.task, q.cfg)));
+                write_response(&mut stream, &answer.response, filed)?;
             }
         }
     }
@@ -435,15 +506,19 @@ fn admit_query(
     q: crate::protocol::QueryRequest,
     queue: &AdmissionQueue<Job>,
     shared: &Shared,
-) -> Response {
+) -> Answer {
+    let uncached = |response| Answer {
+        response,
+        cache_hit: false,
+    };
     if shared.is_shutting_down() {
         Counters::bump(&shared.counters.refused);
-        return Response::Error(WireError::new(
+        return uncached(Response::Error(WireError::new(
             WireErrorCode::ShuttingDown,
             "server is shutting down",
-        ));
+        )));
     }
-    let (reply_tx, reply_rx) = mpsc::sync_channel::<Response>(1);
+    let (reply_tx, reply_rx) = mpsc::sync_channel::<Answer>(1);
     let job = Job {
         task: q.task,
         cfg: q.cfg,
@@ -458,35 +533,57 @@ fn admit_query(
                 .counters
                 .max_queue_depth
                 .fetch_max(depth as u64, Ordering::Relaxed);
-            match reply_rx.recv() {
-                Ok(resp) => resp,
-                // The executor died mid-query; its catch_unwind normally
-                // answers, so this is a last-resort fallback.
-                Err(_) => Response::Error(WireError::new(
+            // The executor died mid-query; its catch_unwind normally
+            // answers, so this is a last-resort fallback.
+            reply_rx.recv().unwrap_or_else(|_| {
+                uncached(Response::Error(WireError::new(
                     WireErrorCode::Internal,
                     "executor dropped the query",
-                )),
-            }
+                )))
+            })
         }
         Push::Full(_) => {
             Counters::bump(&shared.counters.shed);
-            Response::Overloaded {
+            uncached(Response::Overloaded {
                 queue_depth: queue.depth().min(u32::MAX as usize) as u32,
                 capacity: queue.capacity().min(u32::MAX as usize) as u32,
-            }
+            })
         }
         Push::Closed(_) => {
             Counters::bump(&shared.counters.refused);
-            Response::Error(WireError::new(
+            uncached(Response::Error(WireError::new(
                 WireErrorCode::ShuttingDown,
                 "server is shutting down",
-            ))
+            )))
         }
     }
 }
 
-fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
-    crate::framing::write_frame(stream, &encode_response(resp))
+/// Writes one response.  `filed` is set for a table the engine served from
+/// its results cache: the frame already filed for that very table is written
+/// as it is, and a table on its first hit is encoded once and filed for the
+/// hits that follow.  Everything else — misses, degraded results, errors,
+/// counters — is encoded, written and forgotten.
+fn write_response(
+    stream: &mut TcpStream,
+    resp: &Response,
+    filed: Option<(&FrameTable, QueryKey)>,
+) -> io::Result<()> {
+    let filed = match (filed, resp) {
+        (Some((frames, key)), Response::Result(table)) => Some((frames, key, table)),
+        _ => None,
+    };
+    if let Some(frame) = filed.and_then(|(frames, key, table)| frames.get(key, table)) {
+        return write_frame(stream, &frame);
+    }
+    // xtask-allow(copy-free-hit-path): the one encode site — a miss, or a cached table's first hit.
+    let bytes = encode_response(resp);
+    let Some((frames, key, table)) = filed else {
+        return write_frame(stream, &bytes);
+    };
+    let frame: Arc<[u8]> = bytes.into();
+    frames.put(key, table, Arc::clone(&frame));
+    write_frame(stream, &frame)
 }
 
 /// Executor thread: drains admitted queries and runs them on the shared
@@ -507,15 +604,15 @@ fn executor_loop(
                 .fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
         for job in batch {
-            let resp = run_one(engine, &job, drain_cancel);
+            let answer = run_one(engine, &job, drain_cancel);
             Counters::bump(&shared.counters.queries_answered);
-            drop(job.reply.send(resp));
+            drop(job.reply.send(answer));
         }
     }
 }
 
 /// Runs one query under its limits; never unwinds.
-fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Response {
+fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Answer {
     let opts = QueryOptions {
         // Queue wait counts against the deadline: whatever budget remains
         // at execution time is the engine's budget (zero means the
@@ -525,14 +622,80 @@ fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Respon
             .map(|d| d.saturating_duration_since(Instant::now())),
         cancel: Some(drain_cancel.clone()),
     };
-    match catch_unwind(AssertUnwindSafe(|| {
+    let ran = catch_unwind(AssertUnwindSafe(|| {
         engine.run_with(job.task, job.cfg, &opts)
-    })) {
+    }));
+    let cache_hit =
+        matches!(&ran, Ok(Ok(exec)) if exec.timings.results_cache.is_some_and(|c| c.hit));
+    let response = match ran {
         Ok(Ok(exec)) => Response::Result(exec.output),
         Ok(Err(e)) => Response::Error(WireError::from(&e)),
         Err(_) => Response::Error(WireError::new(
             WireErrorCode::Internal,
             "query execution panicked",
         )),
+    };
+    Answer {
+        response,
+        cache_hit,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tadoc::results::SortResult;
+
+    fn table(count: u64) -> Arc<AnalyticsOutput> {
+        Arc::new(AnalyticsOutput::Sort(SortResult {
+            ranked: vec![(1, count)],
+        }))
+    }
+
+    const KEY: QueryKey = (Task::Sort, TaskConfig { sequence_length: 3 });
+
+    #[test]
+    fn a_frame_is_served_for_the_very_table_it_encodes_only() {
+        let frames = FrameTable::default();
+        let cached = table(7);
+        assert!(frames.get(KEY, &cached).is_none());
+        let bytes: Arc<[u8]> = encode_response(&Response::Result(Arc::clone(&cached))).into();
+        frames.put(KEY, &cached, Arc::clone(&bytes));
+        let served = frames.get(KEY, &cached).expect("filed for this table");
+        assert!(Arc::ptr_eq(&served, &bytes), "a hit shares the filed bytes");
+
+        // The engine evicted and recomputed the key: equal contents, another
+        // table — the old frame must not answer for it.
+        let recomputed = table(7);
+        assert_eq!(recomputed, cached);
+        assert!(frames.get(KEY, &recomputed).is_none());
+        // Nor for the same table under another key.
+        let other = (Task::Sort, TaskConfig { sequence_length: 4 });
+        assert!(frames.get(other, &cached).is_none());
+
+        frames.put(KEY, &recomputed, Arc::clone(&bytes));
+        assert!(frames.get(KEY, &recomputed).is_some());
+        assert!(frames.get(KEY, &cached).is_none(), "the entry was replaced");
+    }
+
+    #[test]
+    fn frames_of_tables_nobody_holds_are_dropped() {
+        let frames = FrameTable::default();
+        let bytes: Arc<[u8]> = Arc::from(vec![0u8; 4]);
+        for l in 4..=6 {
+            let gone = table(l as u64);
+            frames.put(
+                (Task::Sort, TaskConfig { sequence_length: l }),
+                &gone,
+                Arc::clone(&bytes),
+            );
+        }
+        let held = table(9);
+        frames.put(KEY, &held, Arc::clone(&bytes));
+        let filed = frames.frames.lock().expect("not poisoned").len();
+        // The last of the three was still alive while it was filed; the
+        // next `put` found all three dead.
+        assert_eq!(filed, 1, "only the table still held keeps its frame");
+        assert_eq!(Arc::strong_count(&bytes), 2);
     }
 }

@@ -2,6 +2,12 @@
 //!
 //! * every well-formed request and every result type round-trips through
 //!   encode → decode → encode **byte-identically** (and digest-identically);
+//! * the single-pass encoder writes exactly the bytes of a plain
+//!   element-by-element reference encoder, under a header that declares
+//!   exactly the payload's length;
+//! * every structural defect a result payload can carry — descending keys,
+//!   bad offsets, short columns, trailing bytes, an unsorted term-vector
+//!   row — is a typed `Malformed` error;
 //! * error, overloaded and stats frames round-trip; the reserved error code
 //!   byte 4 decodes to a typed, non-fatal error;
 //! * arbitrary bytes — raw, or wrapped in a well-formed header — never
@@ -9,6 +15,7 @@
 //! * the incremental frame reader never panics on arbitrary byte streams.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -17,7 +24,7 @@ use server::framing::{FrameReader, ReadOutcome};
 use server::protocol::{
     decode_header, decode_request, decode_response, encode_request, encode_response,
     is_framing_fatal, ProtocolError, QueryRequest, Request, Response, StatsSnapshot, WireError,
-    WireErrorCode, HEADER_LEN, MAGIC, VERSION,
+    WireErrorCode, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
 };
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::results::{
@@ -43,11 +50,112 @@ fn sorted_rows(tokens: &[u32], l: usize) -> (Vec<u32>, Vec<u64>) {
     (rows.concat(), counts)
 }
 
-/// Encode → decode → encode must reproduce the same bytes and the same
-/// digest.
+/// A result payload assembled one field at a time — the reference the
+/// encoder is compared with, and the way the malformed-payload cases get
+/// columns no result type would let them build.
+#[derive(Default)]
+struct RawPayload(Vec<u8>);
+
+impl RawPayload {
+    fn tagged(tag: u8) -> Self {
+        Self(vec![tag])
+    }
+
+    fn u64(mut self, v: u64) -> Self {
+        self.0.extend_from_slice(&v.to_le_bytes());
+        self
+    }
+
+    fn u32s(mut self, vs: impl IntoIterator<Item = u32>) -> Self {
+        for v in vs {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        self
+    }
+
+    fn u64s(mut self, vs: impl IntoIterator<Item = u64>) -> Self {
+        for v in vs {
+            self.0.extend_from_slice(&v.to_le_bytes());
+        }
+        self
+    }
+
+    fn offsets(self, offsets: &[usize]) -> Self {
+        self.u64s(offsets.iter().map(|&o| o as u64))
+    }
+
+    fn pairs(self, pairs: &[(u32, u64)]) -> Self {
+        self.u32s(pairs.iter().map(|p| p.0))
+            .u64s(pairs.iter().map(|p| p.1))
+    }
+
+    /// The payload under a result-frame header declaring its length.
+    fn framed(self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC);
+        frame.push(VERSION);
+        frame.push(0x81);
+        frame.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&self.0);
+        frame
+    }
+}
+
+/// The wire layout of `out`, written the plain way.
+fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
+    match out {
+        AnalyticsOutput::WordCount(r) => RawPayload::tagged(1)
+            .u64(r.table.len() as u64)
+            .u32s(r.table.keys().iter().copied())
+            .u64s(r.table.values().iter().copied()),
+        AnalyticsOutput::Sort(r) => RawPayload::tagged(2)
+            .u64(r.ranked.len() as u64)
+            .pairs(&r.ranked),
+        AnalyticsOutput::InvertedIndex(r) => RawPayload::tagged(3)
+            .u64(r.table.num_keys() as u64)
+            .u32s(r.table.keys_flat().iter().copied())
+            .offsets(r.table.offsets())
+            .u32s(r.table.values_flat().iter().copied()),
+        AnalyticsOutput::TermVector(r) => {
+            let mut offsets = vec![0usize];
+            for row in r.iter() {
+                offsets.push(offsets[offsets.len() - 1] + row.len());
+            }
+            let terms: Vec<(u32, u64)> = r.iter().flatten().copied().collect();
+            RawPayload::tagged(4)
+                .u64(r.num_files() as u64)
+                .offsets(&offsets)
+                .pairs(&terms)
+        }
+        AnalyticsOutput::SequenceCount(r) => RawPayload::tagged(5)
+            .u64(r.l as u64)
+            .u64(r.distinct_sequences() as u64)
+            .u32s(r.iter().flat_map(|(key, _)| key.iter().copied()))
+            .u64s(r.iter().map(|(_, count)| count)),
+        AnalyticsOutput::RankedInvertedIndex(r) => RawPayload::tagged(6)
+            .u64(r.l as u64)
+            .u64(r.table.num_keys() as u64)
+            .u32s(r.table.keys_flat().iter().copied())
+            .offsets(r.table.offsets())
+            .pairs(r.table.values_flat()),
+    }
+    .framed()
+}
+
+/// The encoder must write the reference bytes under a header declaring
+/// exactly their length, and encode → decode → encode must reproduce the
+/// same bytes and the same digest.
 fn assert_round_trips(out: AnalyticsOutput) {
     let digest = out.digest();
-    let bytes = encode_response(&Response::Result(out));
+    let reference = reference_frame(&out);
+    let bytes = encode_response(&Response::Result(Arc::new(out)));
+    assert_eq!(bytes, reference, "the encoder left the reference layout");
+    let (_, declared) = decode_header(&bytes).expect("own header");
+    assert_eq!(
+        declared,
+        bytes.len() - HEADER_LEN,
+        "computed length != encoded length"
+    );
     let (decoded, consumed) = decode_response(&bytes).expect("decode own encoding");
     assert_eq!(consumed, bytes.len());
     let Response::Result(back) = decoded else {
@@ -245,4 +353,249 @@ proptest! {
             }
         }
     }
+}
+
+/// The six tables `protocol::tests::responses_round_trip_byte_identically`
+/// pins, through the same checks as the arbitrary ones.
+#[test]
+fn pinned_sample_frames_keep_their_bytes() {
+    let samples = [
+        AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(
+            vec![1, 5, 9],
+            vec![10, 2, 7],
+        )),
+        AnalyticsOutput::Sort(SortResult {
+            ranked: vec![(1, 10), (9, 7), (5, 2)],
+        }),
+        AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+            vec![2, 4],
+            vec![0, 2, 3],
+            vec![0, 1, 1],
+        )),
+        AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![
+            vec![(1, 2), (3, 1)],
+            vec![],
+            vec![(2, 5)],
+        ])),
+        AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+            2,
+            vec![1, 2, 1, 3],
+            vec![4, 1],
+        )),
+        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+            2,
+            vec![1, 2, 1, 3],
+            vec![0, 1, 3],
+            vec![(0, 9), (1, 3), (0, 1)],
+        )),
+    ];
+    for out in samples {
+        assert_round_trips(out);
+    }
+    // One of them spelled out, so the layout itself is on record.
+    let frame = encode_response(&Response::Result(Arc::new(AnalyticsOutput::Sort(
+        SortResult {
+            ranked: vec![(1, 10), (9, 7)],
+        },
+    ))));
+    let mut want = b"TDQP\x01\x81".to_vec();
+    want.extend_from_slice(&33u32.to_le_bytes());
+    want.push(2);
+    want.extend_from_slice(&2u64.to_le_bytes());
+    want.extend_from_slice(&[1, 0, 0, 0, 9, 0, 0, 0]);
+    want.extend_from_slice(&10u64.to_le_bytes());
+    want.extend_from_slice(&7u64.to_le_bytes());
+    assert_eq!(frame, want);
+}
+
+/// Every structural defect is a typed `Malformed` error that leaves the
+/// stream in sync — never a panic, never a table that breaks an invariant.
+#[test]
+fn malformed_result_payloads_are_rejected() {
+    let cases: Vec<(&str, RawPayload)> = vec![
+        (
+            "wordCount: descending keys",
+            RawPayload::tagged(1).u64(2).u32s([5, 1]).u64s([1, 1]),
+        ),
+        (
+            "wordCount: repeated key",
+            RawPayload::tagged(1).u64(2).u32s([5, 5]).u64s([1, 1]),
+        ),
+        (
+            "wordCount: short value column",
+            RawPayload::tagged(1).u64(2).u32s([1, 5]).u64s([1]),
+        ),
+        (
+            "sort: short count column",
+            RawPayload::tagged(2).u64(2).u32s([1, 5]).u64s([1]),
+        ),
+        (
+            "invertedIndex: descending keys",
+            RawPayload::tagged(3)
+                .u64(2)
+                .u32s([4, 2])
+                .offsets(&[0, 1, 2])
+                .u32s([0, 1]),
+        ),
+        (
+            "invertedIndex: offsets start past 0",
+            RawPayload::tagged(3)
+                .u64(2)
+                .u32s([2, 4])
+                .offsets(&[1, 1, 2])
+                .u32s([0, 1]),
+        ),
+        (
+            "invertedIndex: offsets decrease",
+            RawPayload::tagged(3)
+                .u64(2)
+                .u32s([2, 4])
+                .offsets(&[0, 2, 1])
+                .u32s([0, 1]),
+        ),
+        (
+            "invertedIndex: offsets end past the posting column",
+            RawPayload::tagged(3)
+                .u64(2)
+                .u32s([2, 4])
+                .offsets(&[0, 1, 3])
+                .u32s([0, 1]),
+        ),
+        (
+            "invertedIndex: offsets column one entry short",
+            RawPayload::tagged(3)
+                .u64(2)
+                .u32s([2, 4])
+                .offsets(&[0, 2])
+                .u32s([0, 1]),
+        ),
+        (
+            "invertedIndex: trailing bytes",
+            RawPayload::tagged(3)
+                .u64(1)
+                .u32s([2])
+                .offsets(&[0, 1])
+                .u32s([0, 9]),
+        ),
+        (
+            "termVector: unsorted row",
+            RawPayload::tagged(4)
+                .u64(2)
+                .offsets(&[0, 2, 3])
+                .pairs(&[(3, 1), (1, 2), (2, 5)]),
+        ),
+        (
+            "termVector: repeated word in a row",
+            RawPayload::tagged(4)
+                .u64(1)
+                .offsets(&[0, 2])
+                .pairs(&[(3, 1), (3, 2)]),
+        ),
+        (
+            "termVector: offsets decrease",
+            RawPayload::tagged(4)
+                .u64(2)
+                .offsets(&[0, 2, 1])
+                .pairs(&[(1, 1), (2, 2)]),
+        ),
+        (
+            "termVector: short count column",
+            RawPayload::tagged(4)
+                .u64(1)
+                .offsets(&[0, 2])
+                .u32s([1, 2])
+                .u64s([1]),
+        ),
+        (
+            "sequenceCount: zero length",
+            RawPayload::tagged(5).u64(0).u64(0),
+        ),
+        (
+            "sequenceCount: descending rows",
+            RawPayload::tagged(5)
+                .u64(2)
+                .u64(2)
+                .u32s([1, 3, 1, 2])
+                .u64s([4, 1]),
+        ),
+        (
+            "sequenceCount: count beyond the payload",
+            RawPayload::tagged(5)
+                .u64(2)
+                .u64(u64::MAX)
+                .u32s([1, 2])
+                .u64s([4]),
+        ),
+        (
+            "rankedInvertedIndex: descending rows",
+            RawPayload::tagged(6)
+                .u64(2)
+                .u64(2)
+                .u32s([1, 3, 1, 2])
+                .offsets(&[0, 1, 2])
+                .pairs(&[(0, 9), (1, 3)]),
+        ),
+        (
+            "rankedInvertedIndex: offsets decrease",
+            RawPayload::tagged(6)
+                .u64(2)
+                .u64(2)
+                .u32s([1, 2, 1, 3])
+                .offsets(&[0, 2, 1])
+                .pairs(&[(0, 9), (1, 3)]),
+        ),
+        (
+            "rankedInvertedIndex: short count column",
+            RawPayload::tagged(6)
+                .u64(2)
+                .u64(1)
+                .u32s([1, 2])
+                .offsets(&[0, 2])
+                .u32s([0, 1])
+                .u64s([9]),
+        ),
+        (
+            "rankedInvertedIndex: trailing bytes",
+            RawPayload::tagged(6)
+                .u64(2)
+                .u64(1)
+                .u32s([1, 2])
+                .offsets(&[0, 1])
+                .pairs(&[(0, 9)])
+                .u32s([7]),
+        ),
+        ("unknown result tag", RawPayload::tagged(9).u64(0)),
+        ("empty payload", RawPayload::default()),
+    ];
+    for (what, payload) in cases {
+        let err = decode_response(&payload.framed()).expect_err(what);
+        assert!(
+            matches!(err, ProtocolError::Malformed(_)),
+            "{what}: {err:?}"
+        );
+        assert!(
+            !is_framing_fatal(&err),
+            "{what}: the stream must stay in sync"
+        );
+    }
+}
+
+/// A header may declare nothing or the cap; one byte more is refused from
+/// the header alone.
+#[test]
+fn declared_lengths_at_the_edges() {
+    let mut header = encode_response(&Response::ShutdownAck);
+    assert_eq!(decode_header(&header).expect("empty payload"), (0x85, 0));
+    header[6..10].copy_from_slice(&MAX_PAYLOAD_LEN.to_le_bytes());
+    assert_eq!(
+        decode_header(&header).expect("the cap itself is legal"),
+        (0x85, MAX_PAYLOAD_LEN as usize)
+    );
+    header[6..10].copy_from_slice(&(MAX_PAYLOAD_LEN + 1).to_le_bytes());
+    assert_eq!(
+        decode_header(&header),
+        Err(ProtocolError::Oversized {
+            declared: MAX_PAYLOAD_LEN + 1
+        })
+    );
 }

@@ -15,6 +15,7 @@ pub mod word_count;
 use crate::results::AnalyticsOutput;
 use crate::timing::PhaseTimings;
 use sequitur::{Dag, TadocArchive};
+use std::sync::Arc;
 
 /// The six analytics tasks exposed by the CompressDirect interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,8 +93,9 @@ impl Default for TaskConfig {
 /// Output plus timing of one task execution.
 #[derive(Debug, Clone)]
 pub struct TaskExecution {
-    /// The analytics result.
-    pub output: AnalyticsOutput,
+    /// The analytics result, shared: a results-cache hit hands out the
+    /// cached table itself (a reference-count bump), never a copy of it.
+    pub output: Arc<AnalyticsOutput>,
     /// Phase timings and work accounting.
     pub timings: PhaseTimings,
 }
@@ -120,7 +122,7 @@ pub struct TaskExecution {
 /// }
 ///
 /// let wc = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
-/// if let AnalyticsOutput::WordCount(counts) = &wc.output {
+/// if let AnalyticsOutput::WordCount(counts) = &*wc.output {
 ///     let to = archive.dictionary.get("to").unwrap();
 ///     assert_eq!(counts.count(to), 3);
 /// }
@@ -131,49 +133,35 @@ pub fn run_task(
     task: Task,
     cfg: TaskConfig,
 ) -> TaskExecution {
-    match task {
+    let (output, timings) = match task {
         Task::WordCount => {
             let (r, t) = word_count::run(archive, dag);
-            TaskExecution {
-                output: AnalyticsOutput::WordCount(r),
-                timings: t,
-            }
+            (AnalyticsOutput::WordCount(r), t)
         }
         Task::Sort => {
             let (r, t) = sort::run(archive, dag);
-            TaskExecution {
-                output: AnalyticsOutput::Sort(r),
-                timings: t,
-            }
+            (AnalyticsOutput::Sort(r), t)
         }
         Task::InvertedIndex => {
             let (r, t) = inverted_index::run(archive, dag);
-            TaskExecution {
-                output: AnalyticsOutput::InvertedIndex(r),
-                timings: t,
-            }
+            (AnalyticsOutput::InvertedIndex(r), t)
         }
         Task::TermVector => {
             let (r, t) = term_vector::run(archive, dag);
-            TaskExecution {
-                output: AnalyticsOutput::TermVector(r),
-                timings: t,
-            }
+            (AnalyticsOutput::TermVector(r), t)
         }
         Task::SequenceCount => {
             let (r, t) = sequence_count::run(archive, dag, cfg.sequence_length);
-            TaskExecution {
-                output: AnalyticsOutput::SequenceCount(r),
-                timings: t,
-            }
+            (AnalyticsOutput::SequenceCount(r), t)
         }
         Task::RankedInvertedIndex => {
             let (r, t) = ranked_inverted_index::run(archive, dag, cfg.sequence_length);
-            TaskExecution {
-                output: AnalyticsOutput::RankedInvertedIndex(r),
-                timings: t,
-            }
+            (AnalyticsOutput::RankedInvertedIndex(r), t)
         }
+    };
+    TaskExecution {
+        output: Arc::new(output),
+        timings,
     }
 }
 
@@ -236,7 +224,7 @@ mod tests {
                     oracle::ranked_inverted_index(&files, cfg.sequence_length),
                 ),
             };
-            assert_eq!(exec.output, expected, "task {} diverges from oracle", task.name());
+            assert_eq!(*exec.output, expected, "task {} diverges from oracle", task.name());
         }
     }
 

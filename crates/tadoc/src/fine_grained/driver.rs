@@ -22,6 +22,7 @@ use crate::apps::TaskExecution;
 use crate::results::AnalyticsOutput;
 use crate::timing::{PhaseTimings, Timer};
 use arena::shard::{ShardBuf, ShardEntry};
+use std::sync::Arc;
 
 /// Work items per queue claim of a sharded traversal.
 const ITEMS_PER_CLAIM: usize = 16;
@@ -117,7 +118,7 @@ pub(crate) fn run_phases<P, T>(
     let traversal = traversal_timer.elapsed();
 
     TaskExecution {
-        output,
+        output: Arc::new(output),
         timings: PhaseTimings {
             init,
             traversal,

@@ -35,6 +35,7 @@
 
 use super::exec::{Abort, WorkerPool};
 use super::head_tail::{build_head_tail, levels_bottom_up, levels_top_down, HeadTail};
+use super::results_cache::{ResultsCache, RESULTS_CACHE_BUDGET_BYTES};
 use super::scratch::ScratchPool;
 use super::{
     build_term_vector_prep, parallel_file_weights, parallel_rule_weights, root_chunks,
@@ -42,8 +43,7 @@ use super::{
     TermVectorPrep, TvScratch,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
-use crate::results::AnalyticsOutput;
-use crate::timing::{Degradation, PhaseTimings, ResultsCacheStats, Timer};
+use crate::timing::{Degradation, PhaseTimings, Timer};
 use crate::weights::file_segments;
 use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, Grammar, TadocArchive};
@@ -521,74 +521,6 @@ pub(crate) struct FineCtx<'e> {
 }
 
 // ---------------------------------------------------------------------------
-// The results cache
-// ---------------------------------------------------------------------------
-
-/// Maximum distinct `(Task, TaskConfig)` keys the results cache holds; a
-/// full cache stops inserting (the working set of a serving mix is tiny —
-/// six tasks × a handful of sequence lengths — so eviction buys nothing).
-const RESULTS_CACHE_CAP: usize = 256;
-
-/// Whole-output memoization keyed by `(Task, TaskConfig)` — sound because
-/// the archive is immutable for the engine's lifetime and the engine is
-/// deterministic for a fixed key.  Exact-key semantics: distinct configs
-/// never alias (the full `TaskConfig` is the key, even for tasks that
-/// ignore `sequence_length`).  Opt-in via [`EngineBuilder::results_cache`];
-/// degraded results are never inserted (a degraded answer is
-/// oracle-identical, but its *provenance* is not worth caching — the next
-/// query should retake the fine path).
-///
-/// Concurrent misses on the same key may compute the output twice and both
-/// insert (last write wins, values identical by determinism); the counters
-/// therefore reconcile as *probes* — `hits + misses == lookups` always,
-/// `misses == distinct keys` only without concurrent same-key races.
-#[derive(Default)]
-struct ResultsCache {
-    map: Mutex<FxHashMap<(Task, TaskConfig), AnalyticsOutput>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ResultsCache {
-    /// Probes the cache, counting the probe as a hit or miss.
-    fn lookup(&self, task: Task, cfg: TaskConfig) -> Option<AnalyticsOutput> {
-        let found = self
-            .map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&(task, cfg))
-            .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Inserts a clean (non-degraded) output, unless the cache is full.
-    fn insert(&self, task: Task, cfg: TaskConfig, output: AnalyticsOutput) {
-        let mut map = self.map.lock().unwrap_or_else(PoisonError::into_inner);
-        if map.len() < RESULTS_CACHE_CAP || map.contains_key(&(task, cfg)) {
-            map.insert((task, cfg), output);
-        }
-    }
-
-    /// `(hits, misses)` counters.
-    fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// The per-query stats snapshot attached to [`PhaseTimings`].
-    fn stats(&self, hit: bool) -> ResultsCacheStats {
-        let (hits, misses) = self.counters();
-        ResultsCacheStats { hit, hits, misses }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
 
@@ -626,7 +558,9 @@ impl<'a> EngineBuilder<'a> {
     /// epoch-accounting tests expect.  Serving deployments with repetitive
     /// query mixes should turn it on; hit/miss counters surface through
     /// [`PhaseTimings::results_cache`](crate::timing::PhaseTimings::results_cache)
-    /// and [`Engine::results_cache_counters`].
+    /// and [`Engine::results_cache_counters`].  The cache holds at most
+    /// [`RESULTS_CACHE_BUDGET_BYTES`] of tables, evicting the least
+    /// recently hit.
     pub fn results_cache(mut self, enabled: bool) -> Self {
         self.results_cache = enabled;
         self
@@ -663,7 +597,9 @@ impl<'a> EngineBuilder<'a> {
             }),
             analysis: Analysis::default(),
             tv_scratch: ScratchPool::default(),
-            results: self.results_cache.then(ResultsCache::default),
+            results: self
+                .results_cache
+                .then(|| ResultsCache::with_budget(RESULTS_CACHE_BUDGET_BYTES)),
         })
     }
 }
@@ -884,7 +820,7 @@ impl<'a> Engine<'a> {
         }
         // Results-cache probe (after validation/pre-flight, so rejected
         // queries never touch the counters): a hit synthesizes a warm
-        // execution with no compute at all.
+        // execution with no compute at all, sharing the cached table.
         if let Some(cache) = &self.results {
             if let Some(output) = cache.lookup(task, cfg) {
                 return Ok(TaskExecution {
@@ -901,7 +837,7 @@ impl<'a> Engine<'a> {
         let mut exec = self.admit(task, cfg, cancel, deadline)?;
         if let Some(cache) = &self.results {
             if exec.timings.degraded.is_none() {
-                cache.insert(task, cfg, exec.output.clone());
+                cache.insert(task, cfg, &exec.output);
             }
             exec.timings.results_cache = Some(cache.stats(false));
         }
@@ -1043,6 +979,7 @@ impl std::fmt::Debug for Engine<'_> {
 #[allow(clippy::unwrap_used)] // tests may assert by unwrapping
 mod tests {
     use super::*;
+    use crate::results::AnalyticsOutput;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
     fn build_archive() -> (TadocArchive, Dag) {
@@ -1337,5 +1274,100 @@ mod tests {
             .unwrap();
         assert_eq!(again.output, a.output);
         assert_eq!(engine.results_cache_counters(), Some((1, 2)));
+    }
+
+    /// Request id → one of 24 cache keys: six tasks × sequence lengths 1..=4.
+    fn cache_key(req: usize) -> (Task, TaskConfig) {
+        let cfg = TaskConfig {
+            sequence_length: 1 + (req / 6) % 4,
+        };
+        (Task::ALL[req % 6], cfg)
+    }
+
+    /// Replays `reqs` against an engine whose results cache holds `budget`
+    /// bytes and checks every answer; returns how many keys were seen to come
+    /// back after an eviction.
+    fn replay_under_budget(
+        archive: &TadocArchive,
+        dag: &Dag,
+        oracle: &[Arc<AnalyticsOutput>],
+        budget: usize,
+        reqs: &[usize],
+    ) -> usize {
+        let mut engine = Engine::builder(archive, dag).threads(2).build().unwrap();
+        engine.results = Some(ResultsCache::with_budget(budget));
+        let cache = engine.results.as_ref().unwrap();
+        // The table each key last answered with.  Holding it keeps its address
+        // taken, so "a different `Arc`" below cannot be a reused allocation.
+        let mut last: Vec<Option<Arc<AnalyticsOutput>>> = vec![None; 24];
+        let mut recomputed = 0;
+        for (i, &req) in reqs.iter().enumerate() {
+            let (task, cfg) = cache_key(req);
+            let exec = engine.run(task, cfg).unwrap();
+            assert_eq!(exec.output, oracle[req], "request {i} diverged");
+            assert!(
+                cache.held_bytes() <= budget,
+                "request {i}: {} bytes held over a budget of {budget}",
+                cache.held_bytes()
+            );
+            let stats = exec.timings.results_cache.expect("cache enabled");
+            assert_eq!(stats.hits + stats.misses, i as u64 + 1, "one probe each");
+            match (&last[req], stats.hit) {
+                (Some(before), true) => assert!(
+                    Arc::ptr_eq(before, &exec.output),
+                    "request {i}: a hit must hand out the stored table, not a copy"
+                ),
+                (Some(before), false) => {
+                    assert!(
+                        !Arc::ptr_eq(before, &exec.output),
+                        "request {i}: an evicted key must be recomputed"
+                    );
+                    recomputed += 1;
+                }
+                (None, hit) => assert!(!hit, "request {i}: first ask of a key cannot hit"),
+            }
+            last[req] = Some(exec.output);
+        }
+        recomputed
+    }
+
+    #[test]
+    fn eviction_keeps_the_results_cache_bounded_and_never_stale() {
+        let (archive, dag) = build_archive();
+        let oracle: Vec<_> = (0..24)
+            .map(|req| {
+                let (task, cfg) = cache_key(req);
+                run_task(&archive, &dag, task, cfg).output
+            })
+            .collect();
+        // Room for any one table twice over, but not for the set.
+        let sizes = || oracle.iter().map(|t| t.heap_bytes());
+        let budget = 2 * sizes().max().unwrap();
+        assert!(sizes().sum::<usize>() > 2 * budget, "the key set must not fit");
+
+        // Three passes over all 24 keys, then the last one asked twice more:
+        // least-recently-hit eviction under cyclic access evicts every key
+        // before its turn comes round, and keeps the tail.
+        let mut reqs: Vec<usize> = (0..24).cycle().take(72).collect();
+        reqs.extend([23, 23]);
+        let recomputed = replay_under_budget(&archive, &dag, &oracle, budget, &reqs);
+        assert_eq!(
+            recomputed, 48,
+            "every key of passes two and three was evicted in between"
+        );
+
+        // Scrambled logs: short repeats that hit, long gaps that do not.
+        for seed in 1..=4u64 {
+            let mut state = seed;
+            let reqs: Vec<usize> = (0..64)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (state >> 33) as usize % 24
+                })
+                .collect();
+            replay_under_budget(&archive, &dag, &oracle, budget, &reqs);
+        }
     }
 }

@@ -91,10 +91,12 @@ pub mod exec;
 pub mod file_csr;
 pub mod head_tail;
 pub mod merge;
+mod results_cache;
 pub(crate) mod scratch;
 pub mod sequences;
 
 pub use engine::{CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions};
+pub use results_cache::RESULTS_CACHE_BUDGET_BYTES;
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;

@@ -97,6 +97,11 @@ impl<K: Ord, V> SortedTable<K, V> {
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.keys.iter().zip(self.values.iter())
     }
+
+    /// Bytes of column data held (see [`AnalyticsOutput::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        size_of_val(self.keys.as_slice()) + size_of_val(self.values.as_slice())
+    }
 }
 
 /// Binary search for a fixed-width key inside a flat `u32` key arena.
@@ -251,6 +256,13 @@ impl<V> PostingTable<V> {
     /// The flat value column.
     pub fn values_flat(&self) -> &[V] {
         &self.values
+    }
+
+    /// Bytes of column data held (see [`AnalyticsOutput::heap_bytes`]).
+    fn heap_bytes(&self) -> usize {
+        size_of_val(self.keys.as_slice())
+            + size_of_val(self.offsets.as_slice())
+            + size_of_val(self.values.as_slice())
     }
 }
 
@@ -413,6 +425,19 @@ impl TermVectorResult {
         Self { offsets, terms }
     }
 
+    /// Builds from already-flat columns: `offsets` (one entry per file plus
+    /// a closing one, starting at 0, never decreasing, ending at
+    /// `terms.len()`) and `terms` ascending by word within each file — the
+    /// zero-copy path out of a decoder that has validated both.
+    pub fn from_sorted_parts(offsets: Vec<usize>, terms: Vec<(WordId, u64)>) -> Self {
+        debug_assert_eq!(offsets.first().copied(), Some(0));
+        debug_assert_eq!(offsets.last().copied(), Some(terms.len()));
+        debug_assert!(offsets
+            .windows(2)
+            .all(|w| w[0] <= w[1] && terms[w[0]..w[1]].windows(2).all(|t| t[0].0 < t[1].0)));
+        Self { offsets, terms }
+    }
+
     /// Number of files covered.
     pub fn num_files(&self) -> usize {
         self.offsets.len().saturating_sub(1)
@@ -445,6 +470,16 @@ impl TermVectorResult {
     /// Iterates every file's vector in file order.
     pub fn iter(&self) -> impl Iterator<Item = &[(WordId, u64)]> {
         (0..self.num_files()).map(move |f| self.vector(f as FileId))
+    }
+
+    /// The offsets column (`num_files + 1` entries).
+    pub fn offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// The flat `(word, count)` column, file after file.
+    pub fn terms_flat(&self) -> &[(WordId, u64)] {
+        &self.terms
     }
 }
 
@@ -518,6 +553,16 @@ impl SequenceCountResult {
     /// Iterates `(sequence, count)` in lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64)> {
         (0..self.counts.len()).map(move |i| (self.key_at(i), self.counts[i]))
+    }
+
+    /// The flat key arena (`l` words per sequence).
+    pub fn keys_flat(&self) -> &[u32] {
+        &self.keys
+    }
+
+    /// The count column (parallel to the key rows).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 }
 
@@ -597,6 +642,25 @@ impl AnalyticsOutput {
             AnalyticsOutput::TermVector(_) => "termVector",
             AnalyticsOutput::SequenceCount(_) => "sequenceCount",
             AnalyticsOutput::RankedInvertedIndex(_) => "rankedInvertedIndex",
+        }
+    }
+
+    /// Bytes of column data this output holds on the heap: every column's
+    /// length times its element size (spare capacity and the fixed-size
+    /// struct itself are not counted).  What the engine's results cache
+    /// charges an entry against its byte budget.
+    pub fn heap_bytes(&self) -> usize {
+        match self {
+            AnalyticsOutput::WordCount(r) => r.table.heap_bytes(),
+            AnalyticsOutput::Sort(r) => size_of_val(r.ranked.as_slice()),
+            AnalyticsOutput::InvertedIndex(r) => r.table.heap_bytes(),
+            AnalyticsOutput::TermVector(r) => {
+                size_of_val(r.offsets.as_slice()) + size_of_val(r.terms.as_slice())
+            }
+            AnalyticsOutput::SequenceCount(r) => {
+                size_of_val(r.keys.as_slice()) + size_of_val(r.counts.as_slice())
+            }
+            AnalyticsOutput::RankedInvertedIndex(r) => r.table.heap_bytes(),
         }
     }
 
@@ -753,6 +817,74 @@ mod tests {
         assert_eq!(r.num_files(), 2);
         assert_eq!(r.vector(0), &[(1, 4), (7, 2)]);
         assert_eq!(r.vector(1), &[] as &[(u32, u64)]);
+    }
+
+    #[test]
+    fn term_vector_from_sorted_parts_is_the_flat_form_of_from_rows() {
+        let rows = vec![vec![(1, 4), (7, 2)], vec![], vec![(3, 9)]];
+        let flat =
+            TermVectorResult::from_sorted_parts(vec![0, 2, 2, 3], vec![(1, 4), (7, 2), (3, 9)]);
+        assert_eq!(flat, TermVectorResult::from_rows(rows));
+        assert_eq!(flat.offsets(), &[0, 2, 2, 3]);
+        assert_eq!(flat.terms_flat(), &[(1, 4), (7, 2), (3, 9)]);
+        assert_eq!(
+            TermVectorResult::from_sorted_parts(vec![0], Vec::new()),
+            TermVectorResult::default()
+        );
+    }
+
+    #[test]
+    fn heap_bytes_counts_every_column() {
+        let pair = std::mem::size_of::<(u32, u64)>();
+        let word = std::mem::size_of::<usize>();
+        let cases = [
+            (
+                AnalyticsOutput::WordCount(wc(&[(0, 5), (1, 3)])),
+                2 * (4 + 8),
+            ),
+            (
+                AnalyticsOutput::Sort(SortResult {
+                    ranked: vec![(1, 7), (2, 3), (5, 3)],
+                }),
+                3 * pair,
+            ),
+            (
+                AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+                    vec![2, 4],
+                    vec![0, 2, 3],
+                    vec![0, 1, 1],
+                )),
+                2 * 4 + 3 * word + 3 * 4,
+            ),
+            (
+                AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![
+                    vec![(1, 4), (7, 2)],
+                    vec![],
+                ])),
+                3 * word + 2 * pair,
+            ),
+            (
+                AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+                    2,
+                    vec![1, 2, 1, 3],
+                    vec![4, 1],
+                )),
+                4 * 4 + 2 * 8,
+            ),
+            (
+                AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+                    2,
+                    vec![1, 2, 1, 3],
+                    vec![0, 1, 3],
+                    vec![(0, 9), (1, 3), (0, 1)],
+                )),
+                4 * 4 + 3 * word + 3 * pair,
+            ),
+        ];
+        for (out, want) in cases {
+            assert_eq!(out.heap_bytes(), want, "{}", out.task_name());
+        }
+        assert_eq!(AnalyticsOutput::WordCount(wc(&[])).heap_bytes(), 0);
     }
 
     #[test]

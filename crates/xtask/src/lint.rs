@@ -1,8 +1,8 @@
 //! The workspace lint rules.
 //!
-//! Six rules, each guarding an invariant the fine-grained engine's
-//! correctness argument rests on (see `ARCHITECTURE.md`, *Static analysis &
-//! race checking*):
+//! Seven rules, each guarding an invariant the engine's correctness or
+//! cost argument rests on (see `ARCHITECTURE.md`, *Static analysis & race
+//! checking*):
 //!
 //! | rule | invariant |
 //! |------|-----------|
@@ -12,6 +12,7 @@
 //! | `failpoint-gating`  | every `fail_point!` site is feature-gated through the manifest chain, so release builds compile it out |
 //! | `forbid-unsafe`     | unsafe stays confined to the allowlisted crates; everyone else carries `#![forbid(unsafe_code)]` |
 //! | `no-hash-finalize`  | the fine-grained finalize path stays hash-free: per-shard sorted runs merge into ordered columns, never back into a hash table |
+//! | `copy-free-hit-path` | a results-cache hit stays a reference-count bump and a `write_all`: no deep copy of a result table, no re-encoding outside the one miss/first-hit site |
 //!
 //! Any finding can be suppressed at the site with
 //! `// xtask-allow(<rule>): <reason>` on the same or the preceding line; an
@@ -33,6 +34,7 @@ pub const RULES: &[&str] = &[
     "failpoint-gating",
     "forbid-unsafe",
     "no-hash-finalize",
+    "copy-free-hit-path",
 ];
 
 /// Hash-table type names banned from the fine-grained finalize path.  The
@@ -40,6 +42,12 @@ pub const RULES: &[&str] = &[
 /// per-shard sorted runs k-way merge straight into ordered columns, so any
 /// hash map re-appearing on these files is the old finalizer growing back.
 const HASH_TYPES: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
+
+/// Identifiers that name a result table (`AnalyticsOutput`) on the serving
+/// hit path.  A `.clone()` whose receiver expression mentions one is a deep
+/// copy of the table — or an `Arc` bump spelled so that it reads like one;
+/// `Arc::clone(&…)` is the accepted spelling of the latter.
+const TABLE_RECEIVERS: &[&str] = &["output", "table"];
 
 /// Atomic methods that take an `Ordering` argument.
 const ATOMIC_METHODS: &[&str] = &[
@@ -113,6 +121,8 @@ pub struct Config {
     pub unwrap_paths: Vec<String>,
     /// Path fragments selecting the files under the hash-free finalize ban.
     pub hash_finalize_paths: Vec<String>,
+    /// Path fragments selecting the files of the serving hit path.
+    pub hit_path_paths: Vec<String>,
 }
 
 impl Config {
@@ -128,6 +138,7 @@ impl Config {
             unsafe_allow: workspace::string_array(&text, "unsafe-crates", "allow"),
             unwrap_paths: workspace::string_array(&text, "unwrap-ban", "paths"),
             hash_finalize_paths: workspace::string_array(&text, "no-hash-finalize", "paths"),
+            hit_path_paths: workspace::string_array(&text, "copy-free-hit-path", "paths"),
         })
     }
 }
@@ -158,15 +169,16 @@ fn lint_crate(
         let file = FileLint::new(&src, rel(path, root));
         file.safety_comments(out);
         file.atomic_orderings(out);
-        if config.unwrap_paths.iter().any(|frag| {
-            path.to_string_lossy().replace('\\', "/").contains(frag.as_str())
-        }) {
+        let slashed = path.to_string_lossy().replace('\\', "/");
+        let selected = |frags: &[String]| frags.iter().any(|frag| slashed.contains(frag.as_str()));
+        if selected(&config.unwrap_paths) {
             file.unwrap_ban(out);
         }
-        if config.hash_finalize_paths.iter().any(|frag| {
-            path.to_string_lossy().replace('\\', "/").contains(frag.as_str())
-        }) {
+        if selected(&config.hash_finalize_paths) {
             file.hash_finalize_ban(out);
+        }
+        if selected(&config.hit_path_paths) {
+            file.copy_free_hit_path(out);
         }
         file.malformed_suppressions(out);
         let sites = file.failpoint_sites();
@@ -683,6 +695,78 @@ impl<'s> FileLint<'s> {
         }
     }
 
+    /// Rule `copy-free-hit-path` (only called for files under the configured
+    /// paths): outside test modules and macro definitions, no `.clone()` of
+    /// a result table, no `AnalyticsOutput::clone(…)`, and no call of
+    /// `encode_response(…)` — the one site that encodes a miss or a cached
+    /// table's first hit carries the `xtask-allow`.
+    fn copy_free_hit_path(&self, out: &mut Vec<Violation>) {
+        for (pos, &i) in self.code.iter().enumerate() {
+            let tok = &self.toks[i];
+            if tok.kind != TokenKind::Ident || self.in_excluded(tok.start) {
+                continue;
+            }
+            let pos = pos as isize;
+            let called = self.code_text(pos + 1) == "(";
+            let msg = match self.text(tok) {
+                "clone" if called && self.code_text(pos - 1) == "." => {
+                    match self.table_in_receiver(pos - 1) {
+                        Some(name) => format!(
+                            "`.clone()` on `{name}` copies a result table on the hit path: \
+                             share it (`Arc::clone(&…)`)"
+                        ),
+                        None => continue,
+                    }
+                }
+                "clone"
+                    if called
+                        && self.code_text(pos - 1) == ":"
+                        && self.code_text(pos - 3) == "AnalyticsOutput" =>
+                {
+                    "`AnalyticsOutput::clone` copies a result table on the hit path: share the \
+                     `Arc` instead"
+                        .to_string()
+                }
+                "encode_response" if called && self.code_text(pos - 1) != "fn" => {
+                    "`encode_response(…)` on the hit path: a cached table's frame comes from \
+                     the frame table; only the miss/first-hit site encodes"
+                        .to_string()
+                }
+                _ => continue,
+            };
+            self.report(out, "copy-free-hit-path", tok.line, msg);
+        }
+    }
+
+    /// Walks the receiver expression that ends at the `.` at code position
+    /// `dot` backwards — identifiers, field and path separators, `*`/`&`/`?`
+    /// and balanced parentheses — and returns the first
+    /// [`TABLE_RECEIVERS`] identifier it mentions.
+    fn table_in_receiver(&self, dot: isize) -> Option<&'s str> {
+        let mut depth = 0usize;
+        // Two identifiers in a row (`return x`, `in list`) are two
+        // expressions: the walk ends at the second.
+        let mut after_ident = false;
+        let mut ci = dot - 1;
+        while ci >= 0 {
+            let text = self.code_text(ci);
+            let is_ident = self.toks[self.code[ci as usize]].kind == TokenKind::Ident;
+            match text {
+                _ if is_ident && after_ident && depth == 0 => return None,
+                _ if is_ident && TABLE_RECEIVERS.contains(&text) => return Some(text),
+                ")" => depth += 1,
+                "(" if depth > 0 => depth -= 1,
+                "." | ":" | "*" | "&" | "?" => {}
+                // Anything else inside parentheses is an argument list.
+                _ if is_ident || depth > 0 => {}
+                _ => return None,
+            }
+            after_ident = is_ident;
+            ci -= 1;
+        }
+        None
+    }
+
     /// Lines of `fail_point!` invocations (macro definitions excluded).
     fn failpoint_sites(&self) -> Vec<usize> {
         let mut lines = Vec::new();
@@ -858,6 +942,41 @@ mod tests {
     fn unwrap_or_variants_are_not_flagged() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) + x.unwrap_or_default() }";
         assert!(run_rule(src, |l, out| l.unwrap_ban(out)).is_empty());
+    }
+
+    #[test]
+    fn table_copies_on_the_hit_path_are_flagged_sharing_is_not() {
+        let src = "
+            fn f(exec: &Exec, cache: &Cache) {
+                cache.insert(exec.output.clone());
+                let copy = (*exec.output).clone();
+                let deep = AnalyticsOutput::clone(&exec.output);
+                let shared = Arc::clone(&exec.output);
+                let token = drain_cancel.clone();
+                let listed = names(output, 3).len();
+                for output in tables.clone() {}
+            }
+            #[cfg(test)]
+            mod tests { fn g(t: &T) { let _ = t.output.clone(); } }
+        ";
+        let v = run_rule(src, |l, out| l.copy_free_hit_path(out));
+        let lines: Vec<usize> = v.iter().map(|v| v.line).collect();
+        assert_eq!(lines, vec![3, 4, 5], "{v:?}");
+    }
+
+    #[test]
+    fn encode_response_calls_are_flagged_its_definition_is_not() {
+        let src = "
+            pub fn encode_response(resp: &Response) -> Vec<u8> { Vec::new() }
+            fn answer(resp: &Response) -> Vec<u8> { encode_response(resp) }
+            fn miss(resp: &Response) -> Vec<u8> {
+                // xtask-allow(copy-free-hit-path): the one encode site.
+                encode_response(resp)
+            }
+        ";
+        let v = run_rule(src, |l, out| l.copy_free_hit_path(out));
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].line, 3);
     }
 
     #[test]

@@ -99,6 +99,23 @@ fn no_hash_finalize_fixture_fails() {
 }
 
 #[test]
+fn copy_free_hit_path_fixture_fails() {
+    let out = run_lint(&fixture_dir("copy-free-hit-path"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!out.status.success(), "stdout:\n{stdout}");
+    // The deep copy and the unannotated re-encode, and nothing else: not
+    // the definition, the `Arc::clone`, the annotated miss site or the
+    // test module.
+    let count = stdout.matches("[copy-free-hit-path]").count();
+    assert_eq!(count, 2, "expected exactly two findings:\n{stdout}");
+    assert!(stdout.contains("copies a result table"), "{stdout}");
+    assert!(
+        stdout.contains("only the miss/first-hit site encodes"),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn clean_fixture_passes() {
     let out = run_lint(&fixture_dir("clean"));
     let stdout = String::from_utf8_lossy(&out.stdout);

@@ -78,6 +78,6 @@ fn main() {
         Task::RankedInvertedIndex,
         TaskConfig::default(),
     );
-    assert_eq!(cpu.output, rii.output);
+    assert_eq!(*cpu.output, rii.output);
     println!("\nCPU TADOC baseline produces identical results ✔");
 }

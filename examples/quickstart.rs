@@ -39,7 +39,7 @@ fn main() {
     for task in Task::ALL {
         let gpu = engine.run_archive(&archive, task);
         let cpu = run_task(&archive, &dag, task, TaskConfig::default());
-        assert_eq!(gpu.output, cpu.output, "GPU and CPU must agree");
+        assert_eq!(gpu.output, *cpu.output, "GPU and CPU must agree");
         println!(
             "{:<22} strategy={:<10} modelled GPU time = {:>9.3} µs (init {:.3} µs + traversal {:.3} µs)",
             task.name(),

@@ -51,12 +51,12 @@ fn main() {
     let gpu = engine.run_archive(&archive, Task::Sort);
     let gpu_wall = t.elapsed();
 
-    let cpu_ranked = match &cpu.output {
+    let cpu_ranked = match &*cpu.output {
         AnalyticsOutput::Sort(s) => s.clone(),
         _ => unreachable!(),
     };
     assert_eq!(cpu_ranked, oracle, "TADOC must agree with the oracle");
-    assert_eq!(gpu.output, cpu.output, "G-TADOC must agree with TADOC");
+    assert_eq!(gpu.output, *cpu.output, "G-TADOC must agree with TADOC");
 
     println!("top 10 words (all three implementations agree):");
     for (word, count) in oracle.top_k(10) {

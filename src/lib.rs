@@ -82,6 +82,6 @@ mod tests {
         let cpu = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
         let mut engine = GtadocEngine::new(GpuSpec::gtx_1080());
         let gpu = engine.run_archive(&archive, Task::WordCount);
-        assert_eq!(cpu.output, gpu.output);
+        assert_eq!(*cpu.output, gpu.output);
     }
 }

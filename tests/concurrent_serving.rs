@@ -8,7 +8,7 @@
 
 use g_tadoc_repro::prelude::*;
 use std::collections::HashMap;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 
 fn serving_corpus() -> Vec<(String, String)> {
     let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(5);
@@ -37,7 +37,7 @@ fn oracle_outputs(
     archive: &TadocArchive,
     dag: &Dag,
     mix: &[(Task, TaskConfig)],
-) -> HashMap<(Task, TaskConfig), AnalyticsOutput> {
+) -> HashMap<(Task, TaskConfig), Arc<AnalyticsOutput>> {
     mix.iter()
         .map(|&(task, cfg)| ((task, cfg), run_task(archive, dag, task, cfg).output))
         .collect()

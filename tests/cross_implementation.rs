@@ -64,11 +64,11 @@ fn all_implementations_agree_on_all_tasks() {
         for task in Task::ALL {
             let (oracle_out, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
             let cpu = run_task(&archive, &dag, task, cfg);
-            assert_eq!(cpu.output, oracle_out, "[{name}] CPU TADOC vs oracle on {}", task.name());
+            assert_eq!(*cpu.output, oracle_out, "[{name}] CPU TADOC vs oracle on {}", task.name());
 
             let fine = run_cold(Engine::builder(&archive, &dag).threads(3), task, cfg);
             assert_eq!(
-                fine.output,
+                *fine.output,
                 oracle_out,
                 "[{name}] fine-grained TADOC vs oracle on {}",
                 task.name()
@@ -150,7 +150,7 @@ fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
         let (oracle_out, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
         let sequential = run_task(&archive, &dag, task, cfg);
         assert_eq!(
-            sequential.output,
+            *sequential.output,
             oracle_out,
             "sequential vs oracle on {} with an empty file",
             task.name()
@@ -272,7 +272,7 @@ fn non_default_sequence_lengths_agree() {
             let (oracle_out, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
             let cpu = run_task(&archive, &dag, task, cfg);
             let gpu = engine.run_archive(&archive, task);
-            assert_eq!(cpu.output, oracle_out, "l={l} {}", task.name());
+            assert_eq!(*cpu.output, oracle_out, "l={l} {}", task.name());
             assert_eq!(gpu.output, oracle_out, "l={l} {}", task.name());
         }
     }

@@ -64,7 +64,7 @@ fn gtadoc_matches_cpu_baseline_on_all_datasets_and_tasks() {
             let gpu = engine.run_archive(&archive, task);
             assert_eq!(
                 gpu.output,
-                cpu.output,
+                *cpu.output,
                 "dataset {} task {}",
                 id.label(),
                 task.name()

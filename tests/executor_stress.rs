@@ -66,7 +66,7 @@ fn all_tasks_agree_across_thread_counts_on_many_tiny_levels() {
     for task in Task::ALL {
         let (oracle, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
         let sequential = run_task(&archive, &dag, task, cfg);
-        assert_eq!(sequential.output, oracle, "sequential vs oracle on {}", task.name());
+        assert_eq!(*sequential.output, oracle, "sequential vs oracle on {}", task.name());
         for threads in [1usize, 4, 8] {
             let fine = run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
             assert_eq!(
@@ -107,7 +107,7 @@ fn term_vector_fine_matches_sequential_on_file_skew() {
     let (oracle, _) =
         uncompressed::cpu::run_cpu_uncompressed(&archive.grammar.expand_files(), Task::TermVector, cfg);
     let sequential = run_task(&archive, &dag, Task::TermVector, cfg);
-    assert_eq!(sequential.output, oracle, "sequential vs oracle");
+    assert_eq!(*sequential.output, oracle, "sequential vs oracle");
     for threads in [1usize, 2, 4, 8] {
         let fine = run_cold(
             Engine::builder(&archive, &dag).threads(threads),

@@ -55,7 +55,7 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let cfg = TaskConfig::default();
-    let oracles: Vec<AnalyticsOutput> = Task::ALL
+    let oracles: Vec<std::sync::Arc<AnalyticsOutput>> = Task::ALL
         .into_iter()
         .map(|task| run_task(&archive, &dag, task, cfg).output)
         .collect();
@@ -247,7 +247,7 @@ fn concurrent_fault_isolation_at_every_failpoint() {
         .into_iter()
         .map(|t| (t, TaskConfig::default()))
         .collect();
-    let oracle: Vec<AnalyticsOutput> = mix
+    let oracle: Vec<std::sync::Arc<AnalyticsOutput>> = mix
         .iter()
         .map(|&(task, cfg)| run_task(&archive, &dag, task, cfg).output)
         .collect();

@@ -11,11 +11,16 @@
 //!   concurrently, `hits + misses == requests` and
 //!   `misses >= distinct keys` (same-key races may compute twice, never
 //!   serve a wrong answer).
+//!
+//! Eviction under a byte budget too small for the key set is tested inside
+//! the crate (`fine_grained::engine` and `fine_grained::results_cache`),
+//! where a test can build a cache with a budget other than the `const`.
 
 use proptest::prelude::*;
 
 use g_tadoc_repro::prelude::*;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 fn cache_corpus() -> Vec<(String, String)> {
     let shared = "one two three four five six seven eight nine ten ".repeat(4);
@@ -135,14 +140,14 @@ proptest! {
             .expect("valid engine config");
 
         let distinct: HashSet<u8> = reqs.iter().copied().collect();
-        let oracle: Vec<(u8, AnalyticsOutput)> = distinct
+        let oracle: Vec<(u8, Arc<AnalyticsOutput>)> = distinct
             .iter()
             .map(|&req| {
                 let (task, cfg) = decode(req);
                 (req, run_task(&archive, &dag, task, cfg).output)
             })
             .collect();
-        let lookup = |req: u8| -> &AnalyticsOutput {
+        let lookup = |req: u8| -> &Arc<AnalyticsOutput> {
             &oracle.iter().find(|(r, _)| *r == req).expect("precomputed").1
         };
 

@@ -7,21 +7,23 @@
 //! oversized frames get **typed** protocol errors without taking the
 //! handler pool down; a full admission queue sheds with `Overloaded`
 //! instead of queuing unboundedly; expired deadlines answer
-//! `DeadlineExceeded`; and graceful shutdown drains admitted work before
-//! the listener goes away.
+//! `DeadlineExceeded`; a frame served from the server's frame table is
+//! byte-for-byte a fresh encoding of the table; a peer that stops reading
+//! loses its connection instead of keeping a handler; and graceful
+//! shutdown drains admitted work before the listener goes away.
 
 use std::collections::HashMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use g_tadoc_repro::prelude::*;
 use server::framing::{FrameReader, ReadOutcome};
 use server::protocol::{
-    encode_request, parse_response, QueryRequest, Request, Response, StatsSnapshot, WireErrorCode,
-    HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
+    decode_header, encode_request, encode_response, parse_response, QueryRequest, Request,
+    Response, StatsSnapshot, WireErrorCode, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
 };
-use server::server::{Server, ServerConfig, ServerHandle};
+use server::server::{Server, ServerConfig, ServerHandle, WRITE_STALL_TIMEOUT};
 use server::{Client, QueryOutcome};
 
 fn corpus() -> Vec<(String, String)> {
@@ -91,6 +93,28 @@ fn read_response(stream: &mut TcpStream, reader: &mut FrameReader) -> Response {
             ReadOutcome::Closed => panic!("server closed the stream before responding"),
         }
     }
+}
+
+fn query_frame(task: Task) -> Vec<u8> {
+    encode_request(&Request::Query(QueryRequest {
+        task,
+        cfg: TaskConfig::default(),
+        deadline_ms: None,
+    }))
+}
+
+/// Asks `task` over a raw stream and returns the answer's frame, header
+/// included, exactly as the server wrote it.
+fn raw_answer(stream: &mut TcpStream, task: Task) -> Vec<u8> {
+    stream.write_all(&query_frame(task)).expect("send query");
+    let mut frame = vec![0u8; HEADER_LEN];
+    stream.read_exact(&mut frame).expect("read header");
+    let (_, len) = decode_header(&frame).expect("well-formed header");
+    frame.resize(HEADER_LEN + len, 0);
+    stream
+        .read_exact(&mut frame[HEADER_LEN..])
+        .expect("read payload");
+    frame
 }
 
 fn assert_protocol_error(resp: &Response) {
@@ -391,6 +415,120 @@ fn graceful_shutdown_drains_inflight_queries() {
     );
 }
 
+/// Every way a result reaches the wire — encoded for a miss, encoded on the
+/// table's first hit, written from the frame table on later hits, on the
+/// same connection or another — must put the same bytes there: a fresh
+/// `encode_response` of the oracle's table.
+#[test]
+fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+
+    let stats = with_server(ServerConfig::default(), &archive, &dag, |handle| {
+        let mut first = TcpStream::connect(handle.addr()).expect("connect");
+        let mut second = TcpStream::connect(handle.addr()).expect("connect");
+        for task in Task::ALL {
+            let table = run_task(&archive, &dag, task, TaskConfig::default()).output;
+            let fresh = encode_response(&Response::Result(table));
+            let answers = [
+                ("miss", raw_answer(&mut first, task)),
+                ("first hit", raw_answer(&mut first, task)),
+                (
+                    "frame-table hit, other connection",
+                    raw_answer(&mut second, task),
+                ),
+                (
+                    "frame-table hit, same connection",
+                    raw_answer(&mut first, task),
+                ),
+            ];
+            for (how, bytes) in answers {
+                assert!(
+                    bytes == fresh,
+                    "{}: {how} differs from a fresh encoding",
+                    task.name()
+                );
+            }
+        }
+    });
+    assert_eq!(stats.queries_answered, 24);
+    assert_eq!(stats.protocol_errors, 0);
+}
+
+/// A client that asks for large results and never reads them fills the
+/// socket buffers; the write that stalls must break the connection within
+/// the stall timeout, so the (single) handler moves on to the next
+/// connection and shutdown still completes.
+#[test]
+fn a_peer_that_stops_reading_cannot_pin_a_handler() {
+    // Pseudo-random text: nearly every trigram distinct, so the ranked
+    // inverted index is a few hundred kilobytes.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let files: Vec<(String, String)> = (0..16)
+        .map(|f| {
+            let words: Vec<String> = (0..1500)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    format!("w{}", (state >> 33) % 400)
+                })
+                .collect();
+            (format!("doc{f}"), words.join(" "))
+        })
+        .collect();
+    let archive = compress_corpus(&files, CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig::default();
+    let table = run_task(&archive, &dag, Task::RankedInvertedIndex, cfg).output;
+    let frame_len = encode_response(&Response::Result(table)).len();
+    let wc_digest = run_task(&archive, &dag, Task::WordCount, cfg)
+        .output
+        .digest();
+    // More than the socket buffers can ever absorb (tcp_rmem + tcp_wmem
+    // maxima are tens of megabytes), in requests that fit them easily.
+    let asks = (64 << 20) / frame_len + 1;
+    assert!(
+        asks < 2000,
+        "{asks} requests of 28 bytes must not fill a socket buffer"
+    );
+
+    let config = ServerConfig {
+        handler_threads: 1,
+        ..ServerConfig::default()
+    };
+    with_server(config, &archive, &dag, |handle| {
+        let mut stalled = TcpStream::connect(handle.addr()).expect("connect");
+        for _ in 0..asks {
+            stalled
+                .write_all(&query_frame(Task::RankedInvertedIndex))
+                .expect("send query");
+        }
+        // Queued behind the only handler.  One write may stall twice: once
+        // with room for part of a frame, once with none.
+        let bound = 2 * WRITE_STALL_TIMEOUT + Duration::from_secs(4);
+        let asked = Instant::now();
+        let mut next = TcpStream::connect(handle.addr()).expect("connect");
+        next.set_read_timeout(Some(bound)).expect("set timeout");
+        next.write_all(&query_frame(Task::WordCount))
+            .expect("send query");
+        let mut reader = FrameReader::new();
+        match reader.read_frame(&mut next).expect("read response frame") {
+            ReadOutcome::Frame { kind, payload } => match parse_response(kind, &payload) {
+                Ok(Response::Result(out)) => assert_eq!(out.digest(), wc_digest),
+                other => panic!("expected a result, got {other:?}"),
+            },
+            other => panic!(
+                "the handler was still pinned {:?} after the next connection asked: {other:?}",
+                asked.elapsed()
+            ),
+        }
+        // Only now may the stalled peer go away: a reset would have freed
+        // the handler without any timeout.
+        drop(stalled);
+    });
+}
+
 /// Fault-injection coverage for the two server-side sites (armed only under
 /// `--features failpoints`): a dropped accept recovers, and an injected
 /// queue-full sheds deterministically.
@@ -483,6 +621,62 @@ mod faults {
             }
         });
         assert_eq!(stats.queries_answered, 2);
+    }
+
+    /// A degraded answer is correct but never cached: the ask after it must
+    /// execute again (neither the results cache nor the frame table may
+    /// answer it), and only the asks after *that* are hits — every one the
+    /// bytes of a fresh encoding.
+    #[test]
+    fn a_degraded_answer_is_never_served_from_the_frame_table() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        let _guard = serial();
+        failpoints::reset();
+        let archive = compress_corpus(&corpus(), CompressOptions::default());
+        let dag = Dag::from_grammar(&archive.grammar);
+        let table = run_task(&archive, &dag, Task::SequenceCount, TaskConfig::default()).output;
+        let fresh = encode_response(&Response::Result(table));
+
+        let stats = with_server(ServerConfig::default(), &archive, &dag, |handle| {
+            let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+            failpoints::enable_times("worker-epoch", 1);
+            let degraded = raw_answer(&mut stream, Task::SequenceCount);
+            assert!(
+                !failpoints::is_armed("worker-epoch"),
+                "the fault must have fired"
+            );
+            assert!(
+                degraded == fresh,
+                "a degraded answer is still the oracle's table"
+            );
+
+            let chunks = Arc::new(AtomicU64::new(0));
+            let seen = Arc::clone(&chunks);
+            failpoints::observe("chunk-boundary", move || {
+                seen.fetch_add(1, Ordering::Relaxed);
+            });
+            let recomputed = raw_answer(&mut stream, Task::SequenceCount);
+            let executed = chunks.load(Ordering::Relaxed);
+            assert!(executed > 0, "the ask after a degraded answer must execute");
+            assert!(recomputed == fresh);
+
+            // From here on the table is cached: nothing executes again.
+            for how in ["first hit", "frame-table hit"] {
+                assert!(
+                    raw_answer(&mut stream, Task::SequenceCount) == fresh,
+                    "{how}"
+                );
+            }
+            assert_eq!(
+                chunks.load(Ordering::Relaxed),
+                executed,
+                "hits execute nothing"
+            );
+            failpoints::reset();
+        });
+        assert_eq!(stats.queries_answered, 4);
     }
 
     /// `server-queue` armed N times: each admission sheds with
