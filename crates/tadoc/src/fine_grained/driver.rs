@@ -23,6 +23,7 @@ use crate::results::AnalyticsOutput;
 use crate::timing::{PhaseTimings, Timer};
 use arena::shard::{ShardBuf, ShardEntry};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Work items per queue claim of a sharded traversal.
 const ITEMS_PER_CLAIM: usize = 16;
@@ -45,7 +46,7 @@ pub(crate) trait Kernel: Sized + Sync {
     fn scan(&self, item: usize, scratch: &mut Self::Scratch, out: &mut Shards<Self::Entry>);
 
     /// Turns one shard's sorted, duplicate-free entries into its run.
-    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run;
+    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run;
 
     /// Merges the key-disjoint shard runs into the ordered result.
     fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput;
@@ -133,15 +134,19 @@ pub(crate) fn run_phases<P, T>(
 /// Runs one sharded task: every worker scans claimed work items into its
 /// own [`Shards`], each shard's per-worker buffers are handed to exactly one
 /// merge worker (shards partition the key space, so the merges need no
-/// synchronization), and the kernel k-way merges the per-shard runs.
+/// synchronization), and the kernel k-way merges the per-shard runs.  The
+/// two pool epochs of the traversal are timed apart as
+/// [`PhaseTimings::scan`] and [`PhaseTimings::shard_merge`].
 pub(crate) fn run_sharded<K: Kernel>(
     pool: &WorkerPool,
     prepare: impl FnOnce(&mut RunCharge) -> K,
 ) -> TaskExecution {
     let threads = pool.threads();
-    run_phases(
+    let (mut scan, mut shard_merge) = (Duration::ZERO, Duration::ZERO);
+    let mut exec = run_phases(
         prepare,
         |kernel| {
+            let scan_timer = Timer::start();
             let locals = claim_loop(
                 pool,
                 kernel.items(),
@@ -152,6 +157,7 @@ pub(crate) fn run_sharded<K: Kernel>(
                 },
                 |(shards, scratch), item| kernel.scan(item, scratch, shards),
             );
+            scan = scan_timer.elapsed();
             // Transpose worker-major buffers into shard-major pieces so
             // each merge worker owns its shard's data without cloning.
             let mut by_shard: Vec<Vec<ShardBuf<K::Entry>>> =
@@ -161,8 +167,16 @@ pub(crate) fn run_sharded<K: Kernel>(
                     pieces.push(buf);
                 }
             }
-            pool.map_workers(by_shard, |_s, pieces| K::shard_run(ShardBuf::merge(pieces)))
+            let merge_timer = Timer::start();
+            let runs = pool.map_workers(by_shard, |_s, pieces| {
+                kernel.shard_run(ShardBuf::merge(pieces))
+            });
+            shard_merge = merge_timer.elapsed();
+            runs
         },
         |kernel, runs| kernel.finalize(runs, pool),
-    )
+    );
+    exec.timings.scan = scan;
+    exec.timings.shard_merge = shard_merge;
+    exec
 }

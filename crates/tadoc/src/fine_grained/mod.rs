@@ -34,9 +34,11 @@
 //!    run concurrently with no synchronization at all — contention is
 //!    resolved statically rather than with atomics.  Workers accumulate
 //!    their shards in [`arena::shard::ShardBuf`]s (an append per
-//!    occurrence, self-compacting by sort + fold), so no per-worker hash
-//!    maps are materialised on the traversal hot path and each shard's
-//!    merge is one sort + fold.  This scheme exists **once**, in
+//!    occurrence; a compaction sorts and folds only what was pushed since
+//!    the last one and merges it into the sorted prefix), so no per-worker
+//!    hash maps are materialised on the traversal hot path, every entry is
+//!    sorted once, and each shard's merge is a merge of sorted runs.  This
+//!    scheme exists **once**, in
 //!    `driver::run_sharded`; `wordCount`/`sort`, `invertedIndex`,
 //!    `sequenceCount` and `rankedInvertedIndex` are `driver::Kernel`s —
 //!    which artifacts they `ensure_*`, what a work item emits, how a
@@ -67,7 +69,10 @@
 //! 6. **Rule-local sequence support** (Figures 6–8).  Sequence tasks build
 //!    per-rule head/tail buffers bottom-up and count every window **once per
 //!    rule**, scaling by rule weight (sequence count) or per-file rule
-//!    weight (ranked inverted index); rule bodies and the root are split
+//!    weight (ranked inverted index — there the scaling happens at the
+//!    shard owner, which scatters each rule-keyed count into a dense
+//!    per-file scratch, so the window × file cross product is never pushed
+//!    or sorted); rule bodies and the root are split
 //!    into chunks the way the paper's thread groups split oversized rules
 //!    (Section IV-B), with chunk-boundary windows completed by an O(`l`)
 //!    word-bounded extension ([`sequences::count_range_windows`]).  This
@@ -390,7 +395,7 @@ impl Kernel for WordCount<'_> {
         }
     }
 
-    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
+    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
         count_rows(entries)
     }
 
@@ -492,7 +497,7 @@ impl Kernel for InvertedIndex<'_> {
     /// Expands the sorted `(word, block)` mask runs straight into a columnar
     /// posting run (blocks and bits ascend, so the lists come out
     /// file-sorted).
-    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
+    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
         let mut run = PostingRun::<WordId, FileId>::default();
         let mut i = 0usize;
         while i < entries.len() {
@@ -894,6 +899,20 @@ impl<'e> SeqScan<'e> {
     fn head_tail(&self) -> &HeadTail {
         self.ht.get().expect("filled by ensure_head_tail")
     }
+
+    /// Slides the `l`-windows local to work item `item`, one `emit` per
+    /// occurrence.
+    #[inline]
+    fn for_each_window(&self, item: SeqItem, mut emit: impl FnMut(&[u32])) {
+        let ht = self.head_tail();
+        match item {
+            SeqItem::Rule { r, begin, end } => {
+                let body = &self.grammar.rules[r];
+                count_range_windows(body, ht, begin, end, body.len(), |words, _| emit(words));
+            }
+            SeqItem::Root(chunk) => count_root_chunk(self.grammar.root(), ht, chunk, emit),
+        }
+    }
 }
 
 /// Every window is counted once per rule chunk and emitted with the rule's
@@ -925,29 +944,21 @@ impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
 
     #[inline]
     fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
-        let ht = self.seq.head_tail();
-        let mut emit = |words: &[u32], weight: u64| {
+        let item = self.seq.items[item];
+        let weight = match item {
+            SeqItem::Rule { r, .. } => self.weights[r],
+            SeqItem::Root(_) => 1,
+        };
+        if weight == 0 {
+            return;
+        }
+        self.seq.for_each_window(item, |words| {
             let key = K::encode(words);
             out.route(key.hash64()).push(CountEntry::new(key, weight));
-        };
-        match self.seq.items[item] {
-            SeqItem::Rule { r, begin, end } => {
-                let weight = self.weights[r];
-                if weight == 0 {
-                    return;
-                }
-                let body = &self.seq.grammar.rules[r];
-                count_range_windows(body, ht, begin, end, body.len(), |words, _| {
-                    emit(words, weight)
-                });
-            }
-            SeqItem::Root(chunk) => {
-                count_root_chunk(self.seq.grammar.root(), ht, chunk, |words| emit(words, 1));
-            }
-        }
+        });
     }
 
-    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
+    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
         count_rows(entries)
     }
 
@@ -956,33 +967,85 @@ impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
     }
 }
 
-/// Emits `((sequence key, file), count)`: a rule chunk's local windows are
-/// counted once (folded in the scratch vector), then scaled by the rule's
-/// per-file occurrence counts.  Sharding by the sequence key alone keeps
-/// all files of one sequence in one shard, so the shard run can slice the
-/// sorted entries into per-sequence file lists.
+/// The dense accumulator a ranked-index shard owner scatters one key's
+/// sources into: `counts[file]` plus the files whose count left zero — the
+/// per-word scratch of term vector ([`TvScratch`]), indexed by file.
+struct PerFileCounts {
+    counts: Vec<u64>,
+    touched: Vec<FileId>,
+}
+
+impl PerFileCounts {
+    #[inline]
+    fn add(&mut self, file: FileId, amount: u64) {
+        let slot = &mut self.counts[file as usize];
+        if *slot == 0 {
+            self.touched.push(file);
+        }
+        *slot += amount;
+    }
+
+    /// Moves the touched files' `(file, count)` pairs into `out` (replacing
+    /// its contents) and leaves every count zero again.
+    fn drain_into(&mut self, out: &mut Vec<(FileId, u64)>) {
+        out.clear();
+        for file in self.touched.drain(..) {
+            out.push((file, std::mem::take(&mut self.counts[file as usize])));
+        }
+    }
+}
+
+/// Emits `((sequence key, source), 1)` per local window, where `source`
+/// says whose per-file occurrences scale it: a rule id, or `num_rules +
+/// file` for a window of that file's root segment.  That is the volume
+/// `sequenceCount` emits; the `windows × files` cross product exists only
+/// as additions into the shard owner's dense per-file scratch.  Sharding by
+/// the sequence key alone keeps all sources of one sequence in one shard.
 struct RankedIndex<'e, K> {
     seq: SeqScan<'e>,
     fw: &'e FileWeightLists,
+    num_rules: u32,
+    num_files: usize,
     key: PhantomData<fn() -> K>,
 }
 
 impl<'e, K> RankedIndex<'e, K> {
     fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
         let grammar = &ctx.archive.grammar;
+        let num_files = ctx.analysis.ensure_segments(grammar, charge).len();
+        let num_rules = ctx.dag.num_rules;
+        assert!(
+            u32::try_from(num_rules + num_files).is_ok(),
+            "{num_rules} rules + {num_files} files do not fit the u32 source id"
+        );
         Self {
             fw: ctx
                 .analysis
                 .ensure_file_weights(grammar, ctx.dag, pool, charge),
             seq: SeqScan::new(ctx, l, pool, charge),
+            num_rules: num_rules as u32,
+            num_files,
             key: PhantomData,
+        }
+    }
+
+    /// Adds `count` windows of `source` to the files it stands for: a
+    /// rule's per-file occurrences, or the one file of a root pseudo-source.
+    #[inline]
+    fn scatter(&self, per_file: &mut PerFileCounts, source: u32, count: u64) {
+        if source < self.num_rules {
+            for &(file, occ) in &self.fw[source as usize] {
+                per_file.add(file, count * occ);
+            }
+        } else {
+            per_file.add(source - self.num_rules, count);
         }
     }
 }
 
 impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
-    type Entry = CountEntry<(K, FileId)>;
-    type Scratch = Vec<CountEntry<K>>;
+    type Entry = CountEntry<(K, u32)>;
+    type Scratch = ();
     type Run = K::RankedRun;
 
     fn items(&self) -> usize {
@@ -990,42 +1053,45 @@ impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
     }
 
     #[inline]
-    fn scan(&self, item: usize, local: &mut Self::Scratch, out: &mut Shards<Self::Entry>) {
-        let ht = self.seq.head_tail();
-        match self.seq.items[item] {
-            SeqItem::Rule { r, begin, end } => {
-                let fw = &self.fw[r];
-                if fw.is_empty() {
-                    return;
-                }
-                local.clear();
-                let body = &self.seq.grammar.rules[r];
-                count_range_windows(body, ht, begin, end, body.len(), |words, _| {
-                    local.push(CountEntry::new(K::encode(words), 1));
-                });
-                sort_fold(local);
-                for e in local.drain(..) {
-                    let buf = out.route(e.key.hash64());
-                    for &(f, occ) in fw {
-                        buf.push(CountEntry::new((e.key.clone(), f), e.count * occ));
-                    }
-                }
-            }
-            SeqItem::Root(chunk) => {
-                count_root_chunk(self.seq.grammar.root(), ht, chunk, |words| {
-                    let key = K::encode(words);
-                    out.route(key.hash64())
-                        .push(CountEntry::new((key, chunk.file), 1));
-                });
-            }
-        }
+    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
+        let item = self.seq.items[item];
+        let source = match item {
+            SeqItem::Rule { r, .. } if self.fw[r].is_empty() => return,
+            SeqItem::Rule { r, .. } => r as u32,
+            SeqItem::Root(chunk) => self.num_rules + chunk.file,
+        };
+        self.seq.for_each_window(item, |words| {
+            let key = K::encode(words);
+            out.route(key.hash64())
+                .push(CountEntry::new((key, source), 1));
+        });
     }
 
-    /// Slices the sorted `((key, file), count)` entries into per-sequence
-    /// postings ranked by in-file frequency — columnar posting runs for
-    /// packed keys, owned rows for the fallback.
-    fn shard_run(entries: Vec<Self::Entry>) -> Self::Run {
-        K::ranked_run_from_entries(entries)
+    /// Walks the sorted `((key, source), count)` entries one key at a time:
+    /// each source scatters `count ×` its per-file occurrences into the
+    /// dense scratch, and only the files the key touched are collected,
+    /// zeroed again and ranked by in-file frequency (descending count, then
+    /// ascending file).  The scratch is one `u64` per file per shard owner,
+    /// allocated here; cleanup costs the touched set.
+    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
+        let mut run = K::RankedRun::default();
+        let mut per_file = PerFileCounts {
+            counts: vec![0; self.num_files],
+            touched: Vec::new(),
+        };
+        let mut postings: Vec<(FileId, u64)> = Vec::new();
+        let mut entries = entries.into_iter().peekable();
+        while let Some(first) = entries.next() {
+            let (key, source) = first.key;
+            self.scatter(&mut per_file, source, first.count);
+            while let Some(next) = entries.next_if(|e| e.key.0 == key) {
+                self.scatter(&mut per_file, next.key.1, next.count);
+            }
+            per_file.drain_into(&mut postings);
+            postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            K::push_ranked(&mut run, key, &postings);
+        }
+        run
     }
 
     fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
@@ -1194,6 +1260,120 @@ mod tests {
                 let seq = run_task(&archive, &dag, task, cfg);
                 let fine = run_cold(Engine::builder(&archive, &dag).threads(3), task, cfg);
                 assert_eq!(fine.output, seq.output, "task {}", task.name());
+            }
+        }
+    }
+
+    /// 78 files over a small vocabulary.  Every one of the first 72 strings
+    /// three of five phrases together in an order of its own, so the same
+    /// windows fall inside rules shared by most files *and* across rule
+    /// boundaries of the root.  The last six plant the window `a b` where
+    /// only the root sees it: `p1 a`, `b q1`, `p2 a`, `b q2` become rules
+    /// first, then two files put `a` and `b` side by side as the tail of one
+    /// rule and the head of another.
+    fn ranked_corpus() -> Vec<(String, String)> {
+        let phrases = [
+            "c d e f g h",
+            "e f g i j",
+            "d e c d",
+            "g h i c",
+            "j c d e f",
+        ];
+        let mut corpus: Vec<(String, String)> = (0..72)
+            .map(|i| {
+                let text = format!(
+                    "{} u{} {} {} v{}",
+                    phrases[i % 5],
+                    i % 9,
+                    phrases[(i / 5 + 1) % 5],
+                    phrases[(i * 7 + 2) % 5],
+                    i % 4
+                );
+                (format!("doc{i}"), text)
+            })
+            .collect();
+        for (i, text) in [
+            "p1 a z1 p1 a z2",
+            "z3 b q1 z4 b q1",
+            "p2 a z5 p2 a z6",
+            "z7 b q2 z8 b q2",
+            "p1 a b q1",
+            "p2 a b q2",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            corpus.push((format!("edge{i}"), text.to_string()));
+        }
+        corpus
+    }
+
+    /// Proves `ranked_corpus` has the source mix the rule-keyed ranked index
+    /// must handle, at `l` = 2: a window that is local to a rule occurring
+    /// in more than 64 files and also occurs in a root segment, and a window
+    /// whose only occurrences are root ones, in two different files.
+    fn assert_rule_and_root_sources_mix(archive: &TadocArchive, dag: &Dag) {
+        use std::collections::{BTreeMap, BTreeSet};
+        let grammar = &archive.grammar;
+        let pool = WorkerPool::new(1);
+        let ht = head_tail::build_head_tail(grammar, dag, &head_tail::levels_bottom_up(dag), 2, &pool);
+        let segments = weights::file_segments(grammar);
+        let fw = parallel_file_weights(
+            grammar,
+            dag,
+            &head_tail::levels_top_down(dag),
+            &segments,
+            &pool,
+        );
+        // Window -> the most files any rule it is local to occurs in.
+        let mut in_rules: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
+        for (r, body) in grammar.rules.iter().enumerate().skip(1) {
+            sequences::count_rule_local(body, &ht, |words, _| {
+                let files = in_rules.entry(words.to_vec()).or_insert(0);
+                *files = (*files).max(fw[r].len());
+            });
+        }
+        let mut in_root: BTreeMap<Vec<u32>, BTreeSet<FileId>> = BTreeMap::new();
+        for chunk in root_chunks(&segments, usize::MAX) {
+            count_root_chunk(grammar.root(), &ht, chunk, |words| {
+                in_root.entry(words.to_vec()).or_default().insert(chunk.file);
+            });
+        }
+        assert!(
+            in_root
+                .keys()
+                .any(|w| in_rules.get(w).is_some_and(|&files| files > 64)),
+            "no window is both root-local and local to a rule of > 64 files"
+        );
+        assert!(
+            in_root
+                .iter()
+                .any(|(w, files)| files.len() == 2 && !in_rules.contains_key(w)),
+            "no window occurs only in the root, in exactly two files"
+        );
+    }
+
+    #[test]
+    fn ranked_index_matches_sequential_over_rule_and_root_sources() {
+        let corpus = ranked_corpus();
+        assert!(corpus.len() > 64);
+        let (archive, dag) = build(&corpus);
+        assert_rule_and_root_sources_mix(&archive, &dag);
+        // `l` = 4 and 5 do not pack: they take the `Sequence` key path.
+        for l in 1..=5usize {
+            let cfg = TaskConfig { sequence_length: l };
+            let seq = run_task(&archive, &dag, Task::RankedInvertedIndex, cfg);
+            for threads in [1usize, 3, 8] {
+                for chunk_elements in [1usize, 7] {
+                    let builder = Engine::builder(&archive, &dag)
+                        .threads(threads)
+                        .chunk_elements(chunk_elements);
+                    let fine = run_cold(builder, Task::RankedInvertedIndex, cfg);
+                    assert_eq!(
+                        fine.output, seq.output,
+                        "l = {l}, {threads} threads, chunk_elements = {chunk_elements}"
+                    );
+                }
             }
         }
     }

@@ -19,7 +19,6 @@ use super::exec::WorkerPool;
 use super::head_tail::HeadTail;
 use super::merge::{kway_merge_rows, par_merge_postings, par_merge_rows, PostingRun};
 use crate::results::{FileId, RankedInvertedIndexResult, Sequence, SequenceCountResult};
-use arena::shard::CountEntry;
 use sequitur::Symbol;
 
 /// Maximum sequence length that can be packed into a 64-bit key
@@ -81,13 +80,10 @@ pub trait SeqKey: Eq + Ord + Clone + std::hash::Hash + Send {
     /// A 64-bit hash for merge sharding.
     fn hash64(&self) -> u64;
 
-    /// Converts one shard's sorted, duplicate-free `((key, file), count)`
-    /// entries into that shard's ranked posting run: consecutive entries
-    /// with the same key become one posting list sorted by descending
-    /// count, then ascending file (the ranked-index tie-break).
-    fn ranked_run_from_entries(entries: Vec<CountEntry<(Self, FileId)>>) -> Self::RankedRun
-    where
-        Self: Sized;
+    /// Appends `key`'s finished posting list (already in rank order) to a
+    /// shard's ranked run.  The shard owner hands over keys in ascending
+    /// order, each exactly once.
+    fn push_ranked(run: &mut Self::RankedRun, key: Self, files: &[(FileId, u64)]);
 
     /// Merges the per-shard `(key, count)` runs into the final ordered
     /// [`SequenceCountResult`].
@@ -133,21 +129,11 @@ impl SeqKey for u64 {
         *self
     }
 
-    fn ranked_run_from_entries(entries: Vec<CountEntry<(Self, FileId)>>) -> Self::RankedRun {
-        let mut run = PostingRun::default();
-        let mut i = 0usize;
-        while i < entries.len() {
-            let key = entries[i].key.0;
-            let start = run.values.len();
-            while i < entries.len() && entries[i].key.0 == key {
-                run.values.push((entries[i].key.1, entries[i].count));
-                i += 1;
-            }
-            run.values[start..].sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            run.keys.push(key);
-            run.offsets.push(run.values.len());
-        }
-        run
+    #[inline]
+    fn push_ranked(run: &mut Self::RankedRun, key: Self, files: &[(FileId, u64)]) {
+        run.keys.push(key);
+        run.values.extend_from_slice(files);
+        run.offsets.push(run.values.len());
     }
 
     fn finalize_counts(
@@ -188,23 +174,9 @@ impl SeqKey for Sequence {
         super::exec::sequence_hash(self)
     }
 
-    fn ranked_run_from_entries(entries: Vec<CountEntry<(Self, FileId)>>) -> Self::RankedRun {
-        let mut rows: Vec<(Sequence, Vec<(FileId, u64)>)> = Vec::new();
-        let mut iter = entries.into_iter().peekable();
-        while let Some(e) = iter.next() {
-            let (key, file) = e.key;
-            let mut files = vec![(file, e.count)];
-            while let Some(next) = iter.peek() {
-                if next.key.0 != key {
-                    break;
-                }
-                let n = iter.next().expect("peeked entry present");
-                files.push((n.key.1, n.count));
-            }
-            files.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            rows.push((key, files));
-        }
-        rows
+    #[inline]
+    fn push_ranked(run: &mut Self::RankedRun, key: Self, files: &[(FileId, u64)]) {
+        run.push((key, files.to_vec()));
     }
 
     fn finalize_counts(

@@ -98,6 +98,15 @@ pub struct PhaseTimings {
     /// Recorded by the fine-grained finalizers; the sequential path, which
     /// interleaves result construction with the scan, leaves it zero.
     pub finalize: Duration,
+    /// Portion of `traversal` the sharded tasks spend in the claim loop:
+    /// workers scanning work items into their private shard buffers
+    /// (self-compactions included), as the wall time of that pool epoch.
+    /// Zero for `termVector` and the sequential path, which shard nothing.
+    pub scan: Duration,
+    /// Portion of `traversal` the sharded tasks spend merging each shard's
+    /// per-worker buffers and turning the merged entries into the shard's
+    /// run, as the wall time of that pool epoch.  Zero where `scan` is.
+    pub shard_merge: Duration,
     /// `true` when every shared artifact the task needed was served from a
     /// warm session cache (nothing was computed this run), or the whole
     /// output came from the results cache.  Always `false` for

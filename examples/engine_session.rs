@@ -77,6 +77,22 @@ fn main() {
         );
     }
 
+    // Where a warm traversal goes: the sharded tasks break it into the scan
+    // epoch, the shard-merge epoch and the finalize (termVector shards
+    // nothing and reports zero for the first two).
+    println!("\n== warm traversal, by stage ==");
+    for (task, exec) in Task::ALL.into_iter().zip(&warm) {
+        let t = &exec.timings;
+        println!(
+            "{:<22} traversal {:>8.1} µs = scan {:>8.1} + shard merge {:>8.1} + finalize {:>8.1} + rest",
+            task.name(),
+            t.traversal.as_secs_f64() * 1e6,
+            t.scan.as_secs_f64() * 1e6,
+            t.shard_merge.as_secs_f64() * 1e6,
+            t.finalize.as_secs_f64() * 1e6,
+        );
+    }
+
     println!(
         "\npool dispatched {} barrier epochs over the whole session — one \
          thread spawn per worker, ever",

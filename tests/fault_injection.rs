@@ -77,10 +77,14 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 assert_eq!(&faulted.output, oracle, "{label}: degraded output");
                 match faulted.timings.degraded {
                     Some(Degradation::WorkerPanic) => fired += 1,
-                    // `merge-fold` only fires for tasks that merge shard
-                    // buffers (termVector merges by scatter); the other two
-                    // sites sit on every task's path.
-                    None => assert_eq!(site, "merge-fold", "{label}: must have degraded"),
+                    // `merge-fold` fires for every task that merges shard
+                    // buffers — the four sharded kernels — and only
+                    // termVector (which merges by scatter) passes it by; the
+                    // other two sites sit on every task's path.
+                    None => assert!(
+                        site == "merge-fold" && task == Task::TermVector,
+                        "{label}: must have degraded"
+                    ),
                 }
                 failpoints::reset();
                 // The *same* engine keeps serving on the (healed) fine path.
