@@ -148,12 +148,7 @@ pub fn run_cell(prepared: &PreparedDataset, task: Task, platform: &Platform) -> 
     cpu_init_work.merge(&tadoc::timing::WorkStats {
         elements_scanned: prepared.stats.compressed_elements as u64,
         table_ops: prepared.stats.num_rules as u64 * 2
-            + prepared
-                .dag
-                .local_words
-                .iter()
-                .map(|w| w.len() as u64)
-                .sum::<u64>(),
+            + prepared.dag.local_words_csr().data().len() as u64,
         bytes_moved: prepared.stats.compressed_elements as u64 * 8,
         ..Default::default()
     });

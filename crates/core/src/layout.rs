@@ -6,7 +6,7 @@
 //! traversal kernels need (in-/out-edge counts, per-rule element counts, root
 //! file segments).
 
-use sequitur::{Dag, RuleId, Symbol, TadocArchive, WordId};
+use sequitur::{Csr, Dag, RuleId, Symbol, TadocArchive, WordId};
 
 /// Flattened, GPU-friendly view of a [`TadocArchive`].
 #[derive(Debug, Clone)]
@@ -23,26 +23,12 @@ pub struct GpuLayout {
     /// `elem_offsets[r] .. elem_offsets[r+1]` is rule `r`'s slice of `elem_data`.
     pub elem_offsets: Vec<u32>,
 
-    /// Child rule ids (deduplicated), concatenated.
-    pub child_rules: Vec<u32>,
-    /// Occurrence frequency of each child, parallel to `child_rules`.
-    pub child_freqs: Vec<u32>,
-    /// CSR offsets into `child_rules` / `child_freqs`.
-    pub child_offsets: Vec<u32>,
-
-    /// Parent rule ids (deduplicated), concatenated.
-    pub parent_rules: Vec<u32>,
-    /// Occurrence frequency of the rule inside each parent, parallel to `parent_rules`.
-    pub parent_freqs: Vec<u32>,
-    /// CSR offsets into `parent_rules` / `parent_freqs`.
-    pub parent_offsets: Vec<u32>,
-
-    /// Local (direct) words of every rule, concatenated.
-    pub local_words: Vec<u32>,
-    /// Local word in-rule frequencies, parallel to `local_words`.
-    pub local_word_freqs: Vec<u32>,
-    /// CSR offsets into `local_words` / `local_word_freqs`.
-    pub local_word_offsets: Vec<u32>,
+    /// Row `r`: rule `r`'s deduplicated `(child, frequency)` pairs.
+    pub children: Csr<(RuleId, u32)>,
+    /// Row `r`: rule `r`'s deduplicated `(parent, frequency of r in it)` pairs.
+    pub parents: Csr<(RuleId, u32)>,
+    /// Row `r`: the `(word, in-rule frequency)` pairs of rule `r`'s body.
+    pub local_words: Csr<(WordId, u32)>,
 
     /// `rule.numInEdge` counting all distinct parents.
     pub num_in_edges: Vec<u32>,
@@ -66,64 +52,24 @@ pub struct GpuLayout {
     pub num_layers: usize,
 }
 
+/// The length of every row of a CSR offset column.
+fn row_lengths(offsets: &[u32]) -> Vec<u32> {
+    offsets.windows(2).map(|w| w[1] - w[0]).collect()
+}
+
 impl GpuLayout {
-    /// Builds the layout from an archive and its DAG.
+    /// Builds the layout from an archive and its DAG: the grammar's body
+    /// column is encoded, the DAG's columns are copied as they are.
     pub fn build(archive: &TadocArchive, dag: &Dag) -> Self {
         let grammar = &archive.grammar;
         let n = dag.num_rules;
+        let bodies = grammar.bodies();
 
-        let mut elem_data = Vec::with_capacity(grammar.total_elements());
-        let mut elem_offsets = Vec::with_capacity(n + 1);
-        elem_offsets.push(0u32);
-        for body in &grammar.rules {
-            for sym in body {
-                elem_data.push(sym.encode());
-            }
-            elem_offsets.push(elem_data.len() as u32);
-        }
-
-        let mut child_rules = Vec::new();
-        let mut child_freqs = Vec::new();
-        let mut child_offsets = Vec::with_capacity(n + 1);
-        child_offsets.push(0u32);
-        for r in 0..n {
-            for &(c, f) in &dag.children[r] {
-                child_rules.push(c);
-                child_freqs.push(f);
-            }
-            child_offsets.push(child_rules.len() as u32);
-        }
-
-        let mut parent_rules = Vec::new();
-        let mut parent_freqs = Vec::new();
-        let mut parent_offsets = Vec::with_capacity(n + 1);
-        parent_offsets.push(0u32);
-        let mut num_in_edges_excl_root = vec![0u32; n];
-        for (excl, parents) in num_in_edges_excl_root.iter_mut().zip(&dag.parents) {
-            for &(p, f) in parents {
-                parent_rules.push(p);
-                parent_freqs.push(f);
-                if p != 0 {
-                    *excl += 1;
-                }
-            }
-            parent_offsets.push(parent_rules.len() as u32);
-        }
-
-        let mut local_words = Vec::new();
-        let mut local_word_freqs = Vec::new();
-        let mut local_word_offsets = Vec::with_capacity(n + 1);
-        local_word_offsets.push(0u32);
-        for r in 0..n {
-            for &(w, f) in &dag.local_words[r] {
-                local_words.push(w);
-                local_word_freqs.push(f);
-            }
-            local_word_offsets.push(local_words.len() as u32);
-        }
-
+        let num_in_edges_excl_root = (0..n)
+            .map(|r| dag.parents(r).iter().filter(|&&(p, _)| p != 0).count() as u32)
+            .collect();
         let mut freq_in_root = vec![0u32; n];
-        for &(c, f) in &dag.children[0] {
+        for &(c, f) in dag.children(0) {
             freq_in_root[c as usize] = f;
         }
 
@@ -145,21 +91,15 @@ impl GpuLayout {
             num_rules: n,
             num_files: root_segments.len(),
             vocab_size: archive.vocabulary_size(),
-            elem_data,
-            elem_offsets,
-            child_rules,
-            child_freqs,
-            child_offsets,
-            parent_rules,
-            parent_freqs,
-            parent_offsets,
-            local_words,
-            local_word_freqs,
-            local_word_offsets,
-            num_in_edges: dag.num_in_edges.clone(),
+            elem_data: bodies.data().iter().map(|sym| sym.encode()).collect(),
+            elem_offsets: bodies.offsets().to_vec(),
+            children: dag.children_csr().clone(),
+            parents: dag.parents_csr().clone(),
+            local_words: dag.local_words_csr().clone(),
+            num_in_edges: row_lengths(dag.parents_csr().offsets()),
             num_in_edges_excl_root,
-            num_out_edges: dag.num_out_edges.clone(),
-            rule_lengths: dag.rule_lengths.clone(),
+            num_out_edges: row_lengths(dag.children_csr().offsets()),
+            rule_lengths: row_lengths(bodies.offsets()),
             expanded_lengths: grammar.rule_expanded_lengths(),
             freq_in_root,
             root_segments,
@@ -178,34 +118,19 @@ impl GpuLayout {
     /// Rule `r`'s `(child, freq)` pairs.
     #[inline]
     pub fn children(&self, r: RuleId) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let a = self.child_offsets[r as usize] as usize;
-        let b = self.child_offsets[r as usize + 1] as usize;
-        self.child_rules[a..b]
-            .iter()
-            .copied()
-            .zip(self.child_freqs[a..b].iter().copied())
+        self.children.row(r as usize).iter().copied()
     }
 
     /// Rule `r`'s `(parent, freq)` pairs.
     #[inline]
     pub fn parents(&self, r: RuleId) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let a = self.parent_offsets[r as usize] as usize;
-        let b = self.parent_offsets[r as usize + 1] as usize;
-        self.parent_rules[a..b]
-            .iter()
-            .copied()
-            .zip(self.parent_freqs[a..b].iter().copied())
+        self.parents.row(r as usize).iter().copied()
     }
 
     /// Rule `r`'s `(word, freq)` local word pairs.
     #[inline]
     pub fn local_word_pairs(&self, r: RuleId) -> impl Iterator<Item = (WordId, u32)> + '_ {
-        let a = self.local_word_offsets[r as usize] as usize;
-        let b = self.local_word_offsets[r as usize + 1] as usize;
-        self.local_words[a..b]
-            .iter()
-            .copied()
-            .zip(self.local_word_freqs[a..b].iter().copied())
+        self.local_words.row(r as usize).iter().copied()
     }
 
     /// Decoded symbols of rule `r` (convenience for host-side code and tests).
@@ -216,17 +141,13 @@ impl GpuLayout {
     /// Total size in bytes of the flattened arrays (what would be shipped over
     /// PCIe when the compressed data does not already reside on the device).
     pub fn device_bytes(&self) -> u64 {
+        // Each `(id, frequency)` pair is two `u32` words.
         let u32_len = self.elem_data.len()
             + self.elem_offsets.len()
-            + self.child_rules.len()
-            + self.child_freqs.len()
-            + self.child_offsets.len()
-            + self.parent_rules.len()
-            + self.parent_freqs.len()
-            + self.parent_offsets.len()
-            + self.local_words.len()
-            + self.local_word_freqs.len()
-            + self.local_word_offsets.len()
+            + [&self.children, &self.parents, &self.local_words]
+                .iter()
+                .map(|t| 2 * t.data().len() + t.offsets().len())
+                .sum::<usize>()
             + self.num_in_edges.len()
             + self.num_in_edges_excl_root.len()
             + self.num_out_edges.len()
@@ -253,12 +174,10 @@ impl GpuLayout {
             return Err("elem_offsets do not cover elem_data".into());
         }
         for r in 0..self.num_rules {
-            let kids = self.child_offsets[r + 1] - self.child_offsets[r];
-            if kids != self.num_out_edges[r] {
+            if self.children.row(r).len() != self.num_out_edges[r] as usize {
                 return Err(format!("rule {r}: child count != numOutEdge"));
             }
-            let parents = self.parent_offsets[r + 1] - self.parent_offsets[r];
-            if parents != self.num_in_edges[r] {
+            if self.parents.row(r).len() != self.num_in_edges[r] as usize {
                 return Err(format!("rule {r}: parent count != numInEdge"));
             }
         }
@@ -334,10 +253,7 @@ mod tests {
     fn element_decoding_roundtrips() {
         let (archive, _dag, layout) = build();
         for r in 0..layout.num_rules as u32 {
-            assert_eq!(
-                layout.decoded_elements(r),
-                archive.grammar.rules[r as usize]
-            );
+            assert_eq!(layout.decoded_elements(r), archive.grammar.rule(r as usize));
         }
     }
 
@@ -346,11 +262,11 @@ mod tests {
         let (_archive, dag, layout) = build();
         for r in 0..layout.num_rules as u32 {
             let kids: Vec<(u32, u32)> = layout.children(r).collect();
-            assert_eq!(kids, dag.children[r as usize]);
+            assert_eq!(kids, dag.children(r as usize));
             let parents: Vec<(u32, u32)> = layout.parents(r).collect();
-            assert_eq!(parents, dag.parents[r as usize]);
+            assert_eq!(parents, dag.parents(r as usize));
             let words: Vec<(u32, u32)> = layout.local_word_pairs(r).collect();
-            assert_eq!(words, dag.local_words[r as usize]);
+            assert_eq!(words, dag.local_words(r as usize));
         }
     }
 
@@ -368,7 +284,7 @@ mod tests {
     fn in_edges_excluding_root() {
         let (_archive, dag, layout) = build();
         for r in 0..layout.num_rules {
-            let excl: u32 = dag.parents[r].iter().filter(|&&(p, _)| p != 0).count() as u32;
+            let excl: u32 = dag.parents(r).iter().filter(|&&(p, _)| p != 0).count() as u32;
             assert_eq!(layout.num_in_edges_excl_root[r], excl);
         }
     }

@@ -105,8 +105,7 @@ impl Kernel for GenLocTblBoundKernel<'_> {
         if self.masks[r] == 0 {
             return;
         }
-        let local = self.layout.local_word_offsets[r + 1] - self.layout.local_word_offsets[r];
-        let mut bound = local as u64;
+        let mut bound = self.layout.local_words.row(r).len() as u64;
         for (sub, _freq) in self.layout.children(r as u32) {
             bound += self.bounds[sub as usize] as u64;
             ctx.global_read(4);
@@ -170,11 +169,7 @@ impl Kernel for GenLocTblKernel<'_> {
         let own_region = self.pool_regions[r].range();
         ctx.global_write(((own_region.end - own_region.start) * 4) as u64);
         local_table::init(&mut self.pool_storage[own_region]);
-        let lw_start = self.layout.local_word_offsets[r] as usize;
-        let lw_end = self.layout.local_word_offsets[r + 1] as usize;
-        for i in lw_start..lw_end {
-            let word = self.layout.local_words[i];
-            let count = self.layout.local_word_freqs[i];
+        for (word, count) in self.layout.local_word_pairs(r as u32) {
             let region = self.pool_regions[r].range();
             local_table::insert_add(&mut self.pool_storage[region], word, count);
             ctx.global_write(8);

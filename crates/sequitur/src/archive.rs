@@ -5,8 +5,9 @@
 //! decompression.  The on-disk format is a simple self-describing
 //! little-endian layout (no external serialization dependency).
 
+use crate::csr::Csr;
 use crate::dictionary::Dictionary;
-use crate::grammar::Grammar;
+use crate::grammar::{Grammar, SymbolScan};
 use crate::symbol::Symbol;
 use crate::{Error, Result};
 use std::io::{Read, Write};
@@ -79,7 +80,7 @@ impl TadocArchive {
 
     /// Serializes the archive into a byte vector.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.grammar.total_elements() * 4);
+        let mut out = Vec::with_capacity(self.compressed_size_bytes());
         out.extend_from_slice(MAGIC);
         put_u32(&mut out, VERSION);
 
@@ -99,13 +100,14 @@ impl TadocArchive {
         }
 
         // Grammar.
-        put_u32(&mut out, self.grammar.rules.len() as u32);
-        for body in &self.grammar.rules {
+        put_u32(&mut out, self.grammar.num_rules() as u32);
+        for body in self.grammar.rules() {
             put_u32(&mut out, body.len() as u32);
             for sym in body {
                 put_u32(&mut out, sym.encode());
             }
         }
+        debug_assert_eq!(out.len(), self.compressed_size_bytes());
         out
     }
 
@@ -148,23 +150,37 @@ impl TadocArchive {
             });
         }
 
+        // The grammar goes straight into its flat columns, and every symbol
+        // is checked as it is decoded.  What remains after the rule count is
+        // one length word per rule plus the symbols (exactly, for a
+        // well-formed archive), which bounds the symbol column.
         let rule_count = cur.count(4)?;
-        let mut rules = Vec::with_capacity(rule_count);
-        for _ in 0..rule_count {
+        let mut bodies =
+            Csr::with_capacity(rule_count, (cur.remaining() / 4).saturating_sub(rule_count));
+        let mut scan = SymbolScan::default();
+        for rule in 0..rule_count {
             let len = cur.count(4)?;
-            let mut body = Vec::with_capacity(len);
-            for _ in 0..len {
-                let raw = cur.u32()?;
+            let encoded = cur
+                .take(4 * len)?
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+            scan.visit(rule, encoded.clone().map(Symbol::encoded_parts), rule_count);
+            for raw in encoded {
                 let sym = Symbol::try_decode(raw)
                     .ok_or_else(|| Error::Corrupt(format!("invalid symbol tag in 0x{raw:08x}")))?;
-                body.push(sym);
+                bodies.push(sym);
             }
-            rules.push(body);
+            if bodies.data().len() > u32::MAX as usize {
+                return Err(Error::Corrupt(
+                    "grammar holds more than u32::MAX symbols".into(),
+                ));
+            }
+            bodies.end_row();
         }
 
         let archive = Self {
             dictionary,
-            grammar: Grammar::new(rules),
+            grammar: Grammar::from_scanned(bodies, scan),
             files,
         };
         archive.validate()?;
@@ -176,21 +192,19 @@ impl TadocArchive {
     /// the root, no cycle) and every word id against the dictionary.  An
     /// out-of-range word id would index past the per-word tables the
     /// analytics tasks size by the vocabulary.
+    ///
+    /// The grammar computes its verdict and its largest word id once, so
+    /// this is two cache reads — and it stays sound when a caller replaces
+    /// `dictionary` or `grammar` after loading.
     pub fn validate(&self) -> Result<()> {
         self.grammar.validate()?;
         let vocabulary = self.dictionary.len();
-        for (i, body) in self.grammar.rules.iter().enumerate() {
-            let stray = body
-                .iter()
-                .filter_map(|sym| sym.as_word())
-                .find(|&w| w as usize >= vocabulary);
-            if let Some(w) = stray {
-                return Err(Error::InvalidReference(format!(
-                    "rule {i} references word {w} but the dictionary holds {vocabulary} words"
-                )));
-            }
+        match self.grammar.max_word() {
+            Some((w, rule)) if w as usize >= vocabulary => Err(Error::InvalidReference(format!(
+                "rule {rule} references word {w} but the dictionary holds {vocabulary} words"
+            ))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Writes the archive to a file.
@@ -209,9 +223,23 @@ impl TadocArchive {
         Self::from_bytes(&bytes)
     }
 
-    /// Size of the serialized archive in bytes.
+    /// Size of the serialized archive in bytes, computed from the lengths
+    /// [`to_bytes`](Self::to_bytes) writes.
     pub fn compressed_size_bytes(&self) -> usize {
-        self.to_bytes().len()
+        let header = MAGIC.len() + 4;
+        let dictionary = 4 + self
+            .dictionary
+            .words()
+            .iter()
+            .map(|w| 4 + w.len())
+            .sum::<usize>();
+        let files = 4 + self
+            .files
+            .iter()
+            .map(|f| 4 + f.name.len() + 8 + 8)
+            .sum::<usize>();
+        let grammar = 4 + 4 * (self.grammar.num_rules() + self.grammar.total_elements());
+        header + dictionary + files + grammar
     }
 
     /// Total size of the original corpus in bytes (sum of recorded file sizes).
@@ -352,6 +380,18 @@ mod tests {
         assert_eq!(archive.original_size_bytes(), (30 + 22) as u64);
         assert_eq!(archive.num_files(), 2);
         assert_eq!(archive.vocabulary_size(), 6);
+    }
+
+    #[test]
+    fn compressed_size_is_the_serialized_length() {
+        let empty_root = compress_corpus(
+            &[("e".to_string(), String::new())],
+            CompressOptions::default(),
+        );
+        assert!(empty_root.grammar.root().is_empty());
+        for archive in [sample_archive(), empty_root] {
+            assert_eq!(archive.compressed_size_bytes(), archive.to_bytes().len());
+        }
     }
 
     #[test]

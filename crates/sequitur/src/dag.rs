@@ -6,29 +6,27 @@
 //! their working structures from this representation, so the two systems are
 //! guaranteed to interpret the compressed data identically.
 
-use crate::fxhash::FxHashMap;
+use crate::csr::Csr;
 use crate::grammar::Grammar;
 use crate::symbol::{RuleId, Symbol, WordId};
 
 /// A directed acyclic graph over grammar rules.
+///
+/// The edge and local-word tables are [`Csr`] columns indexed by rule id.
+/// Every row is ordered: children and local words by ascending id, parents
+/// by ascending parent id.
 #[derive(Debug, Clone)]
 pub struct Dag {
     /// Number of rules (nodes), root included.
     pub num_rules: usize,
-    /// For each rule, its distinct sub-rules with occurrence frequencies
+    /// Row `r`: the distinct sub-rules of `r` with occurrence frequencies
     /// (`rule.subRules` in Algorithm 1).
-    pub children: Vec<Vec<(RuleId, u32)>>,
-    /// For each rule, its distinct parents with occurrence frequencies.
-    pub parents: Vec<Vec<(RuleId, u32)>>,
-    /// `rule.numInEdge`: number of distinct parent rules.
-    pub num_in_edges: Vec<u32>,
-    /// Number of distinct child rules (used by the bottom-up traversal).
-    pub num_out_edges: Vec<u32>,
-    /// Local word table of each rule: distinct terminal words that appear
-    /// directly in the rule body, with their in-body frequencies.
-    pub local_words: Vec<Vec<(WordId, u32)>>,
-    /// Number of elements (symbols) in each rule body.
-    pub rule_lengths: Vec<u32>,
+    children: Csr<(RuleId, u32)>,
+    /// Row `r`: the distinct parents of `r` with the frequency of `r` in each.
+    parents: Csr<(RuleId, u32)>,
+    /// Row `r`: the distinct terminal words that appear directly in the body
+    /// of `r`, with their in-body frequencies.
+    local_words: Csr<(WordId, u32)>,
     /// DAG layer of each rule (root = 0, children of root = 1, ...), taking the
     /// longest path from the root so dependencies always span layers upward.
     pub layers: Vec<u32>,
@@ -38,46 +36,103 @@ pub struct Dag {
     pub topo_children_first: Vec<RuleId>,
 }
 
+/// Sorts `ids` and appends each run to the row under construction as an
+/// `(id, run length)` pair.
+fn push_sorted_counts(ids: &mut [u32], table: &mut Csr<(u32, u32)>) {
+    ids.sort_unstable();
+    for run in ids.chunk_by(|a, b| a == b) {
+        table.push((run[0], run.len() as u32));
+    }
+    table.end_row();
+}
+
+/// Appends every nonzero entry of the dense count array `counts` to the row
+/// under construction as an `(index, count)` pair, and zeroes it.
+fn drain_dense_counts(counts: &mut [u32], table: &mut Csr<(u32, u32)>) {
+    for (id, count) in counts.iter_mut().enumerate() {
+        if *count > 0 {
+            table.push((id as u32, std::mem::take(count)));
+        }
+    }
+    table.end_row();
+}
+
 impl Dag {
     /// Builds the DAG and all per-rule metadata from a grammar.
+    ///
+    /// Each body's children and local words are sorted and counted — or,
+    /// for a body at least an eighth as long as the rule and word id spaces
+    /// together (the root, typically), counted into dense arrays read back
+    /// in id order, which is linear where the sort is not.  Parents come
+    /// from counting every rule's in-degree and scattering the child rows in
+    /// rule order.  The children-first order is the grammar's own (computed
+    /// once per grammar).
+    ///
+    /// # Panics
+    /// Panics if a body references a rule that does not exist
+    /// ([`Grammar::validate`] rejects such a grammar).
     pub fn from_grammar(grammar: &Grammar) -> Self {
         let n = grammar.num_rules();
-        let mut children: Vec<Vec<(RuleId, u32)>> = vec![Vec::new(); n];
-        let mut parents: Vec<Vec<(RuleId, u32)>> = vec![Vec::new(); n];
-        let mut local_words: Vec<Vec<(WordId, u32)>> = vec![Vec::new(); n];
-        let mut rule_lengths = vec![0u32; n];
-
-        for (i, body) in grammar.rules.iter().enumerate() {
-            rule_lengths[i] = body.len() as u32;
-            let mut child_freq: FxHashMap<RuleId, u32> = FxHashMap::default();
-            let mut word_freq: FxHashMap<WordId, u32> = FxHashMap::default();
-            for sym in body {
-                match *sym {
-                    Symbol::Rule(r) => *child_freq.entry(r).or_insert(0) += 1,
-                    Symbol::Word(w) => *word_freq.entry(w).or_insert(0) += 1,
-                    Symbol::Splitter(_) => {}
+        let word_ids = grammar.max_word().map_or(0, |(w, _)| w as usize + 1);
+        let elements = grammar.total_elements();
+        let mut children = Csr::with_capacity(n, elements);
+        let mut local_words = Csr::with_capacity(n, elements);
+        let (mut kids, mut words): (Vec<RuleId>, Vec<WordId>) = (Vec::new(), Vec::new());
+        let (mut kid_counts, mut word_counts) = (Vec::new(), Vec::new());
+        for body in grammar.rules() {
+            if body.len() * 8 >= n + word_ids {
+                kid_counts.resize(n, 0u32);
+                word_counts.resize(word_ids, 0u32);
+                for &sym in body {
+                    match sym {
+                        Symbol::Rule(r) => kid_counts[r as usize] += 1,
+                        Symbol::Word(w) => word_counts[w as usize] += 1,
+                        Symbol::Splitter(_) => {}
+                    }
                 }
+                drain_dense_counts(&mut kid_counts, &mut children);
+                drain_dense_counts(&mut word_counts, &mut local_words);
+            } else {
+                kids.clear();
+                words.clear();
+                for &sym in body {
+                    match sym {
+                        Symbol::Rule(r) => kids.push(r),
+                        Symbol::Word(w) => words.push(w),
+                        Symbol::Splitter(_) => {}
+                    }
+                }
+                push_sorted_counts(&mut kids, &mut children);
+                push_sorted_counts(&mut words, &mut local_words);
             }
-            let mut kids: Vec<(RuleId, u32)> = child_freq.into_iter().collect();
-            kids.sort_unstable();
-            for &(c, f) in &kids {
-                parents[c as usize].push((i as RuleId, f));
-            }
-            children[i] = kids;
-            let mut words: Vec<(WordId, u32)> = word_freq.into_iter().collect();
-            words.sort_unstable();
-            local_words[i] = words;
         }
 
-        let num_in_edges: Vec<u32> = parents.iter().map(|p| p.len() as u32).collect();
-        let num_out_edges: Vec<u32> = children.iter().map(|c| c.len() as u32).collect();
+        // Parents: in-degree counts become offsets; scattering the child rows
+        // in ascending rule order leaves every parent row ascending.
+        let mut parent_offsets = vec![0u32; n + 1];
+        for &(c, _) in children.data() {
+            parent_offsets[c as usize + 1] += 1;
+        }
+        for r in 0..n {
+            parent_offsets[r + 1] += parent_offsets[r];
+        }
+        let mut cursor = parent_offsets.clone();
+        let mut parent_data = vec![(0, 0); children.data().len()];
+        for (r, row) in children.rows().enumerate() {
+            for &(c, f) in row {
+                let slot = &mut cursor[c as usize];
+                parent_data[*slot as usize] = (r as RuleId, f);
+                *slot += 1;
+            }
+        }
+        let parents = Csr::from_parts(parent_offsets, parent_data);
 
         // Layers: longest path from root, computed over a parents-first order.
-        let topo_children_first = grammar.topological_order_children_first();
+        let topo_children_first = grammar.topological_order_children_first().to_vec();
         let mut layers = vec![0u32; n];
         for &r in topo_children_first.iter().rev() {
             let layer = layers[r as usize];
-            for &(c, _) in &children[r as usize] {
+            for &(c, _) in children.row(r as usize) {
                 if layers[c as usize] < layer + 1 {
                     layers[c as usize] = layer + 1;
                 }
@@ -89,25 +144,58 @@ impl Dag {
             num_rules: n,
             children,
             parents,
-            num_in_edges,
-            num_out_edges,
             local_words,
-            rule_lengths,
             layers,
             num_layers,
             topo_children_first,
         }
     }
 
+    /// The distinct sub-rules of rule `r` with their occurrence frequencies,
+    /// ascending by rule id.
+    #[inline]
+    pub fn children(&self, r: usize) -> &[(RuleId, u32)] {
+        self.children.row(r)
+    }
+
+    /// The distinct parents of rule `r` with the frequency of `r` in each,
+    /// ascending by parent id.
+    #[inline]
+    pub fn parents(&self, r: usize) -> &[(RuleId, u32)] {
+        self.parents.row(r)
+    }
+
+    /// The local word table of rule `r`: the distinct words in its body with
+    /// their in-body frequencies, ascending by word id.
+    #[inline]
+    pub fn local_words(&self, r: usize) -> &[(WordId, u32)] {
+        self.local_words.row(r)
+    }
+
+    /// Every rule's [`children`](Self::children) as one column.
+    pub fn children_csr(&self) -> &Csr<(RuleId, u32)> {
+        &self.children
+    }
+
+    /// Every rule's [`parents`](Self::parents) as one column.
+    pub fn parents_csr(&self) -> &Csr<(RuleId, u32)> {
+        &self.parents
+    }
+
+    /// Every rule's [`local_words`](Self::local_words) as one column.
+    pub fn local_words_csr(&self) -> &Csr<(WordId, u32)> {
+        &self.local_words
+    }
+
     /// Rules directly referenced by the root ("level-2 nodes" in the paper).
     pub fn level2_nodes(&self) -> Vec<RuleId> {
-        self.children[0].iter().map(|&(c, _)| c).collect()
+        self.children(0).iter().map(|&(c, _)| c).collect()
     }
 
     /// Leaves: rules with no sub-rules.
     pub fn leaves(&self) -> Vec<RuleId> {
         (0..self.num_rules as u32)
-            .filter(|&r| self.children[r as usize].is_empty())
+            .filter(|&r| self.children(r as usize).is_empty())
             .collect()
     }
 
@@ -115,24 +203,13 @@ impl Dag {
     /// traversal after mask initialization).
     pub fn root_only_rules(&self) -> Vec<RuleId> {
         (1..self.num_rules as u32)
-            .filter(|&r| {
-                let p = &self.parents[r as usize];
-                p.len() == 1 && p[0].0 == 0
-            })
+            .filter(|&r| matches!(self.parents(r as usize), [(0, _)]))
             .collect()
     }
 
     /// Total number of (deduplicated) edges in the DAG.
     pub fn num_edges(&self) -> usize {
-        self.children.iter().map(|c| c.len()).sum()
-    }
-
-    /// Average number of elements per rule body.
-    pub fn avg_rule_length(&self) -> f64 {
-        if self.num_rules == 0 {
-            return 0.0;
-        }
-        self.rule_lengths.iter().map(|&l| l as u64).sum::<u64>() as f64 / self.num_rules as f64
+        self.children.data().len()
     }
 
     /// Number of "dependent middle-layer nodes": rules that are neither the
@@ -140,7 +217,7 @@ impl Dag {
     /// file to motivate the parallelism challenge).
     pub fn middle_layer_nodes(&self) -> usize {
         (1..self.num_rules)
-            .filter(|&r| !self.children[r].is_empty())
+            .filter(|&r| !self.children(r).is_empty())
             .count()
     }
 }
@@ -171,26 +248,28 @@ mod tests {
     #[test]
     fn children_with_frequencies() {
         let dag = Dag::from_grammar(&paper_grammar());
-        assert_eq!(dag.children[0], vec![(1, 2), (2, 1)]);
-        assert_eq!(dag.children[1], vec![(2, 2)]);
-        assert!(dag.children[2].is_empty());
+        assert_eq!(dag.children(0), &[(1, 2), (2, 1)]);
+        assert_eq!(dag.children(1), &[(2, 2)]);
+        assert!(dag.children(2).is_empty());
     }
 
     #[test]
     fn parents_mirror_children() {
         let dag = Dag::from_grammar(&paper_grammar());
-        assert_eq!(dag.parents[1], vec![(0, 2)]);
-        assert_eq!(dag.parents[2], vec![(0, 1), (1, 2)]);
-        assert_eq!(dag.num_in_edges, vec![0, 1, 2]);
-        assert_eq!(dag.num_out_edges, vec![2, 1, 0]);
+        assert_eq!(dag.parents(1), &[(0, 2)]);
+        assert_eq!(dag.parents(2), &[(0, 1), (1, 2)]);
+        let in_edges: Vec<usize> = (0..3).map(|r| dag.parents(r).len()).collect();
+        let out_edges: Vec<usize> = (0..3).map(|r| dag.children(r).len()).collect();
+        assert_eq!(in_edges, vec![0, 1, 2]);
+        assert_eq!(out_edges, vec![2, 1, 0]);
     }
 
     #[test]
     fn local_word_tables() {
         let dag = Dag::from_grammar(&paper_grammar());
-        assert_eq!(dag.local_words[0], vec![(1, 1)]);
-        assert_eq!(dag.local_words[1], vec![(3, 1), (4, 1)]);
-        assert_eq!(dag.local_words[2], vec![(1, 1), (2, 1)]);
+        assert_eq!(dag.local_words(0), &[(1, 1)]);
+        assert_eq!(dag.local_words(1), &[(3, 1), (4, 1)]);
+        assert_eq!(dag.local_words(2), &[(1, 1), (2, 1)]);
     }
 
     #[test]
@@ -213,10 +292,13 @@ mod tests {
 
     #[test]
     fn edge_and_length_statistics() {
-        let dag = Dag::from_grammar(&paper_grammar());
+        let grammar = paper_grammar();
+        let dag = Dag::from_grammar(&grammar);
         assert_eq!(dag.num_edges(), 3);
-        assert_eq!(dag.rule_lengths, vec![5, 4, 2]);
-        assert!((dag.avg_rule_length() - 11.0 / 3.0).abs() < 1e-9);
+        assert_eq!(dag.children_csr().offsets(), &[0, 2, 3, 3]);
+        assert_eq!(dag.parents_csr().offsets(), &[0, 0, 1, 3]);
+        // Body lengths 5, 4, 2 are the grammar's own offsets.
+        assert_eq!(grammar.bodies().offsets(), &[0, 5, 9, 11]);
     }
 
     #[test]
@@ -226,6 +308,6 @@ mod tests {
         assert_eq!(dag.num_rules, 1);
         assert_eq!(dag.num_layers, 1);
         assert_eq!(dag.leaves(), vec![0]);
-        assert_eq!(dag.local_words[0], vec![(0, 2)]);
+        assert_eq!(dag.local_words(0), &[(0, 2)]);
     }
 }

@@ -4,14 +4,20 @@
 //! small integer.  The dictionary is part of the compressed archive and is
 //! needed to print human-readable analytics results.
 
+use std::sync::OnceLock;
+
 use crate::fxhash::FxHashMap;
 use crate::WordId;
 
 /// Bidirectional mapping between words and dense integer ids.
+///
+/// The id → word direction is the word list itself.  The word → id index is
+/// built on first use: the write path ([`intern`](Self::intern)) keeps it
+/// from the start, a decoded dictionary builds it only if a lookup asks.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     words: Vec<String>,
-    index: FxHashMap<String, WordId>,
+    index: OnceLock<FxHashMap<String, WordId>>,
 }
 
 impl Dictionary {
@@ -24,24 +30,39 @@ impl Dictionary {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             words: Vec::with_capacity(n),
-            index: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            index: OnceLock::from(FxHashMap::with_capacity_and_hasher(n, Default::default())),
         }
+    }
+
+    fn ids_by_word(&self) -> &FxHashMap<String, WordId> {
+        self.index.get_or_init(|| {
+            let mut index =
+                FxHashMap::with_capacity_and_hasher(self.words.len(), Default::default());
+            for (i, w) in self.words.iter().enumerate() {
+                index.insert(w.clone(), i as WordId);
+            }
+            index
+        })
     }
 
     /// Interns `word`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, word: &str) -> WordId {
-        if let Some(&id) = self.index.get(word) {
+        if self.index.get_mut().is_none() {
+            self.ids_by_word();
+        }
+        let index = self.index.get_mut().expect("filled just above");
+        if let Some(&id) = index.get(word) {
             return id;
         }
         let id = self.words.len() as WordId;
         self.words.push(word.to_string());
-        self.index.insert(word.to_string(), id);
+        index.insert(word.to_string(), id);
         id
     }
 
     /// Looks up the id of `word` without inserting.
     pub fn get(&self, word: &str) -> Option<WordId> {
-        self.index.get(word).copied()
+        self.ids_by_word().get(word).copied()
     }
 
     /// Returns the word for `id`.
@@ -80,13 +101,13 @@ impl Dictionary {
         self.words.iter().map(|w| w.len()).sum()
     }
 
-    /// Rebuilds a dictionary from an ordered word list (used by deserialization).
+    /// Rebuilds a dictionary from an ordered word list (used by
+    /// deserialization).  The word → id index waits for the first lookup.
     pub fn from_words(words: Vec<String>) -> Self {
-        let mut index = FxHashMap::with_capacity_and_hasher(words.len(), Default::default());
-        for (i, w) in words.iter().enumerate() {
-            index.insert(w.clone(), i as WordId);
+        Self {
+            words,
+            index: OnceLock::new(),
         }
-        Self { words, index }
     }
 
     /// Borrow the ordered word list (used by serialization).
@@ -125,6 +146,14 @@ mod tests {
         assert_eq!(d.get("b"), Some(1));
         assert_eq!(d.word(2), "c");
         assert_eq!(d.len(), 3);
+    }
+
+    #[test]
+    fn interning_into_a_decoded_dictionary_sees_its_words() {
+        let mut d = Dictionary::from_words(vec!["a".into(), "b".into()]);
+        assert_eq!(d.intern("b"), 1);
+        assert_eq!(d.intern("c"), 2);
+        assert_eq!(d.get("c"), Some(2));
     }
 
     #[test]

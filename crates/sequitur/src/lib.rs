@@ -23,6 +23,7 @@
 
 pub mod archive;
 pub mod compress;
+pub mod csr;
 pub mod dag;
 pub mod dictionary;
 pub mod digram;
@@ -35,6 +36,7 @@ pub mod tokenizer;
 
 pub use archive::TadocArchive;
 pub use compress::{compress_corpus, compress_files, CompressOptions};
+pub use csr::Csr;
 pub use dag::Dag;
 pub use dictionary::Dictionary;
 pub use grammar::Grammar;

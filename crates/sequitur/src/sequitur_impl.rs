@@ -15,6 +15,7 @@
 //! left node.  That single discipline keeps the digram index consistent under
 //! all splicing operations.
 
+use crate::csr::Csr;
 use crate::digram::{Digram, DigramIndex, Sym};
 use crate::grammar::Grammar;
 use crate::symbol::Symbol;
@@ -370,12 +371,13 @@ impl Sequitur {
             }
         }
 
-        let mut rules: Vec<Vec<Symbol>> = Vec::with_capacity(next_id as usize);
+        // Every live node that is not a guard is one body element.
+        let elements = (self.nodes.len() - self.free_nodes.len()).saturating_sub(next_id as usize);
+        let mut bodies = Csr::with_capacity(next_id as usize, elements);
         for (i, slot) in self.rules.iter().enumerate() {
             if !slot.alive {
                 continue;
             }
-            let mut body = Vec::new();
             let guard = slot.guard;
             let mut cur = self.nodes[guard as usize].next;
             while cur != guard {
@@ -388,13 +390,14 @@ impl Sequitur {
                         Symbol::Rule(remap[r as usize])
                     }
                 };
-                body.push(sym);
+                bodies.push(sym);
                 cur = node.next;
             }
-            debug_assert_eq!(remap[i] as usize, rules.len());
-            rules.push(body);
+            debug_assert_eq!(remap[i] as usize, bodies.num_rows());
+            bodies.end_row();
         }
-        Grammar { rules }
+        debug_assert_eq!(bodies.data().len(), elements);
+        Grammar::from_bodies(bodies)
     }
 
     // ------------------------------------------------------------------
@@ -456,14 +459,14 @@ mod tests {
     #[test]
     fn empty_input() {
         let g = build_grammar(&[], 0);
-        assert_eq!(g.rules.len(), 1);
-        assert!(g.rules[0].is_empty());
+        assert_eq!(g.num_rules(), 1);
+        assert!(g.rule(0).is_empty());
     }
 
     #[test]
     fn single_token() {
         let g = roundtrip(&[7]);
-        assert_eq!(g.rules.len(), 1);
+        assert_eq!(g.num_rules(), 1);
     }
 
     #[test]
@@ -472,14 +475,14 @@ mod tests {
         let tokens = [1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4];
         let g = roundtrip(&tokens);
         // Sequitur must find the repeated structure: at least one shared rule.
-        assert!(g.rules.len() >= 2, "repetition should create rules");
+        assert!(g.num_rules() >= 2, "repetition should create rules");
     }
 
     #[test]
     fn repeated_pair_creates_rule() {
         let g = roundtrip(&[1, 2, 9, 1, 2]);
-        assert_eq!(g.rules.len(), 2);
-        assert_eq!(g.rules[1].len(), 2);
+        assert_eq!(g.num_rules(), 2);
+        assert_eq!(g.rule(1).len(), 2);
     }
 
     #[test]
@@ -491,7 +494,7 @@ mod tests {
     fn nested_repetition() {
         // abab abab -> hierarchy of rules
         let g = roundtrip(&[1, 2, 1, 2, 1, 2, 1, 2]);
-        assert!(g.rules.len() >= 2);
+        assert!(g.num_rules() >= 2);
     }
 
     #[test]
@@ -544,7 +547,7 @@ mod tests {
             tokens.extend_from_slice(&block);
         }
         let g = build_grammar(&tokens, 32);
-        let total: usize = g.rules.iter().map(|r| r.len()).sum();
+        let total = g.total_elements();
         assert!(
             total < tokens.len() / 4,
             "expected at least 4x element reduction, got {total} elements for {} tokens",

@@ -17,9 +17,15 @@ pub const PAYLOAD_BITS: u32 = 30;
 /// Maximum payload value an encoded symbol can carry.
 pub const MAX_PAYLOAD: u32 = (1 << PAYLOAD_BITS) - 1;
 
-const TAG_WORD: u32 = 0b00 << PAYLOAD_BITS;
-const TAG_RULE: u32 = 0b01 << PAYLOAD_BITS;
-const TAG_SPLIT: u32 = 0b10 << PAYLOAD_BITS;
+/// Symbol kinds as [`Symbol::parts`] reports them; also the 2-bit tag of
+/// the encoded form.  Tag `0b11` is unused.
+pub(crate) const KIND_WORD: u32 = 0b00;
+pub(crate) const KIND_RULE: u32 = 0b01;
+pub(crate) const KIND_SPLITTER: u32 = 0b10;
+
+const TAG_WORD: u32 = KIND_WORD << PAYLOAD_BITS;
+const TAG_RULE: u32 = KIND_RULE << PAYLOAD_BITS;
+const TAG_SPLIT: u32 = KIND_SPLITTER << PAYLOAD_BITS;
 const TAG_MASK: u32 = 0b11 << PAYLOAD_BITS;
 
 /// One element of a grammar rule body.
@@ -91,6 +97,23 @@ impl Symbol {
                 TAG_SPLIT | s
             }
         }
+    }
+
+    /// The symbol's kind (`KIND_*`) and payload.
+    #[inline]
+    pub(crate) fn parts(self) -> (u32, u32) {
+        match self {
+            Symbol::Word(w) => (KIND_WORD, w),
+            Symbol::Rule(r) => (KIND_RULE, r),
+            Symbol::Splitter(s) => (KIND_SPLITTER, s),
+        }
+    }
+
+    /// The kind and payload an encoded symbol carries, found without
+    /// branching on the kind (an unused tag yields kind `0b11`).
+    #[inline]
+    pub(crate) fn encoded_parts(raw: u32) -> (u32, u32) {
+        (raw >> PAYLOAD_BITS, raw & MAX_PAYLOAD)
     }
 
     /// Decodes a tagged 32-bit integer produced by [`Symbol::encode`].

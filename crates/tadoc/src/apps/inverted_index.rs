@@ -43,14 +43,14 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (InvertedIndexResult, PhaseTimi
         if rule_fw.is_empty() {
             continue;
         }
-        for &(w, _) in &dag.local_words[r] {
+        for &(w, _) in dag.local_words(r) {
             let entry = sets.entry(w).or_default();
             for &f in rule_fw.keys() {
                 entry.insert(f);
                 trav_work.table_ops += 1;
             }
         }
-        trav_work.elements_scanned += dag.rule_lengths[r] as u64;
+        trav_work.elements_scanned += archive.grammar.rule(r).len() as u64;
     }
 
     let rows: Vec<(WordId, Vec<FileId>)> = sets

@@ -42,13 +42,13 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (TermVectorResult, PhaseTimings
         if rule_fw.is_empty() {
             continue;
         }
-        for &(w, c) in &dag.local_words[r] {
+        for &(w, c) in dag.local_words(r) {
             for (&f, &occurrences) in rule_fw {
                 *acc[f as usize].entry(w).or_insert(0) += c as u64 * occurrences;
                 trav_work.table_ops += 1;
             }
         }
-        trav_work.elements_scanned += dag.rule_lengths[r] as u64;
+        trav_work.elements_scanned += archive.grammar.rule(r).len() as u64;
     }
 
     let vectors: Vec<Vec<(WordId, u64)>> = acc

@@ -16,12 +16,12 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (WordCountResult, PhaseTimings)
     let n = dag.num_rules;
     let mut tables: Vec<FxHashMap<WordId, u64>> = Vec::with_capacity(n);
     for r in 0..n {
-        let capacity = dag.local_words[r].len();
+        let capacity = dag.local_words(r).len();
         tables.push(FxHashMap::with_capacity_and_hasher(
             capacity,
             Default::default(),
         ));
-        init_work.elements_scanned += dag.rule_lengths[r] as u64;
+        init_work.elements_scanned += archive.grammar.rule(r).len() as u64;
         init_work.bytes_moved += capacity as u64 * 12;
     }
     let init = init_timer.elapsed();
@@ -32,11 +32,11 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (WordCountResult, PhaseTimings)
     for &r in &dag.topo_children_first {
         let ri = r as usize;
         let mut table = std::mem::take(&mut tables[ri]);
-        for &(w, c) in &dag.local_words[ri] {
+        for &(w, c) in dag.local_words(ri) {
             *table.entry(w).or_insert(0) += c as u64;
             trav_work.table_ops += 1;
         }
-        for &(child, freq) in &dag.children[ri] {
+        for &(child, freq) in dag.children(ri) {
             // Transmit the child's accumulated frequencies to this parent.
             for (&w, &cnt) in &tables[child as usize] {
                 *table.entry(w).or_insert(0) += cnt * freq as u64;
@@ -45,7 +45,7 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (WordCountResult, PhaseTimings)
             }
         }
         tables[ri] = table;
-        trav_work.elements_scanned += dag.rule_lengths[ri] as u64;
+        trav_work.elements_scanned += archive.grammar.rule(ri).len() as u64;
     }
     let counts = std::mem::take(&mut tables[0]);
     let traversal = trav_timer.elapsed();

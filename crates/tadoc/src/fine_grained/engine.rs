@@ -419,7 +419,7 @@ impl Analysis {
     ) -> &Vec<super::exec::Chunk> {
         self.fill(&self.word_chunks, charge, || {
             super::exec::chunk_ranges(
-                (0..dag.num_rules).map(|r| dag.local_words[r].len()),
+                (0..dag.num_rules).map(|r| dag.local_words(r).len()),
                 fcfg.chunk_elements,
             )
         })
@@ -435,7 +435,7 @@ impl Analysis {
         let segments = self.ensure_segments(grammar, charge);
         self.fill(&self.index_chunks, charge, || {
             let rule_chunks = super::exec::chunk_ranges(
-                (0..dag.num_rules).map(|r| if r == 0 { 0 } else { dag.local_words[r].len() }),
+                (0..dag.num_rules).map(|r| if r == 0 { 0 } else { dag.local_words(r).len() }),
                 fcfg.chunk_elements,
             );
             let seg_chunks = root_chunks(segments, fcfg.chunk_elements);
@@ -1022,12 +1022,20 @@ mod tests {
 
     #[test]
     fn builder_rejects_structurally_invalid_archives() {
-        use sequitur::Symbol;
+        use sequitur::{Grammar, Symbol};
         let (archive, dag) = build_archive();
+        // `archive` with `extra` appended to the root body.
+        let with_root_suffix = |extra: Symbol| {
+            let mut rules: Vec<Vec<Symbol>> = archive.grammar.rules().map(<[_]>::to_vec).collect();
+            rules[0].push(extra);
+            TadocArchive {
+                grammar: Grammar::new(rules),
+                ..archive.clone()
+            }
+        };
 
         // Out-of-range rule reference.
-        let mut corrupt = archive.clone();
-        corrupt.grammar.rules[0].push(Symbol::Rule(u32::MAX));
+        let corrupt = with_root_suffix(Symbol::Rule(u32::MAX));
         match Engine::builder(&corrupt, &dag).build().err() {
             Some(EngineError::InvalidArchive { reason }) => {
                 assert!(reason.contains("nonexistent"), "reason: {reason}")
@@ -1036,8 +1044,7 @@ mod tests {
         }
 
         // Cycle through the root.
-        let mut cyclic = archive.clone();
-        cyclic.grammar.rules[0].push(Symbol::Rule(0));
+        let cyclic = with_root_suffix(Symbol::Rule(0));
         assert!(matches!(
             Engine::builder(&cyclic, &dag).build().err(),
             Some(EngineError::InvalidArchive { .. })
@@ -1045,7 +1052,7 @@ mod tests {
 
         // Empty root: no corpus content to traverse.
         let mut empty = archive.clone();
-        empty.grammar.rules = vec![Vec::new()];
+        empty.grammar = Grammar::new(vec![Vec::new()]);
         let empty_dag = Dag::from_grammar(&empty.grammar);
         match Engine::builder(&empty, &empty_dag).build().err() {
             Some(EngineError::InvalidArchive { reason }) => {
@@ -1057,7 +1064,7 @@ mod tests {
         // A DAG that was not derived from this grammar.
         let (other_archive, _) = build_archive();
         let mut trimmed = other_archive.clone();
-        trimmed.grammar.rules = vec![vec![Symbol::Word(1), Symbol::Word(2)]];
+        trimmed.grammar = Grammar::new(vec![vec![Symbol::Word(1), Symbol::Word(2)]]);
         let foreign_dag = Dag::from_grammar(&trimmed.grammar);
         assert!(matches!(
             Engine::builder(&archive, &foreign_dag).build().err(),

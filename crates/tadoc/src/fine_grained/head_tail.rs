@@ -176,7 +176,7 @@ pub fn build_head_tail(
                 // earlier epoch and has no writer now.
                 unsafe {
                     let (h, t, s) = assemble_rule(
-                        &grammar.rules[r],
+                        grammar.rule(r),
                         expanded[r],
                         keep,
                         &head_slots,
@@ -222,7 +222,7 @@ mod tests {
         for level in &levels {
             for &r in level {
                 // All children must already be seen (they are in deeper layers).
-                for &(c, _) in &dag.children[r as usize] {
+                for &(c, _) in dag.children(r as usize) {
                     assert!(seen[c as usize], "child {c} of {r} not yet processed");
                 }
             }

@@ -214,7 +214,7 @@ fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> V
             if w == 0 {
                 return;
             }
-            for &(c, freq) in &dag.children[r] {
+            for &(c, freq) in dag.children(r) {
                 weights[c as usize].fetch_add(freq as u64 * w, Ordering::Relaxed);
             }
         });
@@ -287,7 +287,7 @@ fn parallel_file_weights(
                     // stays sorted without any sort + fold.
                     let mut contributors = 0usize;
                     let mut single: (u32, u32) = (0, 0);
-                    for &(p, freq) in &dag.parents[r] {
+                    for &(p, freq) in dag.parents(r) {
                         if p != 0 && !slots.get(p as usize).is_empty() {
                             contributors += 1;
                             single = (p, freq);
@@ -306,7 +306,7 @@ fn parallel_file_weights(
                             .collect()
                     } else {
                         let mut gathered: Vec<(FileId, u64)> = Vec::new();
-                        for &(p, freq) in &dag.parents[r] {
+                        for &(p, freq) in dag.parents(r) {
                             if p == 0 {
                                 continue; // already covered by the seed
                             }
@@ -389,7 +389,7 @@ impl Kernel for WordCount<'_> {
         if weight == 0 {
             return;
         }
-        for &(w, cnt) in &self.dag.local_words[r][c.begin as usize..c.end as usize] {
+        for &(w, cnt) in &self.dag.local_words(r)[c.begin as usize..c.end as usize] {
             out.route(w as u64)
                 .push(CountEntry::new(w, cnt as u64 * weight));
         }
@@ -477,7 +477,7 @@ impl Kernel for InvertedIndex<'_> {
                     _ => blocks.push((block, bit)),
                 }
             }
-            for &(w, _) in &self.dag.local_words[r][c.begin as usize..c.end as usize] {
+            for &(w, _) in &self.dag.local_words(r)[c.begin as usize..c.end as usize] {
                 let buf = out.route(w as u64);
                 for &(block, mask) in blocks.iter() {
                     buf.push(MaskEntry::new((w, block), mask));
@@ -688,7 +688,7 @@ pub(crate) fn build_term_vector_prep(
                     let r = buckets[layer][idx] as usize;
                     let o = occ[r];
                     row.push((r as u32, o));
-                    for &(c, freq) in &dag.children[r] {
+                    for &(c, freq) in dag.children(r) {
                         if occ[c as usize] == 0 {
                             buckets[dag.layers[c as usize] as usize].push(c);
                         }
@@ -717,7 +717,7 @@ pub(crate) fn build_term_vector_prep(
             let root_words = segments.get(f).map_or(0, |&(s, e)| (e - s) as u64);
             let local: u64 = csr
                 .entries(f)
-                .map(|(r, _)| dag.local_words[r as usize].len() as u64)
+                .map(|(r, _)| dag.local_words(r as usize).len() as u64)
                 .sum();
             root_words + local
         })
@@ -799,7 +799,7 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
                         // Rule-local words scaled by the rule's occurrences
                         // in `f`.
                         for (r, occ) in prep.csr.entries(f) {
-                            for &(w, c) in &dag.local_words[r as usize] {
+                            for &(w, c) in dag.local_words(r as usize) {
                                 if counts[w as usize] == 0 {
                                     touched.push(w);
                                 }
@@ -859,7 +859,7 @@ pub(crate) fn sequence_work_items(
     target: usize,
 ) -> Vec<SeqItem> {
     let body_lens =
-        (0..grammar.rules.len()).map(|r| if r == 0 { 0 } else { grammar.rules[r].len() });
+        (0..grammar.num_rules()).map(|r| if r == 0 { 0 } else { grammar.rule(r).len() });
     let mut items: Vec<SeqItem> = exec::chunk_ranges(body_lens, target)
         .into_iter()
         .map(|c| SeqItem::Rule {
@@ -907,7 +907,7 @@ impl<'e> SeqScan<'e> {
         let ht = self.head_tail();
         match item {
             SeqItem::Rule { r, begin, end } => {
-                let body = &self.grammar.rules[r];
+                let body = self.grammar.rule(r);
                 count_range_windows(body, ht, begin, end, body.len(), |words, _| emit(words));
             }
             SeqItem::Root(chunk) => count_root_chunk(self.grammar.root(), ht, chunk, emit),
@@ -1327,7 +1327,7 @@ mod tests {
         );
         // Window -> the most files any rule it is local to occurs in.
         let mut in_rules: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
-        for (r, body) in grammar.rules.iter().enumerate().skip(1) {
+        for (r, body) in grammar.rules().enumerate().skip(1) {
             sequences::count_rule_local(body, &ht, |words, _| {
                 let files = in_rules.entry(words.to_vec()).or_insert(0);
                 *files = (*files).max(fw[r].len());

@@ -562,7 +562,7 @@ mod tests {
         let weights = rule_weights(&dag, &mut Default::default());
 
         let mut counts: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
-        for (body, &weight) in archive.grammar.rules.iter().zip(&weights).skip(1) {
+        for (body, &weight) in archive.grammar.rules().zip(&weights).skip(1) {
             count_rule_local(body, &ht, |words, _| {
                 *counts.entry(words.to_vec()).or_insert(0) += weight;
             });
@@ -662,7 +662,7 @@ mod tests {
         let dag = Dag::from_grammar(&archive.grammar);
         for l in [1usize, 2, 3, 4] {
             let ht = head_tail(&archive, &dag, l);
-            for body in &archive.grammar.rules {
+            for body in archive.grammar.rules() {
                 let stream = build_stream(body, &ht, 0, body.len());
                 let mut expected: Vec<(Vec<u32>, u32)> = Vec::new();
                 count_stream_windows(&stream, l, |words, e| expected.push((words.to_vec(), e)));
@@ -725,7 +725,7 @@ mod tests {
         let dag = Dag::from_grammar(&archive.grammar);
         for l in [2usize, 3] {
             let ht = head_tail(&archive, &dag, l);
-            for body in archive.grammar.rules.iter().skip(1) {
+            for body in archive.grammar.rules().skip(1) {
                 let mut whole: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
                 count_rule_local(body, &ht, |words, _| {
                     *whole.entry(words.to_vec()).or_insert(0) += 1;

@@ -28,7 +28,7 @@ pub fn rule_weights(dag: &Dag, work: &mut WorkStats) -> Vec<u64> {
         if w == 0 {
             continue;
         }
-        for &(c, freq) in &dag.children[r as usize] {
+        for &(c, freq) in dag.children(r as usize) {
             weights[c as usize] += freq as u64 * w;
             work.elements_scanned += 1;
         }
@@ -94,7 +94,7 @@ pub fn file_weights(
         }
         let parent_weights: Vec<(FileId, u64)> =
             fw[r as usize].iter().map(|(&f, &c)| (f, c)).collect();
-        for &(c, freq) in &dag.children[r as usize] {
+        for &(c, freq) in dag.children(r as usize) {
             let entry = &mut fw[c as usize];
             for &(f, cnt) in &parent_weights {
                 *entry.entry(f).or_insert(0) += cnt * freq as u64;
@@ -150,7 +150,7 @@ fn stream_rule_words<F: FnMut(sequitur::WordId)>(
 ) {
     let mut stack: Vec<(RuleId, usize)> = vec![(rule, 0)];
     while let Some((r, idx)) = stack.pop() {
-        let body = &grammar.rules[r as usize];
+        let body = grammar.rule(r as usize);
         let mut i = idx;
         while i < body.len() {
             work.elements_scanned += 1;

@@ -25,9 +25,14 @@ fn main() {
 
     // Show the grammar, as in Figure 1 (d).
     println!("== grammar ==");
-    for (i, rule) in archive.grammar.rules.iter().enumerate() {
-        let body: Vec<String> = rule.iter().map(|s| s.to_string()).collect();
-        println!("R{i}: {}", body.join(" "));
+    for r in 0..archive.grammar.num_rules() {
+        let body: Vec<String> = archive
+            .grammar
+            .rule(r)
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        println!("R{r}: {}", body.join(" "));
     }
     println!();
 

@@ -9,6 +9,8 @@
 //!   sequential reference;
 //! * the grammar respects rule-utility and acyclicity invariants; the linear
 //!   cycle check agrees with the transitive-closure reference it replaced;
+//! * the flat grammar returns the bodies it was built from, and the CSR DAG
+//!   equals the nested per-rule DAG it replaced, field by field;
 //! * rule weights equal true expansion counts; file weights partition them;
 //! * the GPU hash table behaves like a map; the pool-backed local tables
 //!   behave like maps; the memory pool never overlaps regions;
@@ -495,9 +497,34 @@ fn word_ids_outside_the_dictionary_are_rejected() {
 
     let mut archive = TadocArchive::from_bytes(&sample_archive_bytes()).expect("valid archive");
     let vocabulary = archive.vocabulary_size() as u32;
-    archive.grammar.rules[0].push(Symbol::Word(vocabulary));
-    assert!(archive.validate().is_err());
+    let mut rules: Vec<Vec<Symbol>> = archive.grammar.rules().map(<[_]>::to_vec).collect();
+    rules[0].push(Symbol::Word(vocabulary));
+    archive.grammar = Grammar::new(rules);
+    assert!(matches!(
+        archive.validate(),
+        Err(sequitur::Error::InvalidReference(_))
+    ));
     let dag = Dag::from_grammar(&archive.grammar);
+    assert!(matches!(
+        Engine::builder(&archive, &dag).threads(2).build().err(),
+        Some(EngineError::InvalidArchive { .. })
+    ));
+}
+
+/// The grammar caches its verdict and its largest word id, not the
+/// dictionary's size: a smaller dictionary swapped in after a successful
+/// load is still caught at the engine door.
+#[test]
+fn a_dictionary_swapped_in_after_loading_is_checked_again() {
+    let mut archive = TadocArchive::from_bytes(&sample_archive_bytes()).expect("valid archive");
+    let dag = Dag::from_grammar(&archive.grammar);
+    assert!(Engine::builder(&archive, &dag).threads(2).build().is_ok());
+    let kept: Vec<String> = archive.dictionary.words()[..archive.vocabulary_size() - 1].to_vec();
+    archive.dictionary = Dictionary::from_words(kept);
+    assert!(matches!(
+        archive.validate(),
+        Err(sequitur::Error::InvalidReference(_))
+    ));
     assert!(matches!(
         Engine::builder(&archive, &dag).threads(2).build().err(),
         Some(EngineError::InvalidArchive { .. })
@@ -520,8 +547,7 @@ fn validate_rejects_cycles_wherever_they_sit() {
     // The same graphs arriving as bytes.
     for grammar in [&self_loop, &unreachable] {
         let rules: Vec<Vec<u32>> = grammar
-            .rules
-            .iter()
+            .rules()
             .map(|body| body.iter().map(|sym| sym.encode()).collect())
             .collect();
         let bytes = encode_archive(&["a"], &["f"], &rules);
@@ -534,18 +560,46 @@ fn validate_rejects_cycles_wherever_they_sit() {
 
 /// A 100k-rule chain R0 -> R1 -> ... -> R99999: validation must neither
 /// recurse (stack overflow) nor build per-rule reachability sets (the
-/// replaced closure needed ~5 * 10^9 set entries here).
+/// replaced closure needed ~5 * 10^9 set entries here), and the grammar it
+/// accepts must expand without recursing either.
 #[test]
 fn validate_handles_a_100k_rule_chain_in_linear_time() {
     const N: u32 = 100_000;
     let mut rules: Vec<Vec<Symbol>> = (1..N).map(|next| vec![Symbol::Rule(next)]).collect();
     rules.push(vec![Symbol::Word(0)]);
-    let mut chain = Grammar::new(rules);
+    let chain = Grammar::new(rules.clone());
     assert!(chain.validate().is_ok());
     assert_eq!(chain.topological_order_children_first().len(), N as usize);
+    assert_eq!(chain.expand_rule_words(0), vec![0]);
+    assert_eq!(chain.expand_files(), vec![vec![0]]);
+    let archive = archive_with_grammar(chain);
+    assert_eq!(
+        archive.decompress_files(),
+        vec![("f0".to_string(), "w0".to_string())]
+    );
     // Close the chain into one 100k-long cycle.
-    chain.rules[N as usize - 1] = vec![Symbol::Rule(0)];
-    assert!(chain.validate().is_err());
+    rules[N as usize - 1] = vec![Symbol::Rule(0)];
+    assert!(matches!(
+        Grammar::new(rules).validate(),
+        Err(sequitur::Error::Corrupt(_))
+    ));
+}
+
+/// An archive around `grammar` whose dictionary holds 64 words and whose
+/// metadata names one file per root segment.
+fn archive_with_grammar(grammar: Grammar) -> TadocArchive {
+    let files = (0..grammar.num_files().max(1))
+        .map(|i| sequitur::archive::FileMeta {
+            name: format!("f{i}"),
+            token_count: 0,
+            byte_size: 0,
+        })
+        .collect();
+    TadocArchive {
+        dictionary: Dictionary::from_words((0..64).map(|i| format!("w{i}")).collect()),
+        grammar,
+        files,
+    }
 }
 
 /// The validator this repository shipped before the back-edge DFS, kept as
@@ -554,9 +608,9 @@ fn validate_handles_a_100k_rule_chain_in_linear_time() {
 fn closure_finds_cycle(grammar: &Grammar) -> bool {
     use std::collections::BTreeSet;
     let mut reachable: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); grammar.num_rules()];
-    for r in grammar.topological_order_children_first() {
+    for &r in grammar.topological_order_children_first() {
         let mut set = BTreeSet::new();
-        for sym in &grammar.rules[r as usize] {
+        for sym in grammar.rule(r as usize) {
             if let Symbol::Rule(c) = *sym {
                 set.insert(c);
                 set.extend(reachable[c as usize].iter().copied());
@@ -570,40 +624,180 @@ fn closure_finds_cycle(grammar: &Grammar) -> bool {
     false
 }
 
+/// Rule bodies from a random draw: `(kind, pick)` is a word when `kind` is
+/// 0 and a rule reference otherwise, every reference in range and no
+/// splitters.  With `forward_only` every reference points to a
+/// higher-numbered rule, so the graph is acyclic by construction; otherwise
+/// it may point anywhere, self included.
+fn random_rules(bodies: &[Vec<(u32, u32)>], forward_only: bool) -> Vec<Vec<Symbol>> {
+    let n = bodies.len() as u32;
+    bodies
+        .iter()
+        .enumerate()
+        .map(|(i, body)| {
+            let i = i as u32;
+            body.iter()
+                .map(|&(kind, pick)| match kind {
+                    0 => Symbol::Word(pick),
+                    _ if forward_only && i + 1 == n => Symbol::Word(pick),
+                    _ if forward_only => Symbol::Rule(i + 1 + pick % (n - i - 1)),
+                    _ => Symbol::Rule(pick % n),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// What `Dag::from_grammar` built before the CSR columns, kept as the
+/// reference: per-rule hash-map counting into one vector per rule, parents
+/// pushed edge by edge, and a children-first order from its own DFS.
+struct NestedDag {
+    children: Vec<Vec<(u32, u32)>>,
+    parents: Vec<Vec<(u32, u32)>>,
+    local_words: Vec<Vec<(u32, u32)>>,
+    layers: Vec<u32>,
+    num_layers: usize,
+    order: Vec<u32>,
+}
+
+fn nested_dag(grammar: &Grammar) -> NestedDag {
+    use std::collections::HashMap;
+    /// Post-order DFS, recursive: the grammars under test are shallow.
+    fn visit(grammar: &Grammar, r: u32, state: &mut [bool], order: &mut Vec<u32>) {
+        state[r as usize] = true;
+        for sym in grammar.rule(r as usize) {
+            if let Symbol::Rule(c) = *sym {
+                if !state[c as usize] {
+                    visit(grammar, c, state, order);
+                }
+            }
+        }
+        order.push(r);
+    }
+
+    let n = grammar.num_rules();
+    let mut children: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    let mut parents: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    let mut local_words: Vec<Vec<(u32, u32)>> = vec![Vec::new(); n];
+    for (i, body) in grammar.rules().enumerate() {
+        let mut child_freq: HashMap<u32, u32> = HashMap::new();
+        let mut word_freq: HashMap<u32, u32> = HashMap::new();
+        for sym in body {
+            match *sym {
+                Symbol::Rule(r) => *child_freq.entry(r).or_insert(0) += 1,
+                Symbol::Word(w) => *word_freq.entry(w).or_insert(0) += 1,
+                Symbol::Splitter(_) => {}
+            }
+        }
+        let mut kids: Vec<(u32, u32)> = child_freq.into_iter().collect();
+        kids.sort_unstable();
+        for &(c, f) in &kids {
+            parents[c as usize].push((i as u32, f));
+        }
+        children[i] = kids;
+        let mut words: Vec<(u32, u32)> = word_freq.into_iter().collect();
+        words.sort_unstable();
+        local_words[i] = words;
+    }
+    let mut state = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    for r in 0..n as u32 {
+        if !state[r as usize] {
+            visit(grammar, r, &mut state, &mut order);
+        }
+    }
+    let mut layers = vec![0u32; n];
+    for &r in order.iter().rev() {
+        for &(c, _) in &children[r as usize] {
+            layers[c as usize] = layers[c as usize].max(layers[r as usize] + 1);
+        }
+    }
+    let num_layers = layers.iter().copied().max().unwrap_or(0) as usize + 1;
+    NestedDag {
+        children,
+        parents,
+        local_words,
+        layers,
+        num_layers,
+        order,
+    }
+}
+
+fn check_dag_matches_the_nested_reference(grammar: &Grammar) -> Result<(), TestCaseError> {
+    let dag = Dag::from_grammar(grammar);
+    let reference = nested_dag(grammar);
+    prop_assert_eq!(dag.num_rules, grammar.num_rules());
+    for r in 0..dag.num_rules {
+        prop_assert_eq!(
+            dag.children(r),
+            reference.children[r].as_slice(),
+            "children of {}",
+            r
+        );
+        prop_assert_eq!(
+            dag.parents(r),
+            reference.parents[r].as_slice(),
+            "parents of {}",
+            r
+        );
+        prop_assert_eq!(
+            dag.local_words(r),
+            reference.local_words[r].as_slice(),
+            "words of {}",
+            r
+        );
+    }
+    prop_assert_eq!(&dag.layers, &reference.layers);
+    prop_assert_eq!(dag.num_layers, reference.num_layers);
+    prop_assert_eq!(&dag.topo_children_first, &reference.order);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    // Random rule graphs with every reference in range and no splitters, so
-    // a cycle is the only reason to reject.  `forward_only` graphs reference
-    // higher-numbered rules only and are acyclic by construction; the rest
-    // reference any rule (self included) and are mostly cyclic — both
+    // A cycle is the only reason to reject a `random_rules` graph; the
+    // forward-only half is acyclic and the rest mostly cyclic, so both
     // verdicts are exercised.
     #[test]
     fn linear_cycle_check_agrees_with_the_closure_reference(
         bodies in vec(vec((0u32..4, 0u32..64), 0..5), 1..12),
         forward_only in 0u32..2,
     ) {
-        let n = bodies.len() as u32;
-        let rules: Vec<Vec<Symbol>> = bodies
-            .iter()
-            .enumerate()
-            .map(|(i, body)| {
-                let i = i as u32;
-                body.iter()
-                    .map(|&(kind, pick)| match kind {
-                        0 => Symbol::Word(pick),
-                        _ if forward_only == 1 && i + 1 == n => Symbol::Word(pick),
-                        _ if forward_only == 1 => Symbol::Rule(i + 1 + pick % (n - i - 1)),
-                        _ => Symbol::Rule(pick % n),
-                    })
-                    .collect()
-            })
-            .collect();
-        let grammar = Grammar::new(rules);
+        let grammar = Grammar::new(random_rules(&bodies, forward_only == 1));
         let cyclic = closure_finds_cycle(&grammar);
-        prop_assert_eq!(grammar.validate().is_err(), cyclic, "grammar {:?}", grammar.rules);
+        prop_assert_eq!(grammar.validate().is_err(), cyclic, "grammar {:?}", grammar);
         if forward_only == 1 {
             prop_assert!(!cyclic, "forward-only graphs are acyclic");
         }
+    }
+
+    // On valid grammars the flat load path gives back exactly what it was
+    // given, and the CSR DAG equals the nested reference field by field.
+    #[test]
+    fn flat_grammar_and_csr_dag_equal_the_nested_forms(
+        bodies in vec(vec((0u32..4, 0u32..64), 0..5), 1..12),
+    ) {
+        let rules = random_rules(&bodies, true);
+        let grammar = Grammar::new(rules.clone());
+        prop_assert_eq!(grammar.num_rules(), rules.len());
+        for (r, body) in rules.iter().enumerate() {
+            prop_assert_eq!(grammar.rule(r), body.as_slice());
+        }
+        let archive = archive_with_grammar(grammar);
+        let restored = TadocArchive::from_bytes(&archive.to_bytes()).expect("a valid grammar decodes");
+        prop_assert_eq!(&restored.grammar, &archive.grammar);
+        check_dag_matches_the_nested_reference(&restored.grammar)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // The same on compressor output, whose roots carry splitters.
+    #[test]
+    fn csr_dag_equals_the_nested_reference_on_compressed_corpora(files in token_files()) {
+        let archive = archive_from_tokens(&files);
+        check_dag_matches_the_nested_reference(&archive.grammar)?;
     }
 }
