@@ -5,9 +5,9 @@
 //!
 //! * [`shard`] — append-and-compact shard buffers ([`shard::ShardBuf`]) for
 //!   the sharded lock-free merges: workers append `(key, value)` entries per
-//!   hash shard, merges do one sort + fold per shard;
-//! * [`mix64`] — the full-avalanche finalizer that routes keys to shards
-//!   (and that `gtadoc`'s hash tables hash with, so there is one definition).
+//!   key-range bucket, merges do one sort + fold per bucket;
+//! * [`mix64`] — the full-avalanche finalizer `gtadoc`'s hash tables hash
+//!   with (one definition for the workspace).
 //!
 //! The paper's memory pool and flat per-rule tables (Section IV-C, Figure 5)
 //! are a *GPU* design and live with their only caller, the simulated GPU
@@ -18,7 +18,7 @@
 pub mod shard;
 
 /// SplitMix64 finalizer: a full-avalanche mix so that *every* output bit used
-/// for shard and bucket selection depends on every input bit.  (A bare
+/// for bucket selection depends on every input bit.  (A bare
 /// multiplicative hash leaves the low bits a function of only the low input
 /// bits, which makes packed multi-word sequence keys — identical last word,
 /// different prefix — collide into the same bucket and degenerate into long

@@ -1,8 +1,8 @@
 //! Append-and-compact shard buffers for lock-free sharded merges.
 //!
 //! The fine-grained engines accumulate per-worker partial results and merge
-//! them by hash shard: every key shard is owned by exactly one merge worker,
-//! so the merges need no synchronization.  Earlier revisions materialised the
+//! them by key-range bucket: every bucket is owned by exactly one merge
+//! worker, so the merges need no synchronization.  Earlier revisions materialised the
 //! per-worker shards as hash maps, paying a probe per *occurrence* on the
 //! traversal hot path and another per entry during the merge.  A [`ShardBuf`]
 //! replaces that with the design of the posting accumulators (append with
@@ -20,21 +20,23 @@
 //! The merge contract:
 //!
 //! 1. Workers append entries (duplicates allowed, any order) into one
-//!    `ShardBuf` per shard, routing each entry by its key hash (the caller's
-//!    `shard_of`).  Buffers self-compact, so a worker never holds more than
-//!    2× its distinct entries plus the compaction floor.
-//! 2. The per-shard buffers of all workers are handed to that shard's merge
-//!    worker, which calls [`ShardBuf::merge`] once: the pieces' sorted runs
-//!    are merged into one run sorted by key that contains **exactly one
-//!    entry per distinct key**, with equal-key entries combined by
-//!    [`ShardEntry::absorb`].
-//! 3. Because shards partition the key space, concatenating (or iterating)
-//!    the per-shard merge outputs yields every key exactly once.
+//!    `ShardBuf` per key-range bucket, routing each entry by its key's
+//!    leading part (the caller's cuts: a word id range per bucket).
+//!    Buffers self-compact, so a worker never holds more than 2× its
+//!    distinct entries plus the compaction floor.
+//! 2. The per-bucket buffers of all workers are handed to the merge worker
+//!    that owns the bucket, which calls [`ShardBuf::merge`] once per
+//!    bucket: the pieces' sorted runs are merged into one run sorted by key
+//!    that contains **exactly one entry per distinct key**, with equal-key
+//!    entries combined by [`ShardEntry::absorb`].
+//! 3. Because buckets partition the key space into ascending ranges,
+//!    concatenating the per-bucket merge outputs in bucket order yields
+//!    every key exactly once, in key order — no merge across buckets.
 //!
 //! ```
 //! use arena::shard::{CountEntry, ShardBuf};
 //!
-//! // Two workers accumulate counts for the same shard.
+//! // Two workers accumulate counts for the same bucket.
 //! let mut a = ShardBuf::default();
 //! a.push(CountEntry::new(7u32, 2));
 //! a.push(CountEntry::new(3, 1));
@@ -124,7 +126,8 @@ impl<K: Ord> ShardEntry for MaskEntry<K> {
     }
 }
 
-/// An append-mostly accumulation buffer for one hash shard of one worker.
+/// An append-mostly accumulation buffer for one key-range bucket of one
+/// worker.
 ///
 /// Entries are pushed with duplicates allowed — an append per occurrence is
 /// far cheaper than a hash probe per occurrence — and the buffer compacts
@@ -202,18 +205,18 @@ impl<T: ShardEntry> ShardBuf<T> {
         self.entries
     }
 
-    /// Merges the per-worker buffers of one shard: compacts every piece
-    /// into a sorted run and merges the runs, returning the shard's entries
+    /// Merges the per-worker buffers of one bucket: compacts every piece
+    /// into a sorted run and merges the runs, returning the bucket's entries
     /// sorted by key with exactly one entry per distinct key (see the module
     /// docs for the full contract).
     pub fn merge(pieces: Vec<ShardBuf<T>>) -> Vec<T> {
-        // Fault-injection site: a worker panicking mid-merge-fold, the
-        // hardest point for a dispatcher to recover from (partial shard
-        // state on other workers).
+        // Fault-injection site, once per bucket: a worker panicking
+        // mid-merge-fold, the hardest point for a dispatcher to recover
+        // from (partial bucket state on other workers).
         failpoints::fail_point!("merge-fold");
         let mut runs: Vec<Vec<T>> = pieces.into_iter().map(ShardBuf::into_sorted).collect();
         // Pairwise rounds, so an entry passes through ⌈log2(pieces)⌉ two-way
-        // merges however many workers fed the shard.
+        // merges however many workers fed the bucket.
         while runs.len() > 1 {
             let mut halved = Vec::with_capacity(runs.len().div_ceil(2));
             let mut pairs = runs.into_iter();

@@ -137,14 +137,12 @@ fn main() -> ExitCode {
             Ok(s) => {
                 println!(
                     "connections={} answered={} shed={} refused={} max_queue_depth={} \
-                     batches={} batched_queries={} protocol_errors={}",
+                     protocol_errors={}",
                     s.accepted_connections,
                     s.queries_answered,
                     s.shed,
                     s.refused,
                     s.max_queue_depth,
-                    s.batches,
-                    s.batched_queries,
                     s.protocol_errors,
                 );
                 ExitCode::SUCCESS

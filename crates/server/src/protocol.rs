@@ -196,9 +196,11 @@ pub struct StatsSnapshot {
     pub refused: u64,
     /// High-water mark of the admission queue depth.
     pub max_queue_depth: u64,
-    /// Batches drained from the admission queue.
+    /// Equals `queries_answered`: executors take one job per turn.  Kept
+    /// because the wire format carries it; it goes with the next wire
+    /// version bump.
     pub batches: u64,
-    /// Queries that left the queue in a drain of two or more.
+    /// Equals `queries_answered`, like `batches`, and goes with it.
     pub batched_queries: u64,
     /// Frames that failed to parse.
     pub protocol_errors: u64,

@@ -3,8 +3,8 @@
 //! Admission control beyond the engine's try-lock: handlers
 //! [`try_push`](AdmissionQueue::try_push) (never block, never grow the queue
 //! past its capacity — a full queue sheds the request immediately),
-//! executors [`drain`](AdmissionQueue::drain) up to a batch of work,
-//! blocking while the queue is empty and open.
+//! executors [`drain`](AdmissionQueue::drain) work (the server's executors
+//! take one job per turn), blocking while the queue is empty and open.
 //! [`close`](AdmissionQueue::close) wakes every
 //! waiting executor; drains after close still hand out the remaining
 //! admitted work (graceful shutdown = drain, then refuse), and return `None`

@@ -9,7 +9,7 @@
 //!            │                        │ try_push (shed on full)
 //!            │                        v
 //!            │                  AdmissionQueue (bounded)
-//!            │                        │ drain (batch)
+//!            │                        │ one job per executor turn
 //!            │                        v
 //!            └─ poke on shutdown  executors ──> shared Engine (&self)
 //! ```
@@ -23,9 +23,9 @@
 //! — a full queue sheds the request immediately with
 //! [`Response::Overloaded`].  Every admitted query carries its deadline and
 //! the server's drain [`CancelToken`] through [`Engine::run_with`] and is
-//! answered as soon as it is done, whatever else left the queue with it
-//! (the session's analysis layer already shares prerequisites between
-//! queries).
+//! answered as soon as it is done; an executor takes one job per turn (the
+//! session's analysis layer already shares prerequisites between
+//! queries, so there is nothing to gain from batching them).
 //!
 //! Graceful shutdown (a [`Request::Shutdown`] frame or
 //! [`ServerHandle::shutdown`]): the acceptor stops, open connections close
@@ -66,8 +66,6 @@ pub struct ServerConfig {
     pub executor_threads: usize,
     /// Admission queue capacity; a full queue sheds with `Overloaded`.
     pub queue_depth: usize,
-    /// Maximum queries one executor takes from the queue per drain.
-    pub batch_max: usize,
     /// Worker threads of the underlying engine session.
     pub engine_threads: usize,
     /// Whether the engine's results cache is enabled.
@@ -86,7 +84,6 @@ impl Default for ServerConfig {
             handler_threads: 4,
             executor_threads: 1,
             queue_depth: 64,
-            batch_max: 8,
             engine_threads: 2,
             results_cache: true,
             drain_timeout: Duration::from_secs(5),
@@ -136,8 +133,6 @@ struct Counters {
     shed: AtomicU64,
     refused: AtomicU64,
     max_queue_depth: AtomicU64,
-    batches: AtomicU64,
-    batched_queries: AtomicU64,
     protocol_errors: AtomicU64,
 }
 
@@ -147,14 +142,17 @@ impl Counters {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
+        let answered = self.queries_answered.load(Ordering::Relaxed);
         StatsSnapshot {
             accepted_connections: self.accepted_connections.load(Ordering::Relaxed),
-            queries_answered: self.queries_answered.load(Ordering::Relaxed),
+            queries_answered: answered,
             shed: self.shed.load(Ordering::Relaxed),
             refused: self.refused.load(Ordering::Relaxed),
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_queries: self.batched_queries.load(Ordering::Relaxed),
+            // Executors take one job per turn: every answered query was a
+            // turn of its own.
+            batches: answered,
+            batched_queries: answered,
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
         }
     }
@@ -334,7 +332,7 @@ impl Server {
                 .map(|_| {
                     let drain_cancel = drain_cancel.clone();
                     let (engine, queue) = (&engine, &queue);
-                    s.spawn(move || executor_loop(engine, queue, shared, config, &drain_cancel))
+                    s.spawn(move || executor_loop(engine, queue, shared, &drain_cancel))
                 })
                 .collect();
             let handlers: Vec<_> = (0..config.handler_threads.max(1))
@@ -586,28 +584,20 @@ fn write_response(
     write_frame(stream, &frame)
 }
 
-/// Executor thread: drains admitted queries and runs them on the shared
-/// engine session until the queue is closed **and** empty.
+/// Executor thread: takes one admitted query per turn and runs it on the
+/// shared engine session until the queue is closed **and** empty.  One job
+/// per turn, so a job never waits behind another one on a busy executor
+/// while a sibling executor idles.
 fn executor_loop(
     engine: &Engine<'_>,
     queue: &AdmissionQueue<Job>,
     shared: &Shared,
-    config: &ServerConfig,
     drain_cancel: &CancelToken,
 ) {
-    while let Some(batch) = queue.drain(config.batch_max) {
-        Counters::bump(&shared.counters.batches);
-        if batch.len() >= 2 {
-            shared
-                .counters
-                .batched_queries
-                .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        }
-        for job in batch {
-            let answer = run_one(engine, &job, drain_cancel);
-            Counters::bump(&shared.counters.queries_answered);
-            drop(job.reply.send(answer));
-        }
+    while let Some(job) = queue.drain(1).and_then(|mut one| one.pop()) {
+        let answer = run_one(engine, &job, drain_cancel);
+        Counters::bump(&shared.counters.queries_answered);
+        drop(job.reply.send(answer));
     }
 }
 

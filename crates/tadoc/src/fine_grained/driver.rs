@@ -2,31 +2,46 @@
 //!
 //! G-TADOC has *one* scheduling strategy — chunk-granular work items claimed
 //! dynamically (Section IV-B) — feeding *one* accumulation scheme — private
-//! per-worker buffers merged by statically owned hash shard (Figure 5).  The
-//! tasks differ only in what a work item emits and how a shard's sorted
+//! per-worker buffers merged by statically owned key range (Figure 5).  The
+//! tasks differ only in what a work item emits and how a bucket's sorted
 //! entries become result columns.  This module owns everything else:
 //!
 //! * [`claim_loop`] — the dynamic work-queue claim loop with its
 //!   once-per-claim cancel/deadline checkpoint;
-//! * [`run_sharded`] — claim loop → per-worker [`Shards`] routed by
-//!   [`exec::shard_of`] → shard transpose → one [`ShardBuf::merge`] per
-//!   shard on the pool → the kernel's finalizer;
+//! * [`run_sharded`] — claim loop → per-worker [`Shards`] routed by each
+//!   entry's leading word into key-range buckets → bucket transpose →
+//!   contiguous bucket groups of ≈ 1/threads of the entries, one per merge
+//!   worker, one [`ShardBuf::merge`] per bucket → the kernel's finalizer,
+//!   which concatenates the bucket runs: bucket order is key order;
 //! * [`run_phases`] — the phase clock (`init` / `shared_init` / `traversal`
 //!   / `finalize` / `warm`) that assembles the [`TaskExecution`].
 //!
 //! A task is a [`Kernel`].
+//!
+//! Buckets are cut at quantiles of the engine's word-mass column
+//! ([`exec::range_splitters`]), `BUCKETS_PER_THREAD` per worker, and the
+//! merge groups are cut by the entries the scan actually left
+//! ([`exec::partition_by_cost`]).  The limit: one leading word is one
+//! bucket, so a word that starts more than 1/threads of all entries is
+//! still merged by one worker — the answer is the same, that query slower.
 
-use super::engine::RunCharge;
+use super::engine::{FineCtx, RunCharge};
 use super::exec::{self, WorkerPool};
 use crate::apps::TaskExecution;
 use crate::results::AnalyticsOutput;
 use crate::timing::{PhaseTimings, Timer};
 use arena::shard::{ShardBuf, ShardEntry};
+use sequitur::WordId;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Work items per queue claim of a sharded traversal.
 const ITEMS_PER_CLAIM: usize = 16;
+
+/// Key-range buckets per pool worker: enough that the merge groups can be
+/// cut near 1/threads of the entries around a bucket heavier than the rest.
+/// A 1-thread pool routes everything into one bucket.
+const BUCKETS_PER_THREAD: usize = 8;
 
 /// What distinguishes one sharded task from another.  Built by the closure
 /// handed to [`run_sharded`], which is also where the task `ensure_*`s the
@@ -36,33 +51,36 @@ pub(crate) trait Kernel: Sized + Sync {
     type Entry: ShardEntry + Send;
     /// Per-worker scratch reused across work items (`()` when none).
     type Scratch: Default + Send;
-    /// One shard's columnar output.
+    /// One bucket's columnar output.
     type Run: Send;
 
     /// Size of the work-item space.
     fn items(&self) -> usize;
 
-    /// Scans work item `item`, routing what it emits into `out`.
-    fn scan(&self, item: usize, scratch: &mut Self::Scratch, out: &mut Shards<Self::Entry>);
+    /// Scans work item `item`, routing what it emits into `out` by each
+    /// entry's leading word.
+    fn scan(&self, item: usize, scratch: &mut Self::Scratch, out: &mut Shards<'_, Self::Entry>);
 
-    /// Turns one shard's sorted, duplicate-free entries into its run.
+    /// Turns one bucket's sorted, duplicate-free entries into its run.
     fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run;
 
-    /// Merges the key-disjoint shard runs into the ordered result.
-    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput;
+    /// Concatenates the bucket runs, which arrive in key order, into the
+    /// ordered result.
+    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput;
 }
 
-/// One worker's accumulation state: a [`ShardBuf`] per merge shard.
-pub(crate) struct Shards<E> {
+/// One worker's accumulation state: a [`ShardBuf`] per key-range bucket.
+pub(crate) struct Shards<'c, E> {
     bufs: Vec<ShardBuf<E>>,
+    /// The words at which buckets `1..` begin ([`exec::range_splitters`]).
+    cuts: &'c [WordId],
 }
 
-impl<E> Shards<E> {
-    /// The buffer of the shard that owns `hash` ([`exec::shard_of`]).
+impl<E> Shards<'_, E> {
+    /// The buffer of the bucket that owns the keys led by word `lead`.
     #[inline]
-    pub(crate) fn route(&mut self, hash: u64) -> &mut ShardBuf<E> {
-        let shard = exec::shard_of(hash, self.bufs.len());
-        &mut self.bufs[shard]
+    pub(crate) fn route(&mut self, lead: WordId) -> &mut ShardBuf<E> {
+        &mut self.bufs[self.cuts.partition_point(|&c| c <= lead)]
     }
 }
 
@@ -132,51 +150,84 @@ pub(crate) fn run_phases<P, T>(
 }
 
 /// Runs one sharded task: every worker scans claimed work items into its
-/// own [`Shards`], each shard's per-worker buffers are handed to exactly one
-/// merge worker (shards partition the key space, so the merges need no
-/// synchronization), and the kernel k-way merges the per-shard runs.  The
-/// two pool epochs of the traversal are timed apart as
-/// [`PhaseTimings::scan`] and [`PhaseTimings::shard_merge`].
+/// own [`Shards`], the buckets are grouped into one contiguous range per
+/// merge worker by the entries they hold, each worker merges its buckets in
+/// order (buckets partition the key space, so the merges need no
+/// synchronization), and the kernel concatenates the bucket runs.  The two
+/// pool epochs of the traversal are timed apart as [`PhaseTimings::scan`]
+/// and [`PhaseTimings::shard_merge`].
 pub(crate) fn run_sharded<K: Kernel>(
+    ctx: FineCtx<'_>,
     pool: &WorkerPool,
     prepare: impl FnOnce(&mut RunCharge) -> K,
 ) -> TaskExecution {
     let threads = pool.threads();
     let (mut scan, mut shard_merge) = (Duration::ZERO, Duration::ZERO);
+    let (mut merge_entries, mut largest_merge_group) = (0, 0);
     let mut exec = run_phases(
-        prepare,
-        |kernel| {
+        |charge| {
+            let mass = ctx.analysis.ensure_word_mass(ctx.archive, ctx.dag, charge);
+            let buckets = if threads == 1 {
+                1
+            } else {
+                BUCKETS_PER_THREAD * threads
+            };
+            (prepare(charge), exec::range_splitters(mass, buckets))
+        },
+        |(kernel, cuts)| {
             let scan_timer = Timer::start();
             let locals = claim_loop(
                 pool,
                 kernel.items(),
                 ITEMS_PER_CLAIM,
                 || {
-                    let bufs = (0..threads).map(|_| ShardBuf::default()).collect();
-                    (Shards { bufs }, K::Scratch::default())
+                    let bufs = (0..=cuts.len()).map(|_| ShardBuf::default()).collect();
+                    (Shards { bufs, cuts }, K::Scratch::default())
                 },
                 |(shards, scratch), item| kernel.scan(item, scratch, shards),
             );
             scan = scan_timer.elapsed();
-            // Transpose worker-major buffers into shard-major pieces so
-            // each merge worker owns its shard's data without cloning.
-            let mut by_shard: Vec<Vec<ShardBuf<K::Entry>>> =
-                (0..threads).map(|_| Vec::with_capacity(threads)).collect();
+            // Transpose worker-major buffers into bucket-major pieces so
+            // each merge worker owns its buckets' data without cloning.
+            let mut by_bucket: Vec<Vec<ShardBuf<K::Entry>>> = (0..=cuts.len())
+                .map(|_| Vec::with_capacity(threads))
+                .collect();
             for (shards, _) in locals {
-                for (pieces, buf) in by_shard.iter_mut().zip(shards.bufs) {
+                for (pieces, buf) in by_bucket.iter_mut().zip(shards.bufs) {
                     pieces.push(buf);
                 }
             }
+            let sizes: Vec<u64> = by_bucket
+                .iter()
+                .map(|pieces| pieces.iter().map(|buf| buf.len() as u64).sum())
+                .collect();
+            let groups = exec::partition_by_cost(&sizes, threads);
+            merge_entries = sizes.iter().sum();
+            largest_merge_group = groups
+                .iter()
+                .map(|g| sizes[g.clone()].iter().sum())
+                .max()
+                .unwrap_or(0);
+            let mut buckets = by_bucket.into_iter();
+            let inputs: Vec<Vec<_>> = groups
+                .iter()
+                .map(|g| buckets.by_ref().take(g.len()).collect())
+                .collect();
             let merge_timer = Timer::start();
-            let runs = pool.map_workers(by_shard, |_s, pieces| {
-                kernel.shard_run(ShardBuf::merge(pieces))
+            let runs = pool.map_workers(inputs, |_w, group| {
+                group
+                    .into_iter()
+                    .map(|pieces| kernel.shard_run(ShardBuf::merge(pieces)))
+                    .collect::<Vec<_>>()
             });
             shard_merge = merge_timer.elapsed();
-            runs
+            runs.into_iter().flatten().collect()
         },
-        |kernel, runs| kernel.finalize(runs, pool),
+        |(kernel, _), runs| kernel.finalize(runs),
     );
     exec.timings.scan = scan;
     exec.timings.shard_merge = shard_merge;
+    exec.timings.merge_entries = merge_entries;
+    exec.timings.largest_merge_group = largest_merge_group;
     exec
 }

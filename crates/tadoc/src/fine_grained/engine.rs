@@ -17,7 +17,7 @@
 //! the artifact kinds themselves — per session there is exactly one DAG
 //! level schedule, one rule-weight vector, one file-weight table, one
 //! term-vector CSR, one chunk decomposition (the chunk threshold is fixed
-//! at build time), and one head/tail buffer set *per sequence length* `l`
+//! at build time), one word-mass column, and one head/tail buffer set *per sequence length* `l`
 //! (the only per-query knob that shapes an artifact).
 //!
 //! Cold vs warm is observable:
@@ -332,6 +332,10 @@ pub(crate) struct Analysis {
     head_tail: Mutex<HeadTailSlots>,
     /// Sequence-task work items (rule-body chunks + root chunks).
     sequence_items: OnceLock<Vec<SeqItem>>,
+    /// Cumulative local-word mass: entry `w` sums the local occurrences of
+    /// the words below `w` over every rule.  The sharded tasks cut their
+    /// key-range buckets at its quantiles ([`super::exec::range_splitters`]).
+    word_mass: OnceLock<Vec<u64>>,
     /// Fill closures executed — one per computed artifact, never counting
     /// waiters or warm hits.
     fills: AtomicU64,
@@ -503,6 +507,28 @@ impl Analysis {
         let segments = self.ensure_segments(grammar, charge);
         self.fill(&self.sequence_items, charge, || {
             sequence_work_items(grammar, segments, fcfg.chunk_elements)
+        })
+    }
+
+    pub(crate) fn ensure_word_mass(
+        &self,
+        archive: &TadocArchive,
+        dag: &Dag,
+        charge: &mut RunCharge,
+    ) -> &Vec<u64> {
+        self.fill(&self.word_mass, charge, || {
+            let mut cum = vec![0u64; archive.vocabulary_size() + 1];
+            for r in 0..dag.num_rules {
+                for &(w, count) in dag.local_words(r) {
+                    cum[w as usize + 1] += count as u64;
+                }
+            }
+            let mut below = 0;
+            for slot in &mut cum {
+                below += *slot;
+                *slot = below;
+            }
+            cum
         })
     }
 }

@@ -27,23 +27,29 @@
 //!    memory pool live with the simulated GPU engine in `gtadoc`, where
 //!    dynamic allocation per thread is not an option; this engine probes
 //!    no hash table.)
-//! 3. **Sharded lock-free global merge over append-and-compact buffers.**
+//! 3. **Key-range lock-free global merge over append-and-compact buffers.**
 //!    Instead of the global table's bucket locks (Figure 5's
-//!    `lock`/`entries` buffers), the CPU merge assigns every key hash-shard
-//!    to exactly one worker ([`exec::shard_of`]), so the per-shard merges
-//!    run concurrently with no synchronization at all — contention is
-//!    resolved statically rather than with atomics.  Workers accumulate
-//!    their shards in [`arena::shard::ShardBuf`]s (an append per
-//!    occurrence; a compaction sorts and folds only what was pushed since
-//!    the last one and merges it into the sorted prefix), so no per-worker
-//!    hash maps are materialised on the traversal hot path, every entry is
-//!    sorted once, and each shard's merge is a merge of sorted runs.  This
-//!    scheme exists **once**, in
+//!    `lock`/`entries` buffers), every worker routes each entry by its
+//!    key's leading word into key-range buckets, cut once per query at
+//!    quantiles of the session's word-mass column
+//!    ([`exec::range_splitters`]), and each merge worker owns a contiguous
+//!    range of buckets holding ≈ 1/threads of the entries — so the
+//!    per-bucket merges run concurrently with no synchronization at all,
+//!    contention resolved statically rather than with atomics.  Workers
+//!    accumulate their buckets in [`arena::shard::ShardBuf`]s (an append
+//!    per occurrence; a compaction sorts and folds only what was pushed
+//!    since the last one and merges it into the sorted prefix), so no
+//!    per-worker hash maps are materialised on the traversal hot path,
+//!    every entry is sorted once, and each bucket's merge is a merge of
+//!    sorted runs.  Bucket order is key order, so finalize is a
+//!    concatenation ([`merge::concat`]).  This scheme exists **once**, in
 //!    `driver::run_sharded`; `wordCount`/`sort`, `invertedIndex`,
 //!    `sequenceCount` and `rankedInvertedIndex` are `driver::Kernel`s —
 //!    which artifacts they `ensure_*`, what a work item emits, how a
-//!    shard's sorted entries become its columnar run, which k-way merge
-//!    finalizes.
+//!    bucket's sorted entries become its columnar run, how the runs
+//!    concatenate into the result.  The limit: a single leading word is one
+//!    bucket, so a word that starts more than 1/threads of all entries is
+//!    merged by one worker — the answer is unchanged, that query slower.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
 //!    an oversized rule body (dataset B's root holds most of the corpus),
@@ -111,7 +117,7 @@ use engine::{FineCtx, RunCharge};
 use exec::{Chunk, DisjointSlots, WorkerPool};
 use file_csr::FileCsr;
 use head_tail::HeadTail;
-use merge::{par_merge_postings, par_merge_rows, PostingRun};
+use merge::PostingRun;
 use sequences::{count_range_windows, count_root_chunk, root_chunks, RootChunk, SeqKey};
 use sequitur::{Dag, Grammar, Symbol, TadocArchive, WordId};
 use std::marker::PhantomData;
@@ -171,20 +177,22 @@ pub(crate) fn run_fine_with_cache(
     let packed = sequences::can_pack(l, ctx.archive.vocabulary_size());
     match task {
         Task::WordCount | Task::Sort => {
-            run_sharded(pool, |charge| WordCount::new(ctx, task, pool, charge))
+            run_sharded(ctx, pool, |charge| WordCount::new(ctx, task, pool, charge))
         }
-        Task::InvertedIndex => run_sharded(pool, |charge| InvertedIndex::new(ctx, pool, charge)),
+        Task::InvertedIndex => {
+            run_sharded(ctx, pool, |charge| InvertedIndex::new(ctx, pool, charge))
+        }
         Task::TermVector => term_vector_fine(ctx, pool),
-        Task::SequenceCount if packed => run_sharded(pool, |charge| {
+        Task::SequenceCount if packed => run_sharded(ctx, pool, |charge| {
             SequenceCount::<u64>::new(ctx, l, pool, charge)
         }),
-        Task::SequenceCount => run_sharded(pool, |charge| {
+        Task::SequenceCount => run_sharded(ctx, pool, |charge| {
             SequenceCount::<Sequence>::new(ctx, l, pool, charge)
         }),
-        Task::RankedInvertedIndex if packed => {
-            run_sharded(pool, |charge| RankedIndex::<u64>::new(ctx, l, pool, charge))
-        }
-        Task::RankedInvertedIndex => run_sharded(pool, |charge| {
+        Task::RankedInvertedIndex if packed => run_sharded(ctx, pool, |charge| {
+            RankedIndex::<u64>::new(ctx, l, pool, charge)
+        }),
+        Task::RankedInvertedIndex => run_sharded(ctx, pool, |charge| {
             RankedIndex::<Sequence>::new(ctx, l, pool, charge)
         }),
     }
@@ -334,16 +342,10 @@ fn parallel_file_weights(
     fw
 }
 
-// The per-shard sorted runs `driver::run_sharded` hands to a kernel's
-// finalizer feed straight into the k-way merges of [`merge`] — there is no
-// hash-table collection step anywhere on the finalize path (the old
-// `collect_shard_rows` re-inserted every distinct key into an `FxHashMap`;
-// the `no-hash-finalize` xtask lint keeps it from coming back).
-
-/// The shard run of the counting kernels: sorted `(key, count)` rows.
-fn count_rows<K>(entries: Vec<CountEntry<K>>) -> Vec<(K, u64)> {
-    entries.into_iter().map(|e| (e.key, e.count)).collect()
-}
+// The bucket runs `run_sharded` hands to a kernel's finalizer arrive
+// in key order, so every finalizer is a concatenation — there is no merge
+// and no hash-table collection step anywhere on the finalize path (the
+// `no-hash-finalize` xtask lint keeps one from coming back).
 
 // ---------------------------------------------------------------------------
 // word count / sort
@@ -375,14 +377,14 @@ impl<'e> WordCount<'e> {
 impl Kernel for WordCount<'_> {
     type Entry = CountEntry<WordId>;
     type Scratch = ();
-    type Run = Vec<(WordId, u64)>;
+    type Run = Vec<Self::Entry>;
 
     fn items(&self) -> usize {
         self.chunks.len()
     }
 
     #[inline]
-    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
+    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
         let c = self.chunks[item];
         let r = c.item as usize;
         let weight = self.weights[r];
@@ -390,19 +392,21 @@ impl Kernel for WordCount<'_> {
             return;
         }
         for &(w, cnt) in &self.dag.local_words(r)[c.begin as usize..c.end as usize] {
-            out.route(w as u64)
-                .push(CountEntry::new(w, cnt as u64 * weight));
+            out.route(w).push(CountEntry::new(w, cnt as u64 * weight));
         }
     }
 
     fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        count_rows(entries)
+        entries
     }
 
-    /// Shards interleave in key order, so this is a real merge — but it
-    /// touches each row exactly once and probes nothing.
-    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
-        let (words, counts) = par_merge_rows(runs, pool).into_iter().unzip();
+    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
+        let rows = runs.iter().map(Vec::len).sum();
+        let (mut words, mut counts) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
+        for e in runs.into_iter().flatten() {
+            words.push(e.key);
+            counts.push(e.count);
+        }
         let wc = WordCountResult::from_sorted_columns(words, counts);
         if self.task == Task::WordCount {
             AnalyticsOutput::WordCount(wc)
@@ -462,7 +466,7 @@ impl Kernel for InvertedIndex<'_> {
     }
 
     #[inline]
-    fn scan(&self, item: usize, blocks: &mut Self::Scratch, out: &mut Shards<Self::Entry>) {
+    fn scan(&self, item: usize, blocks: &mut Self::Scratch, out: &mut Shards<'_, Self::Entry>) {
         if let Some(c) = self.rule_chunks.get(item) {
             let r = c.item as usize;
             if self.fw[r].is_empty() {
@@ -478,7 +482,7 @@ impl Kernel for InvertedIndex<'_> {
                 }
             }
             for &(w, _) in &self.dag.local_words(r)[c.begin as usize..c.end as usize] {
-                let buf = out.route(w as u64);
+                let buf = out.route(w);
                 for &(block, mask) in blocks.iter() {
                     buf.push(MaskEntry::new((w, block), mask));
                 }
@@ -487,7 +491,7 @@ impl Kernel for InvertedIndex<'_> {
             let c = self.seg_chunks[item - self.rule_chunks.len()];
             for sym in &self.root[c.begin..c.end] {
                 if let Symbol::Word(w) = *sym {
-                    out.route(w as u64)
+                    out.route(w)
                         .push(MaskEntry::new((w, c.file / 64), 1u64 << (c.file % 64)));
                 }
             }
@@ -528,8 +532,8 @@ impl Kernel for InvertedIndex<'_> {
         run
     }
 
-    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
-        let merged = par_merge_postings(runs, pool);
+    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
+        let merged = merge::concat(runs);
         AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
             merged.keys,
             merged.offsets,
@@ -936,14 +940,14 @@ impl<'e, K> SequenceCount<'e, K> {
 impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
     type Entry = CountEntry<K>;
     type Scratch = ();
-    type Run = Vec<(K, u64)>;
+    type Run = Vec<Self::Entry>;
 
     fn items(&self) -> usize {
         self.seq.items.len()
     }
 
     #[inline]
-    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
+    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
         let item = self.seq.items[item];
         let weight = match item {
             SeqItem::Rule { r, .. } => self.weights[r],
@@ -953,17 +957,25 @@ impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
             return;
         }
         self.seq.for_each_window(item, |words| {
-            let key = K::encode(words);
-            out.route(key.hash64()).push(CountEntry::new(key, weight));
+            out.route(words[0])
+                .push(CountEntry::new(K::encode(words), weight));
         });
     }
 
     fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        count_rows(entries)
+        entries
     }
 
-    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
-        AnalyticsOutput::SequenceCount(K::finalize_counts(self.seq.l, runs, pool))
+    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
+        let l = self.seq.l;
+        let rows = runs.iter().map(Vec::len).sum();
+        let mut keys = vec![0u32; rows * l];
+        let mut counts = Vec::with_capacity(rows);
+        for (slot, e) in keys.chunks_exact_mut(l).zip(runs.into_iter().flatten()) {
+            e.key.write_words(slot);
+            counts.push(e.count);
+        }
+        AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(l, keys, counts))
     }
 }
 
@@ -999,8 +1011,8 @@ impl PerFileCounts {
 /// says whose per-file occurrences scale it: a rule id, or `num_rules +
 /// file` for a window of that file's root segment.  That is the volume
 /// `sequenceCount` emits; the `windows × files` cross product exists only
-/// as additions into the shard owner's dense per-file scratch.  Sharding by
-/// the sequence key alone keeps all sources of one sequence in one shard.
+/// as additions into the shard owner's dense per-file scratch.  Routing by
+/// the window's first word keeps all sources of one sequence in one bucket.
 struct RankedIndex<'e, K> {
     seq: SeqScan<'e>,
     fw: &'e FileWeightLists,
@@ -1046,14 +1058,14 @@ impl<'e, K> RankedIndex<'e, K> {
 impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
     type Entry = CountEntry<(K, u32)>;
     type Scratch = ();
-    type Run = K::RankedRun;
+    type Run = PostingRun<K, (FileId, u64)>;
 
     fn items(&self) -> usize {
         self.seq.items.len()
     }
 
     #[inline]
-    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<Self::Entry>) {
+    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
         let item = self.seq.items[item];
         let source = match item {
             SeqItem::Rule { r, .. } if self.fw[r].is_empty() => return,
@@ -1061,9 +1073,8 @@ impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
             SeqItem::Root(chunk) => self.num_rules + chunk.file,
         };
         self.seq.for_each_window(item, |words| {
-            let key = K::encode(words);
-            out.route(key.hash64())
-                .push(CountEntry::new((key, source), 1));
+            out.route(words[0])
+                .push(CountEntry::new((K::encode(words), source), 1));
         });
     }
 
@@ -1074,7 +1085,7 @@ impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
     /// ascending file).  The scratch is one `u64` per file per shard owner,
     /// allocated here; cleanup costs the touched set.
     fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        let mut run = K::RankedRun::default();
+        let mut run = PostingRun::default();
         let mut per_file = PerFileCounts {
             counts: vec![0; self.num_files],
             touched: Vec::new(),
@@ -1089,13 +1100,24 @@ impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
             }
             per_file.drain_into(&mut postings);
             postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            K::push_ranked(&mut run, key, &postings);
+            run.push(key, &postings);
         }
         run
     }
 
-    fn finalize(self, runs: Vec<Self::Run>, pool: &WorkerPool) -> AnalyticsOutput {
-        AnalyticsOutput::RankedInvertedIndex(K::finalize_ranked(self.seq.l, runs, pool))
+    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
+        let l = self.seq.l;
+        let merged = merge::concat(runs);
+        let mut keys = vec![0u32; merged.len() * l];
+        for (slot, key) in keys.chunks_exact_mut(l).zip(&merged.keys) {
+            key.write_words(slot);
+        }
+        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+            l,
+            keys,
+            merged.offsets,
+            merged.values,
+        ))
     }
 }
 

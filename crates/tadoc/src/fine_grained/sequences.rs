@@ -15,10 +15,8 @@
 //! head/tail (or full short expansion) of each sub-rule (Figure 6), so no
 //! recursive expansion is ever needed.
 
-use super::exec::WorkerPool;
 use super::head_tail::HeadTail;
-use super::merge::{kway_merge_rows, par_merge_postings, par_merge_rows, PostingRun};
-use crate::results::{FileId, RankedInvertedIndexResult, Sequence, SequenceCountResult};
+use crate::results::{FileId, Sequence};
 use sequitur::Symbol;
 
 /// Maximum sequence length that can be packed into a 64-bit key
@@ -57,142 +55,40 @@ pub fn unpack_sequence_into(key: u64, out: &mut [u32]) {
 }
 
 /// A sortable key for sequence windows: either the packed 64-bit form
-/// (the hot path — no allocation per window) or the owned word vector.
-/// `Ord` is what the append-and-compact shard buffers sort and fold by;
-/// `Hash` routes keys to merge shards.
-///
-/// The key type also picks the *finalize* strategy that turns per-shard
-/// sorted runs into the ordered columnar results: packed `u64` keys merge
-/// with the parallel range-partitioned merges of [`super::merge`] and
-/// decode into the flat key arena afterwards (the packed form is
-/// MSB-first with a uniform length tag, so ascending `u64` order *is*
-/// ascending lexicographic word order for a fixed `l`); owned `Sequence`
-/// keys fall back to the serial move-based merge, which never clones a
-/// key vector.
-pub trait SeqKey: Eq + Ord + Clone + std::hash::Hash + Send {
-    /// Per-shard output of the ranked-inverted-index shard merge for this
-    /// key type: columnar [`PostingRun`]s for packed keys, owned rows for
-    /// the fallback.
-    type RankedRun: Send + Default;
-
+/// (the hot path — no allocation per window) or the owned word vector
+/// (when the window does not pack).  `Ord` is what the shard buffers sort
+/// and fold by, and in both forms it is the order of the words: the packed
+/// form is MSB-first with a uniform length tag, so ascending `u64` order
+/// *is* ascending lexicographic word order for a fixed `l`.  That is what
+/// lets a key-range bucket's run, routed by the window's first word, be a
+/// contiguous slice of the answer whichever form the keys take.
+pub trait SeqKey: Ord + Send {
     /// Encodes a window.
     fn encode(words: &[u32]) -> Self;
-    /// A 64-bit hash for merge sharding.
-    fn hash64(&self) -> u64;
-
-    /// Appends `key`'s finished posting list (already in rank order) to a
-    /// shard's ranked run.  The shard owner hands over keys in ascending
-    /// order, each exactly once.
-    fn push_ranked(run: &mut Self::RankedRun, key: Self, files: &[(FileId, u64)]);
-
-    /// Merges the per-shard `(key, count)` runs into the final ordered
-    /// [`SequenceCountResult`].
-    fn finalize_counts(
-        l: usize,
-        runs: Vec<Vec<(Self, u64)>>,
-        pool: &WorkerPool,
-    ) -> SequenceCountResult
-    where
-        Self: Sized;
-
-    /// Merges the per-shard ranked runs into the final ordered
-    /// [`RankedInvertedIndexResult`].
-    fn finalize_ranked(
-        l: usize,
-        runs: Vec<Self::RankedRun>,
-        pool: &WorkerPool,
-    ) -> RankedInvertedIndexResult
-    where
-        Self: Sized;
-}
-
-/// Decodes a merged packed-key column into the flat `u32` arena the
-/// columnar results store (`keys.len() * l` words, lexicographic order
-/// preserved because packed order equals word order for fixed `l`).
-fn unpack_key_column(keys: &[u64], l: usize) -> Vec<u32> {
-    let mut flat = vec![0u32; keys.len() * l];
-    for (i, &key) in keys.iter().enumerate() {
-        unpack_sequence_into(key, &mut flat[i * l..(i + 1) * l]);
-    }
-    flat
+    /// Writes the key's words into `out` (its length is the sequence
+    /// length).
+    fn write_words(&self, out: &mut [u32]);
 }
 
 impl SeqKey for u64 {
-    type RankedRun = PostingRun<u64, (FileId, u64)>;
-
     #[inline]
     fn encode(words: &[u32]) -> Self {
         pack_sequence(words)
     }
     #[inline]
-    fn hash64(&self) -> u64 {
-        *self
-    }
-
-    #[inline]
-    fn push_ranked(run: &mut Self::RankedRun, key: Self, files: &[(FileId, u64)]) {
-        run.keys.push(key);
-        run.values.extend_from_slice(files);
-        run.offsets.push(run.values.len());
-    }
-
-    fn finalize_counts(
-        l: usize,
-        runs: Vec<Vec<(Self, u64)>>,
-        pool: &WorkerPool,
-    ) -> SequenceCountResult {
-        let rows = par_merge_rows(runs, pool);
-        let mut keys = vec![0u32; rows.len() * l];
-        let mut counts = Vec::with_capacity(rows.len());
-        for (i, &(key, count)) in rows.iter().enumerate() {
-            unpack_sequence_into(key, &mut keys[i * l..(i + 1) * l]);
-            counts.push(count);
-        }
-        SequenceCountResult::from_sorted_columns(l, keys, counts)
-    }
-
-    fn finalize_ranked(
-        l: usize,
-        runs: Vec<Self::RankedRun>,
-        pool: &WorkerPool,
-    ) -> RankedInvertedIndexResult {
-        let merged = par_merge_postings(runs, pool);
-        let flat = unpack_key_column(&merged.keys, l);
-        RankedInvertedIndexResult::from_sorted_parts(l, flat, merged.offsets, merged.values)
+    fn write_words(&self, out: &mut [u32]) {
+        unpack_sequence_into(*self, out);
     }
 }
 
 impl SeqKey for Sequence {
-    type RankedRun = Vec<(Sequence, Vec<(FileId, u64)>)>;
-
     #[inline]
     fn encode(words: &[u32]) -> Self {
         words.to_vec()
     }
     #[inline]
-    fn hash64(&self) -> u64 {
-        super::exec::sequence_hash(self)
-    }
-
-    #[inline]
-    fn push_ranked(run: &mut Self::RankedRun, key: Self, files: &[(FileId, u64)]) {
-        run.push((key, files.to_vec()));
-    }
-
-    fn finalize_counts(
-        l: usize,
-        runs: Vec<Vec<(Self, u64)>>,
-        _pool: &WorkerPool,
-    ) -> SequenceCountResult {
-        SequenceCountResult::from_unsorted_pairs(l, kway_merge_rows(runs))
-    }
-
-    fn finalize_ranked(
-        l: usize,
-        runs: Vec<Self::RankedRun>,
-        _pool: &WorkerPool,
-    ) -> RankedInvertedIndexResult {
-        RankedInvertedIndexResult::from_unsorted_rows(l, kway_merge_rows(runs))
+    fn write_words(&self, out: &mut [u32]) {
+        out.copy_from_slice(self);
     }
 }
 

@@ -107,6 +107,13 @@ pub struct PhaseTimings {
     /// per-worker buffers and turning the merged entries into the shard's
     /// run, as the wall time of that pool epoch.  Zero where `scan` is.
     pub shard_merge: Duration,
+    /// Entries the scan left for the shard merge, over every key-range
+    /// bucket (duplicates a worker had not folded yet included).  Zero
+    /// where `scan` is.
+    pub merge_entries: u64,
+    /// The entries of the largest contiguous bucket group one merge worker
+    /// took; `merge_entries / threads` is the balanced share.
+    pub largest_merge_group: u64,
     /// `true` when every shared artifact the task needed was served from a
     /// warm session cache (nothing was computed this run), or the whole
     /// output came from the results cache.  Always `false` for

@@ -39,7 +39,7 @@ pub const RULES: &[&str] = &[
 
 /// Hash-table type names banned from the fine-grained finalize path.  The
 /// tentpole invariant is *zero hash probes after the traversal phase*: the
-/// per-shard sorted runs k-way merge straight into ordered columns, so any
+/// key-range bucket runs concatenate straight into ordered columns, so any
 /// hash map re-appearing on these files is the old finalizer growing back.
 const HASH_TYPES: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
 

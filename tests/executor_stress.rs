@@ -5,12 +5,22 @@
 //! with *many tiny levels* — the case that used to pay a thread-spawn per
 //! level and that exercises the epoch handshake thousands of times per run.
 //! Plus a file-skewed regression corpus for the CSR-based term-vector
-//! kernel, whose workers own statically partitioned file ranges.
+//! kernel, whose workers own statically partitioned file ranges, and a
+//! word-skewed corpus plus the balance of the merge groups for the sharded
+//! kernels, whose key-range buckets move between merge workers by size.
 
 mod common;
 
 use common::run_cold;
 use g_tadoc_repro::prelude::*;
+
+/// The kernels that route entries into key-range buckets.
+const SHARDED: [Task; 4] = [
+    Task::WordCount,
+    Task::InvertedIndex,
+    Task::SequenceCount,
+    Task::RankedInvertedIndex,
+];
 
 /// A corpus whose grammar is a deep chain: repeated doubling yields nested
 /// rules (each level referencing the previous), i.e. many near-empty DAG
@@ -119,5 +129,76 @@ fn term_vector_fine_matches_sequential_on_file_skew() {
             sequential.output,
             "termVector with {threads} threads diverges on the file-skewed corpus"
         );
+    }
+}
+
+/// Half of all tokens are one word, so one leading word starts half of all
+/// windows: its bucket outweighs every merge group's fair share.
+fn word_skewed_corpus() -> Vec<(String, String)> {
+    (0..12)
+        .map(|f| {
+            let text: Vec<String> = (0..600)
+                .map(|i| format!("the w{}", (i * 7 + f * 13) % (40 + f)))
+                .collect();
+            (format!("doc{f}"), text.join(" "))
+        })
+        .collect()
+}
+
+#[test]
+fn sharded_kernels_match_sequential_when_one_word_is_half_the_corpus() {
+    let corpus = word_skewed_corpus();
+    let archive = compress_corpus(&corpus, CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let files = archive.grammar.expand_files();
+    let the = files[0][0];
+    let share = files.iter().flatten().filter(|&&w| w == the).count();
+    assert_eq!(2 * share, files.iter().map(Vec::len).sum::<usize>(), "premise");
+    // `l` = 2 and 3 take the packed keys, `l` = 4 the `Sequence` path.
+    for l in [2usize, 3, 4] {
+        let cfg = TaskConfig { sequence_length: l };
+        for task in SHARDED {
+            let sequential = run_task(&archive, &dag, task, cfg);
+            for threads in [1usize, 3, 8] {
+                let fine = run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
+                assert_eq!(
+                    fine.output,
+                    sequential.output,
+                    "{} at l = {l} with {threads} threads diverges on the word-skewed corpus",
+                    task.name()
+                );
+            }
+        }
+    }
+}
+
+/// The largest contiguous bucket group a merge worker takes stays within
+/// 1.5× the mean group on the many-file (A) and few-huge-file (B) shapes.
+#[test]
+fn merge_groups_stay_balanced_on_dataset_shapes() {
+    for id in [DatasetId::A, DatasetId::B] {
+        let archive = DatasetPreset::new(id).generate_scaled(0.2).compress();
+        let dag = Dag::from_grammar(&archive.grammar);
+        for threads in [2usize, 4, 8] {
+            let engine = Engine::builder(&archive, &dag)
+                .threads(threads)
+                .build()
+                .expect("valid engine configuration");
+            for task in SHARDED {
+                let t = engine
+                    .run(task, TaskConfig::default())
+                    .expect("valid task configuration")
+                    .timings;
+                let largest = t.largest_merge_group as f64;
+                let mean = t.merge_entries as f64 / threads as f64;
+                assert!(mean > 100.0, "premise: {} entries", t.merge_entries);
+                assert!(
+                    largest <= 1.5 * mean,
+                    "dataset {} {} at {threads} threads: largest group {largest} vs mean {mean:.0}",
+                    id.label(),
+                    task.name()
+                );
+            }
+        }
     }
 }

@@ -234,63 +234,48 @@ proptest! {
     }
 }
 
-/// Strategy: up to 6 per-shard runs of `(key, value)` pairs (sorted by the
-/// tests before merging — the shim strategy has no `prop_map`).  Includes
-/// the adversarial cases: empty runs, single-key runs, duplicate keys both
+/// Strategy: up to 6 per-worker runs of `(key, value)` pairs.  Includes the
+/// adversarial cases: empty runs, single-key runs, duplicate keys both
 /// within and across runs.
 fn raw_runs() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
     vec(vec((0u32..30, 0u64..1000), 0..40), 0..6)
 }
 
-/// Stable-sorts each run by key: the shape the fine-grained finalize merges.
-fn sort_runs(mut runs: Vec<Vec<(u32, u64)>>) -> Vec<Vec<(u32, u64)>> {
-    for run in &mut runs {
-        run.sort_by_key(|&(k, _)| k);
-    }
-    runs
-}
-
-/// The reference the k-way merges must equal: concatenate the runs in order
-/// and stable-sort by key.
-fn concat_stable_sort(runs: &[Vec<(u32, u64)>]) -> Vec<(u32, u64)> {
-    let mut all: Vec<(u32, u64)> = runs.iter().flatten().copied().collect();
-    all.sort_by_key(|&(k, _)| k);
-    all
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // The serial move-based k-way merge (the `Sequence` fallback path)
-    // equals the concat + stable-sort reference on adversarial runs.
+    // The engine's key-range routing: cut the key space at the
+    // quantiles of an arbitrary mass column (zeros included), sort each
+    // bucket, group the buckets for the merge workers by what they hold —
+    // concatenating the groups' buckets in order equals concatenating all
+    // runs and stable-sorting by key, at every pool width.
     #[test]
-    fn kway_merge_equals_concat_stable_sort(runs in raw_runs()) {
-        let runs = sort_runs(runs);
-        let reference = concat_stable_sort(&runs);
-        let merged = tadoc::fine_grained::merge::kway_merge_rows(runs);
-        prop_assert_eq!(merged, reference);
-    }
-
-    // The parallel segmented merge agrees with the same reference at every
-    // pool width; amplification repeats each pair in place (keys stay
-    // sorted) so larger instances cross the parallel threshold and exercise
-    // the splitter-partitioned path, not just the serial fallback.
-    #[test]
-    fn par_merge_equals_concat_stable_sort(runs in raw_runs(), wide in 0usize..2) {
-        let amplify = if wide == 0 { 1u64 } else { 64 };
-        let runs: Vec<Vec<(u32, u64)>> = sort_runs(runs)
-            .into_iter()
-            .map(|run| {
-                run.into_iter()
-                    .flat_map(|(k, v)| (0..amplify).map(move |i| (k, v + i)))
-                    .collect()
-            })
-            .collect();
-        let reference = concat_stable_sort(&runs);
+    fn range_routed_concat_equals_concat_stable_sort(
+        runs in raw_runs(),
+        mass in vec(0u64..5, 1..40),
+    ) {
+        use tadoc::fine_grained::exec::{partition_by_cost, range_splitters};
+        let mut reference: Vec<(u32, u64)> = runs.concat();
+        reference.sort_by_key(|&(k, _)| k);
+        let mut cum = vec![0u64];
+        for m in &mass {
+            cum.push(cum[cum.len() - 1] + m);
+        }
         for threads in [1usize, 4, 8] {
-            let pool = tadoc::fine_grained::exec::WorkerPool::new(threads);
-            let merged = tadoc::fine_grained::merge::par_merge_rows(runs.clone(), &pool);
-            prop_assert_eq!(&merged, &reference, "threads = {}", threads);
+            let cuts = range_splitters(&cum, 8 * threads);
+            let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); cuts.len() + 1];
+            for &(k, v) in runs.iter().flatten() {
+                buckets[cuts.partition_point(|&c| c <= k)].push((k, v));
+            }
+            let sizes: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
+            let mut routed: Vec<(u32, u64)> = Vec::new();
+            for group in partition_by_cost(&sizes, threads) {
+                for bucket in &mut buckets[group] {
+                    bucket.sort_by_key(|&(k, _)| k);
+                    routed.extend_from_slice(bucket);
+                }
+            }
+            prop_assert_eq!(&routed, &reference, "threads = {}", threads);
         }
     }
 }

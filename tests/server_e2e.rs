@@ -283,7 +283,6 @@ fn full_queue_sheds_with_overloaded() {
         handler_threads: 8,
         executor_threads: 1,
         queue_depth: 1,
-        batch_max: 1,
         results_cache: false, // cache hits would finish too fast to overlap
         ..ServerConfig::default()
     };
