@@ -8,15 +8,19 @@
 //!
 //! * [`claim_loop`] — the dynamic work-queue claim loop with its
 //!   once-per-claim cancel/deadline checkpoint;
-//! * [`run_sharded`] — claim loop → per-worker [`Shards`] routed by each
+//! * [`scan_and_merge`] — claim loop → per-worker [`Shards`] routed by each
 //!   entry's leading word into key-range buckets → bucket transpose →
 //!   contiguous bucket groups of ≈ 1/threads of the entries, one per merge
-//!   worker, one [`ShardBuf::merge`] per bucket → the kernel's finalizer,
-//!   which concatenates the bucket runs: bucket order is key order;
+//!   worker, one [`ShardBuf::merge`] per bucket → the bucket runs, in key
+//!   order;
+//! * [`run_sharded`] — [`scan_and_merge`] as a query's traversal, then the
+//!   kernel's finalizer, which concatenates the bucket runs;
 //! * [`run_phases`] — the phase clock (`init` / `shared_init` / `traversal`
 //!   / `finalize` / `warm`) that assembles the [`TaskExecution`].
 //!
-//! A task is a [`Kernel`].
+//! A task is a [`Kernel`]; so is the per-`l` window fill of the sequence
+//! tasks, which runs [`scan_and_merge`] once per session inside an analysis
+//! fill and finalizes into an artifact instead of a result table.
 //!
 //! Buckets are cut at quantiles of the engine's word-mass column
 //! ([`exec::range_splitters`]), `BUCKETS_PER_THREAD` per worker, and the
@@ -33,7 +37,6 @@ use crate::timing::{PhaseTimings, Timer};
 use arena::shard::{ShardBuf, ShardEntry};
 use sequitur::WordId;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Work items per queue claim of a sharded traversal.
 const ITEMS_PER_CLAIM: usize = 16;
@@ -53,6 +56,9 @@ pub(crate) trait Kernel: Sized + Sync {
     type Scratch: Default + Send;
     /// One bucket's columnar output.
     type Run: Send;
+    /// What [`finalize`](Self::finalize) builds: a result table, or an
+    /// analysis artifact.
+    type Output;
 
     /// Size of the work-item space.
     fn items(&self) -> usize;
@@ -65,8 +71,8 @@ pub(crate) trait Kernel: Sized + Sync {
     fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run;
 
     /// Concatenates the bucket runs, which arrive in key order, into the
-    /// ordered result.
-    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput;
+    /// ordered output.
+    fn finalize(self, runs: Vec<Self::Run>) -> Self::Output;
 }
 
 /// One worker's accumulation state: a [`ShardBuf`] per key-range bucket.
@@ -115,119 +121,124 @@ where
 
 /// The phase clock: times `prepare` as the initialization phase (the
 /// [`RunCharge`] it threads through the `ensure_*` calls becomes
-/// `shared_init` / `warm`), `traverse` + `finalize` as the traversal phase,
-/// and `finalize` alone as its finalize portion.  `init_work` /
-/// `traversal_work` stay at their default: the fine engine counts no
-/// abstract work (the sequential reference does, for `tadoc::cost`).
+/// `shared_init` / `warm`, plus what a sharded fill it ran measured),
+/// `traverse` + `finalize` as the traversal phase, and `finalize` alone as
+/// its finalize portion.  `traverse` may record stage timings of its own.
+/// `init_work` / `traversal_work` stay at their default: the fine engine
+/// counts no abstract work (the sequential reference does, for
+/// `tadoc::cost`).
 pub(crate) fn run_phases<P, T>(
     prepare: impl FnOnce(&mut RunCharge) -> P,
-    traverse: impl FnOnce(&P) -> T,
+    traverse: impl FnOnce(&P, &mut PhaseTimings) -> T,
     finalize: impl FnOnce(P, T) -> AnalyticsOutput,
 ) -> TaskExecution {
     let init_timer = Timer::start();
     let mut charge = RunCharge::default();
     let prepared = prepare(&mut charge);
-    let init = init_timer.elapsed();
+    let mut timings = PhaseTimings {
+        init: init_timer.elapsed(),
+        shared_init: charge.time,
+        warm: !charge.computed,
+        ..charge.fill_timings
+    };
 
     let traversal_timer = Timer::start();
-    let partial = traverse(&prepared);
+    let partial = traverse(&prepared, &mut timings);
     let finalize_timer = Timer::start();
     let output = finalize(prepared, partial);
-    let finalize = finalize_timer.elapsed();
-    let traversal = traversal_timer.elapsed();
-
+    timings.finalize = finalize_timer.elapsed();
+    timings.traversal = traversal_timer.elapsed();
     TaskExecution {
         output: Arc::new(output),
-        timings: PhaseTimings {
-            init,
-            traversal,
-            shared_init: charge.time,
-            finalize,
-            warm: !charge.computed,
-            ..Default::default()
-        },
+        timings,
     }
 }
 
-/// Runs one sharded task: every worker scans claimed work items into its
-/// own [`Shards`], the buckets are grouped into one contiguous range per
-/// merge worker by the entries they hold, each worker merges its buckets in
-/// order (buckets partition the key space, so the merges need no
-/// synchronization), and the kernel concatenates the bucket runs.  The two
-/// pool epochs of the traversal are timed apart as [`PhaseTimings::scan`]
-/// and [`PhaseTimings::shard_merge`].
-pub(crate) fn run_sharded<K: Kernel>(
+/// Runs one sharded task: [`scan_and_merge`] as the traversal, then the
+/// kernel's finalizer.
+pub(crate) fn run_sharded<K: Kernel<Output = AnalyticsOutput>>(
     ctx: FineCtx<'_>,
     pool: &WorkerPool,
     prepare: impl FnOnce(&mut RunCharge) -> K,
 ) -> TaskExecution {
-    let threads = pool.threads();
-    let (mut scan, mut shard_merge) = (Duration::ZERO, Duration::ZERO);
-    let (mut merge_entries, mut largest_merge_group) = (0, 0);
-    let mut exec = run_phases(
+    run_phases(
         |charge| {
             let mass = ctx.analysis.ensure_word_mass(ctx.archive, ctx.dag, charge);
-            let buckets = if threads == 1 {
-                1
-            } else {
-                BUCKETS_PER_THREAD * threads
-            };
-            (prepare(charge), exec::range_splitters(mass, buckets))
+            (prepare(charge), mass)
         },
-        |(kernel, cuts)| {
-            let scan_timer = Timer::start();
-            let locals = claim_loop(
-                pool,
-                kernel.items(),
-                ITEMS_PER_CLAIM,
-                || {
-                    let bufs = (0..=cuts.len()).map(|_| ShardBuf::default()).collect();
-                    (Shards { bufs, cuts }, K::Scratch::default())
-                },
-                |(shards, scratch), item| kernel.scan(item, scratch, shards),
-            );
-            scan = scan_timer.elapsed();
-            // Transpose worker-major buffers into bucket-major pieces so
-            // each merge worker owns its buckets' data without cloning.
-            let mut by_bucket: Vec<Vec<ShardBuf<K::Entry>>> = (0..=cuts.len())
-                .map(|_| Vec::with_capacity(threads))
-                .collect();
-            for (shards, _) in locals {
-                for (pieces, buf) in by_bucket.iter_mut().zip(shards.bufs) {
-                    pieces.push(buf);
-                }
-            }
-            let sizes: Vec<u64> = by_bucket
-                .iter()
-                .map(|pieces| pieces.iter().map(|buf| buf.len() as u64).sum())
-                .collect();
-            let groups = exec::partition_by_cost(&sizes, threads);
-            merge_entries = sizes.iter().sum();
-            largest_merge_group = groups
-                .iter()
-                .map(|g| sizes[g.clone()].iter().sum())
-                .max()
-                .unwrap_or(0);
-            let mut buckets = by_bucket.into_iter();
-            let inputs: Vec<Vec<_>> = groups
-                .iter()
-                .map(|g| buckets.by_ref().take(g.len()).collect())
-                .collect();
-            let merge_timer = Timer::start();
-            let runs = pool.map_workers(inputs, |_w, group| {
-                group
-                    .into_iter()
-                    .map(|pieces| kernel.shard_run(ShardBuf::merge(pieces)))
-                    .collect::<Vec<_>>()
-            });
-            shard_merge = merge_timer.elapsed();
-            runs.into_iter().flatten().collect()
-        },
+        |(kernel, mass), timings| scan_and_merge(pool, kernel, mass, timings),
         |(kernel, _), runs| kernel.finalize(runs),
+    )
+}
+
+/// Every worker scans claimed work items into its own [`Shards`], cut at
+/// `BUCKETS_PER_THREAD` quantiles per worker of the word-mass column `mass`
+/// (one bucket on a 1-thread pool); the buckets are grouped into one
+/// contiguous range per merge worker by the entries they hold, and each
+/// worker merges its buckets in order (buckets partition the key space, so
+/// the merges need no synchronization).  Returns the bucket runs in key
+/// order, and records the two pool epochs' wall times
+/// ([`PhaseTimings::scan`], [`PhaseTimings::shard_merge`]) and what the
+/// merge got ([`PhaseTimings::merge_entries`],
+/// [`PhaseTimings::largest_merge_group`]) in `timings`.
+pub(crate) fn scan_and_merge<K: Kernel>(
+    pool: &WorkerPool,
+    kernel: &K,
+    mass: &[u64],
+    timings: &mut PhaseTimings,
+) -> Vec<K::Run> {
+    let threads = pool.threads();
+    let buckets = if threads == 1 {
+        1
+    } else {
+        BUCKETS_PER_THREAD * threads
+    };
+    let cuts = &exec::range_splitters(mass, buckets);
+    let scan_timer = Timer::start();
+    let locals = claim_loop(
+        pool,
+        kernel.items(),
+        ITEMS_PER_CLAIM,
+        || {
+            let bufs = (0..=cuts.len()).map(|_| ShardBuf::default()).collect();
+            (Shards { bufs, cuts }, K::Scratch::default())
+        },
+        |(shards, scratch), item| kernel.scan(item, scratch, shards),
     );
-    exec.timings.scan = scan;
-    exec.timings.shard_merge = shard_merge;
-    exec.timings.merge_entries = merge_entries;
-    exec.timings.largest_merge_group = largest_merge_group;
-    exec
+    timings.scan = scan_timer.elapsed();
+    // Transpose worker-major buffers into bucket-major pieces so each merge
+    // worker owns its buckets' data without cloning.
+    let mut by_bucket: Vec<Vec<ShardBuf<K::Entry>>> = (0..=cuts.len())
+        .map(|_| Vec::with_capacity(threads))
+        .collect();
+    for (shards, _) in locals {
+        for (pieces, buf) in by_bucket.iter_mut().zip(shards.bufs) {
+            pieces.push(buf);
+        }
+    }
+    let sizes: Vec<u64> = by_bucket
+        .iter()
+        .map(|pieces| pieces.iter().map(|buf| buf.len() as u64).sum())
+        .collect();
+    let groups = exec::partition_by_cost(&sizes, threads);
+    timings.merge_entries = sizes.iter().sum();
+    timings.largest_merge_group = groups
+        .iter()
+        .map(|g| sizes[g.clone()].iter().sum())
+        .max()
+        .unwrap_or(0);
+    let mut buckets = by_bucket.into_iter();
+    let inputs: Vec<Vec<_>> = groups
+        .iter()
+        .map(|g| buckets.by_ref().take(g.len()).collect())
+        .collect();
+    let merge_timer = Timer::start();
+    let runs = pool.map_workers(inputs, |_w, group| {
+        group
+            .into_iter()
+            .map(|pieces| kernel.shard_run(ShardBuf::merge(pieces)))
+            .collect::<Vec<_>>()
+    });
+    timings.shard_merge = merge_timer.elapsed();
+    runs.into_iter().flatten().collect()
 }

@@ -17,8 +17,9 @@
 //! the artifact kinds themselves — per session there is exactly one DAG
 //! level schedule, one rule-weight vector, one file-weight table, one
 //! term-vector CSR, one chunk decomposition (the chunk threshold is fixed
-//! at build time), one word-mass column, and one head/tail buffer set *per sequence length* `l`
-//! (the only per-query knob that shapes an artifact).
+//! at build time), one word-mass column, and one `SequenceSlot` —
+//! head/tail buffers plus window table — *per sequence length* `l` (the
+//! only per-query knob that shapes an artifact).
 //!
 //! Cold vs warm is observable:
 //! [`shared_init`](crate::timing::PhaseTimings::shared_init) records the
@@ -38,14 +39,13 @@ use super::head_tail::{build_head_tail, levels_bottom_up, levels_top_down, HeadT
 use super::results_cache::{ResultsCache, RESULTS_CACHE_BUDGET_BYTES};
 use super::scratch::ScratchPool;
 use super::{
-    build_term_vector_prep, parallel_file_weights, parallel_rule_weights, root_chunks,
-    run_fine_with_cache, sequence_work_items, FileWeightLists, FineGrainedConfig, SeqItem,
-    TermVectorPrep, TvScratch,
+    build_term_vector_prep, fill_window_sources, parallel_file_weights, parallel_rule_weights,
+    root_chunks, run_fine_with_cache, sequence_work_items, FileWeightLists, FineGrainedConfig,
+    SeqItem, TermVectorPrep, TvScratch, WindowSources,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
 use crate::timing::{Degradation, PhaseTimings, Timer};
 use crate::weights::file_segments;
-use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, Grammar, TadocArchive};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
@@ -244,7 +244,8 @@ impl QueryOptions {
 // ---------------------------------------------------------------------------
 
 /// What one query charged for shared-artifact computation: the time it
-/// spent *filling* analysis cells (zero on a fully warm query).
+/// spent *filling* analysis cells (zero on a fully warm query), and what
+/// the window fill measured when this query ran it.
 ///
 /// The charge is **per-query local** — each task path owns one on its stack
 /// and threads it through the `ensure_*` calls — so concurrent queries never
@@ -258,6 +259,10 @@ pub(crate) struct RunCharge {
     pub(crate) time: Duration,
     /// Whether any artifact was computed (false ⇒ the query was warm).
     pub(crate) computed: bool,
+    /// What the window fill this query ran measured: the scan-and-merge
+    /// fields (`scan` … `largest_merge_group`) of the query's timings, all
+    /// zero when it ran none.
+    pub(crate) fill_timings: PhaseTimings,
 }
 
 impl RunCharge {
@@ -268,21 +273,29 @@ impl RunCharge {
     }
 }
 
-/// Maximum distinct sequence lengths whose head/tail buffers a session
-/// keeps at once.  Each entry costs O(grammar expansion) heap; real query
-/// mixes use a handful of lengths, so a small FIFO bound caps worst-case
-/// memory without ever evicting on realistic workloads.
+/// Maximum distinct sequence lengths whose [`SequenceSlot`]s a session
+/// keeps at once.  A slot holds the head/tail buffers (at most `2(l - 1)`
+/// words per rule) and the window table ([`WindowSources`]: `4l + 8` bytes
+/// per distinct window plus 12 per (window, source) pair — 1.1 / 2.8 MiB at
+/// `l` = 3 on the benchmark's `manyfiles` / `fewfiles` corpora).  Real
+/// query mixes use a handful of lengths, so a small FIFO bound caps
+/// worst-case memory without ever evicting on realistic workloads.
 const HEAD_TAIL_CACHE_CAP: usize = 8;
 
-/// The head/tail slot table: per sequence length `l`, an `Arc`'d `OnceLock`
-/// cell.  The *table* mutex is held only for map lookup/insert/eviction;
-/// the *fill* runs inside the cell's `get_or_init`, outside the table lock,
-/// so two queries filling different lengths never serialize on each other.
+/// Everything the sequence tasks cache for one sequence length `l`: the
+/// head/tail buffers and the window table filled from them.  Evicting `l`
+/// drops both; a query holding the `Arc` keeps both alive until it ends.
 #[derive(Default)]
-struct HeadTailSlots {
-    map: FxHashMap<usize, Arc<OnceLock<HeadTail>>>,
-    /// Insertion order of `map` keys, oldest first (FIFO eviction).
-    order: Vec<usize>,
+pub(crate) struct SequenceSlot {
+    head_tail: OnceLock<HeadTail>,
+    windows: OnceLock<WindowSources>,
+}
+
+impl SequenceSlot {
+    /// The window table, filled by [`Analysis::ensure_window_sources`].
+    pub(crate) fn windows(&self) -> &WindowSources {
+        self.windows.get().expect("filled by ensure_window_sources")
+    }
 }
 
 /// The immutable, once-filled analysis layer of a session — everything
@@ -323,13 +336,13 @@ pub(crate) struct Analysis {
     index_chunks: OnceLock<(Vec<super::exec::Chunk>, Vec<super::sequences::RootChunk>)>,
     /// Term-vector initialization product (file-major CSR + file costs).
     term_vector: OnceLock<TermVectorPrep>,
-    /// Head/tail buffers keyed by sequence length `l` — the only per-query
-    /// knob that shapes a shared artifact.  Bounded at
-    /// [`HEAD_TAIL_CACHE_CAP`] entries (FIFO eviction): a serving
-    /// deployment accepting user-supplied `l` values must not grow memory
-    /// monotonically with every distinct length ever queried.  Evicted
-    /// entries stay alive (via the `Arc`) for any query still reading them.
-    head_tail: Mutex<HeadTailSlots>,
+    /// `(l, slot)` per sequence length `l` (the only per-query knob that
+    /// shapes an artifact), oldest first, at most [`HEAD_TAIL_CACHE_CAP`]:
+    /// user-supplied lengths must not grow memory without bound.  Evicted
+    /// slots live on (the `Arc`) for queries still reading them.  The fills
+    /// run outside the mutex, so queries filling different lengths never
+    /// serialize on each other.
+    sequence: Mutex<Vec<(usize, Arc<SequenceSlot>)>>,
     /// Sequence-task work items (rule-body chunks + root chunks).
     sequence_items: OnceLock<Vec<SeqItem>>,
     /// Cumulative local-word mass: entry `w` sums the local occurrences of
@@ -461,41 +474,48 @@ impl Analysis {
         })
     }
 
-    /// Returns the (filled) head/tail cell for sequence length `l`.  The
-    /// `Arc` keeps the buffers alive for this query even if a concurrent
-    /// query's distinct `l` evicts the table entry mid-flight.
-    pub(crate) fn ensure_head_tail(
+    /// Returns the slot for sequence length `l` with its window table
+    /// filled (and the head/tail buffers it is counted from).  The `Arc`
+    /// keeps the slot alive for this query even if a concurrent query's
+    /// distinct `l` evicts the table entry mid-flight.  The sequence tasks
+    /// ensure it last, so a fault in its fill leaves only its own cell
+    /// empty for the next query to refill.
+    pub(crate) fn ensure_window_sources(
         &self,
-        grammar: &Grammar,
+        archive: &TadocArchive,
         dag: &Dag,
+        fcfg: FineGrainedConfig,
         l: usize,
         pool: &WorkerPool,
         charge: &mut RunCharge,
-    ) -> Arc<OnceLock<HeadTail>> {
+    ) -> Arc<SequenceSlot> {
+        let grammar = &archive.grammar;
         let levels = self.ensure_levels_bottom_up(dag, charge);
-        let cell = {
-            let mut slots = self
-                .head_tail
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match slots.map.get(&l) {
-                Some(cell) => Arc::clone(cell),
+        let items = self.ensure_sequence_items(grammar, fcfg, charge);
+        let mass = self.ensure_word_mass(archive, dag, charge);
+        let slot = {
+            let mut slots = self.sequence.lock().unwrap_or_else(PoisonError::into_inner);
+            match slots.iter().find(|(key, _)| *key == l) {
+                Some((_, slot)) => Arc::clone(slot),
                 None => {
-                    if slots.order.len() >= HEAD_TAIL_CACHE_CAP {
-                        let oldest = slots.order.remove(0);
-                        slots.map.remove(&oldest);
+                    if slots.len() >= HEAD_TAIL_CACHE_CAP {
+                        slots.remove(0);
                     }
-                    let cell = Arc::new(OnceLock::new());
-                    slots.map.insert(l, Arc::clone(&cell));
-                    slots.order.push(l);
-                    cell
+                    let slot = Arc::new(SequenceSlot::default());
+                    slots.push((l, Arc::clone(&slot)));
+                    slot
                 }
             }
         };
-        self.fill(&cell, charge, || {
+        let ht = self.fill(&slot.head_tail, charge, || {
             build_head_tail(grammar, dag, levels, l, pool)
         });
-        cell
+        let mut timings = PhaseTimings::default();
+        self.fill(&slot.windows, charge, || {
+            fill_window_sources(archive, ht, items, mass, pool, &mut timings)
+        });
+        charge.fill_timings = timings;
+        slot
     }
 
     pub(crate) fn ensure_sequence_items(
@@ -688,10 +708,11 @@ struct ExecState {
 /// The engine borrows the archive and DAG for its whole lifetime and owns
 /// the persistent [`WorkerPool`] plus the once-filled analysis layer, so
 /// repeated queries pay the shared initialization (DAG levels, rule/file
-/// weights, head/tail buffers, chunk decompositions, the term-vector CSR)
-/// **once** instead of once per call.  Outputs are byte-identical to the
-/// sequential reference ([`run_task`]); the amortization is observable via
-/// [`PhaseTimings::shared_init`] / [`PhaseTimings::warm`].
+/// weights, head/tail buffers and window tables, chunk decompositions, the
+/// term-vector CSR) **once** instead of once per call.  Outputs are
+/// byte-identical to the sequential reference ([`run_task`]); the
+/// amortization is observable via [`PhaseTimings::shared_init`] /
+/// [`PhaseTimings::warm`].
 ///
 /// Every query method takes `&self`, and `Engine` is [`Sync`]: N client
 /// threads may query one shared engine simultaneously
@@ -1204,14 +1225,10 @@ mod tests {
             })
             .collect();
         {
-            let slots = engine.analysis.head_tail.lock().unwrap();
-            assert_eq!(
-                slots.map.len(),
-                HEAD_TAIL_CACHE_CAP,
-                "cache must stay bounded"
-            );
+            let slots = engine.analysis.sequence.lock().unwrap();
+            assert_eq!(slots.len(), HEAD_TAIL_CACHE_CAP, "cache must stay bounded");
             assert!(
-                !slots.map.contains_key(&1) && !slots.map.contains_key(&2),
+                slots.iter().all(|&(l, _)| l > 2),
                 "oldest lengths must have been evicted first"
             );
         }
@@ -1221,6 +1238,78 @@ mod tests {
             .unwrap();
         assert!(!again.timings.warm, "evicted l=1 must recompute");
         assert_eq!(again.output, baseline[0], "recomputed output must match");
+    }
+
+    /// Evicting a length drops its whole slot: re-querying it refills the
+    /// head/tail buffers and the window table — two fills, nothing else —
+    /// and a query that took the slot before it was evicted still answers
+    /// from it.
+    #[test]
+    fn evicted_sequence_slots_refill_exactly_once_and_stay_readable() {
+        let (archive, dag) = build_archive();
+        let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
+        let cfg = |l| TaskConfig { sequence_length: l };
+        let oracle = |l| run_task(&archive, &dag, Task::SequenceCount, cfg(l)).output;
+        let run = |l| engine.run(Task::SequenceCount, cfg(l)).unwrap();
+        for l in 1..=10 {
+            assert_eq!(run(l).output, oracle(l), "l = {l}");
+        }
+        let before = engine.analysis_fills();
+        let again = run(1);
+        assert_eq!(again.output, oracle(1), "evicted l = 1 refilled");
+        assert!(!again.timings.warm);
+        assert_eq!(
+            engine.analysis_fills(),
+            before + 2,
+            "head/tail + window table of l = 1, nothing else"
+        );
+        assert!(run(1).timings.warm);
+
+        // A query takes the l = 1 slot, then every slot is evicted under it …
+        let held = engine.with_worker_pool(|pool| {
+            let charge = &mut RunCharge::default();
+            engine
+                .analysis
+                .ensure_window_sources(&archive, &dag, engine.fcfg, 1, pool, charge)
+        });
+        for l in 11..=10 + HEAD_TAIL_CACHE_CAP {
+            run(l);
+        }
+        let slots = engine.analysis.sequence.lock().unwrap();
+        assert!(slots.iter().all(|&(l, _)| l != 1), "l = 1 was evicted");
+        drop(slots);
+        // … and still finishes from the slot it holds.
+        let weights = engine.analysis.rule_weights.get().unwrap();
+        let output = engine.with_worker_pool(|pool| {
+            let table = held.windows();
+            table.count_table(table.weighted_totals(weights, pool))
+        });
+        assert_eq!(output, *oracle(1));
+    }
+
+    /// The window fill is the sequence tasks' one sharded scan-and-merge:
+    /// the query that runs it reports what it measured (inside
+    /// `shared_init`), and a warm query reports zeros.
+    #[test]
+    fn sequence_timings_report_the_window_fill_only_when_they_run_it() {
+        let (archive, dag) = build_archive();
+        let cfg = TaskConfig::default();
+        for first in [Task::SequenceCount, Task::RankedInvertedIndex] {
+            let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
+            let cold = engine.run(first, cfg).unwrap().timings;
+            assert!(cold.merge_entries > 0, "{}", first.name());
+            assert!(cold.largest_merge_group > 0, "{}", first.name());
+            assert!(cold.scan + cold.shard_merge <= cold.shared_init);
+            engine.run(Task::SequenceCount, cfg).unwrap();
+            engine.run(Task::RankedInvertedIndex, cfg).unwrap();
+            for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
+                let warm = engine.run(task, cfg).unwrap().timings;
+                assert!(warm.warm && warm.shared_init.is_zero(), "{}", task.name());
+                let label = format!("{} after {}", task.name(), first.name());
+                assert!(warm.scan.is_zero() && warm.shard_merge.is_zero(), "{label}");
+                assert_eq!(warm.merge_entries + warm.largest_merge_group, 0, "{label}");
+            }
+        }
     }
 
     #[test]

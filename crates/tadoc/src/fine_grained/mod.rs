@@ -43,13 +43,13 @@
 //!    every entry is sorted once, and each bucket's merge is a merge of
 //!    sorted runs.  Bucket order is key order, so finalize is a
 //!    concatenation ([`merge::concat`]).  This scheme exists **once**, in
-//!    `driver::run_sharded`; `wordCount`/`sort`, `invertedIndex`,
-//!    `sequenceCount` and `rankedInvertedIndex` are `driver::Kernel`s —
-//!    which artifacts they `ensure_*`, what a work item emits, how a
-//!    bucket's sorted entries become its columnar run, how the runs
-//!    concatenate into the result.  The limit: a single leading word is one
-//!    bucket, so a word that starts more than 1/threads of all entries is
-//!    merged by one worker — the answer is unchanged, that query slower.
+//!    `driver::scan_and_merge`; `wordCount`/`sort`, `invertedIndex` and the
+//!    sequence tasks' window fill are `driver::Kernel`s — which artifacts
+//!    they `ensure_*`, what a work item emits, how a bucket's sorted entries
+//!    become its columnar run, how the runs concatenate into the output.
+//!    The limit: a single leading word is one bucket, so a word that starts
+//!    more than 1/threads of all entries is merged by one worker — the
+//!    answer is unchanged, that query slower.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
 //!    an oversized rule body (dataset B's root holds most of the corpus),
@@ -74,23 +74,28 @@
 //!    trick as the global merge.
 //! 6. **Rule-local sequence support** (Figures 6–8).  Sequence tasks build
 //!    per-rule head/tail buffers bottom-up and count every window **once per
-//!    rule**, scaling by rule weight (sequence count) or per-file rule
-//!    weight (ranked inverted index — there the scaling happens at the
-//!    shard owner, which scatters each rule-keyed count into a dense
-//!    per-file scratch, so the window × file cross product is never pushed
-//!    or sorted); rule bodies and the root are split
-//!    into chunks the way the paper's thread groups split oversized rules
-//!    (Section IV-B), with chunk-boundary windows completed by an O(`l`)
-//!    word-bounded extension ([`sequences::count_range_windows`]).  This
-//!    is the reuse that lets the engine beat the sequential baseline even on
-//!    a single core — the baseline re-streams every occurrence.
+//!    rule**; rule bodies and the root are split into chunks the way the
+//!    paper's thread groups split oversized rules (Section IV-B), with
+//!    chunk-boundary windows completed by an O(`l`) word-bounded extension
+//!    ([`sequences::count_range_windows`]).  The local counts depend only on
+//!    the archive and `l`, so they are an analysis artifact like
+//!    `dag.local_words`: one sharded fill per `l` per session merges them
+//!    into a window → (source, local count) table (`WindowSources`; a
+//!    source is a rule, or one file's root segment).  A query is one pass
+//!    over that table, scaling by rule weight (sequence count) or
+//!    scattering by per-file rule weight into a dense per-file scratch
+//!    (ranked inverted index, so the window × file cross product is never
+//!    pushed or sorted).  This is the reuse that lets the engine beat the
+//!    sequential baseline even on a single core — the baseline re-streams
+//!    every occurrence.
 //!
 //! The public entry point is the **session API** ([`engine::Engine`]): a
 //! long-lived object owning the persistent pool and a lazily-cached
-//! analysis layer (DAG levels, rule/file weights, head/tail buffers, chunk
-//! decompositions, the term-vector CSR) shared by every query over the
-//! borrowed archive.  [`run_task`](crate::apps::run_task) stays beside it as
-//! the sequential reference and the degrade ladder's fallback.
+//! analysis layer (DAG levels, rule/file weights, head/tail buffers and
+//! window tables, chunk decompositions, the term-vector CSR) shared by
+//! every query over the borrowed archive.
+//! [`run_task`](crate::apps::run_task) stays beside it as the sequential
+//! reference and the degrade ladder's fallback.
 //!
 //! Outputs are byte-identical to the sequential oracle for all six tasks
 //! (asserted by `tests/cross_implementation.rs`, `tests/engine_session.rs`
@@ -111,18 +116,18 @@ pub use results_cache::RESULTS_CACHE_BUDGET_BYTES;
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;
+use crate::timing::PhaseTimings;
 use arena::shard::{sort_fold, CountEntry, MaskEntry, ShardBuf};
-use driver::{claim_loop, run_phases, run_sharded, Kernel, Shards};
+use driver::{claim_loop, run_phases, run_sharded, scan_and_merge, Kernel, Shards};
 use engine::{FineCtx, RunCharge};
 use exec::{Chunk, DisjointSlots, WorkerPool};
 use file_csr::FileCsr;
 use head_tail::HeadTail;
 use merge::PostingRun;
-use sequences::{count_range_windows, count_root_chunk, root_chunks, RootChunk, SeqKey};
+use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
 use sequitur::{Dag, Grammar, Symbol, TadocArchive, WordId};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
 /// Per-rule per-file occurrence counts in compact form: `fw[r]` holds rule
 /// `r`'s `(file, occurrences)` pairs sorted by file id.  The compact lists
@@ -164,9 +169,7 @@ impl Default for FineGrainedConfig {
 ///
 /// The caller (the builder and [`Engine::run_with`]) has validated the
 /// configuration; `cfg.sequence_length` must be at least 1 for
-/// sequence-sensitive tasks.  The sequence tasks pick their key type here:
-/// packed `u64` windows when they fit ([`sequences::can_pack`]), owned
-/// [`Sequence`]s otherwise.
+/// sequence-sensitive tasks.
 pub(crate) fn run_fine_with_cache(
     task: Task,
     cfg: TaskConfig,
@@ -174,7 +177,6 @@ pub(crate) fn run_fine_with_cache(
     pool: &WorkerPool,
 ) -> TaskExecution {
     let l = cfg.sequence_length;
-    let packed = sequences::can_pack(l, ctx.archive.vocabulary_size());
     match task {
         Task::WordCount | Task::Sort => {
             run_sharded(ctx, pool, |charge| WordCount::new(ctx, task, pool, charge))
@@ -183,18 +185,8 @@ pub(crate) fn run_fine_with_cache(
             run_sharded(ctx, pool, |charge| InvertedIndex::new(ctx, pool, charge))
         }
         Task::TermVector => term_vector_fine(ctx, pool),
-        Task::SequenceCount if packed => run_sharded(ctx, pool, |charge| {
-            SequenceCount::<u64>::new(ctx, l, pool, charge)
-        }),
-        Task::SequenceCount => run_sharded(ctx, pool, |charge| {
-            SequenceCount::<Sequence>::new(ctx, l, pool, charge)
-        }),
-        Task::RankedInvertedIndex if packed => run_sharded(ctx, pool, |charge| {
-            RankedIndex::<u64>::new(ctx, l, pool, charge)
-        }),
-        Task::RankedInvertedIndex => run_sharded(ctx, pool, |charge| {
-            RankedIndex::<Sequence>::new(ctx, l, pool, charge)
-        }),
+        Task::SequenceCount => sequence_count(ctx, l, pool),
+        Task::RankedInvertedIndex => ranked_inverted_index(ctx, l, pool),
     }
 }
 
@@ -378,6 +370,7 @@ impl Kernel for WordCount<'_> {
     type Entry = CountEntry<WordId>;
     type Scratch = ();
     type Run = Vec<Self::Entry>;
+    type Output = AnalyticsOutput;
 
     fn items(&self) -> usize {
         self.chunks.len()
@@ -460,6 +453,7 @@ impl Kernel for InvertedIndex<'_> {
     /// rebuilt once per chunk, not once per word.
     type Scratch = Vec<(u32, u64)>;
     type Run = PostingRun<WordId, FileId>;
+    type Output = AnalyticsOutput;
 
     fn items(&self) -> usize {
         self.rule_chunks.len() + self.seg_chunks.len()
@@ -766,7 +760,7 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
         // completes its epoch is marked clean and returned; a query that
         // unwinds mid-epoch drops its lease dirty and the pool discards it
         // (see `scratch`).
-        |&(prep, segments)| {
+        |&(prep, segments), _| {
             let ranges = exec::partition_by_cost(&prep.costs, threads);
             let mut lease = ctx.tv_scratch.lease_with(Vec::new);
             if lease.len() < threads {
@@ -876,89 +870,228 @@ pub(crate) fn sequence_work_items(
     items
 }
 
-/// What both sequence kernels scan: the chunked item space over the
-/// grammar plus the head/tail buffers for sequence length `l`.
-struct SeqScan<'e> {
+/// Every distinct `l`-window of the grammar with the sources it is local to
+/// and how often — Figure 8's per-rule local tables, merged into one ordered
+/// table.  Window `i`'s words are `keys[i * l..(i + 1) * l]` (ascending, the
+/// key layout of the result tables), and its `(source, local count)` pairs
+/// are `sources[offsets[i]..offsets[i + 1]]` beside the same slice of
+/// `counts`.  A source is a rule id, or `num_rules + file` for a window of
+/// that file's root segment.  The table depends only on the archive and
+/// `l` — no rule or file weights — so an engine fills it once per `l`
+/// ([`fill_window_sources`]) and both sequence tasks read it.
+pub(crate) struct WindowSources {
     l: usize,
-    grammar: &'e Grammar,
-    ht: Arc<OnceLock<HeadTail>>,
-    items: &'e [SeqItem],
+    keys: Vec<u32>,
+    offsets: Vec<usize>,
+    sources: Vec<u32>,
+    counts: Vec<u64>,
 }
 
-impl<'e> SeqScan<'e> {
-    fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
-        let grammar = &ctx.archive.grammar;
-        Self {
-            l,
-            grammar,
-            ht: ctx
-                .analysis
-                .ensure_head_tail(grammar, ctx.dag, l, pool, charge),
-            items: ctx
-                .analysis
-                .ensure_sequence_items(grammar, ctx.fcfg, charge),
-        }
-    }
-
-    fn head_tail(&self) -> &HeadTail {
-        self.ht.get().expect("filled by ensure_head_tail")
-    }
-
-    /// Slides the `l`-windows local to work item `item`, one `emit` per
-    /// occurrence.
+impl WindowSources {
+    /// Window `i`'s `(source, local count)` pairs.
     #[inline]
-    fn for_each_window(&self, item: SeqItem, mut emit: impl FnMut(&[u32])) {
-        let ht = self.head_tail();
-        match item {
-            SeqItem::Rule { r, begin, end } => {
-                let body = self.grammar.rule(r);
-                count_range_windows(body, ht, begin, end, body.len(), |words, _| emit(words));
-            }
-            SeqItem::Root(chunk) => count_root_chunk(self.grammar.root(), ht, chunk, emit),
+    fn entries(&self, i: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let range = self.offsets[i]..self.offsets[i + 1];
+        let counts = &self.counts[range.clone()];
+        let sources = self.sources[range].iter().copied();
+        sources.zip(counts.iter().copied())
+    }
+
+    /// Runs `pass` over contiguous window ranges holding ≈ 1/threads of the
+    /// `(source, count)` pairs each — one range per worker, one pool epoch —
+    /// and returns the parts in key order.  Each worker passes the
+    /// cancel/deadline checkpoint once, before its range.
+    fn over_key_ranges<R: Send>(
+        &self,
+        pool: &WorkerPool,
+        pass: impl Fn(std::ops::Range<usize>) -> R + Sync,
+    ) -> Vec<R> {
+        let (pairs, parts) = (self.sources.len(), pool.threads());
+        let cuts: Vec<usize> = (0..=parts)
+            .map(|p| self.offsets.partition_point(|&o| o < pairs * p / parts))
+            .collect();
+        let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+        pool.map_workers(ranges, |_, windows| {
+            pool.checkpoint();
+            pass(windows)
+        })
+    }
+
+    /// The flat key column of the windows `kept`, in the order given.
+    fn key_column(&self, kept: impl ExactSizeIterator<Item = usize>) -> Vec<u32> {
+        let l = self.l;
+        let mut keys = Vec::with_capacity(kept.len() * l);
+        for i in kept {
+            keys.extend_from_slice(&self.keys[i * l..(i + 1) * l]);
         }
+        keys
+    }
+
+    /// `sequenceCount`'s pass: per window, Σ local count × the source's rule
+    /// weight (a root source weighs 1).  Windows whose total is zero — local
+    /// only to rules the root never reaches — are dropped.
+    fn weighted_totals(&self, weights: &[u64], pool: &WorkerPool) -> Vec<Vec<(usize, u64)>> {
+        self.over_key_ranges(pool, |windows| {
+            let mut rows = Vec::with_capacity(windows.len());
+            for i in windows {
+                let total: u64 = self
+                    .entries(i)
+                    .map(|(s, c)| weights.get(s as usize).map_or(c, |w| c * w))
+                    .sum();
+                if total > 0 {
+                    rows.push((i, total));
+                }
+            }
+            rows
+        })
+    }
+
+    /// The `sequenceCount` table of [`weighted_totals`](Self::weighted_totals)'
+    /// rows.
+    fn count_table(&self, parts: Vec<Vec<(usize, u64)>>) -> AnalyticsOutput {
+        let rows = parts.concat();
+        let keys = self.key_column(rows.iter().map(|&(i, _)| i));
+        let counts = rows.into_iter().map(|(_, total)| total).collect();
+        let table = SequenceCountResult::from_sorted_columns(self.l, keys, counts);
+        AnalyticsOutput::SequenceCount(table)
+    }
+
+    /// `rankedInvertedIndex`'s pass: each worker walks its windows, scatters
+    /// every source's `count ×` its per-file occurrences (or `count` into
+    /// the one file of a root source) into a dense per-file scratch, and
+    /// collects, zeroes and ranks only the files the window touched
+    /// (descending count, then ascending file), so the `windows × files`
+    /// cross product exists only as additions.  Windows with no posting —
+    /// local only to rules the root never reaches — are dropped.
+    fn ranked_postings(
+        &self,
+        fw: &FileWeightLists,
+        num_files: usize,
+        pool: &WorkerPool,
+    ) -> Vec<PostingRun<usize, (FileId, u64)>> {
+        let num_rules = fw.len() as u32;
+        self.over_key_ranges(pool, |windows| {
+            let mut per_file = PerFileCounts {
+                counts: vec![0; num_files],
+                touched: Vec::new(),
+            };
+            let mut postings: Vec<(FileId, u64)> = Vec::new();
+            let mut run = PostingRun::default();
+            for i in windows {
+                for (source, count) in self.entries(i) {
+                    match fw.get(source as usize) {
+                        Some(files) => {
+                            for &(file, occ) in files {
+                                per_file.add(file, count * occ);
+                            }
+                        }
+                        None => per_file.add(source - num_rules, count),
+                    }
+                }
+                per_file.drain_into(&mut postings);
+                if !postings.is_empty() {
+                    postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                    run.push(i, &postings);
+                }
+            }
+            run
+        })
+    }
+
+    /// The `rankedInvertedIndex` table of
+    /// [`ranked_postings`](Self::ranked_postings)' runs.
+    fn ranked_table(&self, runs: Vec<PostingRun<usize, (FileId, u64)>>) -> AnalyticsOutput {
+        let merged = merge::concat(runs);
+        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+            self.l,
+            self.key_column(merged.keys.into_iter()),
+            merged.offsets,
+            merged.values,
+        ))
     }
 }
 
-/// Every window is counted once per rule chunk and emitted with the rule's
-/// weight (root windows with weight 1).
-struct SequenceCount<'e, K> {
-    seq: SeqScan<'e>,
-    weights: &'e [u64],
+/// Fills the [`WindowSources`] of `ht.l` — packed `u64` keys when they fit
+/// ([`sequences::can_pack`]), owned [`Sequence`]s otherwise — and records
+/// what its scan and merge measured in `timings`.
+pub(crate) fn fill_window_sources(
+    archive: &TadocArchive,
+    ht: &HeadTail,
+    items: &[SeqItem],
+    mass: &[u64],
+    pool: &WorkerPool,
+    timings: &mut PhaseTimings,
+) -> WindowSources {
+    let grammar = &archive.grammar;
+    if sequences::can_pack(ht.l, archive.vocabulary_size()) {
+        WindowFill::<u64>::fill(grammar, ht, items, mass, pool, timings)
+    } else {
+        WindowFill::<Sequence>::fill(grammar, ht, items, mass, pool, timings)
+    }
+}
+
+/// The window fill as a sharded kernel: every local window of a work item
+/// emits `((key, source), 1)`, routed by its first word, so all sources of
+/// one window meet in one bucket and the bucket merge folds them to one
+/// local count per `(key, source)`.
+struct WindowFill<'e, K> {
+    grammar: &'e Grammar,
+    ht: &'e HeadTail,
+    items: &'e [SeqItem],
     key: PhantomData<fn() -> K>,
 }
 
-impl<'e, K> SequenceCount<'e, K> {
-    fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
-        Self {
-            weights: ctx.analysis.ensure_rule_weights(ctx.dag, pool, charge),
-            seq: SeqScan::new(ctx, l, pool, charge),
+impl<'e, K: SeqKey> WindowFill<'e, K> {
+    /// One sharded scan-and-merge of the sequence work items `items`.
+    fn fill(
+        grammar: &'e Grammar,
+        ht: &'e HeadTail,
+        items: &'e [SeqItem],
+        mass: &[u64],
+        pool: &WorkerPool,
+        timings: &mut PhaseTimings,
+    ) -> WindowSources {
+        let (num_rules, num_files) = (grammar.num_rules(), grammar.num_files());
+        assert!(
+            u32::try_from(num_rules + num_files).is_ok(),
+            "{num_rules} rules + {num_files} files do not fit the u32 source id"
+        );
+        let kernel = Self {
+            grammar,
+            ht,
+            items,
             key: PhantomData,
-        }
+        };
+        let runs = scan_and_merge(pool, &kernel, mass, timings);
+        kernel.finalize(runs)
     }
 }
 
-impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
-    type Entry = CountEntry<K>;
+impl<K: SeqKey> Kernel for WindowFill<'_, K> {
+    type Entry = CountEntry<(K, u32)>;
     type Scratch = ();
     type Run = Vec<Self::Entry>;
+    type Output = WindowSources;
 
     fn items(&self) -> usize {
-        self.seq.items.len()
+        self.items.len()
     }
 
     #[inline]
     fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
-        let item = self.seq.items[item];
-        let weight = match item {
-            SeqItem::Rule { r, .. } => self.weights[r],
-            SeqItem::Root(_) => 1,
+        let (body, begin, end, limit, source) = match self.items[item] {
+            SeqItem::Rule { r, begin, end } => {
+                let body = self.grammar.rule(r);
+                (body, begin, end, body.len(), r as u32)
+            }
+            SeqItem::Root(c) => {
+                let source = self.grammar.num_rules() as u32 + c.file;
+                (self.grammar.root(), c.begin, c.end, c.seg_end, source)
+            }
         };
-        if weight == 0 {
-            return;
-        }
-        self.seq.for_each_window(item, |words| {
+        count_range_windows(body, self.ht, begin, end, limit, |words, _| {
             out.route(words[0])
-                .push(CountEntry::new(K::encode(words), weight));
+                .push(CountEntry::new((K::encode(words), source), 1));
         });
     }
 
@@ -966,20 +1099,70 @@ impl<K: SeqKey> Kernel for SequenceCount<'_, K> {
         entries
     }
 
-    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
-        let l = self.seq.l;
-        let rows = runs.iter().map(Vec::len).sum();
-        let mut keys = vec![0u32; rows * l];
-        let mut counts = Vec::with_capacity(rows);
-        for (slot, e) in keys.chunks_exact_mut(l).zip(runs.into_iter().flatten()) {
-            e.key.write_words(slot);
-            counts.push(e.count);
+    /// One pass over the bucket runs, which arrive in key order: each new
+    /// key starts a window and appends its words to the key arena.
+    fn finalize(self, runs: Vec<Self::Run>) -> WindowSources {
+        let (l, pairs) = (self.ht.l, runs.iter().map(Vec::len).sum());
+        let mut table = WindowSources {
+            l,
+            keys: Vec::new(),
+            offsets: Vec::new(),
+            sources: Vec::with_capacity(pairs),
+            counts: Vec::with_capacity(pairs),
+        };
+        let mut last = None;
+        for CountEntry { key, count } in runs.iter().flatten() {
+            if last != Some(&key.0) {
+                table.offsets.push(table.sources.len());
+                let at = table.keys.len();
+                table.keys.resize(at + l, 0);
+                key.0.write_words(&mut table.keys[at..]);
+                last = Some(&key.0);
+            }
+            table.sources.push(key.1);
+            table.counts.push(*count);
         }
-        AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(l, keys, counts))
+        table.offsets.push(pairs);
+        table
     }
 }
 
-/// The dense accumulator a ranked-index shard owner scatters one key's
+/// `sequenceCount`: one pass over the window table, then its rows.
+fn sequence_count(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
+    run_phases(
+        |charge| {
+            let (archive, dag) = (ctx.archive, ctx.dag);
+            let weights = ctx.analysis.ensure_rule_weights(dag, pool, charge);
+            let slot = ctx
+                .analysis
+                .ensure_window_sources(archive, dag, ctx.fcfg, l, pool, charge);
+            (weights, slot)
+        },
+        |(weights, slot), _| slot.windows().weighted_totals(weights, pool),
+        |(_, slot), parts| slot.windows().count_table(parts),
+    )
+}
+
+/// `rankedInvertedIndex`: one pass over the window table, then its posting
+/// lists.
+fn ranked_inverted_index(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
+    run_phases(
+        |charge| {
+            let (archive, dag) = (ctx.archive, ctx.dag);
+            let grammar = &archive.grammar;
+            let fw = ctx.analysis.ensure_file_weights(grammar, dag, pool, charge);
+            let num_files = ctx.analysis.ensure_segments(grammar, charge).len();
+            let slot = ctx
+                .analysis
+                .ensure_window_sources(archive, dag, ctx.fcfg, l, pool, charge);
+            (fw, num_files, slot)
+        },
+        |(fw, num_files, slot), _| slot.windows().ranked_postings(fw, *num_files, pool),
+        |(.., slot), runs| slot.windows().ranked_table(runs),
+    )
+}
+
+/// The dense accumulator a ranked-index worker scatters one window's
 /// sources into: `counts[file]` plus the files whose count left zero — the
 /// per-word scratch of term vector ([`TvScratch`]), indexed by file.
 struct PerFileCounts {
@@ -1004,120 +1187,6 @@ impl PerFileCounts {
         for file in self.touched.drain(..) {
             out.push((file, std::mem::take(&mut self.counts[file as usize])));
         }
-    }
-}
-
-/// Emits `((sequence key, source), 1)` per local window, where `source`
-/// says whose per-file occurrences scale it: a rule id, or `num_rules +
-/// file` for a window of that file's root segment.  That is the volume
-/// `sequenceCount` emits; the `windows × files` cross product exists only
-/// as additions into the shard owner's dense per-file scratch.  Routing by
-/// the window's first word keeps all sources of one sequence in one bucket.
-struct RankedIndex<'e, K> {
-    seq: SeqScan<'e>,
-    fw: &'e FileWeightLists,
-    num_rules: u32,
-    num_files: usize,
-    key: PhantomData<fn() -> K>,
-}
-
-impl<'e, K> RankedIndex<'e, K> {
-    fn new(ctx: FineCtx<'e>, l: usize, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
-        let grammar = &ctx.archive.grammar;
-        let num_files = ctx.analysis.ensure_segments(grammar, charge).len();
-        let num_rules = ctx.dag.num_rules;
-        assert!(
-            u32::try_from(num_rules + num_files).is_ok(),
-            "{num_rules} rules + {num_files} files do not fit the u32 source id"
-        );
-        Self {
-            fw: ctx
-                .analysis
-                .ensure_file_weights(grammar, ctx.dag, pool, charge),
-            seq: SeqScan::new(ctx, l, pool, charge),
-            num_rules: num_rules as u32,
-            num_files,
-            key: PhantomData,
-        }
-    }
-
-    /// Adds `count` windows of `source` to the files it stands for: a
-    /// rule's per-file occurrences, or the one file of a root pseudo-source.
-    #[inline]
-    fn scatter(&self, per_file: &mut PerFileCounts, source: u32, count: u64) {
-        if source < self.num_rules {
-            for &(file, occ) in &self.fw[source as usize] {
-                per_file.add(file, count * occ);
-            }
-        } else {
-            per_file.add(source - self.num_rules, count);
-        }
-    }
-}
-
-impl<K: SeqKey> Kernel for RankedIndex<'_, K> {
-    type Entry = CountEntry<(K, u32)>;
-    type Scratch = ();
-    type Run = PostingRun<K, (FileId, u64)>;
-
-    fn items(&self) -> usize {
-        self.seq.items.len()
-    }
-
-    #[inline]
-    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
-        let item = self.seq.items[item];
-        let source = match item {
-            SeqItem::Rule { r, .. } if self.fw[r].is_empty() => return,
-            SeqItem::Rule { r, .. } => r as u32,
-            SeqItem::Root(chunk) => self.num_rules + chunk.file,
-        };
-        self.seq.for_each_window(item, |words| {
-            out.route(words[0])
-                .push(CountEntry::new((K::encode(words), source), 1));
-        });
-    }
-
-    /// Walks the sorted `((key, source), count)` entries one key at a time:
-    /// each source scatters `count ×` its per-file occurrences into the
-    /// dense scratch, and only the files the key touched are collected,
-    /// zeroed again and ranked by in-file frequency (descending count, then
-    /// ascending file).  The scratch is one `u64` per file per shard owner,
-    /// allocated here; cleanup costs the touched set.
-    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        let mut run = PostingRun::default();
-        let mut per_file = PerFileCounts {
-            counts: vec![0; self.num_files],
-            touched: Vec::new(),
-        };
-        let mut postings: Vec<(FileId, u64)> = Vec::new();
-        let mut entries = entries.into_iter().peekable();
-        while let Some(first) = entries.next() {
-            let (key, source) = first.key;
-            self.scatter(&mut per_file, source, first.count);
-            while let Some(next) = entries.next_if(|e| e.key.0 == key) {
-                self.scatter(&mut per_file, next.key.1, next.count);
-            }
-            per_file.drain_into(&mut postings);
-            postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            run.push(key, &postings);
-        }
-        run
-    }
-
-    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
-        let l = self.seq.l;
-        let merged = merge::concat(runs);
-        let mut keys = vec![0u32; merged.len() * l];
-        for (slot, key) in keys.chunks_exact_mut(l).zip(&merged.keys) {
-            key.write_words(slot);
-        }
-        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
-            l,
-            keys,
-            merged.offsets,
-            merged.values,
-        ))
     }
 }
 
@@ -1330,6 +1399,57 @@ mod tests {
         corpus
     }
 
+    /// Half of all tokens are one word, so one leading word starts half of
+    /// all windows (the word-skewed corpus of `tests/executor_stress.rs`).
+    fn word_skewed_corpus() -> Vec<(String, String)> {
+        (0..12)
+            .map(|f| {
+                let text: Vec<String> = (0..600)
+                    .map(|i| format!("the w{}", (i * 7 + f * 13) % (40 + f)))
+                    .collect();
+                (format!("doc{f}"), text.join(" "))
+            })
+            .collect()
+    }
+
+    /// The second and third sequence queries on an engine read the window
+    /// table the first one filled — filled by sequenceCount on one engine
+    /// and by rankedInvertedIndex on the next — and must still equal the
+    /// sequential reference, for packed (`l` ≤ 3) and owned (`l` ≥ 4) keys.
+    #[test]
+    fn warm_window_tables_serve_both_sequence_tasks() {
+        let pair = [Task::SequenceCount, Task::RankedInvertedIndex];
+        for corpus in [ranked_corpus(), redundant_corpus(), word_skewed_corpus()] {
+            let (archive, dag) = build(&corpus);
+            for l in 1..=5usize {
+                let cfg = TaskConfig { sequence_length: l };
+                let oracle = pair.map(|task| run_task(&archive, &dag, task, cfg).output);
+                for threads in [1usize, 3, 8] {
+                    for chunk_elements in [1usize, 7] {
+                        for first in [0, 1] {
+                            let engine = Engine::builder(&archive, &dag)
+                                .threads(threads)
+                                .chunk_elements(chunk_elements)
+                                .build()
+                                .unwrap();
+                            for (n, k) in [first, 1 - first, first].into_iter().enumerate() {
+                                let exec = engine.run(pair[k], cfg).unwrap();
+                                let label = format!(
+                                    "{} query {n} of {} files, l = {l}, {threads} threads, \
+                                     chunk_elements = {chunk_elements}",
+                                    pair[k].name(),
+                                    corpus.len()
+                                );
+                                assert_eq!(exec.output, oracle[k], "{label}");
+                                assert_eq!(exec.timings.merge_entries == 0, n > 0, "{label}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// Proves `ranked_corpus` has the source mix the rule-keyed ranked index
     /// must handle, at `l` = 2: a window that is local to a rule occurring
     /// in more than 64 files and also occurs in a root segment, and a window
@@ -1350,14 +1470,15 @@ mod tests {
         // Window -> the most files any rule it is local to occurs in.
         let mut in_rules: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
         for (r, body) in grammar.rules().enumerate().skip(1) {
-            sequences::count_rule_local(body, &ht, |words, _| {
+            count_range_windows(body, &ht, 0, body.len(), body.len(), |words, _| {
                 let files = in_rules.entry(words.to_vec()).or_insert(0);
                 *files = (*files).max(fw[r].len());
             });
         }
         let mut in_root: BTreeMap<Vec<u32>, BTreeSet<FileId>> = BTreeMap::new();
         for chunk in root_chunks(&segments, usize::MAX) {
-            count_root_chunk(grammar.root(), &ht, chunk, |words| {
+            let (begin, end, limit) = (chunk.begin, chunk.end, chunk.seg_end);
+            count_range_windows(grammar.root(), &ht, begin, end, limit, |words, _| {
                 in_root.entry(words.to_vec()).or_default().insert(chunk.file);
             });
         }

@@ -10,7 +10,9 @@
 //!
 //! Local counts are computed **once per rule** regardless of how often the
 //! rule occurs — the reuse that makes the paper's sequence tasks two orders
-//! of magnitude faster than the re-scanning CPU baseline.  A window is read
+//! of magnitude faster than the re-scanning CPU baseline — and the engine
+//! computes them once per session and `l`, into the window table both
+//! sequence tasks read (`WindowSources`).  A window is read
 //! off a *pseudo-stream* assembled from the rule body using only the
 //! head/tail (or full short expansion) of each sub-rule (Figure 6), so no
 //! recursive expansion is ever needed.
@@ -92,115 +94,14 @@ impl SeqKey for Sequence {
     }
 }
 
-/// One position of the pseudo-stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamItem {
-    /// A word, with the rule-body element index it came from and whether that
-    /// element is a word of the rule itself (`own`) or a sub-rule occurrence.
-    Word {
-        /// The word id.
-        word: u32,
-        /// Rule-body element index the word belongs to.
-        element: u32,
-        /// `true` when the element is a word of the rule body itself.
-        own: bool,
-    },
-    /// A gap no window may cross (interior of a long sub-rule, or a file
-    /// splitter in the root).
-    Gap,
-}
-
-/// Builds the pseudo-stream of the element range `[start, end)` of `body`.
-pub fn build_stream(body: &[Symbol], ht: &HeadTail, start: usize, end: usize) -> Vec<StreamItem> {
-    let mut stream = Vec::new();
-    for (idx, sym) in body[start..end].iter().enumerate() {
-        let element = (start + idx) as u32;
-        match *sym {
-            Symbol::Word(w) => stream.push(StreamItem::Word {
-                word: w,
-                element,
-                own: true,
-            }),
-            Symbol::Rule(c) => {
-                let c = c as usize;
-                if let Some(full) = &ht.short_expansion[c] {
-                    for &w in full {
-                        stream.push(StreamItem::Word {
-                            word: w,
-                            element,
-                            own: false,
-                        });
-                    }
-                } else {
-                    for &w in &ht.head[c] {
-                        stream.push(StreamItem::Word {
-                            word: w,
-                            element,
-                            own: false,
-                        });
-                    }
-                    stream.push(StreamItem::Gap);
-                    for &w in &ht.tail[c] {
-                        stream.push(StreamItem::Word {
-                            word: w,
-                            element,
-                            own: false,
-                        });
-                    }
-                }
-            }
-            Symbol::Splitter(_) => stream.push(StreamItem::Gap),
-        }
-    }
-    stream
-}
-
-/// Slides an `l`-window over a *materialized* pseudo-stream, invoking
-/// `emit(words, first_element)` for every window that is local to the rule
-/// (i.e. not fully contained in a single sub-rule occurrence).
-///
-/// This is the reference implementation the streaming
-/// [`count_range_windows`] path is tested against; the hot paths use its
-/// allocation-free ring-buffer walk instead.
-pub fn count_stream_windows<F: FnMut(&[u32], u32)>(stream: &[StreamItem], l: usize, mut emit: F) {
-    if l == 0 || stream.len() < l {
-        return;
-    }
-    let mut window: Vec<(u32, u32, bool)> = Vec::with_capacity(l);
-    let mut words: Vec<u32> = vec![0; l];
-    for item in stream {
-        match item {
-            StreamItem::Gap => window.clear(),
-            StreamItem::Word { word, element, own } => {
-                if window.len() == l {
-                    window.remove(0);
-                }
-                window.push((*word, *element, *own));
-                if window.len() == l {
-                    let first_elem = window[0].1;
-                    let same_element = window.iter().all(|&(_, e, _)| e == first_elem);
-                    let any_own = window.iter().any(|&(_, _, own)| own);
-                    if !same_element || any_own {
-                        for (slot, &(w, _, _)) in words.iter_mut().zip(window.iter()) {
-                            *slot = w;
-                        }
-                        emit(&words, first_elem);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// An allocation-free sliding `l`-window over the pseudo-stream, fed one
 /// word (or gap) at a time.
 ///
-/// This replaces the materialized [`build_stream`] `Vec<StreamItem>` on the
-/// hot paths: the window lives in a small ring buffer, so counting a rule or
-/// chunk touches no heap beyond the two fixed scratch vectors, and the
-/// emission rule is identical to [`count_stream_windows`] — a window is
-/// emitted unless it is fully contained in a single sub-rule occurrence
-/// (same element, no own word).
+/// The window lives in a small ring buffer instead of a materialized
+/// pseudo-stream (the tests keep that form as the reference), so counting a
+/// rule or chunk touches no heap beyond the two fixed scratch vectors.  A
+/// window is emitted unless it is fully contained in a single sub-rule
+/// occurrence (same element, no own word).
 struct WindowSlider {
     l: usize,
     /// Ring of the last `l` `(word, element, own)` items; `head` indexes the
@@ -302,10 +203,10 @@ impl WindowSlider {
 /// `[begin, end)`, completing right-boundary-crossing windows with at most
 /// `l - 1` *words* read from elements in `[end, limit)`.
 ///
-/// This is the shared engine behind both whole-rule counting
-/// ([`count_rule_local`]) and chunked counting ([`count_root_chunk`] and
-/// rule-body chunks): chunks of one body partition its windows exactly —
-/// every window is counted by the single chunk its first word falls into.
+/// This is the shared engine behind both whole-body counting and chunked
+/// counting (root chunks and rule-body chunks): chunks of one body
+/// partition its windows exactly — every window is counted by the single
+/// chunk its first word falls into.
 /// The boundary extension is O(`l`) words per chunk: it stops as soon as
 /// `l - 1` words have been appended, a gap is reached (the interior of a
 /// long sub-rule, which no window crosses anyway), or `limit` is hit —
@@ -411,28 +312,6 @@ pub fn root_chunks(segments: &[(usize, usize)], target: usize) -> Vec<RootChunk>
     chunks
 }
 
-/// Counts the sequences local to non-root rule `body`, one `emit` per
-/// occurrence.
-pub fn count_rule_local<F: FnMut(&[u32], u32)>(body: &[Symbol], ht: &HeadTail, emit: F) {
-    count_range_windows(body, ht, 0, body.len(), body.len(), emit);
-}
-
-/// Counts the root-local sequences whose first word lies in `chunk`, one
-/// `emit` per occurrence.  Windows may read up to `l-1` words past the
-/// chunk (still within the file segment) — exactly the cross-boundary
-/// information the head/tail buffers exist to provide; see
-/// [`count_range_windows`] for the O(`l`) boundary-extension contract.
-pub fn count_root_chunk<F: FnMut(&[u32])>(
-    root: &[Symbol],
-    ht: &HeadTail,
-    chunk: RootChunk,
-    mut emit: F,
-) {
-    count_range_windows(root, ht, chunk.begin, chunk.end, chunk.seg_end, |words, _| {
-        emit(words)
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,6 +322,124 @@ mod tests {
     use sequitur::compress::{compress_corpus, CompressOptions};
     use sequitur::fxhash::FxHashMap;
     use sequitur::Dag;
+
+    /// One position of the pseudo-stream.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum StreamItem {
+        /// A word, with the rule-body element index it came from and whether that
+        /// element is a word of the rule itself (`own`) or a sub-rule occurrence.
+        Word {
+            /// The word id.
+            word: u32,
+            /// Rule-body element index the word belongs to.
+            element: u32,
+            /// `true` when the element is a word of the rule body itself.
+            own: bool,
+        },
+        /// A gap no window may cross (interior of a long sub-rule, or a file
+        /// splitter in the root).
+        Gap,
+    }
+
+    /// Builds the pseudo-stream of the element range `[start, end)` of `body`.
+    fn build_stream(body: &[Symbol], ht: &HeadTail, start: usize, end: usize) -> Vec<StreamItem> {
+        let mut stream = Vec::new();
+        for (idx, sym) in body[start..end].iter().enumerate() {
+            let element = (start + idx) as u32;
+            match *sym {
+                Symbol::Word(w) => stream.push(StreamItem::Word {
+                    word: w,
+                    element,
+                    own: true,
+                }),
+                Symbol::Rule(c) => {
+                    let c = c as usize;
+                    if let Some(full) = &ht.short_expansion[c] {
+                        for &w in full {
+                            stream.push(StreamItem::Word {
+                                word: w,
+                                element,
+                                own: false,
+                            });
+                        }
+                    } else {
+                        for &w in &ht.head[c] {
+                            stream.push(StreamItem::Word {
+                                word: w,
+                                element,
+                                own: false,
+                            });
+                        }
+                        stream.push(StreamItem::Gap);
+                        for &w in &ht.tail[c] {
+                            stream.push(StreamItem::Word {
+                                word: w,
+                                element,
+                                own: false,
+                            });
+                        }
+                    }
+                }
+                Symbol::Splitter(_) => stream.push(StreamItem::Gap),
+            }
+        }
+        stream
+    }
+
+    /// Slides an `l`-window over a *materialized* pseudo-stream, invoking
+    /// `emit(words, first_element)` for every window that is local to the rule
+    /// (i.e. not fully contained in a single sub-rule occurrence).
+    ///
+    /// The reference the streaming [`count_range_windows`] walk is tested
+    /// against.
+    fn count_stream_windows<F: FnMut(&[u32], u32)>(stream: &[StreamItem], l: usize, mut emit: F) {
+        if l == 0 || stream.len() < l {
+            return;
+        }
+        let mut window: Vec<(u32, u32, bool)> = Vec::with_capacity(l);
+        let mut words: Vec<u32> = vec![0; l];
+        for item in stream {
+            match item {
+                StreamItem::Gap => window.clear(),
+                StreamItem::Word { word, element, own } => {
+                    if window.len() == l {
+                        window.remove(0);
+                    }
+                    window.push((*word, *element, *own));
+                    if window.len() == l {
+                        let first_elem = window[0].1;
+                        let same_element = window.iter().all(|&(_, e, _)| e == first_elem);
+                        let any_own = window.iter().any(|&(_, _, own)| own);
+                        if !same_element || any_own {
+                            for (slot, &(w, _, _)) in words.iter_mut().zip(window.iter()) {
+                                *slot = w;
+                            }
+                            emit(&words, first_elem);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts the root-local sequences whose first word lies in `chunk`, one
+    /// `emit` per occurrence.  Windows may read up to `l-1` words past the
+    /// chunk (still within the file segment).
+    fn count_root_chunk<F: FnMut(&[u32])>(
+        root: &[Symbol],
+        ht: &HeadTail,
+        chunk: RootChunk,
+        mut emit: F,
+    ) {
+        let (begin, end, limit) = (chunk.begin, chunk.end, chunk.seg_end);
+        count_range_windows(root, ht, begin, end, limit, |words, _| emit(words));
+    }
+
+    /// Counts the sequences local to non-root rule `body`, one `emit` per
+    /// occurrence.
+    fn count_rule_local<F: FnMut(&[u32], u32)>(body: &[Symbol], ht: &HeadTail, emit: F) {
+        count_range_windows(body, ht, 0, body.len(), body.len(), emit);
+    }
 
     fn head_tail(archive: &sequitur::TadocArchive, dag: &Dag, l: usize) -> HeadTail {
         let levels = levels_bottom_up(dag);

@@ -85,12 +85,12 @@ pub struct PhaseTimings {
     /// Work performed during traversal; same contract as `init_work`.
     pub traversal_work: WorkStats,
     /// Portion of `init` spent *computing* shared session artifacts (DAG
-    /// levels, rule/file weights, head/tail buffers, chunk lists, the
-    /// term-vector CSR).  On a cold [`Engine`](crate::fine_grained::Engine)
-    /// run this is most of `init`; on a warm run every artifact is served
-    /// from the session cache and this is [`Duration::ZERO`].  The
-    /// sequential path does not break out a shared portion and leaves it
-    /// zero.
+    /// levels, rule/file weights, head/tail buffers and window tables,
+    /// chunk lists, the term-vector CSR).  On a cold
+    /// [`Engine`](crate::fine_grained::Engine) run this is most of `init`;
+    /// on a warm run every artifact is served from the session cache and
+    /// this is [`Duration::ZERO`].  The sequential path does not break out a
+    /// shared portion and leaves it zero.
     pub shared_init: Duration,
     /// Portion of `traversal` spent turning shard rows into the final
     /// [`AnalyticsOutput`](crate::results::AnalyticsOutput): merging the
@@ -101,11 +101,16 @@ pub struct PhaseTimings {
     /// Portion of `traversal` the sharded tasks spend in the claim loop:
     /// workers scanning work items into their private shard buffers
     /// (self-compactions included), as the wall time of that pool epoch.
-    /// Zero for `termVector` and the sequential path, which shard nothing.
+    /// The sequence tasks scan only in the window fill, so for them this is
+    /// a portion of `shared_init`, on the query that fills, and zero on a
+    /// warm query.  Zero for `termVector` and the sequential path, which
+    /// shard nothing.
     pub scan: Duration,
-    /// Portion of `traversal` the sharded tasks spend merging each shard's
-    /// per-worker buffers and turning the merged entries into the shard's
-    /// run, as the wall time of that pool epoch.  Zero where `scan` is.
+    /// Portion of `traversal` — of `shared_init` for the sequence tasks'
+    /// window fill, as with `scan` — the sharded tasks spend merging each
+    /// shard's per-worker buffers and turning the merged entries into the
+    /// shard's run, as the wall time of that pool epoch.  Zero where `scan`
+    /// is.
     pub shard_merge: Duration,
     /// Entries the scan left for the shard merge, over every key-range
     /// bucket (duplicates a worker had not folded yet included).  Zero

@@ -1,8 +1,9 @@
 //! Long-lived `Engine` session: the serving pattern the session API exists
 //! for.  One compressed archive is queried many times — six tasks, twice
 //! each — on a single engine that keeps its worker pool parked and its
-//! analysis layer (DAG levels, rule/file weights, head/tail buffers, chunk
-//! decompositions, the term-vector CSR) cached between queries.
+//! analysis layer (DAG levels, rule/file weights, head/tail buffers and
+//! window tables, chunk decompositions, the term-vector CSR) cached between
+//! queries.
 //!
 //! ```text
 //! cargo run --release --example engine_session
@@ -79,7 +80,8 @@ fn main() {
 
     // Where a warm traversal goes: the sharded tasks break it into the scan
     // epoch, the shard-merge epoch and the finalize (termVector shards
-    // nothing and reports zero for the first two).
+    // nothing, and the sequence tasks sharded once, in the cold pass's
+    // window fill: both report zero for the first two).
     println!("\n== warm traversal, by stage ==");
     for (task, exec) in Task::ALL.into_iter().zip(&warm) {
         let t = &exec.timings;

@@ -174,21 +174,17 @@ fn sharded_kernels_match_sequential_when_one_word_is_half_the_corpus() {
 
 /// The largest contiguous bucket group a merge worker takes stays within
 /// 1.5× the mean group on the many-file (A) and few-huge-file (B) shapes.
+/// Each task runs cold on an engine of its own: the sequence tasks merge
+/// buckets only in the window fill of their first query.
 #[test]
 fn merge_groups_stay_balanced_on_dataset_shapes() {
     for id in [DatasetId::A, DatasetId::B] {
         let archive = DatasetPreset::new(id).generate_scaled(0.2).compress();
         let dag = Dag::from_grammar(&archive.grammar);
         for threads in [2usize, 4, 8] {
-            let engine = Engine::builder(&archive, &dag)
-                .threads(threads)
-                .build()
-                .expect("valid engine configuration");
             for task in SHARDED {
-                let t = engine
-                    .run(task, TaskConfig::default())
-                    .expect("valid task configuration")
-                    .timings;
+                let builder = Engine::builder(&archive, &dag).threads(threads);
+                let t = run_cold(builder, task, TaskConfig::default()).timings;
                 let largest = t.largest_merge_group as f64;
                 let mean = t.merge_entries as f64 / threads as f64;
                 assert!(mean > 100.0, "premise: {} entries", t.merge_entries);

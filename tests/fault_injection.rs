@@ -78,9 +78,12 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 match faulted.timings.degraded {
                     Some(Degradation::WorkerPanic) => fired += 1,
                     // `merge-fold` fires for every task that merges shard
-                    // buffers — the four sharded kernels — and only
-                    // termVector (which merges by scatter) passes it by; the
-                    // other two sites sit on every task's path.
+                    // buffers — wordCount / sort and invertedIndex on every
+                    // query, the sequence tasks only when their window
+                    // table is cold (as here: a fresh engine per task), in
+                    // its fill — and only termVector (which merges by
+                    // scatter) passes it by; the other two sites sit on
+                    // every task's path.
                     None => assert!(
                         site == "merge-fold" && task == Task::TermVector,
                         "{label}: must have degraded"
@@ -102,6 +105,96 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 "site={site} threads={threads}: no task crossed the site — a dead \
                  matrix row proves nothing"
             );
+        }
+    }
+}
+
+/// A fault inside the window fill — `merge-fold` in its bucket merge, then
+/// `chunk-boundary` in its claim loop on the next query, once the head/tail
+/// buffers it scans are warm — degrades that query to the oracle answer and
+/// leaves the table's cell empty: the query after refills exactly that one
+/// artifact and runs the fine path, and a warm repeat fills nothing.
+#[test]
+fn a_fault_in_the_window_fill_leaves_the_table_empty_for_the_next_query() {
+    let _guard = serial();
+    failpoints::reset();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig::default();
+    for threads in [1usize, 4] {
+        for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
+            let label = format!("{} at {threads} threads", task.name());
+            let oracle = run_task(&archive, &dag, task, cfg).output;
+            let engine = Engine::builder(&archive, &dag)
+                .threads(threads)
+                .build()
+                .expect("valid archive");
+            let mut fills = Vec::new();
+            for site in ["merge-fold", "chunk-boundary"] {
+                failpoints::enable_times(site, 1);
+                let faulted = engine.run(task, cfg).expect("degraded, not failed");
+                assert!(!failpoints::is_armed(site), "{label}: {site} never fired");
+                assert_eq!(faulted.output, oracle, "{label}: {site} degraded output");
+                assert_eq!(faulted.timings.degraded, Some(Degradation::WorkerPanic));
+                fills.push(engine.analysis_fills());
+            }
+            assert_eq!(
+                fills[0], fills[1],
+                "{label}: the faulted fill published nothing"
+            );
+            let refilled = engine.run(task, cfg).expect("fine path");
+            assert_eq!(refilled.output, oracle, "{label}: refilled output");
+            assert!(refilled.timings.degraded.is_none(), "{label}");
+            assert!(
+                refilled.timings.merge_entries > 0,
+                "{label}: this query filled"
+            );
+            assert_eq!(engine.analysis_fills(), fills[1] + 1, "{label}: one refill");
+            let warm = engine.run(task, cfg).expect("fine path");
+            assert!(warm.timings.warm, "{label}");
+            assert_eq!(
+                engine.analysis_fills(),
+                fills[1] + 1,
+                "{label}: warm repeat"
+            );
+        }
+    }
+}
+
+/// `worker-epoch` on a *warm* sequence query faults the pass's one pool
+/// epoch: the query degrades to the oracle answer, the pool heals, and the
+/// next query is served warm by the fine path again.
+#[test]
+fn worker_epoch_on_a_warm_sequence_query_degrades_and_heals() {
+    let _guard = serial();
+    failpoints::reset();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig::default();
+    for threads in [1usize, 4] {
+        let engine = Engine::builder(&archive, &dag)
+            .threads(threads)
+            .build()
+            .expect("valid archive");
+        for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
+            let label = format!("{} at {threads} threads", task.name());
+            let oracle = run_task(&archive, &dag, task, cfg).output;
+            engine.run(task, cfg).expect("warm-up");
+            let fills = engine.analysis_fills();
+            failpoints::enable_times("worker-epoch", 1);
+            let faulted = engine.run(task, cfg).expect("degraded, not failed");
+            failpoints::reset();
+            assert_eq!(faulted.output, oracle, "{label}: degraded output");
+            assert_eq!(faulted.timings.degraded, Some(Degradation::WorkerPanic));
+            assert!(
+                engine.with_worker_pool(|pool| !pool.is_poisoned()),
+                "{label}"
+            );
+            let healed = engine.run(task, cfg).expect("fine path");
+            assert_eq!(healed.output, oracle, "{label}: healed output");
+            assert!(healed.timings.degraded.is_none(), "{label}");
+            assert!(healed.timings.warm, "{label}");
+            assert_eq!(engine.analysis_fills(), fills, "{label}: nothing refilled");
         }
     }
 }

@@ -15,7 +15,9 @@
 //! * the GPU hash table behaves like a map; the pool-backed local tables
 //!   behave like maps; the memory pool never overlaps regions;
 //! * G-TADOC word count and sequence count agree with the oracle on random
-//!   corpora.
+//!   corpora;
+//! * both sequence tasks answer from one engine's window table, whichever
+//!   of them filled it.
 
 mod common;
 
@@ -306,6 +308,38 @@ proptest! {
                     threads
                 );
             }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    // One engine's window table serves both sequence tasks: whichever task
+    // fills it, the other one and a repeat read it warm, and every answer
+    // equals the sequential reference — packed keys up to `l` = 3, owned
+    // ones above.
+    #[test]
+    fn sequence_tasks_sharing_a_window_table_equal_the_reference(
+        files in token_files(),
+        l in 1usize..=5,
+        threads in 1usize..=4,
+        chunk_elements in 1usize..8,
+        first in 0usize..2,
+    ) {
+        let archive = archive_from_tokens(&files);
+        let dag = Dag::from_grammar(&archive.grammar);
+        let cfg = TaskConfig { sequence_length: l };
+        let pair = [Task::SequenceCount, Task::RankedInvertedIndex];
+        let engine = Engine::builder(&archive, &dag)
+            .threads(threads)
+            .chunk_elements(chunk_elements)
+            .build()
+            .expect("valid engine configuration");
+        for task in [pair[first], pair[1 - first], pair[first]] {
+            let reference = run_task(&archive, &dag, task, cfg).output;
+            let exec = engine.run(task, cfg).expect("valid task configuration");
+            prop_assert_eq!(&exec.output, &reference, "{} at l = {}", task.name(), l);
         }
     }
 }
