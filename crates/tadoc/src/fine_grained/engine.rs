@@ -37,11 +37,10 @@
 use super::exec::{Abort, WorkerPool};
 use super::head_tail::{build_head_tail, levels_bottom_up, levels_top_down, HeadTail};
 use super::results_cache::{ResultsCache, RESULTS_CACHE_BUDGET_BYTES};
-use super::scratch::ScratchPool;
 use super::{
     build_term_vector_prep, fill_window_sources, parallel_file_weights, parallel_rule_weights,
     root_chunks, run_fine_with_cache, sequence_work_items, FileWeightLists, FineGrainedConfig,
-    SeqItem, TermVectorPrep, TvScratch, WindowSources,
+    SeqItem, TermVectorPrep, WindowSources,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
 use crate::timing::{Degradation, PhaseTimings, Timer};
@@ -554,8 +553,7 @@ impl Analysis {
 }
 
 /// The borrowed context a fine-grained task path runs against: the archive
-/// and its DAG, the fixed configuration, the shared [`Analysis`] layer, and
-/// the scratch pool the term-vector path leases its dense regions from.
+/// and its DAG, the fixed configuration, and the shared [`Analysis`] layer.
 /// `Copy` by design — the dispatch clones it freely into every kernel.
 #[derive(Clone, Copy)]
 pub(crate) struct FineCtx<'e> {
@@ -563,7 +561,6 @@ pub(crate) struct FineCtx<'e> {
     pub(crate) dag: &'e Dag,
     pub(crate) fcfg: FineGrainedConfig,
     pub(crate) analysis: &'e Analysis,
-    pub(crate) tv_scratch: &'e ScratchPool<Vec<TvScratch>>,
 }
 
 // ---------------------------------------------------------------------------
@@ -642,7 +639,6 @@ impl<'a> EngineBuilder<'a> {
                 epochs_retired: 0,
             }),
             analysis: Analysis::default(),
-            tv_scratch: ScratchPool::default(),
             results: self
                 .results_cache
                 .then(|| ResultsCache::with_budget(RESULTS_CACHE_BUDGET_BYTES)),
@@ -717,9 +713,9 @@ struct ExecState {
 /// Every query method takes `&self`, and `Engine` is [`Sync`]: N client
 /// threads may query one shared engine simultaneously
 /// (`std::thread::scope` plus `&engine` is all it takes).  Concurrent
-/// queries share the analysis
-/// layer (first toucher fills, everyone else reads), lease any mutable
-/// scratch from a typed pool, and contend only for the worker pool itself.
+/// queries share the analysis layer (first toucher fills, everyone else
+/// reads), allocate their own mutable state, and contend only for the
+/// worker pool itself.
 /// The admission contract: one query at a time owns the shared pool
 /// (claimed with a non-blocking `try_lock`); a query finding it busy runs
 /// inline on a transient single-worker pool rather than queueing, trading
@@ -766,11 +762,10 @@ pub struct Engine<'a> {
     dag: &'a Dag,
     // Split by mutability: `exec` (the pool) is the one exclusively-held
     // piece, `analysis` is immutable-once-filled and shared by every
-    // concurrent query, `tv_scratch` leases per-query mutable regions.
+    // concurrent query; a query's mutable state is its own.
     fcfg: FineGrainedConfig,
     exec: Mutex<ExecState>,
     analysis: Analysis,
-    tv_scratch: ScratchPool<Vec<TvScratch>>,
     /// Whole-output memoization, present when the builder enabled it.
     results: Option<ResultsCache>,
 }
@@ -908,7 +903,6 @@ impl<'a> Engine<'a> {
             dag: self.dag,
             fcfg: self.fcfg,
             analysis: &self.analysis,
-            tv_scratch: &self.tv_scratch,
         };
         match self.exec.try_lock() {
             Ok(mut exec) => run_fine_on_pool(task, cfg, ctx, &mut exec, cancel, deadline),
@@ -941,9 +935,9 @@ impl<'a> Engine<'a> {
 /// fault, heals the pool if the fault poisoned it, and degrades to the
 /// sequential oracle path once.  Faults are **per-query** by construction:
 /// the analysis fills are panic-atomic (a faulted fill leaves its cell
-/// empty), scratch leases dropped mid-unwind are discarded rather than
-/// recycled, and the query's charge is stack-local — so nothing a fault
-/// touches is visible to concurrent or subsequent queries.
+/// empty), and the query's buffers and charge are its own, dropped with
+/// it — so nothing a fault touches is visible to concurrent or subsequent
+/// queries.
 ///
 /// The recovery ladder, in order:
 /// 1. [`Abort`] payloads (cancel/deadline checkpoints fired) are clean:

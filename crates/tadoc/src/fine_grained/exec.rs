@@ -813,13 +813,6 @@ pub(crate) mod race {
         });
     }
 
-    /// The `(worker, generation)` stamp of the current thread, `(0, 0)`
-    /// outside any epoch.  Scratch leases record this pair so an overlapping
-    /// lease can name both holders (see `scratch::LeaseStamp`).
-    pub(crate) fn current() -> (u32, u32) {
-        CURRENT.with(Cell::get)
-    }
-
     fn tag(worker: u32, gen: u32) -> u32 {
         ((worker + 1) << 24) | (gen & GEN_MASK)
     }
@@ -958,21 +951,6 @@ impl<'a, T> DisjointSlots<'a, T> {
         #[cfg(all(feature = "race-check", debug_assertions))]
         self.shadow.on_write(i);
         *self.cells[i].get() = value;
-    }
-
-    /// Exclusively borrows slot `i` for in-place mutation (scratch regions
-    /// too large to move through [`set`](Self::set)).
-    ///
-    /// # Safety
-    /// Same contract as [`set`](Self::set): slot `i` belongs to exactly one
-    /// worker this epoch, and no other worker reads it until a later epoch's
-    /// barrier orders the mutation.  The returned borrow must not outlive
-    /// the epoch.  Counted as a write by the shadow owner table.
-    #[allow(clippy::mut_from_ref)] // SAFETY: per-epoch disjointness, see `# Safety` above
-    pub(crate) unsafe fn get_mut(&self, i: usize) -> &mut T {
-        #[cfg(all(feature = "race-check", debug_assertions))]
-        self.shadow.on_write(i);
-        &mut *self.cells[i].get()
     }
 }
 

@@ -1,21 +1,18 @@
 //! File-major CSR view of the per-rule file weights.
 //!
-//! The top-down pull pass ([`super`]'s `parallel_file_weights`) produces the
-//! *rule-major* occurrence tables: for every rule, the files it occurs in
-//! and how often.  Term vector needs the transpose — for every **file**, the
-//! rules contributing to it — so that files can be statically sharded across
-//! workers and each worker only ever walks *its own files'* rules.  Earlier
-//! revisions had every worker walk every rule and filter by file ownership,
-//! which multiplied the rule scan by the worker count and kept term vector
-//! slower than the sequential baseline on one core.
+//! The rule-major file weights ([`super`]'s `parallel_file_weights`) list,
+//! for every rule, the files it occurs in and how often.  Term vector needs
+//! the other orientation — for every **file**, the rules contributing to it
+//! — so that files can be statically sharded across workers and each worker
+//! only ever walks *its own files'* rules.  Earlier revisions had every
+//! worker walk every rule and filter by file ownership, which multiplied the
+//! rule scan by the worker count and kept term vector slower than the
+//! sequential baseline on one core.  The engine builds the file-major rows
+//! directly, one top-down propagation per file (`build_term_vector_prep`).
 //!
-//! The transpose is stored in compressed sparse row (CSR) form: one flat
-//! `rules`/`occs` entry array indexed by a per-file `offsets` prefix scan —
-//! the same two-pass (count, then fill) construction the GPU memory pool
-//! uses to carve regions, and cache-friendly to consume because each file's
-//! entries are contiguous.
-
-use crate::results::FileId;
+//! The rows are stored in compressed sparse row (CSR) form: one flat
+//! `rules`/`occs` entry array indexed by a per-file `offsets` prefix scan,
+//! cache-friendly to consume because each file's entries are contiguous.
 
 /// Per-file rule occurrences in CSR form: file `f`'s entries are
 /// `rules[offsets[f]..offsets[f + 1]]` (parallel to `occs`).
@@ -23,20 +20,10 @@ use crate::results::FileId;
 /// ```
 /// use tadoc::fine_grained::file_csr::FileCsr;
 ///
-/// // Rule-major input: rule 1 occurs twice in file 0; rule 2 occurs once
-/// // in each file (rule 0 is the root and carries no weights).
-/// let fw: Vec<Vec<(u32, u64)>> = vec![
-///     vec![],
-///     vec![(0, 2)],
-///     vec![(0, 1), (1, 1)],
-/// ];
-///
-/// let csr = FileCsr::build(&fw, 2);
+/// // File 0 holds rule 1 twice and rule 2 once; file 1 holds rule 2 once.
+/// let csr = FileCsr::from_rows(vec![vec![(1, 2), (2, 1)], vec![(2, 1)]]);
 /// assert_eq!(csr.num_files(), 2);
-/// assert_eq!(csr.nnz(), 3);
-/// let mut file0: Vec<(u32, u64)> = csr.entries(0).collect();
-/// file0.sort_unstable();
-/// assert_eq!(file0, vec![(1, 2), (2, 1)]);
+/// assert_eq!(csr.entries(0).collect::<Vec<_>>(), vec![(1, 2), (2, 1)]);
 /// assert_eq!(csr.entries(1).collect::<Vec<_>>(), vec![(2, 1)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,46 +37,6 @@ pub struct FileCsr {
 }
 
 impl FileCsr {
-    /// Transposes the rule-major file-weight lists (each rule's sorted
-    /// `(file, occurrences)` pairs) into file-major CSR.
-    ///
-    /// `fw[0]` (the root pseudo-rule) is skipped: root words are attributed
-    /// to files directly from the segment scan, not through rule weights.
-    /// Entries of files `>= num_files` would be out of contract and are
-    /// debug-asserted against.
-    pub fn build(fw: &[Vec<(FileId, u64)>], num_files: usize) -> FileCsr {
-        // Pass 1: count entries per file into the (shifted) offset array.
-        let mut offsets = vec![0usize; num_files + 1];
-        for rule_fw in fw.iter().skip(1) {
-            for &(f, _) in rule_fw {
-                debug_assert!((f as usize) < num_files, "file id {f} out of range");
-                offsets[f as usize + 1] += 1;
-            }
-        }
-        for i in 0..num_files {
-            offsets[i + 1] += offsets[i];
-        }
-        let nnz = offsets[num_files];
-
-        // Pass 2: fill, advancing a per-file cursor.
-        let mut cursors = offsets[..num_files].to_vec();
-        let mut rules = vec![0u32; nnz];
-        let mut occs = vec![0u64; nnz];
-        for (r, rule_fw) in fw.iter().enumerate().skip(1) {
-            for &(f, occ) in rule_fw {
-                let slot = cursors[f as usize];
-                cursors[f as usize] += 1;
-                rules[slot] = r as u32;
-                occs[slot] = occ;
-            }
-        }
-        FileCsr {
-            offsets,
-            rules,
-            occs,
-        }
-    }
-
     /// Assembles a CSR from per-file rows (`rows[f]` = file `f`'s
     /// `(rule, occurrences)` entries) — the shape the file-parallel
     /// top-down propagation produces.
@@ -119,16 +66,6 @@ impl FileCsr {
         self.offsets.len() - 1
     }
 
-    /// Total number of `(file, rule)` entries.
-    pub fn nnz(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// Number of rules occurring in file `f`.
-    pub fn entry_count(&self, f: usize) -> usize {
-        self.offsets[f + 1] - self.offsets[f]
-    }
-
     /// Iterates file `f`'s `(rule, occurrences)` entries.
     pub fn entries(&self, f: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
         let range = self.offsets[f]..self.offsets[f + 1];
@@ -143,39 +80,11 @@ impl FileCsr {
 mod tests {
     use super::*;
 
-    fn dense(csr: &FileCsr) -> Vec<Vec<(u32, u64)>> {
-        (0..csr.num_files())
-            .map(|f| {
-                let mut v: Vec<(u32, u64)> = csr.entries(f).collect();
-                v.sort_unstable();
-                v
-            })
-            .collect()
-    }
-
-    #[test]
-    fn transpose_matches_rule_major_input() {
-        let fw: Vec<Vec<(FileId, u64)>> = vec![
-            vec![(0, 99)], // root entries must be ignored
-            vec![(2, 5)],
-            vec![(0, 1), (2, 3)],
-            vec![(1, 7)],
-        ];
-        let csr = FileCsr::build(&fw, 3);
-        assert_eq!(csr.nnz(), 4);
-        assert_eq!(
-            dense(&csr),
-            vec![vec![(2, 1)], vec![(3, 7)], vec![(1, 5), (2, 3)]]
-        );
-        assert_eq!(csr.entry_count(2), 2);
-    }
-
     #[test]
     fn from_rows_round_trips_through_entries() {
         let rows = vec![vec![(2u32, 1u64)], vec![], vec![(1, 5), (2, 3)]];
         let csr = FileCsr::from_rows(rows.clone());
         assert_eq!(csr.num_files(), 3);
-        assert_eq!(csr.nnz(), 3);
         for (f, row) in rows.iter().enumerate() {
             assert_eq!(&csr.entries(f).collect::<Vec<_>>(), row, "file {f}");
         }
@@ -183,14 +92,10 @@ mod tests {
 
     #[test]
     fn empty_inputs_produce_empty_csr() {
-        let csr = FileCsr::build(&[], 0);
-        assert_eq!(csr.num_files(), 0);
-        assert_eq!(csr.nnz(), 0);
+        assert_eq!(FileCsr::from_rows(Vec::new()).num_files(), 0);
 
-        let fw: Vec<Vec<(FileId, u64)>> = vec![Vec::new(); 3];
-        let csr = FileCsr::build(&fw, 5);
+        let csr = FileCsr::from_rows(vec![Vec::new(); 5]);
         assert_eq!(csr.num_files(), 5);
-        assert_eq!(csr.nnz(), 0);
         for f in 0..5 {
             assert_eq!(csr.entries(f).count(), 0);
         }

@@ -19,14 +19,15 @@
 //!    and phases, and small DAG levels no longer pay a thread-spawn each.
 //! 2. **Private per-worker accumulators** (Figure 5's lock-free local
 //!    tables, in CPU-appropriate form).  Every worker owns its accumulation
-//!    state outright — append-and-compact shard buffers for the counting
-//!    tasks, a dense `counts[word]` scratch with touched-word tracking for
-//!    term vector (word ids are already a perfect hash of the vocabulary) —
-//!    the CPU twin of the paper's observation that a table owned by one
+//!    state outright, allocated per query — append-and-compact shard
+//!    buffers for the counting tasks, dense counts with touched-key
+//!    tracking for term vector's `counts[word]` (word ids are already a
+//!    perfect hash of the vocabulary) and the ranked index's `counts[file]`
+//!    — the CPU twin of the paper's observation that a table owned by one
 //!    thread needs no locks.  (The paper's flat open-addressing tables and
 //!    memory pool live with the simulated GPU engine in `gtadoc`, where
 //!    dynamic allocation per thread is not an option; this engine probes
-//!    no hash table.)
+//!    no hash table and pools no memory.)
 //! 3. **Key-range lock-free global merge over append-and-compact buffers.**
 //!    Instead of the global table's bucket locks (Figure 5's
 //!    `lock`/`entries` buffers), every worker routes each entry by its
@@ -64,14 +65,14 @@
 //!    leaves [`PhaseTimings::init_work`](crate::timing::PhaseTimings::init_work)
 //!    / `traversal_work` at their `Default`; the sequential reference
 //!    counts abstract work for the cost model.
-//! 5. **File-major CSR accumulation for term vector.**  The top-down pass
-//!    produces rule-major `(file, occurrences)` tables; term vector consumes
-//!    their transpose ([`file_csr::FileCsr`]) so files can be statically
-//!    partitioned across workers by cost and each worker walks only *its
-//!    own files'* rules, accumulating one file at a time into a dense
-//!    per-worker scratch with touched-word tracking.  File ownership is
-//!    disjoint, so there is nothing to merge — the same static-sharding
-//!    trick as the global merge.
+//! 5. **File-major CSR accumulation for term vector.**  The other
+//!    file-attributed tasks read rule-major `(file, occurrences)` tables;
+//!    term vector propagates per file instead, straight into file-major form
+//!    ([`file_csr::FileCsr`]), so files can be statically partitioned across
+//!    workers by cost and each worker walks only *its own files'* rules,
+//!    accumulating one file at a time into its own dense counts with
+//!    touched-word tracking.  File ownership is disjoint, so there is
+//!    nothing to merge — the same static-sharding trick as the global merge.
 //! 6. **Rule-local sequence support** (Figures 6–8).  Sequence tasks build
 //!    per-rule head/tail buffers bottom-up and count every window **once per
 //!    rule**; rule bodies and the root are split into chunks the way the
@@ -83,7 +84,7 @@
 //!    into a window → (source, local count) table (`WindowSources`; a
 //!    source is a rule, or one file's root segment).  A query is one pass
 //!    over that table, scaling by rule weight (sequence count) or
-//!    scattering by per-file rule weight into a dense per-file scratch
+//!    scattering by per-file rule weight into dense per-file counts
 //!    (ranked inverted index, so the window × file cross product is never
 //!    pushed or sorted).  This is the reuse that lets the engine beat the
 //!    sequential baseline even on a single core — the baseline re-streams
@@ -108,7 +109,6 @@ pub mod file_csr;
 pub mod head_tail;
 pub mod merge;
 mod results_cache;
-pub(crate) mod scratch;
 pub mod sequences;
 
 pub use engine::{CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions};
@@ -164,8 +164,8 @@ impl Default for FineGrainedConfig {
 /// Dispatches one fine-grained task over an existing pool and session
 /// context — the back end of [`Engine::run`].  Takes only shared references
 /// to the session state (the [`FineCtx`] is `Copy`): all mutation happens
-/// through the analysis layer's once-filled cells and the leased per-query
-/// scratch, which is what lets [`Engine::run`] accept `&self`.
+/// through the analysis layer's once-filled cells and state the query
+/// allocates itself, which is what lets [`Engine::run`] accept `&self`.
 ///
 /// The caller (the builder and [`Engine::run_with`]) has validated the
 /// configuration; `cfg.sequence_length` must be at least 1 for
@@ -542,7 +542,7 @@ impl Kernel for InvertedIndex<'_> {
 
 /// The cacheable initialization product of the term-vector task: the
 /// file-major CSR, the per-file traversal costs, and the sizes the dense
-/// scratch is carved with.  Depends only on the archive, the DAG, and the
+/// counts are allocated with.  Depends only on the archive, the DAG, and the
 /// engine-fixed `chunk_elements` — never on a per-query knob — so a session
 /// computes it once.  The cost-balanced per-worker file *ranges* are
 /// deliberately **not** cached: they depend on the width of the pool that
@@ -556,18 +556,35 @@ pub(crate) struct TermVectorPrep {
     pub(crate) vocab: usize,
 }
 
-/// The dense per-worker accumulation region of the term-vector traversal:
-/// `counts[word]` (a perfect-hash array over the vocabulary) plus the
-/// touched-word list that bounds per-file cleanup.  Leased as a
-/// `Vec<TvScratch>` (one entry per worker) from the session's
-/// [`ScratchPool`] so concurrent queries never share a region.  The
-/// recycling invariant — all counts zero, `touched` empty — is exactly the
-/// state the per-file cleanup restores, so a lease that completes its epoch
-/// is returned clean and the next query skips the O(vocab) zeroing.
-#[derive(Default)]
-pub(crate) struct TvScratch {
+/// A dense accumulator over a small id space: `counts[key]` plus the keys
+/// whose count left zero, so collecting and re-zeroing cost the keys
+/// touched, not the id space.  Term vector accumulates one file's words in
+/// it (word ids are a perfect hash of the vocabulary), the ranked index one
+/// window's files.  Every worker allocates its own, per query.
+struct DenseCounts {
     counts: Vec<u64>,
-    touched: Vec<WordId>,
+    touched: Vec<u32>,
+}
+
+impl DenseCounts {
+    #[inline]
+    fn add(&mut self, key: u32, amount: u64) {
+        let slot = &mut self.counts[key as usize];
+        if *slot == 0 {
+            self.touched.push(key);
+        }
+        *slot += amount;
+    }
+
+    /// Moves the touched keys' `(key, count)` pairs into `out` (replacing
+    /// its contents), in `touched` order, and leaves every count zero again.
+    fn drain_into(&mut self, out: &mut Vec<(u32, u64)>) {
+        out.clear();
+        out.reserve(self.touched.len());
+        for key in self.touched.drain(..) {
+            out.push((key, std::mem::take(&mut self.counts[key as usize])));
+        }
+    }
 }
 
 /// Builds [`TermVectorPrep`]: the file-major CSR *directly* with a
@@ -748,78 +765,47 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
         // Traversal — file-major accumulation.  Each worker owns a
         // contiguous file range (cost-balanced for *this* pool's width — the
         // cached prep stores only the costs) and walks only those files' CSR
-        // entries, accumulating one file at a time into a dense per-worker
-        // `counts[word]` scratch with a touched-word list: word ids are
-        // already a perfect hash of the vocabulary, so the accumulate is a
-        // direct array add (no probing at all) and the per-file cleanup
-        // touches only the file's own words.
-        //
-        // The scratch regions are *leased* from the session's
-        // [`ScratchPool`] rather than allocated per query: per-file cleanup
-        // restores the all-zero recycling invariant, so a lease that
-        // completes its epoch is marked clean and returned; a query that
-        // unwinds mid-epoch drops its lease dirty and the pool discards it
-        // (see `scratch`).
+        // entries, accumulating one file at a time into its own
+        // [`DenseCounts`] over the vocabulary: word ids are already a
+        // perfect hash of the vocabulary, so the accumulate is a direct
+        // array add (no probing at all) and the per-file drain touches only
+        // the file's own words.
         |&(prep, segments), _| {
             let ranges = exec::partition_by_cost(&prep.costs, threads);
-            let mut lease = ctx.tv_scratch.lease_with(Vec::new);
-            if lease.len() < threads {
-                lease.resize_with(threads, TvScratch::default);
-            }
-            for s in lease.iter_mut().take(threads) {
-                s.counts.resize(prep.vocab, 0);
-            }
-            type FileVectors = Vec<(usize, Vec<(WordId, u64)>)>;
-            let locals: Vec<FileVectors> = {
-                let slots = DisjointSlots::new(&mut lease[..threads]);
-                pool.map_workers(ranges, |w, files| {
-                    // SAFETY: worker `w` is handed exactly one input by
-                    // `map_workers` and borrows exactly scratch slot `w`; no
-                    // other worker touches that slot until the epoch
-                    // barrier, and the borrow ends with this closure call.
-                    let scratch = unsafe { slots.get_mut(w) };
-                    let (counts, touched) = (&mut scratch.counts, &mut scratch.touched);
-                    let mut vectors: FileVectors = Vec::with_capacity(files.len());
-                    for f in files {
-                        // Cancel/deadline, once per owned file.
-                        pool.checkpoint();
-                        // Root words of the file's segment.
-                        if let Some(&(start, end)) = segments.get(f) {
-                            for sym in &root[start..end] {
-                                if let Symbol::Word(w) = *sym {
-                                    if counts[w as usize] == 0 {
-                                        touched.push(w);
-                                    }
-                                    counts[w as usize] += 1;
-                                }
+            pool.map_workers(ranges, |_, files| {
+                let mut counts = DenseCounts {
+                    counts: vec![0; prep.vocab],
+                    touched: Vec::new(),
+                };
+                let mut vectors = Vec::with_capacity(files.len());
+                for f in files {
+                    // Cancel/deadline, once per owned file.
+                    pool.checkpoint();
+                    // Root words of the file's segment.
+                    if let Some(&(start, end)) = segments.get(f) {
+                        for sym in &root[start..end] {
+                            if let Symbol::Word(w) = *sym {
+                                counts.add(w, 1);
                             }
                         }
-                        // Rule-local words scaled by the rule's occurrences
-                        // in `f`.
-                        for (r, occ) in prep.csr.entries(f) {
-                            for &(w, c) in dag.local_words(r as usize) {
-                                if counts[w as usize] == 0 {
-                                    touched.push(w);
-                                }
-                                counts[w as usize] += c as u64 * occ;
-                            }
-                        }
-                        touched.sort_unstable();
-                        let v: Vec<(WordId, u64)> =
-                            touched.iter().map(|&w| (w, counts[w as usize])).collect();
-                        for &w in touched.iter() {
-                            counts[w as usize] = 0;
-                        }
-                        touched.clear();
-                        vectors.push((f, v));
                     }
-                    vectors
-                })
-            };
-            // Every worker finished its epoch, so every region is back to
-            // the all-zero invariant — return the lease for the next query.
-            lease.mark_clean();
-            locals
+                    // Rule-local words scaled by the rule's occurrences in
+                    // `f`.
+                    for (r, occ) in prep.csr.entries(f) {
+                        for &(w, c) in dag.local_words(r as usize) {
+                            counts.add(w, c as u64 * occ);
+                        }
+                    }
+                    // Sort the 4-byte words before the drain, not the
+                    // 16-byte pairs after it: ~20 % faster warm term vector
+                    // on the benchmark's `manyfiles` (2-core x86-64).
+                    counts.touched.sort_unstable();
+                    let mut v: Vec<(WordId, u64)> = Vec::new();
+                    counts.drain_into(&mut v);
+                    vectors.push((f, v));
+                }
+                vectors
+            })
         },
         // Finalize: a plain scatter of finished vectors followed by one
         // flattening pass into the CSR columns.
@@ -958,8 +944,8 @@ impl WindowSources {
 
     /// `rankedInvertedIndex`'s pass: each worker walks its windows, scatters
     /// every source's `count ×` its per-file occurrences (or `count` into
-    /// the one file of a root source) into a dense per-file scratch, and
-    /// collects, zeroes and ranks only the files the window touched
+    /// the one file of a root source) into its own [`DenseCounts`] over the
+    /// files, and drains and ranks only the files the window touched
     /// (descending count, then ascending file), so the `windows × files`
     /// cross product exists only as additions.  Windows with no posting —
     /// local only to rules the root never reaches — are dropped.
@@ -971,7 +957,7 @@ impl WindowSources {
     ) -> Vec<PostingRun<usize, (FileId, u64)>> {
         let num_rules = fw.len() as u32;
         self.over_key_ranges(pool, |windows| {
-            let mut per_file = PerFileCounts {
+            let mut per_file = DenseCounts {
                 counts: vec![0; num_files],
                 touched: Vec::new(),
             };
@@ -1162,34 +1148,6 @@ fn ranked_inverted_index(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskE
     )
 }
 
-/// The dense accumulator a ranked-index worker scatters one window's
-/// sources into: `counts[file]` plus the files whose count left zero — the
-/// per-word scratch of term vector ([`TvScratch`]), indexed by file.
-struct PerFileCounts {
-    counts: Vec<u64>,
-    touched: Vec<FileId>,
-}
-
-impl PerFileCounts {
-    #[inline]
-    fn add(&mut self, file: FileId, amount: u64) {
-        let slot = &mut self.counts[file as usize];
-        if *slot == 0 {
-            self.touched.push(file);
-        }
-        *slot += amount;
-    }
-
-    /// Moves the touched files' `(file, count)` pairs into `out` (replacing
-    /// its contents) and leaves every count zero again.
-    fn drain_into(&mut self, out: &mut Vec<(FileId, u64)>) {
-        out.clear();
-        for file in self.touched.drain(..) {
-            out.push((file, std::mem::take(&mut self.counts[file as usize])));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1267,34 +1225,36 @@ mod tests {
         }
     }
 
+    /// The CSR term vector reads, propagated per file, is the transpose of
+    /// the rule-major file weights — with every root segment's seed scan
+    /// chunked (`chunk_elements` 1) and with none chunked.
     #[test]
     fn file_csr_matches_file_weights_on_real_grammars() {
         let (archive, dag) = build(&redundant_corpus());
         let pool = WorkerPool::new(2);
-        let fw = parallel_file_weights(
-            &archive.grammar,
-            &dag,
-            &head_tail::levels_top_down(&dag),
-            &weights::file_segments(&archive.grammar),
-            &pool,
-        );
-        let num_files = archive.num_files();
-        let csr = FileCsr::build(&fw, num_files);
-        for f in 0..num_files {
-            let mut got: Vec<(u32, u64)> = csr.entries(f).collect();
-            got.sort_unstable();
-            let mut expected: Vec<(u32, u64)> = fw
-                .iter()
-                .enumerate()
-                .skip(1)
-                .filter_map(|(r, list)| {
-                    list.iter()
-                        .find(|&&(lf, _)| lf == f as FileId)
-                        .map(|&(_, occ)| (r as u32, occ))
+        let segments = weights::file_segments(&archive.grammar);
+        let levels = head_tail::levels_top_down(&dag);
+        let fw = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
+        let mut expected = vec![Vec::new(); archive.num_files()];
+        for (r, list) in fw.iter().enumerate().skip(1) {
+            for &(f, occ) in list {
+                expected[f as usize].push((r as u32, occ));
+            }
+        }
+        for chunk_elements in [1, 4096] {
+            let fcfg = FineGrainedConfig {
+                num_threads: 2,
+                chunk_elements,
+            };
+            let csr = build_term_vector_prep(&archive, &dag, &segments, fcfg, &pool).csr;
+            let got: Vec<Vec<(u32, u64)>> = (0..csr.num_files())
+                .map(|f| {
+                    let mut row: Vec<(u32, u64)> = csr.entries(f).collect();
+                    row.sort_unstable();
+                    row
                 })
                 .collect();
-            expected.sort_unstable();
-            assert_eq!(got, expected, "file {f}");
+            assert_eq!(got, expected, "chunk_elements = {chunk_elements}");
         }
     }
 

@@ -295,6 +295,52 @@ fn cancellation_mid_query_returns_typed_error_and_keeps_the_session_healthy() {
     }
 }
 
+/// An abort after accumulation: a warm termVector cancelled at the k-th
+/// chunk boundary, once a worker has already accumulated whole files into
+/// its dense counts, answers `Cancelled` and poisons nothing.  The counts
+/// die with the query, so the next unrestricted query is a warm fine-path
+/// answer equal to the oracle.
+#[test]
+fn term_vector_cancelled_after_accumulating_files_leaves_the_next_query_clean() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let _guard = serial();
+    failpoints::reset();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig::default();
+    let oracle = run_task(&archive, &dag, Task::TermVector, cfg).output;
+    for threads in [1usize, 4] {
+        let engine = Engine::builder(&archive, &dag)
+            .threads(threads)
+            .build()
+            .expect("valid archive");
+        engine.run(Task::TermVector, cfg).expect("warm-up");
+        for k in [2usize, 3, 5] {
+            let label = format!("{threads} threads, cancelled at crossing {k}");
+            let token = CancelToken::new();
+            let hook_token = token.clone();
+            let crossings = AtomicUsize::new(0);
+            failpoints::observe("chunk-boundary", move || {
+                if crossings.fetch_add(1, Ordering::Relaxed) + 1 == k {
+                    hook_token.cancel();
+                }
+            });
+            let opts = QueryOptions::new().cancel_token(token);
+            let err = engine.run_with(Task::TermVector, cfg, &opts);
+            failpoints::reset();
+            assert_eq!(err.expect_err(&label), EngineError::Cancelled, "{label}");
+            assert!(
+                engine.with_worker_pool(|pool| !pool.is_poisoned()),
+                "{label}"
+            );
+            let after = engine.run(Task::TermVector, cfg).expect("fine path");
+            assert_eq!(after.output, oracle, "{label}");
+            assert!(after.timings.degraded.is_none(), "{label}");
+            assert!(after.timings.warm, "{label}");
+        }
+    }
+}
+
 #[test]
 fn deadline_mid_query_returns_typed_error_in_bounded_time() {
     let _guard = serial();
