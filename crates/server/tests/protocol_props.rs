@@ -356,7 +356,8 @@ proptest! {
 }
 
 /// The six tables `protocol::tests::responses_round_trip_byte_identically`
-/// pins, through the same checks as the arbitrary ones.
+/// pins, and the empty table of every variant, through the same checks as
+/// the arbitrary ones.
 #[test]
 fn pinned_sample_frames_keep_their_bytes() {
     let samples = [
@@ -389,7 +390,32 @@ fn pinned_sample_frames_keep_their_bytes() {
             vec![(0, 9), (1, 3), (0, 1)],
         )),
     ];
-    for out in samples {
+    // The empty table of every variant: a row count of 0 and nothing but
+    // the closing offset of the CSR columns.
+    let empties = [
+        AnalyticsOutput::WordCount(WordCountResult::default()),
+        AnalyticsOutput::Sort(SortResult::default()),
+        AnalyticsOutput::InvertedIndex(InvertedIndexResult::default()),
+        AnalyticsOutput::TermVector(TermVectorResult::default()),
+        AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![Vec::new(); 3])),
+    ]
+    .into_iter()
+    .chain([3, 5].into_iter().flat_map(|l| {
+        [
+            AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+                l,
+                Vec::new(),
+                Vec::new(),
+            )),
+            AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+                l,
+                Vec::new(),
+                vec![0],
+                Vec::new(),
+            )),
+        ]
+    }));
+    for out in samples.into_iter().chain(empties) {
         assert_round_trips(out);
     }
     // One of them spelled out, so the layout itself is on record.
@@ -563,6 +589,20 @@ fn malformed_result_payloads_are_rejected() {
                 .offsets(&[0, 1])
                 .pairs(&[(0, 9)])
                 .u32s([7]),
+        ),
+        (
+            "termVector: row count u64::MAX, so rows + 1 offsets overflow",
+            RawPayload::tagged(4).u64(u64::MAX),
+        ),
+        // With 0 rows, `rows × l` key words do not overflow; a single key
+        // row of `l` words (4·l bytes) does, and must still be refused.
+        (
+            "sequenceCount: l = 2^62 with 0 rows",
+            RawPayload::tagged(5).u64(1 << 62).u64(0),
+        ),
+        (
+            "rankedInvertedIndex: l = 2^62 with 0 rows",
+            RawPayload::tagged(6).u64(1 << 62).u64(0).offsets(&[0]),
         ),
         ("unknown result tag", RawPayload::tagged(9).u64(0)),
         ("empty payload", RawPayload::default()),
