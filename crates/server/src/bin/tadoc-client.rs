@@ -176,7 +176,7 @@ fn main() -> ExitCode {
                 Ok(QueryOutcome::Ok(out)) => {
                     println!(
                         "{}: {} (digest {:016x})",
-                        out.task_name(),
+                        out.task().name(),
                         summarize(&out),
                         out.digest()
                     );

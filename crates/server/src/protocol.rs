@@ -23,27 +23,28 @@
 //! | `Query`       | task `u8`, sequence_length `u64`, deadline flag `u8` (+ `deadline_ms u64`) |
 //! | `Stats`       | empty |
 //! | `Shutdown`    | empty |
-//! | `Result`      | task tag `u8`, then the result's columns (see below) |
+//! | `Result`      | task tag `u8`, `l u64` (sequence tasks only), row count `u64`, then the table's `columns()` |
 //! | `Error`       | code `u8`, message length `u32`, UTF-8 bytes |
 //! | `Overloaded`  | queue depth `u32`, queue capacity `u32` |
 //! | `StatsReply`  | eight `u64` counters |
 //! | `ShutdownAck` | empty |
 //!
-//! Results travel as their **ordered columnar form** directly: sorted key
-//! columns next to value columns, CSR offsets next to flat posting columns —
-//! the same representation the engine finalizes into, so a decoded result
-//! is bit-for-bit the table the server held (`AnalyticsOutput::digest`
-//! agrees across the wire).  Every byte moves once: the encoder computes the
-//! exact frame length first and writes header and columns, a slice at a
-//! time, into one buffer of that size; the decoder builds each result
-//! column straight from its byte range.
+//! Results travel as their **ordered columnar form** directly: the columns
+//! `AnalyticsOutput::columns` lists, in its order, the representation the
+//! engine finalizes into — so a decoded result is bit-for-bit the table the
+//! server held (`AnalyticsOutput::digest` agrees across the wire).  A task's
+//! tag is its position in `Task::ALL`, from 1; offsets travel as `u64`s and
+//! a pair column as its `u32` column, then its `u64` column.  Every byte
+//! moves once: the encoder computes the exact frame length from the columns
+//! and writes them, a slice at a time, into one buffer of that size; the
+//! decoder builds each result column straight from its byte range.
 
 use std::sync::Arc;
 
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::EngineError;
 use tadoc::results::{
-    AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
+    AnalyticsOutput, Column, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,
 };
 
@@ -119,35 +120,32 @@ pub enum WireErrorCode {
     Internal,
 }
 
+/// Every code with its wire byte.  Byte 4 is reserved: it named an
+/// arena-capacity fault the engine can no longer produce, and is never
+/// reused, so an old peer's 4 stays a typed decode error instead of
+/// silently meaning something else.
+const ERROR_CODES: [(WireErrorCode, u8); 8] = [
+    (WireErrorCode::Config, 1),
+    (WireErrorCode::InvalidArchive, 2),
+    (WireErrorCode::WorkerPanicked, 3),
+    (WireErrorCode::DeadlineExceeded, 5),
+    (WireErrorCode::Cancelled, 6),
+    (WireErrorCode::Protocol, 7),
+    (WireErrorCode::ShuttingDown, 8),
+    (WireErrorCode::Internal, 9),
+];
+
 impl WireErrorCode {
-    // Byte 4 is reserved: it named an arena-capacity fault the engine can no
-    // longer produce, and is never reused, so an old peer's 4 stays a typed
-    // decode error instead of silently meaning something else.
     fn to_byte(self) -> u8 {
-        match self {
-            WireErrorCode::Config => 1,
-            WireErrorCode::InvalidArchive => 2,
-            WireErrorCode::WorkerPanicked => 3,
-            WireErrorCode::DeadlineExceeded => 5,
-            WireErrorCode::Cancelled => 6,
-            WireErrorCode::Protocol => 7,
-            WireErrorCode::ShuttingDown => 8,
-            WireErrorCode::Internal => 9,
-        }
+        // `ERROR_CODES` lists the codes in declaration order.
+        ERROR_CODES[self as usize].1
     }
 
     fn from_byte(b: u8) -> Option<Self> {
-        Some(match b {
-            1 => WireErrorCode::Config,
-            2 => WireErrorCode::InvalidArchive,
-            3 => WireErrorCode::WorkerPanicked,
-            5 => WireErrorCode::DeadlineExceeded,
-            6 => WireErrorCode::Cancelled,
-            7 => WireErrorCode::Protocol,
-            8 => WireErrorCode::ShuttingDown,
-            9 => WireErrorCode::Internal,
-            _ => return None,
-        })
+        ERROR_CODES
+            .iter()
+            .find(|&&(_, byte)| byte == b)
+            .map(|&(code, _)| code)
     }
 }
 
@@ -316,11 +314,17 @@ fn le<const N: usize>(chunk: &[u8]) -> [u8; N] {
 struct Cursor<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// What is being read (a task name), for the error messages.
+    what: &'static str,
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+        Self {
+            buf,
+            pos: 0,
+            what: "payload",
+        }
     }
 
     fn remaining(&self) -> usize {
@@ -344,73 +348,108 @@ impl<'a> Cursor<'a> {
     }
 
     fn u32(&mut self) -> Result<u32, ProtocolError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(le(self.take(4)?)))
     }
 
     fn u64(&mut self) -> Result<u64, ProtocolError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(le(self.take(8)?)))
     }
 
-    /// Reads a length field that must be addressable as `usize` AND small
-    /// enough that `len * elem_size` elements can still follow in this
-    /// payload — the allocation bound: nothing is ever reserved beyond what
-    /// the peer actually sent bytes for.
-    fn len_field(&mut self, elem_size: usize, what: &str) -> Result<usize, ProtocolError> {
-        let raw = self.u64()?;
-        let len = usize::try_from(raw).map_err(|_| malformed(format!("{what} count overflows")))?;
+    /// Reads a sequence task's `l`: at least 1, and small enough that a row
+    /// of `l` key words and its 8-byte count or offset is addressable,
+    /// whatever the row count.
+    fn sequence_length(&mut self) -> Result<usize, ProtocolError> {
+        let what = self.what;
+        match usize::try_from(self.u64()?) {
+            Ok(0) => Err(malformed(format!("{what}: zero sequence length"))),
+            Ok(l) if l.checked_mul(4).and_then(|k| k.checked_add(8)).is_some() => Ok(l),
+            _ => Err(malformed(format!("{what}: sequence length overflows"))),
+        }
+    }
+
+    /// Reads a column of `len` elements (`None`: the count overflowed).
+    /// The column's byte count is checked against the bytes left before
+    /// anything is allocated, so nothing is reserved beyond what the peer
+    /// actually sent.
+    fn column<T: Element>(&mut self, len: Option<usize>) -> Result<Vec<T>, ProtocolError> {
         let bytes = len
-            .checked_mul(elem_size)
-            .ok_or_else(|| malformed(format!("{what} count overflows")))?;
-        if bytes > self.remaining() {
+            .and_then(|n| n.checked_mul(T::WIDTH))
+            .ok_or_else(|| malformed(format!("{}: column length overflows", self.what)))?;
+        T::read(self.take(bytes)?, self.what)
+    }
+
+    /// Reads a CSR offsets column of `rows + 1` entries and the value
+    /// column it closes on.
+    fn csr<V: Element>(&mut self, rows: usize) -> Result<(Vec<usize>, Vec<V>), ProtocolError> {
+        let offsets: Vec<usize> = self.column(rows.checked_add(1))?;
+        let values = self.column(offsets.last().copied())?;
+        Ok((offsets, values))
+    }
+
+    fn finish(&self) -> Result<(), ProtocolError> {
+        if self.remaining() != 0 {
             return Err(malformed(format!(
-                "{what} count {len} needs {bytes} bytes but only {} remain",
+                "{} trailing bytes after the payload",
                 self.remaining()
             )));
         }
-        Ok(len)
+        Ok(())
     }
+}
 
-    /// Reads a column of `len` `N`-byte elements.  `len` must come from
-    /// [`len_field`](Self::len_field) or [`total`](Self::total), which
-    /// bound it by the bytes that remain.
-    fn column<T, const N: usize>(
-        &mut self,
-        len: usize,
-        decode: impl Fn([u8; N]) -> T,
-    ) -> Result<Vec<T>, ProtocolError> {
-        let bytes = self.take(len * N)?;
-        Ok(bytes.chunks_exact(N).map(|b| decode(le(b))).collect())
+/// An element of a result column, with its width on the wire.  Reading a
+/// column back is one pass over its bytes.
+trait Element: Sized {
+    /// Bytes per element on the wire.
+    const WIDTH: usize;
+
+    /// Decodes `bytes`, exactly `WIDTH` per element.
+    fn read(bytes: &[u8], what: &str) -> Result<Vec<Self>, ProtocolError>;
+}
+
+/// Decodes a column of `N`-byte little-endian integers.  `from_le` is
+/// generic, not a `fn` pointer, so it inlines into the loop.
+fn ints<T, const N: usize>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
+    bytes.chunks_exact(N).map(|b| from_le(le(b))).collect()
+}
+
+impl Element for u32 {
+    const WIDTH: usize = 4;
+
+    fn read(bytes: &[u8], _: &str) -> Result<Vec<Self>, ProtocolError> {
+        Ok(ints(bytes, u32::from_le_bytes))
     }
+}
 
-    fn u32_vec(&mut self, len: usize) -> Result<Vec<u32>, ProtocolError> {
-        self.column(len, u32::from_le_bytes)
+impl Element for u64 {
+    const WIDTH: usize = 8;
+
+    fn read(bytes: &[u8], _: &str) -> Result<Vec<Self>, ProtocolError> {
+        Ok(ints(bytes, u64::from_le_bytes))
     }
+}
 
-    fn u64_vec(&mut self, len: usize) -> Result<Vec<u64>, ProtocolError> {
-        self.column(len, u64::from_le_bytes)
-    }
+/// A pair column travels as its `u32` column followed by its `u64` column.
+impl Element for (u32, u64) {
+    const WIDTH: usize = 4 + 8;
 
-    /// Reads a `u32` column followed by a `u64` column, `len` elements
-    /// each, as one column of pairs.
-    fn pair_vec(&mut self, len: usize) -> Result<Vec<(u32, u64)>, ProtocolError> {
-        let firsts = self.take(len * 4)?;
-        let seconds = self.take(len * 8)?;
+    fn read(bytes: &[u8], _: &str) -> Result<Vec<Self>, ProtocolError> {
+        let (firsts, seconds) = bytes.split_at(bytes.len() / Self::WIDTH * 4);
         Ok(firsts
             .chunks_exact(4)
             .zip(seconds.chunks_exact(8))
             .map(|(a, b)| (u32::from_le_bytes(le(a)), u64::from_le_bytes(le(b))))
             .collect())
     }
+}
 
-    /// Reads a CSR offsets column of `num_keys + 1` entries, checking that
-    /// it starts at 0, never decreases, and fits `usize`.
-    fn offsets(&mut self, num_keys: usize, what: &str) -> Result<Vec<usize>, ProtocolError> {
-        let bytes = self.take((num_keys + 1) * 8)?;
-        let mut offsets = Vec::with_capacity(num_keys + 1);
+/// CSR offsets travel as `u64`s; they must start at 0, never decrease, and
+/// fit `usize`.
+impl Element for usize {
+    const WIDTH: usize = 8;
+
+    fn read(bytes: &[u8], what: &str) -> Result<Vec<Self>, ProtocolError> {
+        let mut offsets = Vec::with_capacity(bytes.len() / 8);
         let mut previous = 0u64;
         for b in bytes.chunks_exact(8) {
             let offset = u64::from_le_bytes(le(b));
@@ -428,38 +467,18 @@ impl<'a> Cursor<'a> {
         }
         Ok(offsets)
     }
+}
 
-    /// The element count a checked offsets column closes on, bounded like
-    /// [`len_field`](Self::len_field): `total * elem_size` bytes must still
-    /// follow, so nothing is reserved beyond what the peer sent bytes for.
-    fn total(
-        &self,
-        offsets: &[usize],
-        elem_size: usize,
-        what: &str,
-    ) -> Result<usize, ProtocolError> {
-        let total = offsets.last().copied().unwrap_or(0);
-        let bytes = total
-            .checked_mul(elem_size)
-            .ok_or_else(|| malformed(format!("{what} count overflows")))?;
-        if bytes > self.remaining() {
-            return Err(malformed(format!(
-                "{what} count {total} needs {bytes} bytes but only {} remain",
-                self.remaining()
-            )));
-        }
-        Ok(total)
-    }
-
-    fn finish(&self) -> Result<(), ProtocolError> {
-        if self.remaining() != 0 {
-            return Err(malformed(format!(
-                "{} trailing bytes after the payload",
-                self.remaining()
-            )));
-        }
-        Ok(())
-    }
+/// Bytes `column` takes on the wire.  In `u64`: offsets are 8 bytes on the
+/// wire whatever `usize` is.
+fn wire_len(column: Column<'_>) -> u64 {
+    let (len, width) = match column {
+        Column::U32(v) => (v.len(), u32::WIDTH),
+        Column::U64(v) => (v.len(), u64::WIDTH),
+        Column::Offsets(v) => (v.len(), usize::WIDTH),
+        Column::Pairs(v) => (v.len(), <(u32, u64)>::WIDTH),
+    };
+    len as u64 * width as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -507,8 +526,8 @@ impl Writer {
         self.bytes(&v.to_le_bytes());
     }
 
-    /// Writes one column: every item of `items` as its `N` bytes.
-    fn column<T: Copy, const N: usize>(&mut self, items: &[T], encode: impl Fn(T) -> [u8; N]) {
+    /// Writes every item of `items` as its `N` bytes.
+    fn items<T: Copy, const N: usize>(&mut self, items: &[T], encode: impl Fn(T) -> [u8; N]) {
         let end = self.pos + items.len() * N;
         for (dst, &item) in self.buf[self.pos..end].chunks_exact_mut(N).zip(items) {
             dst.copy_from_slice(&encode(item));
@@ -516,23 +535,17 @@ impl Writer {
         self.pos = end;
     }
 
-    fn u32_column(&mut self, vs: &[u32]) {
-        self.column(vs, u32::to_le_bytes);
-    }
-
-    fn u64_column(&mut self, vs: &[u64]) {
-        self.column(vs, u64::to_le_bytes);
-    }
-
-    fn offsets_column(&mut self, offsets: &[usize]) {
-        self.column(offsets, |o| (o as u64).to_le_bytes());
-    }
-
-    /// A `(u32, u64)` pair column travels as a `u32` column followed by a
-    /// `u64` column.
-    fn pair_columns(&mut self, pairs: &[(u32, u64)]) {
-        self.column(pairs, |(first, _)| first.to_le_bytes());
-        self.column(pairs, |(_, second)| second.to_le_bytes());
+    /// Writes one column in its wire form (see [`Element`]).
+    fn column(&mut self, column: Column<'_>) {
+        match column {
+            Column::U32(v) => self.items(v, u32::to_le_bytes),
+            Column::U64(v) => self.items(v, u64::to_le_bytes),
+            Column::Offsets(v) => self.items(v, |o| (o as u64).to_le_bytes()),
+            Column::Pairs(v) => {
+                self.items(v, |(id, _)| id.to_le_bytes());
+                self.items(v, |(_, count)| count.to_le_bytes());
+            }
+        }
     }
 
     /// The finished frame.  A payload length that disagrees with what was
@@ -595,27 +608,19 @@ fn decode_frame(buf: &[u8]) -> Result<(u8, &[u8], usize), ProtocolError> {
 // Requests
 // ---------------------------------------------------------------------------
 
+/// A task's wire tag: its position in [`Task::ALL`], counted from 1.
 fn task_tag(task: Task) -> u8 {
-    match task {
-        Task::WordCount => 1,
-        Task::Sort => 2,
-        Task::InvertedIndex => 3,
-        Task::TermVector => 4,
-        Task::SequenceCount => 5,
-        Task::RankedInvertedIndex => 6,
-    }
+    Task::ALL
+        .iter()
+        .position(|&t| t == task)
+        .map_or(0, |i| i as u8 + 1)
 }
 
 fn task_from_tag(tag: u8) -> Result<Task, ProtocolError> {
-    Ok(match tag {
-        1 => Task::WordCount,
-        2 => Task::Sort,
-        3 => Task::InvertedIndex,
-        4 => Task::TermVector,
-        5 => Task::SequenceCount,
-        6 => Task::RankedInvertedIndex,
-        other => return Err(malformed(format!("unknown task tag {other}"))),
-    })
+    (tag as usize)
+        .checked_sub(1)
+        .and_then(|i| Task::ALL.get(i).copied())
+        .ok_or_else(|| malformed(format!("unknown task tag {tag}")))
 }
 
 /// Encodes a request as one complete frame.
@@ -685,37 +690,10 @@ pub fn decode_request(buf: &[u8]) -> Result<(Request, usize), ProtocolError> {
 // ---------------------------------------------------------------------------
 
 /// Exact payload length of `out`'s result frame, from its column lengths
-/// alone.  In `u64`: offsets are 8 bytes on the wire whatever `usize` is.
+/// alone: tag, `l` for the sequence tasks, row count, then the columns.
 fn output_payload_len(out: &AnalyticsOutput) -> u64 {
-    /// Tag and one `u64` count; the sequence tasks add their `l`.
-    const HEAD: u64 = 1 + 8;
-    let posting_len = |keys: usize, offsets: usize, values: usize, value_size: u64| {
-        4 * keys as u64 + 8 * offsets as u64 + value_size * values as u64
-    };
-    match out {
-        AnalyticsOutput::WordCount(r) => HEAD + (4 + 8) * r.table.len() as u64,
-        AnalyticsOutput::Sort(r) => HEAD + (4 + 8) * r.ranked.len() as u64,
-        AnalyticsOutput::InvertedIndex(r) => {
-            let t = &r.table;
-            HEAD + posting_len(t.keys_flat().len(), t.offsets().len(), t.total_values(), 4)
-        }
-        AnalyticsOutput::TermVector(r) => {
-            HEAD + 8 * r.offsets().len() as u64 + (4 + 8) * r.total_terms() as u64
-        }
-        AnalyticsOutput::SequenceCount(r) => {
-            HEAD + 8 + 4 * r.keys_flat().len() as u64 + 8 * r.counts().len() as u64
-        }
-        AnalyticsOutput::RankedInvertedIndex(r) => {
-            let t = &r.table;
-            HEAD + 8
-                + posting_len(
-                    t.keys_flat().len(),
-                    t.offsets().len(),
-                    t.total_values(),
-                    4 + 8,
-                )
-        }
-    }
+    let l_len = 8 * u64::from(out.sequence_length().is_some());
+    1 + l_len + 8 + out.columns().1.into_iter().map(wire_len).sum::<u64>()
 }
 
 /// Encodes `out` as a result frame of `payload_len` payload bytes — what
@@ -730,146 +708,78 @@ fn encode_result(out: &AnalyticsOutput, payload_len: u64) -> Vec<u8> {
         ));
     }
     let mut w = Writer::frame(KIND_RESULT, payload_len as usize);
-    match out {
-        AnalyticsOutput::WordCount(r) => {
-            w.u8(1);
-            w.u64(r.table.len() as u64);
-            w.u32_column(r.table.keys());
-            w.u64_column(r.table.values());
-        }
-        AnalyticsOutput::Sort(r) => {
-            w.u8(2);
-            w.u64(r.ranked.len() as u64);
-            w.pair_columns(&r.ranked);
-        }
-        AnalyticsOutput::InvertedIndex(r) => {
-            w.u8(3);
-            let t = &r.table;
-            w.u64(t.num_keys() as u64);
-            w.u32_column(t.keys_flat());
-            w.offsets_column(t.offsets());
-            w.u32_column(t.values_flat());
-        }
-        AnalyticsOutput::TermVector(r) => {
-            w.u8(4);
-            w.u64(r.num_files() as u64);
-            w.offsets_column(r.offsets());
-            w.pair_columns(r.terms_flat());
-        }
-        AnalyticsOutput::SequenceCount(r) => {
-            w.u8(5);
-            w.u64(r.l as u64);
-            w.u64(r.distinct_sequences() as u64);
-            w.u32_column(r.keys_flat());
-            w.u64_column(r.counts());
-        }
-        AnalyticsOutput::RankedInvertedIndex(r) => {
-            w.u8(6);
-            let t = &r.table;
-            w.u64(r.l as u64);
-            w.u64(t.num_keys() as u64);
-            w.u32_column(t.keys_flat());
-            w.offsets_column(t.offsets());
-            w.pair_columns(t.values_flat());
-        }
+    w.u8(task_tag(out.task()));
+    if let Some(l) = out.sequence_length() {
+        w.u64(l as u64);
+    }
+    let (rows, columns) = out.columns();
+    w.u64(rows as u64);
+    for column in columns {
+        w.column(column);
     }
     w.finish()
 }
 
-/// Checks that width-`w` key rows in a flat arena are strictly ascending.
-fn check_keys_ascending(keys: &[u32], width: usize, what: &str) -> Result<(), ProtocolError> {
-    if width == 0 {
-        return Err(malformed(format!("{what}: zero key width")));
-    }
-    let ok = keys
-        .chunks_exact(width)
-        .zip(keys.chunks_exact(width).skip(1))
-        .all(|(a, b)| a < b);
-    if !ok {
-        return Err(malformed(format!("{what}: keys not strictly ascending")));
-    }
-    Ok(())
-}
-
+/// Decodes a result payload: the columns [`AnalyticsOutput::columns`] lists
+/// for the tagged task, each checked before the table is built from it.
 fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
     let mut c = Cursor::new(payload);
-    let tag = c.u8()?;
-    let out = match tag {
-        1 => {
-            let n = c.len_field(4 + 8, "wordCount row")?;
-            let words = c.u32_vec(n)?;
-            let counts = c.u64_vec(n)?;
-            check_keys_ascending(&words, 1, "wordCount")?;
-            AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(words, counts))
+    let task = task_from_tag(c.u8()?)?;
+    let what = task.name();
+    c.what = what;
+    let l = task
+        .is_sequence_sensitive()
+        .then(|| c.sequence_length())
+        .transpose()?;
+    let rows =
+        usize::try_from(c.u64()?).map_err(|_| malformed(format!("{what}: row count overflows")))?;
+    // The key arena: `l` words per row for the sequence tasks, one for the
+    // other keyed tables, each row strictly above the one before it.
+    let width = l.unwrap_or(1);
+    let keys: Vec<u32> = match task {
+        Task::Sort | Task::TermVector => Vec::new(),
+        _ => c.column(rows.checked_mul(width))?,
+    };
+    let key_rows = || keys.chunks_exact(width);
+    if key_rows().zip(key_rows().skip(1)).any(|(a, b)| a >= b) {
+        return Err(malformed(format!("{what}: keys not strictly ascending")));
+    }
+    let out = match task {
+        Task::WordCount | Task::SequenceCount => {
+            let counts = c.column(Some(rows))?;
+            match l {
+                Some(l) => AnalyticsOutput::SequenceCount(
+                    SequenceCountResult::from_sorted_columns(l, keys, counts),
+                ),
+                None => {
+                    AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(keys, counts))
+                }
+            }
         }
-        2 => {
-            let n = c.len_field(4 + 8, "sort row")?;
-            AnalyticsOutput::Sort(SortResult {
-                ranked: c.pair_vec(n)?,
-            })
-        }
-        3 => {
-            let n = c.len_field(4 + 8, "invertedIndex key")?;
-            let words = c.u32_vec(n)?;
-            let offsets = c.offsets(n, "invertedIndex")?;
-            let m = c.total(&offsets, 4, "invertedIndex posting")?;
-            let files = c.u32_vec(m)?;
-            check_keys_ascending(&words, 1, "invertedIndex")?;
+        Task::Sort => AnalyticsOutput::Sort(SortResult {
+            ranked: c.column(Some(rows))?,
+        }),
+        Task::InvertedIndex => {
+            let (offsets, files) = c.csr(rows)?;
             AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
-                words, offsets, files,
+                keys, offsets, files,
             ))
         }
-        4 => {
-            let nf = c.len_field(8, "termVector file")?;
-            let offsets = c.offsets(nf, "termVector")?;
-            let m = c.total(&offsets, 4 + 8, "termVector term")?;
-            let terms = c.pair_vec(m)?;
+        Task::TermVector => {
+            let (offsets, terms) = c.csr::<(u32, u64)>(rows)?;
             for (f, row) in offsets.windows(2).enumerate() {
                 if terms[row[0]..row[1]].windows(2).any(|w| w[0].0 >= w[1].0) {
-                    return Err(malformed(format!("termVector: file {f} row not ascending")));
+                    return Err(malformed(format!("{what}: file {f} row not ascending")));
                 }
             }
             AnalyticsOutput::TermVector(TermVectorResult::from_sorted_parts(offsets, terms))
         }
-        5 => {
-            let l = usize::try_from(c.u64()?)
-                .map_err(|_| malformed("sequenceCount: l overflows"))?;
-            if l == 0 {
-                return Err(malformed("sequenceCount: zero sequence length"));
-            }
-            let per_row = l
-                .checked_mul(4)
-                .and_then(|k| k.checked_add(8))
-                .ok_or_else(|| malformed("sequenceCount: l overflows"))?;
-            let n = c.len_field(per_row, "sequenceCount row")?;
-            let keys = c.u32_vec(n * l)?;
-            let counts = c.u64_vec(n)?;
-            check_keys_ascending(&keys, l, "sequenceCount")?;
-            AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
-                l, keys, counts,
-            ))
-        }
-        6 => {
-            let l = usize::try_from(c.u64()?)
-                .map_err(|_| malformed("rankedInvertedIndex: l overflows"))?;
-            if l == 0 {
-                return Err(malformed("rankedInvertedIndex: zero sequence length"));
-            }
-            let per_key = l
-                .checked_mul(4)
-                .and_then(|k| k.checked_add(8))
-                .ok_or_else(|| malformed("rankedInvertedIndex: l overflows"))?;
-            let n = c.len_field(per_key, "rankedInvertedIndex key")?;
-            let keys = c.u32_vec(n * l)?;
-            let offsets = c.offsets(n, "rankedInvertedIndex")?;
-            let m = c.total(&offsets, 4 + 8, "rankedInvertedIndex posting")?;
-            let postings = c.pair_vec(m)?;
-            check_keys_ascending(&keys, l, "rankedInvertedIndex")?;
+        Task::RankedInvertedIndex => {
+            let (offsets, postings) = c.csr(rows)?;
             AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
-                l, keys, offsets, postings,
+                width, keys, offsets, postings,
             ))
         }
-        other => return Err(malformed(format!("unknown result tag {other}"))),
     };
     c.finish()?;
     Ok(out)
@@ -913,7 +823,7 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 s.protocol_errors,
             ];
             let mut w = Writer::frame(KIND_STATS_REPLY, 8 * counters.len());
-            w.u64_column(&counters);
+            w.column(Column::U64(&counters));
             w.finish()
         }
         Response::ShutdownAck => Writer::frame(KIND_SHUTDOWN_ACK, 0).finish(),
@@ -1101,7 +1011,7 @@ mod tests {
                 output_payload_len(&out),
                 (bytes.len() - HEADER_LEN) as u64,
                 "{}",
-                out.task_name()
+                out.task().name()
             );
         }
     }
@@ -1234,6 +1144,27 @@ mod tests {
             assert_eq!(wire.code, expected, "{e}");
             assert_eq!(wire.message, e.to_string());
         }
+    }
+
+    #[test]
+    fn task_tags_and_error_codes_keep_their_bytes() {
+        // A tag is a position in `Task::ALL`: reordering it would move the
+        // wire, so the order is pinned here.
+        assert_eq!(Task::ALL.map(task_tag), [1, 2, 3, 4, 5, 6]);
+        assert_eq!(Task::ALL.map(Task::name)[4], "sequenceCount");
+        for tag in [0, 7, 255] {
+            assert!(matches!(
+                task_from_tag(tag),
+                Err(ProtocolError::Malformed(_))
+            ));
+        }
+        for (code, byte) in ERROR_CODES {
+            assert_eq!(code.to_byte(), byte);
+            assert_eq!(WireErrorCode::from_byte(byte), Some(code));
+        }
+        let bytes = ERROR_CODES.map(|(_, byte)| byte);
+        assert_eq!(bytes, [1, 2, 3, 5, 6, 7, 8, 9]);
+        assert_eq!(WireErrorCode::from_byte(4), None);
     }
 
     #[test]

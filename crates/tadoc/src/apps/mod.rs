@@ -118,7 +118,7 @@ pub struct TaskExecution {
 /// // All six tasks run directly on the compressed archive.
 /// for task in Task::ALL {
 ///     let exec = run_task(&archive, &dag, task, TaskConfig::default());
-///     assert_eq!(exec.output.task_name(), task.name());
+///     assert_eq!(exec.output.task().name(), task.name());
 /// }
 ///
 /// let wc = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
@@ -209,21 +209,7 @@ mod tests {
         let cfg = TaskConfig::default();
         for task in Task::ALL {
             let exec = run_task(&archive, &dag, task, cfg);
-            let expected = match task {
-                Task::WordCount => AnalyticsOutput::WordCount(oracle::word_count(&files)),
-                Task::Sort => AnalyticsOutput::Sort(oracle::sort(&files)),
-                Task::InvertedIndex => {
-                    AnalyticsOutput::InvertedIndex(oracle::inverted_index(&files))
-                }
-                Task::TermVector => AnalyticsOutput::TermVector(oracle::term_vector(&files)),
-                Task::SequenceCount => AnalyticsOutput::SequenceCount(oracle::sequence_count(
-                    &files,
-                    cfg.sequence_length,
-                )),
-                Task::RankedInvertedIndex => AnalyticsOutput::RankedInvertedIndex(
-                    oracle::ranked_inverted_index(&files, cfg.sequence_length),
-                ),
-            };
+            let expected = oracle::run(&files, task, cfg);
             assert_eq!(*exec.output, expected, "task {} diverges from oracle", task.name());
         }
     }

@@ -616,22 +616,11 @@ pub(crate) fn build_term_vector_prep(
     // below seeds from the folded lists instead of re-scanning the segment.
     // Small segments skip this entirely — their seed scan stays fused with
     // the propagation.
-    let mut seed_chunks: Vec<RootChunk> = Vec::new();
-    for (file, &(start, end)) in segments.iter().enumerate() {
-        if end - start > fcfg.chunk_elements {
-            let mut begin = start;
-            while begin < end {
-                let chunk_end = (begin + fcfg.chunk_elements).min(end);
-                seed_chunks.push(RootChunk {
-                    begin,
-                    end: chunk_end,
-                    seg_end: end,
-                    file: file as FileId,
-                });
-                begin = chunk_end;
-            }
-        }
-    }
+    let mut seed_chunks = root_chunks(segments, fcfg.chunk_elements);
+    seed_chunks.retain(|c| {
+        let (start, end) = segments[c.file as usize];
+        end - start > fcfg.chunk_elements
+    });
     let mut seeds: Vec<Option<Vec<CountEntry<u32>>>> = vec![None; num_files];
     if !seed_chunks.is_empty() {
         type SeedLists = Vec<(FileId, Vec<CountEntry<u32>>)>;

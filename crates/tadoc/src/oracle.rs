@@ -9,9 +9,26 @@
 //! applies to the fine-grained finalize path — but each result is converted
 //! to the ordered columnar form exactly once, at the end.
 
+use crate::apps::{Task, TaskConfig};
 use crate::results::*;
 use sequitur::fxhash::FxHashMap;
 use sequitur::WordId;
+
+/// Runs `task` on the per-file token streams: the one dispatch over the
+/// six oracle functions below.
+pub fn run(files: &[Vec<WordId>], task: Task, cfg: TaskConfig) -> AnalyticsOutput {
+    let l = cfg.sequence_length;
+    match task {
+        Task::WordCount => AnalyticsOutput::WordCount(word_count(files)),
+        Task::Sort => AnalyticsOutput::Sort(sort(files)),
+        Task::InvertedIndex => AnalyticsOutput::InvertedIndex(inverted_index(files)),
+        Task::TermVector => AnalyticsOutput::TermVector(term_vector(files)),
+        Task::SequenceCount => AnalyticsOutput::SequenceCount(sequence_count(files, l)),
+        Task::RankedInvertedIndex => {
+            AnalyticsOutput::RankedInvertedIndex(ranked_inverted_index(files, l))
+        }
+    }
+}
 
 /// Word count over per-file token streams.
 pub fn word_count(files: &[Vec<WordId>]) -> WordCountResult {
@@ -110,6 +127,19 @@ mod tests {
     /// Figure 1's corpus: fileA = w1 w2 w3 w1 w2 w4 ×2, fileB = w1 w2 w1.
     fn paper_files() -> Vec<Vec<WordId>> {
         vec![vec![1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4], vec![1, 2, 1]]
+    }
+
+    #[test]
+    fn run_answers_every_task_with_its_function() {
+        let files = paper_files();
+        let cfg = TaskConfig::default();
+        for task in Task::ALL {
+            assert_eq!(run(&files, task, cfg).task(), task);
+        }
+        assert_eq!(
+            run(&files, Task::SequenceCount, cfg),
+            AnalyticsOutput::SequenceCount(sequence_count(&files, cfg.sequence_length))
+        );
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! iteration is always in ascending key order, and a serving layer can return
 //! rank- or key-ordered rows as plain slices without copying.
 
+use crate::apps::Task;
 use sequitur::WordId;
 
 /// A fixed-length word sequence (the key of sequence-sensitive tasks).
@@ -96,11 +97,6 @@ impl<K: Ord, V> SortedTable<K, V> {
     /// Iterates `(key, value)` in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.keys.iter().zip(self.values.iter())
-    }
-
-    /// Bytes of column data held (see [`AnalyticsOutput::heap_bytes`]).
-    fn heap_bytes(&self) -> usize {
-        size_of_val(self.keys.as_slice()) + size_of_val(self.values.as_slice())
     }
 }
 
@@ -203,11 +199,6 @@ impl<V> PostingTable<V> {
         }
     }
 
-    /// Words per key.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
         self.offsets.len().saturating_sub(1)
@@ -258,11 +249,11 @@ impl<V> PostingTable<V> {
         &self.values
     }
 
-    /// Bytes of column data held (see [`AnalyticsOutput::heap_bytes`]).
-    fn heap_bytes(&self) -> usize {
-        size_of_val(self.keys.as_slice())
-            + size_of_val(self.offsets.as_slice())
-            + size_of_val(self.values.as_slice())
+    /// Row count and columns (see [`AnalyticsOutput::columns`]): the key
+    /// arena, the offsets, then the values as `values` wraps them.
+    fn columns<'a>(&'a self, values: fn(&'a [V]) -> Column<'a>) -> (usize, Vec<Column<'a>>) {
+        let keys = Column::U32(&self.keys);
+        (self.num_keys(), vec![keys, Column::Offsets(&self.offsets), values(&self.values)])
     }
 }
 
@@ -471,16 +462,6 @@ impl TermVectorResult {
     pub fn iter(&self) -> impl Iterator<Item = &[(WordId, u64)]> {
         (0..self.num_files()).map(move |f| self.vector(f as FileId))
     }
-
-    /// The offsets column (`num_files + 1` entries).
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// The flat `(word, count)` column, file after file.
-    pub fn terms_flat(&self) -> &[(WordId, u64)] {
-        &self.terms
-    }
 }
 
 /// *sequence count*: global frequency of every `l`-word consecutive sequence
@@ -554,16 +535,6 @@ impl SequenceCountResult {
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64)> {
         (0..self.counts.len()).map(move |i| (self.key_at(i), self.counts[i]))
     }
-
-    /// The flat key arena (`l` words per sequence).
-    pub fn keys_flat(&self) -> &[u32] {
-        &self.keys
-    }
-
-    /// The count column (parallel to the key rows).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
 }
 
 /// *ranked inverted index*: every `l`-word sequence → files containing it,
@@ -632,16 +603,60 @@ pub enum AnalyticsOutput {
     RankedInvertedIndex(RankedInvertedIndexResult),
 }
 
+/// One column of a result table, borrowed (see [`AnalyticsOutput::columns`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column<'a> {
+    /// Word ids, file ids, or a key arena of `l` words per row.
+    U32(&'a [u32]),
+    /// Counts.
+    U64(&'a [u64]),
+    /// CSR offsets: one per row, then a closing one.
+    Offsets(&'a [usize]),
+    /// `(id, count)` pairs.
+    Pairs(&'a [(u32, u64)]),
+}
+
 impl AnalyticsOutput {
-    /// Short task name for reports.
-    pub fn task_name(&self) -> &'static str {
+    /// The task this output answers.
+    pub fn task(&self) -> Task {
         match self {
-            AnalyticsOutput::WordCount(_) => "wordCount",
-            AnalyticsOutput::Sort(_) => "sort",
-            AnalyticsOutput::InvertedIndex(_) => "invertedIndex",
-            AnalyticsOutput::TermVector(_) => "termVector",
-            AnalyticsOutput::SequenceCount(_) => "sequenceCount",
-            AnalyticsOutput::RankedInvertedIndex(_) => "rankedInvertedIndex",
+            Self::WordCount(_) => Task::WordCount,
+            Self::Sort(_) => Task::Sort,
+            Self::InvertedIndex(_) => Task::InvertedIndex,
+            Self::TermVector(_) => Task::TermVector,
+            Self::SequenceCount(_) => Task::SequenceCount,
+            Self::RankedInvertedIndex(_) => Task::RankedInvertedIndex,
+        }
+    }
+
+    /// The sequence length `l` of a sequence task's table; `None` for the
+    /// other tasks.
+    pub fn sequence_length(&self) -> Option<usize> {
+        match self {
+            Self::SequenceCount(r) => Some(r.l),
+            Self::RankedInvertedIndex(r) => Some(r.l),
+            _ => None,
+        }
+    }
+
+    /// The table's row count and its columns in storage order — the one
+    /// statement of each task's layout.  Rows are words, ranks, posting
+    /// keys, files or sequences; a key arena holds `l` words per row and a
+    /// CSR offsets column `rows + 1` entries.  The wire codec writes these
+    /// columns in this order, and [`heap_bytes`](Self::heap_bytes) sums
+    /// them.
+    pub fn columns(&self) -> (usize, Vec<Column<'_>>) {
+        use Column::{Offsets, Pairs, U32, U64};
+        match self {
+            Self::WordCount(r) => {
+                let t = &r.table;
+                (t.len(), vec![U32(t.keys()), U64(t.values())])
+            }
+            Self::Sort(r) => (r.ranked.len(), vec![Pairs(&r.ranked)]),
+            Self::InvertedIndex(r) => r.table.columns(U32),
+            Self::TermVector(r) => (r.num_files(), vec![Offsets(&r.offsets), Pairs(&r.terms)]),
+            Self::SequenceCount(r) => (r.counts.len(), vec![U32(&r.keys), U64(&r.counts)]),
+            Self::RankedInvertedIndex(r) => r.table.columns(Pairs),
         }
     }
 
@@ -650,18 +665,13 @@ impl AnalyticsOutput {
     /// struct itself are not counted).  What the engine's results cache
     /// charges an entry against its byte budget.
     pub fn heap_bytes(&self) -> usize {
-        match self {
-            AnalyticsOutput::WordCount(r) => r.table.heap_bytes(),
-            AnalyticsOutput::Sort(r) => size_of_val(r.ranked.as_slice()),
-            AnalyticsOutput::InvertedIndex(r) => r.table.heap_bytes(),
-            AnalyticsOutput::TermVector(r) => {
-                size_of_val(r.offsets.as_slice()) + size_of_val(r.terms.as_slice())
-            }
-            AnalyticsOutput::SequenceCount(r) => {
-                size_of_val(r.keys.as_slice()) + size_of_val(r.counts.as_slice())
-            }
-            AnalyticsOutput::RankedInvertedIndex(r) => r.table.heap_bytes(),
-        }
+        let bytes = |column| match column {
+            Column::U32(v) => size_of_val(v),
+            Column::U64(v) => size_of_val(v),
+            Column::Offsets(v) => size_of_val(v),
+            Column::Pairs(v) => size_of_val(v),
+        };
+        self.columns().1.into_iter().map(bytes).sum()
     }
 
     /// Returns a small deterministic digest of the output, useful for quick
@@ -779,7 +789,6 @@ mod tests {
             vec![(vec![4, 1], vec![9u32]), (vec![1, 2], vec![5, 6, 7])],
         );
         assert_eq!(t.num_keys(), 2);
-        assert_eq!(t.width(), 2);
         assert_eq!(t.key_at(0), &[1, 2]);
         assert_eq!(t.values_at(0), &[5, 6, 7]);
         assert_eq!(t.get(&[4, 1]), &[9]);
@@ -825,8 +834,16 @@ mod tests {
         let flat =
             TermVectorResult::from_sorted_parts(vec![0, 2, 2, 3], vec![(1, 4), (7, 2), (3, 9)]);
         assert_eq!(flat, TermVectorResult::from_rows(rows));
-        assert_eq!(flat.offsets(), &[0, 2, 2, 3]);
-        assert_eq!(flat.terms_flat(), &[(1, 4), (7, 2), (3, 9)]);
+        let out = AnalyticsOutput::TermVector(flat.clone());
+        let (files, columns) = out.columns();
+        assert_eq!(files, 3);
+        assert_eq!(
+            columns,
+            [
+                Column::Offsets(&[0, 2, 2, 3]),
+                Column::Pairs(&[(1, 4), (7, 2), (3, 9)])
+            ]
+        );
         assert_eq!(
             TermVectorResult::from_sorted_parts(vec![0], Vec::new()),
             TermVectorResult::default()
@@ -882,7 +899,7 @@ mod tests {
             ),
         ];
         for (out, want) in cases {
-            assert_eq!(out.heap_bytes(), want, "{}", out.task_name());
+            assert_eq!(out.heap_bytes(), want, "{}", out.task().name());
         }
         assert_eq!(AnalyticsOutput::WordCount(wc(&[])).heap_bytes(), 0);
     }
@@ -945,12 +962,12 @@ mod tests {
     #[test]
     fn task_names() {
         assert_eq!(
-            AnalyticsOutput::Sort(SortResult::default()).task_name(),
-            "sort"
+            AnalyticsOutput::Sort(SortResult::default()).task(),
+            Task::Sort
         );
         assert_eq!(
-            AnalyticsOutput::SequenceCount(SequenceCountResult::default()).task_name(),
-            "sequenceCount"
+            AnalyticsOutput::SequenceCount(SequenceCountResult::default()).task(),
+            Task::SequenceCount
         );
     }
 }

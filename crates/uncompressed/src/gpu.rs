@@ -117,18 +117,7 @@ pub fn run_gpu_uncompressed(
     // Functional output comes from the oracle (the kernels above model cost;
     // duplicating the full counting logic on the flat array would compute the
     // same values).
-    let output = match task {
-        Task::WordCount => AnalyticsOutput::WordCount(oracle::word_count(files)),
-        Task::Sort => AnalyticsOutput::Sort(oracle::sort(files)),
-        Task::InvertedIndex => AnalyticsOutput::InvertedIndex(oracle::inverted_index(files)),
-        Task::TermVector => AnalyticsOutput::TermVector(oracle::term_vector(files)),
-        Task::SequenceCount => {
-            AnalyticsOutput::SequenceCount(oracle::sequence_count(files, cfg.sequence_length))
-        }
-        Task::RankedInvertedIndex => AnalyticsOutput::RankedInvertedIndex(
-            oracle::ranked_inverted_index(files, cfg.sequence_length),
-        ),
-    };
+    let output = oracle::run(files, task, cfg);
 
     GpuUncompressedExecution {
         output,
@@ -157,7 +146,7 @@ mod tests {
                 task,
                 TaskConfig::default(),
             );
-            assert_eq!(exec.output.task_name(), task.name());
+            assert_eq!(exec.output.task().name(), task.name());
             assert!(exec.seconds > 0.0);
             assert!(exec.kernel_launches >= 1);
         }

@@ -1,18 +1,14 @@
 //! # uncompressed
 //!
-//! Baselines that process the *decompressed* token streams directly:
-//!
-//! * [`cpu`] — single-threaded CPU implementations (these double as the
-//!   ground-truth oracle; they simply re-export the `tadoc::oracle`
-//!   implementations together with timing and work accounting);
-//! * [`gpu`] — GPU implementations on the `gpu-sim` substrate, the
-//!   comparator of Section VI-E ("Comparison with GPU-accelerated
-//!   uncompressed analytics", where G-TADOC is reported ~2× faster).
+//! The GPU baseline that processes the *decompressed* token streams
+//! directly: [`gpu`] runs the tasks on the `gpu-sim` substrate, the
+//! comparator of Section VI-E ("Comparison with GPU-accelerated
+//! uncompressed analytics", where G-TADOC is reported ~2× faster).  Its
+//! answers come from `tadoc::oracle::run`, which is also the CPU
+//! uncompressed baseline and the ground truth every test checks against.
 
 #![forbid(unsafe_code)]
 
-pub mod cpu;
 pub mod gpu;
 
-pub use cpu::run_cpu_uncompressed;
 pub use gpu::run_gpu_uncompressed;

@@ -76,6 +76,63 @@ pub fn lex(src: &str) -> Vec<Token> {
     Lexer::new(src).run()
 }
 
+/// Byte ranges of the items of `src` gated on `#[cfg(test)]` (or on any
+/// `#[cfg(…)]` naming `test` but not `not`, e.g.
+/// `#[cfg(all(test, feature = "…"))]`), given its tokens: each from the
+/// attribute's `#` to the item's closing `}` or `;`.  Items nested in a
+/// gated item are inside its range.
+pub fn cfg_test_items(src: &str, toks: &[Token]) -> Vec<(usize, usize)> {
+    let code: Vec<&Token> = toks.iter().filter(|t| !t.is_comment()).collect();
+    let text = |i: usize| code.get(i).map_or("", |t| t.text(src));
+    // Code index just past the delimiter group opening at `open`.
+    let skip_group = |open: usize| {
+        let mut depth = 0usize;
+        for j in open..code.len() {
+            match text(j) {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return j + 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        code.len()
+    };
+    let mut ranges = Vec::new();
+    let mut i = 0;
+    while i < code.len() {
+        if (text(i), text(i + 1), text(i + 2)) != ("#", "[", "cfg") {
+            i += 1;
+            continue;
+        }
+        let attr_end = skip_group(i + 1);
+        let names = |word| (i + 3..attr_end).any(|j| text(j) == word);
+        if !names("test") || names("not") {
+            i = attr_end;
+            continue;
+        }
+        // Skipping bracketed groups (further attributes among them), the
+        // item runs to its first `;` or to the end of its first `{…}` body.
+        let mut j = attr_end;
+        while j < code.len() && !matches!(text(j), ";" | "{") {
+            j = match text(j) {
+                "(" | "[" => skip_group(j),
+                _ => j + 1,
+            };
+        }
+        if text(j) == "{" {
+            j = skip_group(j) - 1;
+        }
+        let end = code.get(j).map_or(src.len(), |t| t.end);
+        ranges.push((code[i].start, end));
+        i = j + 1;
+    }
+    ranges
+}
+
 struct Lexer<'s> {
     bytes: &'s [u8],
     pos: usize,
@@ -457,6 +514,24 @@ mod tests {
         let src = "let x = \"never closed\nunsafe";
         let toks = lex(src);
         assert_eq!(toks.last().map(|t| t.kind), Some(TokenKind::Str));
+    }
+
+    #[test]
+    fn cfg_test_items_span_attribute_to_item_end() {
+        let src = "#[cfg(test)] const X: [u8; 2] = [1, 2]; fn a() {}\n\
+                   #[cfg(test)] // not the item\n#[inline] fn b() { if x { y } } fn c() {}\n\
+                   #[cfg(feature = \"x\")] fn d() {}";
+        let spans: Vec<&str> = cfg_test_items(src, &lex(src))
+            .into_iter()
+            .map(|(s, e)| &src[s..e])
+            .collect();
+        assert_eq!(
+            spans,
+            [
+                "#[cfg(test)] const X: [u8; 2] = [1, 2];",
+                "#[cfg(test)] // not the item\n#[inline] fn b() { if x { y } }",
+            ]
+        );
     }
 
     #[test]

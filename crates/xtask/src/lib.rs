@@ -11,6 +11,9 @@
 //! cargo run -p xtask -- lint
 //! ```
 //!
+//! `cargo run -p xtask -- loc` prints the workspace's Rust line count,
+//! split into test and non-test lines ([`loc`]).
+//!
 //! It ships its own minimal Rust [`lexer`] (the container is offline — no
 //! `syn`) and applies the [`lint`] rules described in `ARCHITECTURE.md`
 //! (*Static analysis & race checking*).  The `analysis-gate` CI job runs the
@@ -21,4 +24,5 @@
 
 pub mod lexer;
 pub mod lint;
+pub mod loc;
 pub mod workspace;

@@ -21,7 +21,7 @@
 //! `crates/xtask/rules.toml`, not suppressed inline — the config file *is*
 //! the reviewed suppression record for those.
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{cfg_test_items, lex, Token, TokenKind};
 use crate::workspace::{self, WorkspaceCrate};
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -277,8 +277,8 @@ struct FileLint<'s> {
     toks: Vec<Token>,
     /// Indices into `toks` of the non-comment tokens.
     code: Vec<usize>,
-    /// Byte ranges excluded from `unwrap-ban`: `#[cfg(test)] mod … { … }`
-    /// bodies and `macro_rules!` definitions.
+    /// Byte ranges excluded from `unwrap-ban`: `#[cfg(test)]` items and
+    /// `macro_rules!` definitions.
     excluded: Vec<(usize, usize)>,
     /// Well-formed suppressions: (line of the annotation, rule).
     allows: Vec<(usize, String)>,
@@ -394,27 +394,11 @@ impl<'s> FileLint<'s> {
         }
     }
 
-    /// Records the byte ranges of `#[cfg(test)] mod … { … }` bodies and
-    /// `macro_rules! … { … }` definitions.
+    /// Records the byte ranges of `#[cfg(test)]` items (see
+    /// [`cfg_test_items`]) and `macro_rules! … { … }` definitions.
     fn collect_excluded_regions(&mut self) {
-        let n = self.code.len();
-        let mut ranges = Vec::new();
-        let mut ci = 0usize;
-        while ci < n {
-            if self.is_cfg_test_attr(ci) {
-                // Skip this and any further attributes, then expect `mod`.
-                let mut after = self.skip_attr(ci);
-                while self.code_text(after as isize) == "#" {
-                    after = self.skip_attr(after);
-                }
-                if self.code_text(after as isize) == "mod" {
-                    if let Some((start, end)) = self.delimited_body(after + 2) {
-                        ranges.push((start, end));
-                        ci = after + 2;
-                        continue;
-                    }
-                }
-            }
+        let mut ranges = cfg_test_items(self.src, &self.toks);
+        for ci in 0..self.code.len() {
             if self.code_text(ci as isize) == "macro_rules"
                 && self.code_text(ci as isize + 1) == "!"
             {
@@ -422,56 +406,8 @@ impl<'s> FileLint<'s> {
                     ranges.push((start, end));
                 }
             }
-            ci += 1;
         }
         self.excluded = ranges;
-    }
-
-    /// Whether code index `ci` starts `#[cfg(test)]` (or `#[cfg(…test…)]`,
-    /// e.g. `#[cfg(all(test, feature = "…"))]`).
-    fn is_cfg_test_attr(&self, ci: usize) -> bool {
-        if self.code_text(ci as isize) != "#" || self.code_text(ci as isize + 1) != "[" {
-            return false;
-        }
-        if self.code_text(ci as isize + 2) != "cfg" {
-            return false;
-        }
-        // Scan the attribute body for a `test` ident.
-        let mut j = ci + 3;
-        let mut depth = 0usize;
-        while j < self.code.len() {
-            match self.code_text(j as isize) {
-                "[" => depth += 1,
-                "]" => {
-                    if depth == 0 {
-                        return false;
-                    }
-                    depth -= 1;
-                }
-                "test" => return true,
-                _ => {}
-            }
-            j += 1;
-            if j > ci + 32 {
-                return false; // attribute bodies are short
-            }
-        }
-        false
-    }
-
-    /// Code index just past the attribute starting at `ci` (`#` `[` … `]`).
-    fn skip_attr(&self, ci: usize) -> usize {
-        let mut j = ci + 2; // past `#` `[`
-        let mut depth = 1usize;
-        while j < self.code.len() && depth > 0 {
-            match self.code_text(j as isize) {
-                "[" => depth += 1,
-                "]" => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        j
     }
 
     /// Byte range of the `{…}` / `(…)` / `[…]` body whose opening delimiter

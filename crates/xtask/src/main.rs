@@ -1,7 +1,8 @@
 //! `cargo run -p xtask -- lint [--root <dir>]`
+//! `cargo run -p xtask -- loc [--root <dir>]`
 //!
-//! Exit status: 0 when the tree is clean, 1 when any rule fired (or the
-//! workspace could not be read), 2 on usage errors.
+//! Exit status: 0 when the tree is clean (or was counted), 1 when any rule
+//! fired (or the workspace could not be read), 2 on usage errors.
 
 #![forbid(unsafe_code)]
 
@@ -11,17 +12,17 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut args = args.iter();
-    match args.next().map(String::as_str) {
-        Some("lint") => {}
+    let command = match args.next().map(String::as_str) {
+        Some(command @ ("lint" | "loc")) => command,
         other => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint [--root <dir>]  (got {other:?})\n\
+                "usage: cargo run -p xtask -- lint|loc [--root <dir>]  (got {other:?})\n\
                  rules: {}",
                 xtask::lint::RULES.join(", ")
             );
             return ExitCode::from(2);
         }
-    }
+    };
     let mut root: Option<PathBuf> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -46,6 +47,19 @@ fn main() -> ExitCode {
             .canonicalize()
             .unwrap_or_else(|_| PathBuf::from("."))
     });
+    if command == "loc" {
+        return match xtask::loc::count_tree(&root) {
+            Ok((total, test)) => {
+                println!("Rust lines under {}/:", xtask::loc::DIRS.join("/ "));
+                println!("total {total}, test {test}, non-test {}", total - test);
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("xtask loc: {e}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     match xtask::lint::lint_workspace(&root) {
         Ok(violations) if violations.is_empty() => {
             println!("xtask lint: clean ({} rules)", xtask::lint::RULES.len());

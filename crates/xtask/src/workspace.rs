@@ -84,7 +84,9 @@ fn load_crate(dir: &Path, root: &Path) -> Result<WorkspaceCrate, String> {
     })
 }
 
-fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
+/// Appends every `.rs` file under `dir` (recursively; nothing if `dir` is
+/// not a directory) to `out`.
+pub fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     if !dir.is_dir() {
         return Ok(());
     }

@@ -62,7 +62,7 @@ fn all_implementations_agree_on_all_tasks() {
         let mut engine = GtadocEngine::new(GpuSpec::gtx_1080());
 
         for task in Task::ALL {
-            let (oracle_out, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
+            let oracle_out = tadoc::oracle::run(&files, task, cfg);
             let cpu = run_task(&archive, &dag, task, cfg);
             assert_eq!(*cpu.output, oracle_out, "[{name}] CPU TADOC vs oracle on {}", task.name());
 
@@ -147,7 +147,7 @@ fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
     let files = archive.grammar.expand_files();
     let cfg = TaskConfig::default();
     for task in Task::ALL {
-        let (oracle_out, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
+        let oracle_out = tadoc::oracle::run(&files, task, cfg);
         let sequential = run_task(&archive, &dag, task, cfg);
         assert_eq!(
             *sequential.output,
@@ -269,7 +269,7 @@ fn non_default_sequence_lengths_agree() {
         };
         let mut engine = GtadocEngine::with_params(GpuSpec::tesla_v100(), params);
         for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
-            let (oracle_out, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
+            let oracle_out = tadoc::oracle::run(&files, task, cfg);
             let cpu = run_task(&archive, &dag, task, cfg);
             let gpu = engine.run_archive(&archive, task);
             assert_eq!(*cpu.output, oracle_out, "l={l} {}", task.name());

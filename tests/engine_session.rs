@@ -173,7 +173,7 @@ fn pool_survives_many_queries_without_respawning_threads() {
         let task = Task::ALL[round % Task::ALL.len()];
         let exec = engine.run(task, cfg).expect("valid task config");
         assert_eq!(
-            exec.output.task_name(),
+            exec.output.task().name(),
             task.name(),
             "round {round} produced the wrong task output"
         );

@@ -74,7 +74,7 @@ fn all_tasks_agree_across_thread_counts_on_many_tiny_levels() {
     let files = archive.grammar.expand_files();
     let cfg = TaskConfig::default();
     for task in Task::ALL {
-        let (oracle, _) = uncompressed::cpu::run_cpu_uncompressed(&files, task, cfg);
+        let oracle = tadoc::oracle::run(&files, task, cfg);
         let sequential = run_task(&archive, &dag, task, cfg);
         assert_eq!(*sequential.output, oracle, "sequential vs oracle on {}", task.name());
         for threads in [1usize, 4, 8] {
@@ -114,8 +114,7 @@ fn term_vector_fine_matches_sequential_on_file_skew() {
     let archive = compress_corpus(&corpus, CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let cfg = TaskConfig::default();
-    let (oracle, _) =
-        uncompressed::cpu::run_cpu_uncompressed(&archive.grammar.expand_files(), Task::TermVector, cfg);
+    let oracle = tadoc::oracle::run(&archive.grammar.expand_files(), Task::TermVector, cfg);
     let sequential = run_task(&archive, &dag, Task::TermVector, cfg);
     assert_eq!(*sequential.output, oracle, "sequential vs oracle");
     for threads in [1usize, 2, 4, 8] {
