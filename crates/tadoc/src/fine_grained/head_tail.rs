@@ -237,28 +237,32 @@ mod tests {
 
     #[test]
     fn heads_and_tails_match_true_expansions() {
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            for l in [1usize, 2, 3] {
-                let archive = compress_corpus(&sample_corpus(), CompressOptions::default());
-                let dag = Dag::from_grammar(&archive.grammar);
-                let levels = levels_bottom_up(&dag);
-                let ht = build_head_tail(&archive.grammar, &dag, &levels, l, &pool);
-                let keep = l - 1;
-                for r in 1..dag.num_rules as u32 {
-                    let full = archive.grammar.expand_rule_words(r);
-                    let want_head: Vec<u32> = full.iter().copied().take(keep).collect();
-                    let want_tail: Vec<u32> = full[full.len().saturating_sub(keep)..].to_vec();
-                    assert_eq!(ht.head[r as usize], want_head, "head of {r}, l={l}");
-                    assert_eq!(ht.tail[r as usize], want_tail, "tail of {r}, l={l}");
-                    if full.len() <= 2 * keep {
-                        assert_eq!(
-                            ht.short_expansion[r as usize].as_deref(),
-                            Some(full.as_slice()),
-                            "short expansion of {r}, l={l}"
-                        );
-                    } else {
-                        assert!(ht.short_expansion[r as usize].is_none());
+        let sample = compress_corpus(&sample_corpus(), CompressOptions::default());
+        let sample_dag = Dag::from_grammar(&sample.grammar);
+        let corpora = [(sample, sample_dag), crate::fine_grained::tests::build_wide()];
+        for (archive, dag) in &corpora {
+            let levels = levels_bottom_up(dag);
+            for threads in [1, 2, 4, 8] {
+                let pool = WorkerPool::new(threads);
+                for l in 1usize..=5 {
+                    let ht = build_head_tail(&archive.grammar, dag, &levels, l, &pool);
+                    let keep = l - 1;
+                    let label = format!("{} files, {threads} threads, l = {l}", archive.num_files());
+                    for r in 1..dag.num_rules as u32 {
+                        let full = archive.grammar.expand_rule_words(r);
+                        let want_head: Vec<u32> = full.iter().copied().take(keep).collect();
+                        let want_tail: Vec<u32> = full[full.len().saturating_sub(keep)..].to_vec();
+                        assert_eq!(ht.head[r as usize], want_head, "head of {r}, {label}");
+                        assert_eq!(ht.tail[r as usize], want_tail, "tail of {r}, {label}");
+                        if full.len() <= 2 * keep {
+                            assert_eq!(
+                                ht.short_expansion[r as usize].as_deref(),
+                                Some(full.as_slice()),
+                                "short expansion of {r}, {label}"
+                            );
+                        } else {
+                            assert!(ht.short_expansion[r as usize].is_none(), "{label}");
+                        }
                     }
                 }
             }

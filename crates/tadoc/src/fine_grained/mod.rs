@@ -1172,17 +1172,49 @@ mod tests {
             .collect()
     }
 
+    /// 48 files, each repeating a phrase of its own: every file's phrase
+    /// becomes a rule of its own, and those rules share DAG layers.
+    pub(crate) fn wide_corpus() -> Vec<(String, String)> {
+        (0..48)
+            .map(|i| {
+                let phrase = format!("p{i} q{i} r{i} s{i} t{i}");
+                let text = format!("{phrase} {phrase} m{} {phrase} {phrase} n{}", i % 5, i % 7);
+                (format!("doc{i}"), text)
+            })
+            .collect()
+    }
+
+    /// [`wide_corpus`] compressed, checked to hold a DAG level wider than
+    /// the 32 rules a level pass runs inline, so a pool of more than one
+    /// thread dispatches that level.
+    pub(crate) fn build_wide() -> (TadocArchive, Dag) {
+        let (archive, dag) = build(&wide_corpus());
+        let levels = head_tail::levels_top_down(&dag);
+        let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
+        assert!(widest > 32, "the widest level holds only {widest} rules");
+        (archive, dag)
+    }
+
+    /// The corpora the level passes are checked on: one whose levels all
+    /// run inline, and one with a dispatched level.
+    fn level_corpora() -> [(TadocArchive, Dag); 2] {
+        [build(&redundant_corpus()), build_wide()]
+    }
+
+    const POOL_WIDTHS: [usize; 4] = [1, 2, 4, 8];
+
     #[test]
     fn parallel_weights_match_sequential_weights() {
-        let (archive, dag) = build(&redundant_corpus());
-        let expected = weights::rule_weights(&dag, &mut Default::default());
-        let levels = head_tail::levels_top_down(&dag);
-        for threads in [1, 3, 8] {
-            let pool = WorkerPool::new(threads);
-            let got = parallel_rule_weights(&dag, &levels, &pool);
-            assert_eq!(got, expected, "threads = {threads}");
+        for (archive, dag) in level_corpora() {
+            let expected = weights::rule_weights(&dag, &mut Default::default());
+            let levels = head_tail::levels_top_down(&dag);
+            for threads in POOL_WIDTHS {
+                let pool = WorkerPool::new(threads);
+                let got = parallel_rule_weights(&dag, &levels, &pool);
+                let label = format!("{} files, threads = {threads}", archive.num_files());
+                assert_eq!(got, expected, "{label}");
+            }
         }
-        let _ = archive;
     }
 
     /// Converts the sequential oracle's per-rule hash maps into the compact
@@ -1199,18 +1231,20 @@ mod tests {
 
     #[test]
     fn parallel_file_weights_match_sequential() {
-        let (archive, dag) = build(&redundant_corpus());
-        let expected = to_lists(&weights::file_weights(
-            &archive.grammar,
-            &dag,
-            &mut Default::default(),
-        ));
-        let levels = head_tail::levels_top_down(&dag);
-        let segments = weights::file_segments(&archive.grammar);
-        for threads in [1, 4] {
-            let pool = WorkerPool::new(threads);
-            let got = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
-            assert_eq!(got, expected, "threads = {threads}");
+        for (archive, dag) in level_corpora() {
+            let expected = to_lists(&weights::file_weights(
+                &archive.grammar,
+                &dag,
+                &mut Default::default(),
+            ));
+            let levels = head_tail::levels_top_down(&dag);
+            let segments = weights::file_segments(&archive.grammar);
+            for threads in POOL_WIDTHS {
+                let pool = WorkerPool::new(threads);
+                let got = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
+                let label = format!("{} files, threads = {threads}", archive.num_files());
+                assert_eq!(got, expected, "{label}");
+            }
         }
     }
 
@@ -1219,31 +1253,32 @@ mod tests {
     /// chunked (`chunk_elements` 1) and with none chunked.
     #[test]
     fn file_csr_matches_file_weights_on_real_grammars() {
-        let (archive, dag) = build(&redundant_corpus());
-        let pool = WorkerPool::new(2);
-        let segments = weights::file_segments(&archive.grammar);
-        let levels = head_tail::levels_top_down(&dag);
-        let fw = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
-        let mut expected = vec![Vec::new(); archive.num_files()];
-        for (r, list) in fw.iter().enumerate().skip(1) {
-            for &(f, occ) in list {
-                expected[f as usize].push((r as u32, occ));
+        for (archive, dag) in level_corpora() {
+            let pool = WorkerPool::new(2);
+            let segments = weights::file_segments(&archive.grammar);
+            let levels = head_tail::levels_top_down(&dag);
+            let fw = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
+            let mut expected = vec![Vec::new(); archive.num_files()];
+            for (r, list) in fw.iter().enumerate().skip(1) {
+                for &(f, occ) in list {
+                    expected[f as usize].push((r as u32, occ));
+                }
             }
-        }
-        for chunk_elements in [1, 4096] {
-            let fcfg = FineGrainedConfig {
-                num_threads: 2,
-                chunk_elements,
-            };
-            let csr = build_term_vector_prep(&archive, &dag, &segments, fcfg, &pool).csr;
-            let got: Vec<Vec<(u32, u64)>> = (0..csr.num_files())
-                .map(|f| {
-                    let mut row: Vec<(u32, u64)> = csr.entries(f).collect();
-                    row.sort_unstable();
-                    row
-                })
-                .collect();
-            assert_eq!(got, expected, "chunk_elements = {chunk_elements}");
+            for chunk_elements in [1, 4096] {
+                let fcfg = FineGrainedConfig {
+                    num_threads: 2,
+                    chunk_elements,
+                };
+                let csr = build_term_vector_prep(&archive, &dag, &segments, fcfg, &pool).csr;
+                let got: Vec<Vec<(u32, u64)>> = (0..csr.num_files())
+                    .map(|f| {
+                        let mut row: Vec<(u32, u64)> = csr.entries(f).collect();
+                        row.sort_unstable();
+                        row
+                    })
+                    .collect();
+                assert_eq!(got, expected, "chunk_elements = {chunk_elements}");
+            }
         }
     }
 
