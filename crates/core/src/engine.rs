@@ -206,23 +206,10 @@ impl GtadocEngine {
     }
 }
 
-/// Rough size in bytes of an analytics output when copied back to the host.
+/// Size in bytes of an analytics output when copied back to the host: its
+/// columns' heap bytes, at least one 64-byte transfer.
 fn estimate_output_bytes(output: &AnalyticsOutput) -> u64 {
-    match output {
-        AnalyticsOutput::WordCount(r) => r.distinct_words() as u64 * 12,
-        AnalyticsOutput::Sort(r) => r.ranked.len() as u64 * 12,
-        AnalyticsOutput::InvertedIndex(r) => {
-            r.total_postings() as u64 * 4 + r.distinct_words() as u64 * 8
-        }
-        AnalyticsOutput::TermVector(r) => {
-            r.total_terms() as u64 * 12 + r.num_files() as u64 * 8
-        }
-        AnalyticsOutput::SequenceCount(r) => r.distinct_sequences() as u64 * 24,
-        AnalyticsOutput::RankedInvertedIndex(r) => {
-            r.table.total_values() as u64 * 12 + r.distinct_sequences() as u64 * 16
-        }
-    }
-    .max(64)
+    (output.heap_bytes() as u64).max(64)
 }
 
 /// Convenience used by integration tests and the harness: a freshly allocated

@@ -17,7 +17,9 @@ pub struct Csr<T> {
 
 impl<T> Csr<T> {
     /// An empty table with room for `rows` rows and `elements` elements.
-    pub(crate) fn with_capacity(rows: usize, elements: usize) -> Self {
+    /// Fill it row by row with [`push`](Self::push) and
+    /// [`end_row`](Self::end_row).
+    pub fn with_capacity(rows: usize, elements: usize) -> Self {
         let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
         Self {
@@ -37,7 +39,7 @@ impl<T> Csr<T> {
 
     /// Appends one element to the row under construction.
     #[inline]
-    pub(crate) fn push(&mut self, value: T) {
+    pub fn push(&mut self, value: T) {
         self.data.push(value);
     }
 
@@ -47,7 +49,7 @@ impl<T> Csr<T> {
     /// # Panics
     /// Panics if the table outgrows the `u32` offset column.
     #[inline]
-    pub(crate) fn end_row(&mut self) {
+    pub fn end_row(&mut self) {
         let end =
             u32::try_from(self.data.len()).expect("a CSR table holds at most u32::MAX elements");
         self.offsets.push(end);
@@ -88,6 +90,51 @@ impl<T> Csr<T> {
     }
 }
 
+impl<V: Copy + Default> Csr<(u32, V)> {
+    /// The transpose of a table of `(column, value)` rows over `columns`
+    /// columns: row `c` of the result holds `(row, value)` for every entry
+    /// of column `c`, in ascending row order.  A counting sort: one pass
+    /// counts each column's entries, a second scatters them.
+    ///
+    /// ```
+    /// use sequitur::Csr;
+    ///
+    /// // Row 0 holds column 2, then column 0; row 1 holds column 2.
+    /// let mut t = Csr::with_capacity(2, 3);
+    /// t.push((2, 'a'));
+    /// t.push((0, 'b'));
+    /// t.end_row();
+    /// t.push((2, 'c'));
+    /// t.end_row();
+    /// let tt = t.transpose(3);
+    /// assert_eq!(tt.rows().collect::<Vec<_>>(), vec![&[(0, 'b')][..], &[], &[(0, 'a'), (1, 'c')]]);
+    /// ```
+    ///
+    /// # Panics
+    /// Panics if an entry's column is `columns` or more, or if the table
+    /// has more than `u32::MAX` rows.
+    pub fn transpose(&self, columns: usize) -> Self {
+        let mut offsets = vec![0u32; columns + 1];
+        for &(c, _) in &self.data {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..columns {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut cursor = offsets[..columns].to_vec();
+        let mut data = vec![(0, V::default()); self.data.len()];
+        for (r, row) in self.rows().enumerate() {
+            let r = u32::try_from(r).expect("a transposed CSR table has at most u32::MAX rows");
+            for &(c, value) in row {
+                let at = &mut cursor[c as usize];
+                data[*at as usize] = (r, value);
+                *at += 1;
+            }
+        }
+        Self { offsets, data }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,5 +155,51 @@ mod tests {
         assert_eq!(t.offsets(), &[0, 2, 2, 3]);
         assert_eq!(t.rows().collect::<Vec<_>>(), vec![&[1, 2][..], &[], &[3]]);
         assert_eq!(t, Csr::from_parts(vec![0, 2, 2, 3], vec![1, 2, 3]));
+    }
+
+    /// `rows` as a table.
+    fn table(rows: &[&[(u32, u64)]]) -> Csr<(u32, u64)> {
+        let mut t = Csr::with_capacity(rows.len(), 0);
+        for row in rows {
+            for &entry in *row {
+                t.push(entry);
+            }
+            t.end_row();
+        }
+        t
+    }
+
+    /// Rows list their columns out of order; row 2 and column 1 are empty.
+    fn unsorted() -> Csr<(u32, u64)> {
+        table(&[&[(3, 10), (0, 11)], &[(2, 12), (0, 13), (3, 14)], &[], &[(2, 15)]])
+    }
+
+    #[test]
+    fn transpose_rows_come_out_sorted_by_column() {
+        let tt = unsorted().transpose(4);
+        assert_eq!(
+            tt.rows().collect::<Vec<_>>(),
+            vec![
+                &[(0, 11), (1, 13)][..],
+                &[],
+                &[(1, 12), (3, 15)],
+                &[(0, 10), (1, 14)],
+            ]
+        );
+        assert!(tt.rows().all(|row| row.windows(2).all(|w| w[0].0 < w[1].0)));
+    }
+
+    #[test]
+    fn double_transpose_gives_back_the_input_sorted_by_column() {
+        let sorted = table(&[&[(0, 11), (3, 10)], &[(0, 13), (2, 12), (3, 14)], &[], &[(2, 15)]]);
+        assert_eq!(unsorted().transpose(4).transpose(4), sorted);
+        assert_eq!(sorted.transpose(4).transpose(4), sorted);
+    }
+
+    #[test]
+    fn transpose_of_empty_tables() {
+        assert_eq!(table(&[]).transpose(0), table(&[]));
+        assert_eq!(table(&[]).transpose(2), table(&[&[], &[]]));
+        assert_eq!(table(&[&[], &[], &[]]).transpose(1), table(&[&[]]));
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A per-call entry point would rebuild everything on every call: spawn a
 //! fresh [`WorkerPool`], regroup the DAG into levels, repropagate rule and
-//! file weights, reassemble head/tail buffers.  That is exactly backwards
+//! file weights, re-enumerate sequence windows.  That is exactly backwards
 //! for the serving scenario the paper (and TADOC before it) targets — the
 //! compressed corpus is a long-lived analytic substrate queried many times,
 //! so everything derived only from the *archive* should be paid for once.
@@ -15,10 +15,10 @@
 //! session cache lazily: each artifact is computed by the first query
 //! that needs it and served from the cache afterwards.  The cache keys are
 //! the artifact kinds themselves — per session there is exactly one DAG
-//! level schedule, one rule-weight vector, one file-weight table, one
-//! term-vector CSR, one chunk decomposition (the chunk threshold is fixed
-//! at build time), one word-mass column, and one `SequenceSlot` —
-//! head/tail buffers plus window table — *per sequence length* `l` (the
+//! level schedule, one rule-weight vector, one rule × file matrix in each
+//! orientation (the file-major one with term vector's file costs), one
+//! chunk decomposition (the chunk threshold is fixed at build time), one
+//! word-mass column, and one window table *per sequence length* `l` (the
 //! only per-query knob that shapes an artifact).
 //!
 //! Cold vs warm is observable:
@@ -35,17 +35,18 @@
 #![deny(clippy::unwrap_used)]
 
 use super::exec::{Abort, WorkerPool};
-use super::head_tail::{build_head_tail, levels_bottom_up, levels_top_down, HeadTail};
+use super::head_tail::{build_head_tail, levels_top_down};
 use super::results_cache::{ResultsCache, RESULTS_CACHE_BUDGET_BYTES};
 use super::{
-    build_term_vector_prep, fill_window_sources, parallel_file_weights, parallel_rule_weights,
-    root_chunks, run_fine_with_cache, sequence_work_items, FileWeightLists, FineGrainedConfig,
-    SeqItem, TermVectorPrep, WindowSources,
+    build_term_vector_prep, fill_window_sources, parallel_rule_weights, root_chunks,
+    run_fine_with_cache, sequence_work_items, FineGrainedConfig, SeqItem, TermVectorPrep,
+    WindowSources,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
+use crate::results::FileId;
 use crate::timing::{Degradation, PhaseTimings, Timer};
 use crate::weights::file_segments;
-use sequitur::{Dag, Grammar, TadocArchive};
+use sequitur::{Csr, Dag, Grammar, TadocArchive};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
@@ -272,21 +273,20 @@ impl RunCharge {
     }
 }
 
-/// Maximum distinct sequence lengths whose [`SequenceSlot`]s a session
-/// keeps at once.  A slot holds the head/tail buffers (at most `2(l - 1)`
-/// words per rule) and the window table ([`WindowSources`]: `4l + 8` bytes
-/// per distinct window plus 12 per (window, source) pair — 1.1 / 2.8 MiB at
-/// `l` = 3 on the benchmark's `manyfiles` / `fewfiles` corpora).  Real
-/// query mixes use a handful of lengths, so a small FIFO bound caps
-/// worst-case memory without ever evicting on realistic workloads.
-const HEAD_TAIL_CACHE_CAP: usize = 8;
+/// Maximum distinct sequence lengths whose window tables a session keeps
+/// at once.  A table ([`WindowSources`]) holds `4l + 8` bytes per distinct
+/// window plus 12 per (window, source) pair — 1.1 / 2.8 MiB at `l` = 3 on
+/// the benchmark's `manyfiles` / `fewfiles` corpora.  Real query mixes use
+/// a handful of lengths, so a small FIFO bound caps worst-case memory
+/// without ever evicting on realistic workloads.
+const WINDOW_TABLE_CAP: usize = 8;
 
-/// Everything the sequence tasks cache for one sequence length `l`: the
-/// head/tail buffers and the window table filled from them.  Evicting `l`
-/// drops both; a query holding the `Arc` keeps both alive until it ends.
+/// What the sequence tasks cache for one sequence length `l`: its window
+/// table.  The head/tail records the fill counts windows from are built
+/// inside the fill and dropped with it.  A query holding the `Arc` keeps
+/// the table alive until it ends, even if `l` is evicted meanwhile.
 #[derive(Default)]
 pub(crate) struct SequenceSlot {
-    head_tail: OnceLock<HeadTail>,
     windows: OnceLock<WindowSources>,
 }
 
@@ -318,25 +318,27 @@ impl SequenceSlot {
 /// waits for) the cell.
 #[derive(Default)]
 pub(crate) struct Analysis {
-    /// Top-down DAG level schedule (root layer first).
+    /// Top-down DAG level schedule (root layer first); bottom-up passes
+    /// walk it in reverse.
     levels_top_down: OnceLock<Vec<Vec<u32>>>,
-    /// Bottom-up DAG level schedule (deepest layer first).
-    levels_bottom_up: OnceLock<Vec<Vec<u32>>>,
     /// Root file segments (`file_segments`).
     segments: OnceLock<Vec<(usize, usize)>>,
     /// Rule weights (top-down propagation).
     rule_weights: OnceLock<Vec<u64>>,
-    /// Per-rule `(file, occurrences)` lists (top-down pull propagation).
-    file_weights: OnceLock<FileWeightLists>,
+    /// The rule-major view of the rule × file matrix: row `r` holds rule
+    /// `r`'s `(file, occurrences)`, sorted by file — the transpose of the
+    /// file-major matrix in `term_vector`.
+    file_weights: OnceLock<Csr<(FileId, u64)>>,
     /// Local-word-list chunks of every rule (wordCount / sort item space).
     word_chunks: OnceLock<Vec<super::exec::Chunk>>,
     /// Non-root local-word chunks + root segment chunks (invertedIndex
     /// item space).
     index_chunks: OnceLock<(Vec<super::exec::Chunk>, Vec<super::sequences::RootChunk>)>,
-    /// Term-vector initialization product (file-major CSR + file costs).
+    /// Term-vector initialization product (the file-major rule × file
+    /// matrix + file costs).
     term_vector: OnceLock<TermVectorPrep>,
     /// `(l, slot)` per sequence length `l` (the only per-query knob that
-    /// shapes an artifact), oldest first, at most [`HEAD_TAIL_CACHE_CAP`]:
+    /// shapes an artifact), oldest first, at most [`WINDOW_TABLE_CAP`]:
     /// user-supplied lengths must not grow memory without bound.  Evicted
     /// slots live on (the `Arc`) for queries still reading them.  The fills
     /// run outside the mutex, so queries filling different lengths never
@@ -385,14 +387,6 @@ impl Analysis {
         self.fill(&self.levels_top_down, charge, || levels_top_down(dag))
     }
 
-    pub(crate) fn ensure_levels_bottom_up(
-        &self,
-        dag: &Dag,
-        charge: &mut RunCharge,
-    ) -> &Vec<Vec<u32>> {
-        self.fill(&self.levels_bottom_up, charge, || levels_bottom_up(dag))
-    }
-
     pub(crate) fn ensure_segments(
         &self,
         grammar: &Grammar,
@@ -413,17 +407,19 @@ impl Analysis {
         })
     }
 
+    /// The rule-major view of the rule × file matrix, transposed from the
+    /// file-major one (filled first if cold).
     pub(crate) fn ensure_file_weights(
         &self,
-        grammar: &Grammar,
+        archive: &TadocArchive,
         dag: &Dag,
+        fcfg: FineGrainedConfig,
         pool: &WorkerPool,
         charge: &mut RunCharge,
-    ) -> &FileWeightLists {
-        let levels = self.ensure_levels_top_down(dag, charge);
-        let segments = self.ensure_segments(grammar, charge);
+    ) -> &Csr<(FileId, u64)> {
+        let prep = self.ensure_term_vector_prep(archive, dag, fcfg, pool, charge);
         self.fill(&self.file_weights, charge, || {
-            parallel_file_weights(grammar, dag, levels, segments, pool)
+            prep.csr.transpose(dag.num_rules)
         })
     }
 
@@ -474,11 +470,12 @@ impl Analysis {
     }
 
     /// Returns the slot for sequence length `l` with its window table
-    /// filled (and the head/tail buffers it is counted from).  The `Arc`
-    /// keeps the slot alive for this query even if a concurrent query's
-    /// distinct `l` evicts the table entry mid-flight.  The sequence tasks
-    /// ensure it last, so a fault in its fill leaves only its own cell
-    /// empty for the next query to refill.
+    /// filled.  The fill builds the head/tail records it counts windows
+    /// from and drops them when it returns.  The `Arc` keeps the slot alive
+    /// for this query even if a concurrent query's distinct `l` evicts the
+    /// table entry mid-flight.  The sequence tasks ensure it last, so a
+    /// fault in its fill leaves only its own cell empty for the next query
+    /// to refill.
     pub(crate) fn ensure_window_sources(
         &self,
         archive: &TadocArchive,
@@ -489,7 +486,7 @@ impl Analysis {
         charge: &mut RunCharge,
     ) -> Arc<SequenceSlot> {
         let grammar = &archive.grammar;
-        let levels = self.ensure_levels_bottom_up(dag, charge);
+        let levels = self.ensure_levels_top_down(dag, charge);
         let items = self.ensure_sequence_items(grammar, fcfg, charge);
         let mass = self.ensure_word_mass(archive, dag, charge);
         let slot = {
@@ -497,7 +494,7 @@ impl Analysis {
             match slots.iter().find(|(key, _)| *key == l) {
                 Some((_, slot)) => Arc::clone(slot),
                 None => {
-                    if slots.len() >= HEAD_TAIL_CACHE_CAP {
+                    if slots.len() >= WINDOW_TABLE_CAP {
                         slots.remove(0);
                     }
                     let slot = Arc::new(SequenceSlot::default());
@@ -506,12 +503,10 @@ impl Analysis {
                 }
             }
         };
-        let ht = self.fill(&slot.head_tail, charge, || {
-            build_head_tail(grammar, dag, levels, l, pool)
-        });
         let mut timings = PhaseTimings::default();
         self.fill(&slot.windows, charge, || {
-            fill_window_sources(archive, ht, items, mass, pool, &mut timings)
+            let ht = build_head_tail(grammar, dag, levels, l, pool);
+            fill_window_sources(archive, &ht, items, mass, pool, &mut timings)
         });
         charge.fill_timings = timings;
         slot
@@ -703,9 +698,9 @@ struct ExecState {
 ///
 /// The engine borrows the archive and DAG for its whole lifetime and owns
 /// the persistent [`WorkerPool`] plus the once-filled analysis layer, so
-/// repeated queries pay the shared initialization (DAG levels, rule/file
-/// weights, head/tail buffers and window tables, chunk decompositions, the
-/// term-vector CSR) **once** instead of once per call.  Outputs are
+/// repeated queries pay the shared initialization (DAG levels, rule
+/// weights, the rule × file matrix, window tables, chunk decompositions)
+/// **once** instead of once per call.  Outputs are
 /// byte-identical to the sequential reference ([`run_task`]); the
 /// amortization is observable via [`PhaseTimings::shared_init`] /
 /// [`PhaseTimings::warm`].
@@ -1196,7 +1191,7 @@ mod tests {
         for l in [2usize, 3, 4] {
             let cfg = TaskConfig { sequence_length: l };
             let first = engine.run(Task::SequenceCount, cfg).unwrap();
-            assert!(!first.timings.warm, "l={l} first run computes head/tail");
+            assert!(!first.timings.warm, "l={l} first run fills its window table");
             let again = engine.run(Task::SequenceCount, cfg).unwrap();
             assert!(again.timings.warm, "l={l} repeat must be warm");
             assert_eq!(first.output, again.output);
@@ -1212,7 +1207,7 @@ mod tests {
     fn head_tail_cache_is_bounded_with_fifo_eviction() {
         let (archive, dag) = build_archive();
         let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
-        let baseline: Vec<_> = (1..=HEAD_TAIL_CACHE_CAP + 2)
+        let baseline: Vec<_> = (1..=WINDOW_TABLE_CAP + 2)
             .map(|l| {
                 let cfg = TaskConfig { sequence_length: l };
                 engine.run(Task::SequenceCount, cfg).unwrap().output
@@ -1220,7 +1215,7 @@ mod tests {
             .collect();
         {
             let slots = engine.analysis.sequence.lock().unwrap();
-            assert_eq!(slots.len(), HEAD_TAIL_CACHE_CAP, "cache must stay bounded");
+            assert_eq!(slots.len(), WINDOW_TABLE_CAP, "cache must stay bounded");
             assert!(
                 slots.iter().all(|&(l, _)| l > 2),
                 "oldest lengths must have been evicted first"
@@ -1234,10 +1229,10 @@ mod tests {
         assert_eq!(again.output, baseline[0], "recomputed output must match");
     }
 
-    /// Evicting a length drops its whole slot: re-querying it refills the
-    /// head/tail buffers and the window table — two fills, nothing else —
-    /// and a query that took the slot before it was evicted still answers
-    /// from it.
+    /// Evicting a length drops its window table: re-querying it refills
+    /// the table — one fill, which builds the head/tail records inside it,
+    /// nothing else — and a query that took the slot before it was evicted
+    /// still answers from it.
     #[test]
     fn evicted_sequence_slots_refill_exactly_once_and_stay_readable() {
         let (archive, dag) = build_archive();
@@ -1254,8 +1249,8 @@ mod tests {
         assert!(!again.timings.warm);
         assert_eq!(
             engine.analysis_fills(),
-            before + 2,
-            "head/tail + window table of l = 1, nothing else"
+            before + 1,
+            "the window table of l = 1, nothing else"
         );
         assert!(run(1).timings.warm);
 
@@ -1266,7 +1261,7 @@ mod tests {
                 .analysis
                 .ensure_window_sources(&archive, &dag, engine.fcfg, 1, pool, charge)
         });
-        for l in 11..=10 + HEAD_TAIL_CACHE_CAP {
+        for l in 11..=10 + WINDOW_TABLE_CAP {
             run(l);
         }
         let slots = engine.analysis.sequence.lock().unwrap();

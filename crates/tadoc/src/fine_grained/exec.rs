@@ -10,11 +10,8 @@
 //! The pool is **persistent**: [`WorkerPool::new`] spawns its helper threads
 //! once, parks them on a condvar, and every subsequent phase or DAG level is
 //! dispatched as an *epoch* — a generation-counted barrier round — over the
-//! same threads.  Earlier revisions spawned a fresh `thread::scope` per
-//! level, which made the per-level spawn cost dominate small DAG levels;
-//! with epochs, waking a parked thread is all a level costs, and worker `w`
-//! of one level is the same OS thread as worker `w` of the next, so arena
-//! regions handed out per worker stay thread-pinned across levels.
+//! same threads: waking a parked thread is all a level costs, and worker
+//! `w` of one level is the same OS thread as worker `w` of the next.
 //!
 //! An epoch is the level barrier of the traversal: [`WorkerPool::run`] does
 //! not return until every worker has finished the epoch, so every write a
@@ -110,10 +107,6 @@ struct EpochState {
     panic: Option<Box<dyn std::any::Any + Send>>,
     /// Set once, on drop: helpers exit instead of waiting for a new epoch.
     shutdown: bool,
-    /// The race-check generation of the in-flight epoch; helpers stamp
-    /// their thread with it before touching any `DisjointSlots`.
-    #[cfg(all(feature = "race-check", debug_assertions))]
-    race_gen: u32,
 }
 
 struct PoolShared {
@@ -179,8 +172,7 @@ struct Control {
 ///
 /// Worker 0 is the calling thread; `threads - 1` helper threads are spawned
 /// once and parked between epochs.  Worker ids are stable across epochs
-/// (worker `w` is always the same OS thread), which is what lets arena
-/// regions handed out per worker stay thread-pinned across DAG levels.
+/// (worker `w` is always the same OS thread).
 ///
 /// ```
 /// use tadoc::fine_grained::exec::WorkerPool;
@@ -232,8 +224,6 @@ impl WorkerPool {
                 remaining: 0,
                 panic: None,
                 shutdown: false,
-                #[cfg(all(feature = "race-check", debug_assertions))]
-                race_gen: 0,
             }),
             start: Condvar::new(),
             done: Condvar::new(),
@@ -329,8 +319,6 @@ impl WorkerPool {
     fn run_epoch_inner(&self, f: &(dyn Fn(usize) + Sync)) -> EpochOutcome {
         if self.handles.is_empty() {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                #[cfg(all(feature = "race-check", debug_assertions))]
-                race::enter(0, race::next_generation());
                 failpoints::fail_point!("worker-epoch");
                 f(0);
             }));
@@ -349,8 +337,6 @@ impl WorkerPool {
                 *const (dyn Fn(usize) + Sync + 'static),
             >(f as *const (dyn Fn(usize) + Sync))
         });
-        #[cfg(all(feature = "race-check", debug_assertions))]
-        let race_gen = race::next_generation();
         {
             let mut st = self.shared.state.lock().expect(POOL_MUTEX_MSG);
             debug_assert_eq!(st.remaining, 0, "epoch dispatched while one is in flight");
@@ -358,10 +344,6 @@ impl WorkerPool {
             st.remaining = self.handles.len();
             st.panic = None;
             st.epoch += 1;
-            #[cfg(all(feature = "race-check", debug_assertions))]
-            {
-                st.race_gen = race_gen;
-            }
             self.shared.start.notify_all();
         }
         // Wait out the barrier even if worker 0's share panics below: the
@@ -383,8 +365,6 @@ impl WorkerPool {
         }
         let guard = EpochGuard(&self.shared);
         let worker0 = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            #[cfg(all(feature = "race-check", debug_assertions))]
-            race::enter(0, race_gen);
             failpoints::fail_point!("worker-epoch");
             f(0);
         }));
@@ -537,10 +517,6 @@ impl WorkerPool {
     {
         const INLINE_THRESHOLD: usize = 32;
         if self.handles.is_empty() || n <= INLINE_THRESHOLD {
-            // An inline run is its own race-check generation: the caller's
-            // accesses must not alias a past epoch's tags.
-            #[cfg(all(feature = "race-check", debug_assertions))]
-            race::enter(0, race::next_generation());
             for i in 0..n {
                 f(i);
             }
@@ -576,9 +552,7 @@ impl Drop for WorkerPool {
 fn helper_loop(shared: &PoolShared, worker: usize) {
     let mut seen = 0u64;
     loop {
-        #[cfg(all(feature = "race-check", debug_assertions))]
-        let race_gen;
-        let job = {
+        let (epoch, job) = {
             let mut st = shared.state.lock().expect(POOL_MUTEX_MSG);
             while !st.shutdown && st.epoch == seen {
                 st = shared.start.wait(st).expect(POOL_MUTEX_MSG);
@@ -586,12 +560,7 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
             if st.shutdown {
                 return;
             }
-            seen = st.epoch;
-            #[cfg(all(feature = "race-check", debug_assertions))]
-            {
-                race_gen = st.race_gen;
-            }
-            st.job.expect("epoch announced without a job")
+            (st.epoch, st.job.expect("epoch announced without a job"))
         };
         // Panics are caught so the barrier always completes (a missing
         // decrement would deadlock the caller) and reported to the calling
@@ -599,16 +568,18 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
         // the fault propagates, and the epoch's shared state is discarded
         // with it.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // Inside the catch: a monotonicity assert is a pool fault and
-            // must complete the barrier like any other worker panic.
-            #[cfg(all(feature = "race-check", debug_assertions))]
-            race::enter(worker, race_gen);
+            // Inside the catch: a broken barrier is a pool fault and must
+            // complete the barrier like any other worker panic.  No epoch
+            // can be dispatched before every helper finished the last one,
+            // so each helper sees every epoch, in order.
+            debug_assert_eq!(epoch, seen + 1, "worker {worker} skipped an epoch");
             failpoints::fail_point!("worker-epoch");
             // SAFETY: `run_epoch` keeps the closure alive until this worker
             // (and all others) decrement `remaining` below — the pointee
             // outlives every dereference.
             (unsafe { &*job.0 })(worker)
         }));
+        seen = epoch;
         let mut st = shared.state.lock().expect(POOL_MUTEX_MSG);
         if let Err(payload) = result {
             if st.panic.is_none() {
@@ -739,219 +710,6 @@ pub fn chunk_ranges<I: IntoIterator<Item = usize>>(lens: I, target: usize) -> Ve
         }
     }
     out
-}
-
-/// Dynamic verification of the epoch/disjointness contract, armed by the
-/// `race-check` feature (debug builds only — `debug_assertions` is part of
-/// the gate, so release builds compile all of this out even with the
-/// feature on).
-///
-/// The static rules (`cargo run -p xtask -- lint`) check that every unsafe
-/// site *states* its disjointness argument; this module checks that the
-/// argument is *true* at runtime.  Three pieces:
-///
-/// * a process-global **generation counter**, bumped once per barrier epoch
-///   (and once per inline run, so small ranges executed on the caller are
-///   their own generation);
-/// * a **thread-local `(worker, generation)`** stamp, set by [`enter`] when
-///   a worker begins an epoch; `enter` asserts strict per-thread generation
-///   monotonicity — a worker observing epochs out of order means the
-///   barrier itself is broken;
-/// * a [`Shadow`] owner table carried by every `DisjointSlots`: one writer
-///   tag and one reader tag per slot, each packing `worker + 1` (8 bits,
-///   `0` = never touched) over the low 24 bits of the generation.  A write
-///   that finds a *different* worker's write tag from the *same* generation
-///   is an overlapping write; a write that finds another worker's read tag
-///   from the same generation is a write-after-read.  Both panic naming
-///   **both** worker ids, which the epoch's panic-safe barrier then
-///   propagates to the caller.
-///
-/// Same-worker same-generation accesses are allowed (a worker's own
-/// accesses are sequenced), mirroring the carve-out in the
-/// [`DisjointSlots::get`]/[`DisjointSlots::set`] contracts.
-#[cfg(all(feature = "race-check", debug_assertions))]
-pub(crate) mod race {
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU32, Ordering};
-
-    /// Low 24 bits of a tag hold the generation; wrap-around after 16M
-    /// epochs is acceptable for a debug-only checker.
-    const GEN_MASK: u32 = 0x00FF_FFFF;
-
-    /// Process-global epoch generation.  Starts at 0 so the first
-    /// [`next_generation`] call returns 1 and tag `0` stays reserved for
-    /// "never accessed".
-    static GENERATION: AtomicU32 = AtomicU32::new(0);
-
-    thread_local! {
-        /// The `(worker, generation)` this thread is executing, or `(0, 0)`
-        /// outside any epoch (sequential seeding reads/writes then carry
-        /// generation 0, which never equals a real epoch's generation).
-        static CURRENT: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
-    }
-
-    /// Allocates the next generation.  `AcqRel` pairs the allocation with
-    /// the [`enter`] that publishes it, keeping generations observed in
-    /// allocation order on every thread.
-    pub(crate) fn next_generation() -> u32 {
-        GENERATION.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Marks the current thread as worker `worker` of generation `gen`.
-    /// Asserts strict monotonicity: one OS thread re-entering an old (or
-    /// current) generation means the pool's barrier ordering is broken.
-    pub(crate) fn enter(worker: usize, gen: u32) {
-        assert!(worker < 255, "race-check tags support at most 255 workers");
-        CURRENT.with(|c| {
-            let (_, last) = c.get();
-            assert!(
-                gen > last,
-                "race-check: worker {worker} entered generation {gen} at or before \
-                 generation {last} — barrier epochs observed out of order"
-            );
-            c.set((worker as u32, gen));
-        });
-    }
-
-    fn tag(worker: u32, gen: u32) -> u32 {
-        ((worker + 1) << 24) | (gen & GEN_MASK)
-    }
-
-    fn tag_worker(t: u32) -> u32 {
-        (t >> 24) - 1
-    }
-
-    fn tag_gen(t: u32) -> u32 {
-        t & GEN_MASK
-    }
-
-    /// Per-slot shadow owner table: `writers[i]`/`readers[i]` hold the tag
-    /// of the last worker to write/read slot `i` (0 = never).
-    pub(crate) struct Shadow {
-        writers: Vec<AtomicU32>,
-        readers: Vec<AtomicU32>,
-    }
-
-    impl Shadow {
-        pub(crate) fn new(n: usize) -> Self {
-            Self {
-                writers: (0..n).map(|_| AtomicU32::new(0)).collect(),
-                readers: (0..n).map(|_| AtomicU32::new(0)).collect(),
-            }
-        }
-
-        /// Records a write of slot `i` by the current worker; panics when
-        /// another worker already wrote or read the slot this generation.
-        /// (`AcqRel`/`Acquire` on the tag traffic keeps the *detector*
-        /// well-defined even while it is witnessing a genuine data race on
-        /// the slot itself.)
-        pub(crate) fn on_write(&self, i: usize) {
-            let (w, g) = CURRENT.with(Cell::get);
-            let prev = self.writers[i].swap(tag(w, g), Ordering::AcqRel);
-            if prev != 0 && tag_gen(prev) == g & GEN_MASK && tag_worker(prev) != w {
-                panic!(
-                    "race-check: overlapping write to slot {i}: worker {} and worker {w} \
-                     both wrote it during generation {g}",
-                    tag_worker(prev)
-                );
-            }
-            let seen = self.readers[i].load(Ordering::Acquire);
-            if seen != 0 && tag_gen(seen) == g & GEN_MASK && tag_worker(seen) != w {
-                panic!(
-                    "race-check: write-after-read on slot {i}: worker {} read it and \
-                     worker {w} wrote it during generation {g}",
-                    tag_worker(seen)
-                );
-            }
-        }
-
-        /// Records a read of slot `i` by the current worker; panics when
-        /// another worker wrote the slot this generation.
-        pub(crate) fn on_read(&self, i: usize) {
-            let (w, g) = CURRENT.with(Cell::get);
-            let writer = self.writers[i].load(Ordering::Acquire);
-            if writer != 0 && tag_gen(writer) == g & GEN_MASK && tag_worker(writer) != w {
-                panic!(
-                    "race-check: read of a concurrently written slot {i}: worker {} wrote \
-                     it and worker {w} read it during generation {g}",
-                    tag_worker(writer)
-                );
-            }
-            self.readers[i].store(tag(w, g), Ordering::Release);
-        }
-    }
-}
-
-/// Disjoint-index shared access to a slice during a level-synchronized
-/// traversal.
-///
-/// The level traversals write one result slot per rule: within a level every
-/// worker writes a *different* index, and every index a worker reads (a
-/// child's or parent's slot) was written in an **earlier epoch**, whose
-/// barrier ([`WorkerPool::run`] returning) ordered those writes before this
-/// level's reads.  Earlier revisions funnelled the per-level results through
-/// a `Mutex<Vec<_>>` and scattered them after the barrier; that lock (and
-/// the extra copy) is pure overhead when the index space already partitions
-/// the writes.  `DisjointSlots` erases the slice into `UnsafeCell`s so
-/// workers can write their own slots and read other levels' slots directly,
-/// with the two safety obligations spelled out on [`set`](Self::set) and
-/// [`get`](Self::get).
-pub(crate) struct DisjointSlots<'a, T> {
-    cells: &'a [std::cell::UnsafeCell<T>],
-    /// Shadow owner table for the dynamic disjointness checker.
-    #[cfg(all(feature = "race-check", debug_assertions))]
-    shadow: race::Shadow,
-}
-
-// SAFETY: sharing `DisjointSlots` across workers hands out raw slot access
-// gated by the unsafe `get`/`set` contract below.  `T: Send` makes values
-// sound to produce and drop on any thread; `T: Sync` is required because
-// `get` legitimately yields shared `&T` to the *same* slot from several
-// workers at once (two rules of one level reading a common parent/child).
-unsafe impl<T: Send + Sync> Sync for DisjointSlots<'_, T> {}
-
-impl<'a, T> DisjointSlots<'a, T> {
-    /// Wraps an exclusively borrowed slice.  The `&mut` guarantees no other
-    /// access path exists for the wrapper's lifetime.
-    pub(crate) fn new(slice: &'a mut [T]) -> Self {
-        // SAFETY: `UnsafeCell<T>` is `repr(transparent)` over `T`, so the
-        // slice layouts match; the exclusive borrow is surrendered to the
-        // wrapper for `'a`.
-        let cells = unsafe { &*(slice as *mut [T] as *const [std::cell::UnsafeCell<T>]) };
-        Self {
-            cells,
-            #[cfg(all(feature = "race-check", debug_assertions))]
-            shadow: race::Shadow::new(cells.len()),
-        }
-    }
-
-    /// Reads slot `i`.
-    ///
-    /// # Safety
-    /// Either no worker writes slot `i` during the current epoch — the slot
-    /// was finished before the epoch started (a previous level, or the
-    /// sequential seeding before the traversal), with the epoch barrier
-    /// making that write visible — or the caller *is* the slot's unique
-    /// writer this epoch reading its own slot before overwriting it (its
-    /// accesses are sequenced; mirrors the carve-out on [`set`](Self::set)).
-    pub(crate) unsafe fn get(&self, i: usize) -> &T {
-        #[cfg(all(feature = "race-check", debug_assertions))]
-        self.shadow.on_read(i);
-        &*self.cells[i].get()
-    }
-
-    /// Writes slot `i`, dropping the previous value.
-    ///
-    /// # Safety
-    /// Index `i` must be written by at most one worker per epoch, and no
-    /// *other* worker may read slot `i` during the current epoch (readers
-    /// of `i` belong to later levels; the writing worker may read its own
-    /// slot before overwriting it, since its accesses are sequenced).
-    pub(crate) unsafe fn set(&self, i: usize, value: T) {
-        #[cfg(all(feature = "race-check", debug_assertions))]
-        self.shadow.on_write(i);
-        *self.cells[i].get() = value;
-    }
 }
 
 /// The word ids at which the key-range buckets of a sharded merge begin,
@@ -1338,111 +1096,5 @@ mod tests {
         assert_eq!(check_routing(&[5, 1, 7], 8).len(), 3);
         // A one-word vocabulary: one bucket.
         assert_eq!(check_routing(&[42], 8).len(), 1);
-    }
-
-    /// Regression tests for the dynamic disjointness checker: seeded
-    /// contract violations must be *caught*, and contract-respecting use
-    /// must stay silent.  Run with `cargo test --features race-check`.
-    #[cfg(all(feature = "race-check", debug_assertions))]
-    mod race_check {
-        use super::*;
-
-        fn fault_message(outcome: EpochOutcome) -> String {
-            match outcome {
-                EpochOutcome::Faulted(payload) => payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_else(|| "non-string panic payload".into()),
-                EpochOutcome::Completed => {
-                    panic!("the seeded contract violation was not detected")
-                }
-            }
-        }
-
-        #[test]
-        fn overlapping_write_panics_with_both_worker_ids() {
-            let pool = WorkerPool::new(2);
-            let mut data = vec![0u32; 4];
-            let slots = DisjointSlots::new(&mut data);
-            let first_done = AtomicBool::new(false);
-            let msg = fault_message(pool.run_epoch(&|w| {
-                if w == 0 {
-                    // SAFETY: deliberate contract violation (two workers
-                    // write slot 0 in one epoch) — the point of the test is
-                    // that the checker converts it into a panic.
-                    unsafe { slots.set(0, 1) };
-                    first_done.store(true, Ordering::Release);
-                } else {
-                    while !first_done.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                    // SAFETY: see above — second write to the same slot,
-                    // sequenced after worker 0's via the flag so the
-                    // detection is deterministic.
-                    unsafe { slots.set(0, 2) };
-                }
-            }));
-            assert!(msg.contains("overlapping write"), "got: {msg}");
-            assert!(
-                msg.contains("worker 0") && msg.contains("worker 1"),
-                "panic must name both workers: {msg}"
-            );
-        }
-
-        #[test]
-        fn same_epoch_write_after_read_panics() {
-            let pool = WorkerPool::new(2);
-            let mut data = vec![0u32; 4];
-            let slots = DisjointSlots::new(&mut data);
-            let read_done = AtomicBool::new(false);
-            let msg = fault_message(pool.run_epoch(&|w| {
-                if w == 1 {
-                    // SAFETY: deliberate contract violation — this read's
-                    // slot is written by worker 0 in the same epoch.
-                    let _ = unsafe { slots.get(0) };
-                    read_done.store(true, Ordering::Release);
-                } else {
-                    while !read_done.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                    // SAFETY: see above — the write side of the seeded
-                    // write-after-read hazard.
-                    unsafe { slots.set(0, 9) };
-                }
-            }));
-            assert!(msg.contains("write-after-read"), "got: {msg}");
-            assert!(
-                msg.contains("worker 0") && msg.contains("worker 1"),
-                "panic must name both workers: {msg}"
-            );
-        }
-
-        #[test]
-        fn disjoint_use_stays_silent_across_epochs() {
-            let pool = WorkerPool::new(4);
-            let mut data = vec![0u32; 64];
-            let slots = DisjointSlots::new(&mut data);
-            // Epoch 1: disjoint writes (each index claimed once).
-            pool.for_range(64, |i| {
-                // SAFETY: `for_range` hands out each index exactly once, so
-                // writes are disjoint; reading the own slot first is the
-                // sequenced same-worker carve-out.
-                unsafe {
-                    let prior = *slots.get(i);
-                    slots.set(i, prior + i as u32);
-                }
-            });
-            // Epoch 2: cross-slot reads of the previous epoch's writes are
-            // fine — the barrier separates the generations.
-            pool.for_range(64, |i| {
-                // SAFETY: slot `(i + 1) % 64` was finished last epoch; the
-                // barrier of the first `for_range` ordered that write
-                // before every read here.
-                let neighbour = unsafe { *slots.get((i + 1) % 64) };
-                assert_eq!(neighbour, ((i as u32) + 1) % 64);
-            });
-            drop(slots);
-            assert_eq!(data[10], 10);
-        }
     }
 }

@@ -1,146 +1,144 @@
 //! Per-rule head/tail buffers on real CPU threads (Figures 6 and 7).
 //!
-//! For sequence length `l`, every rule stores the first and last `l-1` words
-//! of its expansion; rules expanding to at most `2(l-1)` words keep the whole
-//! expansion instead, so a sliding window can never silently skip over them.
-//! The GPU fills these buffers with the mask/stop-flag loop of Figure 7; the
-//! CPU engine gets the same dependency order for free from the DAG layers:
-//! a rule's buffers only depend on its sub-rules', and every sub-rule lives
-//! in a strictly deeper layer, so processing layers deepest-first with a
-//! barrier between layers (the epoch barrier of
-//! [`WorkerPool::for_range`](super::exec::WorkerPool::for_range)) is exactly
-//! the level-synchronized schedule of the paper.
+//! For sequence length `l`, every rule keeps a *record* of
+//! `min(expanded, 2(l − 1))` words: a rule whose expansion is shorter than
+//! that keeps the whole expansion, so a sliding window can never silently
+//! skip over it; any other rule keeps its first `l − 1` words (its head)
+//! followed by its last `l − 1` (its tail).  Every record length is known
+//! before the pass, so all records live in one flat `Vec<u32>`.
 //!
-//! Assembly is **lock-free**: each worker writes its rules' buffers straight
-//! into the per-rule slots (`DisjointSlots` in `exec`) — within a level every worker
-//! owns disjoint rule ids, and the child buffers it reads were finished in an
-//! earlier epoch, so no synchronization beyond the level barrier is needed.
-//! (Earlier revisions collected per-level results through a `Mutex<Vec<_>>`,
-//! which serialized the assembly tail of every level.)
+//! The GPU fills these buffers with the mask/stop-flag loop of Figure 7; the
+//! CPU engine gets the same dependency order from the DAG layers: a rule's
+//! record depends only on its sub-rules' records, and every sub-rule lives
+//! in a strictly deeper layer.  So the records are laid out deepest level
+//! first and built one level per round: `split_at_mut` separates the
+//! finished records below the level (read) from the level's own region
+//! (written), and the region is cut by rule into one contiguous part per
+//! worker — safe Rust, with the round's barrier
+//! ([`WorkerPool::map_workers`]) the only synchronization.
 
-use super::exec::{DisjointSlots, WorkerPool};
+use super::exec::WorkerPool;
 use sequitur::{Dag, Grammar, Symbol};
 
-/// Per-rule head/tail buffers (CPU twin of the simulator's `HeadTail`).
+/// Levels of at most this many rules are built inline on the caller: waking
+/// the pool costs more than such a level (the threshold of
+/// [`WorkerPool::for_range`]).
+const INLINE_LEVEL: usize = 32;
+
+/// Per-rule head/tail records for one sequence length (CPU twin of the
+/// simulator's `HeadTail`).
 #[derive(Debug, Clone)]
 pub struct HeadTail {
-    /// Sequence length `l` the buffers were built for.
+    /// Sequence length `l` the records were built for.
     pub l: usize,
-    /// First `min(expanded_len, l-1)` words of each rule.
-    pub head: Vec<Vec<u32>>,
-    /// Last `min(expanded_len, l-1)` words of each rule.
-    pub tail: Vec<Vec<u32>>,
-    /// Full expansion for rules spanning at most `2(l-1)` words.
-    pub short_expansion: Vec<Option<Vec<u32>>>,
+    /// Every rule's record, deepest DAG level first.
+    words: Vec<u32>,
+    /// Rule `r`'s record is `words[spans[r].0..spans[r].1]`.
+    spans: Vec<(usize, usize)>,
 }
 
-/// Groups rule ids by DAG layer, deepest layer first (the bottom-up level
-/// schedule: all of a rule's children precede it).
-pub fn levels_bottom_up(dag: &Dag) -> Vec<Vec<u32>> {
+impl HeadTail {
+    /// Rule `r`'s record: its whole expansion if that is shorter than
+    /// `2(l − 1)` words, else its head followed by its tail.
+    pub fn record(&self, r: usize) -> &[u32] {
+        let (start, end) = self.spans[r];
+        &self.words[start..end]
+    }
+
+    /// Rule `r`'s whole expansion, if it is shorter than `2(l − 1)` words.
+    /// A rule of exactly `2(l − 1)` words reads as head and tail: together
+    /// they are its whole expansion, and a window across their seam lies
+    /// inside the one occurrence, which no rule counts as its own.
+    pub fn short_expansion(&self, r: usize) -> Option<&[u32]> {
+        let record = self.record(r);
+        (record.len() < 2 * (self.l - 1)).then_some(record)
+    }
+
+    /// The first `min(expanded, l − 1)` words of rule `r`.
+    pub fn head(&self, r: usize) -> &[u32] {
+        let record = self.record(r);
+        &record[..record.len().min(self.l - 1)]
+    }
+
+    /// The last `min(expanded, l − 1)` words of rule `r`.
+    pub fn tail(&self, r: usize) -> &[u32] {
+        let record = self.record(r);
+        &record[record.len() - record.len().min(self.l - 1)..]
+    }
+}
+
+/// Groups rule ids by DAG layer, root layer first (the top-down level
+/// schedule: all of a rule's parents precede it; reversed, all of its
+/// children do).
+pub fn levels_top_down(dag: &Dag) -> Vec<Vec<u32>> {
     let mut levels: Vec<Vec<u32>> = vec![Vec::new(); dag.num_layers];
     for r in 0..dag.num_rules {
         levels[dag.layers[r] as usize].push(r as u32);
     }
-    levels.reverse();
     levels.retain(|l| !l.is_empty());
     levels
 }
 
-/// Groups rule ids by DAG layer, root layer first (the top-down level
-/// schedule: all of a rule's parents precede it).
-pub fn levels_top_down(dag: &Dag) -> Vec<Vec<u32>> {
-    let mut levels = levels_bottom_up(dag);
-    levels.reverse();
-    levels
-}
-
-/// One rule's buffers, assembled from its own words and its (already
-/// finished) sub-rules' buffers — the body of `initHeadTailKernel`.
-///
-/// # Safety
-/// Every `Symbol::Rule(c)` in `body` must refer to a slot finished in an
-/// earlier epoch (guaranteed by the bottom-up level schedule: children live
-/// in strictly deeper layers), and no worker may be writing those slots in
-/// the current epoch.
-unsafe fn assemble_rule(
+/// Writes one rule's record into `out` — the body of `initHeadTailKernel`.
+/// `out` is `min(expanded, 2 keep)` words long; its first `keep` words (all
+/// of it, for a short rule) are read off `body` left to right, the rest
+/// right to left, taking a prefix or suffix of each sub-rule's finished
+/// record (`record(c)`).  A prefix of at most `keep` words of a record is
+/// the rule's head, and a suffix of at most `keep` its tail.
+fn assemble_rule<'a>(
     body: &[Symbol],
-    expanded: u64,
     keep: usize,
-    head: &DisjointSlots<'_, Vec<u32>>,
-    tail: &DisjointSlots<'_, Vec<u32>>,
-    short_expansion: &DisjointSlots<'_, Option<Vec<u32>>>,
-) -> (Vec<u32>, Vec<u32>, Option<Vec<u32>>) {
-    let is_short = expanded <= 2 * keep as u64;
-    let want = if is_short { expanded as usize } else { keep };
-
-    // Head: walk elements left to right collecting words.
-    let mut h: Vec<u32> = Vec::with_capacity(want);
-    'head: for sym in body {
-        if h.len() >= want {
+    out: &mut [u32],
+    record: impl Fn(u32) -> &'a [u32],
+) {
+    let front = if out.len() < 2 * keep { out.len() } else { keep };
+    let (head, tail) = out.split_at_mut(front);
+    let mut at = 0;
+    for sym in body {
+        if at == head.len() {
             break;
         }
         match *sym {
-            Symbol::Word(w) => h.push(w),
+            Symbol::Word(w) => {
+                head[at] = w;
+                at += 1;
+            }
             Symbol::Rule(c) => {
-                // SAFETY: `c` is a child, finished in an earlier epoch (see
-                // the function-level contract).
-                let source: &[u32] = match short_expansion.get(c as usize) {
-                    Some(full) => full,
-                    None => head.get(c as usize),
-                };
-                for &w in source {
-                    h.push(w);
-                    if h.len() >= want {
-                        continue 'head;
-                    }
-                }
+                let source = record(c);
+                let take = source.len().min(head.len() - at);
+                head[at..at + take].copy_from_slice(&source[..take]);
+                at += take;
             }
             Symbol::Splitter(_) => {}
         }
     }
-
-    // Tail: walk elements right to left collecting words.
-    let mut t_rev: Vec<u32> = Vec::with_capacity(want);
-    'tail: for sym in body.iter().rev() {
-        if t_rev.len() >= want {
+    let mut end = tail.len();
+    for sym in body.iter().rev() {
+        if end == 0 {
             break;
         }
         match *sym {
-            Symbol::Word(w) => t_rev.push(w),
+            Symbol::Word(w) => {
+                end -= 1;
+                tail[end] = w;
+            }
             Symbol::Rule(c) => {
-                // SAFETY: as above — `c`'s buffers are final.
-                let source: &[u32] = match short_expansion.get(c as usize) {
-                    Some(full) => full,
-                    None => tail.get(c as usize),
-                };
-                for &w in source.iter().rev() {
-                    t_rev.push(w);
-                    if t_rev.len() >= want {
-                        continue 'tail;
-                    }
-                }
+                let source = record(c);
+                let take = source.len().min(end);
+                tail[end - take..end].copy_from_slice(&source[source.len() - take..]);
+                end -= take;
             }
             Symbol::Splitter(_) => {}
         }
-    }
-    t_rev.reverse();
-
-    if is_short {
-        let full = h;
-        let head_part = full.iter().copied().take(keep).collect();
-        let tail_part = full[full.len().saturating_sub(keep)..].to_vec();
-        (head_part, tail_part, Some(full))
-    } else {
-        (h, t_rev, None)
     }
 }
 
-/// Builds the head/tail buffers with level-synchronized bottom-up
-/// parallelism, each level one epoch of the persistent worker pool.
+/// Builds the head/tail records with level-synchronized bottom-up
+/// parallelism, one round per DAG level.
 ///
-/// `levels` must be the bottom-up level schedule of `dag`
-/// ([`levels_bottom_up`]); sessions pass their cached copy so repeated
-/// queries do not regroup the rules.
+/// `levels` must be the top-down level schedule of `dag`
+/// ([`levels_top_down`]); it is walked in reverse.  Sessions pass their
+/// cached copy so repeated fills do not regroup the rules.
 pub fn build_head_tail(
     grammar: &Grammar,
     dag: &Dag,
@@ -152,51 +150,55 @@ pub fn build_head_tail(
     // reject `l == 0` with `ConfigError::ZeroSequenceLength` before reaching
     // here.
     assert!(l >= 1, "sequence length must be at least 1");
-    let n = dag.num_rules;
     let keep = l - 1;
     let expanded = grammar.rule_expanded_lengths();
-    let mut head: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut tail: Vec<Vec<u32>> = vec![Vec::new(); n];
-    let mut short_expansion: Vec<Option<Vec<u32>>> = vec![None; n];
-
-    {
-        let head_slots = DisjointSlots::new(&mut head);
-        let tail_slots = DisjointSlots::new(&mut tail);
-        let short_slots = DisjointSlots::new(&mut short_expansion);
-        for level in levels {
-            pool.checkpoint(); // cancel/deadline, once per DAG level
-            // Lock-free assembly: every worker writes only its own rules'
-            // slots; everything it reads (children's buffers) was written in
-            // a previous epoch, whose barrier ordered the writes.
-            pool.for_range(level.len(), |i| {
-                let r = level[i] as usize;
-                // SAFETY: rule ids within a level are unique, so slot `r` has
-                // exactly one writer this epoch; children live in strictly
-                // deeper layers, so every slot read was finished in an
-                // earlier epoch and has no writer now.
-                unsafe {
-                    let (h, t, s) = assemble_rule(
-                        grammar.rule(r),
-                        expanded[r],
-                        keep,
-                        &head_slots,
-                        &tail_slots,
-                        &short_slots,
-                    );
-                    head_slots.set(r, h);
-                    tail_slots.set(r, t);
-                    short_slots.set(r, s);
-                }
-            });
+    let mut spans = vec![(0, 0); dag.num_rules];
+    let mut len = 0;
+    for &r in levels.iter().rev().flatten() {
+        let r = r as usize;
+        let end = len + expanded[r].min(2 * keep as u64) as usize;
+        spans[r] = (len, end);
+        len = end;
+    }
+    let mut words = vec![0u32; len];
+    let mut done = 0;
+    for level in levels.iter().rev() {
+        pool.checkpoint(); // cancel/deadline, once per DAG level
+        let Some(&last) = level.last() else { continue };
+        let (finished, rest) = words.split_at_mut(done);
+        let region = &mut rest[..spans[last as usize].1 - done];
+        let (finished, spans) = (&*finished, &spans);
+        // Every sub-rule sits in a deeper level, so its record is finished.
+        let record = move |c: u32| {
+            let (start, end) = spans[c as usize];
+            &finished[start..end]
+        };
+        // Builds the rules `rules`, whose records fill `region` in order.
+        let build = move |rules: &[u32], mut region: &mut [u32]| {
+            for &r in rules {
+                let (start, end) = spans[r as usize];
+                let (out, rest) = std::mem::take(&mut region).split_at_mut(end - start);
+                assemble_rule(grammar.rule(r as usize), keep, out, record);
+                region = rest;
+            }
+        };
+        if pool.threads() == 1 || level.len() <= INLINE_LEVEL {
+            build(level, region);
+        } else {
+            let per_worker = level.len().div_ceil(pool.threads());
+            let mut parts = Vec::with_capacity(pool.threads());
+            let mut region = region;
+            for rules in level.chunks(per_worker) {
+                let (lo, hi) = (rules[0] as usize, rules[rules.len() - 1] as usize);
+                let (part, rest) = region.split_at_mut(spans[hi].1 - spans[lo].0);
+                parts.push((rules, part));
+                region = rest;
+            }
+            pool.map_workers(parts, |_, (rules, part)| build(rules, part));
         }
+        done = spans[last as usize].1;
     }
-
-    HeadTail {
-        l,
-        head,
-        tail,
-        short_expansion,
-    }
+    HeadTail { l, words, spans }
 }
 
 #[cfg(test)]
@@ -217,9 +219,10 @@ mod tests {
     fn levels_cover_every_rule_once_in_dependency_order() {
         let archive = compress_corpus(&sample_corpus(), CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
-        let levels = levels_bottom_up(&dag);
+        let levels = levels_top_down(&dag);
+        assert_eq!(levels[0], vec![0], "the root is the first level alone");
         let mut seen = vec![false; dag.num_rules];
-        for level in &levels {
+        for level in levels.iter().rev() {
             for &r in level {
                 // All children must already be seen (they are in deeper layers).
                 for &(c, _) in dag.children(r as usize) {
@@ -231,8 +234,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        let td = levels_top_down(&dag);
-        assert_eq!(td.first().unwrap(), levels.last().unwrap());
     }
 
     #[test]
@@ -241,31 +242,43 @@ mod tests {
         let sample_dag = Dag::from_grammar(&sample.grammar);
         let corpora = [(sample, sample_dag), crate::fine_grained::tests::build_wide()];
         for (archive, dag) in &corpora {
-            let levels = levels_bottom_up(dag);
+            let levels = levels_top_down(dag);
             for threads in [1, 2, 4, 8] {
                 let pool = WorkerPool::new(threads);
                 for l in 1usize..=5 {
                     let ht = build_head_tail(&archive.grammar, dag, &levels, l, &pool);
                     let keep = l - 1;
                     let label = format!("{} files, {threads} threads, l = {l}", archive.num_files());
-                    for r in 1..dag.num_rules as u32 {
-                        let full = archive.grammar.expand_rule_words(r);
+                    for r in 1..dag.num_rules {
+                        let full = archive.grammar.expand_rule_words(r as u32);
                         let want_head: Vec<u32> = full.iter().copied().take(keep).collect();
                         let want_tail: Vec<u32> = full[full.len().saturating_sub(keep)..].to_vec();
-                        assert_eq!(ht.head[r as usize], want_head, "head of {r}, {label}");
-                        assert_eq!(ht.tail[r as usize], want_tail, "tail of {r}, {label}");
+                        assert_eq!(ht.head(r), want_head, "head of {r}, {label}");
+                        assert_eq!(ht.tail(r), want_tail, "tail of {r}, {label}");
                         if full.len() <= 2 * keep {
-                            assert_eq!(
-                                ht.short_expansion[r as usize].as_deref(),
-                                Some(full.as_slice()),
-                                "short expansion of {r}, {label}"
-                            );
+                            assert_eq!(ht.record(r), full, "record of {r}, {label}");
                         } else {
-                            assert!(ht.short_expansion[r as usize].is_none(), "{label}");
+                            let ends = [want_head, want_tail].concat();
+                            assert_eq!(ht.record(r), ends, "record of {r}, {label}");
                         }
+                        let short = (full.len() < 2 * keep).then_some(full.as_slice());
+                        assert_eq!(ht.short_expansion(r), short, "{r}, {label}");
                     }
                 }
             }
         }
+    }
+
+    /// A level wider than [`INLINE_LEVEL`] is split across the pool, and
+    /// the split build equals the inline one.
+    #[test]
+    fn wide_levels_are_built_on_the_pool() {
+        let (archive, dag) = crate::fine_grained::tests::build_wide();
+        let levels = levels_top_down(&dag);
+        let inline = build_head_tail(&archive.grammar, &dag, &levels, 4, &WorkerPool::new(1));
+        let pool = WorkerPool::new(4);
+        let split = build_head_tail(&archive.grammar, &dag, &levels, 4, &pool);
+        assert!(pool.epochs() > 0, "no level was dispatched");
+        assert_eq!((split.words, split.spans), (inline.words, inline.spans));
     }
 }

@@ -5,18 +5,19 @@
 //! for over coarse file-partition parallelism:
 //!
 //! 1. **Level-synchronized DAG traversal on a persistent worker pool.**
-//!    Rules are grouped by dependency depth ([`head_tail::levels_top_down`]
-//!    / [`head_tail::levels_bottom_up`]); all rules of one level are
+//!    Rules are grouped by dependency depth ([`head_tail::levels_top_down`],
+//!    walked in reverse for bottom-up passes); all rules of one level are
 //!    processed in parallel across one long-lived [`exec::WorkerPool`]
 //!    (parked threads, created once per [`Engine`] session), and the pool's
 //!    generation-counted epoch barrier between levels plays the role of the
-//!    GPU's mask/stop-flag round barrier (Algorithm 1 top-down for
-//!    rule/file weights, Algorithm 2 bottom-up for head/tail assembly —
+//!    GPU's mask/stop-flag round barrier (Algorithm 1 top-down for rule
+//!    weights, Algorithm 2 bottom-up for head/tail assembly —
 //!    `rule.numOutEdge` ordering falls out of the layer grouping, since every
-//!    child sits in a strictly deeper layer than all of its parents).
-//!    Because worker ids are pinned to OS threads for the lifetime of the
-//!    pool, a worker's shard buffers stay on the same thread across levels
-//!    and phases, and small DAG levels no longer pay a thread-spawn each.
+//!    child sits in a strictly deeper layer than all of its parents).  The
+//!    head/tail records of one level are written into that level's own
+//!    region of one flat buffer, read from the finished regions below it,
+//!    so the passes need no `unsafe`.  Small DAG levels run inline on the
+//!    caller instead of waking the pool.
 //! 2. **Private per-worker accumulators** (Figure 5's lock-free local
 //!    tables, in CPU-appropriate form).  Every worker owns its accumulation
 //!    state outright, allocated per query — append-and-compact shard
@@ -65,16 +66,18 @@
 //!    leaves [`PhaseTimings::init_work`](crate::timing::PhaseTimings::init_work)
 //!    / `traversal_work` at their `Default`; the sequential reference
 //!    counts abstract work for the cost model.
-//! 5. **File-major CSR accumulation for term vector.**  The other
-//!    file-attributed tasks read rule-major `(file, occurrences)` tables;
-//!    term vector propagates per file instead, straight into file-major form
-//!    ([`file_csr::FileCsr`]), so files can be statically partitioned across
-//!    workers by cost and each worker walks only *its own files'* rules,
-//!    accumulating one file at a time into its own dense counts with
-//!    touched-word tracking.  File ownership is disjoint, so there is
-//!    nothing to merge — the same static-sharding trick as the global merge.
+//! 5. **One rule × file occurrence matrix, filled per file.**  A per-file
+//!    top-down propagation fills the file-major matrix (file → `(rule,
+//!    occurrences)`, a [`sequitur::Csr`]) once; the rule-major view the
+//!    inverted index and the ranked index read (rule → `(file,
+//!    occurrences)`) is its counting-sort transpose.  Term vector reads the
+//!    file-major rows: files are statically partitioned across workers by
+//!    cost and each worker walks only *its own files'* rules, accumulating
+//!    one file at a time into its own dense counts with touched-word
+//!    tracking.  File ownership is disjoint, so there is nothing to merge —
+//!    the same static-sharding trick as the global merge.
 //! 6. **Rule-local sequence support** (Figures 6–8).  Sequence tasks build
-//!    per-rule head/tail buffers bottom-up and count every window **once per
+//!    per-rule head/tail records bottom-up and count every window **once per
 //!    rule**; rule bodies and the root are split into chunks the way the
 //!    paper's thread groups split oversized rules (Section IV-B), with
 //!    chunk-boundary windows completed by an O(`l`) word-bounded extension
@@ -92,9 +95,9 @@
 //!
 //! The public entry point is the **session API** ([`engine::Engine`]): a
 //! long-lived object owning the persistent pool and a lazily-cached
-//! analysis layer (DAG levels, rule/file weights, head/tail buffers and
-//! window tables, chunk decompositions, the term-vector CSR) shared by
-//! every query over the borrowed archive.
+//! analysis layer (DAG levels, rule weights, the rule × file matrix in both
+//! orientations, window tables, chunk decompositions) shared by every query
+//! over the borrowed archive.
 //! [`run_task`](crate::apps::run_task) stays beside it as the sequential
 //! reference and the degrade ladder's fallback.
 //!
@@ -105,7 +108,6 @@
 mod driver;
 pub mod engine;
 pub mod exec;
-pub mod file_csr;
 pub mod head_tail;
 pub mod merge;
 mod results_cache;
@@ -120,21 +122,13 @@ use crate::timing::PhaseTimings;
 use arena::shard::{sort_fold, CountEntry, MaskEntry, ShardBuf};
 use driver::{claim_loop, run_phases, run_sharded, scan_and_merge, Kernel, Shards};
 use engine::{FineCtx, RunCharge};
-use exec::{Chunk, DisjointSlots, WorkerPool};
-use file_csr::FileCsr;
+use exec::{Chunk, WorkerPool};
 use head_tail::HeadTail;
 use merge::PostingRun;
 use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
-use sequitur::{Dag, Grammar, Symbol, TadocArchive, WordId};
+use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive, WordId};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Per-rule per-file occurrence counts in compact form: `fw[r]` holds rule
-/// `r`'s `(file, occurrences)` pairs sorted by file id.  The compact lists
-/// replaced the per-rule `FxHashMap<FileId, u64>` tables: dataset B has four
-/// files, so a hash map per rule was almost entirely allocator and probe
-/// overhead.
-pub type FileWeightLists = Vec<Vec<(FileId, u64)>>;
 
 /// Configuration of the fine-grained runner.
 #[derive(Debug, Clone, Copy)]
@@ -220,118 +214,6 @@ fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> V
         });
     }
     weights.into_iter().map(AtomicU64::into_inner).collect()
-}
-
-/// Computes per-rule per-file occurrence counts with the same
-/// level-synchronized top-down schedule, in *pull* form: every rule combines
-/// its root seed with its parents' (already final) lists, so each list is
-/// written by exactly one worker and the propagation needs no locks at all.
-///
-/// The lists are compact `(file, occurrences)` vectors sorted by file id —
-/// no per-rule hash maps (see [`FileWeightLists`]); a rule folds its
-/// parents' contributions with one sort + fold over a scratch vector.
-///
-/// `levels` must be the top-down level schedule of `dag` and `segments` the
-/// root's file segments; sessions pass their cached copies.  The per-level
-/// collection is **lock-free**: each rule's list slot is written directly by
-/// the one worker that owns the rule this level ([`DisjointSlots`]), and the
-/// parent lists it reads were finished in earlier epochs — the old
-/// `Mutex<Vec<_>>` funnel and post-barrier scatter are gone.
-fn parallel_file_weights(
-    grammar: &Grammar,
-    dag: &Dag,
-    levels: &[Vec<u32>],
-    segments: &[(usize, usize)],
-    pool: &WorkerPool,
-) -> FileWeightLists {
-    let n = dag.num_rules;
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut fw: FileWeightLists = vec![Vec::new(); n];
-
-    // Seed: direct rule references in the root, attributed to their file
-    // (one linear scan of the root body).  Files are visited in id order, so
-    // each rule's seed list comes out sorted by construction.
-    let root = grammar.root();
-    for (fid, &(start, end)) in segments.iter().enumerate() {
-        for sym in &root[start..end] {
-            if let Symbol::Rule(c) = *sym {
-                let list = &mut fw[c as usize];
-                match list.last_mut() {
-                    Some(last) if last.0 == fid as FileId => last.1 += 1,
-                    _ => list.push((fid as FileId, 1)),
-                }
-            }
-        }
-    }
-
-    // Pull pass, level by level: all parents of a rule live in strictly
-    // shallower layers, so their lists are final when the rule's level runs.
-    {
-        let slots = DisjointSlots::new(&mut fw);
-        for level in levels {
-            pool.checkpoint(); // cancel/deadline, once per DAG level
-            pool.for_range(level.len(), |i| {
-                let r = level[i] as usize;
-                if r == 0 {
-                    return;
-                }
-                // SAFETY: rule ids within a level are unique, so slot `r` is
-                // written by exactly one worker this epoch and read only by
-                // that worker (its own seed); every parent slot read lives in
-                // a strictly shallower layer, finished in an earlier epoch.
-                unsafe {
-                    // Common case first: exactly one contributing parent and
-                    // no root seed — the list is the parent's, scaled, and
-                    // stays sorted without any sort + fold.
-                    let mut contributors = 0usize;
-                    let mut single: (u32, u32) = (0, 0);
-                    for &(p, freq) in dag.parents(r) {
-                        if p != 0 && !slots.get(p as usize).is_empty() {
-                            contributors += 1;
-                            single = (p, freq);
-                        }
-                    }
-                    if contributors == 0 {
-                        return; // the seed list already in place is final
-                    }
-                    let seed = slots.get(r);
-                    let gathered: Vec<(FileId, u64)> = if contributors == 1 && seed.is_empty() {
-                        let (p, freq) = single;
-                        slots
-                            .get(p as usize)
-                            .iter()
-                            .map(|&(f, cnt)| (f, cnt * freq as u64))
-                            .collect()
-                    } else {
-                        let mut gathered: Vec<(FileId, u64)> = Vec::new();
-                        for &(p, freq) in dag.parents(r) {
-                            if p == 0 {
-                                continue; // already covered by the seed
-                            }
-                            for &(f, cnt) in slots.get(p as usize) {
-                                gathered.push((f, cnt * freq as u64));
-                            }
-                        }
-                        gathered.extend_from_slice(seed); // root seed
-                        gathered.sort_unstable_by_key(|&(f, _)| f);
-                        gathered.dedup_by(|cur, prev| {
-                            if cur.0 == prev.0 {
-                                prev.1 += cur.1;
-                                true
-                            } else {
-                                false
-                            }
-                        });
-                        gathered
-                    };
-                    slots.set(r, gathered);
-                }
-            });
-        }
-    }
-    fw
 }
 
 // The bucket runs `run_sharded` hands to a kernel's finalizer arrive
@@ -423,7 +305,7 @@ impl Kernel for WordCount<'_> {
 struct InvertedIndex<'e> {
     dag: &'e Dag,
     root: &'e [Symbol],
-    fw: &'e FileWeightLists,
+    fw: &'e Csr<(FileId, u64)>,
     rule_chunks: &'e [Chunk],
     seg_chunks: &'e [RootChunk],
 }
@@ -433,7 +315,7 @@ impl<'e> InvertedIndex<'e> {
         let grammar = &ctx.archive.grammar;
         let fw = ctx
             .analysis
-            .ensure_file_weights(grammar, ctx.dag, pool, charge);
+            .ensure_file_weights(ctx.archive, ctx.dag, ctx.fcfg, pool, charge);
         let (rule_chunks, seg_chunks) = ctx
             .analysis
             .ensure_index_chunks(grammar, ctx.dag, ctx.fcfg, charge);
@@ -463,11 +345,12 @@ impl Kernel for InvertedIndex<'_> {
     fn scan(&self, item: usize, blocks: &mut Self::Scratch, out: &mut Shards<'_, Self::Entry>) {
         if let Some(c) = self.rule_chunks.get(item) {
             let r = c.item as usize;
-            if self.fw[r].is_empty() {
+            let files = self.fw.row(r);
+            if files.is_empty() {
                 return;
             }
             blocks.clear();
-            for &(f, _) in &self.fw[r] {
+            for &(f, _) in files {
                 let block = f / 64;
                 let bit = 1u64 << (f % 64);
                 match blocks.last_mut() {
@@ -541,8 +424,8 @@ impl Kernel for InvertedIndex<'_> {
 // ---------------------------------------------------------------------------
 
 /// The cacheable initialization product of the term-vector task: the
-/// file-major CSR, the per-file traversal costs, and the sizes the dense
-/// counts are allocated with.  Depends only on the archive, the DAG, and the
+/// file-major rule × file matrix, the per-file traversal costs, and the
+/// sizes the dense counts are allocated with.  Depends only on the archive, the DAG, and the
 /// engine-fixed `chunk_elements` — never on a per-query knob — so a session
 /// computes it once.  The cost-balanced per-worker file *ranges* are
 /// deliberately **not** cached: they depend on the width of the pool that
@@ -550,7 +433,9 @@ impl Kernel for InvertedIndex<'_> {
 /// 1-thread pool), so each query derives them from `costs` with
 /// [`exec::partition_by_cost`].
 pub(crate) struct TermVectorPrep {
-    pub(crate) csr: FileCsr,
+    /// Row `f`: the `(rule, occurrences)` of every rule file `f` reaches,
+    /// in layer order.
+    pub(crate) csr: Csr<(RuleId, u64)>,
     pub(crate) costs: Vec<u64>,
     pub(crate) num_files: usize,
     pub(crate) vocab: usize,
@@ -587,16 +472,19 @@ impl DenseCounts {
     }
 }
 
-/// Builds [`TermVectorPrep`]: the file-major CSR *directly* with a
-/// per-file top-down propagation over the file's reachable sub-DAG.
-/// Unlike the other file-attributed tasks, no rule-major
-/// `FxHashMap<FileId, _>` tables are ever built: each worker owns a dense
-/// `occ[rule]` scratch plus per-layer buckets, seeds them from the file's
-/// root segment, propagates occurrence counts in layer order (every parent
-/// sits in a strictly shallower layer, so one pass suffices), and emits the
-/// file's `(rule, occurrences)` row.  Scratch cleanup touches only the
-/// rules the file reached, so the cost is the size of the file's sub-DAG,
-/// not of the whole grammar.
+/// Builds [`TermVectorPrep`]: the file-major rule × file matrix, the one
+/// fill of that matrix, with a per-file top-down propagation over the
+/// file's reachable sub-DAG.  Each worker owns a dense `occ[rule]` scratch
+/// plus per-layer buckets, seeds them from the file's root segment,
+/// propagates occurrence counts in layer order (every parent sits in a
+/// strictly shallower layer, so one pass suffices), and emits the file's
+/// `(rule, occurrences)` row.  Scratch cleanup touches only the rules the
+/// file reached, so the cost is the size of the file's sub-DAG, not of the
+/// whole grammar.
+///
+/// # Panics
+/// Panics if the matrix outgrows its `u32` offset column; a panicking fill
+/// publishes nothing, and the query degrades.
 pub(crate) fn build_term_vector_prep(
     archive: &TadocArchive,
     dag: &Dag,
@@ -714,14 +602,20 @@ pub(crate) fn build_term_vector_prep(
     for (f, row) in locals.into_iter().flat_map(|p| p.rows) {
         rows[f] = row;
     }
-    let csr = FileCsr::from_rows(rows);
+    let mut csr = Csr::with_capacity(num_files, rows.iter().map(Vec::len).sum());
+    for row in rows {
+        for entry in row {
+            csr.push(entry);
+        }
+        csr.end_row();
+    }
     let vocab = archive.vocabulary_size();
     let costs: Vec<u64> = (0..num_files)
         .map(|f| {
             let root_words = segments.get(f).map_or(0, |&(s, e)| (e - s) as u64);
-            let local: u64 = csr
-                .entries(f)
-                .map(|(r, _)| dag.local_words(r as usize).len() as u64)
+            let local: u64 = csr.row(f)
+                .iter()
+                .map(|&(r, _)| dag.local_words(r as usize).len() as u64)
                 .sum();
             root_words + local
         })
@@ -780,7 +674,7 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
                     }
                     // Rule-local words scaled by the rule's occurrences in
                     // `f`.
-                    for (r, occ) in prep.csr.entries(f) {
+                    for &(r, occ) in prep.csr.row(f) {
                         for &(w, c) in dag.local_words(r as usize) {
                             counts.add(w, c as u64 * occ);
                         }
@@ -940,11 +834,11 @@ impl WindowSources {
     /// local only to rules the root never reaches — are dropped.
     fn ranked_postings(
         &self,
-        fw: &FileWeightLists,
+        fw: &Csr<(FileId, u64)>,
         num_files: usize,
         pool: &WorkerPool,
     ) -> Vec<PostingRun<usize, (FileId, u64)>> {
-        let num_rules = fw.len() as u32;
+        let num_rules = fw.num_rows() as u32;
         self.over_key_ranges(pool, |windows| {
             let mut per_file = DenseCounts {
                 counts: vec![0; num_files],
@@ -954,13 +848,12 @@ impl WindowSources {
             let mut run = PostingRun::default();
             for i in windows {
                 for (source, count) in self.entries(i) {
-                    match fw.get(source as usize) {
-                        Some(files) => {
-                            for &(file, occ) in files {
-                                per_file.add(file, count * occ);
-                            }
+                    if source < num_rules {
+                        for &(file, occ) in fw.row(source as usize) {
+                            per_file.add(file, count * occ);
                         }
-                        None => per_file.add(source - num_rules, count),
+                    } else {
+                        per_file.add(source - num_rules, count);
                     }
                 }
                 per_file.drain_into(&mut postings);
@@ -1124,9 +1017,8 @@ fn ranked_inverted_index(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskE
     run_phases(
         |charge| {
             let (archive, dag) = (ctx.archive, ctx.dag);
-            let grammar = &archive.grammar;
-            let fw = ctx.analysis.ensure_file_weights(grammar, dag, pool, charge);
-            let num_files = ctx.analysis.ensure_segments(grammar, charge).len();
+            let fw = ctx.analysis.ensure_file_weights(archive, dag, ctx.fcfg, pool, charge);
+            let num_files = ctx.analysis.ensure_segments(&archive.grammar, charge).len();
             let slot = ctx
                 .analysis
                 .ensure_window_sources(archive, dag, ctx.fcfg, l, pool, charge);
@@ -1143,7 +1035,6 @@ mod tests {
     use crate::apps::run_task;
     use crate::weights;
     use sequitur::compress::{compress_corpus, CompressOptions};
-    use sequitur::fxhash::FxHashMap;
 
     fn build(corpus: &[(String, String)]) -> (TadocArchive, Dag) {
         let archive = compress_corpus(corpus, CompressOptions::default());
@@ -1217,67 +1108,56 @@ mod tests {
         }
     }
 
-    /// Converts the sequential oracle's per-rule hash maps into the compact
-    /// sorted-list form the fine engine uses.
-    fn to_lists(fw: &[FxHashMap<FileId, u64>]) -> FileWeightLists {
-        fw.iter()
-            .map(|m| {
-                let mut v: Vec<(FileId, u64)> = m.iter().map(|(&f, &c)| (f, c)).collect();
-                v.sort_unstable_by_key(|&(f, _)| f);
-                v
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_file_weights_match_sequential() {
-        for (archive, dag) in level_corpora() {
-            let expected = to_lists(&weights::file_weights(
-                &archive.grammar,
-                &dag,
-                &mut Default::default(),
-            ));
-            let levels = head_tail::levels_top_down(&dag);
-            let segments = weights::file_segments(&archive.grammar);
-            for threads in POOL_WIDTHS {
-                let pool = WorkerPool::new(threads);
-                let got = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
-                let label = format!("{} files, threads = {threads}", archive.num_files());
-                assert_eq!(got, expected, "{label}");
+    /// The sequential reference's per-rule file weights as the rule-major
+    /// view: every rule's `(file, occurrences)` row, sorted by file.
+    fn sequential_file_weights(archive: &TadocArchive, dag: &Dag) -> Csr<(FileId, u64)> {
+        let fw = weights::file_weights(&archive.grammar, dag, &mut Default::default());
+        let mut expected = Csr::with_capacity(fw.len(), 0);
+        for m in &fw {
+            let mut row: Vec<(FileId, u64)> = m.iter().map(|(&f, &c)| (f, c)).collect();
+            row.sort_unstable();
+            for entry in row {
+                expected.push(entry);
             }
+            expected.end_row();
         }
+        expected
     }
 
-    /// The CSR term vector reads, propagated per file, is the transpose of
-    /// the rule-major file weights — with every root segment's seed scan
+    /// The rule-major view the engine derives: the per-file propagation's
+    /// file-major matrix, transposed.
+    fn transposed_file_weights(
+        archive: &TadocArchive,
+        dag: &Dag,
+        threads: usize,
+        chunk_elements: usize,
+    ) -> Csr<(FileId, u64)> {
+        let pool = WorkerPool::new(threads);
+        let segments = weights::file_segments(&archive.grammar);
+        let fcfg = FineGrainedConfig {
+            num_threads: threads,
+            chunk_elements,
+        };
+        let prep = build_term_vector_prep(archive, dag, &segments, fcfg, &pool);
+        prep.csr.transpose(dag.num_rules)
+    }
+
+    /// The transposed file-major matrix is the sequential reference's file
+    /// weights — at every pool width, with every root segment's seed scan
     /// chunked (`chunk_elements` 1) and with none chunked.
     #[test]
     fn file_csr_matches_file_weights_on_real_grammars() {
         for (archive, dag) in level_corpora() {
-            let pool = WorkerPool::new(2);
-            let segments = weights::file_segments(&archive.grammar);
-            let levels = head_tail::levels_top_down(&dag);
-            let fw = parallel_file_weights(&archive.grammar, &dag, &levels, &segments, &pool);
-            let mut expected = vec![Vec::new(); archive.num_files()];
-            for (r, list) in fw.iter().enumerate().skip(1) {
-                for &(f, occ) in list {
-                    expected[f as usize].push((r as u32, occ));
+            let expected = sequential_file_weights(&archive, &dag);
+            for threads in POOL_WIDTHS {
+                for chunk_elements in [1, 4096] {
+                    let got = transposed_file_weights(&archive, &dag, threads, chunk_elements);
+                    let label = format!(
+                        "{} files, threads = {threads}, chunk_elements = {chunk_elements}",
+                        archive.num_files()
+                    );
+                    assert_eq!(got, expected, "{label}");
                 }
-            }
-            for chunk_elements in [1, 4096] {
-                let fcfg = FineGrainedConfig {
-                    num_threads: 2,
-                    chunk_elements,
-                };
-                let csr = build_term_vector_prep(&archive, &dag, &segments, fcfg, &pool).csr;
-                let got: Vec<Vec<(u32, u64)>> = (0..csr.num_files())
-                    .map(|f| {
-                        let mut row: Vec<(u32, u64)> = csr.entries(f).collect();
-                        row.sort_unstable();
-                        row
-                    })
-                    .collect();
-                assert_eq!(got, expected, "chunk_elements = {chunk_elements}");
             }
         }
     }
@@ -1442,21 +1322,15 @@ mod tests {
         use std::collections::{BTreeMap, BTreeSet};
         let grammar = &archive.grammar;
         let pool = WorkerPool::new(1);
-        let ht = head_tail::build_head_tail(grammar, dag, &head_tail::levels_bottom_up(dag), 2, &pool);
+        let ht = head_tail::build_head_tail(grammar, dag, &head_tail::levels_top_down(dag), 2, &pool);
         let segments = weights::file_segments(grammar);
-        let fw = parallel_file_weights(
-            grammar,
-            dag,
-            &head_tail::levels_top_down(dag),
-            &segments,
-            &pool,
-        );
+        let fw = transposed_file_weights(archive, dag, 1, 4096);
         // Window -> the most files any rule it is local to occurs in.
         let mut in_rules: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
         for (r, body) in grammar.rules().enumerate().skip(1) {
             count_range_windows(body, &ht, 0, body.len(), body.len(), |words, _| {
                 let files = in_rules.entry(words.to_vec()).or_insert(0);
-                *files = (*files).max(fw[r].len());
+                *files = (*files).max(fw.row(r).len());
             });
         }
         let mut in_root: BTreeMap<Vec<u32>, BTreeSet<FileId>> = BTreeMap::new();

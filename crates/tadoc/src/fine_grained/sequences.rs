@@ -180,16 +180,16 @@ impl WindowSlider {
             Symbol::Word(w) => self.word(w, element, true, emit),
             Symbol::Rule(c) => {
                 let c = c as usize;
-                if let Some(full) = &ht.short_expansion[c] {
+                if let Some(full) = ht.short_expansion(c) {
                     for &w in full {
                         self.word(w, element, false, emit);
                     }
                 } else {
-                    for &w in &ht.head[c] {
+                    for &w in ht.head(c) {
                         self.word(w, element, false, emit);
                     }
                     self.gap();
-                    for &w in &ht.tail[c] {
+                    for &w in ht.tail(c) {
                         self.word(w, element, false, emit);
                     }
                 }
@@ -249,9 +249,9 @@ pub fn count_range_windows<F: FnMut(&[u32], u32)>(
             }
             Symbol::Rule(c) => {
                 let c = c as usize;
-                let (source, gap_after): (&[u32], bool) = match &ht.short_expansion[c] {
+                let (source, gap_after): (&[u32], bool) = match ht.short_expansion(c) {
                     Some(full) => (full, false),
-                    None => (&ht.head[c], true),
+                    None => (ht.head(c), true),
                 };
                 for &w in source {
                     slider.word(w, element as u32, false, &mut emit_in_chunk);
@@ -316,7 +316,7 @@ pub fn root_chunks(segments: &[(usize, usize)], target: usize) -> Vec<RootChunk>
 mod tests {
     use super::*;
     use crate::fine_grained::exec::WorkerPool;
-    use crate::fine_grained::head_tail::{build_head_tail, levels_bottom_up};
+    use crate::fine_grained::head_tail::{build_head_tail, levels_top_down};
     use crate::oracle;
     use crate::weights::{file_segments, rule_weights};
     use sequitur::compress::{compress_corpus, CompressOptions};
@@ -354,7 +354,7 @@ mod tests {
                 }),
                 Symbol::Rule(c) => {
                     let c = c as usize;
-                    if let Some(full) = &ht.short_expansion[c] {
+                    if let Some(full) = ht.short_expansion(c) {
                         for &w in full {
                             stream.push(StreamItem::Word {
                                 word: w,
@@ -363,7 +363,7 @@ mod tests {
                             });
                         }
                     } else {
-                        for &w in &ht.head[c] {
+                        for &w in ht.head(c) {
                             stream.push(StreamItem::Word {
                                 word: w,
                                 element,
@@ -371,7 +371,7 @@ mod tests {
                             });
                         }
                         stream.push(StreamItem::Gap);
-                        for &w in &ht.tail[c] {
+                        for &w in ht.tail(c) {
                             stream.push(StreamItem::Word {
                                 word: w,
                                 element,
@@ -442,7 +442,7 @@ mod tests {
     }
 
     fn head_tail(archive: &sequitur::TadocArchive, dag: &Dag, l: usize) -> HeadTail {
-        let levels = levels_bottom_up(dag);
+        let levels = levels_top_down(dag);
         build_head_tail(&archive.grammar, dag, &levels, l, &WorkerPool::new(1))
     }
 

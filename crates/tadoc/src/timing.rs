@@ -85,8 +85,8 @@ pub struct PhaseTimings {
     /// Work performed during traversal; same contract as `init_work`.
     pub traversal_work: WorkStats,
     /// Portion of `init` spent *computing* shared session artifacts (DAG
-    /// levels, rule/file weights, head/tail buffers and window tables,
-    /// chunk lists, the term-vector CSR).  On a cold
+    /// levels, rule weights, the rule × file matrix, window tables, chunk
+    /// lists).  On a cold
     /// [`Engine`](crate::fine_grained::Engine) run this is most of `init`;
     /// on a warm run every artifact is served from the session cache and
     /// this is [`Duration::ZERO`].  The sequential path does not break out a

@@ -1,11 +1,10 @@
 //! Repo-specific static analysis for the G-TADOC workspace.
 //!
-//! The engine's performance claims rest on a handful of hand-written
-//! `unsafe` concurrency primitives (`exec::DisjointSlots`, the worker pool's
-//! lifetime-erased job pointer, head/tail assembly's cross-slot reads).  Nothing in
-//! the stock toolchain checks the *repo-specific* invariants those
-//! primitives depend on, so this crate does: a dependency-free analyzer run
-//! as
+//! The engine's concurrency rests on one hand-written `unsafe` primitive,
+//! the worker pool's lifetime-erased job pointer, plus explicit atomic
+//! orderings, typed errors and compiled-out failpoints.  Nothing in the
+//! stock toolchain checks the *repo-specific* invariants those depend on,
+//! so this crate does: a dependency-free analyzer run as
 //!
 //! ```text
 //! cargo run -p xtask -- lint
@@ -16,7 +15,7 @@
 //!
 //! It ships its own minimal Rust [`lexer`] (the container is offline — no
 //! `syn`) and applies the [`lint`] rules described in `ARCHITECTURE.md`
-//! (*Static analysis & race checking*).  The `analysis-gate` CI job runs the
+//! (*Static analysis*).  The `analysis-gate` CI job runs the
 //! lint over the tree and the fixture tests under `tests/` prove each rule
 //! still fails on a seeded violation.
 

@@ -1,9 +1,8 @@
 //! Long-lived `Engine` session: the serving pattern the session API exists
 //! for.  One compressed archive is queried many times — six tasks, twice
 //! each — on a single engine that keeps its worker pool parked and its
-//! analysis layer (DAG levels, rule/file weights, head/tail buffers and
-//! window tables, chunk decompositions, the term-vector CSR) cached between
-//! queries.
+//! analysis layer (DAG levels, rule weights, the rule × file matrix,
+//! window tables, chunk decompositions) cached between queries.
 //!
 //! ```text
 //! cargo run --release --example engine_session

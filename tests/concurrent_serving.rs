@@ -20,7 +20,7 @@ fn serving_corpus() -> Vec<(String, String)> {
 /// The serving mix: all six tasks under the default config, plus the
 /// sequence-sensitive tasks at two extra lengths — the only per-query knob
 /// that shapes a shared artifact, so the mix exercises the per-`l`
-/// head/tail slots under contention too.
+/// window-table slots under contention too.
 fn task_mix() -> Vec<(Task, TaskConfig)> {
     let mut mix: Vec<(Task, TaskConfig)> = Task::ALL
         .into_iter()

@@ -230,7 +230,7 @@ fn run_all_shares_prerequisites_and_matches_oracle() {
     );
 }
 
-/// Sequence-length variants each get their own cached head/tail state and
+/// Sequence-length variants each get their own cached window table and
 /// all match the oracle through one shared session.
 #[test]
 fn sequence_length_variants_share_one_session() {

@@ -110,9 +110,9 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
 }
 
 /// A fault inside the window fill — `merge-fold` in its bucket merge, then
-/// `chunk-boundary` in its claim loop on the next query, once the head/tail
-/// buffers it scans are warm — degrades that query to the oracle answer and
-/// leaves the table's cell empty: the query after refills exactly that one
+/// `chunk-boundary` at its first checkpoint on the next query (a level of
+/// the head/tail build inside the fill) — degrades that query to the
+/// oracle answer and leaves the table's cell empty: the query after refills exactly that one
 /// artifact and runs the fine path, and a warm repeat fills nothing.
 #[test]
 fn a_fault_in_the_window_fill_leaves_the_table_empty_for_the_next_query() {
