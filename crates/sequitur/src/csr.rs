@@ -171,7 +171,12 @@ mod tests {
 
     /// Rows list their columns out of order; row 2 and column 1 are empty.
     fn unsorted() -> Csr<(u32, u64)> {
-        table(&[&[(3, 10), (0, 11)], &[(2, 12), (0, 13), (3, 14)], &[], &[(2, 15)]])
+        table(&[
+            &[(3, 10), (0, 11)],
+            &[(2, 12), (0, 13), (3, 14)],
+            &[],
+            &[(2, 15)],
+        ])
     }
 
     #[test]
@@ -191,7 +196,12 @@ mod tests {
 
     #[test]
     fn double_transpose_gives_back_the_input_sorted_by_column() {
-        let sorted = table(&[&[(0, 11), (3, 10)], &[(0, 13), (2, 12), (3, 14)], &[], &[(2, 15)]]);
+        let sorted = table(&[
+            &[(0, 11), (3, 10)],
+            &[(0, 13), (2, 12), (3, 14)],
+            &[],
+            &[(2, 15)],
+        ]);
         assert_eq!(unsorted().transpose(4).transpose(4), sorted);
         assert_eq!(sorted.transpose(4).transpose(4), sorted);
     }

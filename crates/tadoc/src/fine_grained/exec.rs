@@ -93,6 +93,11 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 // doctest on [`WorkerPool::run`]).
 unsafe impl Send for JobPtr {}
 
+/// Level passes over at most this many rules (or indices) run inline on the
+/// caller: even waking parked threads costs more than a near-empty DAG
+/// level itself.
+pub const INLINE_THRESHOLD: usize = 32;
+
 /// Barrier generation state shared between the caller and the parked
 /// helper threads.
 struct EpochState {
@@ -509,13 +514,12 @@ impl WorkerPool {
     }
 
     /// Runs `f(i)` for every `i in 0..n` across the worker pool with dynamic
-    /// chunking.  Small ranges run inline on the caller: even waking parked
-    /// threads costs more than a near-empty DAG level itself.
+    /// chunking.  Ranges of at most [`INLINE_THRESHOLD`] run inline on the
+    /// caller.
     pub fn for_range<F>(&self, n: usize, f: F)
     where
         F: Fn(usize) + Sync,
     {
-        const INLINE_THRESHOLD: usize = 32;
         if self.handles.is_empty() || n <= INLINE_THRESHOLD {
             for i in 0..n {
                 f(i);

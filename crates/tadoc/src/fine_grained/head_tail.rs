@@ -17,13 +17,8 @@
 //! worker — safe Rust, with the round's barrier
 //! ([`WorkerPool::map_workers`]) the only synchronization.
 
-use super::exec::WorkerPool;
+use super::exec::{WorkerPool, INLINE_THRESHOLD};
 use sequitur::{Dag, Grammar, Symbol};
-
-/// Levels of at most this many rules are built inline on the caller: waking
-/// the pool costs more than such a level (the threshold of
-/// [`WorkerPool::for_range`]).
-const INLINE_LEVEL: usize = 32;
 
 /// Per-rule head/tail records for one sequence length (CPU twin of the
 /// simulator's `HeadTail`).
@@ -91,7 +86,11 @@ fn assemble_rule<'a>(
     out: &mut [u32],
     record: impl Fn(u32) -> &'a [u32],
 ) {
-    let front = if out.len() < 2 * keep { out.len() } else { keep };
+    let front = if out.len() < 2 * keep {
+        out.len()
+    } else {
+        keep
+    };
     let (head, tail) = out.split_at_mut(front);
     let mut at = 0;
     for sym in body {
@@ -182,7 +181,7 @@ pub fn build_head_tail(
                 region = rest;
             }
         };
-        if pool.threads() == 1 || level.len() <= INLINE_LEVEL {
+        if pool.threads() == 1 || level.len() <= INLINE_THRESHOLD {
             build(level, region);
         } else {
             let per_worker = level.len().div_ceil(pool.threads());
@@ -240,7 +239,10 @@ mod tests {
     fn heads_and_tails_match_true_expansions() {
         let sample = compress_corpus(&sample_corpus(), CompressOptions::default());
         let sample_dag = Dag::from_grammar(&sample.grammar);
-        let corpora = [(sample, sample_dag), crate::fine_grained::tests::build_wide()];
+        let corpora = [
+            (sample, sample_dag),
+            crate::fine_grained::tests::build_wide(),
+        ];
         for (archive, dag) in &corpora {
             let levels = levels_top_down(dag);
             for threads in [1, 2, 4, 8] {
@@ -248,7 +250,8 @@ mod tests {
                 for l in 1usize..=5 {
                     let ht = build_head_tail(&archive.grammar, dag, &levels, l, &pool);
                     let keep = l - 1;
-                    let label = format!("{} files, {threads} threads, l = {l}", archive.num_files());
+                    let label =
+                        format!("{} files, {threads} threads, l = {l}", archive.num_files());
                     for r in 1..dag.num_rules {
                         let full = archive.grammar.expand_rule_words(r as u32);
                         let want_head: Vec<u32> = full.iter().copied().take(keep).collect();
@@ -269,7 +272,7 @@ mod tests {
         }
     }
 
-    /// A level wider than [`INLINE_LEVEL`] is split across the pool, and
+    /// A level wider than [`INLINE_THRESHOLD`] is split across the pool, and
     /// the split build equals the inline one.
     #[test]
     fn wide_levels_are_built_on_the_pool() {

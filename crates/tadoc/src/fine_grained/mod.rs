@@ -1076,13 +1076,14 @@ mod tests {
     }
 
     /// [`wide_corpus`] compressed, checked to hold a DAG level wider than
-    /// the 32 rules a level pass runs inline, so a pool of more than one
-    /// thread dispatches that level.
+    /// the [`exec::INLINE_THRESHOLD`] rules a level pass runs inline, so a
+    /// pool of more than one thread dispatches that level.
     pub(crate) fn build_wide() -> (TadocArchive, Dag) {
         let (archive, dag) = build(&wide_corpus());
         let levels = head_tail::levels_top_down(&dag);
         let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
-        assert!(widest > 32, "the widest level holds only {widest} rules");
+        let threshold = exec::INLINE_THRESHOLD;
+        assert!(widest > threshold, "the widest level holds only {widest} rules");
         (archive, dag)
     }
 
