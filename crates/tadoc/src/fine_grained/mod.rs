@@ -1143,24 +1143,36 @@ mod tests {
         prep.csr.transpose(dag.num_rules)
     }
 
-    /// The transposed file-major matrix is the sequential reference's file
-    /// weights — at every pool width, with every root segment's seed scan
-    /// chunked (`chunk_elements` 1) and with none chunked.
-    #[test]
-    fn file_csr_matches_file_weights_on_real_grammars() {
+    /// Checks the transposed file-major matrix against the sequential
+    /// reference's file weights on both corpora at every pool width.
+    fn assert_file_weights_match(chunk_elements: usize) {
         for (archive, dag) in level_corpora() {
             let expected = sequential_file_weights(&archive, &dag);
             for threads in POOL_WIDTHS {
-                for chunk_elements in [1, 4096] {
-                    let got = transposed_file_weights(&archive, &dag, threads, chunk_elements);
-                    let label = format!(
-                        "{} files, threads = {threads}, chunk_elements = {chunk_elements}",
-                        archive.num_files()
-                    );
-                    assert_eq!(got, expected, "{label}");
-                }
+                let got = transposed_file_weights(&archive, &dag, threads, chunk_elements);
+                let label = format!(
+                    "{} files, threads = {threads}, chunk_elements = {chunk_elements}",
+                    archive.num_files()
+                );
+                assert_eq!(got, expected, "{label}");
             }
         }
+    }
+
+    /// The engine's parallel per-file propagation, with no root segment's
+    /// seed scan chunked, yields the sequential file weights at every pool
+    /// width.
+    #[test]
+    fn parallel_file_weights_match_sequential() {
+        assert_file_weights_match(4096);
+    }
+
+    /// The same with every root segment's seed scan chunked
+    /// (`chunk_elements` 1), so the seeds of one segment come from several
+    /// chunks.
+    #[test]
+    fn file_csr_matches_file_weights_on_real_grammars() {
+        assert_file_weights_match(1);
     }
 
     #[test]
