@@ -94,38 +94,6 @@ impl<K: Ord> ShardEntry for CountEntry<K> {
     }
 }
 
-/// A bitmask entry: equal keys OR their masks.  Used for posting lists — the
-/// key is `(word, file_block)` and the mask holds one bit per file of the
-/// 64-file block, so a rule occurring in many files costs one entry per
-/// (word, block) instead of one per (word, file).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaskEntry<K> {
-    /// The key the mask is accumulated under.
-    pub key: K,
-    /// Accumulated bitmask.
-    pub mask: u64,
-}
-
-impl<K> MaskEntry<K> {
-    /// A new entry contributing `mask` to `key`.
-    #[inline]
-    pub fn new(key: K, mask: u64) -> Self {
-        Self { key, mask }
-    }
-}
-
-impl<K: Ord> ShardEntry for MaskEntry<K> {
-    type Key = K;
-    #[inline]
-    fn key(&self) -> &K {
-        &self.key
-    }
-    #[inline]
-    fn absorb(&mut self, other: &mut Self) {
-        self.mask |= other.mask;
-    }
-}
-
 /// An append-mostly accumulation buffer for one key-range bucket of one
 /// worker.
 ///
@@ -326,21 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn masks_or_together() {
-        let mut a = ShardBuf::default();
-        a.push(MaskEntry::new((4u32, 0u32), 0b0001));
-        a.push(MaskEntry::new((4, 0), 0b0100));
-        let mut b = ShardBuf::default();
-        b.push(MaskEntry::new((4, 1), 0b1000));
-        b.push(MaskEntry::new((4, 0), 0b0001));
-        let merged = ShardBuf::merge(vec![a, b]);
-        assert_eq!(
-            merged,
-            vec![MaskEntry::new((4, 0), 0b0101), MaskEntry::new((4, 1), 0b1000)]
-        );
-    }
-
-    #[test]
     fn merge_of_empty_pieces_is_empty() {
         let merged = ShardBuf::<CountEntry<u32>>::merge(vec![
             ShardBuf::default(),
@@ -471,24 +424,6 @@ mod tests {
                 CountEntry::new,
                 |e| e.count,
                 |a, b| a + b,
-            )?;
-        }
-
-        #[test]
-        fn masked_pair_keys_agree_with_the_model(
-            ops in ops(),
-            pieces in 1usize..=8,
-            key_space in 1u64..=9000,
-            compaction in 0usize..4,
-        ) {
-            check_against_model(
-                &ops,
-                pieces,
-                key_space,
-                COMPACT_BELOW[compaction],
-                |k, v| MaskEntry::new(((k / 5) as u32, (k % 5) as u32), 1 << (v % 64)),
-                |e| e.mask,
-                |a, b| a | b,
             )?;
         }
 

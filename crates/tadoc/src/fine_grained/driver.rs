@@ -2,9 +2,8 @@
 //!
 //! G-TADOC has *one* scheduling strategy — chunk-granular work items claimed
 //! dynamically (Section IV-B) — feeding *one* accumulation scheme — private
-//! per-worker buffers merged by statically owned key range (Figure 5).  The
-//! tasks differ only in what a work item emits and how a bucket's sorted
-//! entries become result columns.  This module owns everything else:
+//! per-worker buffers merged by statically owned key range (Figure 5).  This
+//! module owns both, and the phase clock every task runs under:
 //!
 //! * [`claim_loop`] — the dynamic work-queue claim loop with its
 //!   once-per-claim cancel/deadline checkpoint;
@@ -13,23 +12,23 @@
 //!   contiguous bucket groups of ≈ 1/threads of the entries, one per merge
 //!   worker, one [`ShardBuf::merge`] per bucket → the bucket runs, in key
 //!   order;
-//! * [`run_sharded`] — [`scan_and_merge`] as a query's traversal, then the
-//!   kernel's finalizer, which concatenates the bucket runs;
 //! * [`run_phases`] — the phase clock (`init` / `shared_init` / `traversal`
 //!   / `finalize` / `warm`) that assembles the [`TaskExecution`].
 //!
-//! A task is a [`Kernel`]; so is the per-`l` window fill of the sequence
-//! tasks, which runs [`scan_and_merge`] once per session inside an analysis
-//! fill and finalizes into an artifact instead of a result table.
+//! The one [`Kernel`] is the per-`l` window fill of the sequence tasks at
+//! `l` ≥ 2: it runs [`scan_and_merge`] once per session inside an analysis
+//! fill and finalizes into the window table, which every query then reads
+//! in one pass.  The word tasks read the `l` = 1 table, which is built
+//! without a merge, so no query runs [`scan_and_merge`] on a warm session.
 //!
 //! Buckets are cut at quantiles of the engine's word-mass column
 //! ([`exec::range_splitters`]), `BUCKETS_PER_THREAD` per worker, and the
 //! merge groups are cut by the entries the scan actually left
 //! ([`exec::partition_by_cost`]).  The limit: one leading word is one
 //! bucket, so a word that starts more than 1/threads of all entries is
-//! still merged by one worker — the answer is the same, that query slower.
+//! still merged by one worker — the answer is the same, that fill slower.
 
-use super::engine::{FineCtx, RunCharge};
+use super::engine::RunCharge;
 use super::exec::{self, WorkerPool};
 use crate::apps::TaskExecution;
 use crate::results::AnalyticsOutput;
@@ -46,33 +45,17 @@ const ITEMS_PER_CLAIM: usize = 16;
 /// A 1-thread pool routes everything into one bucket.
 const BUCKETS_PER_THREAD: usize = 8;
 
-/// What distinguishes one sharded task from another.  Built by the closure
-/// handed to [`run_sharded`], which is also where the task `ensure_*`s the
-/// analysis artifacts it scans.
-pub(crate) trait Kernel: Sized + Sync {
+/// What a sharded scan emits: the work-item space and each item's entries.
+pub(crate) trait Kernel: Sync {
     /// What a work item emits; equal keys fold by [`ShardEntry::absorb`].
     type Entry: ShardEntry + Send;
-    /// Per-worker scratch reused across work items (`()` when none).
-    type Scratch: Default + Send;
-    /// One bucket's columnar output.
-    type Run: Send;
-    /// What [`finalize`](Self::finalize) builds: a result table, or an
-    /// analysis artifact.
-    type Output;
 
     /// Size of the work-item space.
     fn items(&self) -> usize;
 
     /// Scans work item `item`, routing what it emits into `out` by each
     /// entry's leading word.
-    fn scan(&self, item: usize, scratch: &mut Self::Scratch, out: &mut Shards<'_, Self::Entry>);
-
-    /// Turns one bucket's sorted, duplicate-free entries into its run.
-    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run;
-
-    /// Concatenates the bucket runs, which arrive in key order, into the
-    /// ordered output.
-    fn finalize(self, runs: Vec<Self::Run>) -> Self::Output;
+    fn scan(&self, item: usize, out: &mut Shards<'_, Self::Entry>);
 }
 
 /// One worker's accumulation state: a [`ShardBuf`] per key-range bucket.
@@ -154,23 +137,6 @@ pub(crate) fn run_phases<P, T>(
     }
 }
 
-/// Runs one sharded task: [`scan_and_merge`] as the traversal, then the
-/// kernel's finalizer.
-pub(crate) fn run_sharded<K: Kernel<Output = AnalyticsOutput>>(
-    ctx: FineCtx<'_>,
-    pool: &WorkerPool,
-    prepare: impl FnOnce(&mut RunCharge) -> K,
-) -> TaskExecution {
-    run_phases(
-        |charge| {
-            let mass = ctx.analysis.ensure_word_mass(ctx.archive, ctx.dag, charge);
-            (prepare(charge), mass)
-        },
-        |(kernel, mass), timings| scan_and_merge(pool, kernel, mass, timings),
-        |(kernel, _), runs| kernel.finalize(runs),
-    )
-}
-
 /// Every worker scans claimed work items into its own [`Shards`], cut at
 /// `BUCKETS_PER_THREAD` quantiles per worker of the word-mass column `mass`
 /// (one bucket on a 1-thread pool); the buckets are grouped into one
@@ -186,7 +152,7 @@ pub(crate) fn scan_and_merge<K: Kernel>(
     kernel: &K,
     mass: &[u64],
     timings: &mut PhaseTimings,
-) -> Vec<K::Run> {
+) -> Vec<Vec<K::Entry>> {
     let threads = pool.threads();
     let buckets = if threads == 1 {
         1
@@ -199,11 +165,11 @@ pub(crate) fn scan_and_merge<K: Kernel>(
         pool,
         kernel.items(),
         ITEMS_PER_CLAIM,
-        || {
-            let bufs = (0..=cuts.len()).map(|_| ShardBuf::default()).collect();
-            (Shards { bufs, cuts }, K::Scratch::default())
+        || Shards {
+            bufs: (0..=cuts.len()).map(|_| ShardBuf::default()).collect(),
+            cuts,
         },
-        |(shards, scratch), item| kernel.scan(item, scratch, shards),
+        |shards, item| kernel.scan(item, shards),
     );
     timings.scan = scan_timer.elapsed();
     // Transpose worker-major buffers into bucket-major pieces so each merge
@@ -211,7 +177,7 @@ pub(crate) fn scan_and_merge<K: Kernel>(
     let mut by_bucket: Vec<Vec<ShardBuf<K::Entry>>> = (0..=cuts.len())
         .map(|_| Vec::with_capacity(threads))
         .collect();
-    for (shards, _) in locals {
+    for shards in locals {
         for (pieces, buf) in by_bucket.iter_mut().zip(shards.bufs) {
             pieces.push(buf);
         }
@@ -234,10 +200,7 @@ pub(crate) fn scan_and_merge<K: Kernel>(
         .collect();
     let merge_timer = Timer::start();
     let runs = pool.map_workers(inputs, |_w, group| {
-        group
-            .into_iter()
-            .map(|pieces| kernel.shard_run(ShardBuf::merge(pieces)))
-            .collect::<Vec<_>>()
+        group.into_iter().map(ShardBuf::merge).collect::<Vec<_>>()
     });
     timings.shard_merge = merge_timer.elapsed();
     runs.into_iter().flatten().collect()

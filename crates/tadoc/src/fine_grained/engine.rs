@@ -17,8 +17,9 @@
 //! the artifact kinds themselves — per session there is exactly one DAG
 //! level schedule, one rule-weight vector, one rule × file matrix in each
 //! orientation (the file-major one with term vector's file costs), one
-//! chunk decomposition (the chunk threshold is fixed at build time), one
-//! word-mass column, and one window table *per sequence length* `l` (the
+//! decomposition of the sequence work items (the chunk threshold is fixed
+//! at build time), one word-mass column, the `l` = 1 window table the word
+//! tasks read, and one window table *per sequence length* `l` ≥ 2 (the
 //! only per-query knob that shapes an artifact).
 //!
 //! Cold vs warm is observable:
@@ -38,9 +39,8 @@ use super::exec::{Abort, WorkerPool};
 use super::head_tail::{build_head_tail, levels_top_down};
 use super::results_cache::{ResultsCache, RESULTS_CACHE_BUDGET_BYTES};
 use super::{
-    build_term_vector_prep, fill_window_sources, parallel_rule_weights, root_chunks,
-    run_fine_with_cache, sequence_work_items, FineGrainedConfig, SeqItem, TermVectorPrep,
-    WindowSources,
+    build_term_vector_prep, fill_window_sources, parallel_rule_weights, run_fine_with_cache,
+    sequence_work_items, FineGrainedConfig, SeqItem, TermVectorPrep, WindowSources,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
 use crate::results::FileId;
@@ -329,11 +329,6 @@ pub(crate) struct Analysis {
     /// `r`'s `(file, occurrences)`, sorted by file — the transpose of the
     /// file-major matrix in `term_vector`.
     file_weights: OnceLock<Csr<(FileId, u64)>>,
-    /// Local-word-list chunks of every rule (wordCount / sort item space).
-    word_chunks: OnceLock<Vec<super::exec::Chunk>>,
-    /// Non-root local-word chunks + root segment chunks (invertedIndex
-    /// item space).
-    index_chunks: OnceLock<(Vec<super::exec::Chunk>, Vec<super::sequences::RootChunk>)>,
     /// Term-vector initialization product (the file-major rule × file
     /// matrix + file costs).
     term_vector: OnceLock<TermVectorPrep>,
@@ -344,11 +339,16 @@ pub(crate) struct Analysis {
     /// run outside the mutex, so queries filling different lengths never
     /// serialize on each other.
     sequence: Mutex<Vec<(usize, Arc<SequenceSlot>)>>,
+    /// The window table of `l` = 1 — one entry per word — which the word
+    /// tasks read as well as the sequence tasks.  It lives outside the
+    /// FIFO above, so no sequence length evicts it.
+    words: Arc<SequenceSlot>,
     /// Sequence-task work items (rule-body chunks + root chunks).
     sequence_items: OnceLock<Vec<SeqItem>>,
     /// Cumulative local-word mass: entry `w` sums the local occurrences of
-    /// the words below `w` over every rule.  The sharded tasks cut their
-    /// key-range buckets at its quantiles ([`super::exec::range_splitters`]).
+    /// the words below `w` over every rule.  The window fill of `l` ≥ 2
+    /// cuts its key-range buckets at its quantiles
+    /// ([`super::exec::range_splitters`]).
     word_mass: OnceLock<Vec<u64>>,
     /// Fill closures executed — one per computed artifact, never counting
     /// waiters or warm hits.
@@ -423,38 +423,6 @@ impl Analysis {
         })
     }
 
-    pub(crate) fn ensure_word_chunks(
-        &self,
-        dag: &Dag,
-        fcfg: FineGrainedConfig,
-        charge: &mut RunCharge,
-    ) -> &Vec<super::exec::Chunk> {
-        self.fill(&self.word_chunks, charge, || {
-            super::exec::chunk_ranges(
-                (0..dag.num_rules).map(|r| dag.local_words(r).len()),
-                fcfg.chunk_elements,
-            )
-        })
-    }
-
-    pub(crate) fn ensure_index_chunks(
-        &self,
-        grammar: &Grammar,
-        dag: &Dag,
-        fcfg: FineGrainedConfig,
-        charge: &mut RunCharge,
-    ) -> &(Vec<super::exec::Chunk>, Vec<super::sequences::RootChunk>) {
-        let segments = self.ensure_segments(grammar, charge);
-        self.fill(&self.index_chunks, charge, || {
-            let rule_chunks = super::exec::chunk_ranges(
-                (0..dag.num_rules).map(|r| if r == 0 { 0 } else { dag.local_words(r).len() }),
-                fcfg.chunk_elements,
-            );
-            let seg_chunks = root_chunks(segments, fcfg.chunk_elements);
-            (rule_chunks, seg_chunks)
-        })
-    }
-
     pub(crate) fn ensure_term_vector_prep(
         &self,
         archive: &TadocArchive,
@@ -469,11 +437,27 @@ impl Analysis {
         })
     }
 
+    /// The `l` = 1 window table, built straight from the local word lists
+    /// and the root segments ([`WindowSources::of_words`]).
+    pub(crate) fn ensure_word_sources(
+        &self,
+        archive: &TadocArchive,
+        dag: &Dag,
+        pool: &WorkerPool,
+        charge: &mut RunCharge,
+    ) -> &WindowSources {
+        let segments = self.ensure_segments(&archive.grammar, charge);
+        self.fill(&self.words.windows, charge, || {
+            WindowSources::of_words(archive, dag, segments, pool)
+        })
+    }
+
     /// Returns the slot for sequence length `l` with its window table
-    /// filled.  The fill builds the head/tail records it counts windows
-    /// from and drops them when it returns.  The `Arc` keeps the slot alive
-    /// for this query even if a concurrent query's distinct `l` evicts the
-    /// table entry mid-flight.  The sequence tasks ensure it last, so a
+    /// filled: for `l` = 1 the word table's slot, which is never evicted;
+    /// for `l` ≥ 2 a FIFO slot, whose fill builds the head/tail records it
+    /// counts windows from and drops them when it returns.  The `Arc` keeps
+    /// the slot alive for this query even if a concurrent query's distinct
+    /// `l` evicts the table entry mid-flight.  The sequence tasks ensure it last, so a
     /// fault in its fill leaves only its own cell empty for the next query
     /// to refill.
     pub(crate) fn ensure_window_sources(
@@ -485,6 +469,10 @@ impl Analysis {
         pool: &WorkerPool,
         charge: &mut RunCharge,
     ) -> Arc<SequenceSlot> {
+        if l == 1 {
+            self.ensure_word_sources(archive, dag, pool, charge);
+            return Arc::clone(&self.words);
+        }
         let grammar = &archive.grammar;
         let levels = self.ensure_levels_top_down(dag, charge);
         let items = self.ensure_sequence_items(grammar, fcfg, charge);
@@ -1003,6 +991,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+#[cfg(test)]
+impl Engine<'_> {
+    /// Whether the session's `l` = 1 window table has been filled.
+    pub(crate) fn word_table_filled(&self) -> bool {
+        self.analysis.words.windows.get().is_some()
+    }
+}
+
 impl std::fmt::Debug for Engine<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
@@ -1223,16 +1219,23 @@ mod tests {
         }
         // An evicted length recomputes (cold) but stays correct.
         let again = engine
+            .run(Task::SequenceCount, TaskConfig { sequence_length: 2 })
+            .unwrap();
+        assert!(!again.timings.warm, "evicted l=2 must recompute");
+        assert_eq!(again.output, baseline[1], "recomputed output must match");
+        // The word table (l = 1) is outside the FIFO: never evicted.
+        let words = engine
             .run(Task::SequenceCount, TaskConfig { sequence_length: 1 })
             .unwrap();
-        assert!(!again.timings.warm, "evicted l=1 must recompute");
-        assert_eq!(again.output, baseline[0], "recomputed output must match");
+        assert!(words.timings.warm, "l=1 is never evicted");
+        assert_eq!(words.output, baseline[0]);
     }
 
     /// Evicting a length drops its window table: re-querying it refills
     /// the table — one fill, which builds the head/tail records inside it,
     /// nothing else — and a query that took the slot before it was evicted
-    /// still answers from it.
+    /// still answers from it.  (`l` = 1 is the word table, which is never
+    /// evicted, so `l` = 2 is the oldest evictable length.)
     #[test]
     fn evicted_sequence_slots_refill_exactly_once_and_stay_readable() {
         let (archive, dag) = build_archive();
@@ -1244,28 +1247,28 @@ mod tests {
             assert_eq!(run(l).output, oracle(l), "l = {l}");
         }
         let before = engine.analysis_fills();
-        let again = run(1);
-        assert_eq!(again.output, oracle(1), "evicted l = 1 refilled");
+        let again = run(2);
+        assert_eq!(again.output, oracle(2), "evicted l = 2 refilled");
         assert!(!again.timings.warm);
         assert_eq!(
             engine.analysis_fills(),
             before + 1,
-            "the window table of l = 1, nothing else"
+            "the window table of l = 2, nothing else"
         );
-        assert!(run(1).timings.warm);
+        assert!(run(2).timings.warm);
 
-        // A query takes the l = 1 slot, then every slot is evicted under it …
+        // A query takes the l = 2 slot, then every slot is evicted under it …
         let held = engine.with_worker_pool(|pool| {
             let charge = &mut RunCharge::default();
             engine
                 .analysis
-                .ensure_window_sources(&archive, &dag, engine.fcfg, 1, pool, charge)
+                .ensure_window_sources(&archive, &dag, engine.fcfg, 2, pool, charge)
         });
         for l in 11..=10 + WINDOW_TABLE_CAP {
             run(l);
         }
         let slots = engine.analysis.sequence.lock().unwrap();
-        assert!(slots.iter().all(|&(l, _)| l != 1), "l = 1 was evicted");
+        assert!(slots.iter().all(|&(l, _)| l != 2), "l = 2 was evicted");
         drop(slots);
         // … and still finishes from the slot it holds.
         let weights = engine.analysis.rule_weights.get().unwrap();
@@ -1273,7 +1276,37 @@ mod tests {
             let table = held.windows();
             table.count_table(table.weighted_totals(weights, pool))
         });
-        assert_eq!(output, *oracle(1));
+        assert_eq!(output, *oracle(2));
+    }
+
+    /// The word tasks read the `l` = 1 table, which no sequence length
+    /// evicts: after sequence queries at more distinct lengths ≥ 2 than the
+    /// FIFO holds, they are still warm and fill nothing.
+    #[test]
+    fn word_tasks_stay_warm_across_sequence_lengths() {
+        let (archive, dag) = build_archive();
+        let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
+        let word_tasks = [Task::WordCount, Task::Sort, Task::InvertedIndex];
+        for task in word_tasks {
+            engine.run(task, TaskConfig::default()).unwrap();
+        }
+        for l in 2..=WINDOW_TABLE_CAP + 2 {
+            let cfg = TaskConfig { sequence_length: l };
+            engine.run(Task::SequenceCount, cfg).unwrap();
+            engine.run(Task::RankedInvertedIndex, cfg).unwrap();
+        }
+        let fills = engine.analysis_fills();
+        for task in word_tasks {
+            let warm = engine.run(task, TaskConfig::default()).unwrap();
+            assert!(warm.timings.warm, "{}", task.name());
+            let oracle = run_task(&archive, &dag, task, TaskConfig::default()).output;
+            assert_eq!(warm.output, oracle, "{}", task.name());
+        }
+        assert_eq!(
+            engine.analysis_fills(),
+            fills,
+            "the word table was not refilled"
+        );
     }
 
     /// The window fill is the sequence tasks' one sharded scan-and-merge:

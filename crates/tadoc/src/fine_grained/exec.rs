@@ -1036,7 +1036,7 @@ mod tests {
         cum
     }
 
-    /// Routes every word of `mass`'s vocabulary the way `run_sharded`
+    /// Routes every word of `mass`'s vocabulary the way `scan_and_merge`
     /// does and groups the buckets for `threads` merge workers, checking
     /// that each word lands in exactly one bucket, that bucket order is word
     /// order, and that the groups are contiguous and cover every bucket.

@@ -1,14 +1,13 @@
 //! Posting runs and their concatenation into ordered columns.
 //!
-//! The sharded merge ([`super`], step 3 of the module design) routes every
-//! entry by its key's leading word into key-range buckets, so the bucket
-//! runs it hands a finalizer are disjoint *and* in key order: the ordered
-//! columnar forms of [`crate::results`]
-//! ([`SortedTable`](crate::results::SortedTable) /
+//! The window-table passes ([`super`], steps 3 and 6 of the module design)
+//! hand each worker a contiguous key range of the table, so the runs they
+//! return are disjoint *and* in key order: the ordered columnar forms of
+//! [`crate::results`] ([`SortedTable`](crate::results::SortedTable) /
 //! [`PostingTable`](crate::results::PostingTable)) are their concatenation.
 //! Row runs concatenate as they are; posting runs concatenate here, with
 //! each run's offsets rebased onto the values before it.  Zero hash probes
-//! and zero key comparisons after the shard merge.
+//! and zero key comparisons after the pass.
 
 /// One bucket's posting output in columnar (CSR) form: `keys[i]`'s postings
 /// are `values[offsets[i]..offsets[i + 1]]`.  `offsets` always carries the
@@ -97,7 +96,7 @@ mod tests {
     }
 
     /// The key-range bucket router of `buckets` quantiles of a uniform mass
-    /// over `0..space`, the way `run_sharded` routes.
+    /// over `0..space`, the way `scan_and_merge` routes.
     fn router(space: u64, buckets: usize) -> impl Fn(u32) -> usize {
         let cuts = range_splitters(&(0..=space).collect::<Vec<u64>>(), buckets);
         move |k| cuts.partition_point(|&c| c <= k)

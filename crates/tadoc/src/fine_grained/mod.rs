@@ -20,19 +20,20 @@
 //!    caller instead of waking the pool.
 //! 2. **Private per-worker accumulators** (Figure 5's lock-free local
 //!    tables, in CPU-appropriate form).  Every worker owns its accumulation
-//!    state outright, allocated per query — append-and-compact shard
-//!    buffers for the counting tasks, dense counts with touched-key
-//!    tracking for term vector's `counts[word]` (word ids are already a
-//!    perfect hash of the vocabulary) and the ranked index's `counts[file]`
-//!    — the CPU twin of the paper's observation that a table owned by one
-//!    thread needs no locks.  (The paper's flat open-addressing tables and
+//!    state outright, allocated per query (or per window fill) —
+//!    append-and-compact shard buffers for the window fill, dense counts
+//!    with touched-key tracking for term vector's `counts[word]` (word ids
+//!    are already a perfect hash of the vocabulary) and the ranked index's
+//!    `counts[file]`, a file bitmap with touched-block tracking for the
+//!    inverted index — the CPU twin of the paper's observation that a
+//!    table owned by one thread needs no locks.  (The paper's flat open-addressing tables and
 //!    memory pool live with the simulated GPU engine in `gtadoc`, where
 //!    dynamic allocation per thread is not an option; this engine probes
 //!    no hash table and pools no memory.)
 //! 3. **Key-range lock-free global merge over append-and-compact buffers.**
 //!    Instead of the global table's bucket locks (Figure 5's
 //!    `lock`/`entries` buffers), every worker routes each entry by its
-//!    key's leading word into key-range buckets, cut once per query at
+//!    key's leading word into key-range buckets, cut once per fill at
 //!    quantiles of the session's word-mass column
 //!    ([`exec::range_splitters`]), and each merge worker owns a contiguous
 //!    range of buckets holding ≈ 1/threads of the entries — so the
@@ -45,17 +46,17 @@
 //!    every entry is sorted once, and each bucket's merge is a merge of
 //!    sorted runs.  Bucket order is key order, so finalize is a
 //!    concatenation ([`merge::concat`]).  This scheme exists **once**, in
-//!    `driver::scan_and_merge`; `wordCount`/`sort`, `invertedIndex` and the
-//!    sequence tasks' window fill are `driver::Kernel`s — which artifacts
-//!    they `ensure_*`, what a work item emits, how a bucket's sorted entries
-//!    become its columnar run, how the runs concatenate into the output.
-//!    The limit: a single leading word is one bucket, so a word that starts
-//!    more than 1/threads of all entries is merged by one worker — the
-//!    answer is unchanged, that query slower.
+//!    `driver::scan_and_merge`, and its one `driver::Kernel` is the window
+//!    fill of a sequence length `l` ≥ 2 (item 6): it runs once per `l` per
+//!    session, so no warm query merges anything.  No task is a `Kernel`;
+//!    every task is one pass over a cached table.  The limit: a single
+//!    leading word is one bucket, so a word that starts more than
+//!    1/threads of all entries is merged by one worker — the answer is
+//!    unchanged, that fill slower.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
-//!    an oversized rule body (dataset B's root holds most of the corpus),
-//!    local-word list, or root segment is split at
+//!    an oversized rule body (dataset B's root holds most of the corpus)
+//!    or root segment is split at
 //!    [`FineGrainedConfig::chunk_elements`] and every chunk is weighted
 //!    individually into [`exec::partition_by_cost`] or claimed from the
 //!    dynamic work queue of `driver::claim_loop` (the one claim loop,
@@ -89,7 +90,15 @@
 //!    over that table, scaling by rule weight (sequence count) or
 //!    scattering by per-file rule weight into dense per-file counts
 //!    (ranked inverted index, so the window × file cross product is never
-//!    pushed or sorted).  This is the reuse that lets the engine beat the
+//!    pushed or sorted).  At `l` = 1 a window is a word, a rule's local
+//!    windows are its local word list and a file's root windows are the
+//!    words of its segment, so that table is built directly — two
+//!    counting-sort passes keyed by word, no head/tail records and no
+//!    merge (`WindowSources::of_words`) — and kept apart from the per-`l`
+//!    tables, never evicted.  The word tasks read it: `wordCount` / `sort`
+//!    are `sequenceCount`'s weighted pass over it, and `invertedIndex` ORs
+//!    each word's sources' files into a per-worker file bitmap, drained in
+//!    file order.  This is the reuse that lets the engine beat the
 //!    sequential baseline even on a single core — the baseline re-streams
 //!    every occurrence.
 //!
@@ -119,10 +128,10 @@ pub use results_cache::RESULTS_CACHE_BUDGET_BYTES;
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;
 use crate::timing::PhaseTimings;
-use arena::shard::{sort_fold, CountEntry, MaskEntry, ShardBuf};
-use driver::{claim_loop, run_phases, run_sharded, scan_and_merge, Kernel, Shards};
-use engine::{FineCtx, RunCharge};
-use exec::{Chunk, WorkerPool};
+use arena::shard::{sort_fold, CountEntry, ShardBuf};
+use driver::{claim_loop, run_phases, scan_and_merge, Kernel, Shards};
+use engine::FineCtx;
+use exec::WorkerPool;
 use head_tail::HeadTail;
 use merge::PostingRun;
 use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
@@ -172,12 +181,8 @@ pub(crate) fn run_fine_with_cache(
 ) -> TaskExecution {
     let l = cfg.sequence_length;
     match task {
-        Task::WordCount | Task::Sort => {
-            run_sharded(ctx, pool, |charge| WordCount::new(ctx, task, pool, charge))
-        }
-        Task::InvertedIndex => {
-            run_sharded(ctx, pool, |charge| InvertedIndex::new(ctx, pool, charge))
-        }
+        Task::WordCount | Task::Sort => word_count(ctx, task, pool),
+        Task::InvertedIndex => inverted_index(ctx, pool),
         Task::TermVector => term_vector_fine(ctx, pool),
         Task::SequenceCount => sequence_count(ctx, l, pool),
         Task::RankedInvertedIndex => ranked_inverted_index(ctx, l, pool),
@@ -216,207 +221,46 @@ fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> V
     weights.into_iter().map(AtomicU64::into_inner).collect()
 }
 
-// The bucket runs `run_sharded` hands to a kernel's finalizer arrive
-// in key order, so every finalizer is a concatenation — there is no merge
-// and no hash-table collection step anywhere on the finalize path (the
-// `no-hash-finalize` xtask lint keeps one from coming back).
-
 // ---------------------------------------------------------------------------
-// word count / sort
+// word count / sort / inverted index
 // ---------------------------------------------------------------------------
 
-/// Work items are *chunks* of each rule's local-word list (the root's list
-/// holds most of a few-huge-files corpus, so a whole-rule item would
-/// serialise on one worker); every chunk emits its local-word slice × rule
-/// weight.  The lists are already deduplicated per rule, so on real corpora
-/// the entry total is at most a small multiple of the vocabulary.
-struct WordCount<'e> {
-    task: Task,
-    dag: &'e Dag,
-    weights: &'e [u64],
-    chunks: &'e [Chunk],
+/// `wordCount` / `sort`: a word is an `l` = 1 window, so a query is the
+/// weighted pass of `sequenceCount` over the session's word table.
+fn word_count(ctx: FineCtx<'_>, task: Task, pool: &WorkerPool) -> TaskExecution {
+    run_phases(
+        |charge| {
+            let (archive, dag) = (ctx.archive, ctx.dag);
+            let weights = ctx.analysis.ensure_rule_weights(dag, pool, charge);
+            (
+                weights,
+                ctx.analysis.ensure_word_sources(archive, dag, pool, charge),
+            )
+        },
+        |&(weights, words), _| words.weighted_totals(weights, pool),
+        |(_, words), parts| words.word_table(task, parts),
+    )
 }
 
-impl<'e> WordCount<'e> {
-    fn new(ctx: FineCtx<'e>, task: Task, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
-        Self {
-            task,
-            dag: ctx.dag,
-            weights: ctx.analysis.ensure_rule_weights(ctx.dag, pool, charge),
-            chunks: ctx.analysis.ensure_word_chunks(ctx.dag, ctx.fcfg, charge),
-        }
-    }
-}
-
-impl Kernel for WordCount<'_> {
-    type Entry = CountEntry<WordId>;
-    type Scratch = ();
-    type Run = Vec<Self::Entry>;
-    type Output = AnalyticsOutput;
-
-    fn items(&self) -> usize {
-        self.chunks.len()
-    }
-
-    #[inline]
-    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
-        let c = self.chunks[item];
-        let r = c.item as usize;
-        let weight = self.weights[r];
-        if weight == 0 {
-            return;
-        }
-        for &(w, cnt) in &self.dag.local_words(r)[c.begin as usize..c.end as usize] {
-            out.route(w).push(CountEntry::new(w, cnt as u64 * weight));
-        }
-    }
-
-    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        entries
-    }
-
-    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
-        let rows = runs.iter().map(Vec::len).sum();
-        let (mut words, mut counts) = (Vec::with_capacity(rows), Vec::with_capacity(rows));
-        for e in runs.into_iter().flatten() {
-            words.push(e.key);
-            counts.push(e.count);
-        }
-        let wc = WordCountResult::from_sorted_columns(words, counts);
-        if self.task == Task::WordCount {
-            AnalyticsOutput::WordCount(wc)
-        } else {
-            AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// inverted index
-// ---------------------------------------------------------------------------
-
-/// Work item space: chunks of each non-root rule's local-word list first,
-/// then chunks of the root's file segments — a few huge files fan out
-/// across the whole pool instead of one worker per file.  Posting
-/// candidates are emitted as `(word, file-block)` bitmask entries (equal
-/// keys OR their masks): packing 64 files per entry means a rule with a
-/// dense file list costs one entry per (word, block) instead of one per
-/// (word, file).
-struct InvertedIndex<'e> {
-    dag: &'e Dag,
-    root: &'e [Symbol],
-    fw: &'e Csr<(FileId, u64)>,
-    rule_chunks: &'e [Chunk],
-    seg_chunks: &'e [RootChunk],
-}
-
-impl<'e> InvertedIndex<'e> {
-    fn new(ctx: FineCtx<'e>, pool: &WorkerPool, charge: &mut RunCharge) -> Self {
-        let grammar = &ctx.archive.grammar;
-        let fw = ctx
-            .analysis
-            .ensure_file_weights(ctx.archive, ctx.dag, ctx.fcfg, pool, charge);
-        let (rule_chunks, seg_chunks) = ctx
-            .analysis
-            .ensure_index_chunks(grammar, ctx.dag, ctx.fcfg, charge);
-        Self {
-            dag: ctx.dag,
-            root: grammar.root(),
-            fw,
-            rule_chunks,
-            seg_chunks,
-        }
-    }
-}
-
-impl Kernel for InvertedIndex<'_> {
-    type Entry = MaskEntry<(WordId, u32)>;
-    /// The current rule's file list folded into `(block, mask)` pairs,
-    /// rebuilt once per chunk, not once per word.
-    type Scratch = Vec<(u32, u64)>;
-    type Run = PostingRun<WordId, FileId>;
-    type Output = AnalyticsOutput;
-
-    fn items(&self) -> usize {
-        self.rule_chunks.len() + self.seg_chunks.len()
-    }
-
-    #[inline]
-    fn scan(&self, item: usize, blocks: &mut Self::Scratch, out: &mut Shards<'_, Self::Entry>) {
-        if let Some(c) = self.rule_chunks.get(item) {
-            let r = c.item as usize;
-            let files = self.fw.row(r);
-            if files.is_empty() {
-                return;
-            }
-            blocks.clear();
-            for &(f, _) in files {
-                let block = f / 64;
-                let bit = 1u64 << (f % 64);
-                match blocks.last_mut() {
-                    Some(last) if last.0 == block => last.1 |= bit,
-                    _ => blocks.push((block, bit)),
-                }
-            }
-            for &(w, _) in &self.dag.local_words(r)[c.begin as usize..c.end as usize] {
-                let buf = out.route(w);
-                for &(block, mask) in blocks.iter() {
-                    buf.push(MaskEntry::new((w, block), mask));
-                }
-            }
-        } else {
-            let c = self.seg_chunks[item - self.rule_chunks.len()];
-            for sym in &self.root[c.begin..c.end] {
-                if let Symbol::Word(w) = *sym {
-                    out.route(w)
-                        .push(MaskEntry::new((w, c.file / 64), 1u64 << (c.file % 64)));
-                }
-            }
-        }
-    }
-
-    /// Expands the sorted `(word, block)` mask runs straight into a columnar
-    /// posting run (blocks and bits ascend, so the lists come out
-    /// file-sorted).
-    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        let mut run = PostingRun::<WordId, FileId>::default();
-        let mut i = 0usize;
-        while i < entries.len() {
-            let w = entries[i].key.0;
-            // Size the posting list exactly (one popcount pass over the
-            // word's blocks) so the expansion below never reallocates.
-            let run_end = entries[i..]
-                .iter()
-                .position(|e| e.key.0 != w)
-                .map_or(entries.len(), |p| i + p);
-            let total: u32 = entries[i..run_end]
-                .iter()
-                .map(|e| e.mask.count_ones())
-                .sum();
-            run.values.reserve(total as usize);
-            for e in &entries[i..run_end] {
-                let block = e.key.1;
-                let mut mask = e.mask;
-                while mask != 0 {
-                    run.values.push(block * 64 + mask.trailing_zeros());
-                    mask &= mask - 1;
-                }
-            }
-            i = run_end;
-            run.keys.push(w);
-            run.offsets.push(run.values.len());
-        }
-        run
-    }
-
-    fn finalize(self, runs: Vec<Self::Run>) -> AnalyticsOutput {
-        let merged = merge::concat(runs);
-        AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
-            merged.keys,
-            merged.offsets,
-            merged.values,
-        ))
-    }
+/// `invertedIndex`: one pass over the session's word table, collecting
+/// each word's files in a bitmap.
+fn inverted_index(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
+    run_phases(
+        |charge| {
+            let (archive, dag) = (ctx.archive, ctx.dag);
+            let fw = ctx
+                .analysis
+                .ensure_file_weights(archive, dag, ctx.fcfg, pool, charge);
+            let num_files = ctx.analysis.ensure_segments(&archive.grammar, charge).len();
+            (
+                fw,
+                num_files,
+                ctx.analysis.ensure_word_sources(archive, dag, pool, charge),
+            )
+        },
+        |&(fw, num_files, words), _| words.postings(fw, num_files, pool),
+        |(.., words), runs| words.index_table(runs),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -461,15 +305,54 @@ impl DenseCounts {
         *slot += amount;
     }
 
-    /// Moves the touched keys' `(key, count)` pairs into `out` (replacing
-    /// its contents), in `touched` order, and leaves every count zero again.
+    /// Appends the touched keys' `(key, count)` pairs to `out`, in
+    /// `touched` order, and leaves every count zero again.
     fn drain_into(&mut self, out: &mut Vec<(u32, u64)>) {
-        out.clear();
         out.reserve(self.touched.len());
         for key in self.touched.drain(..) {
             out.push((key, std::mem::take(&mut self.counts[key as usize])));
         }
     }
+}
+
+/// A bitmap over the files plus the 64-file blocks set since the last
+/// drain, so a drain costs the blocks touched, not the file count.  The
+/// inverted index collects one word's files in it; every worker allocates
+/// its own, per query.
+struct FileBits {
+    blocks: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl FileBits {
+    #[inline]
+    fn set(&mut self, file: FileId) {
+        let block = &mut self.blocks[(file / 64) as usize];
+        if *block == 0 {
+            self.touched.push(file / 64);
+        }
+        *block |= 1 << (file % 64);
+    }
+
+    /// Appends the set files to `out`, ascending, and clears them.
+    fn drain_into(&mut self, out: &mut Vec<FileId>) {
+        self.touched.sort_unstable();
+        for block in self.touched.drain(..) {
+            let mut bits = std::mem::take(&mut self.blocks[block as usize]);
+            while bits != 0 {
+                out.push(block * 64 + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
+/// Files per queue claim of a per-file loop, sized like `for_range`:
+/// corpora with fewer files than `threads × 8` must still spread across
+/// workers (dataset B has 4 huge files — a fixed chunk would hand all of
+/// them to one worker).
+fn files_per_claim(files: usize, threads: usize) -> usize {
+    (files / (threads * 8)).clamp(1, 64)
 }
 
 /// Builds [`TermVectorPrep`]: the file-major rule × file matrix, the one
@@ -530,10 +413,7 @@ pub(crate) fn build_term_vector_prep(
         }
     }
 
-    // Dynamic chunking sized like `for_range`: corpora with fewer files
-    // than `threads × 8` must still spread across workers (dataset B has 4
-    // huge files — a fixed chunk would hand all of them to one worker).
-    let claim = (num_files / (threads * 8)).clamp(1, 64);
+    let claim = files_per_claim(num_files, threads);
     /// One worker's propagation state: the dense `occ[rule]` scratch, the
     /// per-layer buckets of rules the current file reached, and the
     /// finished `(file, row)` pairs.
@@ -747,7 +627,10 @@ pub(crate) fn sequence_work_items(
 /// `counts`.  A source is a rule id, or `num_rules + file` for a window of
 /// that file's root segment.  The table depends only on the archive and
 /// `l` — no rule or file weights — so an engine fills it once per `l`
-/// ([`fill_window_sources`]) and both sequence tasks read it.
+/// ([`fill_window_sources`]) and both sequence tasks read it.  At `l` = 1 a
+/// window is a word: that table is built directly
+/// ([`of_words`](Self::of_words)), and the word tasks read it too.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct WindowSources {
     l: usize,
     keys: Vec<u32>,
@@ -757,6 +640,109 @@ pub(crate) struct WindowSources {
 }
 
 impl WindowSources {
+    /// The `l` = 1 table, field for field what [`fill_window_sources`]
+    /// yields at `l` = 1, without head/tail records or a merge: a word's
+    /// sources are the rules `r` ≥ 1 whose local word list holds it (the
+    /// list's count) and then the files whose root segment holds it (its
+    /// occurrences there).  The pool folds each root segment into its
+    /// distinct words, one [`DenseCounts`] per worker; then two
+    /// counting-sort passes keyed by word count each word's sources and
+    /// write them at the word's cursor.
+    pub(crate) fn of_words(
+        archive: &TadocArchive,
+        dag: &Dag,
+        segments: &[(usize, usize)],
+        pool: &WorkerPool,
+    ) -> Self {
+        let (root, num_rules) = (archive.grammar.root(), dag.num_rules);
+        assert_sources_fit(num_rules, segments.len());
+        let vocab = archive.vocabulary_size();
+        // One worker's fold: the files it claimed, each with its range of
+        // the worker's flat `(word, occurrences)` list.
+        struct Fold {
+            counts: DenseCounts,
+            files: Vec<(usize, std::ops::Range<usize>)>,
+            words: Vec<(u32, u64)>,
+        }
+        let folds = claim_loop(
+            pool,
+            segments.len(),
+            files_per_claim(segments.len(), pool.threads()),
+            || Fold {
+                counts: DenseCounts {
+                    counts: vec![0; vocab],
+                    touched: Vec::new(),
+                },
+                files: Vec::new(),
+                words: Vec::new(),
+            },
+            |fold, f| {
+                let (start, end) = segments[f];
+                for sym in &root[start..end] {
+                    if let Symbol::Word(w) = *sym {
+                        fold.counts.add(w, 1);
+                    }
+                }
+                let at = fold.words.len();
+                fold.counts.drain_into(&mut fold.words);
+                fold.files.push((f, at..fold.words.len()));
+            },
+        );
+        let mut root_words: Vec<&[(u32, u64)]> = vec![&[]; segments.len()];
+        for fold in &folds {
+            for (f, range) in &fold.files {
+                root_words[*f] = &fold.words[range.clone()];
+            }
+        }
+        let rule_words = (1..num_rules).map(|r| dag.local_words(r));
+        // starts[w + 1]: word `w`'s sources; the prefix sum below makes
+        // starts[w] the first of them.
+        let mut starts = vec![0usize; vocab + 1];
+        for &(w, _) in rule_words.clone().flatten() {
+            starts[w as usize + 1] += 1;
+        }
+        for &(w, _) in folds.iter().flat_map(|fold| &fold.words) {
+            starts[w as usize + 1] += 1;
+        }
+        for w in 0..vocab {
+            starts[w + 1] += starts[w];
+        }
+        let pairs = starts[vocab];
+        let (mut sources, mut counts) = (vec![0u32; pairs], vec![0u64; pairs]);
+        let mut next = starts[..vocab].to_vec();
+        let mut put = |w: u32, source: usize, count: u64| {
+            let at = &mut next[w as usize];
+            (sources[*at], counts[*at]) = (source as u32, count);
+            *at += 1;
+        };
+        for (r, words) in (1..).zip(rule_words) {
+            for &(w, c) in words {
+                put(w, r, c as u64);
+            }
+        }
+        for (f, words) in root_words.into_iter().enumerate() {
+            for &(w, c) in words {
+                put(w, num_rules + f, c);
+            }
+        }
+        let keys: Vec<u32> = (0..vocab)
+            .filter(|&w| starts[w] < starts[w + 1])
+            .map(|w| w as u32)
+            .collect();
+        let offsets = keys
+            .iter()
+            .map(|&w| starts[w as usize])
+            .chain([pairs])
+            .collect();
+        Self {
+            l: 1,
+            keys,
+            offsets,
+            sources,
+            counts,
+        }
+    }
+
     /// Window `i`'s `(source, local count)` pairs.
     #[inline]
     fn entries(&self, i: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
@@ -815,14 +801,83 @@ impl WindowSources {
         })
     }
 
+    /// The key and count columns of [`weighted_totals`](Self::weighted_totals)'
+    /// rows.
+    fn total_columns(&self, parts: Vec<Vec<(usize, u64)>>) -> (Vec<u32>, Vec<u64>) {
+        let rows = parts.concat();
+        let keys = self.key_column(rows.iter().map(|&(i, _)| i));
+        (keys, rows.into_iter().map(|(_, total)| total).collect())
+    }
+
     /// The `sequenceCount` table of [`weighted_totals`](Self::weighted_totals)'
     /// rows.
     fn count_table(&self, parts: Vec<Vec<(usize, u64)>>) -> AnalyticsOutput {
-        let rows = parts.concat();
-        let keys = self.key_column(rows.iter().map(|&(i, _)| i));
-        let counts = rows.into_iter().map(|(_, total)| total).collect();
+        let (keys, counts) = self.total_columns(parts);
         let table = SequenceCountResult::from_sorted_columns(self.l, keys, counts);
         AnalyticsOutput::SequenceCount(table)
+    }
+
+    /// The `wordCount` (or, ranked, `sort`) table of an `l` = 1 table's
+    /// [`weighted_totals`](Self::weighted_totals) rows.
+    fn word_table(&self, task: Task, parts: Vec<Vec<(usize, u64)>>) -> AnalyticsOutput {
+        debug_assert_eq!(self.l, 1);
+        let (words, counts) = self.total_columns(parts);
+        let wc = WordCountResult::from_sorted_columns(words, counts);
+        if task == Task::Sort {
+            AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
+        } else {
+            AnalyticsOutput::WordCount(wc)
+        }
+    }
+
+    /// `invertedIndex`'s pass over an `l` = 1 table: each worker ORs every
+    /// source's files — a rule's row of `fw`, a root source's one file —
+    /// into its own [`FileBits`], then drains them in file order, so a
+    /// posting list needs no sort.  Words with no posting — local only to
+    /// rules the root never reaches — are dropped.
+    fn postings(
+        &self,
+        fw: &Csr<(FileId, u64)>,
+        num_files: usize,
+        pool: &WorkerPool,
+    ) -> Vec<PostingRun<WordId, FileId>> {
+        debug_assert_eq!(self.l, 1);
+        let num_rules = fw.num_rows() as u32;
+        self.over_key_ranges(pool, |words| {
+            let mut files = FileBits {
+                blocks: vec![0; num_files.div_ceil(64)],
+                touched: Vec::new(),
+            };
+            let mut run = PostingRun::default();
+            for i in words {
+                for (source, _) in self.entries(i) {
+                    if source < num_rules {
+                        for &(file, _) in fw.row(source as usize) {
+                            files.set(file);
+                        }
+                    } else {
+                        files.set(source - num_rules);
+                    }
+                }
+                let before = run.values.len();
+                files.drain_into(&mut run.values);
+                if run.values.len() > before {
+                    run.keys.push(self.keys[i]);
+                    run.offsets.push(run.values.len());
+                }
+            }
+            run
+        })
+    }
+
+    /// The `invertedIndex` table of [`postings`](Self::postings)' runs.
+    fn index_table(&self, runs: Vec<PostingRun<WordId, FileId>>) -> AnalyticsOutput {
+        let merged = merge::concat(runs);
+        AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+            merged.keys,
+            merged.offsets,
+            merged.values,
+        ))
     }
 
     /// `rankedInvertedIndex`'s pass: each worker walks its windows, scatters
@@ -856,6 +911,7 @@ impl WindowSources {
                         per_file.add(source - num_rules, count);
                     }
                 }
+                postings.clear();
                 per_file.drain_into(&mut postings);
                 if !postings.is_empty() {
                     postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -879,6 +935,15 @@ impl WindowSources {
     }
 }
 
+/// A window table names a source by a `u32`: a rule id, or `num_rules +
+/// file`.
+fn assert_sources_fit(num_rules: usize, num_files: usize) {
+    assert!(
+        u32::try_from(num_rules + num_files).is_ok(),
+        "{num_rules} rules + {num_files} files do not fit the u32 source id"
+    );
+}
+
 /// Fills the [`WindowSources`] of `ht.l` — packed `u64` keys when they fit
 /// ([`sequences::can_pack`]), owned [`Sequence`]s otherwise — and records
 /// what its scan and merge measured in `timings`.
@@ -898,7 +963,7 @@ pub(crate) fn fill_window_sources(
     }
 }
 
-/// The window fill as a sharded kernel: every local window of a work item
+/// The window fill as the driver's kernel: every local window of a work item
 /// emits `((key, source), 1)`, routed by its first word, so all sources of
 /// one window meet in one bucket and the bucket merge folds them to one
 /// local count per `(key, source)`.
@@ -919,11 +984,7 @@ impl<'e, K: SeqKey> WindowFill<'e, K> {
         pool: &WorkerPool,
         timings: &mut PhaseTimings,
     ) -> WindowSources {
-        let (num_rules, num_files) = (grammar.num_rules(), grammar.num_files());
-        assert!(
-            u32::try_from(num_rules + num_files).is_ok(),
-            "{num_rules} rules + {num_files} files do not fit the u32 source id"
-        );
+        assert_sources_fit(grammar.num_rules(), grammar.num_files());
         let kernel = Self {
             grammar,
             ht,
@@ -933,43 +994,10 @@ impl<'e, K: SeqKey> WindowFill<'e, K> {
         let runs = scan_and_merge(pool, &kernel, mass, timings);
         kernel.finalize(runs)
     }
-}
-
-impl<K: SeqKey> Kernel for WindowFill<'_, K> {
-    type Entry = CountEntry<(K, u32)>;
-    type Scratch = ();
-    type Run = Vec<Self::Entry>;
-    type Output = WindowSources;
-
-    fn items(&self) -> usize {
-        self.items.len()
-    }
-
-    #[inline]
-    fn scan(&self, item: usize, _: &mut (), out: &mut Shards<'_, Self::Entry>) {
-        let (body, begin, end, limit, source) = match self.items[item] {
-            SeqItem::Rule { r, begin, end } => {
-                let body = self.grammar.rule(r);
-                (body, begin, end, body.len(), r as u32)
-            }
-            SeqItem::Root(c) => {
-                let source = self.grammar.num_rules() as u32 + c.file;
-                (self.grammar.root(), c.begin, c.end, c.seg_end, source)
-            }
-        };
-        count_range_windows(body, self.ht, begin, end, limit, |words, _| {
-            out.route(words[0])
-                .push(CountEntry::new((K::encode(words), source), 1));
-        });
-    }
-
-    fn shard_run(&self, entries: Vec<Self::Entry>) -> Self::Run {
-        entries
-    }
 
     /// One pass over the bucket runs, which arrive in key order: each new
     /// key starts a window and appends its words to the key arena.
-    fn finalize(self, runs: Vec<Self::Run>) -> WindowSources {
+    fn finalize(self, runs: Vec<Vec<CountEntry<(K, u32)>>>) -> WindowSources {
         let (l, pairs) = (self.ht.l, runs.iter().map(Vec::len).sum());
         let mut table = WindowSources {
             l,
@@ -992,6 +1020,32 @@ impl<K: SeqKey> Kernel for WindowFill<'_, K> {
         }
         table.offsets.push(pairs);
         table
+    }
+}
+
+impl<K: SeqKey> Kernel for WindowFill<'_, K> {
+    type Entry = CountEntry<(K, u32)>;
+
+    fn items(&self) -> usize {
+        self.items.len()
+    }
+
+    #[inline]
+    fn scan(&self, item: usize, out: &mut Shards<'_, Self::Entry>) {
+        let (body, begin, end, limit, source) = match self.items[item] {
+            SeqItem::Rule { r, begin, end } => {
+                let body = self.grammar.rule(r);
+                (body, begin, end, body.len(), r as u32)
+            }
+            SeqItem::Root(c) => {
+                let source = self.grammar.num_rules() as u32 + c.file;
+                (self.grammar.root(), c.begin, c.end, c.seg_end, source)
+            }
+        };
+        count_range_windows(body, self.ht, begin, end, limit, |words, _| {
+            out.route(words[0])
+                .push(CountEntry::new((K::encode(words), source), 1));
+        });
     }
 }
 
@@ -1310,6 +1364,8 @@ mod tests {
                                 .build()
                                 .unwrap();
                             for (n, k) in [first, 1 - first, first].into_iter().enumerate() {
+                                let (fills, filled) =
+                                    (engine.analysis_fills(), engine.word_table_filled());
                                 let exec = engine.run(pair[k], cfg).unwrap();
                                 let label = format!(
                                     "{} query {n} of {} files, l = {l}, {threads} threads, \
@@ -1318,7 +1374,18 @@ mod tests {
                                     corpus.len()
                                 );
                                 assert_eq!(exec.output, oracle[k], "{label}");
-                                assert_eq!(exec.timings.merge_entries == 0, n > 0, "{label}");
+                                if l == 1 {
+                                    // The word table is built without a
+                                    // merge: the first query fills it, the
+                                    // second fills only its own task's
+                                    // artifacts, the repeat fills nothing.
+                                    assert_eq!(filled, n > 0, "{label}");
+                                    assert!(engine.word_table_filled(), "{label}");
+                                    assert_eq!(exec.timings.warm, n == 2, "{label}");
+                                    assert_eq!(engine.analysis_fills() > fills, n < 2, "{label}");
+                                } else {
+                                    assert_eq!(exec.timings.merge_entries == 0, n > 0, "{label}");
+                                }
                             }
                         }
                     }
@@ -1365,6 +1432,90 @@ mod tests {
                 .any(|(w, files)| files.len() == 2 && !in_rules.contains_key(w)),
             "no window occurs only in the root, in exactly two files"
         );
+    }
+
+    /// The direct `l` = 1 table is, field for field, the table the window
+    /// fill builds at `l` = 1, at every pool width and whatever the chunk
+    /// size of the fill.
+    #[test]
+    fn word_table_matches_the_window_fill_at_l_1() {
+        use datagen::{DatasetId, DatasetPreset};
+        let mut corpora = vec![
+            build(&redundant_corpus()),
+            build_wide(),
+            build(&ranked_corpus()),
+        ];
+        for id in [DatasetId::A, DatasetId::B] {
+            let archive = DatasetPreset::new(id).generate_scaled(0.2).compress();
+            let dag = Dag::from_grammar(&archive.grammar);
+            corpora.push((archive, dag));
+        }
+        for (archive, dag) in &corpora {
+            let grammar = &archive.grammar;
+            let segments = weights::file_segments(grammar);
+            let levels = head_tail::levels_top_down(dag);
+            let analysis = engine::Analysis::default();
+            let mass = analysis.ensure_word_mass(archive, dag, &mut Default::default());
+            for threads in POOL_WIDTHS {
+                let pool = WorkerPool::new(threads);
+                let words = WindowSources::of_words(archive, dag, &segments, &pool);
+                let ht = head_tail::build_head_tail(grammar, dag, &levels, 1, &pool);
+                for chunk_elements in [1usize, 7, 4096] {
+                    let items = sequence_work_items(grammar, &segments, chunk_elements);
+                    let timings = &mut PhaseTimings::default();
+                    let filled = fill_window_sources(archive, &ht, &items, mass, &pool, timings);
+                    let label = format!(
+                        "{} files, {threads} threads, chunk_elements = {chunk_elements}",
+                        archive.num_files()
+                    );
+                    assert!(words == filled, "{label}");
+                }
+            }
+        }
+    }
+
+    /// `files` files sharing a phrase, each with words of its own in the
+    /// root, so the word table holds both rules that occur in every file
+    /// and root sources of every file.  From file 64 on, the files also
+    /// share a phrase of their own, one of whose words file 3's root holds:
+    /// that word's files are set block 1 first, then block 0.
+    fn many_file_corpus(files: usize) -> Vec<(String, String)> {
+        let shared = "one two three four five six seven ".repeat(3);
+        (0..files)
+            .map(|i| {
+                let late = match i {
+                    3 => "late1".to_string(),
+                    64.. => "late1 late2 late3 late4 ".repeat(2),
+                    _ => String::new(),
+                };
+                let text = format!(
+                    "{shared} own{i} k{} {shared} l{} own{i} {late}",
+                    i % 5,
+                    i % 70
+                );
+                (format!("doc{i}"), text)
+            })
+            .collect()
+    }
+
+    /// The word tasks equal the oracle on 64 files — the file bitmap's last
+    /// block exactly full — and on 130, with a last block of two files.
+    #[test]
+    fn word_tasks_match_the_oracle_on_full_and_partial_file_blocks() {
+        let cfg = TaskConfig::default();
+        for files in [64usize, 130] {
+            let (archive, dag) = build(&many_file_corpus(files));
+            let expanded = archive.grammar.expand_files();
+            for task in [Task::WordCount, Task::Sort, Task::InvertedIndex] {
+                let oracle = crate::oracle::run(&expanded, task, cfg);
+                for threads in [1usize, 3, 8] {
+                    let builder = Engine::builder(&archive, &dag).threads(threads);
+                    let fine = run_cold(builder, task, cfg);
+                    let label = format!("{} on {files} files, {threads} threads", task.name());
+                    assert_eq!(*fine.output, oracle, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -98,19 +98,16 @@ pub struct PhaseTimings {
     /// Recorded by the fine-grained finalizers; the sequential path, which
     /// interleaves result construction with the scan, leaves it zero.
     pub finalize: Duration,
-    /// Portion of `traversal` the sharded tasks spend in the claim loop:
-    /// workers scanning work items into their private shard buffers
-    /// (self-compactions included), as the wall time of that pool epoch.
-    /// The sequence tasks scan only in the window fill, so for them this is
-    /// a portion of `shared_init`, on the query that fills, and zero on a
-    /// warm query.  Zero for `termVector` and the sequential path, which
-    /// shard nothing.
+    /// Portion of `shared_init` the window fill of a sequence length
+    /// `l` ≥ 2 spends in the claim loop: workers scanning work items into
+    /// their private shard buffers (self-compactions included), as the wall
+    /// time of that pool epoch.  Recorded by the query that runs the fill;
+    /// zero on every other query (the word tasks and `l` = 1 read a table
+    /// built without a merge), and on the sequential path.
     pub scan: Duration,
-    /// Portion of `traversal` — of `shared_init` for the sequence tasks'
-    /// window fill, as with `scan` — the sharded tasks spend merging each
-    /// shard's per-worker buffers and turning the merged entries into the
-    /// shard's run, as the wall time of that pool epoch.  Zero where `scan`
-    /// is.
+    /// Portion of `shared_init` the same window fill spends merging each
+    /// shard's per-worker buffers, as the wall time of that pool epoch.
+    /// Zero where `scan` is.
     pub shard_merge: Duration,
     /// Entries the scan left for the shard merge, over every key-range
     /// bucket (duplicates a worker had not folded yet included).  Zero

@@ -77,15 +77,15 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 assert_eq!(&faulted.output, oracle, "{label}: degraded output");
                 match faulted.timings.degraded {
                     Some(Degradation::WorkerPanic) => fired += 1,
-                    // `merge-fold` fires for every task that merges shard
-                    // buffers — wordCount / sort and invertedIndex on every
-                    // query, the sequence tasks only when their window
-                    // table is cold (as here: a fresh engine per task), in
-                    // its fill — and only termVector (which merges by
-                    // scatter) passes it by; the other two sites sit on
-                    // every task's path.
+                    // `merge-fold` fires only where shard buffers merge:
+                    // in the window fill of `l` ≥ 2 (as here, `l` = 3), which
+                    // the sequence tasks run when their table is cold (as
+                    // here: a fresh engine per task).  The word tasks read
+                    // the `l` = 1 table, built without a merge, and term
+                    // vector merges by scatter, so they pass it by; the
+                    // other two sites sit on every task's path.
                     None => assert!(
-                        site == "merge-fold" && task == Task::TermVector,
+                        site == "merge-fold" && !task.is_sequence_sensitive(),
                         "{label}: must have degraded"
                     ),
                 }
@@ -292,6 +292,44 @@ fn cancellation_mid_query_returns_typed_error_and_keeps_the_session_healthy() {
         assert_eq!(after.output, oracle.output, "{}", task.name());
         assert!(after.timings.degraded.is_none(), "{}", task.name());
         assert!(after.timings.warm, "{}", task.name());
+    }
+}
+
+/// The inverted index's one pass over the word table checkpoints once per
+/// worker, before its key range: a warm invertedIndex cancelled there, at
+/// every pool width, answers `Cancelled` — not a panic, not a degraded
+/// answer — poisons nothing, and the next unrestricted query is a warm
+/// fine-path answer equal to the oracle.
+#[test]
+fn a_cancelled_warm_inverted_index_answers_cancelled() {
+    let _guard = serial();
+    failpoints::reset();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let cfg = TaskConfig::default();
+    let oracle = run_task(&archive, &dag, Task::InvertedIndex, cfg).output;
+    for threads in [1usize, 2, 4, 8] {
+        let label = format!("{threads} threads");
+        let engine = Engine::builder(&archive, &dag)
+            .threads(threads)
+            .build()
+            .expect("valid archive");
+        engine.run(Task::InvertedIndex, cfg).expect("warm-up");
+        let token = CancelToken::new();
+        let hook_token = token.clone();
+        failpoints::observe("chunk-boundary", move || hook_token.cancel());
+        let opts = QueryOptions::new().cancel_token(token);
+        let err = engine.run_with(Task::InvertedIndex, cfg, &opts);
+        failpoints::reset();
+        assert_eq!(err.expect_err(&label), EngineError::Cancelled, "{label}");
+        assert!(
+            engine.with_worker_pool(|pool| !pool.is_poisoned()),
+            "{label}"
+        );
+        let after = engine.run(Task::InvertedIndex, cfg).expect("fine path");
+        assert_eq!(after.output, oracle, "{label}");
+        assert!(after.timings.degraded.is_none(), "{label}");
+        assert!(after.timings.warm, "{label}");
     }
 }
 

@@ -15,6 +15,7 @@
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use g_tadoc_repro::prelude::*;
@@ -25,6 +26,19 @@ use server::protocol::{
 };
 use server::server::{Server, ServerConfig, ServerHandle, WRITE_STALL_TIMEOUT};
 use server::{Client, QueryOutcome};
+
+/// Every test in this binary runs alone.  The fault tests arm the
+/// process-global failpoint registry: an armed site fires in whichever
+/// query crosses it first, and an observation hook counts every query's
+/// crossings, so a query of a concurrent test would take the fault or
+/// skew the count.  (A test that panics poisons the mutex; later tests
+/// take the guard anyway.)
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
+    LOCK.get_or_init(|| Mutex::new(()))
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 fn corpus() -> Vec<(String, String)> {
     let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(6);
@@ -134,6 +148,7 @@ fn assert_protocol_error(resp: &Response) {
 /// every answer must match the sequential oracle's digest.
 #[test]
 fn concurrent_tcp_clients_get_oracle_identical_answers() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let oracle = oracle_digests(&archive, &dag);
@@ -176,6 +191,7 @@ fn concurrent_tcp_clients_get_oracle_identical_answers() {
 /// pool keeps serving fresh clients afterwards.
 #[test]
 fn bad_frames_get_typed_errors_without_killing_the_pool() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let wc_digest = run_task(&archive, &dag, Task::WordCount, TaskConfig::default())
@@ -273,6 +289,7 @@ fn bad_frames_get_typed_errors_without_killing_the_pool() {
 /// unboundedly: capacity 1, one executor, many closed-loop clients.
 #[test]
 fn full_queue_sheds_with_overloaded() {
+    let _guard = serial();
     let archive = compress_corpus(&large_corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let digest = run_task(&archive, &dag, Task::WordCount, TaskConfig::default())
@@ -333,6 +350,7 @@ fn full_queue_sheds_with_overloaded() {
 /// execution at a chunk boundary.)
 #[test]
 fn expired_deadlines_answer_deadline_exceeded() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
 
@@ -369,6 +387,7 @@ fn expired_deadlines_answer_deadline_exceeded() {
 /// connections are refused.
 #[test]
 fn graceful_shutdown_drains_inflight_queries() {
+    let _guard = serial();
     let archive = compress_corpus(&large_corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
     let digest = run_task(&archive, &dag, Task::SequenceCount, TaskConfig::default())
@@ -420,6 +439,7 @@ fn graceful_shutdown_drains_inflight_queries() {
 /// `encode_response` of the oracle's table.
 #[test]
 fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
+    let _guard = serial();
     let archive = compress_corpus(&corpus(), CompressOptions::default());
     let dag = Dag::from_grammar(&archive.grammar);
 
@@ -460,6 +480,7 @@ fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
 /// connection and shutdown still completes.
 #[test]
 fn a_peer_that_stops_reading_cannot_pin_a_handler() {
+    let _guard = serial();
     // Pseudo-random text: nearly every trigram distinct, so the ranked
     // inverted index is a few hundred kilobytes.
     let mut state = 0x9E37_79B9_7F4A_7C15u64;
@@ -534,16 +555,6 @@ fn a_peer_that_stops_reading_cannot_pin_a_handler() {
 #[cfg(feature = "failpoints")]
 mod faults {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, OnceLock};
-
-    /// The failpoint registry is process-global; these tests arm/disarm it
-    /// and must not interleave.
-    fn serial() -> MutexGuard<'static, ()> {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        LOCK.get_or_init(|| Mutex::new(()))
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
 
     /// `server-accept` armed once: the first connection is dropped at
     /// accept; the next one is served normally.
