@@ -1,21 +1,16 @@
 //! # arena
 //!
-//! The accumulation substrate of the fine-grained CPU engine in `tadoc` —
-//! everything here runs on real threads, nothing simulates a device:
+//! [`mix64`] — the full-avalanche finalizer `gtadoc`'s hash tables hash
+//! with (one definition for the workspace).
 //!
-//! * [`shard`] — append-and-compact shard buffers ([`shard::ShardBuf`]) for
-//!   the sharded lock-free merges: workers append `(key, value)` entries per
-//!   key-range bucket, merges do one sort + fold per bucket;
-//! * [`mix64`] — the full-avalanche finalizer `gtadoc`'s hash tables hash
-//!   with (one definition for the workspace).
-//!
-//! The paper's memory pool and flat per-rule tables (Section IV-C, Figure 5)
+//! The fine-grained CPU engine (`tadoc::fine_grained`) accumulates in
+//! per-worker state it allocates itself and groups every window table with
+//! one counting sort by leading word, so it takes no buffer type from here.  The
+//! paper's memory pool and flat per-rule tables (Section IV-C, Figure 5)
 //! are a *GPU* design and live with their only caller, the simulated GPU
 //! engine: `gtadoc::mempool` and `gtadoc::hashtable::local_table`.
 
 #![forbid(unsafe_code)]
-
-pub mod shard;
 
 /// SplitMix64 finalizer: a full-avalanche mix so that *every* output bit used
 /// for bucket selection depends on every input bit.  (A bare

@@ -24,7 +24,7 @@
 //! |------------------|-----------------------------------------------|
 //! | `worker-epoch`   | entry of every worker's pool-epoch body       |
 //! | `chunk-boundary` | each chunk claimed from a work queue          |
-//! | `merge-fold`     | shard-buffer merge fold                       |
+//! | `merge-fold`     | head of each window-fill worker's sort + fold |
 
 #![forbid(unsafe_code)]
 

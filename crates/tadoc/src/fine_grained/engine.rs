@@ -259,9 +259,9 @@ pub(crate) struct RunCharge {
     pub(crate) time: Duration,
     /// Whether any artifact was computed (false ⇒ the query was warm).
     pub(crate) computed: bool,
-    /// What the window fill this query ran measured: the scan-and-merge
-    /// fields (`scan` … `largest_merge_group`) of the query's timings, all
-    /// zero when it ran none.
+    /// What the window fill this query ran measured: the fill fields
+    /// (`scan` … `largest_merge_group`) of the query's timings, all zero
+    /// when it ran none.
     pub(crate) fill_timings: PhaseTimings,
 }
 
@@ -345,11 +345,6 @@ pub(crate) struct Analysis {
     words: Arc<SequenceSlot>,
     /// Sequence-task work items (rule-body chunks + root chunks).
     sequence_items: OnceLock<Vec<SeqItem>>,
-    /// Cumulative local-word mass: entry `w` sums the local occurrences of
-    /// the words below `w` over every rule.  The window fill of `l` ≥ 2
-    /// cuts its key-range buckets at its quantiles
-    /// ([`super::exec::range_splitters`]).
-    word_mass: OnceLock<Vec<u64>>,
     /// Fill closures executed — one per computed artifact, never counting
     /// waiters or warm hits.
     fills: AtomicU64,
@@ -476,7 +471,6 @@ impl Analysis {
         let grammar = &archive.grammar;
         let levels = self.ensure_levels_top_down(dag, charge);
         let items = self.ensure_sequence_items(grammar, fcfg, charge);
-        let mass = self.ensure_word_mass(archive, dag, charge);
         let slot = {
             let mut slots = self.sequence.lock().unwrap_or_else(PoisonError::into_inner);
             match slots.iter().find(|(key, _)| *key == l) {
@@ -494,7 +488,7 @@ impl Analysis {
         let mut timings = PhaseTimings::default();
         self.fill(&slot.windows, charge, || {
             let ht = build_head_tail(grammar, dag, levels, l, pool);
-            fill_window_sources(archive, &ht, items, mass, pool, &mut timings)
+            fill_window_sources(archive, &ht, items, pool, &mut timings)
         });
         charge.fill_timings = timings;
         slot
@@ -509,28 +503,6 @@ impl Analysis {
         let segments = self.ensure_segments(grammar, charge);
         self.fill(&self.sequence_items, charge, || {
             sequence_work_items(grammar, segments, fcfg.chunk_elements)
-        })
-    }
-
-    pub(crate) fn ensure_word_mass(
-        &self,
-        archive: &TadocArchive,
-        dag: &Dag,
-        charge: &mut RunCharge,
-    ) -> &Vec<u64> {
-        self.fill(&self.word_mass, charge, || {
-            let mut cum = vec![0u64; archive.vocabulary_size() + 1];
-            for r in 0..dag.num_rules {
-                for &(w, count) in dag.local_words(r) {
-                    cum[w as usize + 1] += count as u64;
-                }
-            }
-            let mut below = 0;
-            for slot in &mut cum {
-                below += *slot;
-                *slot = below;
-            }
-            cum
         })
     }
 }
@@ -1309,9 +1281,9 @@ mod tests {
         );
     }
 
-    /// The window fill is the sequence tasks' one sharded scan-and-merge:
-    /// the query that runs it reports what it measured (inside
-    /// `shared_init`), and a warm query reports zeros.
+    /// The window fill is the sequence tasks' one scan and sort: the query
+    /// that runs it reports what it measured (inside `shared_init`), and a
+    /// warm query reports zeros.
     #[test]
     fn sequence_timings_report_the_window_fill_only_when_they_run_it() {
         let (archive, dag) = build_archive();
@@ -1321,14 +1293,14 @@ mod tests {
             let cold = engine.run(first, cfg).unwrap().timings;
             assert!(cold.merge_entries > 0, "{}", first.name());
             assert!(cold.largest_merge_group > 0, "{}", first.name());
-            assert!(cold.scan + cold.shard_merge <= cold.shared_init);
+            assert!(cold.scan + cold.window_sort <= cold.shared_init);
             engine.run(Task::SequenceCount, cfg).unwrap();
             engine.run(Task::RankedInvertedIndex, cfg).unwrap();
             for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
                 let warm = engine.run(task, cfg).unwrap().timings;
                 assert!(warm.warm && warm.shared_init.is_zero(), "{}", task.name());
                 let label = format!("{} after {}", task.name(), first.name());
-                assert!(warm.scan.is_zero() && warm.shard_merge.is_zero(), "{label}");
+                assert!(warm.scan.is_zero() && warm.window_sort.is_zero(), "{label}");
                 assert_eq!(warm.merge_entries + warm.largest_merge_group, 0, "{label}");
             }
         }

@@ -200,8 +200,8 @@ pub struct WorkerPool {
     handles: Vec<JoinHandle<()>>,
     threads: usize,
     /// Set when an epoch faulted with anything other than a controlled
-    /// [`Abort`]: worker-local state (scratch mid-write, shard buffers
-    /// mid-merge) may be inconsistent, and the owner should rebuild the pool
+    /// [`Abort`]: worker-local state (scratch mid-write, a word range
+    /// mid-sort) may be inconsistent, and the owner should rebuild the pool
     /// before trusting it with another query.  The *barrier* is intact
     /// either way — a poisoned pool still completes epochs.
     poisoned: AtomicBool,
@@ -600,7 +600,7 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
 /// Splits `0..costs.len()` into `parts` contiguous ranges of near-equal
 /// total cost by cutting the prefix-scan of `costs` at the item boundary
 /// nearest each `total × w / parts` target.  Used to statically assign
-/// files to term-vector workers and key-range buckets to merge workers.
+/// files to term-vector workers.
 /// Together the ranges cover the index space exactly once.
 ///
 /// **No-empty-part guarantee:** while items remain, every part takes at
@@ -714,38 +714,6 @@ pub fn chunk_ranges<I: IntoIterator<Item = usize>>(lens: I, target: usize) -> Ve
         }
     }
     out
-}
-
-/// The word ids at which the key-range buckets of a sharded merge begin,
-/// cut at `buckets` quantiles of the cumulative mass column `cum` (`cum[w]`
-/// is the mass of the words below `w`, `cum[vocab]` the total).  Bucket `b`
-/// holds the words in `[cuts[b - 1], cuts[b])`, found with
-/// `cuts.partition_point(|&c| c <= w)`; ascending words land in ascending
-/// buckets, so bucket order is key order for every key led by its word.
-/// Quantiles that fall on the same word collapse into one cut, so a skewed
-/// mass or a small vocabulary yields fewer than `buckets` buckets — never
-/// one without a word.
-///
-/// ```
-/// use tadoc::fine_grained::exec::range_splitters;
-///
-/// // Four words of mass 1, 1, 6, 0: the heavy word gets a bucket alone.
-/// let cuts = range_splitters(&[0, 1, 2, 8, 8], 4);
-/// assert_eq!(cuts, vec![2, 3]);
-/// assert_eq!(range_splitters(&[0, 0, 0], 4), Vec::<u32>::new());
-/// ```
-pub fn range_splitters(cum: &[u64], buckets: usize) -> Vec<u32> {
-    let vocab = cum.len().saturating_sub(1);
-    let total = cum.last().copied().unwrap_or(0) as u128;
-    let mut cuts: Vec<u32> = Vec::new();
-    for b in 1..buckets {
-        let target = (total * b as u128 / buckets as u128) as u64;
-        let w = cum.partition_point(|&c| c < target);
-        if 0 < w && w < vocab && cuts.last().is_none_or(|&c| (c as usize) < w) {
-            cuts.push(w as u32);
-        }
-    }
-    cuts
 }
 
 #[cfg(test)]
@@ -1025,80 +993,5 @@ mod tests {
             assert_eq!(covered, len, "item {item}");
         }
         assert!(!chunks.iter().any(|c| c.item == 0), "len-0 items yield no chunks");
-    }
-
-    /// The cumulative column of per-word masses.
-    fn cumulative(mass: &[u64]) -> Vec<u64> {
-        let mut cum = vec![0u64];
-        for &m in mass {
-            cum.push(cum.last().unwrap() + m);
-        }
-        cum
-    }
-
-    /// Routes every word of `mass`'s vocabulary the way `scan_and_merge`
-    /// does and groups the buckets for `threads` merge workers, checking
-    /// that each word lands in exactly one bucket, that bucket order is word
-    /// order, and that the groups are contiguous and cover every bucket.
-    /// Returns the buckets' masses.
-    fn check_routing(mass: &[u64], threads: usize) -> Vec<u64> {
-        let cuts = range_splitters(&cumulative(mass), 8 * threads);
-        assert!(cuts.windows(2).all(|w| w[0] < w[1]), "{cuts:?}");
-        let buckets = cuts.len() + 1;
-        let mut bucket_mass = vec![0u64; buckets];
-        let mut words = vec![0usize; buckets];
-        let mut last = 0usize;
-        for (w, &m) in mass.iter().enumerate() {
-            let b = cuts.partition_point(|&c| c as usize <= w);
-            // Cuts ascend, so bucket `b`'s interval is the only one holding `w`.
-            let (lo, hi) = (b.checked_sub(1).map(|i| cuts[i]), cuts.get(b));
-            assert!(lo.is_none_or(|c| c as usize <= w), "word {w} below bucket {b}");
-            assert!(hi.is_none_or(|&c| w < c as usize), "word {w} above bucket {b}");
-            assert!(b >= last, "word {w} in bucket {b} after bucket {last}");
-            bucket_mass[b] += m;
-            words[b] += 1;
-            last = b;
-        }
-        assert!(words.iter().all(|&n| n > 0), "a bucket without a word: {words:?}");
-        let groups = partition_by_cost(&bucket_mass, threads);
-        assert_eq!(groups.len(), threads);
-        let mut next = 0;
-        for g in &groups {
-            assert_eq!(g.start, next, "groups are contiguous: {groups:?}");
-            next = g.end;
-        }
-        assert_eq!(next, buckets, "groups cover every bucket: {groups:?}");
-        bucket_mass
-    }
-
-    #[test]
-    fn shards_are_in_range_and_spread() {
-        let mass = vec![3u64; 1000];
-        for threads in [2usize, 4, 8] {
-            let buckets = check_routing(&mass, threads);
-            assert_eq!(buckets.len(), 8 * threads, "uniform mass cuts every quantile");
-            let (lo, hi) = (buckets.iter().min().unwrap(), buckets.iter().max().unwrap());
-            assert!(hi - lo <= 3, "uniform buckets differ by one word: {buckets:?}");
-        }
-        assert!(range_splitters(&cumulative(&mass), 1).is_empty());
-    }
-
-    #[test]
-    fn routing_survives_degenerate_mass_columns() {
-        // Total mass of zero: one bucket holds every word.
-        assert_eq!(check_routing(&[0; 50], 4).len(), 1);
-        // One word holds 90 % of the mass: its bucket takes at most one
-        // quantile of light words besides it, and the light words still
-        // spread over buckets of their own.
-        let mut heavy = vec![1u64; 100];
-        heavy[40] = 900;
-        let buckets = check_routing(&heavy, 4);
-        let heavy_bucket = 900..=900 + 999 / 32 + 1;
-        assert!(buckets.iter().any(|m| heavy_bucket.contains(m)), "{buckets:?}");
-        assert!(buckets.len() > 2, "{buckets:?}");
-        // More threads than words: at most one bucket per word.
-        assert_eq!(check_routing(&[5, 1, 7], 8).len(), 3);
-        // A one-word vocabulary: one bucket.
-        assert_eq!(check_routing(&[42], 8).len(), 1);
     }
 }

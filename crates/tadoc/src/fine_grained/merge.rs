@@ -1,7 +1,8 @@
 //! Posting runs and their concatenation into ordered columns.
 //!
-//! The window-table passes ([`super`], steps 3 and 6 of the module design)
-//! hand each worker a contiguous key range of the table, so the runs they
+//! Every window table is grouped by leading word with one counting sort
+//! ([`super`], items 3 and 6 of the module design), and its passes hand
+//! each worker a contiguous word range of the table, so the runs they
 //! return are disjoint *and* in key order: the ordered columnar forms of
 //! [`crate::results`] ([`SortedTable`](crate::results::SortedTable) /
 //! [`PostingTable`](crate::results::PostingTable)) are their concatenation.
@@ -9,7 +10,7 @@
 //! each run's offsets rebased onto the values before it.  Zero hash probes
 //! and zero key comparisons after the pass.
 
-/// One bucket's posting output in columnar (CSR) form: `keys[i]`'s postings
+/// One worker's posting output in columnar (CSR) form: `keys[i]`'s postings
 /// are `values[offsets[i]..offsets[i + 1]]`.  `offsets` always carries the
 /// leading `0`, matching [`PostingTable`](crate::results::PostingTable)'s
 /// offset convention so a concatenated run converts without reshaping.
@@ -83,8 +84,6 @@ pub fn concat<K, V>(runs: Vec<PostingRun<K, V>>) -> PostingRun<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fine_grained::exec::range_splitters;
-    use arena::shard::{CountEntry, ShardBuf};
 
     /// A posting run of `(key, postings)` rows.
     fn run(rows: &[(u32, &[u32])]) -> PostingRun<u32, u32> {
@@ -93,13 +92,6 @@ mod tests {
             run.push(k, vals);
         }
         run
-    }
-
-    /// The key-range bucket router of `buckets` quantiles of a uniform mass
-    /// over `0..space`, the way `scan_and_merge` routes.
-    fn router(space: u64, buckets: usize) -> impl Fn(u32) -> usize {
-        let cuts = range_splitters(&(0..=space).collect::<Vec<u64>>(), buckets);
-        move |k| cuts.partition_point(|&c| c <= k)
     }
 
     #[test]
@@ -125,32 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_merge_matches_serial_across_pool_widths() {
-        // The bucketed path at the bucket counts of 1-, 3- and 8-thread
-        // pools: route, merge each bucket, concatenate.
-        let pairs: Vec<(u32, u64)> = (0..20_000u32)
-            .map(|i| (i.wrapping_mul(2_654_435_761) % 7919, i as u64))
-            .collect();
-        let mut reference: Vec<CountEntry<u32>> =
-            pairs.iter().map(|&(k, v)| CountEntry::new(k, v)).collect();
-        arena::shard::sort_fold(&mut reference);
-        for threads in [1usize, 3, 8] {
-            let buckets = if threads == 1 { 1 } else { 8 * threads };
-            let route = router(7919, buckets);
-            let mut bufs: Vec<ShardBuf<CountEntry<u32>>> =
-                (0..buckets).map(|_| ShardBuf::default()).collect();
-            for &(k, v) in &pairs {
-                bufs[route(k)].push(CountEntry::new(k, v));
-            }
-            let merged: Vec<CountEntry<u32>> = bufs
-                .into_iter()
-                .flat_map(|buf| ShardBuf::merge(vec![buf]))
-                .collect();
-            assert_eq!(merged, reference, "{threads} threads");
-        }
-    }
-
-    #[test]
     fn posting_merge_concatenates_disjoint_runs_in_key_order() {
         let a = run(&[(1, &[7]), (2, &[1, 4])]);
         let b = run(&[(4, &[2, 3, 5]), (6, &[0])]);
@@ -170,10 +136,9 @@ mod tests {
         let postings = |k: u32| -> Vec<u32> { (0..(k % 3 + 1)).map(|j| k ^ j).collect() };
         let mut serial = PostingRun::default();
         let mut runs: Vec<PostingRun<u32, u32>> = (0..32).map(|_| PostingRun::default()).collect();
-        let route = router(100_000, 32);
         for &k in &sorted {
             serial.push(k, &postings(k));
-            runs[route(k)].push(k, &postings(k));
+            runs[k as usize * 32 / 100_000].push(k, &postings(k));
         }
         assert!(runs.iter().filter(|r| !r.is_empty()).count() > 16);
         let par = concat(runs);

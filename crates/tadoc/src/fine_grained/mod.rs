@@ -20,39 +20,38 @@
 //!    caller instead of waking the pool.
 //! 2. **Private per-worker accumulators** (Figure 5's lock-free local
 //!    tables, in CPU-appropriate form).  Every worker owns its accumulation
-//!    state outright, allocated per query (or per window fill) —
-//!    append-and-compact shard buffers for the window fill, dense counts
-//!    with touched-key tracking for term vector's `counts[word]` (word ids
-//!    are already a perfect hash of the vocabulary) and the ranked index's
-//!    `counts[file]`, a file bitmap with touched-block tracking for the
-//!    inverted index — the CPU twin of the paper's observation that a
-//!    table owned by one thread needs no locks.  (The paper's flat open-addressing tables and
-//!    memory pool live with the simulated GPU engine in `gtadoc`, where
-//!    dynamic allocation per thread is not an option; this engine probes
-//!    no hash table and pools no memory.)
-//! 3. **Key-range lock-free global merge over append-and-compact buffers.**
-//!    Instead of the global table's bucket locks (Figure 5's
-//!    `lock`/`entries` buffers), every worker routes each entry by its
-//!    key's leading word into key-range buckets, cut once per fill at
-//!    quantiles of the session's word-mass column
-//!    ([`exec::range_splitters`]), and each merge worker owns a contiguous
-//!    range of buckets holding ≈ 1/threads of the entries — so the
-//!    per-bucket merges run concurrently with no synchronization at all,
-//!    contention resolved statically rather than with atomics.  Workers
-//!    accumulate their buckets in [`arena::shard::ShardBuf`]s (an append
-//!    per occurrence; a compaction sorts and folds only what was pushed
-//!    since the last one and merges it into the sorted prefix), so no
-//!    per-worker hash maps are materialised on the traversal hot path,
-//!    every entry is sorted once, and each bucket's merge is a merge of
-//!    sorted runs.  Bucket order is key order, so finalize is a
-//!    concatenation ([`merge::concat`]).  This scheme exists **once**, in
-//!    `driver::scan_and_merge`, and its one `driver::Kernel` is the window
-//!    fill of a sequence length `l` ≥ 2 (item 6): it runs once per `l` per
-//!    session, so no warm query merges anything.  No task is a `Kernel`;
-//!    every task is one pass over a cached table.  The limit: a single
-//!    leading word is one bucket, so a word that starts more than
-//!    1/threads of all entries is merged by one worker — the answer is
-//!    unchanged, that fill slower.
+//!    state outright, allocated per query (or per window fill) — a plain
+//!    list of scanned windows for the window fill, dense counts with
+//!    touched-key tracking for term vector's `counts[word]` (word ids are
+//!    already a perfect hash of the vocabulary), its seed lists'
+//!    `counts[rule]` and the ranked index's `counts[file]`, a file bitmap
+//!    with touched-block tracking for the inverted index — the CPU twin of
+//!    the paper's observation that a table owned by one thread needs no
+//!    locks.  (The paper's flat open-addressing tables and memory pool
+//!    live with the simulated GPU engine in `gtadoc`, where dynamic
+//!    allocation per thread is not an option; this engine probes no hash
+//!    table and pools no memory.)
+//! 3. **One counting sort by leading word instead of a locked global
+//!    table.**  Instead of the global table's bucket locks (Figure 5's
+//!    `lock`/`entries` buffers), both window-table fills group their
+//!    entries by leading word with one counting sort (`word_starts`: count
+//!    the entries per word, prefix-sum the counts, scatter every entry to
+//!    its word's cursor).  At `l` = 1 the scatter writes each word's
+//!    sources directly (`WindowSources::of_words`).  At `l` ≥ 2
+//!    (`fill_window_sources`, item 6) the grouped windows are cut at word
+//!    boundaries into one contiguous range of ≈ 1/threads of them per
+//!    worker, and each worker sorts its range by `(window, source)` and
+//!    folds equal pairs into a local count — concurrently, with no
+//!    synchronization at all: contention is resolved statically rather
+//!    than with atomics.  Word order is key order, so the runs concatenate
+//!    into the table in key order.  Each fill runs once per `l` per
+//!    session, so no warm query sorts anything: every task is one pass
+//!    over contiguous window ranges of a cached table
+//!    (`WindowSources::over_key_ranges`), whose parts concatenate into the
+//!    ordered result columns ([`merge::concat`]).  The limit: one leading
+//!    word is never split, so a word that starts more than 1/threads of
+//!    all windows is sorted by one worker — the answer is unchanged, that
+//!    fill slower.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
 //!    an oversized rule body (dataset B's root holds most of the corpus)
@@ -76,7 +75,7 @@
 //!    cost and each worker walks only *its own files'* rules, accumulating
 //!    one file at a time into its own dense counts with touched-word
 //!    tracking.  File ownership is disjoint, so there is nothing to merge —
-//!    the same static-sharding trick as the global merge.
+//!    the same static split as the window fill's word ranges.
 //! 6. **Rule-local sequence support** (Figures 6–8).  Sequence tasks build
 //!    per-rule head/tail records bottom-up and count every window **once per
 //!    rule**; rule bodies and the root are split into chunks the way the
@@ -84,17 +83,18 @@
 //!    chunk-boundary windows completed by an O(`l`) word-bounded extension
 //!    ([`sequences::count_range_windows`]).  The local counts depend only on
 //!    the archive and `l`, so they are an analysis artifact like
-//!    `dag.local_words`: one sharded fill per `l` per session merges them
-//!    into a window → (source, local count) table (`WindowSources`; a
-//!    source is a rule, or one file's root segment).  A query is one pass
-//!    over that table, scaling by rule weight (sequence count) or
-//!    scattering by per-file rule weight into dense per-file counts
-//!    (ranked inverted index, so the window × file cross product is never
-//!    pushed or sorted).  At `l` = 1 a window is a word, a rule's local
-//!    windows are its local word list and a file's root windows are the
-//!    words of its segment, so that table is built directly — two
-//!    counting-sort passes keyed by word, no head/tail records and no
-//!    merge (`WindowSources::of_words`) — and kept apart from the per-`l`
+//!    `dag.local_words`: one fill per `l` per session groups them with the
+//!    counting sort of item 3 into a window → (source, local count) table
+//!    (`WindowSources`; a source is a rule, or one file's root segment).
+//!    A query is one pass over that table, scaling by rule weight
+//!    (sequence count) or scattering by per-file rule weight into dense
+//!    per-file counts (ranked inverted index, so the window × file cross
+//!    product is never pushed or sorted).  At `l` = 1 a window is a word,
+//!    a rule's local windows are its local word list and a file's root
+//!    windows are the words of its segment, so that table is built
+//!    directly — the same counting sort keyed by word, with no head/tail
+//!    records, no scan and no sort within a word
+//!    (`WindowSources::of_words`) — and kept apart from the per-`l`
 //!    tables, never evicted.  The word tasks read it: `wordCount` / `sort`
 //!    are `sequenceCount`'s weighted pass over it, and `invertedIndex` ORs
 //!    each word's sources' files into a per-worker file bitmap, drained in
@@ -127,16 +127,14 @@ pub use results_cache::RESULTS_CACHE_BUDGET_BYTES;
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;
-use crate::timing::PhaseTimings;
-use arena::shard::{sort_fold, CountEntry, ShardBuf};
-use driver::{claim_loop, run_phases, scan_and_merge, Kernel, Shards};
+use crate::timing::{PhaseTimings, Timer};
+use driver::{claim_loop, run_phases};
 use engine::FineCtx;
 use exec::WorkerPool;
 use head_tail::HeadTail;
 use merge::PostingRun;
 use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
 use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive, WordId};
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the fine-grained runner.
@@ -296,6 +294,14 @@ struct DenseCounts {
 }
 
 impl DenseCounts {
+    /// Zero counts over the keys `0..len`.
+    fn new(len: usize) -> Self {
+        Self {
+            counts: vec![0; len],
+            touched: Vec::new(),
+        }
+    }
+
     #[inline]
     fn add(&mut self, key: u32, amount: u64) {
         let slot = &mut self.counts[key as usize];
@@ -382,34 +388,39 @@ pub(crate) fn build_term_vector_prep(
     let n = dag.num_rules;
 
     // Oversized root segments (a few-huge-files corpus) get their seed scan
-    // chunked across the pool first: each chunk folds its direct rule
-    // references into a compact sorted list, and the per-file propagation
-    // below seeds from the folded lists instead of re-scanning the segment.
-    // Small segments skip this entirely — their seed scan stays fused with
-    // the propagation.
+    // chunked across the pool first: each worker folds a chunk's direct
+    // rule references into its own dense counts over the rules and drains
+    // them into the file's seed list, and the per-file propagation below
+    // seeds from the lists instead of re-scanning the segment (its `seed`
+    // sums a rule that several chunks of one file report).  Small segments
+    // skip this entirely — their seed scan stays fused with the
+    // propagation.
     let mut seed_chunks = root_chunks(segments, fcfg.chunk_elements);
     seed_chunks.retain(|c| {
         let (start, end) = segments[c.file as usize];
         end - start > fcfg.chunk_elements
     });
-    let mut seeds: Vec<Option<Vec<CountEntry<u32>>>> = vec![None; num_files];
+    let mut seeds: Vec<Option<Vec<(RuleId, u64)>>> = vec![None; num_files];
     if !seed_chunks.is_empty() {
-        type SeedLists = Vec<(FileId, Vec<CountEntry<u32>>)>;
-        let locals = claim_loop(pool, seed_chunks.len(), 1, SeedLists::new, |out, ci| {
-            let c = seed_chunks[ci];
-            let mut buf: ShardBuf<CountEntry<u32>> = ShardBuf::default();
-            for sym in &root[c.begin..c.end] {
-                if let Symbol::Rule(r) = *sym {
-                    buf.push(CountEntry::new(r, 1));
+        let locals = claim_loop(
+            pool,
+            seed_chunks.len(),
+            1,
+            || (DenseCounts::new(n), Vec::new()),
+            |(counts, lists), ci| {
+                let c = seed_chunks[ci];
+                for sym in &root[c.begin..c.end] {
+                    if let Symbol::Rule(r) = *sym {
+                        counts.add(r, 1);
+                    }
                 }
-            }
-            out.push((c.file, buf.into_sorted()));
-        });
-        for (f, list) in locals.into_iter().flatten() {
+                let mut list = Vec::new();
+                counts.drain_into(&mut list);
+                lists.push((c.file, list));
+            },
+        );
+        for (f, list) in locals.into_iter().flat_map(|(_, lists)| lists) {
             seeds[f as usize].get_or_insert_with(Vec::new).extend(list);
-        }
-        for seed in seeds.iter_mut().flatten() {
-            sort_fold(seed);
         }
     }
 
@@ -433,7 +444,7 @@ pub(crate) fn build_term_vector_prep(
         },
         |Propagation { occ, buckets, rows }, f| {
             // Seed: direct rule references in the file's root segment —
-            // from the pre-folded chunk lists for oversized segments,
+            // from the chunk lists for oversized segments,
             // from the segment scan otherwise.
             let mut seed = |c: u32, count: u64| {
                 if occ[c as usize] == 0 {
@@ -442,7 +453,7 @@ pub(crate) fn build_term_vector_prep(
                 occ[c as usize] += count;
             };
             if let Some(folded) = &seeds[f] {
-                for &CountEntry { key: c, count } in folded {
+                for &(c, count) in folded {
                     seed(c, count);
                 }
             } else if let Some(&(start, end)) = segments.get(f) {
@@ -536,10 +547,7 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
         |&(prep, segments), _| {
             let ranges = exec::partition_by_cost(&prep.costs, threads);
             pool.map_workers(ranges, |_, files| {
-                let mut counts = DenseCounts {
-                    counts: vec![0; prep.vocab],
-                    touched: Vec::new(),
-                };
+                let mut counts = DenseCounts::new(prep.vocab);
                 let mut vectors = Vec::with_capacity(files.len());
                 for f in files {
                     // Cancel/deadline, once per owned file.
@@ -620,7 +628,7 @@ pub(crate) fn sequence_work_items(
 }
 
 /// Every distinct `l`-window of the grammar with the sources it is local to
-/// and how often — Figure 8's per-rule local tables, merged into one ordered
+/// and how often — Figure 8's per-rule local tables, grouped into one ordered
 /// table.  Window `i`'s words are `keys[i * l..(i + 1) * l]` (ascending, the
 /// key layout of the result tables), and its `(source, local count)` pairs
 /// are `sources[offsets[i]..offsets[i + 1]]` beside the same slice of
@@ -641,13 +649,13 @@ pub(crate) struct WindowSources {
 
 impl WindowSources {
     /// The `l` = 1 table, field for field what [`fill_window_sources`]
-    /// yields at `l` = 1, without head/tail records or a merge: a word's
+    /// yields at `l` = 1, without head/tail records or a sort: a word's
     /// sources are the rules `r` ≥ 1 whose local word list holds it (the
     /// list's count) and then the files whose root segment holds it (its
     /// occurrences there).  The pool folds each root segment into its
-    /// distinct words, one [`DenseCounts`] per worker; then two
-    /// counting-sort passes keyed by word count each word's sources and
-    /// write them at the word's cursor.
+    /// distinct words, one [`DenseCounts`] per worker; then the counting
+    /// sort by word both fills share ([`word_starts`]) counts each word's
+    /// sources and writes them at the word's cursor.
     pub(crate) fn of_words(
         archive: &TadocArchive,
         dag: &Dag,
@@ -669,10 +677,7 @@ impl WindowSources {
             segments.len(),
             files_per_claim(segments.len(), pool.threads()),
             || Fold {
-                counts: DenseCounts {
-                    counts: vec![0; vocab],
-                    touched: Vec::new(),
-                },
+                counts: DenseCounts::new(vocab),
                 files: Vec::new(),
                 words: Vec::new(),
             },
@@ -695,18 +700,9 @@ impl WindowSources {
             }
         }
         let rule_words = (1..num_rules).map(|r| dag.local_words(r));
-        // starts[w + 1]: word `w`'s sources; the prefix sum below makes
-        // starts[w] the first of them.
-        let mut starts = vec![0usize; vocab + 1];
-        for &(w, _) in rule_words.clone().flatten() {
-            starts[w as usize + 1] += 1;
-        }
-        for &(w, _) in folds.iter().flat_map(|fold| &fold.words) {
-            starts[w as usize + 1] += 1;
-        }
-        for w in 0..vocab {
-            starts[w + 1] += starts[w];
-        }
+        let leads = rule_words.clone().flatten().map(|&(w, _)| w);
+        let root_leads = folds.iter().flat_map(|fold| &fold.words).map(|&(w, _)| w);
+        let starts = word_starts(vocab, leads.chain(root_leads));
         let pairs = starts[vocab];
         let (mut sources, mut counts) = (vec![0u32; pairs], vec![0u64; pairs]);
         let mut next = starts[..vocab].to_vec();
@@ -895,10 +891,7 @@ impl WindowSources {
     ) -> Vec<PostingRun<usize, (FileId, u64)>> {
         let num_rules = fw.num_rows() as u32;
         self.over_key_ranges(pool, |windows| {
-            let mut per_file = DenseCounts {
-                counts: vec![0; num_files],
-                touched: Vec::new(),
-            };
+            let mut per_file = DenseCounts::new(num_files);
             let mut postings: Vec<(FileId, u64)> = Vec::new();
             let mut run = PostingRun::default();
             for i in windows {
@@ -944,109 +937,147 @@ fn assert_sources_fit(num_rules: usize, num_files: usize) {
     );
 }
 
+/// Sequence work items per queue claim of the window fill's scan.
+const ITEMS_PER_CLAIM: usize = 16;
+
+/// Counting-sort offsets over `vocab` words: given the leading word of
+/// every entry, `starts[w]..starts[w + 1]` is where the entries led by word
+/// `w` go, in word order.  Both window-table fills group by it.
+fn word_starts(vocab: usize, leads: impl Iterator<Item = u32>) -> Vec<usize> {
+    let mut starts = vec![0usize; vocab + 1];
+    for w in leads {
+        starts[w as usize + 1] += 1;
+    }
+    for w in 0..vocab {
+        starts[w + 1] += starts[w];
+    }
+    starts
+}
+
 /// Fills the [`WindowSources`] of `ht.l` — packed `u64` keys when they fit
 /// ([`sequences::can_pack`]), owned [`Sequence`]s otherwise — and records
-/// what its scan and merge measured in `timings`.
+/// what its scan and sort measured in `timings`.
 pub(crate) fn fill_window_sources(
     archive: &TadocArchive,
     ht: &HeadTail,
     items: &[SeqItem],
-    mass: &[u64],
     pool: &WorkerPool,
     timings: &mut PhaseTimings,
 ) -> WindowSources {
-    let grammar = &archive.grammar;
-    if sequences::can_pack(ht.l, archive.vocabulary_size()) {
-        WindowFill::<u64>::fill(grammar, ht, items, mass, pool, timings)
+    let (grammar, vocab) = (&archive.grammar, archive.vocabulary_size());
+    if sequences::can_pack(ht.l, vocab) {
+        fill_windows::<u64>(grammar, ht, items, vocab, pool, timings)
     } else {
-        WindowFill::<Sequence>::fill(grammar, ht, items, mass, pool, timings)
+        fill_windows::<Sequence>(grammar, ht, items, vocab, pool, timings)
     }
 }
 
-/// The window fill as the driver's kernel: every local window of a work item
-/// emits `((key, source), 1)`, routed by its first word, so all sources of
-/// one window meet in one bucket and the bucket merge folds them to one
-/// local count per `(key, source)`.
-struct WindowFill<'e, K> {
-    grammar: &'e Grammar,
-    ht: &'e HeadTail,
-    items: &'e [SeqItem],
-    key: PhantomData<fn() -> K>,
-}
-
-impl<'e, K: SeqKey> WindowFill<'e, K> {
-    /// One sharded scan-and-merge of the sequence work items `items`.
-    fn fill(
-        grammar: &'e Grammar,
-        ht: &'e HeadTail,
-        items: &'e [SeqItem],
-        mass: &[u64],
-        pool: &WorkerPool,
-        timings: &mut PhaseTimings,
-    ) -> WindowSources {
-        assert_sources_fit(grammar.num_rules(), grammar.num_files());
-        let kernel = Self {
-            grammar,
-            ht,
-            items,
-            key: PhantomData,
-        };
-        let runs = scan_and_merge(pool, &kernel, mass, timings);
-        kernel.finalize(runs)
-    }
-
-    /// One pass over the bucket runs, which arrive in key order: each new
-    /// key starts a window and appends its words to the key arena.
-    fn finalize(self, runs: Vec<Vec<CountEntry<(K, u32)>>>) -> WindowSources {
-        let (l, pairs) = (self.ht.l, runs.iter().map(Vec::len).sum());
-        let mut table = WindowSources {
-            l,
-            keys: Vec::new(),
-            offsets: Vec::new(),
-            sources: Vec::with_capacity(pairs),
-            counts: Vec::with_capacity(pairs),
-        };
-        let mut last = None;
-        for CountEntry { key, count } in runs.iter().flatten() {
-            if last != Some(&key.0) {
-                table.offsets.push(table.sources.len());
-                let at = table.keys.len();
-                table.keys.resize(at + l, 0);
-                key.0.write_words(&mut table.keys[at..]);
-                last = Some(&key.0);
-            }
-            table.sources.push(key.1);
-            table.counts.push(*count);
-        }
-        table.offsets.push(pairs);
-        table
-    }
-}
-
-impl<K: SeqKey> Kernel for WindowFill<'_, K> {
-    type Entry = CountEntry<(K, u32)>;
-
-    fn items(&self) -> usize {
-        self.items.len()
-    }
-
-    #[inline]
-    fn scan(&self, item: usize, out: &mut Shards<'_, Self::Entry>) {
-        let (body, begin, end, limit, source) = match self.items[item] {
+/// The window fill for one key type, in four steps:
+///
+/// 1. the claim loop scans the work items; each worker pushes `(key,
+///    source)` for every local window, beside the window's leading word;
+/// 2. a counting sort by that word groups all windows in one array;
+/// 3. the array is cut at word boundaries into one contiguous range of
+///    ≈ 1/threads of the windows per worker, and in one pool epoch each
+///    worker sorts its range by `(key, source)` and folds equal pairs into
+///    a local count;
+/// 4. the runs, which are in key order ([`SeqKey`]), are concatenated into
+///    the table's columns.
+///
+/// The limit: one leading word is never split across workers, so a word
+/// that starts more than 1/threads of all windows is sorted by one worker —
+/// the answer is the same, that fill slower.
+fn fill_windows<K: SeqKey>(
+    grammar: &Grammar,
+    ht: &HeadTail,
+    items: &[SeqItem],
+    vocab: usize,
+    pool: &WorkerPool,
+    timings: &mut PhaseTimings,
+) -> WindowSources {
+    assert_sources_fit(grammar.num_rules(), grammar.num_files());
+    let scan_timer = Timer::start();
+    let scanned = claim_loop(pool, items.len(), ITEMS_PER_CLAIM, Vec::new, |windows, item| {
+        let (body, begin, end, limit, source) = match items[item] {
             SeqItem::Rule { r, begin, end } => {
-                let body = self.grammar.rule(r);
+                let body = grammar.rule(r);
                 (body, begin, end, body.len(), r as u32)
             }
             SeqItem::Root(c) => {
-                let source = self.grammar.num_rules() as u32 + c.file;
-                (self.grammar.root(), c.begin, c.end, c.seg_end, source)
+                let source = grammar.num_rules() as u32 + c.file;
+                (grammar.root(), c.begin, c.end, c.seg_end, source)
             }
         };
-        count_range_windows(body, self.ht, begin, end, limit, |words, _| {
-            out.route(words[0])
-                .push(CountEntry::new((K::encode(words), source), 1));
+        count_range_windows(body, ht, begin, end, limit, |words, _| {
+            windows.push((K::encode(words), source, words[0]));
         });
+    });
+    timings.scan = scan_timer.elapsed();
+
+    let sort_timer = Timer::start();
+    let starts = word_starts(vocab, scanned.iter().flatten().map(|&(.., lead)| lead));
+    let windows = starts[vocab];
+    let mut grouped: Vec<(K, u32)> = Vec::new();
+    grouped.resize_with(windows, Default::default);
+    let mut next = starts[..vocab].to_vec();
+    for (key, source, lead) in scanned.into_iter().flatten() {
+        let at = &mut next[lead as usize];
+        grouped[*at] = (key, source);
+        *at += 1;
     }
+    let parts = pool.threads();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut rest, mut at) = (grouped.as_mut_slice(), 0);
+    for p in 1..=parts {
+        let cut = starts[starts.partition_point(|&o| o < windows * p / parts)];
+        let (range, tail) = rest.split_at_mut(cut - at);
+        (rest, at) = (tail, cut);
+        ranges.push(range);
+    }
+    timings.merge_entries = windows as u64;
+    timings.largest_merge_group = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
+    let runs = pool.map_workers(ranges, |_, range| {
+        // Fault-injection site, once per worker: a panic mid-fold, with
+        // the other workers' ranges half sorted.
+        failpoints::fail_point!("merge-fold");
+        range.sort_unstable();
+        // Taking every key frees an owned key's duplicates here, on the
+        // worker, instead of on the caller when the array is dropped.
+        let mut run: Vec<(K, u32, u64)> = Vec::new();
+        for (key, source) in range.iter_mut() {
+            let (key, source) = (std::mem::take(key), *source);
+            match run.last_mut() {
+                Some(last) if last.0 == key && last.1 == source => last.2 += 1,
+                _ => run.push((key, source, 1)),
+            }
+        }
+        run
+    });
+    timings.window_sort = sort_timer.elapsed();
+
+    let pairs = runs.iter().map(Vec::len).sum();
+    let l = ht.l;
+    let mut table = WindowSources {
+        l,
+        keys: Vec::new(),
+        offsets: Vec::new(),
+        sources: Vec::with_capacity(pairs),
+        counts: Vec::with_capacity(pairs),
+    };
+    let mut last = None;
+    for (key, source, count) in runs.iter().flatten() {
+        if last != Some(key) {
+            table.offsets.push(table.sources.len());
+            let at = table.keys.len();
+            table.keys.resize(at + l, 0);
+            key.write_words(&mut table.keys[at..]);
+            last = Some(key);
+        }
+        table.sources.push(*source);
+        table.counts.push(*count);
+    }
+    table.offsets.push(pairs);
+    table
 }
 
 /// `sequenceCount`: one pass over the window table, then its rows.
@@ -1376,7 +1407,7 @@ mod tests {
                                 assert_eq!(exec.output, oracle[k], "{label}");
                                 if l == 1 {
                                     // The word table is built without a
-                                    // merge: the first query fills it, the
+                                    // scan: the first query fills it, the
                                     // second fills only its own task's
                                     // artifacts, the repeat fills nothing.
                                     assert_eq!(filled, n > 0, "{label}");
@@ -1434,42 +1465,88 @@ mod tests {
         );
     }
 
+    /// Dataset shapes A (many files) and B (few huge files) at scale 0.2.
+    fn dataset_corpora() -> Vec<(TadocArchive, Dag)> {
+        use datagen::{DatasetId, DatasetPreset};
+        [DatasetId::A, DatasetId::B]
+            .into_iter()
+            .map(|id| {
+                let archive = DatasetPreset::new(id).generate_scaled(0.2).compress();
+                let dag = Dag::from_grammar(&archive.grammar);
+                (archive, dag)
+            })
+            .collect()
+    }
+
+    /// Fills the window table of `l` at every pool width and at
+    /// `chunk_elements` 1, 7 and 4096, and hands each to `check` with a
+    /// label and the pool that filled it.
+    fn check_window_fills(
+        archive: &TadocArchive,
+        dag: &Dag,
+        l: usize,
+        mut check: impl FnMut(&str, &WorkerPool, WindowSources),
+    ) {
+        let grammar = &archive.grammar;
+        let segments = weights::file_segments(grammar);
+        let levels = head_tail::levels_top_down(dag);
+        for threads in POOL_WIDTHS {
+            let pool = WorkerPool::new(threads);
+            let ht = head_tail::build_head_tail(grammar, dag, &levels, l, &pool);
+            for chunk_elements in [1usize, 7, 4096] {
+                let items = sequence_work_items(grammar, &segments, chunk_elements);
+                let timings = &mut PhaseTimings::default();
+                let filled = fill_window_sources(archive, &ht, &items, &pool, timings);
+                let label = format!(
+                    "{} files, l = {l}, {threads} threads, chunk_elements = {chunk_elements}",
+                    archive.num_files()
+                );
+                check(&label, &pool, filled);
+            }
+        }
+    }
+
     /// The direct `l` = 1 table is, field for field, the table the window
     /// fill builds at `l` = 1, at every pool width and whatever the chunk
     /// size of the fill.
     #[test]
     fn word_table_matches_the_window_fill_at_l_1() {
-        use datagen::{DatasetId, DatasetPreset};
         let mut corpora = vec![
             build(&redundant_corpus()),
             build_wide(),
             build(&ranked_corpus()),
         ];
-        for id in [DatasetId::A, DatasetId::B] {
-            let archive = DatasetPreset::new(id).generate_scaled(0.2).compress();
-            let dag = Dag::from_grammar(&archive.grammar);
-            corpora.push((archive, dag));
-        }
+        corpora.extend(dataset_corpora());
         for (archive, dag) in &corpora {
-            let grammar = &archive.grammar;
-            let segments = weights::file_segments(grammar);
-            let levels = head_tail::levels_top_down(dag);
-            let analysis = engine::Analysis::default();
-            let mass = analysis.ensure_word_mass(archive, dag, &mut Default::default());
-            for threads in POOL_WIDTHS {
-                let pool = WorkerPool::new(threads);
-                let words = WindowSources::of_words(archive, dag, &segments, &pool);
-                let ht = head_tail::build_head_tail(grammar, dag, &levels, 1, &pool);
-                for chunk_elements in [1usize, 7, 4096] {
-                    let items = sequence_work_items(grammar, &segments, chunk_elements);
-                    let timings = &mut PhaseTimings::default();
-                    let filled = fill_window_sources(archive, &ht, &items, mass, &pool, timings);
-                    let label = format!(
-                        "{} files, {threads} threads, chunk_elements = {chunk_elements}",
-                        archive.num_files()
-                    );
-                    assert!(words == filled, "{label}");
-                }
+            let segments = weights::file_segments(&archive.grammar);
+            check_window_fills(archive, dag, 1, |label, pool, filled| {
+                let words = WindowSources::of_words(archive, dag, &segments, pool);
+                assert!(words == filled, "{label}");
+            });
+        }
+    }
+
+    /// The window table of `l` = 2, 3 (packed keys) and 4 (owned keys) is
+    /// the same, field for field, at every pool width and chunk size: on a
+    /// two-word corpus, where most workers get an empty word range, on a
+    /// corpus where one word leads half of all windows, and on both dataset
+    /// shapes.
+    #[test]
+    fn window_fill_is_the_same_at_every_width_and_chunk_size() {
+        let two_words = [("a", "x y y x x y x y y y x"), ("b", "y x y x x y")]
+            .map(|(name, text)| (name.to_string(), text.to_string()));
+        let mut corpora = vec![build(&two_words), build(&word_skewed_corpus())];
+        corpora.extend(dataset_corpora());
+        for (archive, dag) in &corpora {
+            for l in [2usize, 3, 4] {
+                let mut first = None;
+                check_window_fills(archive, dag, l, |label, _, filled| {
+                    if let Some(first) = &first {
+                        assert!(*first == filled, "{label}");
+                    } else {
+                        first = Some(filled);
+                    }
+                });
             }
         }
     }

@@ -58,13 +58,15 @@ pub fn unpack_sequence_into(key: u64, out: &mut [u32]) {
 
 /// A sortable key for sequence windows: either the packed 64-bit form
 /// (the hot path — no allocation per window) or the owned word vector
-/// (when the window does not pack).  `Ord` is what the shard buffers sort
-/// and fold by, and in both forms it is the order of the words: the packed
-/// form is MSB-first with a uniform length tag, so ascending `u64` order
-/// *is* ascending lexicographic word order for a fixed `l`.  That is what
-/// lets a key-range bucket's run, routed by the window's first word, be a
-/// contiguous slice of the answer whichever form the keys take.
-pub trait SeqKey: Ord + Send {
+/// (when the window does not pack).  `Ord` is what the window fill sorts
+/// and folds each worker's range by, and in both forms it is the order of
+/// the words: the packed form is MSB-first with a uniform length tag, so
+/// ascending `u64` order *is* ascending lexicographic word order for a
+/// fixed `l`.  That is what lets a worker's run over a contiguous range of
+/// leading words, grouped by the fill's counting sort, be a contiguous
+/// slice of the answer whichever form the keys take.  `Default` is the
+/// placeholder the counting sort's scatter overwrites.
+pub trait SeqKey: Ord + Send + Default {
     /// Encodes a window.
     fn encode(words: &[u32]) -> Self;
     /// Writes the key's words into `out` (its length is the sequence

@@ -10,8 +10,9 @@
 //!   directly on the compressed grammar, sequentially;
 //! * the **fine-grained parallel engine** ([`fine_grained`]): the G-TADOC
 //!   scheduling on real CPU threads — level-synchronized DAG traversal,
-//!   private per-worker shard buffers, sharded lock-free merges, and
-//!   rule-local sequence counting (see the module docs for the paper mapping);
+//!   private per-worker accumulators, window tables grouped by one counting
+//!   sort and split lock-free by word range, and rule-local sequence
+//!   counting (see the module docs for the paper mapping);
 //! * the session facade over that engine: [`Engine`], built with
 //!   `Engine::builder(..)`; the free function [`run_task`] stays as the
 //!   sequential reference every test and benchmark compares against (and

@@ -92,29 +92,30 @@ pub struct PhaseTimings {
     /// this is [`Duration::ZERO`].  The sequential path does not break out a
     /// shared portion and leaves it zero.
     pub shared_init: Duration,
-    /// Portion of `traversal` spent turning shard rows into the final
-    /// [`AnalyticsOutput`](crate::results::AnalyticsOutput): merging the
-    /// per-shard sorted runs and building the ordered columnar tables.
+    /// Portion of `traversal` spent turning the workers' parts into the
+    /// final [`AnalyticsOutput`](crate::results::AnalyticsOutput):
+    /// concatenating the parts, which are in key order, into the ordered
+    /// columnar tables.
     /// Recorded by the fine-grained finalizers; the sequential path, which
     /// interleaves result construction with the scan, leaves it zero.
     pub finalize: Duration,
     /// Portion of `shared_init` the window fill of a sequence length
     /// `l` ≥ 2 spends in the claim loop: workers scanning work items into
-    /// their private shard buffers (self-compactions included), as the wall
-    /// time of that pool epoch.  Recorded by the query that runs the fill;
-    /// zero on every other query (the word tasks and `l` = 1 read a table
-    /// built without a merge), and on the sequential path.
+    /// their private window lists, as the wall time of that pool epoch.
+    /// Recorded by the query that runs the fill; zero on every other query
+    /// (the word tasks and `l` = 1 read a table built without a scan), and
+    /// on the sequential path.
     pub scan: Duration,
-    /// Portion of `shared_init` the same window fill spends merging each
-    /// shard's per-worker buffers, as the wall time of that pool epoch.
+    /// Portion of `shared_init` the same window fill spends after the scan:
+    /// grouping the windows by leading word with a counting sort, then
+    /// sorting and folding each worker's word range in one pool epoch.
     /// Zero where `scan` is.
-    pub shard_merge: Duration,
-    /// Entries the scan left for the shard merge, over every key-range
-    /// bucket (duplicates a worker had not folded yet included).  Zero
-    /// where `scan` is.
+    pub window_sort: Duration,
+    /// Windows the scan emitted, one per local occurrence.  Zero where
+    /// `scan` is.
     pub merge_entries: u64,
-    /// The entries of the largest contiguous bucket group one merge worker
-    /// took; `merge_entries / threads` is the balanced share.
+    /// The windows of the largest word range one worker sorted, before the
+    /// fold; `merge_entries / threads` is the balanced share.
     pub largest_merge_group: u64,
     /// `true` when every shared artifact the task needed was served from a
     /// warm session cache (nothing was computed this run), or the whole

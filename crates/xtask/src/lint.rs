@@ -11,8 +11,11 @@
 //! | `unwrap-ban`        | the session/arena layers return typed errors, never panic on `None`/`Err` |
 //! | `failpoint-gating`  | every `fail_point!` site is feature-gated through the manifest chain, so release builds compile it out |
 //! | `forbid-unsafe`     | unsafe stays confined to the allowlisted crates; everyone else carries `#![forbid(unsafe_code)]` |
-//! | `no-hash-finalize`  | the fine-grained finalize path stays hash-free: per-shard sorted runs merge into ordered columns, never back into a hash table |
+//! | `no-hash-finalize`  | the fine-grained finalize path stays hash-free: tables grouped by one counting sort concatenate their key-ordered runs into ordered columns, never back into a hash table |
 //! | `copy-free-hit-path` | a results-cache hit stays a reference-count bump and a `write_all`: no deep copy of a result table, no re-encoding outside the one miss/first-hit site |
+//!
+//! A `rules.toml` path fragment that selects no file is a finding of the
+//! rule it configures: a stale entry guards nothing.
 //!
 //! Any finding can be suppressed at the site with
 //! `// xtask-allow(<rule>): <reason>` on the same or the preceding line; an
@@ -39,7 +42,7 @@ pub const RULES: &[&str] = &[
 
 /// Hash-table type names banned from the fine-grained finalize path.  The
 /// tentpole invariant is *zero hash probes after the traversal phase*: the
-/// key-range bucket runs concatenate straight into ordered columns, so any
+/// word-range runs concatenate straight into ordered columns, so any
 /// hash map re-appearing on these files is the old finalizer growing back.
 const HASH_TYPES: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
 
@@ -123,6 +126,8 @@ pub struct Config {
     pub hash_finalize_paths: Vec<String>,
     /// Path fragments selecting the files of the serving hit path.
     pub hit_path_paths: Vec<String>,
+    /// The `rules.toml` the config was loaded from, and its text.
+    pub source: (PathBuf, String),
 }
 
 impl Config {
@@ -139,8 +144,31 @@ impl Config {
             unwrap_paths: workspace::string_array(&text, "unwrap-ban", "paths"),
             hash_finalize_paths: workspace::string_array(&text, "no-hash-finalize", "paths"),
             hit_path_paths: workspace::string_array(&text, "copy-free-hit-path", "paths"),
+            source: (path.clone(), text),
         })
     }
+
+    /// Every path fragment, with the rule it selects files for, that
+    /// selects none of `files` (slash-separated paths).  Such a fragment —
+    /// left behind when its file was deleted or moved — guards nothing,
+    /// yet the lint would report the tree clean.
+    pub fn unmatched_fragments(&self, files: &[String]) -> Vec<(&'static str, &str)> {
+        let lists = [
+            ("unwrap-ban", &self.unwrap_paths),
+            ("no-hash-finalize", &self.hash_finalize_paths),
+            ("copy-free-hit-path", &self.hit_path_paths),
+        ];
+        lists
+            .into_iter()
+            .flat_map(|(rule, frags)| frags.iter().map(move |frag| (rule, frag.as_str())))
+            .filter(|(_, frag)| !files.iter().any(|file| file.contains(frag)))
+            .collect()
+    }
+}
+
+/// A path with `/` separators, the form the `rules.toml` fragments match.
+fn slash_separated(path: &Path) -> String {
+    path.to_string_lossy().replace('\\', "/")
 }
 
 /// Lints the workspace rooted at `root`; returns every (unsuppressed)
@@ -151,6 +179,21 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
     let mut out = Vec::new();
     for krate in &crates {
         lint_crate(krate, &config, root, &mut out)?;
+    }
+    let files: Vec<String> = crates
+        .iter()
+        .flat_map(|k| &k.files)
+        .map(|p| slash_separated(p))
+        .collect();
+    let (rules_file, rules_text) = &config.source;
+    for (rule, frag) in config.unmatched_fragments(&files) {
+        let quoted = format!("\"{frag}\"");
+        out.push(Violation {
+            file: rel(rules_file, root),
+            line: rules_text.lines().position(|l| l.contains(&quoted)).map_or(1, |i| i + 1),
+            rule: rule.into(),
+            msg: format!("path fragment `{frag}` selects no file: remove it or fix the path"),
+        });
     }
     out.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(out)
@@ -169,7 +212,7 @@ fn lint_crate(
         let file = FileLint::new(&src, rel(path, root));
         file.safety_comments(out);
         file.atomic_orderings(out);
-        let slashed = path.to_string_lossy().replace('\\', "/");
+        let slashed = slash_separated(path);
         let selected = |frags: &[String]| frags.iter().any(|frag| slashed.contains(frag.as_str()));
         if selected(&config.unwrap_paths) {
             file.unwrap_ban(out);
@@ -923,6 +966,22 @@ mod tests {
         ";
         let lint = file_lint(src);
         assert_eq!(lint.failpoint_sites(), vec![3]);
+    }
+
+    #[test]
+    fn a_path_fragment_that_selects_no_file_is_flagged() {
+        let config = Config {
+            unwrap_paths: vec!["crates/a/src/".into()],
+            hash_finalize_paths: vec!["crates/a/src/gone.rs".into(), "crates/a/src/lib.rs".into()],
+            hit_path_paths: vec!["crates/b/".into()],
+            ..Config::default()
+        };
+        let files = ["/ws/crates/a/src/lib.rs".to_string(), "/ws/crates/a/src/x.rs".to_string()];
+        assert_eq!(
+            config.unmatched_fragments(&files),
+            vec![("no-hash-finalize", "crates/a/src/gone.rs"), ("copy-free-hit-path", "crates/b/")]
+        );
+        assert!(Config::default().unmatched_fragments(&[]).is_empty());
     }
 
     #[test]

@@ -77,19 +77,19 @@ fn main() {
         );
     }
 
-    // The one scan-and-merge left is the sequence tasks' window fill,
-    // which the first of them runs inside its shared init; every warm
-    // query is one pass over a cached table, then the finalize.
+    // The one scan and sort is the sequence tasks' window fill, which the
+    // first of them runs inside its shared init; every warm query is one
+    // pass over a cached table, then the finalize.
     println!("\n== cold window fill, by stage ==");
     for (task, exec) in Task::ALL.into_iter().zip(&cold) {
         let t = &exec.timings;
         if t.merge_entries > 0 {
             println!(
-                "{:<22} shared init {:>8.1} µs includes scan {:>8.1} + shard merge {:>8.1} ({} entries)",
+                "{:<22} shared init {:>8.1} µs includes scan {:>8.1} + window sort {:>8.1} ({} windows)",
                 task.name(),
                 t.shared_init.as_secs_f64() * 1e6,
                 t.scan.as_secs_f64() * 1e6,
-                t.shard_merge.as_secs_f64() * 1e6,
+                t.window_sort.as_secs_f64() * 1e6,
                 t.merge_entries,
             );
         }

@@ -9,7 +9,8 @@
 //! * [`sequitur`] — Sequitur grammar compression and the TADOC archive format;
 //! * [`tadoc`] — the sequential CPU TADOC baseline (six analytics tasks), the
 //!   fine-grained parallel CPU engine (level-synchronized DAG traversal,
-//!   per-worker shard buffers merged lock-free), and the CPU/cluster cost
+//!   window tables grouped by one counting sort and read lock-free by word
+//!   range), and the CPU/cluster cost
 //!   models;
 //! * [`gpu_sim`] — the SIMT GPU simulator substrate (Pascal/Volta/Turing);
 //! * [`gtadoc`] — G-TADOC itself: fine-grained thread scheduling, GPU memory

@@ -133,7 +133,7 @@ fn fine_grained_equals_sequential_and_coarse_on_all_tasks() {
 /// An archive containing an empty file (alongside tiny and normal files)
 /// must agree across sequential and fine on **all six tasks** and at 1/4/8
 /// worker threads.  The empty file makes work partitioning degenerate —
-/// workers can end up with zero assigned rules and empty shard buffers.
+/// workers can end up with zero assigned rules and empty word ranges.
 #[test]
 fn empty_file_archive_agrees_on_all_tasks_at_all_thread_counts() {
     let corpus = vec![

@@ -6,16 +6,16 @@
 //! level and that exercises the epoch handshake thousands of times per run.
 //! Plus a file-skewed regression corpus for the CSR-based term-vector
 //! kernel, whose workers own statically partitioned file ranges, and a
-//! word-skewed corpus plus the balance of the merge groups for the window
-//! fill, whose key-range buckets move between merge workers by size.
+//! word-skewed corpus plus the balance of the word ranges for the window
+//! fill, whose workers each sort a contiguous range of leading words.
 
 mod common;
 
 use common::run_cold;
 use g_tadoc_repro::prelude::*;
 
-/// The tasks whose window fill routes entries into key-range buckets (at
-/// `l` ≥ 2; the word tasks read the `l` = 1 table, which has no merge).
+/// The tasks whose window fill sorts word ranges (at `l` ≥ 2; the word
+/// tasks read the `l` = 1 table, which has no sort within a word).
 const SHARDED: [Task; 2] = [Task::SequenceCount, Task::RankedInvertedIndex];
 
 /// A corpus whose grammar is a deep chain: repeated doubling yields nested
@@ -128,7 +128,7 @@ fn term_vector_fine_matches_sequential_on_file_skew() {
 }
 
 /// Half of all tokens are one word, so one leading word starts half of all
-/// windows: its bucket outweighs every merge group's fair share.
+/// windows: its word range outweighs every worker's fair share.
 fn word_skewed_corpus() -> Vec<(String, String)> {
     (0..12)
         .map(|f| {
@@ -170,10 +170,10 @@ fn sharded_kernels_match_sequential_when_one_word_is_half_the_corpus() {
     }
 }
 
-/// The largest contiguous bucket group a merge worker takes stays within
-/// 1.5× the mean group on the many-file (A) and few-huge-file (B) shapes.
-/// Each task runs cold on an engine of its own: the sequence tasks merge
-/// buckets only in the window fill of their first query.
+/// The largest word range a worker sorts stays within 1.5× the mean range
+/// on the many-file (A) and few-huge-file (B) shapes.  Each task runs cold
+/// on an engine of its own: the sequence tasks sort only in the window
+/// fill of their first query.
 #[test]
 fn merge_groups_stay_balanced_on_dataset_shapes() {
     for id in [DatasetId::A, DatasetId::B] {
@@ -188,7 +188,7 @@ fn merge_groups_stay_balanced_on_dataset_shapes() {
                 assert!(mean > 100.0, "premise: {} entries", t.merge_entries);
                 assert!(
                     largest <= 1.5 * mean,
-                    "dataset {} {} at {threads} threads: largest group {largest} vs mean {mean:.0}",
+                    "dataset {} {} at {threads} threads: largest range {largest} vs mean {mean:.0}",
                     id.label(),
                     task.name()
                 );

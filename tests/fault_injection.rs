@@ -77,13 +77,14 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
                 assert_eq!(&faulted.output, oracle, "{label}: degraded output");
                 match faulted.timings.degraded {
                     Some(Degradation::WorkerPanic) => fired += 1,
-                    // `merge-fold` fires only where shard buffers merge:
-                    // in the window fill of `l` ≥ 2 (as here, `l` = 3), which
-                    // the sequence tasks run when their table is cold (as
-                    // here: a fresh engine per task).  The word tasks read
-                    // the `l` = 1 table, built without a merge, and term
-                    // vector merges by scatter, so they pass it by; the
-                    // other two sites sit on every task's path.
+                    // `merge-fold` fires only where a window fill sorts and
+                    // folds its word ranges: in the window fill of `l` ≥ 2
+                    // (as here, `l` = 3), which the sequence tasks run when
+                    // their table is cold (as here: a fresh engine per
+                    // task).  The word tasks read the `l` = 1 table, built
+                    // without that fold, and term vector merges by scatter,
+                    // so they pass it by; the other two sites sit on every
+                    // task's path.
                     None => assert!(
                         site == "merge-fold" && !task.is_sequence_sensitive(),
                         "{label}: must have degraded"
@@ -109,7 +110,7 @@ fn every_failpoint_leaves_the_engine_serving_oracle_identical_results() {
     }
 }
 
-/// A fault inside the window fill — `merge-fold` in its bucket merge, then
+/// A fault inside the window fill — `merge-fold` in its range fold, then
 /// `chunk-boundary` at its first checkpoint on the next query (a level of
 /// the head/tail build inside the fill) — degrades that query to the
 /// oracle answer and leaves the table's cell empty: the query after refills exactly that one

@@ -236,52 +236,6 @@ proptest! {
     }
 }
 
-/// Strategy: up to 6 per-worker runs of `(key, value)` pairs.  Includes the
-/// adversarial cases: empty runs, single-key runs, duplicate keys both
-/// within and across runs.
-fn raw_runs() -> impl Strategy<Value = Vec<Vec<(u32, u64)>>> {
-    vec(vec((0u32..30, 0u64..1000), 0..40), 0..6)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    // The engine's key-range routing: cut the key space at the
-    // quantiles of an arbitrary mass column (zeros included), sort each
-    // bucket, group the buckets for the merge workers by what they hold —
-    // concatenating the groups' buckets in order equals concatenating all
-    // runs and stable-sorting by key, at every pool width.
-    #[test]
-    fn range_routed_concat_equals_concat_stable_sort(
-        runs in raw_runs(),
-        mass in vec(0u64..5, 1..40),
-    ) {
-        use tadoc::fine_grained::exec::{partition_by_cost, range_splitters};
-        let mut reference: Vec<(u32, u64)> = runs.concat();
-        reference.sort_by_key(|&(k, _)| k);
-        let mut cum = vec![0u64];
-        for m in &mass {
-            cum.push(cum[cum.len() - 1] + m);
-        }
-        for threads in [1usize, 4, 8] {
-            let cuts = range_splitters(&cum, 8 * threads);
-            let mut buckets: Vec<Vec<(u32, u64)>> = vec![Vec::new(); cuts.len() + 1];
-            for &(k, v) in runs.iter().flatten() {
-                buckets[cuts.partition_point(|&c| c <= k)].push((k, v));
-            }
-            let sizes: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
-            let mut routed: Vec<(u32, u64)> = Vec::new();
-            for group in partition_by_cost(&sizes, threads) {
-                for bucket in &mut buckets[group] {
-                    bucket.sort_by_key(|&(k, _)| k);
-                    routed.extend_from_slice(bucket);
-                }
-            }
-            prop_assert_eq!(&routed, &reference, "threads = {}", threads);
-        }
-    }
-}
-
 proptest! {
     // Fewer cases: each runs all six tasks at three pool widths.
     #![proptest_config(ProptestConfig::with_cases(10))]
