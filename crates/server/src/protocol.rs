@@ -23,21 +23,30 @@
 //! | `Query`       | task `u8`, sequence_length `u64`, deadline flag `u8` (+ `deadline_ms u64`) |
 //! | `Stats`       | empty |
 //! | `Shutdown`    | empty |
-//! | `Result`      | task tag `u8`, `l u64` (sequence tasks only), row count `u64`, then the table's `columns()` |
+//! | `Result`      | task tag `u8`, `l u64` (sequence tasks only), row count `u64`, then the table's `columns()`, each as width-prefixed runs |
 //! | `Error`       | code `u8`, message length `u32`, UTF-8 bytes |
 //! | `Overloaded`  | queue depth `u32`, queue capacity `u32` |
-//! | `StatsReply`  | eight `u64` counters |
+//! | `StatsReply`  | eight counters, as one width-prefixed run |
 //! | `ShutdownAck` | empty |
 //!
 //! Results travel as their **ordered columnar form** directly: the columns
 //! `AnalyticsOutput::columns` lists, in its order, the representation the
 //! engine finalizes into — so a decoded result is bit-for-bit the table the
 //! server held (`AnalyticsOutput::digest` agrees across the wire).  A task's
-//! tag is its position in `Task::ALL`, from 1; offsets travel as `u64`s and
-//! a pair column as its `u32` column, then its `u64` column.  Every byte
-//! moves once: the encoder computes the exact frame length from the columns
-//! and writes them, a slice at a time, into one buffer of that size; the
-//! decoder builds each result column straight from its byte range.
+//! tag is its position in `Task::ALL`, from 1.
+//!
+//! Every integer column travels as one or two **runs**: a width byte `w`
+//! (1, 2, 4 or 8), then the column's values as `w`-byte integers.  `w` is
+//! the narrowest width that holds the run's largest value (an offsets
+//! column's last offset; 1 for an empty run), so a file id below 256 takes
+//! one byte and a count below 65,536 two.  A `U32`, `U64` or offsets column
+//! is one run, a pair column two: its ids, then its counts.  The decoder
+//! refuses a width that is not the narrowest, so every frame it accepts
+//! re-encodes to the same bytes.  Every byte moves once: the encoder
+//! computes each run's width once, takes the exact frame length from the
+//! widths and the column lengths, and writes the runs, a loop per width,
+//! into one buffer of that size; the decoder builds each result column
+//! straight from its byte range.
 
 use std::sync::Arc;
 
@@ -51,7 +60,7 @@ use tadoc::results::{
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TDQP";
 /// Protocol version this codec speaks.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Fixed frame header length: magic (4) + version (1) + kind (1) + len (4).
 pub const HEADER_LEN: usize = 10;
 /// Maximum payload length a peer may declare.  Frames claiming more are
@@ -310,6 +319,52 @@ fn le<const N: usize>(chunk: &[u8]) -> [u8; N] {
     bytes
 }
 
+/// The value of one `N`-byte little-endian chunk.
+fn uint<const N: usize>(chunk: &[u8]) -> u64 {
+    let mut bytes = [0u8; 8];
+    bytes[..N].copy_from_slice(chunk);
+    u64::from_le_bytes(bytes)
+}
+
+/// The narrowest run width that holds `max`.  The OR of a run's values has
+/// the width of their largest, so both the encoder and the decoder pass
+/// the OR.
+fn width_of(max: u64) -> usize {
+    match max {
+        0..=0xff => 1,
+        0x100..=0xffff => 2,
+        0x1_0000..=0xffff_ffff => 4,
+        _ => 8,
+    }
+}
+
+/// Evaluates `$body` with the constant `$n` set to the run width `$w`, so
+/// each width gets a loop of its own with no per-value branch.  The
+/// widths are 1, 2, 4 and 8; any other `$w` is taken as 8, so callers
+/// pass only checked widths.
+macro_rules! by_width {
+    ($w:expr, $n:ident => $body:expr) => {
+        match $w {
+            1 => {
+                const $n: usize = 1;
+                $body
+            }
+            2 => {
+                const $n: usize = 2;
+                $body
+            }
+            4 => {
+                const $n: usize = 4;
+                $body
+            }
+            _ => {
+                const $n: usize = 8;
+                $body
+            }
+        }
+    };
+}
+
 /// Checked reader over an untrusted payload slice.
 struct Cursor<'a> {
     buf: &'a [u8],
@@ -367,15 +422,50 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Reads a column of `len` elements (`None`: the count overflowed).
-    /// The column's byte count is checked against the bytes left before
-    /// anything is allocated, so nothing is reserved beyond what the peer
-    /// actually sent.
-    fn column<T: Element>(&mut self, len: Option<usize>) -> Result<Vec<T>, ProtocolError> {
+    /// Reads a run of `len` values (`None`: the count overflowed): its
+    /// width byte, then its bytes.  `widest` is the width of the column's
+    /// own type.  The width is checked, and the run's byte count against
+    /// the bytes left, before anything is allocated, so nothing is reserved
+    /// beyond what the peer actually sent.
+    fn run(&mut self, len: Option<usize>, widest: usize) -> Result<Run<'a>, ProtocolError> {
+        let what = self.what;
+        let width = usize::from(self.u8()?);
+        if !matches!(width, 1 | 2 | 4 | 8) {
+            return Err(malformed(format!(
+                "{what}: run width {width} is not 1, 2, 4 or 8"
+            )));
+        }
+        if width > widest {
+            return Err(malformed(format!(
+                "{what}: run width {width} exceeds the column's {widest}-byte values"
+            )));
+        }
         let bytes = len
-            .and_then(|n| n.checked_mul(T::WIDTH))
-            .ok_or_else(|| malformed(format!("{}: column length overflows", self.what)))?;
-        T::read(self.take(bytes)?, self.what)
+            .and_then(|n| n.checked_mul(width))
+            .ok_or_else(|| malformed(format!("{what}: column length overflows")))?;
+        Ok(Run {
+            bytes: self.take(bytes)?,
+            width,
+            what,
+        })
+    }
+
+    /// Reads a one-run column of `len` values, each as `value` maps it.
+    fn ints<T>(
+        &mut self,
+        len: Option<usize>,
+        widest: usize,
+        value: impl Fn(u64) -> T,
+    ) -> Result<Vec<T>, ProtocolError> {
+        let run = self.run(len, widest)?;
+        let mut out = Vec::with_capacity(run.len());
+        run.push_into(&mut out, value)?;
+        Ok(out)
+    }
+
+    /// Reads a column of `len` elements (see [`Element`]).
+    fn column<T: Element>(&mut self, len: Option<usize>) -> Result<Vec<T>, ProtocolError> {
+        T::read(self, len)
     }
 
     /// Reads a CSR offsets column of `rows + 1` entries and the value
@@ -397,88 +487,159 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// An element of a result column, with its width on the wire.  Reading a
-/// column back is one pass over its bytes.
-trait Element: Sized {
-    /// Bytes per element on the wire.
-    const WIDTH: usize;
-
-    /// Decodes `bytes`, exactly `WIDTH` per element.
-    fn read(bytes: &[u8], what: &str) -> Result<Vec<Self>, ProtocolError>;
+/// One run's bytes, already checked against the payload, and its width.
+struct Run<'a> {
+    bytes: &'a [u8],
+    width: usize,
+    /// What is being read, for the error messages.
+    what: &'static str,
 }
 
-/// Decodes a column of `N`-byte little-endian integers.  `from_le` is
-/// generic, not a `fn` pointer, so it inlines into the loop.
-fn ints<T, const N: usize>(bytes: &[u8], from_le: impl Fn([u8; N]) -> T) -> Vec<T> {
-    bytes.chunks_exact(N).map(|b| from_le(le(b))).collect()
+impl Run<'_> {
+    /// Values in the run.
+    fn len(&self) -> usize {
+        self.bytes.len() / self.width
+    }
+
+    /// Appends the run's values to `out`, each as `value` maps it.
+    fn push_into<T>(
+        &self,
+        out: &mut Vec<T>,
+        value: impl Fn(u64) -> T,
+    ) -> Result<(), ProtocolError> {
+        let bits = by_width!(self.width, N => {
+            let mut bits = 0;
+            out.extend(self.bytes.chunks_exact(N).map(|b| {
+                let v = uint::<N>(b);
+                bits |= v;
+                value(v)
+            }));
+            bits
+        });
+        self.check_narrowest(bits)
+    }
+
+    /// Stores the run's values into `slots`, one each, with `set`.
+    fn store_into<T>(
+        &self,
+        slots: &mut [T],
+        set: impl Fn(&mut T, u64),
+    ) -> Result<(), ProtocolError> {
+        let bits = by_width!(self.width, N => {
+            let mut bits = 0;
+            for (slot, b) in slots.iter_mut().zip(self.bytes.chunks_exact(N)) {
+                let v = uint::<N>(b);
+                bits |= v;
+                set(slot, v);
+            }
+            bits
+        });
+        self.check_narrowest(bits)
+    }
+
+    /// A run travels at the narrowest width its values allow (`bits` is
+    /// their OR), so every table has exactly one frame.
+    fn check_narrowest(&self, bits: u64) -> Result<(), ProtocolError> {
+        let need = width_of(bits);
+        if need < self.width {
+            return Err(malformed(format!(
+                "{}: run width {} where the values fit {need}",
+                self.what, self.width
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// An element of a result column.  Reading a column back is one pass per
+/// run over its bytes.
+trait Element: Sized {
+    /// Reads a column of `len` elements (`None`: the count overflowed).
+    fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError>;
 }
 
 impl Element for u32 {
-    const WIDTH: usize = 4;
-
-    fn read(bytes: &[u8], _: &str) -> Result<Vec<Self>, ProtocolError> {
-        Ok(ints(bytes, u32::from_le_bytes))
+    fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError> {
+        // A run at most 4 bytes wide holds only `u32` values.
+        c.ints(len, 4, |v| v as u32)
     }
 }
 
 impl Element for u64 {
-    const WIDTH: usize = 8;
-
-    fn read(bytes: &[u8], _: &str) -> Result<Vec<Self>, ProtocolError> {
-        Ok(ints(bytes, u64::from_le_bytes))
+    fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError> {
+        c.ints(len, 8, |v| v)
     }
 }
 
-/// A pair column travels as its `u32` column followed by its `u64` column.
+/// A pair column travels as its ids run followed by its counts run, and
+/// decodes straight into the pairs: the ids first, then each count into
+/// its pair.
 impl Element for (u32, u64) {
-    const WIDTH: usize = 4 + 8;
-
-    fn read(bytes: &[u8], _: &str) -> Result<Vec<Self>, ProtocolError> {
-        let (firsts, seconds) = bytes.split_at(bytes.len() / Self::WIDTH * 4);
-        Ok(firsts
-            .chunks_exact(4)
-            .zip(seconds.chunks_exact(8))
-            .map(|(a, b)| (u32::from_le_bytes(le(a)), u64::from_le_bytes(le(b))))
-            .collect())
+    fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError> {
+        let ids = c.run(len, 4)?;
+        let counts = c.run(len, 8)?;
+        let mut pairs = Vec::with_capacity(ids.len());
+        ids.push_into(&mut pairs, |id| (id as u32, 0))?;
+        counts.store_into(&mut pairs, |pair, count| pair.1 = count)?;
+        Ok(pairs)
     }
 }
 
-/// CSR offsets travel as `u64`s; they must start at 0, never decrease, and
-/// fit `usize`.
+/// CSR offsets must start at 0, never decrease, and fit `usize`: the run
+/// may be no wider than `usize`, so every offset it carries fits.
 impl Element for usize {
-    const WIDTH: usize = 8;
-
-    fn read(bytes: &[u8], what: &str) -> Result<Vec<Self>, ProtocolError> {
-        let mut offsets = Vec::with_capacity(bytes.len() / 8);
-        let mut previous = 0u64;
-        for b in bytes.chunks_exact(8) {
-            let offset = u64::from_le_bytes(le(b));
-            if offsets.is_empty() && offset != 0 {
-                return Err(malformed(format!("{what}: offsets do not start at 0")));
-            }
-            if offset < previous {
-                return Err(malformed(format!("{what}: offsets decrease")));
-            }
-            previous = offset;
-            offsets.push(
-                usize::try_from(offset)
-                    .map_err(|_| malformed(format!("{what}: offset overflows")))?,
-            );
+    fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError> {
+        let what = c.what;
+        let offsets = c.ints(len, size_of::<usize>(), |v| v as usize)?;
+        if offsets.first().is_some_and(|&first| first != 0) {
+            return Err(malformed(format!("{what}: offsets do not start at 0")));
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(malformed(format!("{what}: offsets decrease")));
         }
         Ok(offsets)
     }
 }
 
-/// Bytes `column` takes on the wire.  In `u64`: offsets are 8 bytes on the
-/// wire whatever `usize` is.
-fn wire_len(column: Column<'_>) -> u64 {
-    let (len, width) = match column {
-        Column::U32(v) => (v.len(), u32::WIDTH),
-        Column::U64(v) => (v.len(), u64::WIDTH),
-        Column::Offsets(v) => (v.len(), usize::WIDTH),
-        Column::Pairs(v) => (v.len(), <(u32, u64)>::WIDTH),
-    };
-    len as u64 * width as u64
+/// A column with the width of each of its runs: its one run, or a pair
+/// column's ids run and counts run.  Computed once per frame, for the
+/// payload length and the writer both.
+#[derive(Clone, Copy)]
+struct WireColumn<'a> {
+    column: Column<'a>,
+    widths: [usize; 2],
+}
+
+impl<'a> WireColumn<'a> {
+    /// One pass over the column for the OR of its values; an offsets
+    /// column, which never decreases, reads only its last offset.
+    fn new(column: Column<'a>) -> Self {
+        let widths = match column {
+            Column::U32(v) => [width_of(v.iter().fold(0, |bits, &x| bits | x).into()), 0],
+            Column::U64(v) => [width_of(v.iter().fold(0, |bits, &x| bits | x)), 0],
+            Column::Offsets(v) => [width_of(v.last().map_or(0, |&o| o as u64)), 0],
+            Column::Pairs(v) => {
+                let (ids, counts) = v.iter().fold((0, 0), |(ids, counts), &(id, count)| {
+                    (ids | id, counts | count)
+                });
+                [width_of(ids.into()), width_of(counts)]
+            }
+        };
+        Self { column, widths }
+    }
+
+    /// Bytes the column takes on the wire: per run, its width byte and its
+    /// values.  In `u64`, so a huge table's length cannot wrap.
+    fn wire_len(&self) -> u64 {
+        let (len, runs) = match self.column {
+            Column::U32(v) => (v.len(), 1),
+            Column::U64(v) => (v.len(), 1),
+            Column::Offsets(v) => (v.len(), 1),
+            Column::Pairs(v) => (v.len(), 2),
+        };
+        let run = |&width: &usize| 1 + len as u64 * width as u64;
+        self.widths[..runs].iter().map(run).sum()
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -535,15 +696,23 @@ impl Writer {
         self.pos = end;
     }
 
-    /// Writes one column in its wire form (see [`Element`]).
-    fn column(&mut self, column: Column<'_>) {
-        match column {
-            Column::U32(v) => self.items(v, u32::to_le_bytes),
-            Column::U64(v) => self.items(v, u64::to_le_bytes),
-            Column::Offsets(v) => self.items(v, |o| (o as u64).to_le_bytes()),
+    /// Writes one run: `width`, then `value` of every item as a
+    /// `width`-byte integer.
+    fn run<T: Copy>(&mut self, items: &[T], width: usize, value: impl Fn(T) -> u64) {
+        self.u8(width as u8);
+        by_width!(width, N => self.items(items, |item| le::<N>(&value(item).to_le_bytes()[..N])));
+    }
+
+    /// Writes one column in its wire form: each run at its width.
+    fn column(&mut self, column: WireColumn<'_>) {
+        let [width, counts_width] = column.widths;
+        match column.column {
+            Column::U32(v) => self.run(v, width, u64::from),
+            Column::U64(v) => self.run(v, width, |count| count),
+            Column::Offsets(v) => self.run(v, width, |o| o as u64),
             Column::Pairs(v) => {
-                self.items(v, |(id, _)| id.to_le_bytes());
-                self.items(v, |(_, count)| count.to_le_bytes());
+                self.run(v, width, |(id, _)| u64::from(id));
+                self.run(v, counts_width, |(_, count)| count);
             }
         }
     }
@@ -652,8 +821,8 @@ pub fn parse_request(kind: u8, payload: &[u8]) -> Result<Request, ProtocolError>
             let mut c = Cursor::new(payload);
             let task = task_from_tag(c.u8()?)?;
             let raw_l = c.u64()?;
-            let sequence_length = usize::try_from(raw_l)
-                .map_err(|_| malformed("sequence_length overflows usize"))?;
+            let sequence_length =
+                usize::try_from(raw_l).map_err(|_| malformed("sequence_length overflows usize"))?;
             let deadline_ms = match c.u8()? {
                 0 => None,
                 1 => Some(c.u64()?),
@@ -689,35 +858,50 @@ pub fn decode_request(buf: &[u8]) -> Result<(Request, usize), ProtocolError> {
 // Responses
 // ---------------------------------------------------------------------------
 
-/// Exact payload length of `out`'s result frame, from its column lengths
-/// alone: tag, `l` for the sequence tasks, row count, then the columns.
-fn output_payload_len(out: &AnalyticsOutput) -> u64 {
-    let l_len = 8 * u64::from(out.sequence_length().is_some());
-    1 + l_len + 8 + out.columns().1.into_iter().map(wire_len).sum::<u64>()
+/// A result frame before it is written: the table's row count, its
+/// columns with their run widths, and the exact payload length they add up
+/// to — tag, `l` for the sequence tasks, row count, then the columns.
+struct ResultFrame<'a> {
+    out: &'a AnalyticsOutput,
+    rows: usize,
+    columns: Vec<WireColumn<'a>>,
+    payload_len: u64,
 }
 
-/// Encodes `out` as a result frame of `payload_len` payload bytes — what
-/// [`output_payload_len`] computed for it.  A result too large for one
-/// frame is answered with a typed error instead of a length that does not
-/// fit the header.
-fn encode_result(out: &AnalyticsOutput, payload_len: u64) -> Vec<u8> {
-    if payload_len > u64::from(MAX_PAYLOAD_LEN) {
-        return encode_error(&WireError::new(
-            WireErrorCode::Internal,
-            "result exceeds the frame cap",
-        ));
+impl<'a> ResultFrame<'a> {
+    fn new(out: &'a AnalyticsOutput) -> Self {
+        let (rows, columns) = out.columns();
+        let columns: Vec<WireColumn<'a>> = columns.into_iter().map(WireColumn::new).collect();
+        let l_len = 8 * u64::from(out.sequence_length().is_some());
+        let payload_len = 1 + l_len + 8 + columns.iter().map(WireColumn::wire_len).sum::<u64>();
+        Self {
+            out,
+            rows,
+            columns,
+            payload_len,
+        }
     }
-    let mut w = Writer::frame(KIND_RESULT, payload_len as usize);
-    w.u8(task_tag(out.task()));
-    if let Some(l) = out.sequence_length() {
-        w.u64(l as u64);
+
+    /// Writes the frame.  A result too large for one frame is answered with
+    /// a typed error instead of a length that does not fit the header.
+    fn encode(&self) -> Vec<u8> {
+        if self.payload_len > u64::from(MAX_PAYLOAD_LEN) {
+            return encode_error(&WireError::new(
+                WireErrorCode::Internal,
+                "result exceeds the frame cap",
+            ));
+        }
+        let mut w = Writer::frame(KIND_RESULT, self.payload_len as usize);
+        w.u8(task_tag(self.out.task()));
+        if let Some(l) = self.out.sequence_length() {
+            w.u64(l as u64);
+        }
+        w.u64(self.rows as u64);
+        for &column in &self.columns {
+            w.column(column);
+        }
+        w.finish()
     }
-    let (rows, columns) = out.columns();
-    w.u64(rows as u64);
-    for column in columns {
-        w.column(column);
-    }
-    w.finish()
 }
 
 /// Decodes a result payload: the columns [`AnalyticsOutput::columns`] lists
@@ -800,7 +984,7 @@ fn encode_error(e: &WireError) -> Vec<u8> {
 /// Encodes a response as one complete frame.
 pub fn encode_response(resp: &Response) -> Vec<u8> {
     match resp {
-        Response::Result(out) => encode_result(out, output_payload_len(out)),
+        Response::Result(out) => ResultFrame::new(out).encode(),
         Response::Error(e) => encode_error(e),
         Response::Overloaded {
             queue_depth,
@@ -822,8 +1006,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
                 s.batched_queries,
                 s.protocol_errors,
             ];
-            let mut w = Writer::frame(KIND_STATS_REPLY, 8 * counters.len());
-            w.column(Column::U64(&counters));
+            let counters = WireColumn::new(Column::U64(&counters));
+            let mut w = Writer::frame(KIND_STATS_REPLY, counters.wire_len() as usize);
+            w.column(counters);
             w.finish()
         }
         Response::ShutdownAck => Writer::frame(KIND_SHUTDOWN_ACK, 0).finish(),
@@ -845,8 +1030,8 @@ pub fn parse_response(kind: u8, payload: &[u8]) -> Result<Response, ProtocolErro
         KIND_RESULT => Ok(Response::Result(Arc::new(decode_output(payload)?))),
         KIND_ERROR => {
             let mut c = Cursor::new(payload);
-            let code = WireErrorCode::from_byte(c.u8()?)
-                .ok_or_else(|| malformed("unknown error code"))?;
+            let code =
+                WireErrorCode::from_byte(c.u8()?).ok_or_else(|| malformed("unknown error code"))?;
             let len = c.u32()? as usize;
             let bytes = c.take(len)?;
             let message = std::str::from_utf8(bytes)
@@ -867,18 +1052,21 @@ pub fn parse_response(kind: u8, payload: &[u8]) -> Result<Response, ProtocolErro
         }
         KIND_STATS_REPLY => {
             let mut c = Cursor::new(payload);
-            let s = StatsSnapshot {
-                accepted_connections: c.u64()?,
-                queries_answered: c.u64()?,
-                shed: c.u64()?,
-                refused: c.u64()?,
-                max_queue_depth: c.u64()?,
-                batches: c.u64()?,
-                batched_queries: c.u64()?,
-                protocol_errors: c.u64()?,
-            };
+            c.what = "stats reply";
+            let counters: Vec<u64> = c.column(Some(8))?;
             c.finish()?;
-            Ok(Response::Stats(s))
+            let [accepted_connections, queries_answered, shed, refused, max_queue_depth, batches, batched_queries, protocol_errors] =
+                <[u64; 8]>::try_from(counters).expect("a run of eight reads eight values");
+            Ok(Response::Stats(StatsSnapshot {
+                accepted_connections,
+                queries_answered,
+                shed,
+                refused,
+                max_queue_depth,
+                batches,
+                batched_queries,
+                protocol_errors,
+            }))
         }
         KIND_SHUTDOWN_ACK => {
             Cursor::new(payload).finish()?;
@@ -1008,7 +1196,7 @@ mod tests {
         for out in sample_outputs() {
             let bytes = encode_response(&Response::Result(Arc::clone(&out)));
             assert_eq!(
-                output_payload_len(&out),
+                ResultFrame::new(&out).payload_len,
                 (bytes.len() - HEADER_LEN) as u64,
                 "{}",
                 out.task().name()
@@ -1019,13 +1207,14 @@ mod tests {
     #[test]
     fn a_result_beyond_the_frame_cap_is_a_typed_error() {
         let out = &sample_outputs()[0];
-        let fits = encode_result(out, output_payload_len(out));
+        let mut result = ResultFrame::new(out);
         assert!(matches!(
-            decode_response(&fits),
+            decode_response(&result.encode()),
             Ok((Response::Result(_), _))
         ));
         // The table itself is tiny; only the length claimed for it is not.
-        let frame = encode_result(out, u64::from(MAX_PAYLOAD_LEN) + 1);
+        result.payload_len = u64::from(MAX_PAYLOAD_LEN) + 1;
+        let frame = result.encode();
         let (resp, consumed) = decode_response(&frame).expect("a well-formed error frame");
         assert_eq!(consumed, frame.len());
         assert_eq!(
@@ -1084,37 +1273,33 @@ mod tests {
 
     #[test]
     fn malformed_payloads_are_rejected_not_panicked() {
-        // Non-ascending word column.
+        let rejects = |frame: &[u8], defect: &str| match decode_response(frame) {
+            Err(ProtocolError::Malformed(why)) => assert!(why.contains(defect), "{why}"),
+            other => panic!("expected a malformed payload ({defect}), got {other:?}"),
+        };
         let good = encode_response(&Response::Result(Arc::new(AnalyticsOutput::WordCount(
             WordCountResult::from_sorted_columns(vec![1, 5], vec![1, 1]),
         ))));
-        let mut swapped = good.clone();
-        // words start right after header + tag + n(u64); rotating the two
-        // u32 words reverses their order.
+        // The word run starts right after header + tag + row count (u64):
+        // its width byte, 1, then one byte per word.  Rotating the two
+        // words reverses their order.
         let base = HEADER_LEN + 1 + 8;
-        swapped[base..base + 8].rotate_left(4);
-        assert!(matches!(
-            decode_response(&swapped),
-            Err(ProtocolError::Malformed(_))
-        ));
+        assert_eq!(good[base..base + 3], [1, 1, 5]);
+        let mut swapped = good.clone();
+        swapped[base + 1..base + 3].rotate_left(1);
+        rejects(&swapped, "keys not strictly ascending");
 
-        // A length field pointing past the payload.
+        // A row count pointing past the payload.
         let mut hungry = good.clone();
         hungry[HEADER_LEN + 1..HEADER_LEN + 9].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            decode_response(&hungry),
-            Err(ProtocolError::Malformed(_))
-        ));
+        rejects(&hungry, "payload ended early");
 
         // Trailing garbage after a valid payload (frame len enlarged).
         let mut trailing = good;
         trailing.extend_from_slice(&[0xAA; 4]);
         let new_len = (trailing.len() - HEADER_LEN) as u32;
         trailing[6..10].copy_from_slice(&new_len.to_le_bytes());
-        assert!(matches!(
-            decode_response(&trailing),
-            Err(ProtocolError::Malformed(_))
-        ));
+        rejects(&trailing, "trailing bytes");
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //! * every well-formed request and every result type round-trips through
 //!   encode → decode → encode **byte-identically** (and digest-identically);
 //! * the single-pass encoder writes exactly the bytes of a plain
-//!   element-by-element reference encoder, under a header that declares
-//!   exactly the payload's length;
+//!   element-by-element reference encoder, every run at the narrowest
+//!   width, under a header that declares exactly the payload's length, and
+//!   no frame is longer than its fixed-width (version 1) layout plus one
+//!   width byte per run — also for values at every width boundary;
 //! * every structural defect a result payload can carry — descending keys,
 //!   bad offsets, short columns, trailing bytes, an unsorted term-vector
-//!   row — is a typed `Malformed` error;
+//!   row, a run width that is not 1, 2, 4 or 8, too wide for its column or
+//!   wider than its values need — is a typed `Malformed` error that names
+//!   the defect;
 //! * error, overloaded and stats frames round-trip; the reserved error code
 //!   byte 4 decodes to a typed, non-fatal error;
 //! * arbitrary bytes — raw, or wrapped in a well-formed header — never
@@ -28,7 +32,7 @@ use server::protocol::{
 };
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::results::{
-    AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
+    AnalyticsOutput, Column, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,
 };
 
@@ -50,6 +54,13 @@ fn sorted_rows(tokens: &[u32], l: usize) -> (Vec<u32>, Vec<u64>) {
     (rows.concat(), counts)
 }
 
+/// The narrowest of 1, 2, 4 and 8 bytes that holds `max`: its significant
+/// bytes, rounded up to a power of two.
+fn narrowest(max: u64) -> usize {
+    let bytes = (64 - max.leading_zeros() as usize).div_ceil(8);
+    bytes.max(1).next_power_of_two()
+}
+
 /// A result payload assembled one field at a time — the reference the
 /// encoder is compared with, and the way the malformed-payload cases get
 /// columns no result type would let them build.
@@ -61,23 +72,39 @@ impl RawPayload {
         Self(vec![tag])
     }
 
-    fn u64(mut self, v: u64) -> Self {
-        self.0.extend_from_slice(&v.to_le_bytes());
+    fn bytes(mut self, bytes: &[u8]) -> Self {
+        self.0.extend_from_slice(bytes);
         self
     }
 
-    fn u32s(mut self, vs: impl IntoIterator<Item = u32>) -> Self {
+    fn u64(self, v: u64) -> Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    /// A run at `width`: the width byte, then the low `width` bytes of each
+    /// value (zero-extended past 8).
+    fn run_at(mut self, width: usize, vs: impl IntoIterator<Item = u64>) -> Self {
+        self.0.push(width as u8);
         for v in vs {
-            self.0.extend_from_slice(&v.to_le_bytes());
+            self.0
+                .extend_from_slice(&u128::from(v).to_le_bytes()[..width]);
         }
         self
     }
 
-    fn u64s(mut self, vs: impl IntoIterator<Item = u64>) -> Self {
-        for v in vs {
-            self.0.extend_from_slice(&v.to_le_bytes());
-        }
-        self
+    /// A run at the narrowest width its values allow.
+    fn run(self, vs: impl IntoIterator<Item = u64>) -> Self {
+        let vs: Vec<u64> = vs.into_iter().collect();
+        let width = narrowest(vs.iter().copied().max().unwrap_or(0));
+        self.run_at(width, vs)
+    }
+
+    fn u32s(self, vs: impl IntoIterator<Item = u32>) -> Self {
+        self.run(vs.into_iter().map(u64::from))
+    }
+
+    fn u64s(self, vs: impl IntoIterator<Item = u64>) -> Self {
+        self.run(vs)
     }
 
     fn offsets(self, offsets: &[usize]) -> Self {
@@ -89,16 +116,44 @@ impl RawPayload {
             .u64s(pairs.iter().map(|p| p.1))
     }
 
-    /// The payload under a result-frame header declaring its length.
-    fn framed(self) -> Vec<u8> {
+    /// The payload under a header of frame `kind` declaring its length.
+    fn framed_as(self, kind: u8) -> Vec<u8> {
         let mut frame = Vec::new();
         frame.extend_from_slice(&MAGIC);
         frame.push(VERSION);
-        frame.push(0x81);
+        frame.push(kind);
         frame.extend_from_slice(&(self.0.len() as u32).to_le_bytes());
         frame.extend_from_slice(&self.0);
         frame
     }
+
+    /// The payload under a result-frame header.
+    fn framed(self) -> Vec<u8> {
+        self.framed_as(0x81)
+    }
+}
+
+/// The length of `out`'s frame in the fixed-width layout of protocol
+/// version 1 — every `u32` in 4 bytes, every count and offset in 8 — and
+/// the number of runs its columns take under version 2.
+fn v1_len_and_runs(out: &AnalyticsOutput) -> (usize, usize) {
+    let l_len = if out.sequence_length().is_some() {
+        8
+    } else {
+        0
+    };
+    let (mut len, mut runs) = (HEADER_LEN + 1 + l_len + 8, 0);
+    for column in out.columns().1 {
+        let (bytes, column_runs) = match column {
+            Column::U32(v) => (4 * v.len(), 1),
+            Column::U64(v) => (8 * v.len(), 1),
+            Column::Offsets(v) => (8 * v.len(), 1),
+            Column::Pairs(v) => (12 * v.len(), 2),
+        };
+        len += bytes;
+        runs += column_runs;
+    }
+    (len, runs)
 }
 
 /// The wire layout of `out`, written the plain way.
@@ -142,14 +197,21 @@ fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
     .framed()
 }
 
-/// The encoder must write the reference bytes under a header declaring
-/// exactly their length, and encode → decode → encode must reproduce the
-/// same bytes and the same digest.
+/// The encoder must write the reference bytes — every run at the
+/// narrowest width — under a header declaring exactly their length, in at
+/// most one byte per run more than the fixed-width layout, and encode →
+/// decode → encode must reproduce the same bytes and the same digest.
 fn assert_round_trips(out: AnalyticsOutput) {
     let digest = out.digest();
     let reference = reference_frame(&out);
+    let (v1_len, runs) = v1_len_and_runs(&out);
     let bytes = encode_response(&Response::Result(Arc::new(out)));
     assert_eq!(bytes, reference, "the encoder left the reference layout");
+    assert!(
+        bytes.len() <= v1_len + runs,
+        "{} bytes against a {v1_len}-byte fixed-width frame of {runs} runs",
+        bytes.len()
+    );
     let (_, declared) = decode_header(&bytes).expect("own header");
     assert_eq!(
         declared,
@@ -424,195 +486,374 @@ fn pinned_sample_frames_keep_their_bytes() {
             ranked: vec![(1, 10), (9, 7)],
         },
     ))));
-    let mut want = b"TDQP\x01\x81".to_vec();
-    want.extend_from_slice(&33u32.to_le_bytes());
+    let mut want = b"TDQP\x02\x81".to_vec();
+    want.extend_from_slice(&15u32.to_le_bytes());
     want.push(2);
     want.extend_from_slice(&2u64.to_le_bytes());
-    want.extend_from_slice(&[1, 0, 0, 0, 9, 0, 0, 0]);
-    want.extend_from_slice(&10u64.to_le_bytes());
-    want.extend_from_slice(&7u64.to_le_bytes());
+    // The ids run, then the counts run: a width byte of 1, then one byte
+    // per value.
+    want.extend_from_slice(&[1, 1, 9]);
+    want.extend_from_slice(&[1, 10, 7]);
     assert_eq!(frame, want);
 }
 
-/// Every structural defect is a typed `Malformed` error that leaves the
-/// stream in sync — never a panic, never a table that breaks an invariant.
+/// Every structural defect is a typed `Malformed` error that names it and
+/// leaves the stream in sync — never a panic, never a table that breaks an
+/// invariant.  Each case is a valid payload with one defect, and the
+/// message must name that defect: a payload that fails for any other
+/// reason would test nothing.
 #[test]
 fn malformed_result_payloads_are_rejected() {
-    let cases: Vec<(&str, RawPayload)> = vec![
+    let valid_word_count = || RawPayload::tagged(1).u64(2).u32s([1, 5]).u64s([1, 1]);
+    assert!(decode_response(&valid_word_count().framed()).is_ok());
+    let cases: Vec<(&str, &str, Vec<u8>)> = vec![
         (
             "wordCount: descending keys",
-            RawPayload::tagged(1).u64(2).u32s([5, 1]).u64s([1, 1]),
+            "keys not strictly ascending",
+            RawPayload::tagged(1)
+                .u64(2)
+                .u32s([5, 1])
+                .u64s([1, 1])
+                .framed(),
         ),
         (
             "wordCount: repeated key",
-            RawPayload::tagged(1).u64(2).u32s([5, 5]).u64s([1, 1]),
+            "keys not strictly ascending",
+            RawPayload::tagged(1)
+                .u64(2)
+                .u32s([5, 5])
+                .u64s([1, 1])
+                .framed(),
         ),
         (
             "wordCount: short value column",
-            RawPayload::tagged(1).u64(2).u32s([1, 5]).u64s([1]),
+            "payload ended early",
+            RawPayload::tagged(1).u64(2).u32s([1, 5]).u64s([1]).framed(),
         ),
         (
             "sort: short count column",
-            RawPayload::tagged(2).u64(2).u32s([1, 5]).u64s([1]),
+            "payload ended early",
+            RawPayload::tagged(2).u64(2).u32s([1, 5]).u64s([1]).framed(),
         ),
         (
             "invertedIndex: descending keys",
+            "keys not strictly ascending",
             RawPayload::tagged(3)
                 .u64(2)
                 .u32s([4, 2])
                 .offsets(&[0, 1, 2])
-                .u32s([0, 1]),
+                .u32s([0, 1])
+                .framed(),
         ),
         (
             "invertedIndex: offsets start past 0",
+            "offsets do not start at 0",
             RawPayload::tagged(3)
                 .u64(2)
                 .u32s([2, 4])
                 .offsets(&[1, 1, 2])
-                .u32s([0, 1]),
+                .u32s([0, 1])
+                .framed(),
         ),
         (
             "invertedIndex: offsets decrease",
+            "offsets decrease",
             RawPayload::tagged(3)
                 .u64(2)
                 .u32s([2, 4])
                 .offsets(&[0, 2, 1])
-                .u32s([0, 1]),
+                .u32s([0, 1])
+                .framed(),
         ),
         (
             "invertedIndex: offsets end past the posting column",
+            "payload ended early",
             RawPayload::tagged(3)
                 .u64(2)
                 .u32s([2, 4])
                 .offsets(&[0, 1, 3])
-                .u32s([0, 1]),
+                .u32s([0, 1])
+                .framed(),
         ),
+        // The postings' width byte (1) is read as the closing offset, so
+        // the offsets close on 1 while the posting run says 2.
         (
             "invertedIndex: offsets column one entry short",
+            "offsets decrease",
             RawPayload::tagged(3)
                 .u64(2)
                 .u32s([2, 4])
                 .offsets(&[0, 2])
-                .u32s([0, 1]),
+                .u32s([0, 1])
+                .framed(),
         ),
         (
             "invertedIndex: trailing bytes",
+            "1 trailing bytes",
             RawPayload::tagged(3)
                 .u64(1)
                 .u32s([2])
                 .offsets(&[0, 1])
-                .u32s([0, 9]),
+                .u32s([0, 9])
+                .framed(),
         ),
         (
             "termVector: unsorted row",
+            "file 0 row not ascending",
             RawPayload::tagged(4)
                 .u64(2)
                 .offsets(&[0, 2, 3])
-                .pairs(&[(3, 1), (1, 2), (2, 5)]),
+                .pairs(&[(3, 1), (1, 2), (2, 5)])
+                .framed(),
         ),
         (
             "termVector: repeated word in a row",
+            "file 0 row not ascending",
             RawPayload::tagged(4)
                 .u64(1)
                 .offsets(&[0, 2])
-                .pairs(&[(3, 1), (3, 2)]),
+                .pairs(&[(3, 1), (3, 2)])
+                .framed(),
         ),
         (
             "termVector: offsets decrease",
+            "offsets decrease",
             RawPayload::tagged(4)
                 .u64(2)
                 .offsets(&[0, 2, 1])
-                .pairs(&[(1, 1), (2, 2)]),
+                .pairs(&[(1, 1), (2, 2)])
+                .framed(),
         ),
         (
             "termVector: short count column",
+            "payload ended early",
             RawPayload::tagged(4)
                 .u64(1)
                 .offsets(&[0, 2])
                 .u32s([1, 2])
-                .u64s([1]),
+                .u64s([1])
+                .framed(),
         ),
         (
             "sequenceCount: zero length",
-            RawPayload::tagged(5).u64(0).u64(0),
+            "zero sequence length",
+            RawPayload::tagged(5).u64(0).u64(0).framed(),
         ),
         (
             "sequenceCount: descending rows",
+            "keys not strictly ascending",
             RawPayload::tagged(5)
                 .u64(2)
                 .u64(2)
                 .u32s([1, 3, 1, 2])
-                .u64s([4, 1]),
+                .u64s([4, 1])
+                .framed(),
         ),
         (
             "sequenceCount: count beyond the payload",
+            "column length overflows",
             RawPayload::tagged(5)
                 .u64(2)
                 .u64(u64::MAX)
                 .u32s([1, 2])
-                .u64s([4]),
+                .u64s([4])
+                .framed(),
         ),
         (
             "rankedInvertedIndex: descending rows",
+            "keys not strictly ascending",
             RawPayload::tagged(6)
                 .u64(2)
                 .u64(2)
                 .u32s([1, 3, 1, 2])
                 .offsets(&[0, 1, 2])
-                .pairs(&[(0, 9), (1, 3)]),
+                .pairs(&[(0, 9), (1, 3)])
+                .framed(),
         ),
         (
             "rankedInvertedIndex: offsets decrease",
+            "offsets decrease",
             RawPayload::tagged(6)
                 .u64(2)
                 .u64(2)
                 .u32s([1, 2, 1, 3])
                 .offsets(&[0, 2, 1])
-                .pairs(&[(0, 9), (1, 3)]),
+                .pairs(&[(0, 9), (1, 3)])
+                .framed(),
         ),
         (
             "rankedInvertedIndex: short count column",
+            "payload ended early",
             RawPayload::tagged(6)
                 .u64(2)
                 .u64(1)
                 .u32s([1, 2])
                 .offsets(&[0, 2])
                 .u32s([0, 1])
-                .u64s([9]),
+                .u64s([9])
+                .framed(),
         ),
         (
             "rankedInvertedIndex: trailing bytes",
+            "2 trailing bytes",
             RawPayload::tagged(6)
                 .u64(2)
                 .u64(1)
                 .u32s([1, 2])
                 .offsets(&[0, 1])
                 .pairs(&[(0, 9)])
-                .u32s([7]),
+                .u32s([7])
+                .framed(),
         ),
+        // A width byte follows the row count, so the decoder reaches the
+        // `rows + 1` offsets count and finds it overflowing.
         (
             "termVector: row count u64::MAX, so rows + 1 offsets overflow",
-            RawPayload::tagged(4).u64(u64::MAX),
+            "column length overflows",
+            RawPayload::tagged(4).u64(u64::MAX).bytes(&[1]).framed(),
         ),
         // With 0 rows, `rows × l` key words do not overflow; a single key
         // row of `l` words (4·l bytes) does, and must still be refused.
         (
             "sequenceCount: l = 2^62 with 0 rows",
-            RawPayload::tagged(5).u64(1 << 62).u64(0),
+            "sequence length overflows",
+            RawPayload::tagged(5).u64(1 << 62).u64(0).framed(),
         ),
         (
             "rankedInvertedIndex: l = 2^62 with 0 rows",
-            RawPayload::tagged(6).u64(1 << 62).u64(0).offsets(&[0]),
+            "sequence length overflows",
+            RawPayload::tagged(6)
+                .u64(1 << 62)
+                .u64(0)
+                .u32s([])
+                .offsets(&[0])
+                .framed(),
         ),
-        ("unknown result tag", RawPayload::tagged(9).u64(0)),
-        ("empty payload", RawPayload::default()),
+        (
+            "unknown result tag",
+            "unknown task tag 9",
+            RawPayload::tagged(9).u64(0).framed(),
+        ),
+        (
+            "empty payload",
+            "payload ended early",
+            RawPayload::default().framed(),
+        ),
+        // Run widths.
+        (
+            "wordCount: key run of width 0",
+            "run width 0 is not 1, 2, 4 or 8",
+            RawPayload::tagged(1)
+                .u64(2)
+                .run_at(0, [1, 5])
+                .u64s([1, 1])
+                .framed(),
+        ),
+        (
+            "wordCount: count run of width 3",
+            "run width 3 is not 1, 2, 4 or 8",
+            RawPayload::tagged(1)
+                .u64(2)
+                .u32s([1, 5])
+                .run_at(3, [1, 1])
+                .framed(),
+        ),
+        (
+            "sort: count run of width 16",
+            "run width 16 is not 1, 2, 4 or 8",
+            RawPayload::tagged(2)
+                .u64(1)
+                .u32s([1])
+                .run_at(16, [1])
+                .framed(),
+        ),
+        (
+            "wordCount: key run of width 8 on a u32 column",
+            "run width 8 exceeds the column's 4-byte values",
+            RawPayload::tagged(1)
+                .u64(2)
+                .run_at(8, [1, 5])
+                .u64s([1, 1])
+                .framed(),
+        ),
+        (
+            "termVector: word-id run of width 8 on a u32 column",
+            "run width 8 exceeds the column's 4-byte values",
+            RawPayload::tagged(4)
+                .u64(1)
+                .offsets(&[0, 1])
+                .run_at(8, [3])
+                .u64s([1])
+                .framed(),
+        ),
+        (
+            "wordCount: count run wider than its values need",
+            "run width 2 where the values fit 1",
+            RawPayload::tagged(1)
+                .u64(2)
+                .u32s([1, 5])
+                .run_at(2, [1, 0xff])
+                .framed(),
+        ),
+        (
+            "invertedIndex: offsets run wider than its last offset needs",
+            "run width 4 where the values fit 2",
+            RawPayload::tagged(3)
+                .u64(1)
+                .u32s([2])
+                .run_at(4, [0, 0x100])
+                .u32s(0..0x100)
+                .framed(),
+        ),
+        (
+            "sort: empty count run of width 8",
+            "run width 8 where the values fit 1",
+            RawPayload::tagged(2).u64(0).u32s([]).run_at(8, []).framed(),
+        ),
+        (
+            "sequenceCount: key run whose bytes run past the payload",
+            "payload ended early",
+            RawPayload::tagged(5)
+                .u64(2)
+                .u64(2)
+                .run_at(4, [1, 2])
+                .framed(),
+        ),
+        // The stats reply: eight counters as one run.
+        (
+            "stats reply: counter run of width 3",
+            "stats reply: run width 3 is not 1, 2, 4 or 8",
+            RawPayload::default().run_at(3, [0; 8]).framed_as(0x84),
+        ),
+        (
+            "stats reply: counter run wider than its values need",
+            "stats reply: run width 8 where the values fit 2",
+            RawPayload::default()
+                .run_at(8, [7, 0x100, 0, 0, 0, 0, 0, 0])
+                .framed_as(0x84),
+        ),
+        (
+            "stats reply: seven counters",
+            "payload ended early",
+            RawPayload::default().u64s([1; 7]).framed_as(0x84),
+        ),
+        (
+            "stats reply: nine counters",
+            "1 trailing bytes",
+            RawPayload::default().u64s([1; 9]).framed_as(0x84),
+        ),
     ];
-    for (what, payload) in cases {
-        let err = decode_response(&payload.framed()).expect_err(what);
-        assert!(
-            matches!(err, ProtocolError::Malformed(_)),
-            "{what}: {err:?}"
-        );
+    for (what, defect, frame) in cases {
+        let err = decode_response(&frame).expect_err(what);
+        match &err {
+            ProtocolError::Malformed(why) => {
+                assert!(
+                    why.contains(defect),
+                    "{what}: {why:?} does not say {defect:?}"
+                )
+            }
+            other => panic!("{what}: expected a malformed payload, got {other:?}"),
+        }
         assert!(
             !is_framing_fatal(&err),
             "{what}: the stream must stay in sync"
@@ -637,5 +878,98 @@ fn declared_lengths_at_the_edges() {
         Err(ProtocolError::Oversized {
             declared: MAX_PAYLOAD_LEN + 1
         })
+    );
+}
+
+/// Values at every width boundary, in every column kind: each table
+/// round-trips exactly with its digest, at the narrowest width per run,
+/// in at most one byte per run more than its fixed-width layout
+/// ([`assert_round_trips`]).
+#[test]
+fn values_at_every_width_boundary_round_trip_at_the_narrowest_width() {
+    let ids = [0u32, 0xff, 0x100, 0xffff, 0x1_0000, u32::MAX];
+    let counts = ids
+        .map(u64::from)
+        .into_iter()
+        .chain([u64::from(u32::MAX) + 1, u64::MAX]);
+    for id in ids {
+        assert_round_trips(AnalyticsOutput::WordCount(
+            WordCountResult::from_sorted_columns(vec![id], vec![1]),
+        ));
+        assert_round_trips(AnalyticsOutput::Sort(SortResult {
+            ranked: vec![(id, 1)],
+        }));
+        assert_round_trips(AnalyticsOutput::InvertedIndex(
+            InvertedIndexResult::from_sorted_parts(vec![id], vec![0, 1], vec![id]),
+        ));
+        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(
+            vec![vec![(id, 1)]],
+        )));
+        assert_round_trips(AnalyticsOutput::SequenceCount(
+            SequenceCountResult::from_sorted_columns(2, vec![id, id], vec![1]),
+        ));
+        assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
+            RankedInvertedIndexResult::from_sorted_parts(1, vec![id], vec![0, 1], vec![(id, 1)]),
+        ));
+    }
+    for count in counts {
+        assert_round_trips(AnalyticsOutput::WordCount(
+            WordCountResult::from_sorted_columns(vec![1], vec![count]),
+        ));
+        assert_round_trips(AnalyticsOutput::Sort(SortResult {
+            ranked: vec![(1, count)],
+        }));
+        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(
+            vec![vec![(1, count)]],
+        )));
+        assert_round_trips(AnalyticsOutput::SequenceCount(
+            SequenceCountResult::from_sorted_columns(1, vec![1], vec![count]),
+        ));
+        assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
+            RankedInvertedIndexResult::from_sorted_parts(1, vec![1], vec![0, 1], vec![(0, count)]),
+        ));
+    }
+    // An offsets column's width is its last offset's: a short first row,
+    // then a row that closes on `last` postings.
+    for last in [0usize, 0xff, 0x100, 0xffff, 0x1_0000] {
+        let first = last.min(1);
+        let offsets = vec![0, first, last];
+        let files: Vec<u32> = (0..last as u32).collect();
+        let terms: Vec<(u32, u64)> = files.iter().map(|&f| (f, 1)).collect();
+        assert_round_trips(AnalyticsOutput::InvertedIndex(
+            InvertedIndexResult::from_sorted_parts(vec![7, 8], offsets.clone(), files),
+        ));
+        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(
+            vec![terms[..first].to_vec(), terms[first..].to_vec()],
+        )));
+        assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
+            RankedInvertedIndexResult::from_sorted_parts(1, vec![7, 8], offsets, terms),
+        ));
+    }
+}
+
+/// The mechanism on a real table: the ranked inverted index of dataset A
+/// (scale 0.2, `l` = 3) round-trips exactly and encodes to at most 40 % of
+/// its fixed-width size.
+#[test]
+fn a_ranked_index_of_dataset_a_encodes_to_at_most_40_percent_of_its_fixed_width_size() {
+    let archive = datagen::DatasetPreset::new(datagen::DatasetId::A)
+        .generate_scaled(0.2)
+        .compress();
+    let dag = sequitur::Dag::from_grammar(&archive.grammar);
+    let engine = tadoc::Engine::builder(&archive, &dag)
+        .threads(2)
+        .build()
+        .expect("engine");
+    let out = engine
+        .run(Task::RankedInvertedIndex, TaskConfig::default())
+        .expect("ranked inverted index")
+        .output;
+    assert_round_trips((*out).clone());
+    let (v1_len, _) = v1_len_and_runs(&out);
+    let len = encode_response(&Response::Result(out)).len();
+    assert!(
+        len * 10 <= v1_len * 4,
+        "{len} bytes against {v1_len} in the fixed-width layout"
     );
 }

@@ -8,9 +8,10 @@
 //! handler pool down; a full admission queue sheds with `Overloaded`
 //! instead of queuing unboundedly; expired deadlines answer
 //! `DeadlineExceeded`; a frame served from the server's frame table is
-//! byte-for-byte a fresh encoding of the table; a peer that stops reading
-//! loses its connection instead of keeping a handler; and graceful
-//! shutdown drains admitted work before the listener goes away.
+//! byte-for-byte a fresh encoding of the table; a version-1 peer gets a
+//! typed version error and loses only its own connection; a peer that
+//! stops reading loses its connection instead of keeping a handler; and
+//! graceful shutdown drains admitted work before the listener goes away.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -21,8 +22,8 @@ use std::time::{Duration, Instant};
 use g_tadoc_repro::prelude::*;
 use server::framing::{FrameReader, ReadOutcome};
 use server::protocol::{
-    decode_header, encode_request, encode_response, parse_response, QueryRequest, Request,
-    Response, StatsSnapshot, WireErrorCode, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
+    decode_header, encode_request, encode_response, parse_response, ProtocolError, QueryRequest,
+    Request, Response, StatsSnapshot, WireErrorCode, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
 };
 use server::server::{Server, ServerConfig, ServerHandle, WRITE_STALL_TIMEOUT};
 use server::{Client, QueryOutcome};
@@ -472,6 +473,62 @@ fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
     });
     assert_eq!(stats.queries_answered, 24);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// A peer still speaking protocol version 1 sends frames whose columns
+/// this codec would misread.  Its first frame is answered with a typed
+/// `UnsupportedVersion(1)` and its connection closes; a version-2 client on
+/// another connection keeps getting oracle-identical answers.
+#[test]
+fn a_version_1_frame_is_refused_while_version_2_clients_keep_serving() {
+    let _guard = serial();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let oracle = oracle_digests(&archive, &dag);
+    let cfg = TaskConfig::default();
+
+    let stats = with_server(ServerConfig::default(), &archive, &dag, |handle| {
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let mut ask = |task: Task| match client.query(task, cfg).expect("query round trip") {
+            QueryOutcome::Ok(out) => assert_eq!(
+                Some(&out.digest()),
+                oracle.get(&(task, cfg)),
+                "{} diverged from the oracle",
+                task.name()
+            ),
+            other => panic!("unexpected outcome {other:?}"),
+        };
+        ask(Task::RankedInvertedIndex);
+
+        assert_eq!(VERSION, 2);
+        let mut old = TcpStream::connect(handle.addr()).expect("connect");
+        let mut v1_query = query_frame(Task::RankedInvertedIndex);
+        v1_query[4] = 1;
+        old.write_all(&v1_query).expect("write a version-1 query");
+        let mut reader = FrameReader::new();
+        match read_response(&mut old, &mut reader) {
+            Response::Error(e) => {
+                assert_eq!(e.code, WireErrorCode::Protocol);
+                assert_eq!(e.message, ProtocolError::UnsupportedVersion(1).to_string());
+            }
+            other => panic!("expected a typed version error, got {other:?}"),
+        }
+        loop {
+            match reader.read_frame(&mut old) {
+                Ok(ReadOutcome::Idle) => continue,
+                Ok(ReadOutcome::Closed) | Err(_) => break,
+                Ok(ReadOutcome::Frame { kind, .. }) => {
+                    panic!("the server answered again ({kind:#04x}) after a version error")
+                }
+            }
+        }
+
+        for task in Task::ALL {
+            ask(task);
+        }
+    });
+    assert_eq!(stats.protocol_errors, 1);
+    assert_eq!(stats.queries_answered, 1 + Task::ALL.len() as u64);
 }
 
 /// A client that asks for large results and never reads them fills the
