@@ -37,6 +37,9 @@ mod tests {
         let a = mix64(1 << 40) & 0xff;
         let b = mix64(2 << 40) & 0xff;
         let c = mix64(3 << 40) & 0xff;
-        assert!(!(a == b && b == c), "low bits must depend on high input bits");
+        assert!(
+            !(a == b && b == c),
+            "low bits must depend on high input bits"
+        );
     }
 }

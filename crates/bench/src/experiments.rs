@@ -175,7 +175,8 @@ pub fn run_cell(prepared: &PreparedDataset, task: Task, platform: &Platform) -> 
     let mut engine = GtadocEngine::with_params(platform.gpu.clone(), params);
     let gpu: GpuExecution = engine.run_layout(&prepared.layout, task, None);
     assert_eq!(
-        gpu.output, *cpu_exec.output,
+        gpu.output,
+        *cpu_exec.output,
         "G-TADOC and TADOC must agree on {} / dataset {}",
         task.name(),
         prepared.id.label()
@@ -217,9 +218,7 @@ pub fn run_grid(scale: ExperimentScale) -> Vec<CellResult> {
 pub fn table1() -> String {
     let mut out = String::new();
     out.push_str("TABLE I: PLATFORM CONFIGURATION\n");
-    out.push_str(
-        "platform      GPU                   GPU memory   CPU                   role\n",
-    );
+    out.push_str("platform      GPU                   GPU memory   CPU                   role\n");
     for p in Platform::all() {
         out.push_str(&format!(
             "{:<13} {:<21} {:<12} {:<21} GPU runs G-TADOC, CPU runs TADOC\n",
@@ -242,7 +241,9 @@ pub fn table1() -> String {
 pub fn table2(scale: ExperimentScale) -> String {
     let mut out = String::new();
     out.push_str("TABLE II: DATASETS (generated at the configured scale)\n");
-    out.push_str("dataset  size(bytes)   file #   rule #    vocabulary   tokens      space saved\n");
+    out.push_str(
+        "dataset  size(bytes)   file #   rule #    vocabulary   tokens      space saved\n",
+    );
     for id in DatasetId::ALL {
         let prepared = prepare_dataset(id, scale);
         let s = &prepared.stats;
@@ -453,7 +454,9 @@ pub fn uncompressed_comparison(scale: ExperimentScale) -> String {
     let prepared = prepare_dataset(DatasetId::B, scale);
     let cfg = TaskConfig::default();
     let mut out = String::new();
-    out.push_str("SECTION VI-E: G-TADOC vs GPU-accelerated uncompressed analytics (dataset B, Volta)\n");
+    out.push_str(
+        "SECTION VI-E: G-TADOC vs GPU-accelerated uncompressed analytics (dataset B, Volta)\n",
+    );
     out.push_str("task                    G-TADOC (s)    GPU uncompressed (s)   speedup\n");
     let mut speedups = Vec::new();
     for task in Task::ALL {
@@ -542,7 +545,10 @@ mod tests {
     #[test]
     fn prepare_dataset_builds_consistent_artifacts() {
         let prepared = prepare_dataset(DatasetId::D, TEST_SCALE);
-        assert_eq!(prepared.archive.grammar.expand_files(), prepared.corpus.files);
+        assert_eq!(
+            prepared.archive.grammar.expand_files(),
+            prepared.corpus.files
+        );
         assert_eq!(prepared.layout.num_rules, prepared.dag.num_rules);
         assert!(prepared.stats.num_rules > 0);
     }
@@ -555,9 +561,7 @@ mod tests {
         assert!(cell.cpu_total_s() > 0.0);
         assert!(cell.gpu_total_s() > 0.0);
         assert!(cell.speedup() > 0.0);
-        assert!(
-            (cell.speedup() - cell.cpu_total_s() / cell.gpu_total_s()).abs() < 1e-12
-        );
+        assert!((cell.speedup() - cell.cpu_total_s() / cell.gpu_total_s()).abs() < 1e-12);
     }
 
     #[test]
@@ -608,7 +612,10 @@ mod tests {
         assert!(t1.contains("V100"));
         let t2 = table2(TEST_SCALE);
         for id in DatasetId::ALL {
-            assert!(t2.contains(&format!("\n{} ", id.label())) || t2.contains(&format!("{} ", id.label())));
+            assert!(
+                t2.contains(&format!("\n{} ", id.label()))
+                    || t2.contains(&format!("{} ", id.label()))
+            );
         }
     }
 

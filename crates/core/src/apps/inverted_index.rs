@@ -184,10 +184,16 @@ mod tests {
 
     fn corpus() -> Vec<(String, String)> {
         vec![
-            ("a".to_string(), "shared text block alpha alpha beta".to_string()),
+            (
+                "a".to_string(),
+                "shared text block alpha alpha beta".to_string(),
+            ),
             ("b".to_string(), "shared text block gamma".to_string()),
             ("c".to_string(), "totally different content".to_string()),
-            ("d".to_string(), "shared text block alpha alpha beta".to_string()),
+            (
+                "d".to_string(),
+                "shared text block alpha alpha beta".to_string(),
+            ),
         ]
     }
 

@@ -10,8 +10,7 @@ use crate::layout::GpuLayout;
 use crate::params::GtadocParams;
 use crate::schedule::ThreadPlan;
 use crate::sequence::counting::{
-    count_root_chunk_sequences, count_rule_local_sequences, root_chunks, unpack_sequence,
-    RootChunk,
+    count_root_chunk_sequences, count_rule_local_sequences, root_chunks, unpack_sequence, RootChunk,
 };
 use crate::sequence::head_tail::{init_head_tail, HeadTail};
 use crate::traversal::top_down::compute_file_weights;
@@ -138,7 +137,10 @@ mod tests {
     #[test]
     fn matches_oracle_on_shared_phrases() {
         let corpus = vec![
-            ("low".to_string(), "w1 w2 w3 filler filler words".to_string()),
+            (
+                "low".to_string(),
+                "w1 w2 w3 filler filler words".to_string(),
+            ),
             ("high".to_string(), "w1 w2 w3 w1 w2 w3 w1 w2 w3".to_string()),
             ("none".to_string(), "completely unrelated text".to_string()),
         ];

@@ -12,8 +12,7 @@ use crate::layout::GpuLayout;
 use crate::params::GtadocParams;
 use crate::schedule::ThreadPlan;
 use crate::sequence::counting::{
-    count_root_chunk_sequences, count_rule_local_sequences, root_chunks, unpack_sequence,
-    RootChunk,
+    count_root_chunk_sequences, count_rule_local_sequences, root_chunks, unpack_sequence, RootChunk,
 };
 use crate::sequence::head_tail::{init_head_tail, HeadTail};
 use crate::traversal::top_down::compute_rule_weights;

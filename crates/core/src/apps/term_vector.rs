@@ -182,7 +182,7 @@ mod tests {
             ("a".to_string(), format!("{shared} alpha alpha")),
             ("b".to_string(), format!("{shared} beta")),
             ("c".to_string(), "tiny".to_string()),
-            ("d".to_string(), shared,),
+            ("d".to_string(), shared),
         ]
     }
 
@@ -199,7 +199,12 @@ mod tests {
     #[test]
     fn both_strategies_agree_on_many_small_files() {
         let corpus: Vec<(String, String)> = (0..25)
-            .map(|i| (format!("f{i}"), format!("common preamble words item{}", i % 4)))
+            .map(|i| {
+                (
+                    format!("f{i}"),
+                    format!("common preamble words item{}", i % 4),
+                )
+            })
             .collect();
         check(&corpus, TraversalStrategy::TopDown);
         check(&corpus, TraversalStrategy::BottomUp);

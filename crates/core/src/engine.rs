@@ -159,14 +159,9 @@ impl GtadocEngine {
                 &plan,
                 &self.params,
             )),
-            Task::RankedInvertedIndex => {
-                AnalyticsOutput::RankedInvertedIndex(apps::ranked_inverted_index::run(
-                    &mut self.device,
-                    layout,
-                    &plan,
-                    &self.params,
-                ))
-            }
+            Task::RankedInvertedIndex => AnalyticsOutput::RankedInvertedIndex(
+                apps::ranked_inverted_index::run(&mut self.device, layout, &plan, &self.params),
+            ),
         };
 
         // Copy the result back to the host.

@@ -135,7 +135,10 @@ impl GpuLayout {
 
     /// Decoded symbols of rule `r` (convenience for host-side code and tests).
     pub fn decoded_elements(&self, r: RuleId) -> Vec<Symbol> {
-        self.elements(r).iter().map(|&e| Symbol::decode(e)).collect()
+        self.elements(r)
+            .iter()
+            .map(|&e| Symbol::decode(e))
+            .collect()
     }
 
     /// Total size in bytes of the flattened arrays (what would be shipped over
@@ -243,10 +246,7 @@ mod tests {
         assert_eq!(layout.num_files, 2);
         assert_eq!(layout.vocab_size, archive.vocabulary_size());
         layout.validate().expect("layout must be self-consistent");
-        assert_eq!(
-            layout.elem_data.len(),
-            archive.grammar.total_elements()
-        );
+        assert_eq!(layout.elem_data.len(), archive.grammar.total_elements());
     }
 
     #[test]

@@ -35,7 +35,10 @@ impl GtadocParams {
     /// Greedy parameter tuning on a sample: each parameter is adjusted in turn
     /// to the candidate value minimising the score returned by `evaluate`
     /// (lower is better), mirroring the paper's greedy per-parameter strategy.
-    pub fn tune<F: FnMut(&GtadocParams) -> f64>(sample_defaults: GtadocParams, mut evaluate: F) -> GtadocParams {
+    pub fn tune<F: FnMut(&GtadocParams) -> f64>(
+        sample_defaults: GtadocParams,
+        mut evaluate: F,
+    ) -> GtadocParams {
         let mut best = sample_defaults;
         let mut best_score = evaluate(&best);
 

@@ -281,7 +281,12 @@ mod tests {
 
     #[test]
     fn pack_unpack_roundtrip() {
-        for seq in [vec![0u32], vec![1, 2], vec![5, 0, 1_000_000], vec![2_000_000, 7, 9]] {
+        for seq in [
+            vec![0u32],
+            vec![1, 2],
+            vec![5, 0, 1_000_000],
+            vec![2_000_000, 7, 9],
+        ] {
             let packed = pack_sequence(&seq);
             assert_eq!(unpack_sequence(packed, seq.len()), seq);
         }
@@ -424,14 +429,14 @@ mod tests {
         for r in 1..layout.num_rules as u32 {
             count_rule_local_sequences(&layout, &ht, r, &mut ctx, |packed| {
                 for (&f, &occ) in &fw[r as usize] {
-                    *per_file
-                        .entry((f, unpack_sequence(packed, l)))
-                        .or_insert(0) += occ;
+                    *per_file.entry((f, unpack_sequence(packed, l))).or_insert(0) += occ;
                 }
             });
         }
         count_root_local_sequences(&layout, &ht, &mut ctx, |file, packed| {
-            *per_file.entry((file, unpack_sequence(packed, l))).or_insert(0) += 1;
+            *per_file
+                .entry((file, unpack_sequence(packed, l)))
+                .or_insert(0) += 1;
         });
 
         let expected = oracle::ranked_inverted_index(&archive.grammar.expand_files(), l);

@@ -249,7 +249,10 @@ mod tests {
     use gpu_sim::GpuSpec;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
-    fn build(corpus: &[(String, String)], l: usize) -> (sequitur::TadocArchive, GpuLayout, HeadTail) {
+    fn build(
+        corpus: &[(String, String)],
+        l: usize,
+    ) -> (sequitur::TadocArchive, GpuLayout, HeadTail) {
         let archive = compress_corpus(corpus, CompressOptions::default());
         let (_dag, layout) = layout_from_archive(&archive);
         let mut device = Device::new(GpuSpec::gtx_1080());

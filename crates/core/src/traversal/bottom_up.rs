@@ -179,7 +179,8 @@ impl Kernel for GenLocTblKernel<'_> {
         // Merge every sub-rule's table, scaled by its occurrence frequency.
         for (sub, freq) in self.layout.children(r as u32) {
             let sub_region = self.pool_regions[sub as usize].range();
-            let pairs: Vec<(u32, u32)> = local_table::iter(&self.pool_storage[sub_region]).collect();
+            let pairs: Vec<(u32, u32)> =
+                local_table::iter(&self.pool_storage[sub_region]).collect();
             ctx.global_read(pairs.len() as u64 * 8);
             for (word, count) in pairs {
                 let region = self.pool_regions[r].range();
@@ -346,12 +347,7 @@ mod tests {
         let (archive, layout) = build(corpus);
         let plan = ThreadPlan::fine_grained(&layout, &GtadocParams::default());
         let mut device = Device::new(GpuSpec::tesla_v100());
-        let tables = accumulate_local_tables(
-            &mut device,
-            &layout,
-            &plan,
-            &GtadocParams::default(),
-        );
+        let tables = accumulate_local_tables(&mut device, &layout, &plan, &GtadocParams::default());
         (archive, layout, tables)
     }
 

@@ -326,7 +326,10 @@ mod tests {
             ("a".to_string(), format!("{shared} alpha beta")),
             ("b".to_string(), format!("{shared} gamma")),
             ("c".to_string(), shared.clone()),
-            ("d".to_string(), "totally different words in this file".to_string()),
+            (
+                "d".to_string(),
+                "totally different words in this file".to_string(),
+            ),
         ]
     }
 
@@ -377,12 +380,7 @@ mod tests {
         let plan = ThreadPlan::fine_grained(&layout, &GtadocParams::default());
         let mut device = Device::new(GpuSpec::gtx_1080());
         compute_rule_weights(&mut device, &layout, &plan);
-        let names: Vec<&str> = device
-            .profiler()
-            .kernels()
-            .iter()
-            .map(|k| k.name)
-            .collect();
+        let names: Vec<&str> = device.profiler().kernels().iter().map(|k| k.name).collect();
         assert!(names.contains(&"initTopDownMaskKernel"));
         assert!(names.contains(&"topDownKernel"));
         assert!(device.total_time_seconds() > 0.0);

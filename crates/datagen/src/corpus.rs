@@ -82,11 +82,7 @@ impl GeneratedCorpus {
 
     /// Compresses the corpus into a TADOC archive.
     pub fn compress(&self) -> TadocArchive {
-        let byte_sizes: Vec<u64> = self
-            .files
-            .iter()
-            .map(|f| f.len() as u64 * 9)
-            .collect();
+        let byte_sizes: Vec<u64> = self.files.iter().map(|f| f.len() as u64 * 9).collect();
         compress_token_files(
             self.dictionary.clone(),
             self.files.clone(),

@@ -221,6 +221,9 @@ mod tests {
         let corpus = DatasetPreset::new(DatasetId::D).generate_scaled(0.05);
         let archive = corpus.compress();
         assert_eq!(archive.grammar.expand_files(), corpus.files);
-        assert!(archive.grammar.num_rules() > 1, "redundancy must create rules");
+        assert!(
+            archive.grammar.num_rules() > 1,
+            "redundancy must create rules"
+        );
     }
 }

@@ -232,7 +232,10 @@ mod tests {
         crate::observe("t-observe", move || {
             h.fetch_add(1, Ordering::Relaxed);
         });
-        assert!(!crate::should_fail("t-observe"), "observed sites never fire");
+        assert!(
+            !crate::should_fail("t-observe"),
+            "observed sites never fire"
+        );
         assert!(!crate::should_fail("t-observe"));
         assert_eq!(hits.load(Ordering::Relaxed), 2, "hook runs on every hit");
         crate::disable("t-observe");

@@ -213,9 +213,7 @@ mod tests {
     #[test]
     fn functional_execution_runs_every_thread() {
         let mut device = Device::new(GpuSpec::gtx_1080());
-        let mut k = FillKernel {
-            out: vec![0; 1000],
-        };
+        let mut k = FillKernel { out: vec![0; 1000] };
         let stats = device.launch(LaunchConfig::with_threads(1000), &mut k);
         assert_eq!(stats.threads, 1000);
         assert!(stats.warps >= 1000 / 32);
@@ -228,8 +226,10 @@ mod tests {
     fn contended_atomics_cost_more_than_uncontended() {
         let mut device = Device::new(GpuSpec::gtx_1080());
         let n = 4096u64;
-        let contended =
-            device.launch(LaunchConfig::with_threads(n), &mut ContendedKernel { counter: 0 });
+        let contended = device.launch(
+            LaunchConfig::with_threads(n),
+            &mut ContendedKernel { counter: 0 },
+        );
         let uncontended = device.launch(
             LaunchConfig::with_threads(n),
             &mut UncontendedKernel {

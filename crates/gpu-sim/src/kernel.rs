@@ -214,7 +214,14 @@ mod tests {
         assert_eq!(cfg.block_size, 256);
         assert_eq!(cfg.num_blocks(), 4);
         assert_eq!(LaunchConfig::with_threads(0).num_blocks(), 0);
-        assert_eq!(LaunchConfig { threads: 256, block_size: 256 }.num_blocks(), 1);
+        assert_eq!(
+            LaunchConfig {
+                threads: 256,
+                block_size: 256
+            }
+            .num_blocks(),
+            1
+        );
     }
 
     #[test]

@@ -36,7 +36,12 @@ impl Profiler {
         });
     }
 
-    pub(crate) fn record_transfer(&mut self, direction: TransferDirection, bytes: u64, seconds: f64) {
+    pub(crate) fn record_transfer(
+        &mut self,
+        direction: TransferDirection,
+        bytes: u64,
+        seconds: f64,
+    ) {
         self.transfers.push(TransferRecord {
             direction,
             bytes,
@@ -87,7 +92,9 @@ impl Profiler {
     /// Renders a human-readable per-kernel summary.
     pub fn report(&self) -> String {
         let mut out = String::new();
-        out.push_str("kernel                          launches    time(ms)    atomics      bytes\n");
+        out.push_str(
+            "kernel                          launches    time(ms)    atomics      bytes\n",
+        );
         // Aggregate by kernel name, preserving first-seen order.
         let mut names: Vec<&'static str> = Vec::new();
         for k in &self.kernels {

@@ -326,7 +326,10 @@ mod tests {
     fn sample_archive() -> TadocArchive {
         compress_corpus(
             &[
-                ("a.txt".to_string(), "the cat sat on the mat the cat".to_string()),
+                (
+                    "a.txt".to_string(),
+                    "the cat sat on the mat the cat".to_string(),
+                ),
                 ("b.txt".to_string(), "the cat ran on the mat".to_string()),
             ],
             CompressOptions::default(),

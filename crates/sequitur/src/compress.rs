@@ -155,7 +155,12 @@ mod tests {
     #[test]
     fn many_files_share_vocabulary() {
         let corpus: Vec<(String, String)> = (0..20)
-            .map(|i| (format!("f{i}"), "common words repeated across files".to_string()))
+            .map(|i| {
+                (
+                    format!("f{i}"),
+                    "common words repeated across files".to_string(),
+                )
+            })
             .collect();
         let archive = compress_corpus(&corpus, CompressOptions::default());
         assert_eq!(archive.dictionary.len(), 5);

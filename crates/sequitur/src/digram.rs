@@ -106,7 +106,11 @@ mod tests {
         let mut idx = DigramIndex::new();
         idx.insert(d(1, 2), 7);
         idx.remove_if_at(&d(1, 2), 9);
-        assert_eq!(idx.get(&d(1, 2)), Some(7), "non-matching node must not remove");
+        assert_eq!(
+            idx.get(&d(1, 2)),
+            Some(7),
+            "non-matching node must not remove"
+        );
         idx.remove_if_at(&d(1, 2), 7);
         assert_eq!(idx.get(&d(1, 2)), None);
     }

@@ -277,7 +277,11 @@ impl Sequitur {
         // only once, inline it.
         let guard = self.rules[r as usize].guard;
         let first = self.next(guard);
-        let second = if first != guard { self.next(first) } else { guard };
+        let second = if first != guard {
+            self.next(first)
+        } else {
+            guard
+        };
         for s in [first, second] {
             if s == guard || self.is_guard(s) {
                 continue;
@@ -523,7 +527,10 @@ mod tests {
         let mut s = Sequitur::new();
         s.push_all(&tokens);
         for rc in s.non_root_refcounts() {
-            assert!(rc >= 2, "non-root rule with refcount {rc} violates rule utility");
+            assert!(
+                rc >= 2,
+                "non-root rule with refcount {rc} violates rule utility"
+            );
         }
     }
 

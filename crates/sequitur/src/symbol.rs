@@ -93,7 +93,10 @@ impl Symbol {
                 TAG_RULE | r
             }
             Symbol::Splitter(s) => {
-                assert!(s <= MAX_PAYLOAD, "splitter id {s} exceeds encodable payload");
+                assert!(
+                    s <= MAX_PAYLOAD,
+                    "splitter id {s} exceeds encodable payload"
+                );
                 TAG_SPLIT | s
             }
         }

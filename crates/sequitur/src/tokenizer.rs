@@ -64,7 +64,11 @@ mod tests {
     #[test]
     fn splits_on_whitespace() {
         let mut d = Dictionary::new();
-        let ids = tokenize_into("the quick  brown\tfox\nthe", &mut d, TokenizerOptions::default());
+        let ids = tokenize_into(
+            "the quick  brown\tfox\nthe",
+            &mut d,
+            TokenizerOptions::default(),
+        );
         assert_eq!(ids.len(), 5);
         assert_eq!(ids[0], ids[4], "repeated word reuses the same id");
         assert_eq!(d.len(), 4);

@@ -388,7 +388,10 @@ mod tests {
         let mut r = Script::new(vec![header, Vec::new()]);
         let mut fr = FrameReader::new();
         assert!(matches!(fr.read_frame(&mut r), Ok(ReadOutcome::Idle)));
-        assert_eq!(fr.declared.map(|(_, len)| len), Some(MAX_PAYLOAD_LEN as usize));
+        assert_eq!(
+            fr.declared.map(|(_, len)| len),
+            Some(MAX_PAYLOAD_LEN as usize)
+        );
         assert!(
             fr.payload.capacity() <= EAGER_RESERVE,
             "a declared {MAX_PAYLOAD_LEN} bytes reserved {}",

@@ -139,8 +139,10 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Self::Value {
-            let len = rng.gen_range_u64(self.size.start as u64, self.size.end.max(self.size.start + 1) as u64)
-                as usize;
+            let len = rng.gen_range_u64(
+                self.size.start as u64,
+                self.size.end.max(self.size.start + 1) as u64,
+            ) as usize;
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }

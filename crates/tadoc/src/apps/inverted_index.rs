@@ -91,10 +91,22 @@ mod tests {
     #[test]
     fn matches_oracle_on_shared_content() {
         let corpus = vec![
-            ("a".to_string(), "shared phrase one two three alpha".to_string()),
-            ("b".to_string(), "shared phrase one two three beta".to_string()),
-            ("c".to_string(), "completely different words here".to_string()),
-            ("d".to_string(), "shared phrase one two three alpha".to_string()),
+            (
+                "a".to_string(),
+                "shared phrase one two three alpha".to_string(),
+            ),
+            (
+                "b".to_string(),
+                "shared phrase one two three beta".to_string(),
+            ),
+            (
+                "c".to_string(),
+                "completely different words here".to_string(),
+            ),
+            (
+                "d".to_string(),
+                "shared phrase one two three alpha".to_string(),
+            ),
         ];
         let (archive, dag) = build(&corpus);
         let (result, _) = run(&archive, &dag);
@@ -105,7 +117,10 @@ mod tests {
     #[test]
     fn word_unique_to_one_file_has_single_posting() {
         let corpus = vec![
-            ("a".to_string(), "common text common text special".to_string()),
+            (
+                "a".to_string(),
+                "common text common text special".to_string(),
+            ),
             ("b".to_string(), "common text common text".to_string()),
         ];
         let (archive, dag) = build(&corpus);

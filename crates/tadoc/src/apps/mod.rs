@@ -127,12 +127,7 @@ pub struct TaskExecution {
 ///     assert_eq!(counts.count(to), 3);
 /// }
 /// ```
-pub fn run_task(
-    archive: &TadocArchive,
-    dag: &Dag,
-    task: Task,
-    cfg: TaskConfig,
-) -> TaskExecution {
+pub fn run_task(archive: &TadocArchive, dag: &Dag, task: Task, cfg: TaskConfig) -> TaskExecution {
     let (output, timings) = match task {
         Task::WordCount => {
             let (r, t) = word_count::run(archive, dag);
@@ -178,7 +173,10 @@ mod tests {
                 "the cat sat on the mat the cat sat on the rug".to_string(),
             ),
             ("b".to_string(), "the dog sat on the mat".to_string()),
-            ("c".to_string(), "the cat sat on the mat the cat sat on the rug".to_string()),
+            (
+                "c".to_string(),
+                "the cat sat on the mat the cat sat on the rug".to_string(),
+            ),
         ];
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
@@ -210,7 +208,12 @@ mod tests {
         for task in Task::ALL {
             let exec = run_task(&archive, &dag, task, cfg);
             let expected = oracle::run(&files, task, cfg);
-            assert_eq!(*exec.output, expected, "task {} diverges from oracle", task.name());
+            assert_eq!(
+                *exec.output,
+                expected,
+                "task {} diverges from oracle",
+                task.name()
+            );
         }
     }
 

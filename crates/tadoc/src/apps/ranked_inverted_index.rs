@@ -81,9 +81,15 @@ mod tests {
     #[test]
     fn matches_oracle() {
         let corpus = vec![
-            ("a".to_string(), "one two three one two three four".to_string()),
+            (
+                "a".to_string(),
+                "one two three one two three four".to_string(),
+            ),
             ("b".to_string(), "one two three".to_string()),
-            ("c".to_string(), "five six seven one two three one two three".to_string()),
+            (
+                "c".to_string(),
+                "five six seven one two three one two three".to_string(),
+            ),
         ];
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);

@@ -26,7 +26,10 @@ mod tests {
     #[test]
     fn ranking_matches_oracle() {
         let corpus = vec![
-            ("a".to_string(), "x x x y y z common common common common".to_string()),
+            (
+                "a".to_string(),
+                "x x x y y z common common common common".to_string(),
+            ),
             ("b".to_string(), "y z z common common".to_string()),
         ];
         let archive = compress_corpus(&corpus, CompressOptions::default());

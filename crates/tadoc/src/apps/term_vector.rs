@@ -84,7 +84,10 @@ mod tests {
     fn matches_oracle() {
         let corpus = vec![
             ("a".to_string(), "red green blue red green red".to_string()),
-            ("b".to_string(), "red green blue red green red yellow".to_string()),
+            (
+                "b".to_string(),
+                "red green blue red green red yellow".to_string(),
+            ),
             ("c".to_string(), "yellow yellow".to_string()),
         ];
         let archive = compress_corpus(&corpus, CompressOptions::default());

@@ -121,10 +121,8 @@ mod tests {
         // must not grow linearly with repetitions (this is the computation
         // reuse the paper exploits).
         let paragraph = "alpha beta gamma delta epsilon zeta ";
-        let small: Vec<(String, String)> =
-            vec![("s".to_string(), paragraph.repeat(50))];
-        let large: Vec<(String, String)> =
-            vec![("l".to_string(), paragraph.repeat(800))];
+        let small: Vec<(String, String)> = vec![("s".to_string(), paragraph.repeat(50))];
+        let large: Vec<(String, String)> = vec![("l".to_string(), paragraph.repeat(800))];
         let run_ops = |corpus: &[(String, String)]| {
             let archive = compress_corpus(corpus, CompressOptions::default());
             let dag = Dag::from_grammar(&archive.grammar);

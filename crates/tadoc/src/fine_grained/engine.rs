@@ -84,11 +84,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroChunkElements => {
                 write!(f, "chunk_elements must be at least 1")
             }
-            ConfigError::ZeroSequenceLength { task } => write!(
-                f,
-                "task {} requires sequence_length >= 1",
-                task.name()
-            ),
+            ConfigError::ZeroSequenceLength { task } => {
+                write!(f, "task {} requires sequence_length >= 1", task.name())
+            }
         }
     }
 }
@@ -1012,13 +1010,11 @@ mod tests {
         );
         // Errors render as readable messages.
         assert!(ConfigError::ZeroThreads.to_string().contains("num_threads"));
-        assert!(
-            ConfigError::ZeroSequenceLength {
-                task: Task::SequenceCount
-            }
-            .to_string()
-            .contains("sequenceCount")
-        );
+        assert!(ConfigError::ZeroSequenceLength {
+            task: Task::SequenceCount
+        }
+        .to_string()
+        .contains("sequenceCount"));
         assert!(EngineError::Config(ConfigError::ZeroThreads)
             .to_string()
             .contains("invalid configuration"));
@@ -1159,7 +1155,10 @@ mod tests {
         for l in [2usize, 3, 4] {
             let cfg = TaskConfig { sequence_length: l };
             let first = engine.run(Task::SequenceCount, cfg).unwrap();
-            assert!(!first.timings.warm, "l={l} first run fills its window table");
+            assert!(
+                !first.timings.warm,
+                "l={l} first run fills its window table"
+            );
             let again = engine.run(Task::SequenceCount, cfg).unwrap();
             assert!(again.timings.warm, "l={l} repeat must be warm");
             assert_eq!(first.output, again.output);
@@ -1362,7 +1361,10 @@ mod tests {
         assert!(!stats.hit);
         let warm = caching.run(Task::WordCount, cfg).unwrap();
         let stats = warm.timings.results_cache.expect("cache stats attached");
-        assert!(stats.hit, "identical (task, cfg) must hit the results cache");
+        assert!(
+            stats.hit,
+            "identical (task, cfg) must hit the results cache"
+        );
         assert!(warm.timings.warm, "a cache hit is by definition warm");
         assert_eq!(warm.output, cold.output);
         assert_eq!(caching.results_cache_counters(), Some((1, 1)));
@@ -1459,7 +1461,10 @@ mod tests {
         // Room for any one table twice over, but not for the set.
         let sizes = || oracle.iter().map(|t| t.heap_bytes());
         let budget = 2 * sizes().max().unwrap();
-        assert!(sizes().sum::<usize>() > 2 * budget, "the key set must not fit");
+        assert!(
+            sizes().sum::<usize>() > 2 * budget,
+            "the key set must not fit"
+        );
 
         // Three passes over all 24 keys, then the last one asked twice more:
         // least-recently-hit eviction under cyclic access evicts every key

@@ -428,7 +428,11 @@ impl WorkerPool {
     #[cold]
     fn checkpoint_slow(&self) {
         let st = self.control.state.lock().expect(POOL_MUTEX_MSG);
-        let abort = if st.cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
+        let abort = if st
+            .cancel
+            .as_ref()
+            .is_some_and(|c| c.load(Ordering::Relaxed))
+        {
             Some(Abort::Cancelled)
         } else if st.deadline.is_some_and(|d| Instant::now() >= d) {
             Some(Abort::DeadlineExceeded)
@@ -803,7 +807,11 @@ mod tests {
             total.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(total.into_inner(), 28);
-        assert_eq!(pool.epochs(), 0, "a near-empty level must not pay a barrier");
+        assert_eq!(
+            pool.epochs(),
+            0,
+            "a near-empty level must not pay a barrier"
+        );
     }
 
     #[test]
@@ -960,7 +968,10 @@ mod tests {
             (vec![1, 1000, 1, 1, 1, 1], 4),
             (vec![1, 1, 1, 1000], 3),
             (vec![0, 0, 7, 0], 4),
-            ((0..64).map(|i| if i == 5 { 10_000 } else { 1 }).collect(), 8),
+            (
+                (0..64).map(|i| if i == 5 { 10_000 } else { 1 }).collect(),
+                8,
+            ),
         ];
         for (costs, parts) in cases {
             assert!(costs.len() >= parts);
@@ -992,6 +1003,9 @@ mod tests {
             }
             assert_eq!(covered, len, "item {item}");
         }
-        assert!(!chunks.iter().any(|c| c.item == 0), "len-0 items yield no chunks");
+        assert!(
+            !chunks.iter().any(|c| c.item == 0),
+            "len-0 items yield no chunks"
+        );
     }
 }

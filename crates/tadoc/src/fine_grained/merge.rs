@@ -76,7 +76,8 @@ pub fn concat<K, V>(runs: Vec<PostingRun<K, V>>) -> PostingRun<K, V> {
         let base = out.values.len();
         out.keys.extend(run.keys);
         out.values.extend(run.values);
-        out.offsets.extend(run.offsets[1..].iter().map(|o| o + base));
+        out.offsets
+            .extend(run.offsets[1..].iter().map(|o| o + base));
     }
     out
 }
@@ -111,7 +112,10 @@ mod tests {
             owned(&[]),
             owned(&[(6, &[20]), (9, &[90])]),
         ]);
-        assert_eq!(merged.keys, vec![vec![1, 1], vec![5, 5], vec![6, 6], vec![9, 9]]);
+        assert_eq!(
+            merged.keys,
+            vec![vec![1, 1], vec![5, 5], vec![6, 6], vec![9, 9]]
+        );
         assert_eq!(merged.offsets, vec![0, 1, 3, 4, 5]);
         assert_eq!(merged.values, vec![10, 50, 51, 20, 90]);
     }
@@ -156,6 +160,9 @@ mod tests {
         assert!(empties.is_empty());
         assert_eq!(empties.offsets, vec![0]);
         let one = concat(vec![run(&[(3, &[1, 2])])]);
-        assert_eq!((one.keys, one.offsets, one.values), (vec![3], vec![0, 2], vec![1, 2]));
+        assert_eq!(
+            (one.keys, one.offsets, one.values),
+            (vec![3], vec![0, 2], vec![1, 2])
+        );
     }
 }

@@ -504,7 +504,8 @@ pub(crate) fn build_term_vector_prep(
     let costs: Vec<u64> = (0..num_files)
         .map(|f| {
             let root_words = segments.get(f).map_or(0, |&(s, e)| (e - s) as u64);
-            let local: u64 = csr.row(f)
+            let local: u64 = csr
+                .row(f)
                 .iter()
                 .map(|&(r, _)| dag.local_words(r as usize).len() as u64)
                 .sum();
@@ -997,21 +998,27 @@ fn fill_windows<K: SeqKey>(
 ) -> WindowSources {
     assert_sources_fit(grammar.num_rules(), grammar.num_files());
     let scan_timer = Timer::start();
-    let scanned = claim_loop(pool, items.len(), ITEMS_PER_CLAIM, Vec::new, |windows, item| {
-        let (body, begin, end, limit, source) = match items[item] {
-            SeqItem::Rule { r, begin, end } => {
-                let body = grammar.rule(r);
-                (body, begin, end, body.len(), r as u32)
-            }
-            SeqItem::Root(c) => {
-                let source = grammar.num_rules() as u32 + c.file;
-                (grammar.root(), c.begin, c.end, c.seg_end, source)
-            }
-        };
-        count_range_windows(body, ht, begin, end, limit, |words, _| {
-            windows.push((K::encode(words), source, words[0]));
-        });
-    });
+    let scanned = claim_loop(
+        pool,
+        items.len(),
+        ITEMS_PER_CLAIM,
+        Vec::new,
+        |windows, item| {
+            let (body, begin, end, limit, source) = match items[item] {
+                SeqItem::Rule { r, begin, end } => {
+                    let body = grammar.rule(r);
+                    (body, begin, end, body.len(), r as u32)
+                }
+                SeqItem::Root(c) => {
+                    let source = grammar.num_rules() as u32 + c.file;
+                    (grammar.root(), c.begin, c.end, c.seg_end, source)
+                }
+            };
+            count_range_windows(body, ht, begin, end, limit, |words, _| {
+                windows.push((K::encode(words), source, words[0]));
+            });
+        },
+    );
     timings.scan = scan_timer.elapsed();
 
     let sort_timer = Timer::start();
@@ -1102,7 +1109,9 @@ fn ranked_inverted_index(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskE
     run_phases(
         |charge| {
             let (archive, dag) = (ctx.archive, ctx.dag);
-            let fw = ctx.analysis.ensure_file_weights(archive, dag, ctx.fcfg, pool, charge);
+            let fw = ctx
+                .analysis
+                .ensure_file_weights(archive, dag, ctx.fcfg, pool, charge);
             let num_files = ctx.analysis.ensure_segments(&archive.grammar, charge).len();
             let slot = ctx
                 .analysis
@@ -1168,7 +1177,10 @@ mod tests {
         let levels = head_tail::levels_top_down(&dag);
         let widest = levels.iter().map(Vec::len).max().unwrap_or(0);
         let threshold = exec::INLINE_THRESHOLD;
-        assert!(widest > threshold, "the widest level holds only {widest} rules");
+        assert!(
+            widest > threshold,
+            "the widest level holds only {widest} rules"
+        );
         (archive, dag)
     }
 
@@ -1433,7 +1445,8 @@ mod tests {
         use std::collections::{BTreeMap, BTreeSet};
         let grammar = &archive.grammar;
         let pool = WorkerPool::new(1);
-        let ht = head_tail::build_head_tail(grammar, dag, &head_tail::levels_top_down(dag), 2, &pool);
+        let ht =
+            head_tail::build_head_tail(grammar, dag, &head_tail::levels_top_down(dag), 2, &pool);
         let segments = weights::file_segments(grammar);
         let fw = transposed_file_weights(archive, dag, 1, 4096);
         // Window -> the most files any rule it is local to occurs in.
@@ -1448,7 +1461,10 @@ mod tests {
         for chunk in root_chunks(&segments, usize::MAX) {
             let (begin, end, limit) = (chunk.begin, chunk.end, chunk.seg_end);
             count_range_windows(grammar.root(), &ht, begin, end, limit, |words, _| {
-                in_root.entry(words.to_vec()).or_default().insert(chunk.file);
+                in_root
+                    .entry(words.to_vec())
+                    .or_default()
+                    .insert(chunk.file);
             });
         }
         assert!(

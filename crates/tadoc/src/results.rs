@@ -48,7 +48,10 @@ impl<K: Ord, V> SortedTable<K, V> {
     /// the zero-copy path out of a sorted-run merge.
     pub fn from_sorted_columns(keys: Vec<K>, values: Vec<V>) -> Self {
         debug_assert_eq!(keys.len(), values.len());
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be strictly ascending");
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "keys must be strictly ascending"
+        );
         Self { keys, values }
     }
 
@@ -88,10 +91,7 @@ impl<K: Ord, V> SortedTable<K, V> {
 
     /// Binary-search lookup.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.keys
-            .binary_search(key)
-            .ok()
-            .map(|i| &self.values[i])
+        self.keys.binary_search(key).ok().map(|i| &self.values[i])
     }
 
     /// Iterates `(key, value)` in ascending key order.
@@ -165,7 +165,11 @@ impl<V> PostingTable<V> {
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         debug_assert_eq!(keys.len(), n * width);
         debug_assert!(
-            width == 0 || keys.chunks_exact(width).zip(keys.chunks_exact(width).skip(1)).all(|(a, b)| a < b),
+            width == 0
+                || keys
+                    .chunks_exact(width)
+                    .zip(keys.chunks_exact(width).skip(1))
+                    .all(|(a, b)| a < b),
             "key rows must be strictly ascending"
         );
         Self {
@@ -253,7 +257,10 @@ impl<V> PostingTable<V> {
     /// arena, the offsets, then the values as `values` wraps them.
     fn columns<'a>(&'a self, values: fn(&'a [V]) -> Column<'a>) -> (usize, Vec<Column<'a>>) {
         let keys = Column::U32(&self.keys);
-        (self.num_keys(), vec![keys, Column::Offsets(&self.offsets), values(&self.values)])
+        (
+            self.num_keys(),
+            vec![keys, Column::Offsets(&self.offsets), values(&self.values)],
+        )
     }
 }
 

@@ -82,7 +82,9 @@ pub fn run_gpu_uncompressed(
     let (table_ops_per_token, atomic_span) = match task {
         Task::WordCount | Task::Sort => (4, 1 << 16),
         Task::InvertedIndex | Task::TermVector => (6, 1 << 18),
-        Task::SequenceCount | Task::RankedInvertedIndex => (4 + 2 * cfg.sequence_length as u64, 1 << 20),
+        Task::SequenceCount | Task::RankedInvertedIndex => {
+            (4 + 2 * cfg.sequence_length as u64, 1 << 20)
+        }
     };
     let threads = flat.len().div_ceil(TOKENS_PER_THREAD);
     device.launch(
@@ -140,12 +142,8 @@ mod tests {
     #[test]
     fn outputs_match_the_oracle() {
         for task in Task::ALL {
-            let exec = run_gpu_uncompressed(
-                GpuSpec::gtx_1080(),
-                &files(),
-                task,
-                TaskConfig::default(),
-            );
+            let exec =
+                run_gpu_uncompressed(GpuSpec::gtx_1080(), &files(), task, TaskConfig::default());
             assert_eq!(exec.output.task().name(), task.name());
             assert!(exec.seconds > 0.0);
             assert!(exec.kernel_launches >= 1);

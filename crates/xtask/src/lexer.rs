@@ -323,9 +323,7 @@ impl<'s> Lexer<'s> {
                 self.push(TokenKind::Str, start, line);
             }
             // br"…" / br#"…"#
-            (Some(b'b'), Some(b'r'))
-                if matches!(self.peek(2), Some(b'"') | Some(b'#')) =>
-            {
+            (Some(b'b'), Some(b'r')) if matches!(self.peek(2), Some(b'"') | Some(b'#')) => {
                 self.bump(); // b
                 if self.raw_string_body() {
                     self.push(TokenKind::Str, start, line);
@@ -415,7 +413,10 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokenKind, &str)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text(src))).collect()
+        lex(src)
+            .into_iter()
+            .map(|t| (t.kind, t.text(src)))
+            .collect()
     }
 
     /// Identifier tokens only — what the unsafe-detection rules see.

@@ -78,7 +78,15 @@ const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"
 /// cancellation to other threads.  `Relaxed` on these is a latent ordering
 /// bug even when the surrounding mutex happens to save it today.
 const CONTROL_WORDS: &[&str] = &[
-    "epoch", "gen", "remaining", "shutdown", "active", "poison", "control", "barrier", "lease",
+    "epoch",
+    "gen",
+    "remaining",
+    "shutdown",
+    "active",
+    "poison",
+    "control",
+    "barrier",
+    "lease",
 ];
 
 /// How many non-comment tokens `safety-comments` walks backwards over before
@@ -133,7 +141,10 @@ pub struct Config {
 impl Config {
     /// Loads the config for the workspace rooted at `root`.
     pub fn load(root: &Path) -> Result<Self, String> {
-        let candidates = [root.join("crates/xtask/rules.toml"), root.join("rules.toml")];
+        let candidates = [
+            root.join("crates/xtask/rules.toml"),
+            root.join("rules.toml"),
+        ];
         let path = candidates
             .iter()
             .find(|p| p.is_file())
@@ -190,7 +201,10 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Violation>, String> {
         let quoted = format!("\"{frag}\"");
         out.push(Violation {
             file: rel(rules_file, root),
-            line: rules_text.lines().position(|l| l.contains(&quoted)).map_or(1, |i| i + 1),
+            line: rules_text
+                .lines()
+                .position(|l| l.contains(&quoted))
+                .map_or(1, |i| i + 1),
             rule: rule.into(),
             msg: format!("path fragment `{frag}` selects no file: remove it or fix the path"),
         });
@@ -976,10 +990,16 @@ mod tests {
             hit_path_paths: vec!["crates/b/".into()],
             ..Config::default()
         };
-        let files = ["/ws/crates/a/src/lib.rs".to_string(), "/ws/crates/a/src/x.rs".to_string()];
+        let files = [
+            "/ws/crates/a/src/lib.rs".to_string(),
+            "/ws/crates/a/src/x.rs".to_string(),
+        ];
         assert_eq!(
             config.unmatched_fragments(&files),
-            vec![("no-hash-finalize", "crates/a/src/gone.rs"), ("copy-free-hit-path", "crates/b/")]
+            vec![
+                ("no-hash-finalize", "crates/a/src/gone.rs"),
+                ("copy-free-hit-path", "crates/b/")
+            ]
         );
         assert!(Config::default().unmatched_fragments(&[]).is_empty());
     }
@@ -990,7 +1010,9 @@ mod tests {
         assert!(has_forbid_unsafe(
             "//! docs first\n#![deny(missing_docs)]\n#![forbid(unsafe_code)]"
         ));
-        assert!(!has_forbid_unsafe("// #![forbid(unsafe_code)] in a comment"));
+        assert!(!has_forbid_unsafe(
+            "// #![forbid(unsafe_code)] in a comment"
+        ));
         assert!(!has_forbid_unsafe("fn main() {}"));
     }
 

@@ -8,7 +8,9 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn fixture_dir(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("fixtures").join(name)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join(name)
 }
 
 fn run_lint(root: &std::path::Path) -> Output {
@@ -46,7 +48,10 @@ fn atomic_orderings_fixture_fails() {
     assert!(!out.status.success(), "stdout:\n{stdout}");
     // All three seeded shapes must be caught: implicit ordering, SeqCst,
     // and Relaxed on control state.
-    assert!(stdout.contains("without an explicit `Ordering`"), "{stdout}");
+    assert!(
+        stdout.contains("without an explicit `Ordering`"),
+        "{stdout}"
+    );
     assert!(stdout.contains("SeqCst"), "{stdout}");
     assert!(stdout.contains("Relaxed"), "{stdout}");
 }

@@ -73,7 +73,11 @@ fn main() {
             task.name(),
             cold_init,
             warm_init,
-            if warm_init > 0.0 { cold_init / warm_init } else { f64::INFINITY },
+            if warm_init > 0.0 {
+                cold_init / warm_init
+            } else {
+                f64::INFINITY
+            },
         );
     }
 

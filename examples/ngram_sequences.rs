@@ -60,8 +60,15 @@ fn main() {
             .iter()
             .max_by_key(|(_, files)| files.len())
             .expect("non-empty index");
-        let words: Vec<&str> = best.0.iter().map(|&w| archive_b.dictionary.word(w)).collect();
-        println!("phrase appearing in the most files: \"{}\"", words.join(" "));
+        let words: Vec<&str> = best
+            .0
+            .iter()
+            .map(|&w| archive_b.dictionary.word(w))
+            .collect();
+        println!(
+            "phrase appearing in the most files: \"{}\"",
+            words.join(" ")
+        );
         for (file, count) in best.1.iter().take(4) {
             println!(
                 "  {:<24} {} occurrences",

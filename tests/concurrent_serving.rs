@@ -13,7 +13,12 @@ use std::sync::{Arc, Barrier};
 fn serving_corpus() -> Vec<(String, String)> {
     let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(5);
     (0..24)
-        .map(|i| (format!("doc{i}"), format!("{shared} topic{} {shared}", i % 5)))
+        .map(|i| {
+            (
+                format!("doc{i}"),
+                format!("{shared} topic{} {shared}", i % 5),
+            )
+        })
         .collect()
 }
 

@@ -27,7 +27,12 @@ fn corpora() -> Vec<(&'static str, Vec<(String, String)>)> {
         (
             "redundant_multi_file",
             (0..6)
-                .map(|i| (format!("doc{i}"), format!("{shared} unique token{i} {shared}")))
+                .map(|i| {
+                    (
+                        format!("doc{i}"),
+                        format!("{shared} unique token{i} {shared}"),
+                    )
+                })
                 .collect(),
         ),
         (
@@ -64,7 +69,12 @@ fn all_implementations_agree_on_all_tasks() {
         for task in Task::ALL {
             let oracle_out = tadoc::oracle::run(&files, task, cfg);
             let cpu = run_task(&archive, &dag, task, cfg);
-            assert_eq!(*cpu.output, oracle_out, "[{name}] CPU TADOC vs oracle on {}", task.name());
+            assert_eq!(
+                *cpu.output,
+                oracle_out,
+                "[{name}] CPU TADOC vs oracle on {}",
+                task.name()
+            );
 
             let fine = run_cold(Engine::builder(&archive, &dag).threads(3), task, cfg);
             assert_eq!(
@@ -234,7 +244,12 @@ fn both_gpu_traversal_strategies_agree_on_every_platform() {
         ] {
             let td = engine.run_layout(&layout, task, Some(TraversalStrategy::TopDown));
             let bu = engine.run_layout(&layout, task, Some(TraversalStrategy::BottomUp));
-            assert_eq!(td.output, bu.output, "strategies disagree on {}", task.name());
+            assert_eq!(
+                td.output,
+                bu.output,
+                "strategies disagree on {}",
+                task.name()
+            );
         }
     }
 }

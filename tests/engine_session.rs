@@ -11,7 +11,12 @@ use tadoc::timing::WorkStats;
 fn a_shaped_corpus() -> Vec<(String, String)> {
     let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(5);
     (0..40)
-        .map(|i| (format!("abstract{i}"), format!("{shared} topic{} {shared}", i % 7)))
+        .map(|i| {
+            (
+                format!("abstract{i}"),
+                format!("{shared} topic{} {shared}", i % 7),
+            )
+        })
         .collect()
 }
 
@@ -114,8 +119,18 @@ fn warm_init_drops_versus_cold_init() {
             .expect("valid engine config");
         let cold: TaskExecution = engine.run(task, cfg).expect("valid task config");
         assert!(!cold.timings.warm, "{} first run must be cold", task.name());
-        assert_eq!(cold.timings.init_work, WorkStats::default(), "{}", task.name());
-        assert_eq!(cold.timings.traversal_work, WorkStats::default(), "{}", task.name());
+        assert_eq!(
+            cold.timings.init_work,
+            WorkStats::default(),
+            "{}",
+            task.name()
+        );
+        assert_eq!(
+            cold.timings.traversal_work,
+            WorkStats::default(),
+            "{}",
+            task.name()
+        );
         // Take the fastest of a few warm repeats so a scheduler preemption
         // inside one sub-microsecond warm init cannot flake the wall-clock
         // comparison on a time-sliced single-core runner.
@@ -128,13 +143,22 @@ fn warm_init_drops_versus_cold_init() {
                 "{} warm run must spend no time on shared artifacts",
                 task.name()
             );
-            assert_eq!(warm.timings.init_work, WorkStats::default(), "{}", task.name());
-            assert_eq!(warm.timings.traversal_work, WorkStats::default(), "{}", task.name());
+            assert_eq!(
+                warm.timings.init_work,
+                WorkStats::default(),
+                "{}",
+                task.name()
+            );
+            assert_eq!(
+                warm.timings.traversal_work,
+                WorkStats::default(),
+                "{}",
+                task.name()
+            );
             min_warm_init = Some(
-                min_warm_init
-                    .map_or(warm.timings.init, |m: std::time::Duration| {
-                        m.min(warm.timings.init)
-                    }),
+                min_warm_init.map_or(warm.timings.init, |m: std::time::Duration| {
+                    m.min(warm.timings.init)
+                }),
             );
         }
         // Wall-clock: the warm init only performs cache lookups, the cold
@@ -164,8 +188,8 @@ fn pool_survives_many_queries_without_respawning_threads() {
         .build()
         .expect("valid engine config");
 
-    let initial_thread_ids: Vec<(usize, std::thread::ThreadId)> = engine
-        .with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())));
+    let initial_thread_ids: Vec<(usize, std::thread::ThreadId)> =
+        engine.with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())));
 
     let mut last_epochs = engine.epochs();
     let cfg = TaskConfig::default();
@@ -185,8 +209,8 @@ fn pool_survives_many_queries_without_respawning_threads() {
         last_epochs = epochs;
     }
 
-    let final_thread_ids: Vec<(usize, std::thread::ThreadId)> = engine
-        .with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())));
+    let final_thread_ids: Vec<(usize, std::thread::ThreadId)> =
+        engine.with_worker_pool(|pool| pool.collect(|w| (w, std::thread::current().id())));
     assert_eq!(
         final_thread_ids, initial_thread_ids,
         "worker ids must stay pinned to the same OS threads across queries"
@@ -218,7 +242,11 @@ fn run_all_shares_prerequisites_and_matches_oracle() {
         let oracle = run_task(&archive, &dag, task, cfg);
         assert_eq!(cold.output, oracle.output, "{} pass 1", task.name());
         assert_eq!(warm.output, oracle.output, "{} pass 2", task.name());
-        assert!(warm.timings.warm, "{} must be warm on the second pass", task.name());
+        assert!(
+            warm.timings.warm,
+            "{} must be warm on the second pass",
+            task.name()
+        );
     }
 
     // Within the first pass, later tasks already share artifacts computed
@@ -248,7 +276,11 @@ fn sequence_length_variants_share_one_session() {
             let got = engine.run(task, cfg).expect("valid task config");
             assert_eq!(got.output, oracle.output, "{} l={l}", task.name());
             let again = engine.run(task, cfg).expect("valid task config");
-            assert!(again.timings.warm, "{} l={l} repeat must be warm", task.name());
+            assert!(
+                again.timings.warm,
+                "{} l={l} repeat must be warm",
+                task.name()
+            );
             assert_eq!(again.output, oracle.output, "{} l={l} warm", task.name());
         }
     }

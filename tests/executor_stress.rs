@@ -72,7 +72,12 @@ fn all_tasks_agree_across_thread_counts_on_many_tiny_levels() {
     for task in Task::ALL {
         let oracle = tadoc::oracle::run(&files, task, cfg);
         let sequential = run_task(&archive, &dag, task, cfg);
-        assert_eq!(*sequential.output, oracle, "sequential vs oracle on {}", task.name());
+        assert_eq!(
+            *sequential.output,
+            oracle,
+            "sequential vs oracle on {}",
+            task.name()
+        );
         for threads in [1usize, 4, 8] {
             let fine = run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
             assert_eq!(
@@ -120,8 +125,7 @@ fn term_vector_fine_matches_sequential_on_file_skew() {
             cfg,
         );
         assert_eq!(
-            fine.output,
-            sequential.output,
+            fine.output, sequential.output,
             "termVector with {threads} threads diverges on the file-skewed corpus"
         );
     }
@@ -151,7 +155,11 @@ fn sharded_kernels_match_sequential_when_one_word_is_half_the_corpus() {
     let files = archive.grammar.expand_files();
     let the = files[0][0];
     let share = files.iter().flatten().filter(|&&w| w == the).count();
-    assert_eq!(2 * share, files.iter().map(Vec::len).sum::<usize>(), "premise");
+    assert_eq!(
+        2 * share,
+        files.iter().map(Vec::len).sum::<usize>(),
+        "premise"
+    );
     // `l` = 2 and 3 take the packed keys, `l` = 4 the `Sequence` path.
     for l in [2usize, 3, 4] {
         let cfg = TaskConfig { sequence_length: l };

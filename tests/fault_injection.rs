@@ -35,7 +35,12 @@ const FAILPOINTS: [&str; 3] = ["worker-epoch", "chunk-boundary", "merge-fold"];
 fn corpus() -> Vec<(String, String)> {
     let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(8);
     (0..12)
-        .map(|i| (format!("doc{i}"), format!("{shared} topic{} {shared}", i % 5)))
+        .map(|i| {
+            (
+                format!("doc{i}"),
+                format!("{shared} topic{} {shared}", i % 5),
+            )
+        })
         .collect()
 }
 
@@ -243,7 +248,10 @@ fn pool_heals_across_repeated_poison_cycles_with_monotonic_epochs() {
         assert_eq!(healed.output, oracle.output, "round {round}");
         assert!(healed.timings.degraded.is_none(), "round {round}");
         let epochs = engine.epochs();
-        assert!(epochs > last_epochs, "round {round}: healed run dispatched epochs");
+        assert!(
+            epochs > last_epochs,
+            "round {round}: healed run dispatched epochs"
+        );
         last_epochs = epochs;
     }
 }
@@ -398,7 +406,11 @@ fn deadline_mid_query_returns_typed_error_in_bounded_time() {
     });
     let opts = QueryOptions::new().deadline(Duration::from_millis(1));
     let err = engine
-        .run_with(Task::SequenceCount, TaskConfig { sequence_length: 3 }, &opts)
+        .run_with(
+            Task::SequenceCount,
+            TaskConfig { sequence_length: 3 },
+            &opts,
+        )
         .expect_err("deadline expires during the query");
     assert_eq!(err, EngineError::DeadlineExceeded);
     failpoints::reset();
@@ -455,8 +467,7 @@ fn concurrent_fault_isolation_at_every_failpoint() {
                             panic!("site={site} client {c}: query failed: {e}")
                         });
                         assert_eq!(
-                            exec.output,
-                            oracle[k],
+                            exec.output, oracle[k],
                             "site={site} client {c}: a fault in one query \
                              poisoned another's answer"
                         );
@@ -517,9 +528,9 @@ fn cancellation_in_one_concurrent_query_leaves_others_untouched() {
             let oracle = &oracle;
             s.spawn(move || {
                 for i in 0..8 {
-                    let exec = engine.run(Task::WordCount, cfg).unwrap_or_else(|e| {
-                        panic!("bystander {c} iteration {i} failed: {e}")
-                    });
+                    let exec = engine
+                        .run(Task::WordCount, cfg)
+                        .unwrap_or_else(|e| panic!("bystander {c} iteration {i} failed: {e}"));
                     assert_eq!(
                         exec.output, oracle.output,
                         "bystander {c} iteration {i}: output corrupted"

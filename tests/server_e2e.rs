@@ -44,7 +44,12 @@ fn serial() -> MutexGuard<'static, ()> {
 fn corpus() -> Vec<(String, String)> {
     let shared = "the quick brown fox jumps over the lazy dog while the cat watches ".repeat(6);
     (0..16)
-        .map(|i| (format!("doc{i}"), format!("{shared} topic{} {shared}", i % 5)))
+        .map(|i| {
+            (
+                format!("doc{i}"),
+                format!("{shared} topic{} {shared}", i % 5),
+            )
+        })
         .collect()
 }
 
@@ -632,7 +637,9 @@ mod faults {
             // complete.
             let mut doomed = Client::connect(handle.addr()).expect("connect");
             assert!(
-                doomed.query(Task::WordCount, TaskConfig::default()).is_err(),
+                doomed
+                    .query(Task::WordCount, TaskConfig::default())
+                    .is_err(),
                 "query should fail on a connection dropped at accept"
             );
             // The acceptor survived: the next connection is served.
