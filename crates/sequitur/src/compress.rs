@@ -1,13 +1,18 @@
 //! End-to-end TADOC compression: documents → dictionary conversion → splitter
 //! insertion → Sequitur → [`TadocArchive`].
 
+use std::path::Path;
+use std::sync::mpsc;
+
 use crate::archive::{FileMeta, TadocArchive};
 use crate::dictionary::Dictionary;
 use crate::sequitur_impl::Sequitur;
-use crate::symbol::MAX_PAYLOAD;
+use crate::symbol::{Symbol, MAX_PAYLOAD};
 use crate::tokenizer::{tokenize_into, TokenizerOptions};
 use crate::{Result, WordId};
-use std::path::Path;
+
+/// Files the tokenizer thread may run ahead of Sequitur.
+const FILES_IN_FLIGHT: usize = 64;
 
 /// Options controlling compression.
 #[derive(Debug, Clone, Copy, Default)]
@@ -17,17 +22,40 @@ pub struct CompressOptions {
 }
 
 /// Compresses an in-memory corpus of `(file name, file content)` pairs.
+///
+/// A scoped second thread tokenizes the files in order and sends each
+/// file's word ids over a bounded channel, while the calling thread pushes
+/// them into Sequitur.  Words are interned in file order, as a serial pass
+/// would intern them, so the archive is the one [`compress_token_files`]
+/// builds from the same tokens.
 pub fn compress_corpus(files: &[(String, String)], opts: CompressOptions) -> TadocArchive {
-    let mut dict = Dictionary::new();
-    let mut token_files = Vec::with_capacity(files.len());
-    let mut names = Vec::with_capacity(files.len());
-    let mut byte_sizes = Vec::with_capacity(files.len());
-    for (name, content) in files {
-        token_files.push(tokenize_into(content, &mut dict, opts.tokenizer));
-        names.push(name.clone());
-        byte_sizes.push(content.len() as u64);
-    }
-    compress_token_files(dict, token_files, names, byte_sizes)
+    let mut builder = GrammarBuilder::new(files.len(), 0);
+    let (tx, rx) = mpsc::sync_channel::<Vec<WordId>>(FILES_IN_FLIGHT);
+    let dictionary = std::thread::scope(|scope| {
+        let tokenizer = scope.spawn(move || {
+            let mut dict = Dictionary::new();
+            for (_, content) in files {
+                let tokens = tokenize_into(content, &mut dict, opts.tokenizer);
+                // The receiver hangs up only if Sequitur panicked.
+                if tx.send(tokens).is_err() {
+                    break;
+                }
+            }
+            dict
+        });
+        for tokens in rx {
+            builder.push_file(&tokens);
+        }
+        tokenizer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    });
+    let names = files.iter().map(|(name, _)| name.clone()).collect();
+    let sizes = files
+        .iter()
+        .map(|(_, content)| content.len() as u64)
+        .collect();
+    builder.finish(dictionary, names, sizes)
 }
 
 /// Compresses files already converted to word-id streams (the path used by the
@@ -39,35 +67,68 @@ pub fn compress_token_files(
     original_byte_sizes: Vec<u64>,
 ) -> TadocArchive {
     assert_eq!(token_files.len(), names.len());
-    let vocab = dictionary.len() as u32;
-    assert!(
-        vocab as u64 + token_files.len() as u64 <= MAX_PAYLOAD as u64,
-        "vocabulary plus splitter count exceeds the 30-bit symbol payload"
-    );
-
     let total_tokens: usize = token_files.iter().map(|f| f.len()).sum();
-    let mut seq = Sequitur::with_capacity(total_tokens + token_files.len());
-    let mut metas = Vec::with_capacity(token_files.len());
-    let n_files = token_files.len();
-    for (i, tokens) in token_files.iter().enumerate() {
-        seq.push_all(tokens);
-        // A unique splitter terminates every file except the last, exactly as
-        // in Figure 1 of the paper (R0: ... spt1 ...).
-        if i + 1 < n_files {
-            seq.push(vocab + i as u32);
-        }
-        let byte_size = original_byte_sizes.get(i).copied().unwrap_or(0);
-        metas.push(FileMeta {
-            name: names[i].clone(),
-            token_count: tokens.len() as u64,
-            byte_size,
-        });
+    let mut builder = GrammarBuilder::new(token_files.len(), total_tokens);
+    for tokens in &token_files {
+        builder.push_file(tokens);
     }
-    let grammar = seq.into_grammar(vocab);
-    TadocArchive {
-        dictionary,
-        grammar,
-        files: metas,
+    builder.finish(dictionary, names, original_byte_sizes)
+}
+
+/// The grammar half both entry points share: each file's words, then a
+/// unique splitter after every file but the last, exactly as in Figure 1 of
+/// the paper (R0: ... spt1 ...).
+struct GrammarBuilder {
+    seq: Sequitur,
+    files: usize,
+    token_counts: Vec<u64>,
+}
+
+impl GrammarBuilder {
+    /// A builder for `files` files of about `tokens` tokens in total.
+    fn new(files: usize, tokens: usize) -> Self {
+        Self {
+            seq: Sequitur::with_capacity(tokens + files),
+            files,
+            token_counts: Vec::with_capacity(files),
+        }
+    }
+
+    fn push_file(&mut self, tokens: &[WordId]) {
+        self.seq.push_words(tokens);
+        let i = self.token_counts.len();
+        if i + 1 < self.files {
+            self.seq.push(Symbol::Splitter(i as u32));
+        }
+        self.token_counts.push(tokens.len() as u64);
+    }
+
+    fn finish(
+        self,
+        dictionary: Dictionary,
+        names: Vec<String>,
+        original_byte_sizes: Vec<u64>,
+    ) -> TadocArchive {
+        assert_eq!(self.token_counts.len(), self.files);
+        assert!(
+            dictionary.len() as u64 + self.files as u64 <= MAX_PAYLOAD as u64,
+            "vocabulary plus splitter count exceeds the 30-bit symbol payload"
+        );
+        let files = names
+            .into_iter()
+            .zip(self.token_counts)
+            .enumerate()
+            .map(|(i, (name, token_count))| FileMeta {
+                name,
+                token_count,
+                byte_size: original_byte_sizes.get(i).copied().unwrap_or(0),
+            })
+            .collect();
+        TadocArchive {
+            dictionary,
+            grammar: self.seq.into_grammar(),
+            files,
+        }
     }
 }
 

@@ -1,11 +1,13 @@
 //! A small, dependency-free implementation of the Fx hash function (the hash
 //! used by rustc) plus convenience map/set aliases.
 //!
-//! TADOC spends a significant share of its time in hash-table operations
-//! (digram index during compression, word tables during traversal), and the
-//! default SipHash is a poor fit for small integer keys.  This is the pattern
-//! recommended by the Rust performance guidelines: a fast, non-DoS-resistant
-//! hash for internal integer-keyed tables.
+//! The default SipHash is a poor fit for the small integer and short string
+//! keys of TADOC's hash tables.  This is the pattern recommended by the Rust
+//! performance guidelines: a fast, non-DoS-resistant hash for internal
+//! tables.  The compressor's digram index does not use it (it is its own
+//! open-addressing table, [`crate::digram`]); the module stays because the
+//! dictionary's word index and some 70 sites in the traversal, sequential
+//! apps, oracle and results cache use these aliases.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -73,8 +75,7 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<Fx
 /// `HashSet` keyed with the Fx hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Hashes a single `u64` with the Fx function; used by open-addressed tables
-/// elsewhere in the workspace that want a raw hash value.
+/// Hashes a single `u64` with the Fx function.
 #[inline]
 pub fn hash_u64(value: u64) -> u64 {
     let mut h = FxHasher::default();

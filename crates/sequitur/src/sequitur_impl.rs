@@ -14,20 +14,35 @@
 //! `Sequitur::link`, which first un-registers the digram starting at the
 //! left node.  That single discipline keeps the digram index consistent under
 //! all splicing operations.
+//!
+//! A node's symbol is one `u32` in the [`Symbol::encode`] form: words and
+//! splitters as they will appear in the grammar, rule references carrying
+//! the internal rule slot (renumbered by [`Sequitur::into_grammar`]), and
+//! guards carrying the unused tag `0b11` over their rule's slot.  A digram is
+//! the two symbols packed into one `u64` key.
 
 use crate::csr::Csr;
-use crate::digram::{Digram, DigramIndex, Sym};
+use crate::digram::DigramIndex;
 use crate::grammar::Grammar;
-use crate::symbol::Symbol;
+use crate::symbol::{Symbol, WordId, KIND_RULE, MAX_PAYLOAD, PAYLOAD_BITS};
 
 const NIL: u32 = u32::MAX;
 
+/// Tag bits of a rule reference (`Symbol::Rule(slot).encode()`).
+const RULE: u32 = KIND_RULE << PAYLOAD_BITS;
+/// Tag bits of a guard node: the tag no [`Symbol::encode`] output carries,
+/// so every symbol at or above it is a guard.
+const GUARD: u32 = 0b11 << PAYLOAD_BITS;
+
+/// Digrams the index has room for before its first growth.
+const INITIAL_DIGRAMS: usize = 1024;
+
+/// One arena node: 12 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Node {
-    sym: Sym,
+    sym: u32,
     prev: u32,
     next: u32,
-    is_guard: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -37,17 +52,21 @@ struct RuleSlot {
     alive: bool,
 }
 
-/// Incremental Sequitur grammar builder over `u32` terminal tokens.
-///
-/// Word ids and splitter ids share one terminal space here; the caller maps
-/// them back to [`Symbol`]s via the `vocab_size` argument of
-/// [`Sequitur::into_grammar`].
+/// The rule slot an encoded node symbol references, if it is a rule.
+#[inline]
+fn rule_of(sym: u32) -> Option<u32> {
+    match Symbol::encoded_parts(sym) {
+        (KIND_RULE, slot) => Some(slot),
+        _ => None,
+    }
+}
+
+/// Incremental Sequitur grammar builder over words and file splitters.
 pub struct Sequitur {
     nodes: Vec<Node>,
     free_nodes: Vec<u32>,
     rules: Vec<RuleSlot>,
     digrams: DigramIndex,
-    tokens_pushed: u64,
 }
 
 impl Default for Sequitur {
@@ -59,50 +78,31 @@ impl Default for Sequitur {
 impl Sequitur {
     /// Creates a builder containing only the empty root rule.
     pub fn new() -> Self {
-        let mut s = Self {
-            nodes: Vec::with_capacity(1024),
-            free_nodes: Vec::new(),
-            rules: Vec::new(),
-            digrams: DigramIndex::with_capacity(1024),
-            tokens_pushed: 0,
-        };
-        s.new_rule(); // rule 0: root
-        s
+        Self::with_capacity(1024)
     }
 
-    /// Creates a builder with node capacity pre-sized for `n` input tokens.
+    /// Creates a builder with node capacity pre-sized for `n` input symbols.
+    /// The digram index starts small and grows with the live digrams.
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self {
             nodes: Vec::with_capacity(n + 16),
             free_nodes: Vec::new(),
             rules: Vec::with_capacity(n / 8 + 4),
-            digrams: DigramIndex::with_capacity(n),
-            tokens_pushed: 0,
+            digrams: DigramIndex::with_capacity(INITIAL_DIGRAMS),
         };
-        s.new_rule();
+        s.new_rule(); // rule 0: root
         s
-    }
-
-    /// Number of terminal tokens pushed so far.
-    pub fn tokens_pushed(&self) -> u64 {
-        self.tokens_pushed
-    }
-
-    /// Number of live rules (including the root).
-    pub fn live_rules(&self) -> usize {
-        self.rules.iter().filter(|r| r.alive).count()
     }
 
     // ------------------------------------------------------------------
     // arena helpers
     // ------------------------------------------------------------------
 
-    fn new_node(&mut self, sym: Sym, is_guard: bool) -> u32 {
+    fn new_node(&mut self, sym: u32) -> u32 {
         let node = Node {
             sym,
             prev: NIL,
             next: NIL,
-            is_guard,
         };
         if let Some(id) = self.free_nodes.pop() {
             self.nodes[id as usize] = node;
@@ -122,7 +122,11 @@ impl Sequitur {
 
     fn new_rule(&mut self) -> u32 {
         let id = self.rules.len() as u32;
-        let guard = self.new_node(Sym::NonTerm(id), true);
+        assert!(
+            id <= MAX_PAYLOAD,
+            "rule slot count exceeds the 30-bit symbol payload"
+        );
+        let guard = self.new_node(GUARD | id);
         // Circular: an empty rule's guard points at itself.
         self.nodes[guard as usize].prev = guard;
         self.nodes[guard as usize].next = guard;
@@ -135,7 +139,7 @@ impl Sequitur {
     }
 
     #[inline]
-    fn sym(&self, n: u32) -> Sym {
+    fn sym(&self, n: u32) -> u32 {
         self.nodes[n as usize].sym
     }
 
@@ -151,25 +155,32 @@ impl Sequitur {
 
     #[inline]
     fn is_guard(&self, n: u32) -> bool {
-        self.nodes[n as usize].is_guard
+        self.sym(n) >= GUARD
     }
 
-    /// The digram starting at `n`, or `None` if it would span a guard.
-    fn digram_at(&self, n: u32) -> Option<Digram> {
-        if self.is_guard(n) {
+    /// The packed digram starting at `n`, or `None` if it would span a guard.
+    #[inline]
+    fn digram_at(&self, n: u32) -> Option<u64> {
+        let a = self.sym(n);
+        if a >= GUARD {
             return None;
         }
         let m = self.next(n);
-        if m == NIL || self.is_guard(m) {
+        if m == NIL {
             return None;
         }
-        Some((self.sym(n), self.sym(m)))
+        let b = self.sym(m);
+        if b >= GUARD {
+            return None;
+        }
+        Some((a as u64) << 32 | b as u64)
     }
 
     /// Removes the digram-index record starting at `n` (if it points at `n`).
+    #[inline]
     fn unindex(&mut self, n: u32) {
         if let Some(d) = self.digram_at(n) {
-            self.digrams.remove_if_at(&d, n);
+            self.digrams.remove_if_at(d, n);
         }
     }
 
@@ -179,6 +190,13 @@ impl Sequitur {
         if self.nodes[left as usize].next != NIL {
             self.unindex(left);
         }
+        self.splice(left, right);
+    }
+
+    /// Sets `left.next = right` and `right.prev = left`, touching no index
+    /// record: only for a `left` whose digram is already un-registered.
+    #[inline]
+    fn splice(&mut self, left: u32, right: u32) {
         self.nodes[left as usize].next = right;
         self.nodes[right as usize].prev = left;
     }
@@ -187,11 +205,27 @@ impl Sequitur {
     // main algorithm
     // ------------------------------------------------------------------
 
-    /// Appends one terminal token to the root rule, restoring both Sequitur
-    /// invariants.
-    pub fn push(&mut self, token: u32) {
-        self.tokens_pushed += 1;
-        let node = self.new_node(Sym::Term(token), false);
+    /// Appends one word or splitter to the root rule, restoring both
+    /// Sequitur invariants.
+    ///
+    /// # Panics
+    /// Panics on a rule reference, or on a payload above
+    /// [`MAX_PAYLOAD`](crate::symbol::MAX_PAYLOAD).
+    pub fn push(&mut self, symbol: Symbol) {
+        assert!(!symbol.is_rule(), "only words and splitters are pushed");
+        self.push_encoded(symbol.encode());
+    }
+
+    /// Appends every word of `words`.
+    pub fn push_words(&mut self, words: &[WordId]) {
+        for &w in words {
+            self.push(Symbol::Word(w));
+        }
+    }
+
+    #[inline]
+    fn push_encoded(&mut self, sym: u32) {
+        let node = self.new_node(sym);
         let guard = self.rules[0].guard;
         let last = self.prev(guard);
         self.link(node, guard);
@@ -201,24 +235,14 @@ impl Sequitur {
         }
     }
 
-    /// Appends every token of `tokens`.
-    pub fn push_all(&mut self, tokens: &[u32]) {
-        for &t in tokens {
-            self.push(t);
-        }
-    }
-
     /// Checks the digram starting at `n`; returns `true` if a substitution
     /// happened (meaning `n` may no longer be in the grammar).
     fn check(&mut self, n: u32) -> bool {
         let Some(d) = self.digram_at(n) else {
             return false;
         };
-        match self.digrams.get(&d) {
-            None => {
-                self.digrams.insert(d, n);
-                false
-            }
+        match self.digrams.get_or_insert(d, n) {
+            None => false,
             Some(m) if m == n => false,
             Some(m) => {
                 // Overlapping occurrences (e.g. "aaa") are not replaced.
@@ -232,49 +256,44 @@ impl Sequitur {
     }
 
     /// Handles a repeated digram `d` occurring at `n` (new) and `m` (indexed).
-    fn handle_match(&mut self, n: u32, m: u32, d: Digram) {
+    fn handle_match(&mut self, n: u32, m: u32, d: u64) {
         let m_prev = self.prev(m);
         let m_next = self.next(m);
-        let existing_rule = if self.is_guard(m_prev) && self.is_guard(self.next(m_next)) {
-            // `m` is the complete body of a rule: reuse that rule.
-            match self.sym(m_prev) {
-                Sym::NonTerm(r) => Some(r),
-                Sym::Term(_) => unreachable!("guard nodes always carry a rule reference"),
-            }
+        let r = if self.is_guard(m_prev) && self.is_guard(self.next(m_next)) {
+            // `m` is the complete body of a rule: reuse that rule (a guard's
+            // payload is its rule slot).
+            let r = self.sym(m_prev) & MAX_PAYLOAD;
+            self.substitute(n, r);
+            r
         } else {
-            None
-        };
-
-        let r = match existing_rule {
-            Some(r) => {
-                self.substitute(n, r);
-                r
-            }
-            None => {
-                // Create a new rule whose body is the digram, then replace
-                // both occurrences with it.
-                let r = self.new_rule();
-                let guard = self.rules[r as usize].guard;
-                let a = self.new_node(d.0, false);
-                let b = self.new_node(d.1, false);
-                self.link(guard, a);
-                self.link(a, b);
-                self.link(b, guard);
-                if let Sym::NonTerm(q) = d.0 {
+            // Create a new rule whose body is the digram, then replace
+            // both occurrences with it.
+            let r = self.new_rule();
+            let guard = self.rules[r as usize].guard;
+            let (first, second) = ((d >> 32) as u32, d as u32);
+            let a = self.new_node(first);
+            let b = self.new_node(second);
+            self.link(guard, a);
+            self.link(a, b);
+            self.link(b, guard);
+            for sym in [first, second] {
+                if let Some(q) = rule_of(sym) {
                     self.rules[q as usize].refcount += 1;
                 }
-                if let Sym::NonTerm(q) = d.1 {
-                    self.rules[q as usize].refcount += 1;
-                }
-                self.substitute(m, r);
-                self.substitute(n, r);
-                self.digrams.insert(d, a);
-                r
             }
+            self.substitute(m, r);
+            self.substitute(n, r);
+            self.digrams.insert(d, a);
+            r
         };
 
         // Rule utility: if either body symbol of `r` is a rule now referenced
-        // only once, inline it.
+        // only once, inline it.  A nested match may already have inlined `r`
+        // itself into the rule that took both of its uses; its guard is then
+        // freed, and its body lives on in that rule.
+        if !self.rules[r as usize].alive {
+            return;
+        }
         let guard = self.rules[r as usize].guard;
         let first = self.next(guard);
         let second = if first != guard {
@@ -283,10 +302,8 @@ impl Sequitur {
             guard
         };
         for s in [first, second] {
-            if s == guard || self.is_guard(s) {
-                continue;
-            }
-            if let Sym::NonTerm(q) = self.sym(s) {
+            // A guard's tag is not a rule's, so `s == guard` is skipped.
+            if let Some(q) = rule_of(self.sym(s)) {
                 if self.rules[q as usize].alive && self.rules[q as usize].refcount == 1 {
                     self.expand(s, q);
                 }
@@ -308,15 +325,16 @@ impl Sequitur {
 
         // Release references held by the replaced symbols.
         for id in [n, second] {
-            if let Sym::NonTerm(q) = self.sym(id) {
+            if let Some(q) = rule_of(self.sym(id)) {
                 self.rules[q as usize].refcount -= 1;
             }
         }
 
         // Reuse node `n` as the non-terminal reference; drop node `second`.
-        self.nodes[n as usize].sym = Sym::NonTerm(r);
+        // `n`'s digram is already un-registered, so no `link` is needed.
+        self.nodes[n as usize].sym = RULE | r;
         self.rules[r as usize].refcount += 1;
-        self.link(n, after);
+        self.splice(n, after);
         self.free_node(second);
 
         // Newly adjacent digrams must be re-checked.  Mirroring the reference
@@ -351,9 +369,7 @@ impl Sequitur {
         // Register the digram formed at the right splice point so it is not
         // forgotten (the left splice point is re-discovered on later matches).
         if let Some(d) = self.digram_at(last) {
-            if self.digrams.get(&d).is_none() {
-                self.digrams.insert(d, last);
-            }
+            self.digrams.get_or_insert(d, last);
         }
     }
 
@@ -361,11 +377,9 @@ impl Sequitur {
     // extraction
     // ------------------------------------------------------------------
 
-    /// Extracts the grammar, mapping terminals below `vocab_size` to
-    /// [`Symbol::Word`] and terminals at or above it to [`Symbol::Splitter`]
-    /// (`token - vocab_size`).  Live internal rules are renumbered densely
-    /// with the root as rule 0.
-    pub fn into_grammar(self, vocab_size: u32) -> Grammar {
+    /// Extracts the grammar.  Live internal rules are renumbered densely
+    /// with the root as rule 0; words and splitters are taken as pushed.
+    pub fn into_grammar(self) -> Grammar {
         let mut remap = vec![u32::MAX; self.rules.len()];
         let mut next_id = 0u32;
         for (i, slot) in self.rules.iter().enumerate() {
@@ -386,13 +400,12 @@ impl Sequitur {
             let mut cur = self.nodes[guard as usize].next;
             while cur != guard {
                 let node = &self.nodes[cur as usize];
-                let sym = match node.sym {
-                    Sym::Term(t) if t < vocab_size => Symbol::Word(t),
-                    Sym::Term(t) => Symbol::Splitter(t - vocab_size),
-                    Sym::NonTerm(r) => {
+                let sym = match rule_of(node.sym) {
+                    Some(r) => {
                         debug_assert!(self.rules[r as usize].alive, "reference to dead rule");
                         Symbol::Rule(remap[r as usize])
                     }
+                    None => Symbol::decode(node.sym),
                 };
                 bodies.push(sym);
                 cur = node.next;
@@ -408,10 +421,10 @@ impl Sequitur {
     // invariant inspection (used by tests)
     // ------------------------------------------------------------------
 
-    /// Counts how many times each digram appears across all live rules.
-    /// Under digram uniqueness every non-overlapping digram appears at most
-    /// twice transiently and at most once at rest.
-    pub fn digram_occurrence_histogram(&self) -> std::collections::HashMap<Digram, usize> {
+    /// Counts how many times each packed digram appears across all live
+    /// rules.  Under digram uniqueness every non-overlapping digram appears
+    /// at most twice transiently and at most once at rest.
+    pub fn digram_occurrence_histogram(&self) -> std::collections::HashMap<u64, usize> {
         let mut hist = std::collections::HashMap::new();
         for slot in &self.rules {
             if !slot.alive {
@@ -440,20 +453,18 @@ impl Sequitur {
     }
 }
 
-/// Runs Sequitur over a complete token stream and extracts the grammar.
-pub fn build_grammar(tokens: &[u32], vocab_size: u32) -> Grammar {
-    let mut s = Sequitur::with_capacity(tokens.len());
-    s.push_all(tokens);
-    s.into_grammar(vocab_size)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn build_grammar(words: &[WordId]) -> Grammar {
+        let mut s = Sequitur::with_capacity(words.len());
+        s.push_words(words);
+        s.into_grammar()
+    }
+
     fn roundtrip(tokens: &[u32]) -> Grammar {
-        let vocab = tokens.iter().copied().max().map_or(1, |m| m + 1);
-        let g = build_grammar(tokens, vocab);
+        let g = build_grammar(tokens);
         let expanded = g.expand_root_tokens();
         let expected: Vec<Symbol> = tokens.iter().map(|&t| Symbol::Word(t)).collect();
         assert_eq!(expanded, expected, "grammar must expand back to the input");
@@ -462,7 +473,7 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let g = build_grammar(&[], 0);
+        let g = build_grammar(&[]);
         assert_eq!(g.num_rules(), 1);
         assert!(g.rule(0).is_empty());
     }
@@ -511,7 +522,7 @@ mod tests {
     fn digram_uniqueness_at_rest() {
         let tokens = [1, 2, 3, 4, 1, 2, 3, 4, 5, 6, 1, 2, 5, 6, 3, 4];
         let mut s = Sequitur::new();
-        s.push_all(&tokens);
+        s.push_words(&tokens);
         let hist = s.digram_occurrence_histogram();
         for (d, count) in hist {
             assert!(
@@ -525,7 +536,7 @@ mod tests {
     fn rule_utility_at_rest() {
         let tokens = [1, 2, 3, 1, 2, 3, 4, 4, 1, 2, 3, 9, 9, 1, 2];
         let mut s = Sequitur::new();
-        s.push_all(&tokens);
+        s.push_words(&tokens);
         for rc in s.non_root_refcounts() {
             assert!(
                 rc >= 2,
@@ -536,13 +547,23 @@ mod tests {
 
     #[test]
     fn splitters_are_extracted() {
-        // vocab = 3; token 3 and 4 are splitters 0 and 1.
-        let tokens = [0, 1, 2, 3, 0, 1, 2, 4, 0, 1];
-        let g = build_grammar(&tokens, 3);
-        let flat = g.expand_root_tokens();
-        assert!(flat.contains(&Symbol::Splitter(0)));
-        assert!(flat.contains(&Symbol::Splitter(1)));
-        assert_eq!(flat.len(), tokens.len());
+        let symbols = [
+            Symbol::Word(0),
+            Symbol::Word(1),
+            Symbol::Word(2),
+            Symbol::Splitter(0),
+            Symbol::Word(0),
+            Symbol::Word(1),
+            Symbol::Word(2),
+            Symbol::Splitter(1),
+            Symbol::Word(0),
+            Symbol::Word(1),
+        ];
+        let mut s = Sequitur::new();
+        for sym in symbols {
+            s.push(sym);
+        }
+        assert_eq!(s.into_grammar().expand_root_tokens(), symbols);
     }
 
     #[test]
@@ -553,7 +574,7 @@ mod tests {
         for _ in 0..64 {
             tokens.extend_from_slice(&block);
         }
-        let g = build_grammar(&tokens, 32);
+        let g = build_grammar(&tokens);
         let total = g.total_elements();
         assert!(
             total < tokens.len() / 4,
@@ -565,9 +586,16 @@ mod tests {
     }
 
     #[test]
-    fn tokens_pushed_counter() {
-        let mut s = Sequitur::new();
-        s.push_all(&[1, 2, 3]);
-        assert_eq!(s.tokens_pushed(), 3);
+    fn a_rule_inlined_by_a_nested_match_is_not_revisited() {
+        // Replacing the second `0 R1` with the new rule R3 matches `0 R3`,
+        // whose new rule R4 takes both uses of R3 and inlines it; R3's
+        // match must then stop instead of reading R3's freed guard.
+        roundtrip(&[1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only words and splitters")]
+    fn pushing_a_rule_reference_panics() {
+        Sequitur::new().push(Symbol::Rule(1));
     }
 }

@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) on the core invariants:
 //!
 //! * Sequitur compression is lossless for arbitrary token streams and
-//!   arbitrary file splits;
+//!   arbitrary file splits, and digram uniqueness and rule utility hold at
+//!   rest on streams over tiny alphabets;
 //! * the archive binary format round-trips;
 //! * archive decoding is total: arbitrary, header-prefixed, bit-flipped and
 //!   truncated bytes give `Ok` or a typed error — never a panic or an
@@ -28,6 +29,7 @@ use g_tadoc_repro::prelude::*;
 use gtadoc::hashtable::{local_table, GpuHashTable};
 use sequitur::archive::{MAGIC, VERSION};
 use sequitur::compress::compress_token_files;
+use sequitur::sequitur_impl::Sequitur;
 use sequitur::Dictionary;
 use tadoc::timing::WorkStats;
 
@@ -233,6 +235,35 @@ proptest! {
                 prop_assert_eq!(ht.short_expansion[r as usize].as_deref(), Some(full.as_slice()));
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // At rest every rule but the root is used at least twice (rule
+    // utility), and no digram of two different symbols occurs twice (digram
+    // uniqueness).  Alphabets of 1-4 words make long runs (`a a a a`).  A
+    // digram of two equal symbols is exempt: Sequitur never matches a digram
+    // against an occurrence it overlaps, so the unindexed copy a run leaves
+    // can outlive the indexed one.
+    #[test]
+    fn sequitur_invariants_hold_at_rest_on_tiny_alphabets(
+        alphabet in 1u32..=4,
+        stream in vec(0u32..4, 0..300),
+    ) {
+        let words: Vec<u32> = stream.iter().map(|w| w % alphabet).collect();
+        let mut s = Sequitur::new();
+        s.push_words(&words);
+        for (d, count) in s.digram_occurrence_histogram() {
+            let (a, b) = ((d >> 32) as u32, d as u32);
+            prop_assert!(count <= 1 || a == b, "digram {:#x} occurs {} times", d, count);
+        }
+        for rc in s.non_root_refcounts() {
+            prop_assert!(rc >= 2, "non-root rule used {} times", rc);
+        }
+        let expected: Vec<Symbol> = words.iter().map(|&w| Symbol::Word(w)).collect();
+        prop_assert_eq!(s.into_grammar().expand_root_tokens(), expected);
     }
 }
 
