@@ -81,8 +81,8 @@ impl DigramIndex {
     }
 
     /// Returns the node at which `key` is recorded, if any.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<u32> {
+    #[cfg(test)]
+    fn get(&self, key: u64) -> Option<u32> {
         self.find(key).ok().map(|i| self.slots[i].1)
     }
 

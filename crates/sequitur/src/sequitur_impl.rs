@@ -28,8 +28,6 @@ use crate::symbol::{Symbol, WordId, KIND_RULE, MAX_PAYLOAD, PAYLOAD_BITS};
 
 const NIL: u32 = u32::MAX;
 
-/// Tag bits of a rule reference (`Symbol::Rule(slot).encode()`).
-const RULE: u32 = KIND_RULE << PAYLOAD_BITS;
 /// Tag bits of a guard node: the tag no [`Symbol::encode`] output carries,
 /// so every symbol at or above it is a guard.
 const GUARD: u32 = 0b11 << PAYLOAD_BITS;
@@ -213,25 +211,20 @@ impl Sequitur {
     /// [`MAX_PAYLOAD`](crate::symbol::MAX_PAYLOAD).
     pub fn push(&mut self, symbol: Symbol) {
         assert!(!symbol.is_rule(), "only words and splitters are pushed");
-        self.push_encoded(symbol.encode());
-    }
-
-    /// Appends every word of `words`.
-    pub fn push_words(&mut self, words: &[WordId]) {
-        for &w in words {
-            self.push(Symbol::Word(w));
-        }
-    }
-
-    #[inline]
-    fn push_encoded(&mut self, sym: u32) {
-        let node = self.new_node(sym);
+        let node = self.new_node(symbol.encode());
         let guard = self.rules[0].guard;
         let last = self.prev(guard);
         self.link(node, guard);
         self.link(last, node);
         if !self.is_guard(last) {
             self.check(last);
+        }
+    }
+
+    /// Appends every word of `words`.
+    pub fn push_words(&mut self, words: &[WordId]) {
+        for &w in words {
+            self.push(Symbol::Word(w));
         }
     }
 
@@ -332,7 +325,7 @@ impl Sequitur {
 
         // Reuse node `n` as the non-terminal reference; drop node `second`.
         // `n`'s digram is already un-registered, so no `link` is needed.
-        self.nodes[n as usize].sym = RULE | r;
+        self.nodes[n as usize].sym = Symbol::Rule(r).encode();
         self.rules[r as usize].refcount += 1;
         self.splice(n, after);
         self.free_node(second);
