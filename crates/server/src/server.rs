@@ -14,10 +14,12 @@
 //!            └─ poke on shutdown  executors ──> shared Engine (&self)
 //! ```
 //!
-//! A query the engine answers from its results cache is written from the
-//! server's frame table: the handler sends the already-encoded frame of
-//! that very table, so a hot key costs a reference-count bump and a
-//! `write_all`.
+//! The server keeps no cache of its own.  An answer the engine's results
+//! cache holds comes with its entry's [`FrameSlot`]: the first write of
+//! that table encodes it into the slot, and every later hit writes the
+//! slot's bytes, so a hot key costs a reference-count bump and a
+//! `write_all`.  The frame is charged to the engine's cache budget and
+//! evicted with its table.
 //!
 //! Admission contract: handlers **never block and never queue unboundedly**
 //! — a full queue sheds the request immediately with
@@ -34,21 +36,19 @@
 //! drain token if draining exceeds [`ServerConfig::drain_timeout`] so
 //! shutdown always terminates.
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError, Weak};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use failpoints::fail_point;
 use sequitur::{Dag, TadocArchive};
 use tadoc::apps::{Task, TaskConfig};
-use tadoc::fine_grained::{CancelToken, Engine, EngineError, QueryOptions};
-use tadoc::results::AnalyticsOutput;
+use tadoc::fine_grained::{CancelToken, Engine, EngineError, FrameSlot, QueryOptions};
 
 use crate::framing::{write_frame, FrameReadError, FrameReader, ReadOutcome};
 use crate::protocol::{
@@ -212,16 +212,22 @@ impl ServerHandle {
     }
 }
 
-/// What the results cache, and so the frame table, files a table under.
-type QueryKey = (Task, TaskConfig);
-
 /// An executor's answer to one admitted query.
 struct Answer {
     response: Response,
-    /// Whether the engine served the table from its results cache — the
-    /// only answers the [`FrameTable`] is consulted (and filled) for.
-    /// Misses and degraded results are encoded, written and forgotten.
-    cache_hit: bool,
+    /// The frame slot of the results-cache entry the table came from, if
+    /// the cache holds it.
+    frame: Option<Arc<FrameSlot>>,
+}
+
+impl Answer {
+    /// An answer no results-cache entry holds.
+    fn uncached(response: Response) -> Self {
+        Self {
+            response,
+            frame: None,
+        }
+    }
 }
 
 /// One admitted query: what to run, its limits, and where the handler waits
@@ -232,47 +238,6 @@ struct Job {
     /// Absolute expiry, measured from admission (queue wait counts).
     deadline: Option<Instant>,
     reply: mpsc::SyncSender<Answer>,
-}
-
-/// The encoded result frame of one cached table.
-struct SharedFrame {
-    /// The table `bytes` encodes.  Weak, so the server never keeps alive a
-    /// table the engine has evicted; a `Weak` still pins the *address*, so
-    /// it cannot come to name a different, later table.
-    table: Weak<AnalyticsOutput>,
-    bytes: Arc<[u8]>,
-}
-
-/// Encoded frames of the tables the engine's results cache holds, by query
-/// key.  The engine owns the tables; this owns their frames.  A frame is
-/// served only for the *same* table (pointer identity) the engine has just
-/// returned, so an entry the engine evicted and recomputed is re-encoded,
-/// never answered from the old bytes.  Frames of tables nobody holds any
-/// more are dropped whenever a frame is stored, which bounds the table by
-/// what the engine's byte budget keeps alive.
-#[derive(Default)]
-struct FrameTable {
-    frames: Mutex<HashMap<QueryKey, SharedFrame>>,
-}
-
-impl FrameTable {
-    /// The frame stored for `key`, if it encodes exactly `table`.
-    fn get(&self, key: QueryKey, table: &Arc<AnalyticsOutput>) -> Option<Arc<[u8]>> {
-        let frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
-        let frame = frames.get(&key)?;
-        std::ptr::eq(frame.table.as_ptr(), Arc::as_ptr(table)).then(|| Arc::clone(&frame.bytes))
-    }
-
-    /// Files `bytes` as the frame of `table`, replacing whatever `key` held.
-    fn put(&self, key: QueryKey, table: &Arc<AnalyticsOutput>, bytes: Arc<[u8]>) {
-        let frame = SharedFrame {
-            table: Arc::downgrade(table),
-            bytes,
-        };
-        let mut frames = self.frames.lock().unwrap_or_else(PoisonError::into_inner);
-        frames.retain(|_, held| held.table.strong_count() > 0);
-        frames.insert(key, frame);
-    }
 }
 
 /// A bound-but-not-yet-running server.
@@ -319,7 +284,6 @@ impl Server {
             .results_cache(self.config.results_cache)
             .build()?;
         let queue = AdmissionQueue::new(self.config.queue_depth);
-        let frames = FrameTable::default();
         let drain_cancel = CancelToken::new();
         let config = &self.config;
         let shared = &*self.shared;
@@ -337,8 +301,8 @@ impl Server {
                 .collect();
             let handlers: Vec<_> = (0..config.handler_threads.max(1))
                 .map(|_| {
-                    let (conn_rx, queue, frames) = (&conn_rx, &queue, &frames);
-                    s.spawn(move || handler_loop(conn_rx, queue, frames, shared, config))
+                    let (conn_rx, queue) = (&conn_rx, &queue);
+                    s.spawn(move || handler_loop(conn_rx, queue, shared, config))
                 })
                 .collect();
 
@@ -412,7 +376,6 @@ fn submit(queue: &AdmissionQueue<Job>, job: Job) -> Push<Job> {
 fn handler_loop(
     conn_rx: &Mutex<mpsc::Receiver<TcpStream>>,
     queue: &AdmissionQueue<Job>,
-    frames: &FrameTable,
     shared: &Shared,
     config: &ServerConfig,
 ) {
@@ -427,7 +390,7 @@ fn handler_loop(
         Counters::bump(&shared.counters.accepted_connections);
         // One misbehaving connection must not take the handler down.
         drop(catch_unwind(AssertUnwindSafe(|| {
-            drop(serve_connection(stream, queue, frames, shared, config));
+            drop(serve_connection(stream, queue, shared, config));
         })));
     }
 }
@@ -438,7 +401,6 @@ fn handler_loop(
 fn serve_connection(
     mut stream: TcpStream,
     queue: &AdmissionQueue<Job>,
-    frames: &FrameTable,
     shared: &Shared,
     config: &ServerConfig,
 ) -> io::Result<()> {
@@ -492,8 +454,7 @@ fn serve_connection(
             }
             Request::Query(q) => {
                 let answer = admit_query(q, queue, shared);
-                let filed = answer.cache_hit.then_some((frames, (q.task, q.cfg)));
-                write_response(&mut stream, &answer.response, filed)?;
+                write_response(&mut stream, &answer.response, answer.frame.as_deref())?;
             }
         }
     }
@@ -505,13 +466,9 @@ fn admit_query(
     queue: &AdmissionQueue<Job>,
     shared: &Shared,
 ) -> Answer {
-    let uncached = |response| Answer {
-        response,
-        cache_hit: false,
-    };
     if shared.is_shutting_down() {
         Counters::bump(&shared.counters.refused);
-        return uncached(Response::Error(WireError::new(
+        return Answer::uncached(Response::Error(WireError::new(
             WireErrorCode::ShuttingDown,
             "server is shutting down",
         )));
@@ -534,7 +491,7 @@ fn admit_query(
             // The executor died mid-query; its catch_unwind normally
             // answers, so this is a last-resort fallback.
             reply_rx.recv().unwrap_or_else(|_| {
-                uncached(Response::Error(WireError::new(
+                Answer::uncached(Response::Error(WireError::new(
                     WireErrorCode::Internal,
                     "executor dropped the query",
                 )))
@@ -542,14 +499,14 @@ fn admit_query(
         }
         Push::Full(_) => {
             Counters::bump(&shared.counters.shed);
-            uncached(Response::Overloaded {
+            Answer::uncached(Response::Overloaded {
                 queue_depth: queue.depth().min(u32::MAX as usize) as u32,
                 capacity: queue.capacity().min(u32::MAX as usize) as u32,
             })
         }
         Push::Closed(_) => {
             Counters::bump(&shared.counters.refused);
-            uncached(Response::Error(WireError::new(
+            Answer::uncached(Response::Error(WireError::new(
                 WireErrorCode::ShuttingDown,
                 "server is shutting down",
             )))
@@ -557,31 +514,22 @@ fn admit_query(
     }
 }
 
-/// Writes one response.  `filed` is set for a table the engine served from
-/// its results cache: the frame already filed for that very table is written
-/// as it is, and a table on its first hit is encoded once and filed for the
-/// hits that follow.  Everything else — misses, degraded results, errors,
-/// counters — is encoded, written and forgotten.
+/// Writes one response.  `frame` is the slot of the results-cache entry
+/// that holds the answered table: its first write encodes the table into the
+/// slot, and every later one writes the slot's bytes as they are.
+/// Everything else — uncached and degraded results, errors, counters — is
+/// encoded, written and forgotten.
 fn write_response(
     stream: &mut TcpStream,
     resp: &Response,
-    filed: Option<(&FrameTable, QueryKey)>,
+    frame: Option<&FrameSlot>,
 ) -> io::Result<()> {
-    let filed = match (filed, resp) {
-        (Some((frames, key)), Response::Result(table)) => Some((frames, key, table)),
-        _ => None,
-    };
-    if let Some(frame) = filed.and_then(|(frames, key, table)| frames.get(key, table)) {
-        return write_frame(stream, &frame);
+    // xtask-allow(copy-free-hit-path): the one encode site — an uncached answer, or a cache entry's first write.
+    let encode = || encode_response(resp);
+    match frame {
+        Some(slot) => write_frame(stream, &slot.get_or_fill(encode)),
+        None => write_frame(stream, &encode()),
     }
-    // xtask-allow(copy-free-hit-path): the one encode site — a miss, or a cached table's first hit.
-    let bytes = encode_response(resp);
-    let Some((frames, key, table)) = filed else {
-        return write_frame(stream, &bytes);
-    };
-    let frame: Arc<[u8]> = bytes.into();
-    frames.put(key, table, Arc::clone(&frame));
-    write_frame(stream, &frame)
 }
 
 /// Executor thread: takes one admitted query per turn and runs it on the
@@ -615,77 +563,15 @@ fn run_one(engine: &Engine<'_>, job: &Job, drain_cancel: &CancelToken) -> Answer
     let ran = catch_unwind(AssertUnwindSafe(|| {
         engine.run_with(job.task, job.cfg, &opts)
     }));
-    let cache_hit =
-        matches!(&ran, Ok(Ok(exec)) if exec.timings.results_cache.is_some_and(|c| c.hit));
-    let response = match ran {
-        Ok(Ok(exec)) => Response::Result(exec.output),
-        Ok(Err(e)) => Response::Error(WireError::from(&e)),
-        Err(_) => Response::Error(WireError::new(
+    match ran {
+        Ok(Ok(exec)) => Answer {
+            response: Response::Result(exec.output),
+            frame: exec.frame,
+        },
+        Ok(Err(e)) => Answer::uncached(Response::Error(WireError::from(&e))),
+        Err(_) => Answer::uncached(Response::Error(WireError::new(
             WireErrorCode::Internal,
             "query execution panicked",
-        )),
-    };
-    Answer {
-        response,
-        cache_hit,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use tadoc::results::SortResult;
-
-    fn table(count: u64) -> Arc<AnalyticsOutput> {
-        Arc::new(AnalyticsOutput::Sort(SortResult {
-            ranked: vec![(1, count)],
-        }))
-    }
-
-    const KEY: QueryKey = (Task::Sort, TaskConfig { sequence_length: 3 });
-
-    #[test]
-    fn a_frame_is_served_for_the_very_table_it_encodes_only() {
-        let frames = FrameTable::default();
-        let cached = table(7);
-        assert!(frames.get(KEY, &cached).is_none());
-        let bytes: Arc<[u8]> = encode_response(&Response::Result(Arc::clone(&cached))).into();
-        frames.put(KEY, &cached, Arc::clone(&bytes));
-        let served = frames.get(KEY, &cached).expect("filed for this table");
-        assert!(Arc::ptr_eq(&served, &bytes), "a hit shares the filed bytes");
-
-        // The engine evicted and recomputed the key: equal contents, another
-        // table — the old frame must not answer for it.
-        let recomputed = table(7);
-        assert_eq!(recomputed, cached);
-        assert!(frames.get(KEY, &recomputed).is_none());
-        // Nor for the same table under another key.
-        let other = (Task::Sort, TaskConfig { sequence_length: 4 });
-        assert!(frames.get(other, &cached).is_none());
-
-        frames.put(KEY, &recomputed, Arc::clone(&bytes));
-        assert!(frames.get(KEY, &recomputed).is_some());
-        assert!(frames.get(KEY, &cached).is_none(), "the entry was replaced");
-    }
-
-    #[test]
-    fn frames_of_tables_nobody_holds_are_dropped() {
-        let frames = FrameTable::default();
-        let bytes: Arc<[u8]> = Arc::from(vec![0u8; 4]);
-        for l in 4..=6 {
-            let gone = table(l as u64);
-            frames.put(
-                (Task::Sort, TaskConfig { sequence_length: l }),
-                &gone,
-                Arc::clone(&bytes),
-            );
-        }
-        let held = table(9);
-        frames.put(KEY, &held, Arc::clone(&bytes));
-        let filed = frames.frames.lock().expect("not poisoned").len();
-        // The last of the three was still alive while it was filed; the
-        // next `put` found all three dead.
-        assert_eq!(filed, 1, "only the table still held keeps its frame");
-        assert_eq!(Arc::strong_count(&bytes), 2);
+        ))),
     }
 }

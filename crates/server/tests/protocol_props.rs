@@ -6,7 +6,9 @@
 //!   element-by-element reference encoder, every run at the narrowest
 //!   width, under a header that declares exactly the payload's length, and
 //!   no frame is longer than its fixed-width (version 1) layout plus one
-//!   width byte per run — also for values at every width boundary;
+//!   width byte per run, nor than its table's in-memory bytes plus the
+//!   results cache's `FRAME_HEADROOM` — also for values at every width
+//!   boundary;
 //! * every structural defect a result payload can carry — descending keys,
 //!   bad offsets, short columns, trailing bytes, an unsorted term-vector
 //!   row, a run width that is not 1, 2, 4 or 8, too wide for its column or
@@ -31,6 +33,7 @@ use server::protocol::{
     WireErrorCode, HEADER_LEN, MAGIC, MAX_PAYLOAD_LEN, VERSION,
 };
 use tadoc::apps::{Task, TaskConfig};
+use tadoc::fine_grained::FRAME_HEADROOM;
 use tadoc::results::{
     AnalyticsOutput, Column, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,
@@ -199,17 +202,25 @@ fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
 
 /// The encoder must write the reference bytes — every run at the
 /// narrowest width — under a header declaring exactly their length, in at
-/// most one byte per run more than the fixed-width layout, and encode →
-/// decode → encode must reproduce the same bytes and the same digest.
+/// most one byte per run more than the fixed-width layout and in no more
+/// than the room a results-cache entry keeps for the table's frame, and
+/// encode → decode → encode must reproduce the same bytes and the same
+/// digest.
 fn assert_round_trips(out: AnalyticsOutput) {
     let digest = out.digest();
     let reference = reference_frame(&out);
     let (v1_len, runs) = v1_len_and_runs(&out);
+    let room = out.heap_bytes() + FRAME_HEADROOM;
     let bytes = encode_response(&Response::Result(Arc::new(out)));
     assert_eq!(bytes, reference, "the encoder left the reference layout");
     assert!(
         bytes.len() <= v1_len + runs,
         "{} bytes against a {v1_len}-byte fixed-width frame of {runs} runs",
+        bytes.len()
+    );
+    assert!(
+        bytes.len() <= room,
+        "{} bytes against a cache entry's {room}-byte frame room",
         bytes.len()
     );
     let (_, declared) = decode_header(&bytes).expect("own header");
@@ -883,8 +894,8 @@ fn declared_lengths_at_the_edges() {
 
 /// Values at every width boundary, in every column kind: each table
 /// round-trips exactly with its digest, at the narrowest width per run,
-/// in at most one byte per run more than its fixed-width layout
-/// ([`assert_round_trips`]).
+/// in at most one byte per run more than its fixed-width layout and within
+/// its cache entry's frame room ([`assert_round_trips`]).
 #[test]
 fn values_at_every_width_boundary_round_trip_at_the_narrowest_width() {
     let ids = [0u32, 0xff, 0x100, 0xffff, 0x1_0000, u32::MAX];

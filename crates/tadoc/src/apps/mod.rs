@@ -12,6 +12,7 @@ pub mod sort;
 pub mod term_vector;
 pub mod word_count;
 
+use crate::fine_grained::FrameSlot;
 use crate::results::AnalyticsOutput;
 use crate::timing::PhaseTimings;
 use sequitur::{Dag, TadocArchive};
@@ -98,6 +99,10 @@ pub struct TaskExecution {
     pub output: Arc<AnalyticsOutput>,
     /// Phase timings and work accounting.
     pub timings: PhaseTimings,
+    /// The frame slot of the results-cache entry that holds `output`: set
+    /// on a hit and on the miss that stored the entry, `None` for answers
+    /// the cache does not hold (cache off, degraded, sequential).
+    pub frame: Option<Arc<FrameSlot>>,
 }
 
 /// Runs `task` sequentially on compressed data (the TADOC baseline).
@@ -157,6 +162,7 @@ pub fn run_task(archive: &TadocArchive, dag: &Dag, task: Task, cfg: TaskConfig) 
     TaskExecution {
         output: Arc::new(output),
         timings,
+        frame: None,
     }
 }
 

@@ -83,5 +83,6 @@ pub(crate) fn run_phases<P, T>(
     TaskExecution {
         output: Arc::new(output),
         timings,
+        frame: None,
     }
 }

@@ -555,8 +555,8 @@ impl<'a> EngineBuilder<'a> {
     /// query mixes should turn it on; hit/miss counters surface through
     /// [`PhaseTimings::results_cache`](crate::timing::PhaseTimings::results_cache)
     /// and [`Engine::results_cache_counters`].  The cache holds at most
-    /// [`RESULTS_CACHE_BUDGET_BYTES`] of tables, evicting the least
-    /// recently hit.
+    /// [`RESULTS_CACHE_BUDGET_BYTES`] of tables and the room for their
+    /// encoded frames, evicting the least recently hit.
     pub fn results_cache(mut self, enabled: bool) -> Self {
         self.results_cache = enabled;
         self
@@ -815,9 +815,10 @@ impl<'a> Engine<'a> {
         }
         // Results-cache probe (after validation/pre-flight, so rejected
         // queries never touch the counters): a hit synthesizes a warm
-        // execution with no compute at all, sharing the cached table.
+        // execution with no compute at all, sharing the cached table and
+        // its frame slot.
         if let Some(cache) = &self.results {
-            if let Some(output) = cache.lookup(task, cfg) {
+            if let Some((output, frame)) = cache.lookup(task, cfg) {
                 return Ok(TaskExecution {
                     output,
                     timings: PhaseTimings {
@@ -825,6 +826,7 @@ impl<'a> Engine<'a> {
                         results_cache: Some(cache.stats(true)),
                         ..Default::default()
                     },
+                    frame: Some(frame),
                 });
             }
         }
@@ -832,7 +834,7 @@ impl<'a> Engine<'a> {
         let mut exec = self.admit(task, cfg, cancel, deadline)?;
         if let Some(cache) = &self.results {
             if exec.timings.degraded.is_none() {
-                cache.insert(task, cfg, &exec.output);
+                exec.frame = cache.insert(task, cfg, &exec.output);
             }
             exec.timings.results_cache = Some(cache.stats(false));
         }
@@ -981,6 +983,7 @@ impl std::fmt::Debug for Engine<'_> {
 #[allow(clippy::unwrap_used)] // tests may assert by unwrapping
 mod tests {
     use super::*;
+    use crate::fine_grained::results_cache::{charge, FrameSlot};
     use crate::results::AnalyticsOutput;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
@@ -1349,6 +1352,7 @@ mod tests {
         assert_eq!(plain.results_cache_counters(), None);
         let exec = plain.run(Task::WordCount, TaskConfig::default()).unwrap();
         assert!(exec.timings.results_cache.is_none());
+        assert!(exec.frame.is_none(), "no cache entry, no frame slot");
 
         let caching = Engine::builder(&archive, &dag)
             .threads(2)
@@ -1367,6 +1371,11 @@ mod tests {
         );
         assert!(warm.timings.warm, "a cache hit is by definition warm");
         assert_eq!(warm.output, cold.output);
+        let (stored, served) = (cold.frame.unwrap(), warm.frame.unwrap());
+        assert!(
+            Arc::ptr_eq(&stored, &served),
+            "the storing miss and the hit carry the entry's one frame slot"
+        );
         assert_eq!(caching.results_cache_counters(), Some((1, 1)));
     }
 
@@ -1418,6 +1427,7 @@ mod tests {
         // The table each key last answered with.  Holding it keeps its address
         // taken, so "a different `Arc`" below cannot be a reused allocation.
         let mut last: Vec<Option<Arc<AnalyticsOutput>>> = vec![None; 24];
+        let mut slots: Vec<Option<Arc<FrameSlot>>> = vec![None; 24];
         let mut recomputed = 0;
         for (i, &req) in reqs.iter().enumerate() {
             let (task, cfg) = cache_key(req);
@@ -1430,6 +1440,16 @@ mod tests {
             );
             let stats = exec.timings.results_cache.expect("cache enabled");
             assert_eq!(stats.hits + stats.misses, i as u64 + 1, "one probe each");
+            let slot = exec
+                .frame
+                .expect("every table fits, so every answer is an entry");
+            if let (Some(before), true) = (&slots[req], stats.hit) {
+                assert!(
+                    Arc::ptr_eq(before, &slot),
+                    "request {i}: a hit must carry its entry's frame slot"
+                );
+            }
+            slots[req] = Some(slot);
             match (&last[req], stats.hit) {
                 (Some(before), true) => assert!(
                     Arc::ptr_eq(before, &exec.output),
@@ -1458,8 +1478,8 @@ mod tests {
                 run_task(&archive, &dag, task, cfg).output
             })
             .collect();
-        // Room for any one table twice over, but not for the set.
-        let sizes = || oracle.iter().map(|t| t.heap_bytes());
+        // Room for any one entry twice over, but not for the set.
+        let sizes = || oracle.iter().map(|t| charge(t));
         let budget = 2 * sizes().max().unwrap();
         assert!(
             sizes().sum::<usize>() > 2 * budget,

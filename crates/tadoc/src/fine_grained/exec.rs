@@ -81,11 +81,11 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 // sound.  (1) Shared use: the pointee is `dyn Fn + Sync`, so concurrent
 // `&`-calls from every helper are fine by `Sync`'s own contract.
 // (2) Lifetime-erasure: the pointer was transmuted to `'static` in
-// `run_epoch_inner` from a borrow that is *not* static, so `Send` must
+// `WorkerPool::epoch` from a borrow that is *not* static, so `Send` must
 // never let a helper dereference it after that borrow ends.  It cannot:
 // the pointer is published only in `EpochState.job`, helpers read it only
 // between the epoch announcement and their `remaining` decrement, and
-// `run_epoch_inner` blocks (via `EpochGuard`, even when unwinding) until
+// `epoch` blocks (via `EpochGuard`, even when unwinding) until
 // `remaining == 0` and then clears `job` — so every dereference happens
 // while the caller's frame, and therefore the erased borrow, is still
 // alive.  The erasure never escapes this module: `JobPtr` is private, and
@@ -141,19 +141,6 @@ pub enum Abort {
     Cancelled,
     /// The query's deadline passed.
     DeadlineExceeded,
-}
-
-/// How one barrier epoch ended.  Returned by [`WorkerPool::run_epoch`]; the
-/// barrier itself **always** completes first, so by the time the outcome is
-/// visible no worker references the epoch's job closure anymore and the pool
-/// is structurally intact either way.
-#[derive(Debug)]
-pub enum EpochOutcome {
-    /// Every worker ran its share to completion.
-    Completed,
-    /// At least one worker unwound; this is the first caught payload
-    /// (worker 0's takes precedence — it is the caller's own unwind).
-    Faulted(Box<dyn std::any::Any + Send>),
 }
 
 /// The per-query cooperative-cancellation control (cancel flag + absolute
@@ -270,11 +257,13 @@ impl WorkerPool {
     /// the calling thread) and blocks until every worker has finished — the
     /// level barrier of the traversal.
     ///
-    /// Panics propagate like `thread::scope`: a panic in any worker
-    /// (including worker 0) is re-thrown on the calling thread, and the
-    /// barrier is always completed first, so the job closure is never
-    /// referenced after `run` unwinds.  [`WorkerPool::run_epoch`] is the
-    /// non-unwinding form for dispatchers that classify faults themselves.
+    /// Panics propagate like `thread::scope`: every worker's body runs
+    /// under `catch_unwind`, the barrier is always completed first, and then
+    /// the first caught payload (worker 0's takes precedence) is re-thrown on
+    /// the calling thread — so the job closure is never referenced after
+    /// `run` unwinds, and the pool is structurally intact either way.  A
+    /// payload other than [`Abort`] marks the pool
+    /// [poisoned](WorkerPool::is_poisoned) before it is re-thrown.
     ///
     /// The lifetime-erasure `run` performs internally (handing the borrowed
     /// closure to the helper threads) never leaks into the API: `f` is
@@ -298,39 +287,24 @@ impl WorkerPool {
     /// drop(sink);
     /// ```
     pub fn run(&self, f: &(dyn Fn(usize) + Sync)) {
-        match self.run_epoch(f) {
-            EpochOutcome::Completed => {}
-            EpochOutcome::Faulted(payload) => std::panic::resume_unwind(payload),
-        }
-    }
-
-    /// Runs one barrier epoch like [`WorkerPool::run`] but reports a worker
-    /// unwind as [`EpochOutcome::Faulted`] instead of re-throwing it.  Every
-    /// worker's body runs under `catch_unwind`, the barrier completes
-    /// faulted or not, and a non-[`Abort`] fault marks the pool
-    /// [poisoned](WorkerPool::is_poisoned).
-    pub fn run_epoch(&self, f: &(dyn Fn(usize) + Sync)) -> EpochOutcome {
-        let outcome = self.run_epoch_inner(f);
-        if let EpochOutcome::Faulted(payload) = &outcome {
+        if let Err(payload) = self.epoch(f) {
             // Controlled aborts leave only *discarded* per-query state
             // behind; anything else may have broken invariants mid-write.
             if !payload.is::<Abort>() {
                 self.poisoned.store(true, Ordering::Release);
             }
+            std::panic::resume_unwind(payload);
         }
-        outcome
     }
 
-    fn run_epoch_inner(&self, f: &(dyn Fn(usize) + Sync)) -> EpochOutcome {
+    /// One barrier epoch with every worker's unwind caught: the first
+    /// payload, once the barrier has completed.
+    fn epoch(&self, f: &(dyn Fn(usize) + Sync)) -> std::thread::Result<()> {
         if self.handles.is_empty() {
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            return std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 failpoints::fail_point!("worker-epoch");
                 f(0);
             }));
-            return match result {
-                Ok(()) => EpochOutcome::Completed,
-                Err(payload) => EpochOutcome::Faulted(payload),
-            };
         }
         // SAFETY: erasing the borrow's lifetime is sound because this
         // function only returns after every helper has signalled completion
@@ -376,9 +350,8 @@ impl WorkerPool {
         drop(guard);
         let helper_payload = self.shared.state.lock().expect(POOL_MUTEX_MSG).panic.take();
         match (worker0, helper_payload) {
-            (Ok(()), None) => EpochOutcome::Completed,
-            (Err(payload), _) => EpochOutcome::Faulted(payload),
-            (Ok(()), Some(payload)) => EpochOutcome::Faulted(payload),
+            (Err(payload), _) | (Ok(()), Some(payload)) => Err(payload),
+            (Ok(()), None) => Ok(()),
         }
     }
 
@@ -582,7 +555,7 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
             // so each helper sees every epoch, in order.
             debug_assert_eq!(epoch, seen + 1, "worker {worker} skipped an epoch");
             failpoints::fail_point!("worker-epoch");
-            // SAFETY: `run_epoch` keeps the closure alive until this worker
+            // SAFETY: `WorkerPool::epoch` keeps the closure alive until this worker
             // (and all others) decrement `remaining` below — the pointee
             // outlives every dereference.
             (unsafe { &*job.0 })(worker)
@@ -852,22 +825,24 @@ mod tests {
         assert_eq!(pool.collect(|w| w * 2), vec![0, 2, 4, 6]);
     }
 
+    /// Runs one epoch of `f` on `pool`, returning the payload `run`
+    /// re-throws, if any.
+    fn run_caught(pool: &WorkerPool, f: &(dyn Fn(usize) + Sync)) -> std::thread::Result<()> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pool.run(f)))
+    }
+
     #[test]
-    fn run_epoch_reports_faults_without_unwinding() {
+    fn a_faulted_epoch_rethrows_its_payload_and_poisons_the_pool() {
         let pool = WorkerPool::new(4);
         assert!(!pool.is_poisoned());
-        let outcome = pool.run_epoch(&|w| {
+        let payload = run_caught(&pool, &|w| {
             if w == 2 {
                 panic!("epoch boom");
             }
-        });
-        match outcome {
-            EpochOutcome::Faulted(payload) => {
-                let msg = payload.downcast_ref::<&str>().expect("str payload");
-                assert_eq!(*msg, "epoch boom");
-            }
-            EpochOutcome::Completed => panic!("fault must be reported"),
-        }
+        })
+        .expect_err("fault must be reported");
+        let msg = payload.downcast_ref::<&str>().expect("str payload");
+        assert_eq!(*msg, "epoch boom");
         assert!(pool.is_poisoned(), "a real fault poisons the pool");
         // Poisoned is advisory: the barrier is intact and epochs still run.
         assert_eq!(pool.collect(|w| w), vec![0, 1, 2, 3]);
@@ -876,8 +851,7 @@ mod tests {
     #[test]
     fn single_thread_pool_contains_worker_zero_fault() {
         let pool = WorkerPool::new(1);
-        let outcome = pool.run_epoch(&|_| panic!("inline boom"));
-        assert!(matches!(outcome, EpochOutcome::Faulted(_)));
+        assert!(run_caught(&pool, &|_| panic!("inline boom")).is_err());
         assert!(pool.is_poisoned());
     }
 
@@ -886,37 +860,26 @@ mod tests {
         let pool = WorkerPool::new(4);
         let cancel = Arc::new(AtomicBool::new(true));
         pool.install_control(Some(cancel), None);
-        let outcome = pool.run_epoch(&|_| pool.checkpoint());
-        match outcome {
-            EpochOutcome::Faulted(payload) => {
-                assert_eq!(payload.downcast_ref::<Abort>(), Some(&Abort::Cancelled));
-            }
-            EpochOutcome::Completed => panic!("cancelled epoch must abort"),
-        }
+        let payload =
+            run_caught(&pool, &|_| pool.checkpoint()).expect_err("cancelled epoch must abort");
+        assert_eq!(payload.downcast_ref::<Abort>(), Some(&Abort::Cancelled));
         assert!(!pool.is_poisoned(), "a controlled abort must not poison");
         pool.clear_control();
-        assert!(matches!(
-            pool.run_epoch(&|_| pool.checkpoint()),
-            EpochOutcome::Completed
-        ));
+        assert!(run_caught(&pool, &|_| pool.checkpoint()).is_ok());
     }
 
     #[test]
     fn deadline_checkpoint_aborts_in_bounded_time() {
         let pool = WorkerPool::new(2);
         pool.install_control(None, Some(Instant::now()));
-        let outcome = pool.run_epoch(&|_| loop {
+        let payload = run_caught(&pool, &|_| loop {
             pool.checkpoint();
-        });
-        match outcome {
-            EpochOutcome::Faulted(payload) => {
-                assert_eq!(
-                    payload.downcast_ref::<Abort>(),
-                    Some(&Abort::DeadlineExceeded)
-                );
-            }
-            EpochOutcome::Completed => panic!("expired deadline must abort"),
-        }
+        })
+        .expect_err("expired deadline must abort");
+        assert_eq!(
+            payload.downcast_ref::<Abort>(),
+            Some(&Abort::DeadlineExceeded)
+        );
         pool.clear_control();
         assert!(!pool.is_poisoned());
     }

@@ -123,7 +123,7 @@ mod results_cache;
 pub mod sequences;
 
 pub use engine::{CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions};
-pub use results_cache::RESULTS_CACHE_BUDGET_BYTES;
+pub use results_cache::{FrameSlot, FRAME_HEADROOM, RESULTS_CACHE_BUDGET_BYTES};
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;

@@ -9,22 +9,29 @@
 //! oracle-identical, but its *provenance* is not worth caching — the next
 //! query should retake the fine path).
 //!
-//! **Ownership.**  The cache holds each table behind an `Arc` and hands out
-//! clones of the `Arc`: neither a hit nor an insert copies a table, and the
-//! mutex guards only map bookkeeping.  A reader that still holds an evicted
-//! table keeps it alive on its own; the cache's byte count drops at
-//! eviction, not when the last reader lets go.
+//! **Ownership.**  An entry is one answer: the table behind an `Arc`, and
+//! a [`FrameSlot`] the serving layer fills with the table's encoded frame
+//! the first time it writes it.  The cache hands out clones of both `Arc`s:
+//! neither a hit nor an insert copies a table, and the mutex guards only
+//! map bookkeeping.  The cache stores the frame as opaque bytes and knows
+//! no codec.  A reader that still holds an evicted entry keeps it alive on
+//! its own; the cache's byte count drops at eviction, not when the last
+//! reader lets go.  A key inserted again gets a fresh, empty slot, so a
+//! frame never outlives the table it encodes.
 //!
 //! **Bound.**  Each entry is charged its table's
-//! [`AnalyticsOutput::heap_bytes`] plus `ENTRY_OVERHEAD_BYTES` for the key,
-//! the map slot and the table's own header, and the sum of the charges never
-//! exceeds the budget — so a client walking `sequence_length` upwards, each
-//! value a new key with an empty table, fills the budget like anyone else
-//! and is evicted like anyone else.  An insert that would exceed the budget
-//! evicts the entries hit (or inserted) longest ago until the newcomer fits;
-//! a table larger than the whole budget is answered but not stored.  The
-//! victim is found by scanning the map — a serving mix is six tasks × a
-//! handful of sequence lengths, so the scan is a few dozen comparisons.
+//! [`AnalyticsOutput::heap_bytes`], the same again plus [`FRAME_HEADROOM`]
+//! as room for its frame, and `ENTRY_OVERHEAD_BYTES` for the key, the map
+//! slot and the table's, slot's and frame's headers.  A slot stores only a
+//! frame that fits its room, so the sum of the charges — tables and frames
+//! together — never exceeds the budget, and a client walking
+//! `sequence_length` upwards, each value a new key with an empty table,
+//! fills the budget like anyone else and is evicted like anyone else.  An
+//! insert that would exceed the budget evicts the entries hit (or
+//! inserted) longest ago until the newcomer fits; a table larger than the
+//! whole budget is answered but not stored.  The victim is found by
+//! scanning the map — a serving mix is six tasks × a handful of sequence
+//! lengths, so the scan is a few dozen comparisons.
 //!
 //! Concurrent misses on the same key may compute the output twice and both
 //! insert (last write wins, values identical by determinism); the counters
@@ -37,26 +44,75 @@ use crate::results::AnalyticsOutput;
 use crate::timing::ResultsCacheStats;
 use sequitur::fxhash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Bytes one engine's results cache may hold: every entry's
-/// [`AnalyticsOutput::heap_bytes`] plus a fixed per-entry overhead (key, map
-/// slot, table header).  Sized for a serving mix of a few dozen keys over a
-/// corpus whose largest table is a few megabytes.
+/// Bytes one engine's results cache may hold: every entry's table and the
+/// room for its frame (see the module's *Bound*) plus a fixed per-entry
+/// overhead.  Sized for a serving mix of a few dozen keys over a corpus
+/// whose largest table is a few megabytes.
 pub const RESULTS_CACHE_BUDGET_BYTES: usize = 64 * 1024 * 1024;
 
-/// What an entry costs beyond its table's columns: the key and the map slot,
-/// and the `Arc`'d table header (two reference counts and the enum).
+/// How many bytes an entry's frame may take beyond its table's
+/// [`AnalyticsOutput::heap_bytes`].  A result frame writes no value wider
+/// than the table holds it, so what it adds is its header, task tag,
+/// sequence length, row count and one width byte per run — about 31 bytes.
+pub const FRAME_HEADROOM: usize = 64;
+
+/// What an entry costs beyond its table's columns and its frame's room: the
+/// key and the map slot, the `Arc`'d table header (two reference counts and
+/// the enum), the `Arc`'d slot, and the frame's reference counts.
 const ENTRY_OVERHEAD_BYTES: usize = std::mem::size_of::<Key>()
     + std::mem::size_of::<Entry>()
-    + 2 * std::mem::size_of::<usize>()
-    + std::mem::size_of::<AnalyticsOutput>();
+    + 6 * std::mem::size_of::<usize>()
+    + std::mem::size_of::<AnalyticsOutput>()
+    + std::mem::size_of::<FrameSlot>();
+
+/// What an entry holding `output` is charged.
+pub(crate) fn charge(output: &AnalyticsOutput) -> usize {
+    2 * output.heap_bytes() + FRAME_HEADROOM + ENTRY_OVERHEAD_BYTES
+}
 
 type Key = (Task, TaskConfig);
 
+/// The encoded frame of one cached table, filled by whoever serves the
+/// table first.  It belongs to the cache entry: it is evicted with the
+/// table, and a key stored again gets a new, empty slot.
+#[derive(Debug)]
+pub struct FrameSlot {
+    frame: OnceLock<Arc<[u8]>>,
+    /// The longest frame the entry's charge has room for.
+    room: usize,
+}
+
+impl FrameSlot {
+    fn for_table(output: &AnalyticsOutput) -> Self {
+        Self {
+            frame: OnceLock::new(),
+            room: output.heap_bytes() + FRAME_HEADROOM,
+        }
+    }
+
+    /// The stored frame, or `fill()`'s, stored if it fits the entry's room
+    /// and no other reader stored one first.  A frame too long for the room
+    /// is returned but not stored, so the cache's budget holds.
+    pub fn get_or_fill(&self, fill: impl FnOnce() -> Vec<u8>) -> Arc<[u8]> {
+        if let Some(frame) = self.frame.get() {
+            return Arc::clone(frame);
+        }
+        let frame: Arc<[u8]> = fill().into();
+        if frame.len() <= self.room {
+            // A racing reader may have stored an equal frame first; either
+            // is the same bytes.
+            drop(self.frame.set(Arc::clone(&frame)));
+        }
+        frame
+    }
+}
+
 struct Entry {
     output: Arc<AnalyticsOutput>,
-    /// What this entry is charged: `heap_bytes()` + `ENTRY_OVERHEAD_BYTES`.
+    frame: Arc<FrameSlot>,
+    /// What this entry is charged: [`charge`] of its table.
     bytes: usize,
     /// Value of [`Inner::clock`] when this entry was last hit or inserted.
     last_used: u64,
@@ -72,10 +128,10 @@ struct Inner {
 }
 
 impl Inner {
-    fn remove(&mut self, key: &Key) -> Option<Arc<AnalyticsOutput>> {
+    fn remove(&mut self, key: &Key) -> Option<Entry> {
         let entry = self.map.remove(key)?;
         self.bytes -= entry.bytes;
-        Some(entry.output)
+        Some(entry)
     }
 }
 
@@ -97,15 +153,20 @@ impl ResultsCache {
         }
     }
 
-    /// Probes the cache, counting the probe as a hit or miss.
-    pub(crate) fn lookup(&self, task: Task, cfg: TaskConfig) -> Option<Arc<AnalyticsOutput>> {
+    /// Probes the cache, counting the probe as a hit or miss.  A hit is the
+    /// entry's table and frame slot.
+    pub(crate) fn lookup(
+        &self,
+        task: Task,
+        cfg: TaskConfig,
+    ) -> Option<(Arc<AnalyticsOutput>, Arc<FrameSlot>)> {
         let found = {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
             inner.clock += 1;
             let now = inner.clock;
             inner.map.get_mut(&(task, cfg)).map(|entry| {
                 entry.last_used = now;
-                Arc::clone(&entry.output)
+                (Arc::clone(&entry.output), Arc::clone(&entry.frame))
             })
         };
         match &found {
@@ -115,16 +176,23 @@ impl ResultsCache {
         found
     }
 
-    /// Stores a clean (non-degraded) output, evicting the least recently
-    /// used entries until it fits.  A table larger than the whole budget is
-    /// not stored.
-    pub(crate) fn insert(&self, task: Task, cfg: TaskConfig, output: &Arc<AnalyticsOutput>) {
-        let bytes = output.heap_bytes() + ENTRY_OVERHEAD_BYTES;
+    /// Stores a clean (non-degraded) output with a new, empty frame slot,
+    /// evicting the least recently used entries until it fits, and returns
+    /// the slot.  A table whose charge exceeds the whole budget is not
+    /// stored and gets no slot.
+    pub(crate) fn insert(
+        &self,
+        task: Task,
+        cfg: TaskConfig,
+        output: &Arc<AnalyticsOutput>,
+    ) -> Option<Arc<FrameSlot>> {
+        let bytes = charge(output);
         if bytes > self.budget {
-            return;
+            return None;
         }
         let key = (task, cfg);
-        // Tables leave the map under the lock but are freed after it.
+        let frame = Arc::new(FrameSlot::for_table(output));
+        // Entries leave the map under the lock but are freed after it.
         let mut evicted = Vec::new();
         {
             let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
@@ -141,6 +209,7 @@ impl ResultsCache {
             inner.clock += 1;
             let entry = Entry {
                 output: Arc::clone(output),
+                frame: Arc::clone(&frame),
                 bytes,
                 last_used: inner.clock,
             };
@@ -148,6 +217,7 @@ impl ResultsCache {
             inner.bytes += bytes;
         }
         drop(evicted);
+        Some(frame)
     }
 
     /// `(hits, misses)` counters.
@@ -180,9 +250,10 @@ mod tests {
     use super::*;
     use crate::results::{SortResult, WordCountResult};
 
-    /// What a sort table of `pairs` 16-byte rows is charged.
+    /// What a sort table of `pairs` 16-byte rows is charged: the table, the
+    /// same again plus the headroom for its frame, and the overhead.
     const fn charge(pairs: usize) -> usize {
-        16 * pairs + ENTRY_OVERHEAD_BYTES
+        2 * 16 * pairs + FRAME_HEADROOM + ENTRY_OVERHEAD_BYTES
     }
 
     /// A sort table of `pairs` 16-byte rows, distinguishable by `seed`.
@@ -203,7 +274,7 @@ mod tests {
         let (task, cfg) = key(1);
         assert!(cache.lookup(task, cfg).is_none());
         cache.insert(task, cfg, &stored);
-        let hit = cache.lookup(task, cfg).expect("just inserted");
+        let (hit, _) = cache.lookup(task, cfg).expect("just inserted");
         assert!(Arc::ptr_eq(&hit, &stored), "a hit must not copy the table");
         assert_eq!(cache.counters(), (1, 1));
         assert_eq!(cache.held_bytes(), charge(4));
@@ -232,7 +303,7 @@ mod tests {
             assert!(cache.lookup(Task::Sort, key(l).1).is_some(), "{l} stays");
         }
         // A table needing most of the budget evicts as many as it takes.
-        let big = (budget - charge(4) - ENTRY_OVERHEAD_BYTES) / 16;
+        let big = (budget - charge(4) - FRAME_HEADROOM - ENTRY_OVERHEAD_BYTES) / 32;
         cache.insert(Task::Sort, key(5).1, &table(big, 5));
         assert_eq!(
             cache.held_bytes(),
@@ -264,15 +335,17 @@ mod tests {
             WordCountResult::from_sorted_columns(vec![1, 2], vec![3, 4]),
         ));
         cache.insert(task, cfg, &first);
-        assert_eq!(cache.held_bytes(), 24 + ENTRY_OVERHEAD_BYTES);
+        // 24 bytes of columns, held once as the table and once as frame room.
+        let charged = 2 * 24 + FRAME_HEADROOM + ENTRY_OVERHEAD_BYTES;
+        assert_eq!(cache.held_bytes(), charged);
         let second = Arc::new(AnalyticsOutput::clone(&first));
         cache.insert(task, cfg, &second);
         assert_eq!(
             cache.held_bytes(),
-            24 + ENTRY_OVERHEAD_BYTES,
+            charged,
             "the replaced entry's bytes are released"
         );
-        let hit = cache.lookup(task, cfg).expect("stored");
+        let (hit, _) = cache.lookup(task, cfg).expect("stored");
         assert!(Arc::ptr_eq(&hit, &second), "last write wins");
     }
 
@@ -281,7 +354,7 @@ mod tests {
     #[test]
     fn empty_tables_fill_the_budget_too() {
         let room = 8;
-        let budget = room * ENTRY_OVERHEAD_BYTES;
+        let budget = room * charge(0);
         let cache = ResultsCache::with_budget(budget);
         for l in 1..=1000 {
             cache.insert(Task::Sort, key(l).1, &table(0, 0));
@@ -291,5 +364,103 @@ mod tests {
         assert_eq!(entries, room, "a thousand empty tables keep eight entries");
         assert!(cache.lookup(Task::Sort, key(1000).1).is_some());
         assert!(cache.lookup(Task::Sort, key(1000 - room).1).is_none());
+    }
+
+    /// A frame as long as `slot`'s room, made of `byte`.
+    fn frame_filling(slot: &FrameSlot, byte: u8) -> Vec<u8> {
+        vec![byte; slot.room]
+    }
+
+    #[test]
+    fn the_storing_miss_and_later_hits_share_one_slot() {
+        let cache = ResultsCache::with_budget(1024);
+        let (task, cfg) = key(1);
+        let stored = cache.insert(task, cfg, &table(4, 1)).expect("fits");
+        let written = stored.get_or_fill(|| frame_filling(&stored, 7));
+        for _ in 0..2 {
+            let (_, slot) = cache.lookup(task, cfg).expect("stored");
+            assert!(Arc::ptr_eq(&slot, &stored), "one slot per entry");
+            let served = slot.get_or_fill(|| unreachable!("the miss filled the slot"));
+            assert!(Arc::ptr_eq(&served, &written), "a hit shares the frame");
+        }
+    }
+
+    #[test]
+    fn a_reinserted_key_gets_a_fresh_empty_slot() {
+        let cache = ResultsCache::with_budget(1024);
+        let (task, cfg) = key(1);
+        let old = cache.insert(task, cfg, &table(4, 1)).expect("fits");
+        old.get_or_fill(|| frame_filling(&old, 1));
+        let new = cache.insert(task, cfg, &table(4, 2)).expect("fits");
+        assert!(!Arc::ptr_eq(&old, &new));
+        let (_, slot) = cache.lookup(task, cfg).expect("stored");
+        assert!(Arc::ptr_eq(&slot, &new), "the hit reads the new entry");
+        let frame = slot.get_or_fill(|| frame_filling(&slot, 2));
+        assert!(
+            frame.iter().all(|&b| b == 2),
+            "the old table's frame must not answer for the new one"
+        );
+    }
+
+    #[test]
+    fn eviction_frees_the_frame() {
+        let cache = ResultsCache::with_budget(charge(4));
+        let (task, cfg) = key(1);
+        let slot = cache.insert(task, cfg, &table(4, 1)).expect("fits");
+        let frame = slot.get_or_fill(|| frame_filling(&slot, 1));
+        drop(slot);
+        assert_eq!(Arc::strong_count(&frame), 2, "the entry and this reader");
+        // The budget holds one entry: the next key evicts the first.
+        cache
+            .insert(Task::Sort, key(2).1, &table(4, 2))
+            .expect("fits");
+        assert!(cache.lookup(task, cfg).is_none(), "1 was evicted");
+        assert_eq!(
+            Arc::strong_count(&frame),
+            1,
+            "the evicted entry's frame lives on only in its last reader"
+        );
+    }
+
+    #[test]
+    fn held_bytes_count_the_frames_and_stay_within_the_budget() {
+        let budget = 4 * charge(3);
+        let cache = ResultsCache::with_budget(budget);
+        for l in 1..=12 {
+            let (task, cfg) = key(l);
+            let stored = table(l % 5, l as u32);
+            let slot = cache.insert(task, cfg, &stored).expect("fits");
+            let frame = slot.get_or_fill(|| frame_filling(&slot, l as u8));
+            assert_eq!(frame.len(), stored.heap_bytes() + FRAME_HEADROOM);
+            // Tables and frames both stay alive only through the cache.
+            drop((stored, slot, frame));
+            let inner = cache.inner.lock().expect("not poisoned");
+            let tables: usize = inner.map.values().map(|e| e.output.heap_bytes()).sum();
+            let frames: usize = inner
+                .map
+                .values()
+                .filter_map(|e| e.frame.frame.get().map(|f| f.len()))
+                .sum();
+            let overhead = inner.map.len() * ENTRY_OVERHEAD_BYTES;
+            assert_eq!(inner.bytes, tables + frames + overhead, "l={l}");
+            assert!(
+                inner.bytes <= budget,
+                "l={l}: {} over {budget}",
+                inner.bytes
+            );
+        }
+    }
+
+    #[test]
+    fn a_frame_longer_than_its_room_is_returned_but_not_stored() {
+        let cache = ResultsCache::with_budget(1024);
+        let (task, cfg) = key(1);
+        let slot = cache.insert(task, cfg, &table(4, 1)).expect("fits");
+        let long = vec![9; slot.room + 1];
+        let served = slot.get_or_fill(|| long.clone());
+        assert_eq!(*served, *long, "the answer is still written");
+        assert!(slot.frame.get().is_none(), "but not stored");
+        let fits = slot.get_or_fill(|| frame_filling(&slot, 3));
+        assert!(Arc::ptr_eq(&fits, &slot.get_or_fill(|| unreachable!())));
     }
 }

@@ -12,7 +12,7 @@
 //! | `failpoint-gating`  | every `fail_point!` site is feature-gated through the manifest chain, so release builds compile it out |
 //! | `forbid-unsafe`     | unsafe stays confined to the allowlisted crates; everyone else carries `#![forbid(unsafe_code)]` |
 //! | `no-hash-finalize`  | the fine-grained finalize path stays hash-free: tables grouped by one counting sort concatenate their key-ordered runs into ordered columns, never back into a hash table |
-//! | `copy-free-hit-path` | a results-cache hit stays a reference-count bump and a `write_all`: no deep copy of a result table, no re-encoding outside the one miss/first-hit site |
+//! | `copy-free-hit-path` | a results-cache hit stays a reference-count bump and a `write_all`: no deep copy of a result table, no re-encoding outside the one site that fills a cache entry's frame |
 //!
 //! A `rules.toml` path fragment that selects no file is a finding of the
 //! rule it configures: a stale entry guards nothing.
@@ -691,8 +691,8 @@ impl<'s> FileLint<'s> {
     /// Rule `copy-free-hit-path` (only called for files under the configured
     /// paths): outside test modules and macro definitions, no `.clone()` of
     /// a result table, no `AnalyticsOutput::clone(…)`, and no call of
-    /// `encode_response(…)` — the one site that encodes a miss or a cached
-    /// table's first hit carries the `xtask-allow`.
+    /// `encode_response(…)` — the one site that encodes an uncached answer
+    /// or fills a cache entry's frame carries the `xtask-allow`.
     fn copy_free_hit_path(&self, out: &mut Vec<Violation>) {
         for (pos, &i) in self.code.iter().enumerate() {
             let tok = &self.toks[i];
@@ -722,7 +722,7 @@ impl<'s> FileLint<'s> {
                 }
                 "encode_response" if called && self.code_text(pos - 1) != "fn" => {
                     "`encode_response(…)` on the hit path: a cached table's frame comes from \
-                     the frame table; only the miss/first-hit site encodes"
+                     its cache entry; only the one site that fills it encodes"
                         .to_string()
                 }
                 _ => continue,

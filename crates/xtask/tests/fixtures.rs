@@ -115,7 +115,7 @@ fn copy_free_hit_path_fixture_fails() {
     assert_eq!(count, 2, "expected exactly two findings:\n{stdout}");
     assert!(stdout.contains("copies a result table"), "{stdout}");
     assert!(
-        stdout.contains("only the miss/first-hit site encodes"),
+        stdout.contains("only the one site that fills it encodes"),
         "{stdout}"
     );
 }

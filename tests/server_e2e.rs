@@ -7,8 +7,9 @@
 //! oversized frames get **typed** protocol errors without taking the
 //! handler pool down; a full admission queue sheds with `Overloaded`
 //! instead of queuing unboundedly; expired deadlines answer
-//! `DeadlineExceeded`; a frame served from the server's frame table is
-//! byte-for-byte a fresh encoding of the table; a version-1 peer gets a
+//! `DeadlineExceeded`; a frame served from a results-cache entry — however
+//! many connections race to fill it — is byte-for-byte a fresh encoding of
+//! the table; a version-1 peer gets a
 //! typed version error and loses only its own connection; a peer that
 //! stops reading loses its connection instead of keeping a handler; and
 //! graceful shutdown drains admitted work before the listener goes away.
@@ -439,9 +440,9 @@ fn graceful_shutdown_drains_inflight_queries() {
     );
 }
 
-/// Every way a result reaches the wire — encoded for a miss, encoded on the
-/// table's first hit, written from the frame table on later hits, on the
-/// same connection or another — must put the same bytes there: a fresh
+/// Every way a result reaches the wire — encoded into the cache entry's frame
+/// slot by the miss that stored it, written from that slot on every hit, on
+/// the same connection or another — must put the same bytes there: a fresh
 /// `encode_response` of the oracle's table.
 #[test]
 fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
@@ -459,11 +460,11 @@ fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
                 ("miss", raw_answer(&mut first, task)),
                 ("first hit", raw_answer(&mut first, task)),
                 (
-                    "frame-table hit, other connection",
+                    "cached-frame hit, other connection",
                     raw_answer(&mut second, task),
                 ),
                 (
-                    "frame-table hit, same connection",
+                    "cached-frame hit, same connection",
                     raw_answer(&mut first, task),
                 ),
             ];
@@ -477,6 +478,47 @@ fn cached_frames_are_the_bytes_of_a_fresh_encoding() {
         }
     });
     assert_eq!(stats.queries_answered, 24);
+    assert_eq!(stats.protocol_errors, 0);
+}
+
+/// Four connections race on the first asks of one cold key: one answer
+/// stores the entry, and the writes that follow race to fill its frame slot
+/// or read it.  Whoever wins, every connection gets the bytes of a fresh
+/// `encode_response` of the oracle's table.
+#[test]
+fn connections_racing_on_a_cold_key_all_get_a_fresh_encoding() {
+    let _guard = serial();
+    let archive = compress_corpus(&corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    let task = Task::RankedInvertedIndex;
+    let table = run_task(&archive, &dag, task, TaskConfig::default()).output;
+    let fresh = encode_response(&Response::Result(table));
+    let (connections, asks) = (4, 3);
+    let config = ServerConfig {
+        executor_threads: 2,
+        ..ServerConfig::default()
+    };
+
+    let stats = with_server(config, &archive, &dag, |handle| {
+        let addr = handle.addr();
+        let start = std::sync::Barrier::new(connections);
+        std::thread::scope(|s| {
+            for c in 0..connections {
+                let (start, fresh) = (&start, &fresh);
+                s.spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    start.wait();
+                    for ask in 0..asks {
+                        assert!(
+                            raw_answer(&mut stream, task) == *fresh,
+                            "connection {c}, ask {ask}: differs from a fresh encoding"
+                        );
+                    }
+                });
+            }
+        });
+    });
+    assert_eq!(stats.queries_answered, (connections * asks) as u64);
     assert_eq!(stats.protocol_errors, 0);
 }
 
@@ -698,9 +740,9 @@ mod faults {
     }
 
     /// A degraded answer is correct but never cached: the ask after it must
-    /// execute again (neither the results cache nor the frame table may
-    /// answer it), and only the asks after *that* are hits — every one the
-    /// bytes of a fresh encoding.
+    /// execute again (no results-cache entry, so no cached frame, may answer
+    /// it), and only the asks after *that* are hits — every one the bytes of
+    /// a fresh encoding.
     #[test]
     fn a_degraded_answer_is_never_served_from_the_frame_table() {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -737,7 +779,7 @@ mod faults {
             assert!(recomputed == fresh);
 
             // From here on the table is cached: nothing executes again.
-            for how in ["first hit", "frame-table hit"] {
+            for how in ["first hit", "cached-frame hit"] {
                 assert!(
                     raw_answer(&mut stream, Task::SequenceCount) == fresh,
                     "{how}"
