@@ -208,7 +208,7 @@ impl Sequitur {
     ///
     /// # Panics
     /// Panics on a rule reference, or on a payload above
-    /// [`MAX_PAYLOAD`](crate::symbol::MAX_PAYLOAD).
+    /// [`MAX_PAYLOAD`].
     pub fn push(&mut self, symbol: Symbol) {
         assert!(!symbol.is_rule(), "only words and splitters are pushed");
         let node = self.new_node(symbol.encode());

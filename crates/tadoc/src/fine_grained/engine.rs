@@ -18,9 +18,9 @@
 //! level schedule, one rule-weight vector, one rule × file matrix in each
 //! orientation (the file-major one with term vector's file costs), one
 //! decomposition of the sequence work items (the chunk threshold is fixed
-//! at build time), one word-mass column, the `l` = 1 window table the word
-//! tasks read, and one window table *per sequence length* `l` ≥ 2 (the
-//! only per-query knob that shapes an artifact).
+//! at build time), the `l` = 1 window table the word tasks read, and one
+//! window table *per sequence length* `l` ≥ 2 (the only per-query knob
+//! that shapes an artifact).
 //!
 //! Cold vs warm is observable:
 //! [`shared_init`](crate::timing::PhaseTimings::shared_init) records the

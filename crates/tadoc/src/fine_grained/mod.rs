@@ -47,8 +47,9 @@
 //!    into the table in key order.  Each fill runs once per `l` per
 //!    session, so no warm query sorts anything: every task is one pass
 //!    over contiguous window ranges of a cached table
-//!    (`WindowSources::over_key_ranges`), whose parts concatenate into the
-//!    ordered result columns ([`merge::concat`]).  The limit: one leading
+//!    (`WindowSources::over_key_ranges`), whose parts, written in the
+//!    table's own layout, are assembled into the ordered result columns at
+//!    their exact length (`merge::assemble`).  The limit: one leading
 //!    word is never split, so a word that starts more than 1/threads of
 //!    all windows is sorted by one worker — the answer is unchanged, that
 //!    fill slower.
@@ -118,7 +119,7 @@ mod driver;
 pub mod engine;
 pub mod exec;
 pub mod head_tail;
-pub mod merge;
+mod merge;
 mod results_cache;
 pub mod sequences;
 
@@ -132,9 +133,9 @@ use driver::{claim_loop, run_phases};
 use engine::FineCtx;
 use exec::WorkerPool;
 use head_tail::HeadTail;
-use merge::PostingRun;
+use merge::Part;
 use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
-use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive, WordId};
+use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration of the fine-grained runner.
@@ -278,8 +279,8 @@ pub(crate) struct TermVectorPrep {
     /// Row `f`: the `(rule, occurrences)` of every rule file `f` reaches,
     /// in layer order.
     pub(crate) csr: Csr<(RuleId, u64)>,
+    /// One traversal cost per file, so also the answer's file count.
     pub(crate) costs: Vec<u64>,
-    pub(crate) num_files: usize,
     pub(crate) vocab: usize,
 }
 
@@ -512,12 +513,7 @@ pub(crate) fn build_term_vector_prep(
             root_words + local
         })
         .collect();
-    TermVectorPrep {
-        csr,
-        costs,
-        num_files,
-        vocab,
-    }
+    TermVectorPrep { csr, costs, vocab }
 }
 
 /// Term vector has nothing to shard — file ownership is disjoint — so it
@@ -549,7 +545,7 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
             let ranges = exec::partition_by_cost(&prep.costs, threads);
             pool.map_workers(ranges, |_, files| {
                 let mut counts = DenseCounts::new(prep.vocab);
-                let mut vectors = Vec::with_capacity(files.len());
+                let mut part = Part::default();
                 for f in files {
                     // Cancel/deadline, once per owned file.
                     pool.checkpoint();
@@ -572,21 +568,17 @@ fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
                     // 16-byte pairs after it: ~20 % faster warm term vector
                     // on the benchmark's `manyfiles` (2-core x86-64).
                     counts.touched.sort_unstable();
-                    let mut v: Vec<(WordId, u64)> = Vec::new();
-                    counts.drain_into(&mut v);
-                    vectors.push((f, v));
+                    counts.drain_into(&mut part.values);
+                    part.ends.push(part.values.len());
                 }
-                vectors
+                part
             })
         },
-        // Finalize: a plain scatter of finished vectors followed by one
-        // flattening pass into the CSR columns.
-        |(prep, _), locals| {
-            let mut vectors: Vec<Vec<(WordId, u64)>> = vec![Vec::new(); prep.num_files];
-            for (f, v) in locals.into_iter().flatten() {
-                vectors[f] = v;
-            }
-            AnalyticsOutput::TermVector(TermVectorResult::from_rows(vectors))
+        // Finalize: the file ranges are contiguous and come back in worker
+        // order, so the parts are the CSR's rows in file order.
+        |_, parts| {
+            let (_, offsets, terms) = merge::assemble(parts);
+            AnalyticsOutput::TermVector(TermVectorResult::from_sorted_parts(offsets, terms))
         },
     )
 }
@@ -769,56 +761,49 @@ impl WindowSources {
         })
     }
 
-    /// The flat key column of the windows `kept`, in the order given.
-    fn key_column(&self, kept: impl ExactSizeIterator<Item = usize>) -> Vec<u32> {
-        let l = self.l;
-        let mut keys = Vec::with_capacity(kept.len() * l);
-        for i in kept {
-            keys.extend_from_slice(&self.keys[i * l..(i + 1) * l]);
-        }
-        keys
+    /// Window `i`'s words.
+    #[inline]
+    fn key(&self, i: usize) -> &[u32] {
+        &self.keys[i * self.l..(i + 1) * self.l]
     }
 
     /// `sequenceCount`'s pass: per window, Σ local count × the source's rule
     /// weight (a root source weighs 1).  Windows whose total is zero — local
     /// only to rules the root never reaches — are dropped.
-    fn weighted_totals(&self, weights: &[u64], pool: &WorkerPool) -> Vec<Vec<(usize, u64)>> {
+    fn weighted_totals(&self, weights: &[u64], pool: &WorkerPool) -> Vec<Part<u64>> {
         self.over_key_ranges(pool, |windows| {
-            let mut rows = Vec::with_capacity(windows.len());
+            let mut part = Part {
+                keys: Vec::with_capacity(windows.len() * self.l),
+                ends: Vec::new(),
+                values: Vec::with_capacity(windows.len()),
+            };
             for i in windows {
                 let total: u64 = self
                     .entries(i)
                     .map(|(s, c)| weights.get(s as usize).map_or(c, |w| c * w))
                     .sum();
                 if total > 0 {
-                    rows.push((i, total));
+                    part.keys.extend_from_slice(self.key(i));
+                    part.values.push(total);
                 }
             }
-            rows
+            part
         })
     }
 
-    /// The key and count columns of [`weighted_totals`](Self::weighted_totals)'
-    /// rows.
-    fn total_columns(&self, parts: Vec<Vec<(usize, u64)>>) -> (Vec<u32>, Vec<u64>) {
-        let rows = parts.concat();
-        let keys = self.key_column(rows.iter().map(|&(i, _)| i));
-        (keys, rows.into_iter().map(|(_, total)| total).collect())
-    }
-
     /// The `sequenceCount` table of [`weighted_totals`](Self::weighted_totals)'
-    /// rows.
-    fn count_table(&self, parts: Vec<Vec<(usize, u64)>>) -> AnalyticsOutput {
-        let (keys, counts) = self.total_columns(parts);
+    /// parts.
+    fn count_table(&self, parts: Vec<Part<u64>>) -> AnalyticsOutput {
+        let (keys, _, counts) = merge::assemble(parts);
         let table = SequenceCountResult::from_sorted_columns(self.l, keys, counts);
         AnalyticsOutput::SequenceCount(table)
     }
 
     /// The `wordCount` (or, ranked, `sort`) table of an `l` = 1 table's
-    /// [`weighted_totals`](Self::weighted_totals) rows.
-    fn word_table(&self, task: Task, parts: Vec<Vec<(usize, u64)>>) -> AnalyticsOutput {
+    /// [`weighted_totals`](Self::weighted_totals) parts.
+    fn word_table(&self, task: Task, parts: Vec<Part<u64>>) -> AnalyticsOutput {
         debug_assert_eq!(self.l, 1);
-        let (words, counts) = self.total_columns(parts);
+        let (words, _, counts) = merge::assemble(parts);
         let wc = WordCountResult::from_sorted_columns(words, counts);
         if task == Task::Sort {
             AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
@@ -837,7 +822,7 @@ impl WindowSources {
         fw: &Csr<(FileId, u64)>,
         num_files: usize,
         pool: &WorkerPool,
-    ) -> Vec<PostingRun<WordId, FileId>> {
+    ) -> Vec<Part<FileId>> {
         debug_assert_eq!(self.l, 1);
         let num_rules = fw.num_rows() as u32;
         self.over_key_ranges(pool, |words| {
@@ -845,7 +830,7 @@ impl WindowSources {
                 blocks: vec![0; num_files.div_ceil(64)],
                 touched: Vec::new(),
             };
-            let mut run = PostingRun::default();
+            let mut part = Part::default();
             for i in words {
                 for (source, _) in self.entries(i) {
                     if source < num_rules {
@@ -856,24 +841,22 @@ impl WindowSources {
                         files.set(source - num_rules);
                     }
                 }
-                let before = run.values.len();
-                files.drain_into(&mut run.values);
-                if run.values.len() > before {
-                    run.keys.push(self.keys[i]);
-                    run.offsets.push(run.values.len());
+                let before = part.values.len();
+                files.drain_into(&mut part.values);
+                if part.values.len() > before {
+                    part.keys.extend_from_slice(self.key(i));
+                    part.ends.push(part.values.len());
                 }
             }
-            run
+            part
         })
     }
 
-    /// The `invertedIndex` table of [`postings`](Self::postings)' runs.
-    fn index_table(&self, runs: Vec<PostingRun<WordId, FileId>>) -> AnalyticsOutput {
-        let merged = merge::concat(runs);
+    /// The `invertedIndex` table of [`postings`](Self::postings)' parts.
+    fn index_table(&self, parts: Vec<Part<FileId>>) -> AnalyticsOutput {
+        let (words, offsets, files) = merge::assemble(parts);
         AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
-            merged.keys,
-            merged.offsets,
-            merged.values,
+            words, offsets, files,
         ))
     }
 
@@ -889,12 +872,11 @@ impl WindowSources {
         fw: &Csr<(FileId, u64)>,
         num_files: usize,
         pool: &WorkerPool,
-    ) -> Vec<PostingRun<usize, (FileId, u64)>> {
+    ) -> Vec<Part<(FileId, u64)>> {
         let num_rules = fw.num_rows() as u32;
         self.over_key_ranges(pool, |windows| {
             let mut per_file = DenseCounts::new(num_files);
-            let mut postings: Vec<(FileId, u64)> = Vec::new();
-            let mut run = PostingRun::default();
+            let mut part = Part::default();
             for i in windows {
                 for (source, count) in self.entries(i) {
                     if source < num_rules {
@@ -905,26 +887,25 @@ impl WindowSources {
                         per_file.add(source - num_rules, count);
                     }
                 }
-                postings.clear();
-                per_file.drain_into(&mut postings);
+                let before = part.values.len();
+                per_file.drain_into(&mut part.values);
+                let postings = &mut part.values[before..];
                 if !postings.is_empty() {
                     postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                    run.push(i, &postings);
+                    part.keys.extend_from_slice(self.key(i));
+                    part.ends.push(part.values.len());
                 }
             }
-            run
+            part
         })
     }
 
     /// The `rankedInvertedIndex` table of
-    /// [`ranked_postings`](Self::ranked_postings)' runs.
-    fn ranked_table(&self, runs: Vec<PostingRun<usize, (FileId, u64)>>) -> AnalyticsOutput {
-        let merged = merge::concat(runs);
+    /// [`ranked_postings`](Self::ranked_postings)' parts.
+    fn ranked_table(&self, parts: Vec<Part<(FileId, u64)>>) -> AnalyticsOutput {
+        let (keys, offsets, postings) = merge::assemble(parts);
         AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
-            self.l,
-            self.key_column(merged.keys.into_iter()),
-            merged.offsets,
-            merged.values,
+            self.l, keys, offsets, postings,
         ))
     }
 }
@@ -1272,25 +1253,43 @@ mod tests {
         assert_file_weights_match(1);
     }
 
+    /// Every task equals the sequential reference at every pool width,
+    /// chunk size and sequence length, and every column of every answer is
+    /// exactly its length: what the results cache charges is what it holds.
     #[test]
     fn all_tasks_match_sequential_at_various_thread_counts() {
         let (archive, dag) = build(&redundant_corpus());
-        let cfg = TaskConfig::default();
-        for task in Task::ALL {
-            let seq = run_task(&archive, &dag, task, cfg);
-            for threads in [1usize, 3, 8] {
-                let builder = Engine::builder(&archive, &dag)
-                    .threads(threads)
-                    .chunk_elements(7);
-                let fine = run_cold(builder, task, cfg);
-                assert_eq!(
-                    fine.output,
-                    seq.output,
-                    "task {} with {threads} threads diverges",
-                    task.name()
-                );
+        let mut loose = Vec::new();
+        for l in 1..=4usize {
+            let cfg = TaskConfig { sequence_length: l };
+            for task in Task::ALL {
+                let seq = run_task(&archive, &dag, task, cfg);
+                for threads in POOL_WIDTHS {
+                    for chunk_elements in [1usize, 7, 4096] {
+                        let builder = Engine::builder(&archive, &dag)
+                            .threads(threads)
+                            .chunk_elements(chunk_elements);
+                        let fine = run_cold(builder, task, cfg);
+                        let label = format!(
+                            "task {} with {threads} threads, chunk_elements = \
+                             {chunk_elements}, l = {l}",
+                            task.name()
+                        );
+                        assert_eq!(fine.output, seq.output, "{label} diverges");
+                        let columns = fine.output.column_capacities();
+                        if columns.iter().any(|(len, cap)| len != cap) {
+                            loose.push(format!("{label}: (len, cap) {columns:?}"));
+                        }
+                    }
+                }
             }
         }
+        assert!(
+            loose.is_empty(),
+            "{} answers hold spare capacity:\n{}",
+            loose.len(),
+            loose.join("\n")
+        );
     }
 
     #[test]

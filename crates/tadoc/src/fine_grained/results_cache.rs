@@ -26,7 +26,9 @@
 //! frame that fits its room, so the sum of the charges — tables and frames
 //! together — never exceeds the budget, and a client walking
 //! `sequence_length` upwards, each value a new key with an empty table,
-//! fills the budget like anyone else and is evicted like anyone else.  An
+//! fills the budget like anyone else and is evicted like anyone else.  The
+//! fine path assembles every column of an answer at exactly its length, so
+//! the `heap_bytes` of its answers are the bytes their columns allocate.  An
 //! insert that would exceed the budget evicts the entries hit (or
 //! inserted) longest ago until the newcomer fits; a table larger than the
 //! whole budget is answered but not stored.  The victim is found by

@@ -7,8 +7,9 @@
 //! Every result is **ordered and columnar**: a sorted key column next to its
 //! value column ([`SortedTable`]), or a CSR-style key arena with offsets into
 //! flat posting columns ([`PostingTable`]).  Nothing here owns a hash table —
-//! the fine-grained engine builds these tables directly from its sorted shard
-//! runs (see `fine_grained::merge`), lookups are `O(log n)` binary searches,
+//! the fine-grained engine's workers write their parts in these columns'
+//! own layout, and it assembles the parts into columns of exactly their
+//! length (`fine_grained::merge`); lookups are `O(log n)` binary searches,
 //! iteration is always in ascending key order, and a serving layer can return
 //! rank- or key-ordered rows as plain slices without copying.
 
@@ -755,6 +756,28 @@ impl AnalyticsOutput {
                 }
                 h
             }
+        }
+    }
+}
+
+#[cfg(test)]
+impl AnalyticsOutput {
+    /// The `(length, capacity)` of every `Vec` this output owns, in
+    /// [`columns`](Self::columns) order.
+    pub(crate) fn column_capacities(&self) -> Vec<(usize, usize)> {
+        fn of<T>(v: &Vec<T>) -> (usize, usize) {
+            (v.len(), v.capacity())
+        }
+        fn posting<V>(t: &PostingTable<V>) -> Vec<(usize, usize)> {
+            vec![of(&t.keys), of(&t.offsets), of(&t.values)]
+        }
+        match self {
+            Self::WordCount(r) => vec![of(&r.table.keys), of(&r.table.values)],
+            Self::Sort(r) => vec![of(&r.ranked)],
+            Self::InvertedIndex(r) => posting(&r.table),
+            Self::TermVector(r) => vec![of(&r.offsets), of(&r.terms)],
+            Self::SequenceCount(r) => vec![of(&r.keys), of(&r.counts)],
+            Self::RankedInvertedIndex(r) => posting(&r.table),
         }
     }
 }
