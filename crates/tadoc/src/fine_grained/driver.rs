@@ -11,9 +11,9 @@
 //!   / `finalize` / `warm`) that assembles the [`TaskExecution`].
 //!
 //! Nothing here merges: every window table is grouped by its leading word
-//! with one counting sort (`WindowSources::of_words` at `l` = 1,
-//! `fill_window_sources` at `l` ≥ 2), and every query is one pass over
-//! contiguous word ranges of a cached table.
+//! with one counting sort (`word_table` at `l` = 1, `fill_window_table` at
+//! `l` ≥ 2), and every query is one pass over contiguous word ranges of a
+//! cached table.
 
 use super::engine::RunCharge;
 use super::exec::{self, WorkerPool};

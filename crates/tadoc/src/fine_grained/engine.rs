@@ -39,14 +39,14 @@ use super::exec::{Abort, WorkerPool};
 use super::head_tail::{build_head_tail, levels_top_down};
 use super::results_cache::{ResultsCache, RESULTS_CACHE_BUDGET_BYTES};
 use super::{
-    build_term_vector_prep, fill_window_sources, parallel_rule_weights, run_fine_with_cache,
-    sequence_work_items, FineGrainedConfig, SeqItem, TermVectorPrep, WindowSources,
+    build_term_vector_prep, fill_window_table, parallel_rule_weights, run_fine_with_cache,
+    sequence_work_items, word_table, SeqItem, TermVectorPrep, WindowTable,
 };
 use crate::apps::{run_task, Task, TaskConfig, TaskExecution};
 use crate::results::FileId;
 use crate::timing::{Degradation, PhaseTimings, Timer};
 use crate::weights::file_segments;
-use sequitur::{Csr, Dag, Grammar, TadocArchive};
+use sequitur::{Csr, Dag, TadocArchive};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
@@ -272,11 +272,12 @@ impl RunCharge {
 }
 
 /// Maximum distinct sequence lengths whose window tables a session keeps
-/// at once.  A table ([`WindowSources`]) holds `4l + 8` bytes per distinct
-/// window plus 12 per (window, source) pair — 1.1 / 2.8 MiB at `l` = 3 on
-/// the benchmark's `manyfiles` / `fewfiles` corpora.  Real query mixes use
-/// a handful of lengths, so a small FIFO bound caps worst-case memory
-/// without ever evicting on realistic workloads.
+/// at once.  A table ([`WindowTable`]) holds `4l + 8` bytes per distinct
+/// window plus 16 per (window, source) pair — 2.0 / 5.1 MiB at `l` = 3 on
+/// the benchmark's `manyfiles` / `fewfiles` corpora (scale 2, seed 1:
+/// 49,553 windows and 68,969 pairs / 144,905 and 152,961).  Real query
+/// mixes use a handful of lengths, so a small FIFO bound caps worst-case
+/// memory without ever evicting on realistic workloads.
 const WINDOW_TABLE_CAP: usize = 8;
 
 /// What the sequence tasks cache for one sequence length `l`: its window
@@ -285,20 +286,20 @@ const WINDOW_TABLE_CAP: usize = 8;
 /// the table alive until it ends, even if `l` is evicted meanwhile.
 #[derive(Default)]
 pub(crate) struct SequenceSlot {
-    windows: OnceLock<WindowSources>,
+    windows: OnceLock<WindowTable>,
 }
 
 impl SequenceSlot {
-    /// The window table, filled by [`Analysis::ensure_window_sources`].
-    pub(crate) fn windows(&self) -> &WindowSources {
-        self.windows.get().expect("filled by ensure_window_sources")
+    /// The window table, filled by [`Analysis::ensure_window_table`].
+    pub(crate) fn windows(&self) -> &WindowTable {
+        self.windows.get().expect("filled by ensure_window_table")
     }
 }
 
-/// The immutable, once-filled analysis layer of a session — everything
-/// derived purely from the borrowed archive/DAG (plus the engine-fixed
-/// thread count and chunk threshold), so nothing ever needs invalidating:
-/// the borrow guarantees the archive cannot change while the session lives.
+/// The immutable, once-filled analysis layer of a session: the borrowed
+/// archive and DAG, the engine-fixed chunk threshold, and everything
+/// derived purely from them, so nothing ever needs invalidating: the
+/// borrow guarantees the archive cannot change while the session lives.
 ///
 /// **Publication contract.**  Every artifact lives in a [`OnceLock`]:
 /// concurrent first-touch races fill **exactly once** (losers block until
@@ -310,12 +311,13 @@ impl SequenceSlot {
 /// [`fills`](Self::fills) counter increments once per executed fill closure
 /// — [`Engine::analysis_fills`] exposes it so tests can prove "filled
 /// exactly once" under thundering-herd load.
-///
-/// The `.expect("… ensured")` sites in the task paths are unreachable by
-/// construction: each is dominated by the `ensure_*` call that fills (or
-/// waits for) the cell.
-#[derive(Default)]
-pub(crate) struct Analysis {
+pub(crate) struct Analysis<'a> {
+    /// The archive every artifact is derived from.
+    pub(crate) archive: &'a TadocArchive,
+    /// The archive's rule DAG.
+    pub(crate) dag: &'a Dag,
+    /// Target indices per work chunk (see [`EngineBuilder::chunk_elements`]).
+    chunk_elements: usize,
     /// Top-down DAG level schedule (root layer first); bottom-up passes
     /// walk it in reverse.
     levels_top_down: OnceLock<Vec<Vec<u32>>>,
@@ -348,7 +350,25 @@ pub(crate) struct Analysis {
     fills: AtomicU64,
 }
 
-impl Analysis {
+impl<'a> Analysis<'a> {
+    /// An empty analysis layer over `archive` / `dag`.
+    fn new(archive: &'a TadocArchive, dag: &'a Dag, chunk_elements: usize) -> Self {
+        Self {
+            archive,
+            dag,
+            chunk_elements,
+            levels_top_down: OnceLock::new(),
+            segments: OnceLock::new(),
+            rule_weights: OnceLock::new(),
+            file_weights: OnceLock::new(),
+            term_vector: OnceLock::new(),
+            sequence: Mutex::default(),
+            words: Arc::default(),
+            sequence_items: OnceLock::new(),
+            fills: AtomicU64::new(0),
+        }
+    }
+
     /// Fills `cell` at most once, charging the computing query (and only
     /// it) for the time.  Waiters block inside `get_or_init` and come out
     /// warm.
@@ -372,31 +392,24 @@ impl Analysis {
         self.fills.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn ensure_levels_top_down(
-        &self,
-        dag: &Dag,
-        charge: &mut RunCharge,
-    ) -> &Vec<Vec<u32>> {
-        self.fill(&self.levels_top_down, charge, || levels_top_down(dag))
+    pub(crate) fn ensure_levels_top_down(&self, charge: &mut RunCharge) -> &Vec<Vec<u32>> {
+        self.fill(&self.levels_top_down, charge, || levels_top_down(self.dag))
     }
 
-    pub(crate) fn ensure_segments(
-        &self,
-        grammar: &Grammar,
-        charge: &mut RunCharge,
-    ) -> &Vec<(usize, usize)> {
-        self.fill(&self.segments, charge, || file_segments(grammar))
+    pub(crate) fn ensure_segments(&self, charge: &mut RunCharge) -> &Vec<(usize, usize)> {
+        self.fill(&self.segments, charge, || {
+            file_segments(&self.archive.grammar)
+        })
     }
 
     pub(crate) fn ensure_rule_weights(
         &self,
-        dag: &Dag,
         pool: &WorkerPool,
         charge: &mut RunCharge,
     ) -> &Vec<u64> {
-        let levels = self.ensure_levels_top_down(dag, charge);
+        let levels = self.ensure_levels_top_down(charge);
         self.fill(&self.rule_weights, charge, || {
-            parallel_rule_weights(dag, levels, pool)
+            parallel_rule_weights(self.dag, levels, pool)
         })
     }
 
@@ -404,44 +417,36 @@ impl Analysis {
     /// file-major one (filled first if cold).
     pub(crate) fn ensure_file_weights(
         &self,
-        archive: &TadocArchive,
-        dag: &Dag,
-        fcfg: FineGrainedConfig,
         pool: &WorkerPool,
         charge: &mut RunCharge,
     ) -> &Csr<(FileId, u64)> {
-        let prep = self.ensure_term_vector_prep(archive, dag, fcfg, pool, charge);
+        let prep = self.ensure_term_vector_prep(pool, charge);
         self.fill(&self.file_weights, charge, || {
-            prep.csr.transpose(dag.num_rules)
+            prep.csr.transpose(self.dag.num_rules)
         })
     }
 
     pub(crate) fn ensure_term_vector_prep(
         &self,
-        archive: &TadocArchive,
-        dag: &Dag,
-        fcfg: FineGrainedConfig,
         pool: &WorkerPool,
         charge: &mut RunCharge,
     ) -> &TermVectorPrep {
-        let segments = self.ensure_segments(&archive.grammar, charge);
+        let segments = self.ensure_segments(charge);
         self.fill(&self.term_vector, charge, || {
-            build_term_vector_prep(archive, dag, segments, fcfg, pool)
+            build_term_vector_prep(self.archive, self.dag, segments, self.chunk_elements, pool)
         })
     }
 
     /// The `l` = 1 window table, built straight from the local word lists
-    /// and the root segments ([`WindowSources::of_words`]).
-    pub(crate) fn ensure_word_sources(
+    /// and the root segments ([`word_table`]).
+    pub(crate) fn ensure_word_table(
         &self,
-        archive: &TadocArchive,
-        dag: &Dag,
         pool: &WorkerPool,
         charge: &mut RunCharge,
-    ) -> &WindowSources {
-        let segments = self.ensure_segments(&archive.grammar, charge);
+    ) -> &WindowTable {
+        let segments = self.ensure_segments(charge);
         self.fill(&self.words.windows, charge, || {
-            WindowSources::of_words(archive, dag, segments, pool)
+            word_table(self.archive, self.dag, segments, pool)
         })
     }
 
@@ -453,22 +458,18 @@ impl Analysis {
     /// `l` evicts the table entry mid-flight.  The sequence tasks ensure it last, so a
     /// fault in its fill leaves only its own cell empty for the next query
     /// to refill.
-    pub(crate) fn ensure_window_sources(
+    pub(crate) fn ensure_window_table(
         &self,
-        archive: &TadocArchive,
-        dag: &Dag,
-        fcfg: FineGrainedConfig,
         l: usize,
         pool: &WorkerPool,
         charge: &mut RunCharge,
     ) -> Arc<SequenceSlot> {
         if l == 1 {
-            self.ensure_word_sources(archive, dag, pool, charge);
+            self.ensure_word_table(pool, charge);
             return Arc::clone(&self.words);
         }
-        let grammar = &archive.grammar;
-        let levels = self.ensure_levels_top_down(dag, charge);
-        let items = self.ensure_sequence_items(grammar, fcfg, charge);
+        let levels = self.ensure_levels_top_down(charge);
+        let items = self.ensure_sequence_items(charge);
         let slot = {
             let mut slots = self.sequence.lock().unwrap_or_else(PoisonError::into_inner);
             match slots.iter().find(|(key, _)| *key == l) {
@@ -485,45 +486,36 @@ impl Analysis {
         };
         let mut timings = PhaseTimings::default();
         self.fill(&slot.windows, charge, || {
-            let ht = build_head_tail(grammar, dag, levels, l, pool);
-            fill_window_sources(archive, &ht, items, pool, &mut timings)
+            let ht = build_head_tail(&self.archive.grammar, self.dag, levels, l, pool);
+            fill_window_table(self.archive, &ht, items, pool, &mut timings)
         });
         charge.fill_timings = timings;
         slot
     }
 
-    pub(crate) fn ensure_sequence_items(
-        &self,
-        grammar: &Grammar,
-        fcfg: FineGrainedConfig,
-        charge: &mut RunCharge,
-    ) -> &Vec<SeqItem> {
-        let segments = self.ensure_segments(grammar, charge);
+    pub(crate) fn ensure_sequence_items(&self, charge: &mut RunCharge) -> &Vec<SeqItem> {
+        let segments = self.ensure_segments(charge);
         self.fill(&self.sequence_items, charge, || {
-            sequence_work_items(grammar, segments, fcfg.chunk_elements)
+            sequence_work_items(&self.archive.grammar, segments, self.chunk_elements)
         })
     }
-}
-
-/// The borrowed context a fine-grained task path runs against: the archive
-/// and its DAG, the fixed configuration, and the shared [`Analysis`] layer.
-/// `Copy` by design — the dispatch clones it freely into every kernel.
-#[derive(Clone, Copy)]
-pub(crate) struct FineCtx<'e> {
-    pub(crate) archive: &'e TadocArchive,
-    pub(crate) dag: &'e Dag,
-    pub(crate) fcfg: FineGrainedConfig,
-    pub(crate) analysis: &'e Analysis,
 }
 
 // ---------------------------------------------------------------------------
 // Builder
 // ---------------------------------------------------------------------------
 
+/// The chunking threshold an [`EngineBuilder`] starts with: any oversized
+/// work item — a huge rule body (primarily the root), a giant local-word
+/// list, a whole-file root segment — is split into chunks of at most this
+/// many indices, each weighted individually into the cost partition / work
+/// queue (the CPU analogue of the thread-group split for oversized rules).
+pub const DEFAULT_CHUNK_ELEMENTS: usize = 4096;
+
 /// Configures and validates an [`Engine`].  Created by [`Engine::builder`].
 ///
-/// Defaults: `available_parallelism` worker threads, the default chunk
-/// threshold (4096 indices).  [`build`](Self::build) rejects
+/// Defaults: `available_parallelism` worker threads and
+/// [`DEFAULT_CHUNK_ELEMENTS`].  [`build`](Self::build) rejects
 /// invalid knobs with a typed [`ConfigError`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineBuilder<'a> {
@@ -581,17 +573,11 @@ impl<'a> EngineBuilder<'a> {
         }
         validate_archive(self.archive, self.dag)?;
         Ok(Engine {
-            archive: self.archive,
-            dag: self.dag,
-            fcfg: FineGrainedConfig {
-                num_threads: self.num_threads,
-                chunk_elements: self.chunk_elements,
-            },
             exec: Mutex::new(ExecState {
                 pool: WorkerPool::new(self.num_threads),
                 epochs_retired: 0,
             }),
-            analysis: Analysis::default(),
+            analysis: Analysis::new(self.archive, self.dag, self.chunk_elements),
             results: self
                 .results_cache
                 .then(|| ResultsCache::with_budget(RESULTS_CACHE_BUDGET_BYTES)),
@@ -711,14 +697,12 @@ struct ExecState {
 /// [`PhaseTimings::shared_init`]: crate::timing::PhaseTimings::shared_init
 /// [`PhaseTimings::warm`]: crate::timing::PhaseTimings::warm
 pub struct Engine<'a> {
-    archive: &'a TadocArchive,
-    dag: &'a Dag,
     // Split by mutability: `exec` (the pool) is the one exclusively-held
-    // piece, `analysis` is immutable-once-filled and shared by every
-    // concurrent query; a query's mutable state is its own.
-    fcfg: FineGrainedConfig,
+    // piece, `analysis` (which borrows the archive and DAG) is
+    // immutable-once-filled and shared by every concurrent query; a
+    // query's mutable state is its own.
     exec: Mutex<ExecState>,
-    analysis: Analysis,
+    analysis: Analysis<'a>,
     /// Whole-output memoization, present when the builder enabled it.
     results: Option<ResultsCache>,
 }
@@ -727,19 +711,18 @@ impl<'a> Engine<'a> {
     /// Starts building a session over `archive`/`dag` (default thread count
     /// and chunk threshold).
     pub fn builder(archive: &'a TadocArchive, dag: &'a Dag) -> EngineBuilder<'a> {
-        let defaults = FineGrainedConfig::default();
         EngineBuilder {
             archive,
             dag,
-            num_threads: defaults.num_threads,
-            chunk_elements: defaults.chunk_elements,
+            num_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            chunk_elements: DEFAULT_CHUNK_ELEMENTS,
             results_cache: false,
         }
     }
 
     /// The archive this session runs over.
     pub fn archive(&self) -> &'a TadocArchive {
-        self.archive
+        self.analysis.archive
     }
 
     /// Number of barrier epochs the session has dispatched so far across
@@ -853,27 +836,22 @@ impl<'a> Engine<'a> {
         cancel: Option<Arc<AtomicBool>>,
         deadline: Option<Instant>,
     ) -> Result<TaskExecution, EngineError> {
-        let ctx = FineCtx {
-            archive: self.archive,
-            dag: self.dag,
-            fcfg: self.fcfg,
-            analysis: &self.analysis,
-        };
+        let analysis = &self.analysis;
         match self.exec.try_lock() {
-            Ok(mut exec) => run_fine_on_pool(task, cfg, ctx, &mut exec, cancel, deadline),
+            Ok(mut exec) => run_fine_on_pool(task, cfg, analysis, &mut exec, cancel, deadline),
             Err(TryLockError::Poisoned(poisoned)) => {
                 // The ladder below never unwinds while the guard is held, so
                 // a poisoned mutex is unreachable — but heal defensively
                 // rather than asserting on a std implementation detail.
                 let mut exec = poisoned.into_inner();
-                run_fine_on_pool(task, cfg, ctx, &mut exec, cancel, deadline)
+                run_fine_on_pool(task, cfg, analysis, &mut exec, cancel, deadline)
             }
             Err(TryLockError::WouldBlock) => {
                 let mut local = ExecState {
                     pool: WorkerPool::new(1),
                     epochs_retired: 0,
                 };
-                let result = run_fine_on_pool(task, cfg, ctx, &mut local, cancel, deadline);
+                let result = run_fine_on_pool(task, cfg, analysis, &mut local, cancel, deadline);
                 let dispatched = local.epochs_retired + local.pool.epochs();
                 self.exec
                     .lock()
@@ -909,14 +887,14 @@ impl<'a> Engine<'a> {
 fn run_fine_on_pool(
     task: Task,
     cfg: TaskConfig,
-    ctx: FineCtx<'_>,
+    analysis: &Analysis<'_>,
     exec: &mut ExecState,
     cancel: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
 ) -> Result<TaskExecution, EngineError> {
     exec.pool.install_control(cancel, deadline);
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_fine_with_cache(task, cfg, ctx, &exec.pool)
+        run_fine_with_cache(task, cfg, analysis, &exec.pool)
     }));
     exec.pool.clear_control();
     let payload = match result {
@@ -937,7 +915,7 @@ fn run_fine_on_pool(
         exec.epochs_retired += old.epochs();
     }
     let retry = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_task(ctx.archive, ctx.dag, task, cfg)
+        run_task(analysis.archive, analysis.dag, task, cfg)
     }));
     match retry {
         Ok(mut execution) => {
@@ -984,6 +962,7 @@ impl std::fmt::Debug for Engine<'_> {
 mod tests {
     use super::*;
     use crate::fine_grained::results_cache::{charge, FrameSlot};
+    use crate::fine_grained::{count_table, weighted_totals};
     use crate::results::AnalyticsOutput;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
@@ -1234,9 +1213,7 @@ mod tests {
         // A query takes the l = 2 slot, then every slot is evicted under it …
         let held = engine.with_worker_pool(|pool| {
             let charge = &mut RunCharge::default();
-            engine
-                .analysis
-                .ensure_window_sources(&archive, &dag, engine.fcfg, 2, pool, charge)
+            engine.analysis.ensure_window_table(2, pool, charge)
         });
         for l in 11..=10 + WINDOW_TABLE_CAP {
             run(l);
@@ -1247,8 +1224,7 @@ mod tests {
         // … and still finishes from the slot it holds.
         let weights = engine.analysis.rule_weights.get().unwrap();
         let output = engine.with_worker_pool(|pool| {
-            let table = held.windows();
-            table.count_table(table.weighted_totals(weights, pool))
+            count_table(2, weighted_totals(held.windows(), weights, pool))
         });
         assert_eq!(output, *oracle(2));
     }

@@ -31,33 +31,32 @@
 //!    live with the simulated GPU engine in `gtadoc`, where dynamic
 //!    allocation per thread is not an option; this engine probes no hash
 //!    table and pools no memory.)
-//! 3. **One counting sort by leading word instead of a locked global
-//!    table.**  Instead of the global table's bucket locks (Figure 5's
-//!    `lock`/`entries` buffers), both window-table fills group their
-//!    entries by leading word with one counting sort (`word_starts`: count
-//!    the entries per word, prefix-sum the counts, scatter every entry to
-//!    its word's cursor).  At `l` = 1 the scatter writes each word's
-//!    sources directly (`WindowSources::of_words`).  At `l` ≥ 2
-//!    (`fill_window_sources`, item 6) the grouped windows are cut at word
-//!    boundaries into one contiguous range of ≈ 1/threads of them per
-//!    worker, and each worker sorts its range by `(window, source)` and
-//!    folds equal pairs into a local count — concurrently, with no
-//!    synchronization at all: contention is resolved statically rather
-//!    than with atomics.  Word order is key order, so the runs concatenate
-//!    into the table in key order.  Each fill runs once per `l` per
-//!    session, so no warm query sorts anything: every task is one pass
-//!    over contiguous window ranges of a cached table
-//!    (`WindowSources::over_key_ranges`), whose parts, written in the
-//!    table's own layout, are assembled into the ordered result columns at
-//!    their exact length (`merge::assemble`).  The limit: one leading
-//!    word is never split, so a word that starts more than 1/threads of
-//!    all windows is sorted by one worker — the answer is unchanged, that
-//!    fill slower.
+//! 3. **One counting sort by leading word instead of a locked global table.**
+//!    Instead of the global table's bucket locks (Figure 5's `lock`/`entries`
+//!    buffers), both window-table fills group their entries by leading word
+//!    with one counting sort (`word_starts`: count the entries per word,
+//!    prefix-sum the counts, scatter every entry to its word's cursor).
+//!    At `l` = 1 the scatter writes each word's sources directly
+//!    (`word_table`).  At `l` ≥ 2 (`fill_window_table`, item 6) the grouped
+//!    windows are cut at word boundaries into one contiguous range of
+//!    ≈ 1/threads of them per worker,
+//!    and each worker sorts its range by `(window, source)` and folds equal
+//!    pairs into a local count, written as a `merge::Part` of the table —
+//!    concurrently, with no synchronization at all: contention is resolved
+//!    statically rather than with atomics.  Word order is key order, so one
+//!    `merge::assemble` lays the parts end to end into the table's columns at
+//!    their exact length.  Each fill runs once per `l` per session, so no warm
+//!    query sorts anything: every task is one pass over contiguous window
+//!    ranges of a cached table (`over_key_ranges`), whose parts, written in the
+//!    answer's own layout, are assembled the same way into the ordered result
+//!    columns.  The limit: one leading word is never split, so a word that
+//!    starts more than 1/threads of all windows is sorted by one worker — the
+//!    answer is unchanged, that fill slower.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
 //!    an oversized rule body (dataset B's root holds most of the corpus)
 //!    or root segment is split at
-//!    [`FineGrainedConfig::chunk_elements`] and every chunk is weighted
+//!    [`EngineBuilder::chunk_elements`] and every chunk is weighted
 //!    individually into [`exec::partition_by_cost`] or claimed from the
 //!    dynamic work queue of `driver::claim_loop` (the one claim loop,
 //!    with the one per-claim cancel/deadline checkpoint) — the CPU analogue
@@ -86,22 +85,21 @@
 //!    the archive and `l`, so they are an analysis artifact like
 //!    `dag.local_words`: one fill per `l` per session groups them with the
 //!    counting sort of item 3 into a window → (source, local count) table
-//!    (`WindowSources`; a source is a rule, or one file's root segment).
-//!    A query is one pass over that table, scaling by rule weight
-//!    (sequence count) or scattering by per-file rule weight into dense
-//!    per-file counts (ranked inverted index, so the window × file cross
-//!    product is never pushed or sorted).  At `l` = 1 a window is a word,
-//!    a rule's local windows are its local word list and a file's root
-//!    windows are the words of its segment, so that table is built
-//!    directly — the same counting sort keyed by word, with no head/tail
-//!    records, no scan and no sort within a word
-//!    (`WindowSources::of_words`) — and kept apart from the per-`l`
-//!    tables, never evicted.  The word tasks read it: `wordCount` / `sort`
-//!    are `sequenceCount`'s weighted pass over it, and `invertedIndex` ORs
-//!    each word's sources' files into a per-worker file bitmap, drained in
-//!    file order.  This is the reuse that lets the engine beat the
-//!    sequential baseline even on a single core — the baseline re-streams
-//!    every occurrence.
+//!    (`WindowTable`, a width-`l` [`PostingTable`]; a source is a rule, or one
+//!    file's root segment).  A query is one pass over that table, scaling by
+//!    rule weight (sequence count) or scattering by per-file rule weight into
+//!    dense per-file counts (ranked inverted index, so the window × file cross
+//!    product is never pushed or sorted).  At `l` = 1 a window is a word, a
+//!    rule's local windows are its local word list and a file's root windows
+//!    are the words of its segment, so that table is built directly — the same
+//!    counting sort keyed by word, with no head/tail records, no scan and no
+//!    sort within a word (`word_table`) — and kept apart from the per-`l`
+//!    tables, never evicted.  The word tasks read it: `wordCount` / `sort` are
+//!    `sequenceCount`'s weighted pass over it, and `invertedIndex` ORs each
+//!    word's sources' files into a per-worker file bitmap, drained in file
+//!    order.  This is the reuse that lets the engine beat the sequential
+//!    baseline even on a single core — the baseline re-streams every
+//!    occurrence.
 //!
 //! The public entry point is the **session API** ([`engine::Engine`]): a
 //! long-lived object owning the persistent pool and a lazily-cached
@@ -123,14 +121,17 @@ mod merge;
 mod results_cache;
 pub mod sequences;
 
-pub use engine::{CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions};
+pub use engine::{
+    CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions,
+    DEFAULT_CHUNK_ELEMENTS,
+};
 pub use results_cache::{FrameSlot, FRAME_HEADROOM, RESULTS_CACHE_BUDGET_BYTES};
 
 use crate::apps::{Task, TaskConfig, TaskExecution};
 use crate::results::*;
 use crate::timing::{PhaseTimings, Timer};
 use driver::{claim_loop, run_phases};
-use engine::FineCtx;
+use engine::Analysis;
 use exec::WorkerPool;
 use head_tail::HeadTail;
 use merge::Part;
@@ -138,36 +139,11 @@ use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
 use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Configuration of the fine-grained runner.
-#[derive(Debug, Clone, Copy)]
-pub struct FineGrainedConfig {
-    /// Number of worker threads in the pool.
-    pub num_threads: usize,
-    /// Target indices per work chunk: any oversized item — a huge rule body
-    /// (primarily the root), a giant local-word list, a whole-file root
-    /// segment — is split into chunks of at most this many indices, each
-    /// weighted individually into the cost partition / work queue (the CPU
-    /// analogue of the thread-group split for oversized rules).
-    pub chunk_elements: usize,
-}
-
-impl Default for FineGrainedConfig {
-    fn default() -> Self {
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self {
-            num_threads: threads,
-            chunk_elements: 4096,
-        }
-    }
-}
-
-/// Dispatches one fine-grained task over an existing pool and session
-/// context — the back end of [`Engine::run`].  Takes only shared references
-/// to the session state (the [`FineCtx`] is `Copy`): all mutation happens
-/// through the analysis layer's once-filled cells and state the query
-/// allocates itself, which is what lets [`Engine::run`] accept `&self`.
+/// Dispatches one fine-grained task over an existing pool and the
+/// session's analysis layer — the back end of [`Engine::run`].  Takes only
+/// shared references to the session state: all mutation happens through
+/// the analysis layer's once-filled cells and state the query allocates
+/// itself, which is what lets [`Engine::run`] accept `&self`.
 ///
 /// The caller (the builder and [`Engine::run_with`]) has validated the
 /// configuration; `cfg.sequence_length` must be at least 1 for
@@ -175,16 +151,16 @@ impl Default for FineGrainedConfig {
 pub(crate) fn run_fine_with_cache(
     task: Task,
     cfg: TaskConfig,
-    ctx: FineCtx<'_>,
+    analysis: &Analysis<'_>,
     pool: &WorkerPool,
 ) -> TaskExecution {
     let l = cfg.sequence_length;
     match task {
-        Task::WordCount | Task::Sort => word_count(ctx, task, pool),
-        Task::InvertedIndex => inverted_index(ctx, pool),
-        Task::TermVector => term_vector_fine(ctx, pool),
-        Task::SequenceCount => sequence_count(ctx, l, pool),
-        Task::RankedInvertedIndex => ranked_inverted_index(ctx, l, pool),
+        Task::WordCount | Task::Sort => word_count(analysis, task, pool),
+        Task::InvertedIndex => inverted_index(analysis, pool),
+        Task::TermVector => term_vector_fine(analysis, pool),
+        Task::SequenceCount => sequence_count(analysis, l, pool),
+        Task::RankedInvertedIndex => ranked_inverted_index(analysis, l, pool),
     }
 }
 
@@ -226,39 +202,28 @@ fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> V
 
 /// `wordCount` / `sort`: a word is an `l` = 1 window, so a query is the
 /// weighted pass of `sequenceCount` over the session's word table.
-fn word_count(ctx: FineCtx<'_>, task: Task, pool: &WorkerPool) -> TaskExecution {
+fn word_count(a: &Analysis<'_>, task: Task, pool: &WorkerPool) -> TaskExecution {
     run_phases(
         |charge| {
-            let (archive, dag) = (ctx.archive, ctx.dag);
-            let weights = ctx.analysis.ensure_rule_weights(dag, pool, charge);
-            (
-                weights,
-                ctx.analysis.ensure_word_sources(archive, dag, pool, charge),
-            )
+            let weights = a.ensure_rule_weights(pool, charge);
+            (weights, a.ensure_word_table(pool, charge))
         },
-        |&(weights, words), _| words.weighted_totals(weights, pool),
-        |(_, words), parts| words.word_table(task, parts),
+        |&(weights, words), _| weighted_totals(words, weights, pool),
+        |_, parts| word_count_table(task, parts),
     )
 }
 
 /// `invertedIndex`: one pass over the session's word table, collecting
 /// each word's files in a bitmap.
-fn inverted_index(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
+fn inverted_index(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
     run_phases(
         |charge| {
-            let (archive, dag) = (ctx.archive, ctx.dag);
-            let fw = ctx
-                .analysis
-                .ensure_file_weights(archive, dag, ctx.fcfg, pool, charge);
-            let num_files = ctx.analysis.ensure_segments(&archive.grammar, charge).len();
-            (
-                fw,
-                num_files,
-                ctx.analysis.ensure_word_sources(archive, dag, pool, charge),
-            )
+            let fw = a.ensure_file_weights(pool, charge);
+            let num_files = a.ensure_segments(charge).len();
+            (fw, num_files, a.ensure_word_table(pool, charge))
         },
-        |&(fw, num_files, words), _| words.postings(fw, num_files, pool),
-        |(.., words), runs| words.index_table(runs),
+        |&(fw, num_files, words), _| postings(words, fw, num_files, pool),
+        |_, parts| index_table(parts),
     )
 }
 
@@ -379,7 +344,7 @@ pub(crate) fn build_term_vector_prep(
     archive: &TadocArchive,
     dag: &Dag,
     segments: &[(usize, usize)],
-    fcfg: FineGrainedConfig,
+    chunk_elements: usize,
     pool: &WorkerPool,
 ) -> TermVectorPrep {
     let grammar = &archive.grammar;
@@ -396,10 +361,10 @@ pub(crate) fn build_term_vector_prep(
     // sums a rule that several chunks of one file report).  Small segments
     // skip this entirely — their seed scan stays fused with the
     // propagation.
-    let mut seed_chunks = root_chunks(segments, fcfg.chunk_elements);
+    let mut seed_chunks = root_chunks(segments, chunk_elements);
     seed_chunks.retain(|c| {
         let (start, end) = segments[c.file as usize];
-        end - start > fcfg.chunk_elements
+        end - start > chunk_elements
     });
     let mut seeds: Vec<Option<Vec<(RuleId, u64)>>> = vec![None; num_files];
     if !seed_chunks.is_empty() {
@@ -518,20 +483,17 @@ pub(crate) fn build_term_vector_prep(
 
 /// Term vector has nothing to shard — file ownership is disjoint — so it
 /// borrows only the phase clock from the driver.
-fn term_vector_fine(ctx: FineCtx<'_>, pool: &WorkerPool) -> TaskExecution {
-    let grammar = &ctx.archive.grammar;
-    let dag = ctx.dag;
+fn term_vector_fine(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
+    let dag = a.dag;
     let threads = pool.threads();
-    let root = grammar.root();
+    let root = a.archive.grammar.root();
     run_phases(
         // Initialization — the whole CSR build is a session artifact
         // ([`TermVectorPrep`]): cold runs compute it here, warm runs skip
         // straight to the traversal.
         |charge| {
-            let prep =
-                ctx.analysis
-                    .ensure_term_vector_prep(ctx.archive, dag, ctx.fcfg, pool, charge);
-            (prep, ctx.analysis.ensure_segments(grammar, charge))
+            let prep = a.ensure_term_vector_prep(pool, charge);
+            (prep, a.ensure_segments(charge))
         },
         // Traversal — file-major accumulation.  Each worker owns a
         // contiguous file range (cost-balanced for *this* pool's width — the
@@ -622,292 +584,259 @@ pub(crate) fn sequence_work_items(
 
 /// Every distinct `l`-window of the grammar with the sources it is local to
 /// and how often — Figure 8's per-rule local tables, grouped into one ordered
-/// table.  Window `i`'s words are `keys[i * l..(i + 1) * l]` (ascending, the
-/// key layout of the result tables), and its `(source, local count)` pairs
-/// are `sources[offsets[i]..offsets[i + 1]]` beside the same slice of
-/// `counts`.  A source is a rule id, or `num_rules + file` for a window of
-/// that file's root segment.  The table depends only on the archive and
-/// `l` — no rule or file weights — so an engine fills it once per `l`
-/// ([`fill_window_sources`]) and both sequence tasks read it.  At `l` = 1 a
-/// window is a word: that table is built directly
-/// ([`of_words`](Self::of_words)), and the word tasks read it too.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) struct WindowSources {
-    l: usize,
-    keys: Vec<u32>,
-    offsets: Vec<usize>,
-    sources: Vec<u32>,
-    counts: Vec<u64>,
+/// table of width `l`.  Window `i`'s words are its key row
+/// ([`PostingTable::key_at`]; ascending, the key layout of the result
+/// tables), and its `(source, local count)` pairs are its posting list
+/// ([`PostingTable::values_at`]).  A source is a rule id, or `num_rules +
+/// file` for a window of that file's root segment.  The table depends only
+/// on the archive and `l` — no rule or file weights — so an engine fills it
+/// once per `l` ([`fill_window_table`]) and both sequence tasks read it.  At
+/// `l` = 1 a window is a word: that table is built directly
+/// ([`word_table`]), and the word tasks read it too.
+pub(crate) type WindowTable = PostingTable<(u32, u64)>;
+
+/// The `l` = 1 window table, equal to what [`fill_window_table`] yields at
+/// `l` = 1, without head/tail records or a sort: a word's sources are the
+/// rules `r` ≥ 1 whose local word list holds it (the list's count) and then
+/// the files whose root segment holds it (its occurrences there).  The pool
+/// folds each root segment into its distinct words, one [`DenseCounts`]
+/// per worker; then the counting sort by word both fills share
+/// ([`word_starts`]) counts each word's sources and writes them at the
+/// word's cursor.  Every column is allocated at its exact length.
+pub(crate) fn word_table(
+    archive: &TadocArchive,
+    dag: &Dag,
+    segments: &[(usize, usize)],
+    pool: &WorkerPool,
+) -> WindowTable {
+    let (root, num_rules) = (archive.grammar.root(), dag.num_rules);
+    assert_sources_fit(num_rules, segments.len());
+    let vocab = archive.vocabulary_size();
+    // One worker's fold: the files it claimed, each with its range of
+    // the worker's flat `(word, occurrences)` list.
+    struct Fold {
+        counts: DenseCounts,
+        files: Vec<(usize, std::ops::Range<usize>)>,
+        words: Vec<(u32, u64)>,
+    }
+    let folds = claim_loop(
+        pool,
+        segments.len(),
+        files_per_claim(segments.len(), pool.threads()),
+        || Fold {
+            counts: DenseCounts::new(vocab),
+            files: Vec::new(),
+            words: Vec::new(),
+        },
+        |fold, f| {
+            let (start, end) = segments[f];
+            for sym in &root[start..end] {
+                if let Symbol::Word(w) = *sym {
+                    fold.counts.add(w, 1);
+                }
+            }
+            let at = fold.words.len();
+            fold.counts.drain_into(&mut fold.words);
+            fold.files.push((f, at..fold.words.len()));
+        },
+    );
+    let mut root_words: Vec<&[(u32, u64)]> = vec![&[]; segments.len()];
+    for fold in &folds {
+        for (f, range) in &fold.files {
+            root_words[*f] = &fold.words[range.clone()];
+        }
+    }
+    let rule_words = (1..num_rules).map(|r| dag.local_words(r));
+    let leads = rule_words.clone().flatten().map(|&(w, _)| w);
+    let root_leads = folds.iter().flat_map(|fold| &fold.words).map(|&(w, _)| w);
+    let starts = word_starts(vocab, leads.chain(root_leads));
+    let pairs = starts[vocab];
+    let mut values = vec![(0u32, 0u64); pairs];
+    let mut next = starts[..vocab].to_vec();
+    let mut put = |w: u32, source: usize, count: u64| {
+        let at = &mut next[w as usize];
+        values[*at] = (source as u32, count);
+        *at += 1;
+    };
+    for (r, words) in (1..).zip(rule_words) {
+        for &(w, c) in words {
+            put(w, r, c as u64);
+        }
+    }
+    for (f, words) in root_words.into_iter().enumerate() {
+        for &(w, c) in words {
+            put(w, num_rules + f, c);
+        }
+    }
+    let present = |w: &usize| starts[*w] < starts[*w + 1];
+    let mut keys = Vec::with_capacity((0..vocab).filter(present).count());
+    keys.extend((0..vocab).filter(present).map(|w| w as u32));
+    let offsets = keys
+        .iter()
+        .map(|&w| starts[w as usize])
+        .chain([pairs])
+        .collect();
+    PostingTable::from_sorted_parts(1, keys, offsets, values)
 }
 
-impl WindowSources {
-    /// The `l` = 1 table, field for field what [`fill_window_sources`]
-    /// yields at `l` = 1, without head/tail records or a sort: a word's
-    /// sources are the rules `r` ≥ 1 whose local word list holds it (the
-    /// list's count) and then the files whose root segment holds it (its
-    /// occurrences there).  The pool folds each root segment into its
-    /// distinct words, one [`DenseCounts`] per worker; then the counting
-    /// sort by word both fills share ([`word_starts`]) counts each word's
-    /// sources and writes them at the word's cursor.
-    pub(crate) fn of_words(
-        archive: &TadocArchive,
-        dag: &Dag,
-        segments: &[(usize, usize)],
-        pool: &WorkerPool,
-    ) -> Self {
-        let (root, num_rules) = (archive.grammar.root(), dag.num_rules);
-        assert_sources_fit(num_rules, segments.len());
-        let vocab = archive.vocabulary_size();
-        // One worker's fold: the files it claimed, each with its range of
-        // the worker's flat `(word, occurrences)` list.
-        struct Fold {
-            counts: DenseCounts,
-            files: Vec<(usize, std::ops::Range<usize>)>,
-            words: Vec<(u32, u64)>,
-        }
-        let folds = claim_loop(
-            pool,
-            segments.len(),
-            files_per_claim(segments.len(), pool.threads()),
-            || Fold {
-                counts: DenseCounts::new(vocab),
-                files: Vec::new(),
-                words: Vec::new(),
-            },
-            |fold, f| {
-                let (start, end) = segments[f];
-                for sym in &root[start..end] {
-                    if let Symbol::Word(w) = *sym {
-                        fold.counts.add(w, 1);
-                    }
-                }
-                let at = fold.words.len();
-                fold.counts.drain_into(&mut fold.words);
-                fold.files.push((f, at..fold.words.len()));
-            },
-        );
-        let mut root_words: Vec<&[(u32, u64)]> = vec![&[]; segments.len()];
-        for fold in &folds {
-            for (f, range) in &fold.files {
-                root_words[*f] = &fold.words[range.clone()];
-            }
-        }
-        let rule_words = (1..num_rules).map(|r| dag.local_words(r));
-        let leads = rule_words.clone().flatten().map(|&(w, _)| w);
-        let root_leads = folds.iter().flat_map(|fold| &fold.words).map(|&(w, _)| w);
-        let starts = word_starts(vocab, leads.chain(root_leads));
-        let pairs = starts[vocab];
-        let (mut sources, mut counts) = (vec![0u32; pairs], vec![0u64; pairs]);
-        let mut next = starts[..vocab].to_vec();
-        let mut put = |w: u32, source: usize, count: u64| {
-            let at = &mut next[w as usize];
-            (sources[*at], counts[*at]) = (source as u32, count);
-            *at += 1;
+/// Runs `pass` over contiguous window ranges of `table` holding
+/// ≈ 1/threads of the `(source, count)` pairs each — one range per
+/// worker, one pool epoch — and returns the parts in key order.  Each
+/// worker passes the cancel/deadline checkpoint once, before its range.
+fn over_key_ranges<R: Send>(
+    table: &WindowTable,
+    pool: &WorkerPool,
+    pass: impl Fn(std::ops::Range<usize>) -> R + Sync,
+) -> Vec<R> {
+    let (pairs, parts, offsets) = (table.total_values(), pool.threads(), table.offsets());
+    let cuts: Vec<usize> = (0..=parts)
+        .map(|p| offsets.partition_point(|&o| o < pairs * p / parts))
+        .collect();
+    let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+    pool.map_workers(ranges, |_, windows| {
+        pool.checkpoint();
+        pass(windows)
+    })
+}
+
+/// `sequenceCount`'s pass: per window, Σ local count × the source's rule
+/// weight (a root source weighs 1).  Windows whose total is zero — local
+/// only to rules the root never reaches — are dropped.
+fn weighted_totals(table: &WindowTable, weights: &[u64], pool: &WorkerPool) -> Vec<Part<u64>> {
+    over_key_ranges(table, pool, |windows| {
+        let mut part = Part {
+            keys: Vec::with_capacity(windows.len() * table.width()),
+            ends: Vec::new(),
+            values: Vec::with_capacity(windows.len()),
         };
-        for (r, words) in (1..).zip(rule_words) {
-            for &(w, c) in words {
-                put(w, r, c as u64);
+        for i in windows {
+            let total: u64 = table
+                .values_at(i)
+                .iter()
+                .map(|&(s, c)| weights.get(s as usize).map_or(c, |w| c * w))
+                .sum();
+            if total > 0 {
+                part.keys.extend_from_slice(table.key_at(i));
+                part.values.push(total);
             }
         }
-        for (f, words) in root_words.into_iter().enumerate() {
-            for &(w, c) in words {
-                put(w, num_rules + f, c);
-            }
-        }
-        let keys: Vec<u32> = (0..vocab)
-            .filter(|&w| starts[w] < starts[w + 1])
-            .map(|w| w as u32)
-            .collect();
-        let offsets = keys
-            .iter()
-            .map(|&w| starts[w as usize])
-            .chain([pairs])
-            .collect();
-        Self {
-            l: 1,
-            keys,
-            offsets,
-            sources,
-            counts,
-        }
-    }
+        part
+    })
+}
 
-    /// Window `i`'s `(source, local count)` pairs.
-    #[inline]
-    fn entries(&self, i: usize) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let range = self.offsets[i]..self.offsets[i + 1];
-        let counts = &self.counts[range.clone()];
-        let sources = self.sources[range].iter().copied();
-        sources.zip(counts.iter().copied())
-    }
+/// The `sequenceCount` table of width `l` of [`weighted_totals`]' parts.
+fn count_table(l: usize, parts: Vec<Part<u64>>) -> AnalyticsOutput {
+    let (keys, _, counts) = merge::assemble(parts);
+    AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(l, keys, counts))
+}
 
-    /// Runs `pass` over contiguous window ranges holding ≈ 1/threads of the
-    /// `(source, count)` pairs each — one range per worker, one pool epoch —
-    /// and returns the parts in key order.  Each worker passes the
-    /// cancel/deadline checkpoint once, before its range.
-    fn over_key_ranges<R: Send>(
-        &self,
-        pool: &WorkerPool,
-        pass: impl Fn(std::ops::Range<usize>) -> R + Sync,
-    ) -> Vec<R> {
-        let (pairs, parts) = (self.sources.len(), pool.threads());
-        let cuts: Vec<usize> = (0..=parts)
-            .map(|p| self.offsets.partition_point(|&o| o < pairs * p / parts))
-            .collect();
-        let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
-        pool.map_workers(ranges, |_, windows| {
-            pool.checkpoint();
-            pass(windows)
-        })
+/// The `wordCount` (or, ranked, `sort`) table of the word table's
+/// [`weighted_totals`] parts.
+fn word_count_table(task: Task, parts: Vec<Part<u64>>) -> AnalyticsOutput {
+    let (words, _, counts) = merge::assemble(parts);
+    let wc = WordCountResult::from_sorted_columns(words, counts);
+    if task == Task::Sort {
+        AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
+    } else {
+        AnalyticsOutput::WordCount(wc)
     }
+}
 
-    /// Window `i`'s words.
-    #[inline]
-    fn key(&self, i: usize) -> &[u32] {
-        &self.keys[i * self.l..(i + 1) * self.l]
-    }
-
-    /// `sequenceCount`'s pass: per window, Σ local count × the source's rule
-    /// weight (a root source weighs 1).  Windows whose total is zero — local
-    /// only to rules the root never reaches — are dropped.
-    fn weighted_totals(&self, weights: &[u64], pool: &WorkerPool) -> Vec<Part<u64>> {
-        self.over_key_ranges(pool, |windows| {
-            let mut part = Part {
-                keys: Vec::with_capacity(windows.len() * self.l),
-                ends: Vec::new(),
-                values: Vec::with_capacity(windows.len()),
-            };
-            for i in windows {
-                let total: u64 = self
-                    .entries(i)
-                    .map(|(s, c)| weights.get(s as usize).map_or(c, |w| c * w))
-                    .sum();
-                if total > 0 {
-                    part.keys.extend_from_slice(self.key(i));
-                    part.values.push(total);
-                }
-            }
-            part
-        })
-    }
-
-    /// The `sequenceCount` table of [`weighted_totals`](Self::weighted_totals)'
-    /// parts.
-    fn count_table(&self, parts: Vec<Part<u64>>) -> AnalyticsOutput {
-        let (keys, _, counts) = merge::assemble(parts);
-        let table = SequenceCountResult::from_sorted_columns(self.l, keys, counts);
-        AnalyticsOutput::SequenceCount(table)
-    }
-
-    /// The `wordCount` (or, ranked, `sort`) table of an `l` = 1 table's
-    /// [`weighted_totals`](Self::weighted_totals) parts.
-    fn word_table(&self, task: Task, parts: Vec<Part<u64>>) -> AnalyticsOutput {
-        debug_assert_eq!(self.l, 1);
-        let (words, _, counts) = merge::assemble(parts);
-        let wc = WordCountResult::from_sorted_columns(words, counts);
-        if task == Task::Sort {
-            AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
-        } else {
-            AnalyticsOutput::WordCount(wc)
-        }
-    }
-
-    /// `invertedIndex`'s pass over an `l` = 1 table: each worker ORs every
-    /// source's files — a rule's row of `fw`, a root source's one file —
-    /// into its own [`FileBits`], then drains them in file order, so a
-    /// posting list needs no sort.  Words with no posting — local only to
-    /// rules the root never reaches — are dropped.
-    fn postings(
-        &self,
-        fw: &Csr<(FileId, u64)>,
-        num_files: usize,
-        pool: &WorkerPool,
-    ) -> Vec<Part<FileId>> {
-        debug_assert_eq!(self.l, 1);
-        let num_rules = fw.num_rows() as u32;
-        self.over_key_ranges(pool, |words| {
-            let mut files = FileBits {
-                blocks: vec![0; num_files.div_ceil(64)],
-                touched: Vec::new(),
-            };
-            let mut part = Part::default();
-            for i in words {
-                for (source, _) in self.entries(i) {
-                    if source < num_rules {
-                        for &(file, _) in fw.row(source as usize) {
-                            files.set(file);
-                        }
-                    } else {
-                        files.set(source - num_rules);
+/// `invertedIndex`'s pass over the word table: each worker ORs every
+/// source's files — a rule's row of `fw`, a root source's one file — into
+/// its own [`FileBits`], then drains them in file order, so a posting list
+/// needs no sort.  Words with no posting — local only to rules the root
+/// never reaches — are dropped.
+fn postings(
+    words: &WindowTable,
+    fw: &Csr<(FileId, u64)>,
+    num_files: usize,
+    pool: &WorkerPool,
+) -> Vec<Part<FileId>> {
+    debug_assert_eq!(words.width(), 1);
+    let num_rules = fw.num_rows() as u32;
+    over_key_ranges(words, pool, |range| {
+        let mut files = FileBits {
+            blocks: vec![0; num_files.div_ceil(64)],
+            touched: Vec::new(),
+        };
+        let mut part = Part::default();
+        for i in range {
+            for &(source, _) in words.values_at(i) {
+                if source < num_rules {
+                    for &(file, _) in fw.row(source as usize) {
+                        files.set(file);
                     }
-                }
-                let before = part.values.len();
-                files.drain_into(&mut part.values);
-                if part.values.len() > before {
-                    part.keys.extend_from_slice(self.key(i));
-                    part.ends.push(part.values.len());
+                } else {
+                    files.set(source - num_rules);
                 }
             }
-            part
-        })
-    }
+            let before = part.values.len();
+            files.drain_into(&mut part.values);
+            if part.values.len() > before {
+                part.keys.extend_from_slice(words.key_at(i));
+                part.ends.push(part.values.len());
+            }
+        }
+        part
+    })
+}
 
-    /// The `invertedIndex` table of [`postings`](Self::postings)' parts.
-    fn index_table(&self, parts: Vec<Part<FileId>>) -> AnalyticsOutput {
-        let (words, offsets, files) = merge::assemble(parts);
-        AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
-            words, offsets, files,
-        ))
-    }
+/// The `invertedIndex` table of [`postings`]' parts.
+fn index_table(parts: Vec<Part<FileId>>) -> AnalyticsOutput {
+    let (words, offsets, files) = merge::assemble(parts);
+    AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+        words, offsets, files,
+    ))
+}
 
-    /// `rankedInvertedIndex`'s pass: each worker walks its windows, scatters
-    /// every source's `count ×` its per-file occurrences (or `count` into
-    /// the one file of a root source) into its own [`DenseCounts`] over the
-    /// files, and drains and ranks only the files the window touched
-    /// (descending count, then ascending file), so the `windows × files`
-    /// cross product exists only as additions.  Windows with no posting —
-    /// local only to rules the root never reaches — are dropped.
-    fn ranked_postings(
-        &self,
-        fw: &Csr<(FileId, u64)>,
-        num_files: usize,
-        pool: &WorkerPool,
-    ) -> Vec<Part<(FileId, u64)>> {
-        let num_rules = fw.num_rows() as u32;
-        self.over_key_ranges(pool, |windows| {
-            let mut per_file = DenseCounts::new(num_files);
-            let mut part = Part::default();
-            for i in windows {
-                for (source, count) in self.entries(i) {
-                    if source < num_rules {
-                        for &(file, occ) in fw.row(source as usize) {
-                            per_file.add(file, count * occ);
-                        }
-                    } else {
-                        per_file.add(source - num_rules, count);
+/// `rankedInvertedIndex`'s pass: each worker walks its windows, scatters
+/// every source's `count ×` its per-file occurrences (or `count` into the
+/// one file of a root source) into its own [`DenseCounts`] over the files,
+/// and drains and ranks only the files the window touched (descending
+/// count, then ascending file), so the `windows × files` cross product
+/// exists only as additions.  Windows with no posting — local only to
+/// rules the root never reaches — are dropped.
+fn ranked_postings(
+    table: &WindowTable,
+    fw: &Csr<(FileId, u64)>,
+    num_files: usize,
+    pool: &WorkerPool,
+) -> Vec<Part<(FileId, u64)>> {
+    let num_rules = fw.num_rows() as u32;
+    over_key_ranges(table, pool, |windows| {
+        let mut per_file = DenseCounts::new(num_files);
+        let mut part = Part::default();
+        for i in windows {
+            for &(source, count) in table.values_at(i) {
+                if source < num_rules {
+                    for &(file, occ) in fw.row(source as usize) {
+                        per_file.add(file, count * occ);
                     }
-                }
-                let before = part.values.len();
-                per_file.drain_into(&mut part.values);
-                let postings = &mut part.values[before..];
-                if !postings.is_empty() {
-                    postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-                    part.keys.extend_from_slice(self.key(i));
-                    part.ends.push(part.values.len());
+                } else {
+                    per_file.add(source - num_rules, count);
                 }
             }
-            part
-        })
-    }
+            let before = part.values.len();
+            per_file.drain_into(&mut part.values);
+            let postings = &mut part.values[before..];
+            if !postings.is_empty() {
+                postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                part.keys.extend_from_slice(table.key_at(i));
+                part.ends.push(part.values.len());
+            }
+        }
+        part
+    })
+}
 
-    /// The `rankedInvertedIndex` table of
-    /// [`ranked_postings`](Self::ranked_postings)' parts.
-    fn ranked_table(&self, parts: Vec<Part<(FileId, u64)>>) -> AnalyticsOutput {
-        let (keys, offsets, postings) = merge::assemble(parts);
-        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
-            self.l, keys, offsets, postings,
-        ))
-    }
+/// The `rankedInvertedIndex` table of width `l` of [`ranked_postings`]'
+/// parts.
+fn ranked_table(l: usize, parts: Vec<Part<(FileId, u64)>>) -> AnalyticsOutput {
+    let (keys, offsets, postings) = merge::assemble(parts);
+    AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+        l, keys, offsets, postings,
+    ))
 }
 
 /// A window table names a source by a `u32`: a rule id, or `num_rules +
@@ -936,16 +865,16 @@ fn word_starts(vocab: usize, leads: impl Iterator<Item = u32>) -> Vec<usize> {
     starts
 }
 
-/// Fills the [`WindowSources`] of `ht.l` — packed `u64` keys when they fit
+/// Fills the [`WindowTable`] of `ht.l` — packed `u64` keys when they fit
 /// ([`sequences::can_pack`]), owned [`Sequence`]s otherwise — and records
 /// what its scan and sort measured in `timings`.
-pub(crate) fn fill_window_sources(
+pub(crate) fn fill_window_table(
     archive: &TadocArchive,
     ht: &HeadTail,
     items: &[SeqItem],
     pool: &WorkerPool,
     timings: &mut PhaseTimings,
-) -> WindowSources {
+) -> WindowTable {
     let (grammar, vocab) = (&archive.grammar, archive.vocabulary_size());
     if sequences::can_pack(ht.l, vocab) {
         fill_windows::<u64>(grammar, ht, items, vocab, pool, timings)
@@ -961,10 +890,11 @@ pub(crate) fn fill_window_sources(
 /// 2. a counting sort by that word groups all windows in one array;
 /// 3. the array is cut at word boundaries into one contiguous range of
 ///    ≈ 1/threads of the windows per worker, and in one pool epoch each
-///    worker sorts its range by `(key, source)` and folds equal pairs into
-///    a local count;
-/// 4. the runs, which are in key order ([`SeqKey`]), are concatenated into
-///    the table's columns.
+///    worker sorts its range by `(key, source)` and folds it into a
+///    [`Part`] of the table: one key row per window, one `(source, local
+///    count)` pair per distinct source;
+/// 4. the parts, which are in key order ([`SeqKey`]), are assembled into
+///    the table's columns at their exact length ([`merge::assemble`]).
 ///
 /// The limit: one leading word is never split across workers, so a word
 /// that starts more than 1/threads of all windows is sorted by one worker —
@@ -976,7 +906,7 @@ fn fill_windows<K: SeqKey>(
     vocab: usize,
     pool: &WorkerPool,
     timings: &mut PhaseTimings,
-) -> WindowSources {
+) -> WindowTable {
     assert_sources_fit(grammar.num_rules(), grammar.num_files());
     let scan_timer = Timer::start();
     let scanned = claim_loop(
@@ -1024,83 +954,72 @@ fn fill_windows<K: SeqKey>(
     }
     timings.merge_entries = windows as u64;
     timings.largest_merge_group = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
-    let runs = pool.map_workers(ranges, |_, range| {
+    let l = ht.l;
+    let parts = pool.map_workers(ranges, |_, range| {
         // Fault-injection site, once per worker: a panic mid-fold, with
         // the other workers' ranges half sorted.
         failpoints::fail_point!("merge-fold");
         range.sort_unstable();
-        // Taking every key frees an owned key's duplicates here, on the
-        // worker, instead of on the caller when the array is dropped.
-        let mut run: Vec<(K, u32, u64)> = Vec::new();
-        for (key, source) in range.iter_mut() {
-            let (key, source) = (std::mem::take(key), *source);
-            match run.last_mut() {
-                Some(last) if last.0 == key && last.1 == source => last.2 += 1,
-                _ => run.push((key, source, 1)),
+        // One pass counts the distinct windows and pairs, so the part is
+        // allocated once, at its exact size.
+        let first = range.len().min(1);
+        let (distinct, pairs) = range.windows(2).fold((first, first), |(w, p), ab| {
+            let new_key = ab[0].0 != ab[1].0;
+            (
+                w + new_key as usize,
+                p + (new_key || ab[0].1 != ab[1].1) as usize,
+            )
+        });
+        let mut part = Part {
+            keys: Vec::with_capacity(distinct * l),
+            ends: Vec::with_capacity(distinct),
+            values: Vec::with_capacity(pairs),
+        };
+        for window in range.chunk_by_mut(|a, b| a.0 == b.0) {
+            let at = part.keys.len();
+            part.keys.resize(at + l, 0);
+            window[0].0.write_words(&mut part.keys[at..]);
+            for run in window.chunk_by(|a, b| a.1 == b.1) {
+                part.values.push((run[0].1, run.len() as u64));
             }
+            part.ends.push(part.values.len());
+            // Taking every key frees an owned key here, on the worker,
+            // instead of on the caller when the array is dropped.
+            window
+                .iter_mut()
+                .for_each(|(key, _)| drop(std::mem::take(key)));
         }
-        run
+        part
     });
     timings.window_sort = sort_timer.elapsed();
 
-    let pairs = runs.iter().map(Vec::len).sum();
-    let l = ht.l;
-    let mut table = WindowSources {
-        l,
-        keys: Vec::new(),
-        offsets: Vec::new(),
-        sources: Vec::with_capacity(pairs),
-        counts: Vec::with_capacity(pairs),
-    };
-    let mut last = None;
-    for (key, source, count) in runs.iter().flatten() {
-        if last != Some(key) {
-            table.offsets.push(table.sources.len());
-            let at = table.keys.len();
-            table.keys.resize(at + l, 0);
-            key.write_words(&mut table.keys[at..]);
-            last = Some(key);
-        }
-        table.sources.push(*source);
-        table.counts.push(*count);
-    }
-    table.offsets.push(pairs);
-    table
+    let (keys, offsets, values) = merge::assemble(parts);
+    PostingTable::from_sorted_parts(l, keys, offsets, values)
 }
 
 /// `sequenceCount`: one pass over the window table, then its rows.
-fn sequence_count(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
+fn sequence_count(a: &Analysis<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
     run_phases(
         |charge| {
-            let (archive, dag) = (ctx.archive, ctx.dag);
-            let weights = ctx.analysis.ensure_rule_weights(dag, pool, charge);
-            let slot = ctx
-                .analysis
-                .ensure_window_sources(archive, dag, ctx.fcfg, l, pool, charge);
-            (weights, slot)
+            let weights = a.ensure_rule_weights(pool, charge);
+            (weights, a.ensure_window_table(l, pool, charge))
         },
-        |(weights, slot), _| slot.windows().weighted_totals(weights, pool),
-        |(_, slot), parts| slot.windows().count_table(parts),
+        |(weights, slot), _| weighted_totals(slot.windows(), weights, pool),
+        |_, parts| count_table(l, parts),
     )
 }
 
 /// `rankedInvertedIndex`: one pass over the window table, then its posting
 /// lists.
-fn ranked_inverted_index(ctx: FineCtx<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
+fn ranked_inverted_index(a: &Analysis<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
     run_phases(
         |charge| {
-            let (archive, dag) = (ctx.archive, ctx.dag);
-            let fw = ctx
-                .analysis
-                .ensure_file_weights(archive, dag, ctx.fcfg, pool, charge);
-            let num_files = ctx.analysis.ensure_segments(&archive.grammar, charge).len();
-            let slot = ctx
-                .analysis
-                .ensure_window_sources(archive, dag, ctx.fcfg, l, pool, charge);
-            (fw, num_files, slot)
+            let fw = a.ensure_file_weights(pool, charge);
+            let num_files = a.ensure_segments(charge).len();
+            (fw, num_files, a.ensure_window_table(l, pool, charge))
         },
-        |(fw, num_files, slot), _| slot.windows().ranked_postings(fw, *num_files, pool),
-        |(.., slot), runs| slot.windows().ranked_table(runs),
+        |(fw, num_files, slot), _| ranked_postings(slot.windows(), fw, *num_files, pool),
+        |_, parts| ranked_table(l, parts),
     )
 }
 
@@ -1213,11 +1132,7 @@ mod tests {
     ) -> Csr<(FileId, u64)> {
         let pool = WorkerPool::new(threads);
         let segments = weights::file_segments(&archive.grammar);
-        let fcfg = FineGrainedConfig {
-            num_threads: threads,
-            chunk_elements,
-        };
-        let prep = build_term_vector_prep(archive, dag, &segments, fcfg, &pool);
+        let prep = build_term_vector_prep(archive, dag, &segments, chunk_elements, &pool);
         prep.csr.transpose(dag.num_rules)
     }
 
@@ -1500,7 +1415,7 @@ mod tests {
         archive: &TadocArchive,
         dag: &Dag,
         l: usize,
-        mut check: impl FnMut(&str, &WorkerPool, WindowSources),
+        mut check: impl FnMut(&str, &WorkerPool, WindowTable),
     ) {
         let grammar = &archive.grammar;
         let segments = weights::file_segments(grammar);
@@ -1511,7 +1426,7 @@ mod tests {
             for chunk_elements in [1usize, 7, 4096] {
                 let items = sequence_work_items(grammar, &segments, chunk_elements);
                 let timings = &mut PhaseTimings::default();
-                let filled = fill_window_sources(archive, &ht, &items, &pool, timings);
+                let filled = fill_window_table(archive, &ht, &items, &pool, timings);
                 let label = format!(
                     "{} files, l = {l}, {threads} threads, chunk_elements = {chunk_elements}",
                     archive.num_files()
@@ -1535,10 +1450,41 @@ mod tests {
         for (archive, dag) in &corpora {
             let segments = weights::file_segments(&archive.grammar);
             check_window_fills(archive, dag, 1, |label, pool, filled| {
-                let words = WindowSources::of_words(archive, dag, &segments, pool);
+                let words = word_table(archive, dag, &segments, pool);
                 assert!(words == filled, "{label}");
             });
         }
+    }
+
+    /// Every column of every window table is exactly its length: the word
+    /// table and the fill at `l` = 1, and the fill at `l` = 2, 3 (packed
+    /// keys) and 4 (owned keys), at every pool width and chunk size.
+    #[test]
+    fn window_tables_hold_no_spare_capacity() {
+        let (archive, dag) = build(&redundant_corpus());
+        let segments = weights::file_segments(&archive.grammar);
+        let mut loose = Vec::new();
+        let mut check = |label: &str, table: &WindowTable| {
+            let columns = table.column_capacities();
+            if columns.iter().any(|(len, cap)| len != cap) {
+                loose.push(format!("{label}: (len, cap) {columns:?}"));
+            }
+        };
+        for l in 1..=4usize {
+            check_window_fills(&archive, &dag, l, |label, pool, filled| {
+                if l == 1 {
+                    let words = word_table(&archive, &dag, &segments, pool);
+                    check(&format!("word table, {label}"), &words);
+                }
+                check(&format!("window fill, {label}"), &filled);
+            });
+        }
+        assert!(
+            loose.is_empty(),
+            "{} window tables hold spare capacity:\n{}",
+            loose.len(),
+            loose.join("\n")
+        );
     }
 
     /// The window table of `l` = 2, 3 (packed keys) and 4 (owned keys) is

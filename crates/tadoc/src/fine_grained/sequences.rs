@@ -12,7 +12,7 @@
 //! rule occurs — the reuse that makes the paper's sequence tasks two orders
 //! of magnitude faster than the re-scanning CPU baseline — and the engine
 //! computes them once per session and `l`, into the window table both
-//! sequence tasks read (`WindowSources`).  A window is read
+//! sequence tasks read (`WindowTable`).  A window is read
 //! off a *pseudo-stream* assembled from the rule body using only the
 //! head/tail (or full short expansion) of each sub-rule (Figure 6), so no
 //! recursive expansion is ever needed.

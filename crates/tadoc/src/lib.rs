@@ -35,7 +35,7 @@ pub mod timing;
 pub mod weights;
 
 pub use apps::{run_task, Task, TaskConfig};
-pub use fine_grained::{ConfigError, Engine, EngineBuilder, FineGrainedConfig};
+pub use fine_grained::{ConfigError, Engine, EngineBuilder};
 pub use results::{
     AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
     SortResult, TermVectorResult, WordCountResult,

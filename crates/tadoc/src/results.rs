@@ -204,6 +204,11 @@ impl<V> PostingTable<V> {
         }
     }
 
+    /// Words per key row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
         self.offsets.len().saturating_sub(1)
@@ -761,6 +766,19 @@ impl AnalyticsOutput {
 }
 
 #[cfg(test)]
+impl<V> PostingTable<V> {
+    /// The `(length, capacity)` of the key arena, the offsets and the
+    /// values.
+    pub(crate) fn column_capacities(&self) -> Vec<(usize, usize)> {
+        vec![
+            (self.keys.len(), self.keys.capacity()),
+            (self.offsets.len(), self.offsets.capacity()),
+            (self.values.len(), self.values.capacity()),
+        ]
+    }
+}
+
+#[cfg(test)]
 impl AnalyticsOutput {
     /// The `(length, capacity)` of every `Vec` this output owns, in
     /// [`columns`](Self::columns) order.
@@ -768,16 +786,13 @@ impl AnalyticsOutput {
         fn of<T>(v: &Vec<T>) -> (usize, usize) {
             (v.len(), v.capacity())
         }
-        fn posting<V>(t: &PostingTable<V>) -> Vec<(usize, usize)> {
-            vec![of(&t.keys), of(&t.offsets), of(&t.values)]
-        }
         match self {
             Self::WordCount(r) => vec![of(&r.table.keys), of(&r.table.values)],
             Self::Sort(r) => vec![of(&r.ranked)],
-            Self::InvertedIndex(r) => posting(&r.table),
+            Self::InvertedIndex(r) => r.table.column_capacities(),
             Self::TermVector(r) => vec![of(&r.offsets), of(&r.terms)],
             Self::SequenceCount(r) => vec![of(&r.keys), of(&r.counts)],
-            Self::RankedInvertedIndex(r) => posting(&r.table),
+            Self::RankedInvertedIndex(r) => r.table.column_capacities(),
         }
     }
 }

@@ -105,12 +105,6 @@ pub fn file_weights(
     fw
 }
 
-/// Sums the per-file weights of a rule back into its total weight; used by
-/// invariant tests (`Σ_f file_weight[r][f] == weight[r]`).
-pub fn total_of_file_weights(fw: &FxHashMap<FileId, u64>) -> u64 {
-    fw.values().sum()
-}
-
 /// Streams the fully expanded word sequence of one file, invoking `emit` for
 /// every word in order.  Used by the sequence-sensitive CPU baselines (which,
 /// as the paper notes, behave close to uncompressed processing) and by
@@ -231,6 +225,7 @@ mod tests {
         assert_eq!(fw[2].get(&1), Some(&1));
     }
 
+    /// `Σ_f file_weight[r][f] == weight[r]` for every rule.
     #[test]
     fn file_weights_sum_to_rule_weights() {
         let g = paper_grammar();
@@ -239,7 +234,7 @@ mod tests {
         let w = rule_weights(&dag, &mut work);
         let fw = file_weights(&g, &dag, &mut work);
         for r in 1..dag.num_rules {
-            assert_eq!(total_of_file_weights(&fw[r]), w[r], "rule {r}");
+            assert_eq!(fw[r].values().sum::<u64>(), w[r], "rule {r}");
         }
     }
 

@@ -1,7 +1,8 @@
 //! `cargo run -p xtask -- loc`: every line of every `.rs` file under
 //! [`DIRS`] (what `wc -l` counts), split into test lines — a file under a
 //! `tests/` directory, or a `#[cfg(test)]` item ([`cfg_test_items`], the
-//! ranges the lint rules skip) — and the rest.
+//! ranges the lint rules skip) — and the rest, plus the line budget: the
+//! non-test lines outside [`BUDGET_EXCLUDES`].
 
 use crate::lexer::{cfg_test_items, lex};
 use crate::workspace;
@@ -9,6 +10,21 @@ use std::path::Path;
 
 /// The directories counted, relative to the workspace root.
 pub const DIRS: [&str; 4] = ["crates", "src", "tests", "examples"];
+
+/// The directory whose lines the line budget leaves out: the tooling that
+/// checks the tree is not the tree.
+pub const BUDGET_EXCLUDES: &str = "crates/xtask";
+
+/// The line counts of a tree.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Lines {
+    /// Every line.
+    pub total: usize,
+    /// Test lines.
+    pub test: usize,
+    /// Non-test lines outside [`BUDGET_EXCLUDES`].
+    pub budget: usize,
+}
 
 /// `(total, test)` lines of `src`; all of them are test lines when the file
 /// sits under a `tests/` directory.
@@ -25,21 +41,24 @@ pub fn count_file(src: &str, under_tests_dir: bool) -> (usize, usize) {
     (total, test_lines[..total].iter().filter(|&&t| t).count())
 }
 
-/// `(total, test)` lines of every `.rs` file under [`DIRS`] of `root`.
-pub fn count_tree(root: &Path) -> Result<(usize, usize), String> {
+/// The [`Lines`] of every `.rs` file under [`DIRS`] of `root`.
+pub fn count_tree(root: &Path) -> Result<Lines, String> {
     let mut files = Vec::new();
     for dir in DIRS {
         workspace::collect_rs_files(&root.join(dir), &mut files)?;
     }
-    let (mut total, mut test) = (0, 0);
+    let mut lines = Lines::default();
     for path in files {
         let relative = path.strip_prefix(root).unwrap_or(&path);
         let under_tests_dir = relative.components().any(|c| c.as_os_str() == "tests");
-        let (file_total, file_test) = count_file(&workspace::read(&path)?, under_tests_dir);
-        total += file_total;
-        test += file_test;
+        let (total, test) = count_file(&workspace::read(&path)?, under_tests_dir);
+        lines.total += total;
+        lines.test += test;
+        if !relative.starts_with(BUDGET_EXCLUDES) {
+            lines.budget += total - test;
+        }
     }
-    Ok((total, test))
+    Ok(lines)
 }
 
 #[cfg(test)]
@@ -66,5 +85,33 @@ mod tests {
 ";
         assert_eq!(count_file(src, false), (14, 4 + 2 + 5));
         assert_eq!(count_file(src, true), (14, 14));
+    }
+
+    /// The budget is the non-test lines outside `crates/xtask`: a crate's
+    /// source counts, its `#[cfg(test)]` item and its `tests/` file do not,
+    /// and nothing under `crates/xtask` does.
+    #[test]
+    fn the_budget_leaves_out_test_lines_and_crates_xtask() {
+        let root = std::env::temp_dir().join(format!("xtask-loc-{}", std::process::id()));
+        let files = [
+            ("crates/a/src/lib.rs", "fn a() {}\n#[cfg(test)]\nmod t {}\n"),
+            ("crates/a/tests/it.rs", "fn it() {}\n"),
+            ("crates/xtask/src/main.rs", "fn main() {}\nfn more() {}\n"),
+            ("src/lib.rs", "fn root() {}\n"),
+            ("notes/skipped.rs", "fn not_counted() {}\n"),
+        ];
+        for (path, text) in files {
+            let path = root.join(path);
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(path, text).unwrap();
+        }
+        let lines = count_tree(&root);
+        std::fs::remove_dir_all(&root).unwrap();
+        let expected = Lines {
+            total: 3 + 1 + 2 + 1,
+            test: 2 + 1,
+            budget: 1 + 1,
+        };
+        assert_eq!(lines, Ok(expected));
     }
 }

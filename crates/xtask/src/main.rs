@@ -49,9 +49,19 @@ fn main() -> ExitCode {
     });
     if command == "loc" {
         return match xtask::loc::count_tree(&root) {
-            Ok((total, test)) => {
+            Ok(lines) => {
                 println!("Rust lines under {}/:", xtask::loc::DIRS.join("/ "));
-                println!("total {total}, test {test}, non-test {}", total - test);
+                println!(
+                    "total {}, test {}, non-test {}",
+                    lines.total,
+                    lines.test,
+                    lines.total - lines.test
+                );
+                println!(
+                    "non-test outside {} (the line budget): {}",
+                    xtask::loc::BUDGET_EXCLUDES,
+                    lines.budget
+                );
                 ExitCode::SUCCESS
             }
             Err(e) => {

@@ -62,8 +62,7 @@ pub mod prelude {
     pub use sequitur::{ArchiveStats, Dag, Grammar, Symbol, TadocArchive};
     pub use tadoc::apps::{run_task, Task, TaskConfig};
     pub use tadoc::fine_grained::{
-        CancelToken, ConfigError, Engine, EngineBuilder, EngineError, FineGrainedConfig,
-        QueryOptions,
+        CancelToken, ConfigError, Engine, EngineBuilder, EngineError, QueryOptions,
     };
     pub use tadoc::results::AnalyticsOutput;
 }

@@ -199,7 +199,7 @@ fn dataset_b_shaped_corpus_agrees_on_all_tasks_at_all_thread_counts() {
     }
     let archive = corpus.compress();
     let dag = Dag::from_grammar(&archive.grammar);
-    let default_chunk = FineGrainedConfig::default().chunk_elements;
+    let default_chunk = tadoc::fine_grained::DEFAULT_CHUNK_ELEMENTS;
     assert!(
         archive.grammar.root().len() > default_chunk,
         "the root body must exceed the chunking threshold, or this test \
