@@ -508,8 +508,9 @@ impl<'a> Analysis<'a> {
 /// The chunking threshold an [`EngineBuilder`] starts with: any oversized
 /// work item — a huge rule body (primarily the root), a giant local-word
 /// list, a whole-file root segment — is split into chunks of at most this
-/// many indices, each weighted individually into the cost partition / work
-/// queue (the CPU analogue of the thread-group split for oversized rules).
+/// many indices, each weighted individually into the cost split or claimed
+/// on its own (the CPU analogue of the thread-group split for oversized
+/// rules).
 pub const DEFAULT_CHUNK_ELEMENTS: usize = 4096;
 
 /// Configures and validates an [`Engine`].  Created by [`Engine::builder`].
@@ -619,21 +620,12 @@ fn validate_archive(archive: &TadocArchive, dag: &Dag) -> Result<(), EngineError
 // Engine
 // ---------------------------------------------------------------------------
 
-/// The execution half of the engine's state — the admission point.
-///
-/// **Admission contract**: one query at a time owns the shared persistent
-/// pool, claimed with `try_lock` (never blocking).  A query that finds the
-/// pool busy runs **inline** on a transient single-worker pool (zero helper
-/// threads: the calling thread executes every chunk itself).  Contended
-/// queries therefore trade parallel speedup for immediate admission — no
-/// queueing, no convoy, bounded latency — and the transient pool's epochs
-/// are folded into `epochs_retired` afterwards so [`Engine::epochs`] stays
-/// monotonic over *all* dispatched epochs.  Cancellation/deadline control
-/// installs on whichever pool the query exclusively holds.
+/// The execution half of the engine's state — the admission point of the
+/// contract in [`Engine`]'s docs.
 struct ExecState {
     pool: WorkerPool,
-    /// Epochs dispatched by pools this session has already retired — healed
-    /// after poisoning, or transient inline pools after a contended query.
+    /// Epochs dispatched by pools this session has already retired: pools
+    /// healed after poisoning.
     epochs_retired: u64,
 }
 
@@ -655,10 +647,15 @@ struct ExecState {
 /// queries share the analysis layer (first toucher fills, everyone else
 /// reads), allocate their own mutable state, and contend only for the
 /// worker pool itself.
-/// The admission contract: one query at a time owns the shared pool
-/// (claimed with a non-blocking `try_lock`); a query finding it busy runs
-/// inline on a transient single-worker pool rather than queueing, trading
-/// parallel speedup for immediate admission and bounded latency.
+///
+/// **Admission contract**: one query at a time owns the shared persistent
+/// pool, claimed with `try_lock` (never blocking).  A query that finds the
+/// pool busy runs **inline** on a transient single-worker pool (zero helper
+/// threads: the calling thread executes every chunk itself) and takes no
+/// lock the pool holder keeps.  Contended queries therefore trade parallel
+/// speedup for immediate admission — no queueing, no convoy, bounded
+/// latency.  Cancellation/deadline control installs on whichever pool the
+/// query exclusively holds.
 ///
 /// ```
 /// use sequitur::compress::{compress_corpus, CompressOptions};
@@ -726,9 +723,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Number of barrier epochs the session has dispatched so far across
-    /// every pool it has owned — the persistent pool, healed replacements,
-    /// and transient inline pools of contended queries.  Strictly
-    /// increasing.
+    /// every pool it has owned — the persistent pool and its healed
+    /// replacements.  Never decreases.  A contended query's inline run
+    /// dispatches none: its one-worker pool has no helper threads.
     pub fn epochs(&self) -> u64 {
         let exec = self.exec.lock().unwrap_or_else(PoisonError::into_inner);
         exec.epochs_retired + exec.pool.epochs()
@@ -824,11 +821,10 @@ impl<'a> Engine<'a> {
         Ok(exec)
     }
 
-    /// The admission point (see [`ExecState`] for the contract): claims the
+    /// The admission point (see [`Engine`] for the contract): claims the
     /// shared pool with a non-blocking `try_lock`, or — when another query
-    /// holds it — runs inline on a transient single-worker pool, folding
-    /// the transient pool's dispatched epochs into the shared accounting
-    /// afterwards so [`Engine::epochs`] stays monotonic.
+    /// holds it — runs inline on a transient single-worker pool, which
+    /// dispatches no epoch, so nothing is owed to the shared accounting.
     fn admit(
         &self,
         task: Task,
@@ -851,13 +847,7 @@ impl<'a> Engine<'a> {
                     pool: WorkerPool::new(1),
                     epochs_retired: 0,
                 };
-                let result = run_fine_on_pool(task, cfg, analysis, &mut local, cancel, deadline);
-                let dispatched = local.epochs_retired + local.pool.epochs();
-                self.exec
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .epochs_retired += dispatched;
-                result
+                run_fine_on_pool(task, cfg, analysis, &mut local, cancel, deadline)
             }
         }
     }
@@ -1131,7 +1121,7 @@ mod tests {
     }
 
     #[test]
-    fn distinct_sequence_lengths_get_distinct_head_tail_cache_entries() {
+    fn distinct_sequence_lengths_get_distinct_window_table_slots() {
         let (archive, dag) = build_archive();
         let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
         for l in [2usize, 3, 4] {
@@ -1153,7 +1143,7 @@ mod tests {
     }
 
     #[test]
-    fn head_tail_cache_is_bounded_with_fifo_eviction() {
+    fn window_table_slots_are_bounded_with_fifo_eviction() {
         let (archive, dag) = build_archive();
         let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
         let baseline: Vec<_> = (1..=WINDOW_TABLE_CAP + 2)
@@ -1300,6 +1290,29 @@ mod tests {
                     assert_eq!(got.output, baseline.output);
                 });
             }
+        });
+    }
+
+    /// A query that finds the pool held answers inline without waiting for
+    /// the holder: here the holder waits for the query, so a convoy would
+    /// time out instead of answering.
+    #[test]
+    fn a_contended_query_answers_while_the_pool_is_held() {
+        let (archive, dag) = build_archive();
+        let engine = Engine::builder(&archive, &dag).threads(2).build().unwrap();
+        let cfg = TaskConfig::default();
+        let oracle = run_task(&archive, &dag, Task::WordCount, cfg).output;
+        let engine = &engine;
+        std::thread::scope(|s| {
+            let answered = engine.with_worker_pool(|_| {
+                let (tx, rx) = std::sync::mpsc::channel();
+                s.spawn(move || tx.send(engine.run(Task::WordCount, cfg).unwrap().output));
+                rx.recv_timeout(Duration::from_secs(5))
+            });
+            assert_eq!(
+                answered.expect("the inline query waited for the holder"),
+                oracle
+            );
         });
     }
 

@@ -1,11 +1,13 @@
 //! Persistent worker-pool executor for the fine-grained engine.
 //!
 //! The GPU runs one SIMT thread per rule; on the CPU we approximate the same
-//! fine-grained schedule with a small pool of OS threads pulling dynamically
-//! sized chunks of the rule (or file, or chunk) index space from a shared
-//! atomic cursor.  Chunked claiming keeps the load balanced the way the
-//! paper's thread groups do — a worker that lands on cheap rules simply
-//! claims more chunks — without any per-rule synchronization.
+//! fine-grained schedule with a small pool of OS threads.  Every pass over
+//! the pool is one of two shapes: the engine's claim loop, where workers
+//! pull chunks of the rule (or file, or chunk) index space off an atomic
+//! cursor — a worker that lands on cheap rules simply claims more, the way
+//! the paper's thread groups balance load — or one contiguous range per
+//! worker, cut from a running-cost column by [`split`].  Oversized items
+//! are cut into chunks first ([`chunk_ranges`]).
 //!
 //! The pool is **persistent**: [`WorkerPool::new`] spawns its helper threads
 //! once, parks them on a condvar, and every subsequent phase or DAG level is
@@ -25,48 +27,10 @@
 #![deny(clippy::unwrap_used)]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-/// A dynamic chunk dispenser over the index range `0..n`.
-///
-/// ```
-/// use tadoc::fine_grained::exec::WorkQueue;
-///
-/// let queue = WorkQueue::new(10, 4);
-/// assert_eq!(queue.next(), Some(0..4));
-/// assert_eq!(queue.next(), Some(4..8));
-/// assert_eq!(queue.next(), Some(8..10));
-/// assert_eq!(queue.next(), None);
-/// ```
-#[derive(Debug)]
-pub struct WorkQueue {
-    cursor: AtomicUsize,
-    n: usize,
-    chunk: usize,
-}
-
-impl WorkQueue {
-    /// A queue handing out chunks of at most `chunk` indices.
-    pub fn new(n: usize, chunk: usize) -> Self {
-        Self {
-            cursor: AtomicUsize::new(0),
-            n,
-            chunk: chunk.max(1),
-        }
-    }
-
-    /// Claims the next chunk, or `None` when the range is exhausted.
-    pub fn next(&self) -> Option<Range<usize>> {
-        let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.n {
-            return None;
-        }
-        Some(start..(start + self.chunk).min(self.n))
-    }
-}
 
 /// Type-erased pointer to one epoch's job closure.
 ///
@@ -167,20 +131,19 @@ struct Control {
 /// (worker `w` is always the same OS thread).
 ///
 /// ```
-/// use tadoc::fine_grained::exec::WorkerPool;
+/// use tadoc::fine_grained::exec::{split, WorkerPool};
 ///
 /// let pool = WorkerPool::new(4);
 /// // Three epochs over the same four workers — no threads are spawned
 /// // after `new`.
 /// let squares = pool.collect(|w| w * w);
 /// assert_eq!(squares, vec![0, 1, 4, 9]);
-/// let sum = std::sync::atomic::AtomicUsize::new(0);
-/// pool.for_range(1000, |i| {
-///     sum.fetch_add(i, std::sync::atomic::Ordering::Relaxed);
-/// });
-/// assert_eq!(sum.into_inner(), 999 * 1000 / 2);
 /// let doubled = pool.map_workers(vec![1, 2, 3, 4], |_w, x| x * 2);
 /// assert_eq!(doubled, vec![2, 4, 6, 8]);
+/// // One range of `0..6` per worker, balanced by cost (1, 1, 1, 1, 4, 4).
+/// let ranges = split(&[0, 1, 2, 3, 4, 8, 12], pool.threads());
+/// let sums = pool.map_workers(ranges, |_w, range| range.sum::<usize>());
+/// assert_eq!(sums, vec![3, 3, 4, 5]);
 /// ```
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
@@ -489,30 +452,6 @@ impl WorkerPool {
             })
             .collect()
     }
-
-    /// Runs `f(i)` for every `i in 0..n` across the worker pool with dynamic
-    /// chunking.  Ranges of at most [`INLINE_THRESHOLD`] run inline on the
-    /// caller.
-    pub fn for_range<F>(&self, n: usize, f: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        if self.handles.is_empty() || n <= INLINE_THRESHOLD {
-            for i in 0..n {
-                f(i);
-            }
-            return;
-        }
-        let chunk = (n / (self.threads * 8)).clamp(1, 4096);
-        let queue = WorkQueue::new(n, chunk);
-        self.run(&|_| {
-            while let Some(range) = queue.next() {
-                for i in range {
-                    f(i);
-                }
-            }
-        });
-    }
 }
 
 impl Drop for WorkerPool {
@@ -574,11 +513,13 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
     }
 }
 
-/// Splits `0..costs.len()` into `parts` contiguous ranges of near-equal
-/// total cost by cutting the prefix-scan of `costs` at the item boundary
-/// nearest each `total × w / parts` target.  Used to statically assign
-/// files to term-vector workers.
-/// Together the ranges cover the index space exactly once.
+/// Splits `n` items into `parts` contiguous ranges of near-equal cost.
+/// `bounds` is their running-cost column: `n + 1` entries from 0, so item
+/// `i` costs `bounds[i + 1] - bounds[i]` (a table's offsets, a counting
+/// sort's starts, a layout's record ends).  Part `p` ends at the item
+/// boundary nearest `total × (p + 1) / parts` — the lower one on a tie —
+/// and together the ranges cover `0..n` exactly once.  Every static split
+/// of the engine's pool passes is this one.
 ///
 /// **No-empty-part guarantee:** while items remain, every part takes at
 /// least one, and a part stops claiming items early rather than starve the
@@ -588,47 +529,46 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
 /// cost targets and leave the later parts empty.
 ///
 /// ```
-/// use tadoc::fine_grained::exec::partition_by_cost;
+/// use tadoc::fine_grained::exec::split;
 ///
-/// let ranges = partition_by_cost(&[3, 1, 1, 1, 3, 3], 3);
+/// // Costs 3, 1, 1, 1, 3, 3.
+/// let ranges = split(&[0, 3, 4, 5, 6, 9, 12], 3);
 /// assert_eq!(ranges, vec![0..2, 2..5, 5..6]);
 ///
-/// // One item dwarfing the rest still leaves no part empty.
-/// let ranges = partition_by_cost(&[100, 1, 1, 1], 4);
+/// // One item dwarfing the rest (costs 100, 1, 1, 1) still leaves no part
+/// // empty.
+/// let ranges = split(&[0, 100, 101, 102, 103], 4);
 /// assert_eq!(ranges, vec![0..1, 1..2, 2..3, 3..4]);
 /// ```
-pub fn partition_by_cost(costs: &[u64], parts: usize) -> Vec<Range<usize>> {
+pub fn split(bounds: &[usize], parts: usize) -> Vec<Range<usize>> {
     let parts = parts.max(1);
-    let n = costs.len();
-    let total: u64 = costs.iter().sum();
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    let mut prefix = 0u64;
-    for part in 0..parts {
-        if start >= n {
-            out.push(start..start);
-            continue;
-        }
-        if part + 1 == parts {
-            // Everything left (including trailing zero-cost items) belongs
-            // to the last part.
-            out.push(start..n);
-            start = n;
-            continue;
-        }
-        let target = total * (part as u64 + 1) / parts as u64;
-        let remaining_parts = parts - part;
-        let mut end = start + 1; // at least one item per part
-        prefix += costs[start];
-        // Take the next item while that brings the cut closer to the target.
-        while end < n && 2 * prefix + costs[end] < 2 * target && n - end > remaining_parts - 1 {
-            prefix += costs[end];
-            end += 1;
-        }
-        out.push(start..end);
-        start = end;
-    }
-    out
+    let n = bounds.len().saturating_sub(1);
+    let total = bounds.last().copied().unwrap_or(0);
+    let mut start = 0;
+    (0..parts)
+        .map(|p| {
+            let end = if start >= n || p + 1 == parts {
+                // Everything left (including trailing zero-cost items)
+                // belongs to the last part.
+                n
+            } else {
+                // The cut lies in `lo..=hi`: at least one item for this
+                // part, at least one for each part after it.
+                let target = total * (p + 1) / parts;
+                let lo = start + 1;
+                let hi = (n + p + 1).saturating_sub(parts).max(lo);
+                let past = lo + bounds[lo..hi].partition_point(|&b| b < target);
+                if past > lo && bounds[past - 1] + bounds[past] >= 2 * target {
+                    past - 1
+                } else {
+                    past
+                }
+            };
+            let range = start..end;
+            start = end;
+            range
+        })
+        .collect()
 }
 
 /// One chunk of an item's index space: the sub-range `[begin, end)` of work
@@ -645,22 +585,11 @@ pub struct Chunk {
     pub end: u32,
 }
 
-impl Chunk {
-    /// Number of indices covered by the chunk.
-    pub fn len(&self) -> usize {
-        (self.end - self.begin) as usize
-    }
-
-    /// Whether the chunk covers no indices.
-    pub fn is_empty(&self) -> bool {
-        self.begin == self.end
-    }
-}
-
 /// Splits every item's `0..len` index space into chunks of at most `target`
 /// indices, in item order.  Items of length 0 produce no chunks.  Each chunk
-/// is weighted individually into [`partition_by_cost`] (cost = its length),
-/// which is what keeps one oversized item from starving the other workers.
+/// is weighted individually into [`split`] (cost = its length) or claimed on
+/// its own, which is what keeps one oversized item from starving the other
+/// workers.
 ///
 /// ```
 /// use tadoc::fine_grained::exec::{chunk_ranges, Chunk};
@@ -700,19 +629,6 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
-    fn work_queue_covers_range_exactly_once() {
-        let queue = WorkQueue::new(103, 10);
-        let mut seen = [false; 103];
-        while let Some(range) = queue.next() {
-            for i in range {
-                assert!(!seen[i]);
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
     fn collect_returns_worker_order() {
         let pool = WorkerPool::new(4);
         let out = pool.collect(|w| w * 10);
@@ -738,16 +654,6 @@ mod tests {
     }
 
     #[test]
-    fn for_range_sums_correctly() {
-        let pool = WorkerPool::new(4);
-        let total = AtomicU64::new(0);
-        pool.for_range(1000, |i| {
-            total.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(total.into_inner(), 999 * 1000 / 2);
-    }
-
-    #[test]
     fn epochs_count_barrier_generations_and_threads_persist() {
         let pool = WorkerPool::new(3);
         assert_eq!(pool.epochs(), 0);
@@ -768,23 +674,8 @@ mod tests {
         let pool = WorkerPool::new(1);
         let out = pool.collect(|w| w);
         assert_eq!(out, vec![0]);
-        pool.for_range(100, |_| {});
+        pool.run(&|_| {});
         assert_eq!(pool.epochs(), 0, "no helpers, no epochs");
-    }
-
-    #[test]
-    fn tiny_ranges_run_inline_without_an_epoch() {
-        let pool = WorkerPool::new(4);
-        let total = AtomicU64::new(0);
-        pool.for_range(8, |i| {
-            total.fetch_add(i as u64, Ordering::Relaxed);
-        });
-        assert_eq!(total.into_inner(), 28);
-        assert_eq!(
-            pool.epochs(),
-            0,
-            "a near-empty level must not pay a barrier"
-        );
     }
 
     #[test]
@@ -887,24 +778,34 @@ mod tests {
     #[test]
     fn checkpoint_without_control_is_a_no_op() {
         let pool = WorkerPool::new(2);
-        pool.for_range(100, |_| pool.checkpoint());
+        pool.run(&|_| (0..100).for_each(|_| pool.checkpoint()));
         assert!(!pool.is_poisoned());
     }
 
+    /// The running-cost column of `costs`.
+    fn bounds(costs: &[usize]) -> Vec<usize> {
+        std::iter::once(0)
+            .chain(costs.iter().scan(0, |sum, &c| {
+                *sum += c;
+                Some(*sum)
+            }))
+            .collect()
+    }
+
     #[test]
-    fn partition_by_cost_covers_exactly_and_balances() {
-        let costs: Vec<u64> = (0..100).map(|i| (i % 7) as u64 + 1).collect();
-        let total: u64 = costs.iter().sum();
+    fn split_covers_exactly_and_balances() {
+        let costs: Vec<usize> = (0..100).map(|i| i % 7 + 1).collect();
+        let total: usize = costs.iter().sum();
         for parts in [1usize, 3, 8, 200] {
-            let ranges = partition_by_cost(&costs, parts);
+            let ranges = split(&bounds(&costs), parts);
             assert_eq!(ranges.len(), parts);
             let mut next = 0usize;
             for range in &ranges {
                 assert_eq!(range.start, next, "{parts} parts: contiguous coverage");
                 next = range.end;
-                let cost: u64 = costs[range.clone()].iter().sum();
+                let cost: usize = costs[range.clone()].iter().sum();
                 assert!(
-                    cost <= total / parts as u64 + 7,
+                    cost <= total / parts + 7,
                     "{parts} parts: range {range:?} cost {cost} exceeds fair share"
                 );
             }
@@ -913,11 +814,12 @@ mod tests {
     }
 
     #[test]
-    fn partition_by_cost_handles_degenerate_inputs() {
-        assert_eq!(partition_by_cost(&[], 3), vec![0..0, 0..0, 0..0]);
-        assert_eq!(partition_by_cost(&[0, 0, 0], 2), vec![0..1, 1..3]);
-        assert_eq!(partition_by_cost(&[5], 4), vec![0..1, 1..1, 1..1, 1..1]);
-        assert_eq!(partition_by_cost(&[1, 1], 0), vec![0..2]);
+    fn split_handles_degenerate_inputs() {
+        assert_eq!(split(&bounds(&[]), 3), vec![0..0, 0..0, 0..0]);
+        assert_eq!(split(&bounds(&[0, 0, 0]), 2), vec![0..1, 1..3]);
+        assert_eq!(split(&bounds(&[5]), 4), vec![0..1, 1..1, 1..1, 1..1]);
+        assert_eq!(split(&bounds(&[1, 1]), 0), vec![0..2]);
+        assert_eq!(split(&[], 2), vec![0..0, 0..0], "no column, no items");
     }
 
     /// Regression for the pre-chunking degenerate case: one item whose cost
@@ -925,8 +827,8 @@ mod tests {
     /// targets and leave the later parts empty.  With at least as many items
     /// as parts, no part may be empty.
     #[test]
-    fn partition_by_cost_never_yields_empty_parts_when_items_suffice() {
-        let cases: Vec<(Vec<u64>, usize)> = vec![
+    fn split_never_yields_empty_parts_when_items_suffice() {
+        let cases: Vec<(Vec<usize>, usize)> = vec![
             (vec![100, 1, 1, 1], 4),
             (vec![1, 1000, 1, 1, 1, 1], 4),
             (vec![1, 1, 1, 1000], 3),
@@ -938,7 +840,7 @@ mod tests {
         ];
         for (costs, parts) in cases {
             assert!(costs.len() >= parts);
-            let ranges = partition_by_cost(&costs, parts);
+            let ranges = split(&bounds(&costs), parts);
             let mut next = 0usize;
             for range in &ranges {
                 assert!(
@@ -952,6 +854,18 @@ mod tests {
         }
     }
 
+    /// A cut lands on the boundary nearest its target, not the first one at
+    /// or past it: four files of 100, 90, 110 and 95 split two ways as
+    /// 190 / 205, where the first boundary past 197 would give 300 / 95.
+    #[test]
+    fn split_cuts_at_the_nearest_boundary() {
+        let costs = [100, 90, 110, 95];
+        assert_eq!(split(&bounds(&costs), 2), vec![0..2, 2..4]);
+        // A tie goes to the lower boundary: the target 10 lies halfway
+        // between 5 and 15.
+        assert_eq!(split(&bounds(&[5, 10, 5]), 2), vec![0..1, 1..3]);
+    }
+
     #[test]
     fn chunk_ranges_cover_items_exactly() {
         let lens = [0usize, 10, 3, 4097, 1];
@@ -961,7 +875,7 @@ mod tests {
             let mut covered = 0usize;
             for c in chunks.iter().filter(|c| c.item == item as u32) {
                 assert_eq!(c.begin as usize, covered);
-                assert!(c.len() <= target && !c.is_empty());
+                assert!(c.begin < c.end && c.end - c.begin <= target as u32);
                 covered = c.end as usize;
             }
             assert_eq!(covered, len, "item {item}");

@@ -13,11 +13,12 @@
 //! in a strictly deeper layer.  So the records are laid out deepest level
 //! first and built one level per round: `split_at_mut` separates the
 //! finished records below the level (read) from the level's own region
-//! (written), and the region is cut by rule into one contiguous part per
-//! worker — safe Rust, with the round's barrier
-//! ([`WorkerPool::map_workers`]) the only synchronization.
+//! (written), and the region is cut at rule boundaries into one contiguous
+//! part of ≈ equal words per worker ([`split`] over the level's record
+//! ends) — safe Rust, with the round's barrier ([`WorkerPool::map_workers`])
+//! the only synchronization.
 
-use super::exec::{WorkerPool, INLINE_THRESHOLD};
+use super::exec::{split, WorkerPool, INLINE_THRESHOLD};
 use sequitur::{Dag, Grammar, Symbol};
 
 /// Per-rule head/tail records for one sequence length (CPU twin of the
@@ -184,15 +185,21 @@ pub fn build_head_tail(
         if pool.threads() == 1 || level.len() <= INLINE_THRESHOLD {
             build(level, region);
         } else {
-            let per_worker = level.len().div_ceil(pool.threads());
-            let mut parts = Vec::with_capacity(pool.threads());
+            // The level's running record ends, cut into ≈ equal word counts.
+            let ends: Vec<usize> = [0]
+                .into_iter()
+                .chain(level.iter().map(|&r| spans[r as usize].1 - done))
+                .collect();
             let mut region = region;
-            for rules in level.chunks(per_worker) {
-                let (lo, hi) = (rules[0] as usize, rules[rules.len() - 1] as usize);
-                let (part, rest) = region.split_at_mut(spans[hi].1 - spans[lo].0);
-                parts.push((rules, part));
-                region = rest;
-            }
+            let parts: Vec<_> = split(&ends, pool.threads())
+                .into_iter()
+                .map(|rules| {
+                    let words = ends[rules.end] - ends[rules.start];
+                    let (part, rest) = std::mem::take(&mut region).split_at_mut(words);
+                    region = rest;
+                    (&level[rules], part)
+                })
+                .collect();
             pool.map_workers(parts, |_, (rules, part)| build(rules, part));
         }
         done = spans[last as usize].1;

@@ -57,9 +57,9 @@
 //!    an oversized rule body (dataset B's root holds most of the corpus)
 //!    or root segment is split at
 //!    [`EngineBuilder::chunk_elements`] and every chunk is weighted
-//!    individually into [`exec::partition_by_cost`] or claimed from the
-//!    dynamic work queue of `driver::claim_loop` (the one claim loop,
-//!    with the one per-claim cancel/deadline checkpoint) — the CPU analogue
+//!    individually into [`exec::split`] or claimed off the atomic cursor
+//!    of `driver::claim_loop` (the one claim loop, with the one per-claim
+//!    cancel/deadline checkpoint) — the CPU analogue
 //!    of the paper's thread groups for oversized rules (Section IV-B),
 //!    applied to every app path.  The phase clock around it
 //!    (`driver::run_phases`) records wall-clock only: the fine engine
@@ -135,7 +135,7 @@ use engine::Analysis;
 use exec::WorkerPool;
 use head_tail::HeadTail;
 use merge::Part;
-use sequences::{count_range_windows, root_chunks, RootChunk, SeqKey};
+use sequences::{count_range_windows, SeqKey};
 use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -170,9 +170,11 @@ pub(crate) fn run_fine_with_cache(
 
 /// Computes rule weights with a level-synchronized top-down traversal: all
 /// rules of one layer propagate `freq × weight` to their children in
-/// parallel (atomic adds), with a barrier between layers.  `levels` must be
-/// the top-down level schedule of `dag`
-/// ([`head_tail::levels_top_down`]); sessions pass their cached copy.
+/// parallel (atomic adds), with a barrier between layers.  A level of at
+/// most [`exec::INLINE_THRESHOLD`] rules runs inline on the caller; a wider
+/// one goes through the claim loop.  `levels` must be the top-down level
+/// schedule of `dag` ([`head_tail::levels_top_down`]); sessions pass their
+/// cached copy.
 fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> Vec<u64> {
     let n = dag.num_rules;
     let weights: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
@@ -180,18 +182,20 @@ fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> V
         return Vec::new();
     }
     weights[0].store(1, Ordering::Relaxed);
+    let propagate = |r: u32| {
+        let w = weights[r as usize].load(Ordering::Relaxed);
+        for &(c, freq) in dag.children(r as usize) {
+            weights[c as usize].fetch_add(freq as u64 * w, Ordering::Relaxed);
+        }
+    };
     for level in levels {
         pool.checkpoint(); // cancel/deadline, once per DAG level
-        pool.for_range(level.len(), |i| {
-            let r = level[i] as usize;
-            let w = weights[r].load(Ordering::Relaxed);
-            if w == 0 {
-                return;
-            }
-            for &(c, freq) in dag.children(r) {
-                weights[c as usize].fetch_add(freq as u64 * w, Ordering::Relaxed);
-            }
-        });
+        if level.len() <= exec::INLINE_THRESHOLD {
+            level.iter().for_each(|&r| propagate(r));
+        } else {
+            let claim = files_per_claim(level.len(), pool.threads());
+            claim_loop(pool, level.len(), claim, || (), |_, i| propagate(level[i]));
+        }
     }
     weights.into_iter().map(AtomicU64::into_inner).collect()
 }
@@ -232,20 +236,22 @@ fn inverted_index(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
 // ---------------------------------------------------------------------------
 
 /// The cacheable initialization product of the term-vector task: the
-/// file-major rule × file matrix, the per-file traversal costs, and the
-/// sizes the dense counts are allocated with.  Depends only on the archive, the DAG, and the
-/// engine-fixed `chunk_elements` — never on a per-query knob — so a session
-/// computes it once.  The cost-balanced per-worker file *ranges* are
-/// deliberately **not** cached: they depend on the width of the pool that
-/// happens to execute the query (a contended query may run inline on a
-/// 1-thread pool), so each query derives them from `costs` with
-/// [`exec::partition_by_cost`].
+/// file-major rule × file matrix, the running traversal cost of the files,
+/// and the size the dense counts are allocated with.  Depends only on the
+/// archive, the DAG, and the engine-fixed `chunk_elements` — never on a
+/// per-query knob — so a session computes it once.  The cost-balanced
+/// per-worker file *ranges* are deliberately **not** cached: they depend on
+/// the width of the pool that happens to execute the query (a contended
+/// query may run inline on a 1-thread pool), so each query cuts them from
+/// `bounds` with [`exec::split`].
 pub(crate) struct TermVectorPrep {
     /// Row `f`: the `(rule, occurrences)` of every rule file `f` reaches,
     /// in layer order.
     pub(crate) csr: Csr<(RuleId, u64)>,
-    /// One traversal cost per file, so also the answer's file count.
-    pub(crate) costs: Vec<u64>,
+    /// The files' running-cost column: file `f` costs `bounds[f + 1] -
+    /// bounds[f]` (its root words plus its rules' local words), so there
+    /// is one more entry than the answer has files.
+    pub(crate) bounds: Vec<usize>,
     pub(crate) vocab: usize,
 }
 
@@ -319,10 +325,11 @@ impl FileBits {
     }
 }
 
-/// Files per queue claim of a per-file loop, sized like `for_range`:
-/// corpora with fewer files than `threads × 8` must still spread across
-/// workers (dataset B has 4 huge files — a fixed chunk would hand all of
-/// them to one worker).
+/// Items per claim of a claim loop over files or over the rules of a DAG
+/// level: about eight claims per worker, at most 64 items each.  Corpora
+/// with fewer files than `threads × 8` must still spread across workers
+/// (dataset B has 4 huge files — a fixed claim would hand all of them to
+/// one worker).
 fn files_per_claim(files: usize, threads: usize) -> usize {
     (files / (threads * 8)).clamp(1, 64)
 }
@@ -361,11 +368,10 @@ pub(crate) fn build_term_vector_prep(
     // sums a rule that several chunks of one file report).  Small segments
     // skip this entirely — their seed scan stays fused with the
     // propagation.
-    let mut seed_chunks = root_chunks(segments, chunk_elements);
-    seed_chunks.retain(|c| {
-        let (start, end) = segments[c.file as usize];
-        end - start > chunk_elements
-    });
+    let oversized = segments
+        .iter()
+        .map(|&(s, e)| if e - s > chunk_elements { e - s } else { 0 });
+    let seed_chunks = exec::chunk_ranges(oversized, chunk_elements);
     let mut seeds: Vec<Option<Vec<(RuleId, u64)>>> = vec![None; num_files];
     if !seed_chunks.is_empty() {
         let locals = claim_loop(
@@ -375,14 +381,15 @@ pub(crate) fn build_term_vector_prep(
             || (DenseCounts::new(n), Vec::new()),
             |(counts, lists), ci| {
                 let c = seed_chunks[ci];
-                for sym in &root[c.begin..c.end] {
+                let start = segments[c.item as usize].0;
+                for sym in &root[start + c.begin as usize..start + c.end as usize] {
                     if let Symbol::Rule(r) = *sym {
                         counts.add(r, 1);
                     }
                 }
                 let mut list = Vec::new();
                 counts.drain_into(&mut list);
-                lists.push((c.file, list));
+                lists.push((c.item, list));
             },
         );
         for (f, list) in locals.into_iter().flat_map(|(_, lists)| lists) {
@@ -466,19 +473,17 @@ pub(crate) fn build_term_vector_prep(
         }
         csr.end_row();
     }
+    let mut bounds = vec![0];
+    for f in 0..num_files {
+        let root_words = segments.get(f).map_or(0, |&(s, e)| e - s);
+        let local = csr
+            .row(f)
+            .iter()
+            .map(|&(r, _)| dag.local_words(r as usize).len());
+        bounds.push(bounds[f] + root_words + local.sum::<usize>());
+    }
     let vocab = archive.vocabulary_size();
-    let costs: Vec<u64> = (0..num_files)
-        .map(|f| {
-            let root_words = segments.get(f).map_or(0, |&(s, e)| (e - s) as u64);
-            let local: u64 = csr
-                .row(f)
-                .iter()
-                .map(|&(r, _)| dag.local_words(r as usize).len() as u64)
-                .sum();
-            root_words + local
-        })
-        .collect();
-    TermVectorPrep { csr, costs, vocab }
+    TermVectorPrep { csr, bounds, vocab }
 }
 
 /// Term vector has nothing to shard — file ownership is disjoint — so it
@@ -497,15 +502,14 @@ fn term_vector_fine(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
         },
         // Traversal — file-major accumulation.  Each worker owns a
         // contiguous file range (cost-balanced for *this* pool's width — the
-        // cached prep stores only the costs) and walks only those files' CSR
+        // cached prep stores only the cost column) and walks only those files' CSR
         // entries, accumulating one file at a time into its own
         // [`DenseCounts`] over the vocabulary: word ids are already a
         // perfect hash of the vocabulary, so the accumulate is a direct
         // array add (no probing at all) and the per-file drain touches only
         // the file's own words.
         |&(prep, segments), _| {
-            let ranges = exec::partition_by_cost(&prep.costs, threads);
-            pool.map_workers(ranges, |_, files| {
+            pool.map_workers(exec::split(&prep.bounds, threads), |_, files| {
                 let mut counts = DenseCounts::new(prep.vocab);
                 let mut part = Part::default();
                 for f in files {
@@ -549,37 +553,47 @@ fn term_vector_fine(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
 // sequence count / ranked inverted index
 // ---------------------------------------------------------------------------
 
-/// Work item of the sequence traversals: one chunk of a non-root rule body
-/// (most rules are one chunk; oversized bodies split at the chunking
-/// threshold), or one chunk of the root body.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SeqItem {
-    /// Element range `[begin, end)` of rule `r`'s body.
-    Rule {
-        r: usize,
-        begin: usize,
-        end: usize,
-    },
-    Root(RootChunk),
+/// Work item of the sequence traversals: the windows whose first word lies
+/// in elements `begin..end` of rule `rule`'s body, read up to element
+/// `limit`, all local to `source`.  A non-root rule's chunk reads to the end
+/// of its body and is its own source; a root chunk reads to the end of its
+/// file's segment, and its source is `num_rules + file`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SeqItem {
+    rule: u32,
+    begin: usize,
+    end: usize,
+    limit: usize,
+    source: u32,
 }
 
+/// Every sequence work item: [`exec::chunk_ranges`] over the non-root rule
+/// bodies, then over the root's file segments, so a chunk's item index is
+/// already its source.
 pub(crate) fn sequence_work_items(
     grammar: &Grammar,
     segments: &[(usize, usize)],
     target: usize,
 ) -> Vec<SeqItem> {
-    let body_lens =
-        (0..grammar.num_rules()).map(|r| if r == 0 { 0 } else { grammar.rule(r).len() });
-    let mut items: Vec<SeqItem> = exec::chunk_ranges(body_lens, target)
-        .into_iter()
-        .map(|c| SeqItem::Rule {
-            r: c.item as usize,
-            begin: c.begin as usize,
-            end: c.end as usize,
-        })
+    // `(rule, first element, end)` of every chunked span, in source order.
+    let spans: Vec<(u32, usize, usize)> = (0..grammar.num_rules())
+        .map(|r| (r as u32, 0, if r == 0 { 0 } else { grammar.rule(r).len() }))
+        .chain(segments.iter().map(|&(start, end)| (0, start, end)))
         .collect();
-    items.extend(root_chunks(segments, target).into_iter().map(SeqItem::Root));
-    items
+    exec::chunk_ranges(spans.iter().map(|&(_, start, end)| end - start), target)
+        .into_iter()
+        .map(|c| {
+            let (rule, start, limit) = spans[c.item as usize];
+            let (begin, end) = (start + c.begin as usize, start + c.end as usize);
+            SeqItem {
+                rule,
+                begin,
+                end,
+                limit,
+                source: c.item,
+            }
+        })
+        .collect()
 }
 
 /// Every distinct `l`-window of the grammar with the sources it is local to
@@ -680,19 +694,16 @@ pub(crate) fn word_table(
 }
 
 /// Runs `pass` over contiguous window ranges of `table` holding
-/// ≈ 1/threads of the `(source, count)` pairs each — one range per
-/// worker, one pool epoch — and returns the parts in key order.  Each
+/// ≈ 1/threads of the `(source, count)` pairs each — the table's offsets
+/// cut by [`exec::split`], one range per worker, one pool epoch — and
+/// returns the parts in key order.  Each
 /// worker passes the cancel/deadline checkpoint once, before its range.
 fn over_key_ranges<R: Send>(
     table: &WindowTable,
     pool: &WorkerPool,
     pass: impl Fn(std::ops::Range<usize>) -> R + Sync,
 ) -> Vec<R> {
-    let (pairs, parts, offsets) = (table.total_values(), pool.threads(), table.offsets());
-    let cuts: Vec<usize> = (0..=parts)
-        .map(|p| offsets.partition_point(|&o| o < pairs * p / parts))
-        .collect();
-    let ranges = cuts.windows(2).map(|w| w[0]..w[1]).collect();
+    let ranges = exec::split(table.offsets(), pool.threads());
     pool.map_workers(ranges, |_, windows| {
         pool.checkpoint();
         pass(windows)
@@ -848,7 +859,7 @@ fn assert_sources_fit(num_rules: usize, num_files: usize) {
     );
 }
 
-/// Sequence work items per queue claim of the window fill's scan.
+/// Sequence work items per claim of the window fill's scan.
 const ITEMS_PER_CLAIM: usize = 16;
 
 /// Counting-sort offsets over `vocab` words: given the leading word of
@@ -888,8 +899,9 @@ pub(crate) fn fill_window_table(
 /// 1. the claim loop scans the work items; each worker pushes `(key,
 ///    source)` for every local window, beside the window's leading word;
 /// 2. a counting sort by that word groups all windows in one array;
-/// 3. the array is cut at word boundaries into one contiguous range of
-///    ≈ 1/threads of the windows per worker, and in one pool epoch each
+/// 3. [`exec::split`] cuts the array at the word boundaries nearest
+///    1/threads of the windows into one contiguous range per worker
+///    (`starts` is its running-cost column), and in one pool epoch each
 ///    worker sorts its range by `(key, source)` and folds it into a
 ///    [`Part`] of the table: one key row per window, one `(source, local
 ///    count)` pair per distinct source;
@@ -915,18 +927,10 @@ fn fill_windows<K: SeqKey>(
         ITEMS_PER_CLAIM,
         Vec::new,
         |windows, item| {
-            let (body, begin, end, limit, source) = match items[item] {
-                SeqItem::Rule { r, begin, end } => {
-                    let body = grammar.rule(r);
-                    (body, begin, end, body.len(), r as u32)
-                }
-                SeqItem::Root(c) => {
-                    let source = grammar.num_rules() as u32 + c.file;
-                    (grammar.root(), c.begin, c.end, c.seg_end, source)
-                }
-            };
-            count_range_windows(body, ht, begin, end, limit, |words, _| {
-                windows.push((K::encode(words), source, words[0]));
+            let it = items[item];
+            let body = grammar.rule(it.rule as usize);
+            count_range_windows(body, ht, it.begin, it.end, it.limit, |words, _| {
+                windows.push((K::encode(words), it.source, words[0]));
             });
         },
     );
@@ -943,15 +947,16 @@ fn fill_windows<K: SeqKey>(
         grouped[*at] = (key, source);
         *at += 1;
     }
-    let parts = pool.threads();
-    let mut ranges = Vec::with_capacity(parts);
-    let (mut rest, mut at) = (grouped.as_mut_slice(), 0);
-    for p in 1..=parts {
-        let cut = starts[starts.partition_point(|&o| o < windows * p / parts)];
-        let (range, tail) = rest.split_at_mut(cut - at);
-        (rest, at) = (tail, cut);
-        ranges.push(range);
-    }
+    let mut rest = grouped.as_mut_slice();
+    let ranges: Vec<&mut [(K, u32)]> = exec::split(&starts, pool.threads())
+        .into_iter()
+        .map(|words| {
+            let (range, tail) =
+                std::mem::take(&mut rest).split_at_mut(starts[words.end] - starts[words.start]);
+            rest = tail;
+            range
+        })
+        .collect();
     timings.merge_entries = windows as u64;
     timings.largest_merge_group = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
     let l = ht.l;
@@ -1102,6 +1107,68 @@ mod tests {
                 let got = parallel_rule_weights(&dag, &levels, &pool);
                 let label = format!("{} files, threads = {threads}", archive.num_files());
                 assert_eq!(got, expected, "{label}");
+            }
+        }
+    }
+
+    /// A DAG whose levels all hold at most [`exec::INLINE_THRESHOLD`] rules
+    /// gets its rule weights without waking the pool: no epoch on 4 threads.
+    #[test]
+    fn rule_weight_levels_that_run_inline_dispatch_no_epoch() {
+        let (_, dag) = build(&redundant_corpus());
+        let levels = head_tail::levels_top_down(&dag);
+        assert!(levels.iter().all(|l| l.len() <= exec::INLINE_THRESHOLD));
+        let pool = WorkerPool::new(4);
+        let got = parallel_rule_weights(&dag, &levels, &pool);
+        assert_eq!(got, weights::rule_weights(&dag, &mut Default::default()));
+        assert_eq!(
+            pool.epochs(),
+            0,
+            "a near-empty level must not pay a barrier"
+        );
+    }
+
+    /// The sequence work items cover every non-root rule body and every
+    /// root segment exactly once, in order, in chunks of at most the
+    /// target: a rule's chunks read to the end of its body and count for
+    /// the rule, a segment's read to the end of the segment and count for
+    /// `num_rules + file`, and an empty file's segment yields none.
+    #[test]
+    fn sequence_work_items_cover_every_body_and_segment_exactly() {
+        let with_empty_file = [("a", "x y z x y z x y"), ("empty", ""), ("b", "y z")]
+            .map(|(name, text)| (name.to_string(), text.to_string()));
+        for corpus in [
+            redundant_corpus(),
+            ranked_corpus(),
+            with_empty_file.to_vec(),
+        ] {
+            let (archive, _) = build(&corpus);
+            let grammar = &archive.grammar;
+            let segments = weights::file_segments(grammar);
+            let num_rules = grammar.num_rules();
+            for target in [1usize, 4, 7, usize::MAX] {
+                let items = sequence_work_items(grammar, &segments, target);
+                let mut items = items.iter().peekable();
+                let bodies = (1..num_rules).map(|r| (r, 0, grammar.rule(r).len()));
+                let roots = (0..)
+                    .zip(&segments)
+                    .map(|(f, &(s, e))| (num_rules + f, s, e));
+                for (source, start, end) in bodies.chain(roots) {
+                    let rule = if source < num_rules { source } else { 0 };
+                    let mut covered = start;
+                    while let Some(item) = items.next_if(|it| it.source as usize == source) {
+                        let label = format!("source {source}, target {target}");
+                        assert_eq!((item.rule as usize, item.begin), (rule, covered), "{label}");
+                        assert!(item.end > item.begin && item.end - item.begin <= target);
+                        assert_eq!(item.limit, end, "{label}");
+                        covered = item.end;
+                    }
+                    assert_eq!(covered, end, "source {source}, target {target}");
+                }
+                assert!(
+                    items.next().is_none(),
+                    "target {target}: items past the last segment"
+                );
             }
         }
     }
@@ -1372,13 +1439,9 @@ mod tests {
             });
         }
         let mut in_root: BTreeMap<Vec<u32>, BTreeSet<FileId>> = BTreeMap::new();
-        for chunk in root_chunks(&segments, usize::MAX) {
-            let (begin, end, limit) = (chunk.begin, chunk.end, chunk.seg_end);
-            count_range_windows(grammar.root(), &ht, begin, end, limit, |words, _| {
-                in_root
-                    .entry(words.to_vec())
-                    .or_default()
-                    .insert(chunk.file);
+        for (file, &(begin, end)) in (0..).zip(&segments) {
+            count_range_windows(grammar.root(), &ht, begin, end, end, |words, _| {
+                in_root.entry(words.to_vec()).or_default().insert(file);
             });
         }
         assert!(

@@ -18,7 +18,7 @@
 //! recursive expansion is ever needed.
 
 use super::head_tail::HeadTail;
-use crate::results::{FileId, Sequence};
+use crate::results::Sequence;
 use sequitur::Symbol;
 
 /// Maximum sequence length that can be packed into a 64-bit key
@@ -275,50 +275,12 @@ pub fn count_range_windows<F: FnMut(&[u32], u32)>(
     }
 }
 
-/// A chunk of the root body assigned to one worker: element range
-/// `[begin, end)` within the file segment ending at `seg_end` of `file`.
-///
-/// The root is usually by far the longest rule, so the fine-grained schedule
-/// splits it across the pool exactly like the paper's thread groups split
-/// oversized rules (Section IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RootChunk {
-    /// First element of the chunk.
-    pub begin: usize,
-    /// One past the last element owned by the chunk.
-    pub end: usize,
-    /// End of the enclosing file segment (windows may read, but not start,
-    /// past `end` up to here).
-    pub seg_end: usize,
-    /// File the segment belongs to.
-    pub file: FileId,
-}
-
-/// Splits file segments of the root into chunks of at most `target` elements.
-pub fn root_chunks(segments: &[(usize, usize)], target: usize) -> Vec<RootChunk> {
-    let target = target.max(1);
-    let mut chunks = Vec::new();
-    for (file, &(start, end)) in segments.iter().enumerate() {
-        let mut begin = start;
-        while begin < end {
-            let chunk_end = begin.saturating_add(target).min(end);
-            chunks.push(RootChunk {
-                begin,
-                end: chunk_end,
-                seg_end: end,
-                file: file as FileId,
-            });
-            begin = chunk_end;
-        }
-    }
-    chunks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fine_grained::exec::WorkerPool;
     use crate::fine_grained::head_tail::{build_head_tail, levels_top_down};
+    use crate::fine_grained::{sequence_work_items, SeqItem};
     use crate::oracle;
     use crate::weights::{file_segments, rule_weights};
     use sequitur::compress::{compress_corpus, CompressOptions};
@@ -424,16 +386,23 @@ mod tests {
         }
     }
 
+    /// The root's sequence work items at chunk size `target`.
+    fn root_items(grammar: &sequitur::Grammar, target: usize) -> Vec<SeqItem> {
+        let mut items = sequence_work_items(grammar, &file_segments(grammar), target);
+        items.retain(|item| item.rule == 0);
+        items
+    }
+
     /// Counts the root-local sequences whose first word lies in `chunk`, one
     /// `emit` per occurrence.  Windows may read up to `l-1` words past the
     /// chunk (still within the file segment).
     fn count_root_chunk<F: FnMut(&[u32])>(
         root: &[Symbol],
         ht: &HeadTail,
-        chunk: RootChunk,
+        chunk: SeqItem,
         mut emit: F,
     ) {
-        let (begin, end, limit) = (chunk.begin, chunk.end, chunk.seg_end);
+        let (begin, end, limit) = (chunk.begin, chunk.end, chunk.limit);
         count_range_windows(root, ht, begin, end, limit, |words, _| emit(words));
     }
 
@@ -462,8 +431,7 @@ mod tests {
                 *counts.entry(words.to_vec()).or_insert(0) += weight;
             });
         }
-        let segments = file_segments(&archive.grammar);
-        for chunk in root_chunks(&segments, 5) {
+        for chunk in root_items(&archive.grammar, 5) {
             count_root_chunk(archive.grammar.root(), &ht, chunk, |words| {
                 *counts.entry(words.to_vec()).or_insert(0) += 1;
             });
@@ -526,22 +494,6 @@ mod tests {
         assert!(!can_pack(2, (1 << 21) + 1), "vocabulary too large");
     }
 
-    #[test]
-    fn root_chunks_cover_segments_exactly() {
-        let segments = vec![(0usize, 11usize), (12, 12), (12, 15)];
-        let chunks = root_chunks(&segments, 4);
-        for (file, &(start, end)) in segments.iter().enumerate() {
-            let mut covered = start;
-            for c in chunks.iter().filter(|c| c.file == file as u32) {
-                assert_eq!(c.begin, covered);
-                assert!(c.end <= end);
-                assert_eq!(c.seg_end, end);
-                covered = c.end;
-            }
-            assert_eq!(covered, end, "file {file}");
-        }
-    }
-
     /// The streaming [`WindowSlider`] walk must emit exactly the windows of
     /// the materialized [`build_stream`] + [`count_stream_windows`]
     /// reference, in the same order.
@@ -585,19 +537,18 @@ mod tests {
         ];
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
-        let segments = file_segments(&archive.grammar);
         let root = archive.grammar.root();
         for l in [2usize, 3, 4] {
             let ht = head_tail(&archive, &dag, l);
             let mut whole: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
-            for chunk in root_chunks(&segments, usize::MAX) {
+            for chunk in root_items(&archive.grammar, usize::MAX) {
                 count_root_chunk(root, &ht, chunk, |words| {
                     *whole.entry(words.to_vec()).or_insert(0) += 1;
                 });
             }
             for target in [1usize, 2, 5] {
                 let mut chunked: FxHashMap<Vec<u32>, u64> = FxHashMap::default();
-                for chunk in root_chunks(&segments, target) {
+                for chunk in root_items(&archive.grammar, target) {
                     count_root_chunk(root, &ht, chunk, |words| {
                         *chunked.entry(words.to_vec()).or_insert(0) += 1;
                     });
@@ -650,20 +601,19 @@ mod tests {
         ];
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
-        let segments = file_segments(&archive.grammar);
         for l in [2usize, 3] {
             let ht = head_tail(&archive, &dag, l);
             let mut whole: FxHashMap<(u32, Vec<u32>), u64> = FxHashMap::default();
-            for chunk in root_chunks(&segments, usize::MAX) {
+            for chunk in root_items(&archive.grammar, usize::MAX) {
                 count_root_chunk(archive.grammar.root(), &ht, chunk, |words| {
-                    *whole.entry((chunk.file, words.to_vec())).or_insert(0) += 1;
+                    *whole.entry((chunk.source, words.to_vec())).or_insert(0) += 1;
                 });
             }
             for target in [1usize, 3, 7, 1000] {
                 let mut chunked: FxHashMap<(u32, Vec<u32>), u64> = FxHashMap::default();
-                for chunk in root_chunks(&segments, target) {
+                for chunk in root_items(&archive.grammar, target) {
                     count_root_chunk(archive.grammar.root(), &ht, chunk, |words| {
-                        *chunked.entry((chunk.file, words.to_vec())).or_insert(0) += 1;
+                        *chunked.entry((chunk.source, words.to_vec())).or_insert(0) += 1;
                     });
                 }
                 assert_eq!(chunked, whole, "l = {l}, target = {target}");
