@@ -125,6 +125,28 @@ mod tests {
         }
     }
 
+    /// Per-worker states fold to the serial sum, both through the states
+    /// and through a shared atomic, at the claim size a wide DAG level gets.
+    #[test]
+    fn claim_loop_sums_correctly() {
+        use std::sync::atomic::AtomicU64;
+        let pool = WorkerPool::new(4);
+        let total = AtomicU64::new(0);
+        let claim = (1000 / (pool.threads() * 8)).clamp(1, 64);
+        let states = claim_loop(
+            &pool,
+            1000,
+            claim,
+            || 0u64,
+            |sum, i| {
+                *sum += i as u64;
+                total.fetch_add(i as u64, Ordering::Relaxed);
+            },
+        );
+        assert_eq!(states.iter().sum::<u64>(), 999 * 1000 / 2);
+        assert_eq!(total.into_inner(), 999 * 1000 / 2);
+    }
+
     /// The cancel/deadline checkpoint runs once per claim: a cancelled
     /// query aborts at its first claim, and a loop with nothing to claim
     /// never reaches the checkpoint.
