@@ -24,7 +24,7 @@
 //! |------------------|-----------------------------------------------|
 //! | `worker-epoch`   | entry of every worker's pool-epoch body       |
 //! | `chunk-boundary` | each chunk claimed from a work queue          |
-//! | `merge-fold`     | head of each window-fill worker's sort + fold |
+//! | `merge-fold`     | head of each window-fill worker's sort        |
 
 #![forbid(unsafe_code)]
 

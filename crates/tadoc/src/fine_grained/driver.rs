@@ -12,7 +12,7 @@
 //! * [`exec::split`](super::exec::split) — one contiguous range per
 //!   worker, cut from a running-cost column and handed out with
 //!   [`WorkerPool::map_workers`] (the passes over a window table, the
-//!   fill's sort-and-fold, wide head/tail levels, term vector's files).
+//!   fill's sort and fold, wide head/tail levels, term vector's files).
 //!
 //! Oversized items are cut first, by one chunker
 //! ([`exec::chunk_ranges`](super::exec::chunk_ranges)).

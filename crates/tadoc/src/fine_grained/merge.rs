@@ -1,15 +1,16 @@
 //! Worker parts and their one exact-size assembly into a table's columns.
 //!
 //! Every window table is grouped by leading word with one counting sort
-//! ([`super`], items 3 and 6 of the module design): its fill hands each
-//! worker a contiguous word range of the grouped windows, and its passes
-//! hand each worker a contiguous word range of the table; term vector hands
+//! ([`super`], items 3 and 6 of the module design), and its passes hand
+//! each worker a contiguous word range of the table; term vector hands
 //! each worker a contiguous file range.  The parts the workers return are
 //! therefore disjoint *and* in row order, already in the layout of the
-//! ordered columnar forms of [`crate::results`]: a window table's or an
-//! answer's columns are the parts' columns end to end, each posting list's
-//! or file row's end rebased onto the values before its part.  Zero hash
-//! probes and zero key comparisons after the pass.
+//! ordered columnar forms of [`crate::results`]: an answer's columns are
+//! the parts' columns end to end, each posting list's or file row's end
+//! rebased onto the values before its part.  Zero hash probes and zero key
+//! comparisons after the pass.  (The window fill needs no parts: it counts
+//! each worker's rows first and writes them straight into the table's
+//! columns.)
 
 /// One worker's share of an answer, in the table's own layout.
 #[derive(Debug, Default)]

@@ -38,19 +38,18 @@
 //!    prefix-sum the counts, scatter every entry to its word's cursor).
 //!    At `l` = 1 the scatter writes each word's sources directly
 //!    (`word_table`).  At `l` ≥ 2 (`fill_window_table`, item 6) the grouped
-//!    windows are cut at word boundaries into one contiguous range of
-//!    ≈ 1/threads of them per worker,
-//!    and each worker sorts its range by `(window, source)` and folds equal
-//!    pairs into a local count, written as a `merge::Part` of the table —
-//!    concurrently, with no synchronization at all: contention is resolved
-//!    statically rather than with atomics.  Word order is key order, so one
-//!    `merge::assemble` lays the parts end to end into the table's columns at
-//!    their exact length.  Each fill runs once per `l` per session, so no warm
-//!    query sorts anything: every task is one pass over contiguous window
-//!    ranges of a cached table (`over_key_ranges`), whose parts, written in the
-//!    answer's own layout, are assembled the same way into the ordered result
-//!    columns.  The limit: one leading word is never split, so a word that
-//!    starts more than 1/threads of all windows is sorted by one worker — the
+//!    windows are cut at word boundaries into one range of ≈ 1/threads of
+//!    them per worker, which sorts each leading word's group on its own and
+//!    counts its windows and pairs; then the table's columns are allocated
+//!    once, cut at those counts, and each worker folds its range into its
+//!    own slices — with no synchronization at all: contention is resolved
+//!    statically, and word order is key order.  Each fill runs once per `l`
+//!    per session, so no warm query sorts anything: every task is one pass
+//!    over contiguous window ranges of a cached table (`over_key_ranges`),
+//!    whose parts, in the answer's own layout, `merge::assemble` lays end
+//!    to end into the ordered result columns.
+//!    The limit: one leading word is never split, so a word that starts
+//!    more than 1/threads of all windows is sorted by one worker — the
 //!    answer is unchanged, that fill slower.
 //! 4. **Chunk-granular work decomposition.**  Work items are *chunks* of an
 //!    item's index space ([`exec::chunk_ranges`]), not whole rules or files:
@@ -86,10 +85,13 @@
 //!    `dag.local_words`: one fill per `l` per session groups them with the
 //!    counting sort of item 3 into a window → (source, local count) table
 //!    (`WindowTable`, a width-`l` [`PostingTable`]; a source is a rule, or one
-//!    file's root segment).  A query is one pass over that table, scaling by
-//!    rule weight (sequence count) or scattering by per-file rule weight into
-//!    dense per-file counts (ranked inverted index, so the window × file cross
-//!    product is never pushed or sorted).  At `l` = 1 a window is a word, a
+//!    file's root segment).  The scan keeps one entry per window beside its
+//!    leading word: its other words and its source packed into one `u64` at
+//!    the archive's own widths, or owned when they need more than 64 bits
+//!    (`sequences::EntryLayout`).  A query is one pass over that table,
+//!    scaling by rule weight (sequence count) or scattering by per-file rule
+//!    weight into dense per-file counts (ranked inverted index, so the
+//!    window × file cross product is never pushed or sorted).  At `l` = 1 a window is a word, a
 //!    rule's local windows are its local word list and a file's root windows
 //!    are the words of its segment, so that table is built directly — the same
 //!    counting sort keyed by word, with no head/tail records, no scan and no
@@ -135,7 +137,7 @@ use engine::Analysis;
 use exec::WorkerPool;
 use head_tail::HeadTail;
 use merge::Part;
-use sequences::{count_range_windows, SeqKey};
+use sequences::{count_range_windows, EntryLayout, WindowEntry};
 use sequitur::{Csr, Dag, Grammar, RuleId, Symbol, TadocArchive};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -876,9 +878,10 @@ fn word_starts(vocab: usize, leads: impl Iterator<Item = u32>) -> Vec<usize> {
     starts
 }
 
-/// Fills the [`WindowTable`] of `ht.l` — packed `u64` keys when they fit
-/// ([`sequences::can_pack`]), owned [`Sequence`]s otherwise — and records
-/// what its scan and sort measured in `timings`.
+/// Fills the [`WindowTable`] of `ht.l` — one packed `u64` entry per window
+/// when the archive's widths allow it ([`EntryLayout::packs`]), an owned
+/// `(rest words, source)` entry otherwise — and records what its scan and
+/// sort measured in `timings`.
 pub(crate) fn fill_window_table(
     archive: &TadocArchive,
     ht: &HeadTail,
@@ -887,119 +890,141 @@ pub(crate) fn fill_window_table(
     timings: &mut PhaseTimings,
 ) -> WindowTable {
     let (grammar, vocab) = (&archive.grammar, archive.vocabulary_size());
-    if sequences::can_pack(ht.l, vocab) {
-        fill_windows::<u64>(grammar, ht, items, vocab, pool, timings)
+    assert_sources_fit(grammar.num_rules(), grammar.num_files());
+    let layout = EntryLayout::of(archive);
+    if layout.packs(ht.l) {
+        fill_windows::<u64>(grammar, ht, items, vocab, layout, pool, timings)
     } else {
-        fill_windows::<Sequence>(grammar, ht, items, vocab, pool, timings)
+        fill_windows::<(Sequence, u32)>(grammar, ht, items, vocab, layout, pool, timings)
     }
 }
 
-/// The window fill for one key type, in four steps:
+/// The window fill for one entry form, in four steps:
 ///
-/// 1. the claim loop scans the work items; each worker pushes `(key,
-///    source)` for every local window, beside the window's leading word;
-/// 2. a counting sort by that word groups all windows in one array;
+/// 1. the claim loop scans the work items; each worker pushes the
+///    [`WindowEntry`] of every local window, beside its leading word;
+/// 2. a counting sort by that word groups all entries in one array;
 /// 3. [`exec::split`] cuts the array at the word boundaries nearest
-///    1/threads of the windows into one contiguous range per worker
+///    1/threads of the entries into one contiguous range per worker
 ///    (`starts` is its running-cost column), and in one pool epoch each
-///    worker sorts its range by `(key, source)` and folds it into a
-///    [`Part`] of the table: one key row per window, one `(source, local
-///    count)` pair per distinct source;
-/// 4. the parts, which are in key order ([`SeqKey`]), are assembled into
-///    the table's columns at their exact length ([`merge::assemble`]).
-///
-/// The limit: one leading word is never split across workers, so a word
-/// that starts more than 1/threads of all windows is sorted by one worker —
-/// the answer is the same, that fill slower.
-fn fill_windows<K: SeqKey>(
+///    worker sorts each leading-word group of its range on its own and
+///    counts its distinct windows and `(window, source)` pairs;
+/// 4. the table's columns are allocated once, at their exact length, and
+///    cut at those counts; in a second epoch each worker folds its sorted
+///    range straight into its slices: one key row per window, one
+///    `(source, local count)` pair per distinct source, and each window's
+///    offset rebased by the pairs of the workers before it.
+fn fill_windows<E: WindowEntry>(
     grammar: &Grammar,
     ht: &HeadTail,
     items: &[SeqItem],
     vocab: usize,
+    layout: EntryLayout,
     pool: &WorkerPool,
     timings: &mut PhaseTimings,
 ) -> WindowTable {
-    assert_sources_fit(grammar.num_rules(), grammar.num_files());
     let scan_timer = Timer::start();
     let scanned = claim_loop(
         pool,
         items.len(),
         ITEMS_PER_CLAIM,
         Vec::new,
-        |windows, item| {
+        |entries, item| {
             let it = items[item];
             let body = grammar.rule(it.rule as usize);
             count_range_windows(body, ht, it.begin, it.end, it.limit, |words, _| {
-                windows.push((K::encode(words), it.source, words[0]));
+                entries.push((E::encode(&words[1..], it.source, layout), words[0]));
             });
         },
     );
     timings.scan = scan_timer.elapsed();
 
     let sort_timer = Timer::start();
-    let starts = word_starts(vocab, scanned.iter().flatten().map(|&(.., lead)| lead));
-    let windows = starts[vocab];
-    let mut grouped: Vec<(K, u32)> = Vec::new();
-    grouped.resize_with(windows, Default::default);
+    let starts = &word_starts(vocab, scanned.iter().flatten().map(|&(_, lead)| lead))[..];
+    let mut grouped: Vec<E> = Vec::new();
+    grouped.resize_with(starts[vocab], Default::default);
     let mut next = starts[..vocab].to_vec();
-    for (key, source, lead) in scanned.into_iter().flatten() {
+    for (entry, lead) in scanned.into_iter().flatten() {
         let at = &mut next[lead as usize];
-        grouped[*at] = (key, source);
+        grouped[*at] = entry;
         *at += 1;
     }
-    let mut rest = grouped.as_mut_slice();
-    let ranges: Vec<&mut [(K, u32)]> = exec::split(&starts, pool.threads())
-        .into_iter()
-        .map(|words| {
-            let (range, tail) =
-                std::mem::take(&mut rest).split_at_mut(starts[words.end] - starts[words.start]);
-            rest = tail;
-            range
-        })
+    let words = exec::split(starts, pool.threads());
+    let mut rest = &mut grouped[..];
+    let ranges: Vec<_> = (words.iter())
+        .map(|w| take_front(&mut rest, starts[w.end] - starts[w.start]))
         .collect();
-    timings.merge_entries = windows as u64;
+    timings.merge_entries = starts[vocab] as u64;
     timings.largest_merge_group = ranges.iter().map(|r| r.len() as u64).max().unwrap_or(0);
-    let l = ht.l;
-    let parts = pool.map_workers(ranges, |_, range| {
-        // Fault-injection site, once per worker: a panic mid-fold, with
+    // A worker range's leading words, each with its group in the range.
+    let groups = move |w: &std::ops::Range<usize>| {
+        let base = starts[w.start];
+        w.clone()
+            .map(move |w| (w as u32, starts[w] - base..starts[w + 1] - base))
+    };
+    let counted = pool.map_workers(words.iter().zip(ranges).collect(), |_, (words, range)| {
+        // Fault-injection site, once per worker: a panic mid-sort, with
         // the other workers' ranges half sorted.
         failpoints::fail_point!("merge-fold");
-        range.sort_unstable();
-        // One pass counts the distinct windows and pairs, so the part is
-        // allocated once, at its exact size.
-        let first = range.len().min(1);
-        let (distinct, pairs) = range.windows(2).fold((first, first), |(w, p), ab| {
-            let new_key = ab[0].0 != ab[1].0;
-            (
-                w + new_key as usize,
-                p + (new_key || ab[0].1 != ab[1].1) as usize,
-            )
-        });
-        let mut part = Part {
-            keys: Vec::with_capacity(distinct * l),
-            ends: Vec::with_capacity(distinct),
-            values: Vec::with_capacity(pairs),
-        };
-        for window in range.chunk_by_mut(|a, b| a.0 == b.0) {
-            let at = part.keys.len();
-            part.keys.resize(at + l, 0);
-            window[0].0.write_words(&mut part.keys[at..]);
-            for run in window.chunk_by(|a, b| a.1 == b.1) {
-                part.values.push((run[0].1, run.len() as u64));
+        let (mut windows, mut pairs) = (0, 0);
+        for (_, group) in groups(words) {
+            let group = &mut range[group];
+            group.sort_unstable();
+            windows += group.len().min(1);
+            pairs += group.len().min(1);
+            for ab in group.windows(2) {
+                windows += !ab[0].same_window(&ab[1], layout) as usize;
+                pairs += (ab[0] != ab[1]) as usize;
             }
-            part.ends.push(part.values.len());
-            // Taking every key frees an owned key here, on the worker,
-            // instead of on the caller when the array is dropped.
-            window
-                .iter_mut()
-                .for_each(|(key, _)| drop(std::mem::take(key)));
         }
-        part
+        (words, range, windows, pairs)
+    });
+
+    // Every column at its exact length, cut at the workers' counts.
+    let (l, windows) = (ht.l, counted.iter().map(|c| c.2).sum::<usize>());
+    let mut keys = vec![0u32; windows * l];
+    let mut offsets = vec![0usize; windows + 1];
+    let mut values = vec![(0u32, 0u64); counted.iter().map(|c| c.3).sum()];
+    let (mut k, mut o, mut v, mut base) = (&mut keys[..], &mut offsets[1..], &mut values[..], 0);
+    let inputs: Vec<_> = (counted.into_iter())
+        .map(|(words, range, windows, pairs)| {
+            let (keys, ends) = (take_front(&mut k, windows * l), take_front(&mut o, windows));
+            let values = take_front(&mut v, pairs);
+            base += pairs;
+            (words, range, keys, ends, values, base - pairs)
+        })
+        .collect();
+    pool.map_workers(inputs, |_, (words, range, keys, ends, values, base)| {
+        let (mut window, mut pair) = (0, 0);
+        for (lead, group) in groups(words) {
+            let group = &mut range[group];
+            for entries in group.chunk_by(|a, b| a.same_window(b, layout)) {
+                let row = &mut keys[window * l..(window + 1) * l];
+                row[0] = lead;
+                entries[0].write_rest(&mut row[1..], layout);
+                for run in entries.chunk_by(|a, b| a == b) {
+                    values[pair] = (run[0].source(layout), run.len() as u64);
+                    pair += 1;
+                }
+                ends[window] = base + pair;
+                window += 1;
+            }
+            if std::mem::needs_drop::<E>() {
+                // An owned entry is freed here, on the worker, instead of
+                // on the caller when the array is dropped.
+                group.iter_mut().for_each(|e| drop(std::mem::take(e)));
+            }
+        }
     });
     timings.window_sort = sort_timer.elapsed();
-
-    let (keys, offsets, values) = merge::assemble(parts);
     PostingTable::from_sorted_parts(l, keys, offsets, values)
+}
+
+/// The first `len` items of `slice`, which keeps the rest.
+fn take_front<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
+    let (front, rest) = std::mem::take(slice).split_at_mut(len);
+    *slice = rest;
+    front
 }
 
 /// `sequenceCount`: one pass over the window table, then its rows.
@@ -1367,16 +1392,28 @@ mod tests {
             .collect()
     }
 
+    /// The smallest `l` whose windows do not pack into one `u64` entry at
+    /// `archive`'s widths, so that its window fill takes the owned entry.
+    fn first_owned_l(archive: &TadocArchive) -> usize {
+        let layout = EntryLayout::of(archive);
+        let l = (2..=64)
+            .find(|&l| !layout.packs(l))
+            .expect("a window too long to pack");
+        assert!(layout.packs(l - 1) && !layout.packs(l), "l = {l}");
+        l
+    }
+
     /// The second and third sequence queries on an engine read the window
     /// table the first one filled — filled by sequenceCount on one engine
     /// and by rankedInvertedIndex on the next — and must still equal the
-    /// sequential reference, for packed (`l` ≤ 3) and owned (`l` ≥ 4) keys.
+    /// sequential reference, for packed (`l` ≤ 5) and owned entries (the
+    /// first `l` that does not pack).
     #[test]
     fn warm_window_tables_serve_both_sequence_tasks() {
         let pair = [Task::SequenceCount, Task::RankedInvertedIndex];
         for corpus in [ranked_corpus(), redundant_corpus(), word_skewed_corpus()] {
             let (archive, dag) = build(&corpus);
-            for l in 1..=5usize {
+            for l in (1..=5usize).chain([first_owned_l(&archive)]) {
                 let cfg = TaskConfig { sequence_length: l };
                 let oracle = pair.map(|task| run_task(&archive, &dag, task, cfg).output);
                 for threads in [1usize, 3, 8] {
@@ -1520,8 +1557,9 @@ mod tests {
     }
 
     /// Every column of every window table is exactly its length: the word
-    /// table and the fill at `l` = 1, and the fill at `l` = 2, 3 (packed
-    /// keys) and 4 (owned keys), at every pool width and chunk size.
+    /// table and the fill at `l` = 1, and the fill at `l` = 2 to 4 (packed
+    /// entries) and at the first `l` that does not pack (owned entries), at
+    /// every pool width and chunk size.
     #[test]
     fn window_tables_hold_no_spare_capacity() {
         let (archive, dag) = build(&redundant_corpus());
@@ -1533,7 +1571,7 @@ mod tests {
                 loose.push(format!("{label}: (len, cap) {columns:?}"));
             }
         };
-        for l in 1..=4usize {
+        for l in (1..=4usize).chain([first_owned_l(&archive)]) {
             check_window_fills(&archive, &dag, l, |label, pool, filled| {
                 if l == 1 {
                     let words = word_table(&archive, &dag, &segments, pool);
@@ -1550,11 +1588,11 @@ mod tests {
         );
     }
 
-    /// The window table of `l` = 2, 3 (packed keys) and 4 (owned keys) is
-    /// the same, field for field, at every pool width and chunk size: on a
-    /// two-word corpus, where most workers get an empty word range, on a
-    /// corpus where one word leads half of all windows, and on both dataset
-    /// shapes.
+    /// The window table of `l` = 2 to 4 (packed entries) and of the first
+    /// `l` that does not pack (owned entries) is the same, field for field,
+    /// at every pool width and chunk size: on a two-word corpus, where most
+    /// workers get an empty word range, on a corpus where one word leads
+    /// half of all windows, and on both dataset shapes.
     #[test]
     fn window_fill_is_the_same_at_every_width_and_chunk_size() {
         let two_words = [("a", "x y y x x y x y y y x"), ("b", "y x y x x y")]
@@ -1562,7 +1600,7 @@ mod tests {
         let mut corpora = vec![build(&two_words), build(&word_skewed_corpus())];
         corpora.extend(dataset_corpora());
         for (archive, dag) in &corpora {
-            for l in [2usize, 3, 4] {
+            for l in [2usize, 3, 4, first_owned_l(archive)] {
                 let mut first = None;
                 check_window_fills(archive, dag, l, |label, _, filled| {
                     if let Some(first) = &first {
@@ -1625,8 +1663,9 @@ mod tests {
         assert!(corpus.len() > 64);
         let (archive, dag) = build(&corpus);
         assert_rule_and_root_sources_mix(&archive, &dag);
-        // `l` = 4 and 5 do not pack: they take the `Sequence` key path.
-        for l in 1..=5usize {
+        // `l` = 4 and 5 pack; the first `l` that does not takes the owned
+        // entry.
+        for l in (1..=5usize).chain([first_owned_l(&archive)]) {
             let cfg = TaskConfig { sequence_length: l };
             let seq = run_task(&archive, &dag, Task::RankedInvertedIndex, cfg);
             for threads in [1usize, 3, 8] {

@@ -19,80 +19,92 @@
 
 use super::head_tail::HeadTail;
 use crate::results::Sequence;
-use sequitur::Symbol;
+use sequitur::{Symbol, TadocArchive};
 
-/// Maximum sequence length that can be packed into a 64-bit key
-/// (21 bits per word id), matching the GPU engine's packing.
-pub const MAX_PACKED_LEN: usize = 3;
-const WORD_BITS: u32 = 21;
-const WORD_MASK: u64 = (1 << WORD_BITS) - 1;
-
-/// Whether `l`-word sequences over `vocabulary` distinct words fit the packed
-/// 64-bit key representation.
-pub fn can_pack(l: usize, vocabulary: usize) -> bool {
-    (1..=MAX_PACKED_LEN).contains(&l) && vocabulary as u64 <= WORD_MASK + 1
+/// The widths an archive's window entries pack at: a word in `word_bits`
+/// = bits(vocab − 1), a source (a rule id, or `num_rules + file`) in
+/// `source_bits` = bits(num_rules + num_files − 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EntryLayout {
+    word_bits: u32,
+    source_bits: u32,
 }
 
-/// Packs an `l`-word sequence into a 64-bit key (length-tagged so different
-/// lengths never collide).
-pub fn pack_sequence(seq: &[u32]) -> u64 {
-    debug_assert!(seq.len() <= MAX_PACKED_LEN);
-    let mut key: u64 = 1;
-    for &w in seq {
-        debug_assert!((w as u64) <= WORD_MASK);
-        key = (key << WORD_BITS) | w as u64;
+impl EntryLayout {
+    /// The layout of `vocab` words and `sources` sources.
+    pub(crate) fn new(vocab: usize, sources: usize) -> Self {
+        let bits = |n: usize| usize::BITS - n.saturating_sub(1).leading_zeros();
+        Self {
+            word_bits: bits(vocab),
+            source_bits: bits(sources),
+        }
     }
-    key
-}
 
-/// Inverse of [`pack_sequence`]: writes the unpacked words of `key` into
-/// `out` (its length is the sequence length), allocation-free so the
-/// finalizers decode a merged key column straight into a flat arena.
-pub fn unpack_sequence_into(key: u64, out: &mut [u32]) {
-    let mut k = key;
-    for slot in out.iter_mut().rev() {
-        *slot = (k & WORD_MASK) as u32;
-        k >>= WORD_BITS;
+    /// The layout of `archive`'s vocabulary and sources.
+    pub(crate) fn of(archive: &TadocArchive) -> Self {
+        let sources = archive.grammar.num_rules() + archive.num_files();
+        Self::new(archive.vocabulary_size(), sources)
+    }
+
+    /// Whether an `l`-word window packs into one `u64` entry: its `l - 1`
+    /// words after the first, then its source.
+    pub(crate) fn packs(self, l: usize) -> bool {
+        l.saturating_sub(1) as u64 * self.word_bits as u64 + self.source_bits as u64 <= 64
     }
 }
 
-/// A sortable key for sequence windows: either the packed 64-bit form
-/// (the hot path — no allocation per window) or the owned word vector
-/// (when the window does not pack).  `Ord` is what the window fill sorts
-/// and folds each worker's range by, and in both forms it is the order of
-/// the words: the packed form is MSB-first with a uniform length tag, so
-/// ascending `u64` order *is* ascending lexicographic word order for a
-/// fixed `l`.  That is what lets a worker's run over a contiguous range of
-/// leading words, grouped by the fill's counting sort, be a contiguous
-/// slice of the answer whichever form the keys take.  `Default` is the
-/// placeholder the counting sort's scatter overwrites.
-pub trait SeqKey: Ord + Send + Default {
-    /// Encodes a window.
-    fn encode(words: &[u32]) -> Self;
-    /// Writes the key's words into `out` (its length is the sequence
-    /// length).
-    fn write_words(&self, out: &mut [u32]);
+/// A window the fill scanned, less the leading word its counting sort
+/// groups by: the other words, then the source.  `Ord` is lexicographic
+/// `(rest words, source)` order; `Default` is the scatter's placeholder.
+pub(crate) trait WindowEntry: Ord + Send + Default {
+    /// The entry of a window whose words after the first are `rest`.
+    fn encode(rest: &[u32], source: u32, layout: EntryLayout) -> Self;
+    /// Whether `self` and `other` are entries of the same window.
+    fn same_window(&self, other: &Self, layout: EntryLayout) -> bool;
+    /// The entry's source.
+    fn source(&self, layout: EntryLayout) -> u32;
+    /// Writes the window's words after the first into `out`.
+    fn write_rest(&self, out: &mut [u32], layout: EntryLayout);
 }
 
-impl SeqKey for u64 {
-    #[inline]
-    fn encode(words: &[u32]) -> Self {
-        pack_sequence(words)
+/// The packed entry, where the layout [`packs`](EntryLayout::packs): the
+/// rest words MSB first, `word_bits` each, then the source in the low
+/// `source_bits`, so ascending `u64` order is the fields' order.
+impl WindowEntry for u64 {
+    fn encode(rest: &[u32], source: u32, layout: EntryLayout) -> Self {
+        let words = rest
+            .iter()
+            .fold(0u64, |e, &w| (e << layout.word_bits) | w as u64);
+        (words << layout.source_bits) | source as u64
     }
-    #[inline]
-    fn write_words(&self, out: &mut [u32]) {
-        unpack_sequence_into(*self, out);
+    fn same_window(&self, other: &Self, layout: EntryLayout) -> bool {
+        self >> layout.source_bits == other >> layout.source_bits
+    }
+    fn source(&self, layout: EntryLayout) -> u32 {
+        (self & ((1u64 << layout.source_bits) - 1)) as u32
+    }
+    fn write_rest(&self, out: &mut [u32], layout: EntryLayout) {
+        let mut words = self >> layout.source_bits;
+        for slot in out.iter_mut().rev() {
+            *slot = (words & ((1u64 << layout.word_bits) - 1)) as u32;
+            words >>= layout.word_bits;
+        }
     }
 }
 
-impl SeqKey for Sequence {
-    #[inline]
-    fn encode(words: &[u32]) -> Self {
-        words.to_vec()
+/// The owned entry, for windows too long to pack.
+impl WindowEntry for (Sequence, u32) {
+    fn encode(rest: &[u32], source: u32, _: EntryLayout) -> Self {
+        (rest.to_vec(), source)
     }
-    #[inline]
-    fn write_words(&self, out: &mut [u32]) {
-        out.copy_from_slice(self);
+    fn same_window(&self, other: &Self, _: EntryLayout) -> bool {
+        self.0 == other.0
+    }
+    fn source(&self, _: EntryLayout) -> u32 {
+        self.1
+    }
+    fn write_rest(&self, out: &mut [u32], _: EntryLayout) {
+        out.copy_from_slice(&self.0);
     }
 }
 
@@ -283,6 +295,8 @@ mod tests {
     use crate::fine_grained::{sequence_work_items, SeqItem};
     use crate::oracle;
     use crate::weights::{file_segments, rule_weights};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use sequitur::compress::{compress_corpus, CompressOptions};
     use sequitur::fxhash::FxHashMap;
     use sequitur::Dag;
@@ -469,29 +483,85 @@ mod tests {
         check_corpus(&corpus, 2);
     }
 
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for seq in [
-            vec![0u32],
-            vec![1, 2],
-            vec![5, 0, 1_000_000],
-            vec![2_000_000, 7, 9],
-        ] {
-            let mut unpacked = vec![0u32; seq.len()];
-            unpack_sequence_into(pack_sequence(&seq), &mut unpacked);
-            assert_eq!(unpacked, seq);
-        }
-        assert_ne!(pack_sequence(&[1, 2]), pack_sequence(&[2, 1]));
-        assert_ne!(pack_sequence(&[0, 1]), pack_sequence(&[1]));
+    /// `entry` decoded into its rest words (`rest` of them) and source.
+    fn decode<E: WindowEntry>(entry: &E, rest: usize, layout: EntryLayout) -> (Vec<u32>, u32) {
+        let mut words = vec![0; rest];
+        entry.write_rest(&mut words, layout);
+        (words, entry.source(layout))
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        // At every word width from 1 to 21 bits, a packed entry gives back
+        // its words and source, with as many words as still pack.
+        #[test]
+        fn packed_entries_round_trip_at_every_word_width(
+            words in vec(0u32..u32::MAX, 0..64),
+            sources in (1usize..=1 << 20, 0u32..u32::MAX),
+        ) {
+            let (sources, source) = sources;
+            for word_bits in 1..=21u32 {
+                let layout = EntryLayout::new(1 << word_bits, sources);
+                let room = (1..=words.len()).take_while(|&n| layout.packs(n + 1)).count();
+                prop_assert!(room == words.len() || !layout.packs(room + 2));
+                let rest: Vec<u32> = words[..room].iter().map(|w| w % (1 << word_bits)).collect();
+                let source = source % sources as u32;
+                let entry = u64::encode(&rest, source, layout);
+                prop_assert_eq!(decode(&entry, rest.len(), layout), (rest, source));
+            }
+        }
+
+        // Ascending packed entries are ascending `(rest words, source)`, the
+        // owned entries' order, and two packed entries are of the same
+        // window exactly when their words are equal.
+        #[test]
+        fn packed_entry_order_is_word_then_source_order(
+            entries in vec((vec(0u32..u32::MAX, 2..3), 0u32..u32::MAX), 0..48),
+            widths in (1usize..=1 << 21, 1usize..=1 << 20),
+        ) {
+            let layout = EntryLayout::new(widths.0, widths.1);
+            prop_assert!(layout.packs(3));
+            let mut owned: Vec<(Sequence, u32)> = entries
+                .into_iter()
+                .map(|(words, s)| {
+                    let words = words.iter().map(|w| w % widths.0 as u32).collect();
+                    (words, s % widths.1 as u32)
+                })
+                .collect();
+            let mut packed: Vec<u64> = owned.iter().map(|(w, s)| u64::encode(w, *s, layout)).collect();
+            for (a, b) in packed.iter().zip(&owned).zip(packed.iter().zip(&owned).skip(1)) {
+                prop_assert_eq!(a.0.same_window(b.0, layout), a.1 .0 == b.1 .0);
+            }
+            packed.sort_unstable();
+            owned.sort_unstable();
+            let decoded: Vec<_> = packed.iter().map(|e| decode(e, 2, layout)).collect();
+            prop_assert_eq!(decoded, owned);
+        }
+    }
+
+    /// A window packs while its rest words and source need at most 64 bits:
+    /// at exactly 64 the entry holds the largest words and source, at 65 it
+    /// does not pack.
     #[test]
-    fn packability_bounds() {
-        assert!(can_pack(3, 1 << 21));
-        assert!(can_pack(1, 100));
-        assert!(!can_pack(4, 100), "length above MAX_PACKED_LEN");
-        assert!(!can_pack(0, 100), "zero-length windows are not packed");
-        assert!(!can_pack(2, (1 << 21) + 1), "vocabulary too large");
+    fn entries_pack_up_to_exactly_64_bits() {
+        let exact = EntryLayout::new(1 << 21, 2);
+        assert!(exact.packs(4), "3 × 21 + 1 = 64 bits");
+        assert!(!exact.packs(5), "4 × 21 + 1 = 85 bits");
+        let largest = vec![(1 << 21) - 1; 3];
+        let entry = u64::encode(&largest, 1, exact);
+        assert_eq!(entry, u64::MAX);
+        assert_eq!(decode(&entry, 3, exact), (largest, 1));
+        assert!(
+            !EntryLayout::new(1 << 21, 3).packs(4),
+            "3 × 21 + 2 = 65 bits"
+        );
+        assert!(
+            EntryLayout::new(1 << 21, 3).packs(3),
+            "2 × 21 + 2 = 44 bits"
+        );
+        // One word and one source need no bits at all.
+        assert!(EntryLayout::new(1, 1).packs(1000));
     }
 
     /// The streaming [`WindowSlider`] walk must emit exactly the windows of

@@ -107,8 +107,9 @@ pub struct PhaseTimings {
     /// on the sequential path.
     pub scan: Duration,
     /// Portion of `shared_init` the same window fill spends after the scan:
-    /// grouping the windows by leading word with a counting sort, then
-    /// sorting and folding each worker's word range in one pool epoch.
+    /// grouping the windows by leading word with a counting sort, sorting
+    /// each leading word's group of each worker's range in one pool epoch,
+    /// then folding the ranges into the table's columns in a second.
     /// Zero where `scan` is.
     pub window_sort: Duration,
     /// Windows the scan emitted, one per local occurrence.  Zero where
