@@ -470,6 +470,7 @@ impl<'a> Analysis<'a> {
         }
         let levels = self.ensure_levels_top_down(charge);
         let items = self.ensure_sequence_items(charge);
+        let num_files = self.ensure_segments(charge).len();
         let slot = {
             let mut slots = self.sequence.lock().unwrap_or_else(PoisonError::into_inner);
             match slots.iter().find(|(key, _)| *key == l) {
@@ -487,7 +488,7 @@ impl<'a> Analysis<'a> {
         let mut timings = PhaseTimings::default();
         self.fill(&slot.windows, charge, || {
             let ht = build_head_tail(&self.archive.grammar, self.dag, levels, l, pool);
-            fill_window_table(self.archive, &ht, items, pool, &mut timings)
+            fill_window_table(self.archive, &ht, items, num_files, pool, &mut timings)
         });
         charge.fill_timings = timings;
         slot

@@ -878,20 +878,21 @@ fn word_starts(vocab: usize, leads: impl Iterator<Item = u32>) -> Vec<usize> {
     starts
 }
 
-/// Fills the [`WindowTable`] of `ht.l` — one packed `u64` entry per window
-/// when the archive's widths allow it ([`EntryLayout::packs`]), an owned
-/// `(rest words, source)` entry otherwise — and records what its scan and
-/// sort measured in `timings`.
+/// Fills the [`WindowTable`] of `ht.l` from `items` over `num_files` root
+/// segments — one packed `u64` entry per window when the archive's widths
+/// allow it ([`EntryLayout::packs`]), an owned `(rest words, source)` entry
+/// otherwise — and records what its scan and sort measured in `timings`.
 pub(crate) fn fill_window_table(
     archive: &TadocArchive,
     ht: &HeadTail,
     items: &[SeqItem],
+    num_files: usize,
     pool: &WorkerPool,
     timings: &mut PhaseTimings,
 ) -> WindowTable {
     let (grammar, vocab) = (&archive.grammar, archive.vocabulary_size());
-    assert_sources_fit(grammar.num_rules(), grammar.num_files());
-    let layout = EntryLayout::of(archive);
+    assert_sources_fit(grammar.num_rules(), num_files);
+    let layout = EntryLayout::new(vocab, grammar.num_rules() + num_files);
     if layout.packs(ht.l) {
         fill_windows::<u64>(grammar, ht, items, vocab, layout, pool, timings)
     } else {
@@ -1395,7 +1396,8 @@ mod tests {
     /// The smallest `l` whose windows do not pack into one `u64` entry at
     /// `archive`'s widths, so that its window fill takes the owned entry.
     fn first_owned_l(archive: &TadocArchive) -> usize {
-        let layout = EntryLayout::of(archive);
+        let sources = archive.grammar.num_rules() + weights::file_segments(&archive.grammar).len();
+        let layout = EntryLayout::new(archive.vocabulary_size(), sources);
         let l = (2..=64)
             .find(|&l| !layout.packs(l))
             .expect("a window too long to pack");
@@ -1526,7 +1528,8 @@ mod tests {
             for chunk_elements in [1usize, 7, 4096] {
                 let items = sequence_work_items(grammar, &segments, chunk_elements);
                 let timings = &mut PhaseTimings::default();
-                let filled = fill_window_table(archive, &ht, &items, &pool, timings);
+                let filled =
+                    fill_window_table(archive, &ht, &items, segments.len(), &pool, timings);
                 let label = format!(
                     "{} files, l = {l}, {threads} threads, chunk_elements = {chunk_elements}",
                     archive.num_files()
@@ -1678,6 +1681,43 @@ mod tests {
                         fine.output, seq.output,
                         "l = {l}, {threads} threads, chunk_elements = {chunk_elements}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The window fill sizes its sources by the root's segments, which name
+    /// them, not by the archive's file list: an archive that lists fewer
+    /// files than its root has segments (it still validates) needs a wider
+    /// source field than the list implies, and both sequence tasks still
+    /// fill their table and equal the sequential reference on it.
+    #[test]
+    fn window_fill_sizes_sources_by_root_segments_not_the_file_list() {
+        let (mut archive, dag) = build(&ranked_corpus());
+        let bits = |n: usize| usize::BITS - n.leading_zeros();
+        let rules = archive.grammar.num_rules();
+        let segments = weights::file_segments(&archive.grammar).len();
+        // The longest file list whose sources need fewer bits than the
+        // segments' highest source.
+        let listed = (0..segments)
+            .rev()
+            .find(|&files| bits(rules + files - 1) < bits(rules + segments - 1))
+            .expect("a shorter file list narrows the source field");
+        archive.files.truncate(listed);
+        archive.validate().expect("the shortened archive validates");
+        for l in [2usize, 3, 4] {
+            let cfg = TaskConfig { sequence_length: l };
+            for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
+                let seq = run_task(&archive, &dag, task, cfg);
+                for threads in [1usize, 3] {
+                    let builder = Engine::builder(&archive, &dag).threads(threads);
+                    let fine = run_cold(builder, task, cfg);
+                    let label = format!(
+                        "{task:?}, l = {l}, {listed} of {segments} files, {threads} threads"
+                    );
+                    // Not answered by the sequential fallback after a panic.
+                    assert_eq!(fine.timings.degraded, None, "{label}");
+                    assert_eq!(fine.output, seq.output, "{label}");
                 }
             }
         }

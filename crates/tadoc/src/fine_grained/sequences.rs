@@ -19,11 +19,11 @@
 
 use super::head_tail::HeadTail;
 use crate::results::Sequence;
-use sequitur::{Symbol, TadocArchive};
+use sequitur::Symbol;
 
-/// The widths an archive's window entries pack at: a word in `word_bits`
-/// = bits(vocab − 1), a source (a rule id, or `num_rules + file`) in
-/// `source_bits` = bits(num_rules + num_files − 1).
+/// The widths window entries pack at: a word in `word_bits` = bits(vocab − 1),
+/// a source (a rule id, or `num_rules + file` for a root segment) in
+/// `source_bits` = bits(num_rules + num_files − 1), `num_files` root segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct EntryLayout {
     word_bits: u32,
@@ -38,12 +38,6 @@ impl EntryLayout {
             word_bits: bits(vocab),
             source_bits: bits(sources),
         }
-    }
-
-    /// The layout of `archive`'s vocabulary and sources.
-    pub(crate) fn of(archive: &TadocArchive) -> Self {
-        let sources = archive.grammar.num_rules() + archive.num_files();
-        Self::new(archive.vocabulary_size(), sources)
     }
 
     /// Whether an `l`-word window packs into one `u64` entry: its `l - 1`
@@ -72,6 +66,8 @@ pub(crate) trait WindowEntry: Ord + Send + Default {
 /// `source_bits`, so ascending `u64` order is the fields' order.
 impl WindowEntry for u64 {
     fn encode(rest: &[u32], source: u32, layout: EntryLayout) -> Self {
+        debug_assert!(u64::from(source) >> layout.source_bits == 0);
+        debug_assert!(rest.iter().all(|&w| u64::from(w) >> layout.word_bits == 0));
         let words = rest
             .iter()
             .fold(0u64, |e, &w| (e << layout.word_bits) | w as u64);
