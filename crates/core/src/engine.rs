@@ -8,11 +8,11 @@
 //! attribution is by kernel identity, so the split is exact regardless of how
 //! many rounds each traversal needed.
 
+use crate::apps;
 use crate::layout::GpuLayout;
 use crate::params::GtadocParams;
 use crate::schedule::ThreadPlan;
 use crate::traversal::{selector, TraversalStrategy};
-use crate::{apps, hashtable};
 use gpu_sim::{Device, GpuSpec, TransferDirection};
 use sequitur::{Dag, TadocArchive};
 use std::time::{Duration, Instant};
@@ -205,12 +205,6 @@ impl GtadocEngine {
 /// columns' heap bytes, at least one 64-byte transfer.
 fn estimate_output_bytes(output: &AnalyticsOutput) -> u64 {
     (output.heap_bytes() as u64).max(64)
-}
-
-/// Convenience used by integration tests and the harness: a freshly allocated
-/// global hash table sized for `layout`'s vocabulary.
-pub fn result_table_for(layout: &GpuLayout, params: &GtadocParams) -> hashtable::GpuHashTable {
-    hashtable::GpuHashTable::with_capacity(layout.vocab_size.max(1), params.hash_load_factor)
 }
 
 #[cfg(test)]

@@ -26,15 +26,6 @@ impl LaunchConfig {
             block_size: 256,
         }
     }
-
-    /// Number of blocks in the grid.
-    pub fn num_blocks(&self) -> u64 {
-        if self.threads == 0 {
-            0
-        } else {
-            self.threads.div_ceil(self.block_size as u64)
-        }
-    }
 }
 
 /// A GPU kernel body.
@@ -211,17 +202,8 @@ mod tests {
     #[test]
     fn launch_config_geometry() {
         let cfg = LaunchConfig::with_threads(1000);
+        assert_eq!(cfg.threads, 1000);
         assert_eq!(cfg.block_size, 256);
-        assert_eq!(cfg.num_blocks(), 4);
-        assert_eq!(LaunchConfig::with_threads(0).num_blocks(), 0);
-        assert_eq!(
-            LaunchConfig {
-                threads: 256,
-                block_size: 256
-            }
-            .num_blocks(),
-            1
-        );
     }
 
     #[test]

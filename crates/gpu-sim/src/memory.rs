@@ -47,11 +47,6 @@ impl<T> DeviceBuffer<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    /// Mutable view of the underlying storage.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
 }
 
 impl<T> Deref for DeviceBuffer<T> {
@@ -88,8 +83,6 @@ mod tests {
         assert_eq!(buf[3], 7);
         buf[3] = 9;
         assert_eq!(buf.as_slice()[3], 9);
-        buf.as_mut_slice()[0] = 1;
-        assert_eq!(buf[0], 1);
     }
 
     #[test]

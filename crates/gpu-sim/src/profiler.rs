@@ -79,11 +79,6 @@ impl Profiler {
         self.kernels.len()
     }
 
-    /// Total atomic operations across all launches.
-    pub fn total_atomics(&self) -> u64 {
-        self.kernels.iter().map(|k| k.stats.atomic_ops).sum()
-    }
-
     /// Total global-memory traffic in bytes across all launches.
     pub fn total_bytes(&self) -> u64 {
         self.kernels.iter().map(|k| k.stats.total_bytes()).sum()
@@ -146,7 +141,6 @@ mod tests {
         p.record_kernel("b", &stats(0.004, 0));
         p.record_transfer(TransferDirection::HostToDevice, 1000, 0.01);
         assert_eq!(p.num_launches(), 3);
-        assert_eq!(p.total_atomics(), 8);
         assert_eq!(p.total_bytes(), 450);
         assert!((p.kernel_time_seconds() - 0.007).abs() < 1e-12);
         assert!((p.total_time_seconds() - 0.017).abs() < 1e-12);

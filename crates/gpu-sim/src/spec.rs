@@ -146,11 +146,6 @@ impl GpuSpec {
     pub fn memory_bytes(&self) -> u64 {
         (self.memory_gib * 1024.0 * 1024.0 * 1024.0) as u64
     }
-
-    /// Maximum warps resident across the whole device.
-    pub fn max_resident_warps(&self) -> u32 {
-        self.sm_count * self.max_threads_per_sm / self.warp_size
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +179,6 @@ mod tests {
         assert_eq!(spec.total_cores(), 2560);
         assert!(spec.peak_ops_per_sec() > 4.0e12);
         assert_eq!(spec.memory_bytes(), 8 * 1024 * 1024 * 1024);
-        assert!(spec.max_resident_warps() >= 1280);
     }
 
     #[test]

@@ -10,8 +10,6 @@ use crate::dictionary::Dictionary;
 use crate::grammar::{Grammar, SymbolScan};
 use crate::symbol::Symbol;
 use crate::{Error, Result};
-use std::io::{Read, Write};
-use std::path::Path;
 
 /// Magic bytes identifying an archive file.
 pub const MAGIC: &[u8; 8] = b"GTADOC01";
@@ -207,22 +205,6 @@ impl TadocArchive {
         }
     }
 
-    /// Writes the archive to a file.
-    pub fn write_to_file<P: AsRef<Path>>(&self, path: P) -> Result<()> {
-        let bytes = self.to_bytes();
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&bytes)?;
-        Ok(())
-    }
-
-    /// Reads an archive from a file.
-    pub fn read_from_file<P: AsRef<Path>>(path: P) -> Result<Self> {
-        let mut f = std::fs::File::open(path)?;
-        let mut bytes = Vec::new();
-        f.read_to_end(&mut bytes)?;
-        Self::from_bytes(&bytes)
-    }
-
     /// Size of the serialized archive in bytes, computed from the lengths
     /// [`to_bytes`](Self::to_bytes) writes.
     pub fn compressed_size_bytes(&self) -> usize {
@@ -363,17 +345,6 @@ mod tests {
                 "truncation at {cut} must fail"
             );
         }
-    }
-
-    #[test]
-    fn file_io_roundtrip() {
-        let archive = sample_archive();
-        let dir = std::env::temp_dir();
-        let path = dir.join("gtadoc_archive_test.bin");
-        archive.write_to_file(&path).unwrap();
-        let restored = TadocArchive::read_from_file(&path).unwrap();
-        assert_eq!(restored.grammar, archive.grammar);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! End-to-end TADOC compression: documents → dictionary conversion → splitter
 //! insertion → Sequitur → [`TadocArchive`].
 
-use std::path::Path;
 use std::sync::mpsc;
 
 use crate::archive::{FileMeta, TadocArchive};
@@ -9,7 +8,7 @@ use crate::dictionary::Dictionary;
 use crate::sequitur_impl::Sequitur;
 use crate::symbol::{Symbol, MAX_PAYLOAD};
 use crate::tokenizer::{tokenize_into, TokenizerOptions};
-use crate::{Result, WordId};
+use crate::WordId;
 
 /// Files the tokenizer thread may run ahead of Sequitur.
 const FILES_IN_FLIGHT: usize = 64;
@@ -132,21 +131,6 @@ impl GrammarBuilder {
     }
 }
 
-/// Reads and compresses files from disk.
-pub fn compress_files<P: AsRef<Path>>(paths: &[P], opts: CompressOptions) -> Result<TadocArchive> {
-    let mut corpus = Vec::with_capacity(paths.len());
-    for p in paths {
-        let p = p.as_ref();
-        let content = std::fs::read_to_string(p)?;
-        let name = p
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| p.display().to_string());
-        corpus.push((name, content));
-    }
-    Ok(compress_corpus(&corpus, opts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,14 +172,14 @@ mod tests {
             archive.grammar.num_rules() >= 2,
             "redundant corpus should produce shared rules"
         );
-        assert_eq!(archive.grammar.num_files(), 2);
+        assert_eq!(archive.grammar.expand_files().len(), 2);
     }
 
     #[test]
     fn single_file_corpus() {
         let corpus = vec![("only".to_string(), "a b a b a b".to_string())];
         let archive = compress_corpus(&corpus, CompressOptions::default());
-        assert_eq!(archive.grammar.num_files(), 1);
+        assert_eq!(archive.grammar.expand_files().len(), 1);
         assert_eq!(archive.decompress_files()[0].1, "a b a b a b");
     }
 
@@ -225,7 +209,7 @@ mod tests {
             .collect();
         let archive = compress_corpus(&corpus, CompressOptions::default());
         assert_eq!(archive.dictionary.len(), 5);
-        assert_eq!(archive.grammar.num_files(), 20);
+        assert_eq!(archive.grammar.expand_files().len(), 20);
         // Identical files must compress extremely well.
         assert!(archive.grammar.total_elements() < 20 * 5);
     }

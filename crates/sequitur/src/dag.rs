@@ -187,23 +187,10 @@ impl Dag {
         &self.local_words
     }
 
-    /// Rules directly referenced by the root ("level-2 nodes" in the paper).
-    pub fn level2_nodes(&self) -> Vec<RuleId> {
-        self.children(0).iter().map(|&(c, _)| c).collect()
-    }
-
     /// Leaves: rules with no sub-rules.
     pub fn leaves(&self) -> Vec<RuleId> {
         (0..self.num_rules as u32)
             .filter(|&r| self.children(r as usize).is_empty())
-            .collect()
-    }
-
-    /// Rules whose only parent is the root (starting set of the top-down
-    /// traversal after mask initialization).
-    pub fn root_only_rules(&self) -> Vec<RuleId> {
-        (1..self.num_rules as u32)
-            .filter(|&r| matches!(self.parents(r as usize), [(0, _)]))
             .collect()
     }
 
@@ -279,14 +266,12 @@ mod tests {
         assert_eq!(dag.layers[1], 1);
         assert_eq!(dag.layers[2], 2, "R2 is reachable through R1, so layer 2");
         assert_eq!(dag.num_layers, 3);
-        assert_eq!(dag.level2_nodes(), vec![1, 2]);
     }
 
     #[test]
     fn leaves_and_root_only() {
         let dag = Dag::from_grammar(&paper_grammar());
         assert_eq!(dag.leaves(), vec![2]);
-        assert_eq!(dag.root_only_rules(), vec![1]);
         assert_eq!(dag.middle_layer_nodes(), 1);
     }
 

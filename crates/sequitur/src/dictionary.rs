@@ -73,11 +73,6 @@ impl Dictionary {
         &self.words[id as usize]
     }
 
-    /// Returns the word for `id` if it exists.
-    pub fn try_word(&self, id: WordId) -> Option<&str> {
-        self.words.get(id as usize).map(|s| s.as_str())
-    }
-
     /// Number of distinct words (the paper's "vocabulary size").
     pub fn len(&self) -> usize {
         self.words.len()
@@ -94,11 +89,6 @@ impl Dictionary {
             .iter()
             .enumerate()
             .map(|(i, w)| (i as WordId, w.as_str()))
-    }
-
-    /// Total number of bytes of all interned words (used for size statistics).
-    pub fn text_bytes(&self) -> usize {
-        self.words.iter().map(|w| w.len()).sum()
     }
 
     /// Rebuilds a dictionary from an ordered word list (used by
@@ -137,7 +127,6 @@ mod tests {
         assert_eq!(d.word(id), "tadoc");
         assert_eq!(d.get("tadoc"), Some(id));
         assert_eq!(d.get("missing"), None);
-        assert_eq!(d.try_word(999), None);
     }
 
     #[test]
@@ -163,13 +152,5 @@ mod tests {
         d.intern("y");
         let collected: Vec<_> = d.iter().map(|(i, w)| (i, w.to_string())).collect();
         assert_eq!(collected, vec![(0, "x".to_string()), (1, "y".to_string())]);
-    }
-
-    #[test]
-    fn text_bytes_counts_characters() {
-        let mut d = Dictionary::new();
-        d.intern("ab");
-        d.intern("cde");
-        assert_eq!(d.text_bytes(), 5);
     }
 }

@@ -217,15 +217,6 @@ impl Grammar {
         self.bodies.data().len()
     }
 
-    /// Number of files encoded in the root (= splitter count + 1, or 0 for an
-    /// empty grammar).
-    pub fn num_files(&self) -> usize {
-        if self.num_rules() == 0 || self.root().is_empty() {
-            return 0;
-        }
-        1 + self.root().iter().filter(|s| s.is_splitter()).count()
-    }
-
     /// Expands the root into the flat terminal stream (words and splitters, in
     /// original order).  Used for round-trip verification.
     pub fn expand_root_tokens(&self) -> Vec<Symbol> {
@@ -437,7 +428,7 @@ mod tests {
     fn paper_example_counts() {
         let g = paper_grammar();
         assert_eq!(g.num_rules(), 3);
-        assert_eq!(g.num_files(), 2);
+        assert_eq!(g.expand_files().len(), 2);
         assert_eq!(g.total_elements(), 11);
         let counts = g.rule_use_counts();
         assert_eq!(counts, vec![0, 2, 3]);
@@ -497,7 +488,6 @@ mod tests {
     fn validate_rejects_an_empty_grammar() {
         let g = Grammar::new(Vec::new());
         assert!(matches!(g.validate(), Err(Error::Corrupt(_))));
-        assert_eq!(g.num_files(), 0);
     }
 
     #[test]
@@ -510,7 +500,6 @@ mod tests {
     #[test]
     fn single_file_has_no_splitter() {
         let g = Grammar::new(vec![vec![Symbol::Word(0), Symbol::Word(1)]]);
-        assert_eq!(g.num_files(), 1);
         assert_eq!(g.expand_files(), vec![vec![0, 1]]);
     }
 

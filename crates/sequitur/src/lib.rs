@@ -35,7 +35,7 @@ pub mod symbol;
 pub mod tokenizer;
 
 pub use archive::TadocArchive;
-pub use compress::{compress_corpus, compress_files, CompressOptions};
+pub use compress::{compress_corpus, CompressOptions};
 pub use csr::Csr;
 pub use dag::Dag;
 pub use dictionary::Dictionary;
@@ -51,8 +51,6 @@ pub type Result<T> = std::result::Result<T, Error>;
 pub enum Error {
     /// The binary archive is truncated or malformed.
     Corrupt(String),
-    /// An I/O error while reading input files.
-    Io(std::io::Error),
     /// The grammar references a rule or word id that does not exist.
     InvalidReference(String),
 }
@@ -61,23 +59,9 @@ impl std::fmt::Display for Error {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Error::Corrupt(msg) => write!(f, "corrupt archive: {msg}"),
-            Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::InvalidReference(msg) => write!(f, "invalid reference: {msg}"),
         }
     }
 }
 
-impl std::error::Error for Error {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Error::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e)
-    }
-}
+impl std::error::Error for Error {}

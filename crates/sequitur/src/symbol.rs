@@ -46,25 +46,10 @@ impl Symbol {
         matches!(self, Symbol::Rule(_))
     }
 
-    /// Returns `true` if the symbol is a terminal word.
-    #[inline]
-    pub fn is_word(self) -> bool {
-        matches!(self, Symbol::Word(_))
-    }
-
     /// Returns `true` if the symbol is a file splitter.
     #[inline]
     pub fn is_splitter(self) -> bool {
         matches!(self, Symbol::Splitter(_))
-    }
-
-    /// The referenced rule id, if any.
-    #[inline]
-    pub fn as_rule(self) -> Option<RuleId> {
-        match self {
-            Symbol::Rule(r) => Some(r),
-            _ => None,
-        }
     }
 
     /// The word id, if any.
@@ -184,12 +169,9 @@ mod tests {
 
     #[test]
     fn kind_predicates() {
-        assert!(Symbol::Word(1).is_word());
         assert!(!Symbol::Word(1).is_rule());
         assert!(Symbol::Rule(1).is_rule());
         assert!(Symbol::Splitter(1).is_splitter());
-        assert_eq!(Symbol::Rule(9).as_rule(), Some(9));
-        assert_eq!(Symbol::Word(9).as_rule(), None);
         assert_eq!(Symbol::Word(3).as_word(), Some(3));
     }
 

@@ -32,16 +32,6 @@ pub fn tokenize_into(text: &str, dict: &mut Dictionary, opts: TokenizerOptions) 
     out
 }
 
-/// Splits `text` into owned token strings without interning (used by the
-/// uncompressed baselines and by tests).
-pub fn tokenize_plain(text: &str, opts: TokenizerOptions) -> Vec<String> {
-    let mut scratch = String::new();
-    text.split_whitespace()
-        .map(|raw| normalize(raw, opts, &mut scratch).to_string())
-        .filter(|t| !t.is_empty())
-        .collect()
-}
-
 fn normalize<'a>(raw: &'a str, opts: TokenizerOptions, scratch: &'a mut String) -> &'a str {
     let trimmed = if opts.strip_punctuation {
         raw.trim_matches(|c: char| c.is_ascii_punctuation())
@@ -108,17 +98,5 @@ mod tests {
         let ids = tokenize_into("--- ... a", &mut d, opts);
         assert_eq!(ids.len(), 1);
         assert_eq!(d.word(ids[0]), "a");
-    }
-
-    #[test]
-    fn plain_tokenizer_matches_interning_tokenizer() {
-        let text = "a b c a b";
-        let mut d = Dictionary::new();
-        let ids = tokenize_into(text, &mut d, TokenizerOptions::default());
-        let plain = tokenize_plain(text, TokenizerOptions::default());
-        assert_eq!(ids.len(), plain.len());
-        for (id, w) in ids.iter().zip(&plain) {
-            assert_eq!(d.word(*id), w);
-        }
     }
 }

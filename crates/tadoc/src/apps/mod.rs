@@ -63,14 +63,6 @@ impl Task {
         matches!(self, Task::SequenceCount | Task::RankedInvertedIndex)
     }
 
-    /// Whether the task attributes results to individual files.
-    pub fn needs_file_info(self) -> bool {
-        matches!(
-            self,
-            Task::InvertedIndex | Task::TermVector | Task::RankedInvertedIndex
-        )
-    }
-
     /// Parses a task from its paper-style name.
     pub fn from_name(name: &str) -> Option<Task> {
         Task::ALL.into_iter().find(|t| t.name() == name)
@@ -170,6 +162,7 @@ pub fn run_task(archive: &TadocArchive, dag: &Dag, task: Task, cfg: TaskConfig) 
 mod tests {
     use super::*;
     use crate::oracle;
+    use crate::timing::WorkStats;
     use sequitur::compress::{compress_corpus, CompressOptions};
 
     fn archive() -> (TadocArchive, Dag) {
@@ -194,8 +187,6 @@ mod tests {
         assert_eq!(Task::ALL.len(), 6);
         assert!(Task::SequenceCount.is_sequence_sensitive());
         assert!(!Task::WordCount.is_sequence_sensitive());
-        assert!(Task::TermVector.needs_file_info());
-        assert!(!Task::Sort.needs_file_info());
         assert_eq!(Task::from_name("sort"), Some(Task::Sort));
         assert_eq!(Task::from_name("bogus"), None);
         assert_eq!(Task::RankedInvertedIndex.name(), "rankedInvertedIndex");
@@ -228,5 +219,45 @@ mod tests {
         let (archive, dag) = archive();
         let exec = run_task(&archive, &dag, Task::WordCount, TaskConfig::default());
         assert!(exec.timings.traversal_work.total_ops() > 0);
+    }
+
+    /// The work each sequential task charges on a three-file corpus, per
+    /// phase: elements scanned, table ops, words emitted, bytes moved and
+    /// sync ops.  These are the inputs of the cost model, so a change in how
+    /// a task walks the grammar must leave them as they are.
+    #[test]
+    fn sequential_work_stats_are_pinned() {
+        let (archive, dag) = archive();
+        let pinned = [
+            (Task::WordCount, [18, 0, 0, 120, 0], [18, 26, 0, 192, 0]),
+            (Task::Sort, [18, 0, 0, 120, 0], [18, 33, 0, 276, 0]),
+            (Task::InvertedIndex, [6, 7, 0, 0, 0], [16, 20, 0, 68, 0]),
+            (Task::TermVector, [6, 7, 0, 144, 0], [16, 20, 0, 204, 0]),
+            (Task::SequenceCount, [4, 0, 0, 24, 0], [41, 30, 30, 0, 0]),
+            (
+                Task::RankedInvertedIndex,
+                [4, 0, 0, 0, 0],
+                [41, 9, 30, 216, 0],
+            ),
+        ];
+        let fields = |w: WorkStats| {
+            [
+                w.elements_scanned,
+                w.table_ops,
+                w.words_emitted,
+                w.bytes_moved,
+                w.sync_ops,
+            ]
+        };
+        for (task, init, traversal) in pinned {
+            let t = run_task(&archive, &dag, task, TaskConfig::default()).timings;
+            assert_eq!(fields(t.init_work), init, "{} init", task.name());
+            assert_eq!(
+                fields(t.traversal_work),
+                traversal,
+                "{} traversal",
+                task.name()
+            );
+        }
     }
 }

@@ -5,7 +5,7 @@
 
 use crate::results::{FileId, RankedInvertedIndexResult, Sequence};
 use crate::timing::{PhaseTimings, Timer, WorkStats};
-use crate::weights::stream_file_words;
+use crate::weights::{file_segments, stream_file_words};
 use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, TadocArchive, WordId};
 
@@ -22,7 +22,7 @@ pub fn run(
     let init_timer = Timer::start();
     let mut init_work = WorkStats::default();
     init_work.elements_scanned += dag.num_rules as u64;
-    let num_files = grammar.num_files();
+    let segments = file_segments(grammar);
     let mut per_seq: FxHashMap<Sequence, FxHashMap<FileId, u64>> = FxHashMap::default();
     let init = init_timer.elapsed();
 
@@ -30,9 +30,9 @@ pub fn run(
     let trav_timer = Timer::start();
     let mut trav_work = WorkStats::default();
     let mut window: Vec<WordId> = Vec::with_capacity(l);
-    for file in 0..num_files as u32 {
+    for (file, &segment) in segments.iter().enumerate() {
         window.clear();
-        stream_file_words(grammar, file, &mut trav_work, |w| {
+        stream_file_words(grammar, segment, &mut trav_work, |w| {
             if window.len() == l {
                 window.rotate_left(1);
                 window.pop();
@@ -42,7 +42,7 @@ pub fn run(
                 *per_seq
                     .entry(window.clone())
                     .or_default()
-                    .entry(file)
+                    .entry(file as FileId)
                     .or_insert(0) += 1;
             }
         });

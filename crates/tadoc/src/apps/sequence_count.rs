@@ -10,7 +10,7 @@
 
 use crate::results::{Sequence, SequenceCountResult};
 use crate::timing::{PhaseTimings, Timer, WorkStats};
-use crate::weights::stream_file_words;
+use crate::weights::{file_segments, stream_file_words};
 use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, TadocArchive, WordId};
 
@@ -22,7 +22,7 @@ pub fn run(archive: &TadocArchive, dag: &Dag, l: usize) -> (SequenceCountResult,
     // Phase 1: initialization — result table and per-file window buffers.
     let init_timer = Timer::start();
     let mut init_work = WorkStats::default();
-    let num_files = grammar.num_files();
+    let segments = file_segments(grammar);
     init_work.elements_scanned += dag.num_rules as u64;
     init_work.bytes_moved += (l as u64) * 8;
     let mut counts: FxHashMap<Sequence, u64> = FxHashMap::default();
@@ -32,9 +32,9 @@ pub fn run(archive: &TadocArchive, dag: &Dag, l: usize) -> (SequenceCountResult,
     let trav_timer = Timer::start();
     let mut trav_work = WorkStats::default();
     let mut window: Vec<WordId> = Vec::with_capacity(l);
-    for file in 0..num_files as u32 {
+    for &segment in &segments {
         window.clear();
-        stream_file_words(grammar, file, &mut trav_work, |w| {
+        stream_file_words(grammar, segment, &mut trav_work, |w| {
             if window.len() == l {
                 window.rotate_left(1);
                 window.pop();
@@ -44,12 +44,9 @@ pub fn run(archive: &TadocArchive, dag: &Dag, l: usize) -> (SequenceCountResult,
                 *counts.entry(window.clone()).or_insert(0) += 1;
             }
         });
-        trav_work.table_ops += archive
-            .files
-            .get(file as usize)
-            .map(|f| f.token_count)
-            .unwrap_or(0);
     }
+    // One table op per word: each word closes at most one window.
+    trav_work.table_ops += trav_work.words_emitted;
     let traversal = trav_timer.elapsed();
 
     (

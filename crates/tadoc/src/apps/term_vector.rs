@@ -10,15 +10,14 @@ use sequitur::{Dag, Symbol, TadocArchive, WordId};
 /// Runs term vector sequentially on compressed data.
 pub fn run(archive: &TadocArchive, dag: &Dag) -> (TermVectorResult, PhaseTimings) {
     let grammar = &archive.grammar;
-    let num_files = archive.num_files().max(grammar.num_files());
 
     // Phase 1: initialization — per-file accumulators and file weights.
     let init_timer = Timer::start();
     let mut init_work = WorkStats::default();
     let segments = file_segments(grammar);
     let fw = file_weights(grammar, dag, &mut init_work);
-    let mut acc: Vec<FxHashMap<WordId, u64>> = vec![FxHashMap::default(); num_files];
-    init_work.bytes_moved += num_files as u64 * 48;
+    let mut acc: Vec<FxHashMap<WordId, u64>> = vec![FxHashMap::default(); segments.len()];
+    init_work.bytes_moved += segments.len() as u64 * 48;
     let init = init_timer.elapsed();
 
     // Phase 2: traversal.

@@ -104,13 +104,6 @@ impl CpuSpec {
         }
     }
 
-    /// Effective scalar operation throughput (ops/second) of `threads`
-    /// concurrently used cores.
-    pub fn throughput_ops_per_sec(&self, threads: u32) -> f64 {
-        let active = threads.min(self.cores) as f64;
-        self.clock_ghz * 1e9 * self.ops_per_cycle * active
-    }
-
     /// Estimated execution time of `work` using `threads` threads.
     ///
     /// TADOC's sequential baseline uses one thread; the coarse-grained
@@ -254,10 +247,14 @@ mod tests {
     #[test]
     fn throughput_scales_with_threads_up_to_core_count() {
         let spec = CpuSpec::i7_7700k();
-        assert!(spec.throughput_ops_per_sec(2) > spec.throughput_ops_per_sec(1));
-        assert_eq!(
-            spec.throughput_ops_per_sec(4),
-            spec.throughput_ops_per_sec(16)
-        );
+        // Compute-bound work, so the thread count sets the time.
+        let work = WorkStats {
+            bytes_moved: 0,
+            ..sample_work()
+        };
+        let t1 = spec.estimate_seconds(&work, 1);
+        assert_eq!(spec.estimate_seconds(&work, 2), t1 / 2.0);
+        assert_eq!(spec.estimate_seconds(&work, 4), t1 / 4.0);
+        assert_eq!(spec.estimate_seconds(&work, 16), t1 / 4.0, "4 cores");
     }
 }

@@ -358,7 +358,7 @@ pub(crate) fn build_term_vector_prep(
 ) -> TermVectorPrep {
     let grammar = &archive.grammar;
     let threads = pool.threads();
-    let num_files = archive.num_files().max(grammar.num_files());
+    let num_files = segments.len();
     let root = grammar.root();
     let n = dag.num_rules;
 
@@ -431,7 +431,8 @@ pub(crate) fn build_term_vector_prep(
                 for &(c, count) in folded {
                     seed(c, count);
                 }
-            } else if let Some(&(start, end)) = segments.get(f) {
+            } else {
+                let (start, end) = segments[f];
                 for sym in &root[start..end] {
                     if let Symbol::Rule(c) = *sym {
                         seed(c, 1);
@@ -477,7 +478,8 @@ pub(crate) fn build_term_vector_prep(
     }
     let mut bounds = vec![0];
     for f in 0..num_files {
-        let root_words = segments.get(f).map_or(0, |&(s, e)| e - s);
+        let (start, end) = segments[f];
+        let root_words = end - start;
         let local = csr
             .row(f)
             .iter()
@@ -1058,7 +1060,7 @@ fn ranked_inverted_index(a: &Analysis<'_>, l: usize, pool: &WorkerPool) -> TaskE
 mod tests {
     use super::*;
     use crate::apps::run_task;
-    use crate::weights;
+    use crate::{oracle, weights};
     use sequitur::compress::{compress_corpus, CompressOptions};
 
     fn build(corpus: &[(String, String)]) -> (TadocArchive, Dag) {
@@ -1686,14 +1688,15 @@ mod tests {
         }
     }
 
-    /// The window fill sizes its sources by the root's segments, which name
-    /// them, not by the archive's file list: an archive that lists fewer
-    /// files than its root has segments (it still validates) needs a wider
-    /// source field than the list implies, and both sequence tasks still
-    /// fill their table and equal the sequential reference on it.
+    /// The root's segments are the one file count, not the archive's file
+    /// list.  Both lists below validate.  The cut one lists so few files
+    /// that the window fill's source field would be too narrow if the list
+    /// sized it.  The padded one lists a file that the root does not hold.
+    /// Every task, sequential and fine, answers what the expanded files give.
     #[test]
     fn window_fill_sizes_sources_by_root_segments_not_the_file_list() {
-        let (mut archive, dag) = build(&ranked_corpus());
+        let (archive, dag) = build(&ranked_corpus());
+        let expanded = archive.grammar.expand_files();
         let bits = |n: usize| usize::BITS - n.leading_zeros();
         let rules = archive.grammar.num_rules();
         let segments = weights::file_segments(&archive.grammar).len();
@@ -1703,21 +1706,34 @@ mod tests {
             .rev()
             .find(|&files| bits(rules + files - 1) < bits(rules + segments - 1))
             .expect("a shorter file list narrows the source field");
-        archive.files.truncate(listed);
-        archive.validate().expect("the shortened archive validates");
-        for l in [2usize, 3, 4] {
-            let cfg = TaskConfig { sequence_length: l };
-            for task in [Task::SequenceCount, Task::RankedInvertedIndex] {
-                let seq = run_task(&archive, &dag, task, cfg);
-                for threads in [1usize, 3] {
-                    let builder = Engine::builder(&archive, &dag).threads(threads);
-                    let fine = run_cold(builder, task, cfg);
+        let mut cut = archive.clone();
+        cut.files.truncate(listed);
+        let mut padded = archive.clone();
+        padded.files.push(padded.files[0].clone());
+        for archive in [&cut, &padded] {
+            archive.validate().expect("the archive validates");
+            for task in Task::ALL {
+                let lengths = if task.is_sequence_sensitive() {
+                    2..=4
+                } else {
+                    3..=3
+                };
+                for l in lengths {
+                    let cfg = TaskConfig { sequence_length: l };
                     let label = format!(
-                        "{task:?}, l = {l}, {listed} of {segments} files, {threads} threads"
+                        "{task:?}, l = {l}, {} files listed, {segments} segments",
+                        archive.files.len()
                     );
-                    // Not answered by the sequential fallback after a panic.
-                    assert_eq!(fine.timings.degraded, None, "{label}");
-                    assert_eq!(fine.output, seq.output, "{label}");
+                    let expected = oracle::run(&expanded, task, cfg);
+                    let seq = run_task(archive, &dag, task, cfg);
+                    assert_eq!(*seq.output, expected, "sequential, {label}");
+                    for threads in [1usize, 3] {
+                        let builder = Engine::builder(archive, &dag).threads(threads);
+                        let fine = run_cold(builder, task, cfg);
+                        // Not answered by the sequential fallback after a panic.
+                        assert_eq!(fine.timings.degraded, None, "{threads} threads, {label}");
+                        assert_eq!(*fine.output, expected, "{threads} threads, {label}");
+                    }
                 }
             }
         }

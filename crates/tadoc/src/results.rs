@@ -315,11 +315,6 @@ impl WordCountResult {
     pub fn iter(&self) -> impl Iterator<Item = (WordId, u64)> + '_ {
         self.table.iter().map(|(&w, &c)| (w, c))
     }
-
-    /// The deterministic `(word, count)` pairs sorted by word id.
-    pub fn to_sorted_vec(&self) -> Vec<(WordId, u64)> {
-        self.iter().collect()
-    }
 }
 
 /// *sort*: words ranked by total frequency (descending, ties by word id).
@@ -810,7 +805,7 @@ mod tests {
         let r = wc(&[(2, 1), (0, 5), (1, 3)]);
         assert_eq!(r.total_occurrences(), 9);
         assert_eq!(r.distinct_words(), 3);
-        assert_eq!(r.to_sorted_vec(), vec![(0, 5), (1, 3), (2, 1)]);
+        assert_eq!(r.iter().collect::<Vec<_>>(), [(0, 5), (1, 3), (2, 1)]);
         assert_eq!(r.count(0), 5);
         assert_eq!(r.count(7), 0);
     }

@@ -137,13 +137,6 @@ impl PhaseTimings {
     pub fn total(&self) -> Duration {
         self.init + self.traversal
     }
-
-    /// Combined work of both phases.
-    pub fn total_work(&self) -> WorkStats {
-        let mut w = self.init_work;
-        w.merge(&self.traversal_work);
-        w
-    }
 }
 
 /// A simple scope timer.
@@ -207,24 +200,5 @@ mod tests {
         let t = Timer::start();
         std::thread::sleep(Duration::from_millis(2));
         assert!(t.elapsed() >= Duration::from_millis(1));
-    }
-
-    #[test]
-    fn total_work_combines_phases() {
-        let t = PhaseTimings {
-            init_work: WorkStats {
-                elements_scanned: 3,
-                ..Default::default()
-            },
-            traversal_work: WorkStats {
-                elements_scanned: 4,
-                table_ops: 2,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let w = t.total_work();
-        assert_eq!(w.elements_scanned, 7);
-        assert_eq!(w.table_ops, 2);
     }
 }

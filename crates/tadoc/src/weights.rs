@@ -105,23 +105,18 @@ pub fn file_weights(
     fw
 }
 
-/// Streams the fully expanded word sequence of one file, invoking `emit` for
-/// every word in order.  Used by the sequence-sensitive CPU baselines (which,
-/// as the paper notes, behave close to uncompressed processing) and by
-/// verification code.
+/// Streams the fully expanded word sequence of one file — its root segment
+/// `(start, end)` from [`file_segments`] — invoking `emit` for every word in
+/// order.  Used by the sequence-sensitive CPU baselines (which, as the paper
+/// notes, behave close to uncompressed processing).
 pub fn stream_file_words<F: FnMut(sequitur::WordId)>(
     grammar: &Grammar,
-    file: FileId,
+    (start, end): (usize, usize),
     work: &mut WorkStats,
     mut emit: F,
 ) {
-    let segments = file_segments(grammar);
-    let Some(&(start, end)) = segments.get(file as usize) else {
-        return;
-    };
-    let root = grammar.root();
     // Explicit stack of (rule, position) to avoid recursion depth limits.
-    for sym in &root[start..end] {
+    for sym in &grammar.root()[start..end] {
         work.elements_scanned += 1;
         match *sym {
             Symbol::Word(w) => {
@@ -241,23 +236,15 @@ mod tests {
     #[test]
     fn stream_file_words_reconstructs_each_file() {
         let g = paper_grammar();
+        let segments = file_segments(&g);
         let mut work = WorkStats::default();
         let mut f0 = Vec::new();
-        stream_file_words(&g, 0, &mut work, |w| f0.push(w));
+        stream_file_words(&g, segments[0], &mut work, |w| f0.push(w));
         assert_eq!(f0, vec![1, 2, 3, 1, 2, 4, 1, 2, 3, 1, 2, 4]);
         let mut f1 = Vec::new();
-        stream_file_words(&g, 1, &mut work, |w| f1.push(w));
+        stream_file_words(&g, segments[1], &mut work, |w| f1.push(w));
         assert_eq!(f1, vec![1, 2, 1]);
         assert_eq!(work.words_emitted, 15);
-    }
-
-    #[test]
-    fn stream_missing_file_is_empty() {
-        let g = paper_grammar();
-        let mut work = WorkStats::default();
-        let mut out = Vec::new();
-        stream_file_words(&g, 9, &mut work, |w| out.push(w));
-        assert!(out.is_empty());
     }
 
     #[test]
@@ -272,7 +259,7 @@ mod tests {
         let g = Grammar::new(rules);
         let mut work = WorkStats::default();
         let mut out = Vec::new();
-        stream_file_words(&g, 0, &mut work, |w| out.push(w));
+        stream_file_words(&g, (0, 2), &mut work, |w| out.push(w));
         assert_eq!(out.len(), depth as usize + 1);
         assert_eq!(out[0], depth); // deepest word comes first
     }

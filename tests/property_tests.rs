@@ -592,7 +592,7 @@ fn validate_handles_a_100k_rule_chain_in_linear_time() {
 /// An archive around `grammar` whose dictionary holds 64 words and whose
 /// metadata names one file per root segment.
 fn archive_with_grammar(grammar: Grammar) -> TadocArchive {
-    let files = (0..grammar.num_files().max(1))
+    let files = (0..tadoc::weights::file_segments(&grammar).len())
         .map(|i| sequitur::archive::FileMeta {
             name: format!("f{i}"),
             token_count: 0,
