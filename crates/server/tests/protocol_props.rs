@@ -429,8 +429,9 @@ proptest! {
 }
 
 /// The six tables `protocol::tests::responses_round_trip_byte_identically`
-/// pins, and the empty table of every variant, through the same checks as
-/// the arbitrary ones.
+/// pins, the two sequence tables at `l` = 1 (the word tables' shape under
+/// their own tags), and the empty table of every variant, through the same
+/// checks as the arbitrary ones.
 #[test]
 fn pinned_sample_frames_keep_their_bytes() {
     let samples = [
@@ -462,6 +463,17 @@ fn pinned_sample_frames_keep_their_bytes() {
             vec![0, 1, 3],
             vec![(0, 9), (1, 3), (0, 1)],
         )),
+        AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+            1,
+            vec![1, 5, 9],
+            vec![10, 2, 7],
+        )),
+        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+            1,
+            vec![2, 4],
+            vec![0, 2, 3],
+            vec![(1, 9), (0, 3), (1, 1)],
+        )),
     ];
     // The empty table of every variant: a row count of 0 and nothing but
     // the closing offset of the CSR columns.
@@ -473,7 +485,7 @@ fn pinned_sample_frames_keep_their_bytes() {
         AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![Vec::new(); 3])),
     ]
     .into_iter()
-    .chain([3, 5].into_iter().flat_map(|l| {
+    .chain([1, 3, 5].into_iter().flat_map(|l| {
         [
             AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
                 l,

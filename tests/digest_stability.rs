@@ -79,3 +79,39 @@ fn fine_grained_digests_match_the_pinned_values() {
         }
     }
 }
+
+/// The sequence tasks away from the default `l` = 3: `l` = 1 (a sequence
+/// table takes the word table's shape but keeps its own digest seed), 2
+/// and 4.
+const PINNED_SEQUENCES: &[(&str, usize, u64)] = &[
+    ("sequenceCount", 1, 0x207be27c5a63a6ca),
+    ("rankedInvertedIndex", 1, 0xec39eeb4fa281707),
+    ("sequenceCount", 2, 0xf9092d48a9e06c30),
+    ("rankedInvertedIndex", 2, 0x625ec9ba4554b0e9),
+    ("sequenceCount", 4, 0x13a505e4d8bf3e41),
+    ("rankedInvertedIndex", 4, 0x61e091ae92374ba5),
+];
+
+/// [`PINNED_SEQUENCES`], from the sequential reference and from the
+/// fine-grained engine at 1, 4 and 8 threads.
+#[test]
+fn sequence_digests_are_pinned_at_other_lengths() {
+    let archive = compress_corpus(&fixed_corpus(), CompressOptions::default());
+    let dag = Dag::from_grammar(&archive.grammar);
+    for &(name, l, pinned) in PINNED_SEQUENCES {
+        let task = Task::from_name(name).expect("a task name");
+        let cfg = TaskConfig { sequence_length: l };
+        let sequential = run_task(&archive, &dag, task, cfg).output.digest();
+        println!("(\"{name}\", {l}, {sequential:#018x}),");
+        assert_eq!(sequential, pinned, "{name} digest changed at l = {l}");
+        for threads in [1, 4, 8] {
+            let exec =
+                common::run_cold(Engine::builder(&archive, &dag).threads(threads), task, cfg);
+            assert_eq!(
+                exec.output.digest(),
+                pinned,
+                "{name} digest diverged at l = {l}, {threads} threads"
+            );
+        }
+    }
+}
