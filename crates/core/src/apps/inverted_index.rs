@@ -16,7 +16,7 @@ use crate::traversal::top_down::compute_file_weights;
 use crate::traversal::TraversalStrategy;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
 use sequitur::fxhash::{FxHashMap, FxHashSet};
-use tadoc::results::{FileId, InvertedIndexResult};
+use tadoc::results::{FileId, PostingTable};
 
 /// Top-down reduce: one thread per rule adds `(word → file)` pairs for every
 /// file the rule occurs in.
@@ -115,7 +115,7 @@ pub fn run(
     plan: &ThreadPlan,
     params: &GtadocParams,
     strategy: TraversalStrategy,
-) -> InvertedIndexResult {
+) -> PostingTable<FileId> {
     let mut sets: FxHashMap<u32, FxHashSet<FileId>> = FxHashMap::default();
     match strategy {
         TraversalStrategy::TopDown => {
@@ -152,10 +152,10 @@ pub fn run(
         .map(|(w, set)| {
             let mut files: Vec<FileId> = set.into_iter().collect();
             files.sort_unstable();
-            (w, files)
+            ([w], files)
         })
         .collect();
-    InvertedIndexResult::from_unsorted_rows(rows)
+    PostingTable::from_unsorted_rows(1, rows)
 }
 
 #[cfg(test)]

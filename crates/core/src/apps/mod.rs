@@ -13,16 +13,16 @@ pub mod term_vector;
 pub mod word_count;
 
 use crate::hashtable::GpuHashTable;
-use tadoc::results::WordCountResult;
+use tadoc::results::CountTable;
 
 /// Converts a GPU word-count hash table into the shared ordered result
 /// type, dropping zero-count slots (open-addressing tables may hold
 /// tombstoned entries).
-pub(crate) fn word_counts_from_table(table: &GpuHashTable) -> WordCountResult {
-    let pairs: Vec<(u32, u64)> = table
+pub(crate) fn word_counts_from_table(table: &GpuHashTable) -> CountTable {
+    let pairs: Vec<([u32; 1], u64)> = table
         .iter()
         .filter(|&(_, value)| value > 0)
-        .map(|(key, value)| (key as u32, value))
+        .map(|(key, value)| ([key as u32], value))
         .collect();
-    WordCountResult::from_unsorted_pairs(pairs)
+    CountTable::from_unsorted_pairs(1, pairs)
 }

@@ -16,7 +16,7 @@ use crate::sequence::head_tail::{init_head_tail, HeadTail};
 use crate::traversal::top_down::compute_file_weights;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
 use sequitur::fxhash::FxHashMap;
-use tadoc::results::{FileId, RankedInvertedIndexResult, Sequence};
+use tadoc::results::{FileId, PostingTable, Sequence};
 
 /// One thread per non-root rule attributes its local sequences to every file
 /// it occurs in; the root is split across one thread per chunk, each chunk
@@ -80,7 +80,7 @@ pub fn run(
     layout: &GpuLayout,
     plan: &ThreadPlan,
     params: &GtadocParams,
-) -> RankedInvertedIndexResult {
+) -> PostingTable<(FileId, u64)> {
     let l = params.sequence_length;
     let head_tail = init_head_tail(device, layout, l);
     let fw = compute_file_weights(device, layout, plan);
@@ -109,7 +109,7 @@ pub fn run(
             (unpack_sequence(packed, l), ranked)
         })
         .collect();
-    RankedInvertedIndexResult::from_unsorted_rows(l, rows)
+    PostingTable::from_unsorted_rows(l, rows)
 }
 
 #[cfg(test)]
@@ -168,7 +168,7 @@ mod tests {
         let plan = ThreadPlan::fine_grained(&layout, &GtadocParams::default());
         let mut device = Device::new(GpuSpec::gtx_1080());
         let result = run(&mut device, &layout, &plan, &GtadocParams::default());
-        for (_, ranked) in result.iter() {
+        for ranked in result.rows() {
             for pair in ranked.windows(2) {
                 assert!(pair[0].1 >= pair[1].1);
             }

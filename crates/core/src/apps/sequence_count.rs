@@ -18,7 +18,7 @@ use crate::sequence::head_tail::{init_head_tail, HeadTail};
 use crate::traversal::top_down::compute_rule_weights;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
 use sequitur::fxhash::FxHashMap;
-use tadoc::results::SequenceCountResult;
+use tadoc::results::CountTable;
 
 /// One thread per non-root rule counts its local sequences and pushes them,
 /// scaled by the rule's weight, into the global table; the root — usually by
@@ -78,7 +78,7 @@ pub fn run(
     layout: &GpuLayout,
     plan: &ThreadPlan,
     params: &GtadocParams,
-) -> SequenceCountResult {
+) -> CountTable {
     let l = params.sequence_length;
     let head_tail = init_head_tail(device, layout, l);
     let weights = compute_rule_weights(device, layout, plan);
@@ -106,7 +106,7 @@ pub fn run(
         .iter()
         .map(|(packed, count)| (unpack_sequence(packed, l), count))
         .collect();
-    SequenceCountResult::from_unsorted_pairs(l, pairs)
+    CountTable::from_unsorted_pairs(l, pairs)
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::params::GtadocParams;
 use crate::schedule::ThreadPlan;
 use crate::traversal::TraversalStrategy;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
-use tadoc::results::{SortResult, WordCountResult};
+use tadoc::results::CountTable;
 
 /// Device sort kernel: functionally sorts `(word, count)` pairs by descending
 /// count; each simulated thread accounts for its share of an `n log n`
@@ -45,9 +45,14 @@ pub fn run(
     plan: &ThreadPlan,
     params: &GtadocParams,
     strategy: TraversalStrategy,
-) -> SortResult {
-    let wc: WordCountResult = super::word_count::run(device, layout, plan, params, strategy);
-    let pairs: Vec<(u32, u64)> = wc.iter().collect();
+) -> Vec<(u32, u64)> {
+    let wc: CountTable = super::word_count::run(device, layout, plan, params, strategy);
+    let pairs: Vec<(u32, u64)> = wc
+        .keys()
+        .iter()
+        .copied()
+        .zip(wc.counts().iter().copied())
+        .collect();
     let mut kernel = SortPairsKernel {
         pairs,
         sorted: false,
@@ -59,9 +64,7 @@ pub fn run(
         },
         &mut kernel,
     );
-    SortResult {
-        ranked: kernel.pairs.into_iter().collect(),
-    }
+    kernel.pairs
 }
 
 #[cfg(test)]

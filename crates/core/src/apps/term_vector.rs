@@ -12,7 +12,7 @@ use crate::traversal::top_down::compute_file_weights;
 use crate::traversal::TraversalStrategy;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
 use sequitur::fxhash::FxHashMap;
-use tadoc::results::TermVectorResult;
+use tadoc::results::PostingTable;
 
 /// Top-down reduce: one thread per rule scales its local words by its per-file
 /// occurrence counts.
@@ -109,7 +109,7 @@ pub fn run(
     plan: &ThreadPlan,
     params: &GtadocParams,
     strategy: TraversalStrategy,
-) -> TermVectorResult {
+) -> PostingTable<(u32, u64)> {
     let mut acc: Vec<FxHashMap<u32, u64>> = vec![FxHashMap::default(); layout.num_files];
     match strategy {
         TraversalStrategy::TopDown => {
@@ -149,7 +149,7 @@ pub fn run(
             v
         })
         .collect();
-    TermVectorResult::from_rows(vectors)
+    PostingTable::from_rows(vectors)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use crate::traversal::bottom_up::{accumulate_local_tables, BottomUpTables};
 use crate::traversal::top_down::compute_rule_weights;
 use crate::traversal::TraversalStrategy;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
-use tadoc::results::WordCountResult;
+use tadoc::results::CountTable;
 
 /// `reduceResultKernel` (top-down variant): one thread per rule merges the
 /// rule's local word frequencies, multiplied by the rule's accumulated weight,
@@ -97,7 +97,7 @@ pub fn run(
     plan: &ThreadPlan,
     params: &GtadocParams,
     strategy: TraversalStrategy,
-) -> WordCountResult {
+) -> CountTable {
     let mut table = GpuHashTable::with_capacity(layout.vocab_size.max(1), params.hash_load_factor);
     match strategy {
         TraversalStrategy::TopDown => {

@@ -11,7 +11,7 @@ use std::process::ExitCode;
 
 use server::client::{Client, QueryOutcome};
 use tadoc::apps::{Task, TaskConfig};
-use tadoc::results::AnalyticsOutput;
+use tadoc::results::{AnalyticsOutput, CountTable};
 
 fn print_usage() {
     eprintln!(
@@ -30,32 +30,29 @@ fn print_usage() {
 }
 
 fn summarize(out: &AnalyticsOutput) -> String {
+    let occurrences = |t: &CountTable| t.counts().iter().sum::<u64>();
     match out {
-        AnalyticsOutput::WordCount(r) => format!(
-            "{} distinct words, {} occurrences",
-            r.distinct_words(),
-            r.total_occurrences()
-        ),
-        AnalyticsOutput::Sort(r) => format!("{} ranked words", r.ranked.len()),
-        AnalyticsOutput::InvertedIndex(r) => format!(
-            "{} words, {} postings",
-            r.distinct_words(),
-            r.total_postings()
-        ),
-        AnalyticsOutput::TermVector(r) => {
-            format!("{} files, {} terms", r.num_files(), r.total_terms())
+        AnalyticsOutput::WordCount(t) => {
+            format!("{} distinct words, {} occurrences", t.len(), occurrences(t))
         }
-        AnalyticsOutput::SequenceCount(r) => format!(
+        AnalyticsOutput::Sort(ranked) => format!("{} ranked words", ranked.len()),
+        AnalyticsOutput::InvertedIndex(t) => {
+            format!("{} words, {} postings", t.len(), t.values().len())
+        }
+        AnalyticsOutput::TermVector(t) => {
+            format!("{} files, {} terms", t.len(), t.values().len())
+        }
+        AnalyticsOutput::SequenceCount(t) => format!(
             "{} distinct {}-sequences, {} occurrences",
-            r.distinct_sequences(),
-            r.l,
-            r.total_occurrences()
+            t.len(),
+            t.width(),
+            occurrences(t)
         ),
-        AnalyticsOutput::RankedInvertedIndex(r) => format!(
+        AnalyticsOutput::RankedInvertedIndex(t) => format!(
             "{} {}-sequences, {} postings",
-            r.distinct_sequences(),
-            r.l,
-            r.table.total_values()
+            t.len(),
+            t.width(),
+            t.values().len()
         ),
     }
 }

@@ -52,10 +52,7 @@ use std::sync::Arc;
 
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::EngineError;
-use tadoc::results::{
-    AnalyticsOutput, Column, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
-    SortResult, TermVectorResult, WordCountResult,
-};
+use tadoc::results::{AnalyticsOutput, Column, CountTable, PostingTable};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TDQP";
@@ -468,12 +465,52 @@ impl<'a> Cursor<'a> {
         T::read(self, len)
     }
 
-    /// Reads a CSR offsets column of `rows + 1` entries and the value
-    /// column it closes on.
-    fn csr<V: Element>(&mut self, rows: usize) -> Result<(Vec<usize>, Vec<V>), ProtocolError> {
+    /// Reads a key arena of `rows` rows of `width` words, each row strictly
+    /// above the one before it (none at width 0).
+    fn keys(&mut self, rows: usize, width: usize) -> Result<Vec<u32>, ProtocolError> {
+        if width == 0 {
+            return Ok(Vec::new());
+        }
+        let keys: Vec<u32> = self.column(rows.checked_mul(width))?;
+        let key_rows = || keys.chunks_exact(width);
+        if key_rows().zip(key_rows().skip(1)).any(|(a, b)| a >= b) {
+            return Err(malformed(format!(
+                "{}: keys not strictly ascending",
+                self.what
+            )));
+        }
+        Ok(keys)
+    }
+
+    /// Reads the rest of a posting table after its `keys`: a CSR offsets
+    /// column of `rows + 1` entries and the value column it closes on.
+    fn postings<V: Element>(
+        &mut self,
+        width: usize,
+        keys: Vec<u32>,
+        rows: usize,
+    ) -> Result<PostingTable<V>, ProtocolError> {
         let offsets: Vec<usize> = self.column(rows.checked_add(1))?;
         let values = self.column(offsets.last().copied())?;
-        Ok((offsets, values))
+        Ok(PostingTable::from_sorted_parts(
+            width, keys, offsets, values,
+        ))
+    }
+
+    /// Refuses `table` unless the ids `id` reads off its values are
+    /// strictly ascending within every row: an inverted index's files, a
+    /// term vector file's words.
+    fn ascending<V>(
+        &self,
+        table: PostingTable<V>,
+        id: impl Fn(&V) -> u32,
+    ) -> Result<PostingTable<V>, ProtocolError> {
+        for (i, row) in table.rows().enumerate() {
+            if row.windows(2).any(|w| id(&w[0]) >= id(&w[1])) {
+                return Err(malformed(format!("{}: row {i} not ascending", self.what)));
+            }
+        }
+        Ok(table)
     }
 
     fn finish(&self) -> Result<(), ProtocolError> {
@@ -918,51 +955,31 @@ fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
     let rows =
         usize::try_from(c.u64()?).map_err(|_| malformed(format!("{what}: row count overflows")))?;
     // The key arena: `l` words per row for the sequence tasks, one for the
-    // other keyed tables, each row strictly above the one before it.
-    let width = l.unwrap_or(1);
-    let keys: Vec<u32> = match task {
-        Task::Sort | Task::TermVector => Vec::new(),
-        _ => c.column(rows.checked_mul(width))?,
+    // other keyed tables, none for sort and term vector.
+    let width = match task {
+        Task::Sort | Task::TermVector => 0,
+        _ => l.unwrap_or(1),
     };
-    let key_rows = || keys.chunks_exact(width);
-    if key_rows().zip(key_rows().skip(1)).any(|(a, b)| a >= b) {
-        return Err(malformed(format!("{what}: keys not strictly ascending")));
-    }
+    let keys = c.keys(rows, width)?;
     let out = match task {
         Task::WordCount | Task::SequenceCount => {
-            let counts = c.column(Some(rows))?;
-            match l {
-                Some(l) => AnalyticsOutput::SequenceCount(
-                    SequenceCountResult::from_sorted_columns(l, keys, counts),
-                ),
-                None => {
-                    AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(keys, counts))
-                }
+            let table = CountTable::from_sorted_columns(width, keys, c.column(Some(rows))?);
+            match task {
+                Task::WordCount => AnalyticsOutput::WordCount(table),
+                _ => AnalyticsOutput::SequenceCount(table),
             }
         }
-        Task::Sort => AnalyticsOutput::Sort(SortResult {
-            ranked: c.column(Some(rows))?,
-        }),
+        Task::Sort => AnalyticsOutput::Sort(c.column(Some(rows))?),
         Task::InvertedIndex => {
-            let (offsets, files) = c.csr(rows)?;
-            AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
-                keys, offsets, files,
-            ))
+            let table = c.postings(width, keys, rows)?;
+            AnalyticsOutput::InvertedIndex(c.ascending(table, |&file| file)?)
         }
         Task::TermVector => {
-            let (offsets, terms) = c.csr::<(u32, u64)>(rows)?;
-            for (f, row) in offsets.windows(2).enumerate() {
-                if terms[row[0]..row[1]].windows(2).any(|w| w[0].0 >= w[1].0) {
-                    return Err(malformed(format!("{what}: file {f} row not ascending")));
-                }
-            }
-            AnalyticsOutput::TermVector(TermVectorResult::from_sorted_parts(offsets, terms))
+            let table = c.postings(width, keys, rows)?;
+            AnalyticsOutput::TermVector(c.ascending(table, |&(word, _)| word)?)
         }
         Task::RankedInvertedIndex => {
-            let (offsets, postings) = c.csr(rows)?;
-            AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
-                width, keys, offsets, postings,
-            ))
+            AnalyticsOutput::RankedInvertedIndex(c.postings(width, keys, rows)?)
         }
     };
     c.finish()?;
@@ -1089,29 +1106,29 @@ mod tests {
 
     fn sample_outputs() -> Vec<Arc<AnalyticsOutput>> {
         [
-            AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(
+            AnalyticsOutput::WordCount(CountTable::from_sorted_columns(
+                1,
                 vec![1, 5, 9],
                 vec![10, 2, 7],
             )),
-            AnalyticsOutput::Sort(SortResult {
-                ranked: vec![(1, 10), (9, 7), (5, 2)],
-            }),
-            AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+            AnalyticsOutput::Sort(vec![(1, 10), (9, 7), (5, 2)]),
+            AnalyticsOutput::InvertedIndex(PostingTable::from_sorted_parts(
+                1,
                 vec![2, 4],
                 vec![0, 2, 3],
                 vec![0, 1, 1],
             )),
-            AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![
+            AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
                 vec![(1, 2), (3, 1)],
                 vec![],
                 vec![(2, 5)],
             ])),
-            AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+            AnalyticsOutput::SequenceCount(CountTable::from_sorted_columns(
                 2,
                 vec![1, 2, 1, 3],
                 vec![4, 1],
             )),
-            AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+            AnalyticsOutput::RankedInvertedIndex(PostingTable::from_sorted_parts(
                 2,
                 vec![1, 2, 1, 3],
                 vec![0, 1, 3],
@@ -1278,7 +1295,7 @@ mod tests {
             other => panic!("expected a malformed payload ({defect}), got {other:?}"),
         };
         let good = encode_response(&Response::Result(Arc::new(AnalyticsOutput::WordCount(
-            WordCountResult::from_sorted_columns(vec![1, 5], vec![1, 1]),
+            CountTable::from_sorted_columns(1, vec![1, 5], vec![1, 1]),
         ))));
         // The word run starts right after header + tag + row count (u64):
         // its width byte, 1, then one byte per word.  Rotating the two

@@ -10,8 +10,8 @@
 //!   results cache's `FRAME_HEADROOM` — also for values at every width
 //!   boundary;
 //! * every structural defect a result payload can carry — descending keys,
-//!   bad offsets, short columns, trailing bytes, an unsorted term-vector
-//!   row, a run width that is not 1, 2, 4 or 8, too wide for its column or
+//!   bad offsets, short columns, trailing bytes, an unsorted posting list
+//!   or term-vector row, a run width that is not 1, 2, 4 or 8, too wide for its column or
 //!   wider than its values need — is a typed `Malformed` error that names
 //!   the defect;
 //! * error, overloaded and stats frames round-trip; the reserved error code
@@ -34,10 +34,7 @@ use server::protocol::{
 };
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::FRAME_HEADROOM;
-use tadoc::results::{
-    AnalyticsOutput, Column, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
-    SortResult, TermVectorResult, WordCountResult,
-};
+use tadoc::results::{AnalyticsOutput, Column, CountTable, PostingTable};
 
 /// Sorts by key and deduplicates, producing the strictly-ascending columns
 /// the ordered result types require.
@@ -159,43 +156,44 @@ fn v1_len_and_runs(out: &AnalyticsOutput) -> (usize, usize) {
     (len, runs)
 }
 
-/// The wire layout of `out`, written the plain way.
+/// The wire layout of `out`, written the plain way: each arm writes its
+/// task's columns by hand, not through `AnalyticsOutput::columns`.
 fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
     match out {
-        AnalyticsOutput::WordCount(r) => RawPayload::tagged(1)
-            .u64(r.table.len() as u64)
-            .u32s(r.table.keys().iter().copied())
-            .u64s(r.table.values().iter().copied()),
-        AnalyticsOutput::Sort(r) => RawPayload::tagged(2)
-            .u64(r.ranked.len() as u64)
-            .pairs(&r.ranked),
-        AnalyticsOutput::InvertedIndex(r) => RawPayload::tagged(3)
-            .u64(r.table.num_keys() as u64)
-            .u32s(r.table.keys_flat().iter().copied())
-            .offsets(r.table.offsets())
-            .u32s(r.table.values_flat().iter().copied()),
-        AnalyticsOutput::TermVector(r) => {
+        AnalyticsOutput::WordCount(t) => RawPayload::tagged(1)
+            .u64(t.len() as u64)
+            .u32s(t.keys().iter().copied())
+            .u64s(t.counts().iter().copied()),
+        AnalyticsOutput::Sort(ranked) => {
+            RawPayload::tagged(2).u64(ranked.len() as u64).pairs(ranked)
+        }
+        AnalyticsOutput::InvertedIndex(t) => RawPayload::tagged(3)
+            .u64(t.len() as u64)
+            .u32s(t.iter().flat_map(|(key, _)| key.iter().copied()))
+            .offsets(t.offsets())
+            .u32s(t.values().iter().copied()),
+        AnalyticsOutput::TermVector(t) => {
             let mut offsets = vec![0usize];
-            for row in r.iter() {
+            for row in t.rows() {
                 offsets.push(offsets[offsets.len() - 1] + row.len());
             }
-            let terms: Vec<(u32, u64)> = r.iter().flatten().copied().collect();
+            let terms: Vec<(u32, u64)> = t.rows().flatten().copied().collect();
             RawPayload::tagged(4)
-                .u64(r.num_files() as u64)
+                .u64(t.len() as u64)
                 .offsets(&offsets)
                 .pairs(&terms)
         }
-        AnalyticsOutput::SequenceCount(r) => RawPayload::tagged(5)
-            .u64(r.l as u64)
-            .u64(r.distinct_sequences() as u64)
-            .u32s(r.iter().flat_map(|(key, _)| key.iter().copied()))
-            .u64s(r.iter().map(|(_, count)| count)),
-        AnalyticsOutput::RankedInvertedIndex(r) => RawPayload::tagged(6)
-            .u64(r.l as u64)
-            .u64(r.table.num_keys() as u64)
-            .u32s(r.table.keys_flat().iter().copied())
-            .offsets(r.table.offsets())
-            .pairs(r.table.values_flat()),
+        AnalyticsOutput::SequenceCount(t) => RawPayload::tagged(5)
+            .u64(t.width() as u64)
+            .u64(t.len() as u64)
+            .u32s(t.iter().flat_map(|(key, _)| key.iter().copied()))
+            .u64s(t.iter().map(|(_, count)| count)),
+        AnalyticsOutput::RankedInvertedIndex(t) => RawPayload::tagged(6)
+            .u64(t.width() as u64)
+            .u64(t.len() as u64)
+            .u32s(t.iter().flat_map(|(key, _)| key.iter().copied()))
+            .offsets(t.offsets())
+            .pairs(t.values()),
     }
     .framed()
 }
@@ -268,11 +266,10 @@ proptest! {
     #[test]
     fn word_count_and_sort_round_trip(pairs in vec((0u32..1_000_000, 1u64..1_000_000), 0..40)) {
         let (keys, counts) = sorted_dedup(pairs.clone());
-        assert_round_trips(AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(
-            keys, counts,
+        assert_round_trips(AnalyticsOutput::WordCount(CountTable::from_sorted_columns(1, keys, counts,
         )));
         // Sort carries rank order, not key order: arbitrary pairs are legal.
-        assert_round_trips(AnalyticsOutput::Sort(SortResult { ranked: pairs }));
+        assert_round_trips(AnalyticsOutput::Sort(pairs));
     }
 
     #[test]
@@ -288,7 +285,7 @@ proptest! {
             offsets.push(files.len());
         }
         assert_round_trips(AnalyticsOutput::InvertedIndex(
-            InvertedIndexResult::from_sorted_parts(keys, offsets, files),
+            PostingTable::from_sorted_parts(1, keys, offsets, files),
         ));
     }
 
@@ -301,14 +298,14 @@ proptest! {
                 words.into_iter().zip(counts).collect()
             })
             .collect();
-        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(rows)));
+        assert_round_trips(AnalyticsOutput::TermVector(PostingTable::from_rows(rows)));
     }
 
     #[test]
     fn sequence_results_round_trip(tokens in vec(0u32..50, 0..60), l in 1usize..5) {
         let (keys, counts) = sorted_rows(&tokens, l);
         assert_round_trips(AnalyticsOutput::SequenceCount(
-            SequenceCountResult::from_sorted_columns(l, keys.clone(), counts.clone()),
+            CountTable::from_sorted_columns(l, keys.clone(), counts.clone()),
         ));
 
         // The same key rows as a ranked inverted index, with derived
@@ -317,7 +314,7 @@ proptest! {
         let offsets: Vec<usize> = (0..=n).map(|i| i * 2).collect();
         let postings: Vec<(u32, u64)> = (0..2 * n).map(|i| (i as u32, i as u64 + 1)).collect();
         assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
-            RankedInvertedIndexResult::from_sorted_parts(l, keys, offsets, postings),
+            PostingTable::from_sorted_parts(l, keys, offsets, postings),
         ));
     }
 
@@ -435,40 +432,40 @@ proptest! {
 #[test]
 fn pinned_sample_frames_keep_their_bytes() {
     let samples = [
-        AnalyticsOutput::WordCount(WordCountResult::from_sorted_columns(
+        AnalyticsOutput::WordCount(CountTable::from_sorted_columns(
+            1,
             vec![1, 5, 9],
             vec![10, 2, 7],
         )),
-        AnalyticsOutput::Sort(SortResult {
-            ranked: vec![(1, 10), (9, 7), (5, 2)],
-        }),
-        AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+        AnalyticsOutput::Sort(vec![(1, 10), (9, 7), (5, 2)]),
+        AnalyticsOutput::InvertedIndex(PostingTable::from_sorted_parts(
+            1,
             vec![2, 4],
             vec![0, 2, 3],
             vec![0, 1, 1],
         )),
-        AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![
+        AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
             vec![(1, 2), (3, 1)],
             vec![],
             vec![(2, 5)],
         ])),
-        AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+        AnalyticsOutput::SequenceCount(CountTable::from_sorted_columns(
             2,
             vec![1, 2, 1, 3],
             vec![4, 1],
         )),
-        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+        AnalyticsOutput::RankedInvertedIndex(PostingTable::from_sorted_parts(
             2,
             vec![1, 2, 1, 3],
             vec![0, 1, 3],
             vec![(0, 9), (1, 3), (0, 1)],
         )),
-        AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+        AnalyticsOutput::SequenceCount(CountTable::from_sorted_columns(
             1,
             vec![1, 5, 9],
             vec![10, 2, 7],
         )),
-        AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+        AnalyticsOutput::RankedInvertedIndex(PostingTable::from_sorted_parts(
             1,
             vec![2, 4],
             vec![0, 2, 3],
@@ -478,21 +475,26 @@ fn pinned_sample_frames_keep_their_bytes() {
     // The empty table of every variant: a row count of 0 and nothing but
     // the closing offset of the CSR columns.
     let empties = [
-        AnalyticsOutput::WordCount(WordCountResult::default()),
-        AnalyticsOutput::Sort(SortResult::default()),
-        AnalyticsOutput::InvertedIndex(InvertedIndexResult::default()),
-        AnalyticsOutput::TermVector(TermVectorResult::default()),
-        AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![Vec::new(); 3])),
+        AnalyticsOutput::WordCount(CountTable::from_sorted_columns(1, Vec::new(), Vec::new())),
+        AnalyticsOutput::Sort(Vec::new()),
+        AnalyticsOutput::InvertedIndex(PostingTable::from_sorted_parts(
+            1,
+            Vec::new(),
+            vec![0],
+            Vec::new(),
+        )),
+        AnalyticsOutput::TermVector(PostingTable::from_rows(Vec::new())),
+        AnalyticsOutput::TermVector(PostingTable::from_rows(vec![Vec::new(); 3])),
     ]
     .into_iter()
     .chain([1, 3, 5].into_iter().flat_map(|l| {
         [
-            AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+            AnalyticsOutput::SequenceCount(CountTable::from_sorted_columns(
                 l,
                 Vec::new(),
                 Vec::new(),
             )),
-            AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+            AnalyticsOutput::RankedInvertedIndex(PostingTable::from_sorted_parts(
                 l,
                 Vec::new(),
                 vec![0],
@@ -504,11 +506,10 @@ fn pinned_sample_frames_keep_their_bytes() {
         assert_round_trips(out);
     }
     // One of them spelled out, so the layout itself is on record.
-    let frame = encode_response(&Response::Result(Arc::new(AnalyticsOutput::Sort(
-        SortResult {
-            ranked: vec![(1, 10), (9, 7)],
-        },
-    ))));
+    let frame = encode_response(&Response::Result(Arc::new(AnalyticsOutput::Sort(vec![
+        (1, 10),
+        (9, 7),
+    ]))));
     let mut want = b"TDQP\x02\x81".to_vec();
     want.extend_from_slice(&15u32.to_le_bytes());
     want.push(2);
@@ -621,8 +622,28 @@ fn malformed_result_payloads_are_rejected() {
                 .framed(),
         ),
         (
+            "invertedIndex: repeated file in a posting list",
+            "row 0 not ascending",
+            RawPayload::tagged(3)
+                .u64(1)
+                .u32s([2])
+                .offsets(&[0, 2])
+                .u32s([1, 1])
+                .framed(),
+        ),
+        (
+            "invertedIndex: descending posting list",
+            "row 1 not ascending",
+            RawPayload::tagged(3)
+                .u64(2)
+                .u32s([2, 4])
+                .offsets(&[0, 1, 3])
+                .u32s([0, 3, 1])
+                .framed(),
+        ),
+        (
             "termVector: unsorted row",
-            "file 0 row not ascending",
+            "row 0 not ascending",
             RawPayload::tagged(4)
                 .u64(2)
                 .offsets(&[0, 2, 3])
@@ -631,7 +652,7 @@ fn malformed_result_payloads_are_rejected() {
         ),
         (
             "termVector: repeated word in a row",
-            "file 0 row not ascending",
+            "row 0 not ascending",
             RawPayload::tagged(4)
                 .u64(1)
                 .offsets(&[0, 2])
@@ -916,40 +937,40 @@ fn values_at_every_width_boundary_round_trip_at_the_narrowest_width() {
         .into_iter()
         .chain([u64::from(u32::MAX) + 1, u64::MAX]);
     for id in ids {
-        assert_round_trips(AnalyticsOutput::WordCount(
-            WordCountResult::from_sorted_columns(vec![id], vec![1]),
-        ));
-        assert_round_trips(AnalyticsOutput::Sort(SortResult {
-            ranked: vec![(id, 1)],
-        }));
-        assert_round_trips(AnalyticsOutput::InvertedIndex(
-            InvertedIndexResult::from_sorted_parts(vec![id], vec![0, 1], vec![id]),
-        ));
-        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(
-            vec![vec![(id, 1)]],
+        assert_round_trips(AnalyticsOutput::WordCount(CountTable::from_sorted_columns(
+            1,
+            vec![id],
+            vec![1],
         )));
+        assert_round_trips(AnalyticsOutput::Sort(vec![(id, 1)]));
+        assert_round_trips(AnalyticsOutput::InvertedIndex(
+            PostingTable::from_sorted_parts(1, vec![id], vec![0, 1], vec![id]),
+        ));
+        assert_round_trips(AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
+            vec![(id, 1)],
+        ])));
         assert_round_trips(AnalyticsOutput::SequenceCount(
-            SequenceCountResult::from_sorted_columns(2, vec![id, id], vec![1]),
+            CountTable::from_sorted_columns(2, vec![id, id], vec![1]),
         ));
         assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
-            RankedInvertedIndexResult::from_sorted_parts(1, vec![id], vec![0, 1], vec![(id, 1)]),
+            PostingTable::from_sorted_parts(1, vec![id], vec![0, 1], vec![(id, 1)]),
         ));
     }
     for count in counts {
-        assert_round_trips(AnalyticsOutput::WordCount(
-            WordCountResult::from_sorted_columns(vec![1], vec![count]),
-        ));
-        assert_round_trips(AnalyticsOutput::Sort(SortResult {
-            ranked: vec![(1, count)],
-        }));
-        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(
-            vec![vec![(1, count)]],
+        assert_round_trips(AnalyticsOutput::WordCount(CountTable::from_sorted_columns(
+            1,
+            vec![1],
+            vec![count],
         )));
+        assert_round_trips(AnalyticsOutput::Sort(vec![(1, count)]));
+        assert_round_trips(AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
+            vec![(1, count)],
+        ])));
         assert_round_trips(AnalyticsOutput::SequenceCount(
-            SequenceCountResult::from_sorted_columns(1, vec![1], vec![count]),
+            CountTable::from_sorted_columns(1, vec![1], vec![count]),
         ));
         assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
-            RankedInvertedIndexResult::from_sorted_parts(1, vec![1], vec![0, 1], vec![(0, count)]),
+            PostingTable::from_sorted_parts(1, vec![1], vec![0, 1], vec![(0, count)]),
         ));
     }
     // An offsets column's width is its last offset's: a short first row,
@@ -960,13 +981,14 @@ fn values_at_every_width_boundary_round_trip_at_the_narrowest_width() {
         let files: Vec<u32> = (0..last as u32).collect();
         let terms: Vec<(u32, u64)> = files.iter().map(|&f| (f, 1)).collect();
         assert_round_trips(AnalyticsOutput::InvertedIndex(
-            InvertedIndexResult::from_sorted_parts(vec![7, 8], offsets.clone(), files),
+            PostingTable::from_sorted_parts(1, vec![7, 8], offsets.clone(), files),
         ));
-        assert_round_trips(AnalyticsOutput::TermVector(TermVectorResult::from_rows(
-            vec![terms[..first].to_vec(), terms[first..].to_vec()],
-        )));
+        assert_round_trips(AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
+            terms[..first].to_vec(),
+            terms[first..].to_vec(),
+        ])));
         assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
-            RankedInvertedIndexResult::from_sorted_parts(1, vec![7, 8], offsets, terms),
+            PostingTable::from_sorted_parts(1, vec![7, 8], offsets, terms),
         ));
     }
 }

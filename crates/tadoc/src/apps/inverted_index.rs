@@ -2,14 +2,14 @@
 //! information (per-file rule weights), then each rule contributes its local
 //! words to the posting lists of every file it occurs in.
 
-use crate::results::{FileId, InvertedIndexResult};
+use crate::results::{FileId, PostingTable};
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use crate::weights::{file_segments, file_weights};
 use sequitur::fxhash::{FxHashMap, FxHashSet};
 use sequitur::{Dag, Symbol, TadocArchive, WordId};
 
 /// Runs inverted index sequentially on compressed data.
-pub fn run(archive: &TadocArchive, dag: &Dag) -> (InvertedIndexResult, PhaseTimings) {
+pub fn run(archive: &TadocArchive, dag: &Dag) -> (PostingTable<FileId>, PhaseTimings) {
     let grammar = &archive.grammar;
 
     // Phase 1: initialization — file segments of the root and per-rule file
@@ -53,19 +53,19 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (InvertedIndexResult, PhaseTimi
         trav_work.elements_scanned += archive.grammar.rule(r).len() as u64;
     }
 
-    let rows: Vec<(WordId, Vec<FileId>)> = sets
+    let rows: Vec<([WordId; 1], Vec<FileId>)> = sets
         .into_iter()
         .map(|(w, set)| {
             let mut files: Vec<FileId> = set.into_iter().collect();
             files.sort_unstable();
             trav_work.bytes_moved += files.len() as u64 * 4;
-            (w, files)
+            ([w], files)
         })
         .collect();
     let traversal = trav_timer.elapsed();
 
     (
-        InvertedIndexResult::from_unsorted_rows(rows),
+        PostingTable::from_unsorted_rows(1, rows),
         PhaseTimings {
             init,
             traversal,
@@ -126,9 +126,9 @@ mod tests {
         let (archive, dag) = build(&corpus);
         let (result, _) = run(&archive, &dag);
         let special = archive.dictionary.get("special").unwrap();
-        assert_eq!(result.files_for(special), &[0]);
+        assert_eq!(result.get(&[special]), &[0]);
         let common = archive.dictionary.get("common").unwrap();
-        assert_eq!(result.files_for(common), &[0, 1]);
+        assert_eq!(result.get(&[common]), &[0, 1]);
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
             .collect();
         let (archive, dag) = build(&corpus);
         let (result, _) = run(&archive, &dag);
-        for (_, files) in result.iter() {
+        for files in result.rows() {
             let mut sorted = files.to_vec();
             sorted.sort_unstable();
             sorted.dedup();

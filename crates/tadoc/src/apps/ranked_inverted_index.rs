@@ -3,7 +3,7 @@
 //! frequency.  Like sequence count, the CPU baseline follows TADOC's
 //! recursive traversal, so its work is proportional to the uncompressed size.
 
-use crate::results::{FileId, RankedInvertedIndexResult, Sequence};
+use crate::results::{FileId, PostingTable, Sequence};
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use crate::weights::{file_segments, stream_file_words};
 use sequitur::fxhash::FxHashMap;
@@ -14,7 +14,7 @@ pub fn run(
     archive: &TadocArchive,
     dag: &Dag,
     l: usize,
-) -> (RankedInvertedIndexResult, PhaseTimings) {
+) -> (PostingTable<(FileId, u64)>, PhaseTimings) {
     assert!(l >= 1, "sequence length must be at least 1");
     let grammar = &archive.grammar;
 
@@ -61,7 +61,7 @@ pub fn run(
     let traversal = trav_timer.elapsed();
 
     (
-        RankedInvertedIndexResult::from_unsorted_rows(l, rows),
+        PostingTable::from_unsorted_rows(l, rows),
         PhaseTimings {
             init,
             traversal,
@@ -112,7 +112,7 @@ mod tests {
             archive.dictionary.get("w2").unwrap(),
             archive.dictionary.get("w3").unwrap(),
         ];
-        let ranked = result.files_for(&seq);
+        let ranked = result.get(&seq);
         assert_eq!(ranked[0].0, 1, "file 'high' must rank first");
         assert_eq!(ranked[0].1, 3);
         assert_eq!(ranked[1], (0, 1));
@@ -130,6 +130,6 @@ mod tests {
         let (result, _) = run(&archive, &dag, 2);
         let expected = oracle::ranked_inverted_index(&archive.grammar.expand_files(), 2);
         assert_eq!(result, expected);
-        assert_eq!(result.distinct_sequences(), 3); // (a,b), (b,a), (c,d)
+        assert_eq!(result.len(), 3); // (a,b), (b,a), (c,d)
     }
 }

@@ -2,19 +2,19 @@
 //! and adds a ranking step to the traversal phase, as in CompressDirect.
 
 use super::word_count;
-use crate::results::SortResult;
+use crate::results::rank;
 use crate::timing::{PhaseTimings, Timer};
-use sequitur::{Dag, TadocArchive};
+use sequitur::{Dag, TadocArchive, WordId};
 
 /// Runs sort sequentially on compressed data.
-pub fn run(archive: &TadocArchive, dag: &Dag) -> (SortResult, PhaseTimings) {
+pub fn run(archive: &TadocArchive, dag: &Dag) -> (Vec<(WordId, u64)>, PhaseTimings) {
     let (wc, mut timings) = word_count::run(archive, dag);
     let rank_timer = Timer::start();
-    let result = SortResult::from_word_count(&wc);
+    let ranked = rank(&wc);
     timings.traversal += rank_timer.elapsed();
-    timings.traversal_work.table_ops += result.ranked.len() as u64;
-    timings.traversal_work.bytes_moved += result.ranked.len() as u64 * 12;
-    (result, timings)
+    timings.traversal_work.table_ops += ranked.len() as u64;
+    timings.traversal_work.bytes_moved += ranked.len() as u64 * 12;
+    (ranked, timings)
 }
 
 #[cfg(test)]
@@ -39,8 +39,7 @@ mod tests {
         assert_eq!(result, expected);
         // "common" (6 occurrences) must rank first.
         let common = archive.dictionary.get("common").unwrap();
-        assert_eq!(result.ranked[0].0, common);
-        assert_eq!(result.ranked[0].1, 6);
+        assert_eq!(result[0], (common, 6));
     }
 
     #[test]
@@ -49,7 +48,7 @@ mod tests {
         let archive = compress_corpus(&corpus, CompressOptions::default());
         let dag = Dag::from_grammar(&archive.grammar);
         let (result, _) = run(&archive, &dag);
-        for pair in result.ranked.windows(2) {
+        for pair in result.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
         }
     }

@@ -1,14 +1,14 @@
 //! *term vector* on compressed data: per-file word-frequency vectors computed
 //! from per-rule local word tables weighted by per-file rule occurrences.
 
-use crate::results::TermVectorResult;
+use crate::results::PostingTable;
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use crate::weights::{file_segments, file_weights};
 use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, Symbol, TadocArchive, WordId};
 
 /// Runs term vector sequentially on compressed data.
-pub fn run(archive: &TadocArchive, dag: &Dag) -> (TermVectorResult, PhaseTimings) {
+pub fn run(archive: &TadocArchive, dag: &Dag) -> (PostingTable<(WordId, u64)>, PhaseTimings) {
     let grammar = &archive.grammar;
 
     // Phase 1: initialization — per-file accumulators and file weights.
@@ -62,7 +62,7 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (TermVectorResult, PhaseTimings
     let traversal = trav_timer.elapsed();
 
     (
-        TermVectorResult::from_rows(vectors),
+        PostingTable::from_rows(vectors),
         PhaseTimings {
             init,
             traversal,
@@ -107,9 +107,9 @@ mod tests {
         let (result, _) = run(&archive, &dag);
         let apple = archive.dictionary.get("apple").unwrap();
         let banana = archive.dictionary.get("banana").unwrap();
-        assert_eq!(result.frequency(0, apple), 2);
-        assert_eq!(result.frequency(0, banana), 1);
-        assert_eq!(result.frequency(1, apple), 0);
-        assert_eq!(result.frequency(1, banana), 3);
+        let mut file_a = vec![(apple, 2), (banana, 1)];
+        file_a.sort_unstable();
+        assert_eq!(result.values_at(0), file_a);
+        assert_eq!(result.values_at(1), &[(banana, 3)]);
     }
 }

@@ -3,13 +3,13 @@
 //! paper (children transmit accumulated word frequencies to their parents,
 //! weighted by how often the child occurs in the parent).
 
-use crate::results::WordCountResult;
+use crate::results::CountTable;
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use sequitur::fxhash::FxHashMap;
 use sequitur::{Dag, TadocArchive, WordId};
 
 /// Runs word count sequentially on compressed data.
-pub fn run(archive: &TadocArchive, dag: &Dag) -> (WordCountResult, PhaseTimings) {
+pub fn run(archive: &TadocArchive, dag: &Dag) -> (CountTable, PhaseTimings) {
     // Phase 1: initialization — allocate the per-rule frequency tables.
     let init_timer = Timer::start();
     let mut init_work = WorkStats::default();
@@ -59,7 +59,7 @@ pub fn run(archive: &TadocArchive, dag: &Dag) -> (WordCountResult, PhaseTimings)
     );
 
     (
-        WordCountResult::from_unsorted_pairs(counts.into_iter().collect()),
+        CountTable::from_unsorted_pairs(1, counts.into_iter().map(|(w, c)| ([w], c)).collect()),
         PhaseTimings {
             init,
             traversal,
@@ -94,10 +94,10 @@ mod tests {
         let w2 = archive.dictionary.get("w2").unwrap();
         let w3 = archive.dictionary.get("w3").unwrap();
         let w4 = archive.dictionary.get("w4").unwrap();
-        assert_eq!(result.count(w1), 6);
-        assert_eq!(result.count(w2), 5);
-        assert_eq!(result.count(w3), 2);
-        assert_eq!(result.count(w4), 2);
+        assert_eq!(result.count(&[w1]), 6);
+        assert_eq!(result.count(&[w2]), 5);
+        assert_eq!(result.count(&[w3]), 2);
+        assert_eq!(result.count(&[w4]), 2);
     }
 
     #[test]

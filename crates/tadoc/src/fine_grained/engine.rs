@@ -1215,7 +1215,11 @@ mod tests {
         // … and still finishes from the slot it holds.
         let weights = engine.analysis.rule_weights.get().unwrap();
         let output = engine.with_worker_pool(|pool| {
-            count_table(2, weighted_totals(held.windows(), weights, pool))
+            count_table(
+                Task::SequenceCount,
+                2,
+                weighted_totals(held.windows(), weights, pool),
+            )
         });
         assert_eq!(output, *oracle(2));
     }

@@ -158,10 +158,10 @@ pub(crate) fn run_fine_with_cache(
 ) -> TaskExecution {
     let l = cfg.sequence_length;
     match task {
-        Task::WordCount | Task::Sort => word_count(analysis, task, pool),
+        Task::WordCount | Task::Sort => count(analysis, task, 1, pool),
         Task::InvertedIndex => inverted_index(analysis, pool),
         Task::TermVector => term_vector_fine(analysis, pool),
-        Task::SequenceCount => sequence_count(analysis, l, pool),
+        Task::SequenceCount => count(analysis, task, l, pool),
         Task::RankedInvertedIndex => ranked_inverted_index(analysis, l, pool),
     }
 }
@@ -203,21 +203,8 @@ fn parallel_rule_weights(dag: &Dag, levels: &[Vec<u32>], pool: &WorkerPool) -> V
 }
 
 // ---------------------------------------------------------------------------
-// word count / sort / inverted index
+// inverted index
 // ---------------------------------------------------------------------------
-
-/// `wordCount` / `sort`: a word is an `l` = 1 window, so a query is the
-/// weighted pass of `sequenceCount` over the session's word table.
-fn word_count(a: &Analysis<'_>, task: Task, pool: &WorkerPool) -> TaskExecution {
-    run_phases(
-        |charge| {
-            let weights = a.ensure_rule_weights(pool, charge);
-            (weights, a.ensure_word_table(pool, charge))
-        },
-        |&(weights, words), _| weighted_totals(words, weights, pool),
-        |_, parts| word_count_table(task, parts),
-    )
-}
 
 /// `invertedIndex`: one pass over the session's word table, collecting
 /// each word's files in a bitmap.
@@ -229,7 +216,7 @@ fn inverted_index(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
             (fw, num_files, a.ensure_word_table(pool, charge))
         },
         |&(fw, num_files, words), _| postings(words, fw, num_files, pool),
-        |_, parts| index_table(parts),
+        |_, parts| AnalyticsOutput::InvertedIndex(posting_table(1, parts)),
     )
 }
 
@@ -545,11 +532,8 @@ fn term_vector_fine(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
             })
         },
         // Finalize: the file ranges are contiguous and come back in worker
-        // order, so the parts are the CSR's rows in file order.
-        |_, parts| {
-            let (_, offsets, terms) = merge::assemble(parts);
-            AnalyticsOutput::TermVector(TermVectorResult::from_sorted_parts(offsets, terms))
-        },
+        // order, so the parts are the table's rows in file order.
+        |_, parts| AnalyticsOutput::TermVector(posting_table(0, parts)),
     )
 }
 
@@ -739,22 +723,25 @@ fn weighted_totals(table: &WindowTable, weights: &[u64], pool: &WorkerPool) -> V
     })
 }
 
-/// The `sequenceCount` table of width `l` of [`weighted_totals`]' parts.
-fn count_table(l: usize, parts: Vec<Part<u64>>) -> AnalyticsOutput {
+/// The count finalizer: the [`CountTable`] of width `width` of
+/// [`weighted_totals`]' parts, answering `task` — `sequenceCount`, or at
+/// width 1 `wordCount` and, ranked, `sort`.
+fn count_table(task: Task, width: usize, parts: Vec<Part<u64>>) -> AnalyticsOutput {
     let (keys, _, counts) = merge::assemble(parts);
-    AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(l, keys, counts))
+    let table = CountTable::from_sorted_columns(width, keys, counts);
+    match task {
+        Task::WordCount => AnalyticsOutput::WordCount(table),
+        Task::Sort => AnalyticsOutput::Sort(rank(&table)),
+        _ => AnalyticsOutput::SequenceCount(table),
+    }
 }
 
-/// The `wordCount` (or, ranked, `sort`) table of the word table's
-/// [`weighted_totals`] parts.
-fn word_count_table(task: Task, parts: Vec<Part<u64>>) -> AnalyticsOutput {
-    let (words, _, counts) = merge::assemble(parts);
-    let wc = WordCountResult::from_sorted_columns(words, counts);
-    if task == Task::Sort {
-        AnalyticsOutput::Sort(SortResult::from_word_count(&wc))
-    } else {
-        AnalyticsOutput::WordCount(wc)
-    }
+/// The posting finalizer: the [`PostingTable`] of width `width` of a
+/// pass's parts — `invertedIndex`'s (width 1), `rankedInvertedIndex`'s
+/// (width `l`) or `termVector`'s (width 0, rows in file order).
+fn posting_table<V: Copy>(width: usize, parts: Vec<Part<V>>) -> PostingTable<V> {
+    let (keys, offsets, values) = merge::assemble(parts);
+    PostingTable::from_sorted_parts(width, keys, offsets, values)
 }
 
 /// `invertedIndex`'s pass over the word table: each worker ORs every
@@ -797,14 +784,6 @@ fn postings(
     })
 }
 
-/// The `invertedIndex` table of [`postings`]' parts.
-fn index_table(parts: Vec<Part<FileId>>) -> AnalyticsOutput {
-    let (words, offsets, files) = merge::assemble(parts);
-    AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
-        words, offsets, files,
-    ))
-}
-
 /// `rankedInvertedIndex`'s pass: each worker walks its windows, scatters
 /// every source's `count ×` its per-file occurrences (or `count` into the
 /// one file of a root source) into its own [`DenseCounts`] over the files,
@@ -843,15 +822,6 @@ fn ranked_postings(
         }
         part
     })
-}
-
-/// The `rankedInvertedIndex` table of width `l` of [`ranked_postings`]'
-/// parts.
-fn ranked_table(l: usize, parts: Vec<Part<(FileId, u64)>>) -> AnalyticsOutput {
-    let (keys, offsets, postings) = merge::assemble(parts);
-    AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
-        l, keys, offsets, postings,
-    ))
 }
 
 /// A window table names a source by a `u32`: a rule id, or `num_rules +
@@ -1030,15 +1000,17 @@ fn take_front<'a, T>(slice: &mut &'a mut [T], len: usize) -> &'a mut [T] {
     front
 }
 
-/// `sequenceCount`: one pass over the window table, then its rows.
-fn sequence_count(a: &Analysis<'_>, l: usize, pool: &WorkerPool) -> TaskExecution {
+/// `sequenceCount`, and `wordCount` / `sort` at `l` = 1 (a word is a
+/// one-word window): one weighted pass over the window table of `l`, then
+/// its count table.
+fn count(a: &Analysis<'_>, task: Task, l: usize, pool: &WorkerPool) -> TaskExecution {
     run_phases(
         |charge| {
             let weights = a.ensure_rule_weights(pool, charge);
             (weights, a.ensure_window_table(l, pool, charge))
         },
         |(weights, slot), _| weighted_totals(slot.windows(), weights, pool),
-        |_, parts| count_table(l, parts),
+        |_, parts| count_table(task, l, parts),
     )
 }
 
@@ -1052,7 +1024,7 @@ fn ranked_inverted_index(a: &Analysis<'_>, l: usize, pool: &WorkerPool) -> TaskE
             (fw, num_files, a.ensure_window_table(l, pool, charge))
         },
         |(fw, num_files, slot), _| ranked_postings(slot.windows(), fw, *num_files, pool),
-        |_, parts| ranked_table(l, parts),
+        |_, parts| AnalyticsOutput::RankedInvertedIndex(posting_table(l, parts)),
     )
 }
 

@@ -250,7 +250,7 @@ impl ResultsCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::results::{SortResult, WordCountResult};
+    use crate::results::CountTable;
 
     /// What a sort table of `pairs` 16-byte rows is charged: the table, the
     /// same again plus the headroom for its frame, and the overhead.
@@ -260,9 +260,9 @@ mod tests {
 
     /// A sort table of `pairs` 16-byte rows, distinguishable by `seed`.
     fn table(pairs: usize, seed: u32) -> Arc<AnalyticsOutput> {
-        Arc::new(AnalyticsOutput::Sort(SortResult {
-            ranked: (0..pairs as u32).map(|i| (seed, u64::from(i))).collect(),
-        }))
+        Arc::new(AnalyticsOutput::Sort(
+            (0..pairs as u32).map(|i| (seed, u64::from(i))).collect(),
+        ))
     }
 
     fn key(l: usize) -> (Task, TaskConfig) {
@@ -333,9 +333,11 @@ mod tests {
     fn reinserting_a_key_replaces_its_bytes() {
         let cache = ResultsCache::with_budget(1024);
         let (task, cfg) = (Task::WordCount, TaskConfig::default());
-        let first = Arc::new(AnalyticsOutput::WordCount(
-            WordCountResult::from_sorted_columns(vec![1, 2], vec![3, 4]),
-        ));
+        let first = Arc::new(AnalyticsOutput::WordCount(CountTable::from_sorted_columns(
+            1,
+            vec![1, 2],
+            vec![3, 4],
+        )));
         cache.insert(task, cfg, &first);
         // 24 bytes of columns, held once as the table and once as frame room.
         let charged = 2 * 24 + FRAME_HEADROOM + ENTRY_OVERHEAD_BYTES;

@@ -36,8 +36,5 @@ pub mod weights;
 
 pub use apps::{run_task, Task, TaskConfig};
 pub use fine_grained::{ConfigError, Engine, EngineBuilder};
-pub use results::{
-    AnalyticsOutput, InvertedIndexResult, RankedInvertedIndexResult, SequenceCountResult,
-    SortResult, TermVectorResult, WordCountResult,
-};
+pub use results::{AnalyticsOutput, CountTable, PostingTable};
 pub use timing::{PhaseTimings, WorkStats};

@@ -31,23 +31,23 @@ pub fn run(files: &[Vec<WordId>], task: Task, cfg: TaskConfig) -> AnalyticsOutpu
 }
 
 /// Word count over per-file token streams.
-pub fn word_count(files: &[Vec<WordId>]) -> WordCountResult {
+pub fn word_count(files: &[Vec<WordId>]) -> CountTable {
     let mut counts: FxHashMap<WordId, u64> = FxHashMap::default();
     for file in files {
         for &w in file {
             *counts.entry(w).or_insert(0) += 1;
         }
     }
-    WordCountResult::from_unsorted_pairs(counts.into_iter().collect())
+    CountTable::from_unsorted_pairs(1, counts.into_iter().map(|(w, c)| ([w], c)).collect())
 }
 
 /// Words ranked by global frequency.
-pub fn sort(files: &[Vec<WordId>]) -> SortResult {
-    SortResult::from_word_count(&word_count(files))
+pub fn sort(files: &[Vec<WordId>]) -> Vec<(WordId, u64)> {
+    rank(&word_count(files))
 }
 
 /// Word → files containing it.
-pub fn inverted_index(files: &[Vec<WordId>]) -> InvertedIndexResult {
+pub fn inverted_index(files: &[Vec<WordId>]) -> PostingTable<FileId> {
     let mut postings: FxHashMap<WordId, Vec<FileId>> = FxHashMap::default();
     for (fid, file) in files.iter().enumerate() {
         let mut seen: Vec<WordId> = file.to_vec();
@@ -58,11 +58,11 @@ pub fn inverted_index(files: &[Vec<WordId>]) -> InvertedIndexResult {
         }
     }
     // Files were visited in ascending order, so each posting list is sorted.
-    InvertedIndexResult::from_unsorted_rows(postings.into_iter().collect())
+    PostingTable::from_unsorted_rows(1, postings.into_iter().map(|(w, fs)| ([w], fs)).collect())
 }
 
 /// Per-file word-frequency vectors.
-pub fn term_vector(files: &[Vec<WordId>]) -> TermVectorResult {
+pub fn term_vector(files: &[Vec<WordId>]) -> PostingTable<(WordId, u64)> {
     let vectors = files
         .iter()
         .map(|file| {
@@ -75,11 +75,11 @@ pub fn term_vector(files: &[Vec<WordId>]) -> TermVectorResult {
             v
         })
         .collect();
-    TermVectorResult::from_rows(vectors)
+    PostingTable::from_rows(vectors)
 }
 
 /// Global counts of every `l`-word consecutive sequence.
-pub fn sequence_count(files: &[Vec<WordId>], l: usize) -> SequenceCountResult {
+pub fn sequence_count(files: &[Vec<WordId>], l: usize) -> CountTable {
     assert!(l >= 1, "sequence length must be at least 1");
     let mut counts: FxHashMap<Sequence, u64> = FxHashMap::default();
     for file in files {
@@ -90,11 +90,11 @@ pub fn sequence_count(files: &[Vec<WordId>], l: usize) -> SequenceCountResult {
             *counts.entry(window.to_vec()).or_insert(0) += 1;
         }
     }
-    SequenceCountResult::from_unsorted_pairs(l, counts.into_iter().collect())
+    CountTable::from_unsorted_pairs(l, counts.into_iter().collect())
 }
 
 /// Every `l`-word sequence → files ranked by in-file frequency.
-pub fn ranked_inverted_index(files: &[Vec<WordId>], l: usize) -> RankedInvertedIndexResult {
+pub fn ranked_inverted_index(files: &[Vec<WordId>], l: usize) -> PostingTable<(FileId, u64)> {
     assert!(l >= 1, "sequence length must be at least 1");
     let mut per_seq: FxHashMap<Sequence, FxHashMap<FileId, u64>> = FxHashMap::default();
     for (fid, file) in files.iter().enumerate() {
@@ -117,7 +117,7 @@ pub fn ranked_inverted_index(files: &[Vec<WordId>], l: usize) -> RankedInvertedI
             (seq, ranked)
         })
         .collect();
-    RankedInvertedIndexResult::from_unsorted_rows(l, rows)
+    PostingTable::from_unsorted_rows(l, rows)
 }
 
 #[cfg(test)]
@@ -146,34 +146,33 @@ mod tests {
     fn word_count_matches_figure_2() {
         let wc = word_count(&paper_files());
         // Paper Figure 2 final result: <w1,6>, <w2,5>, <w3,2>, <w4,2>
-        assert_eq!(wc.count(1), 6);
-        assert_eq!(wc.count(2), 5);
-        assert_eq!(wc.count(3), 2);
-        assert_eq!(wc.count(4), 2);
-        assert_eq!(wc.distinct_words(), 4);
+        assert_eq!(wc.count(&[1]), 6);
+        assert_eq!(wc.count(&[2]), 5);
+        assert_eq!(wc.count(&[3]), 2);
+        assert_eq!(wc.count(&[4]), 2);
+        assert_eq!(wc.len(), 4);
     }
 
     #[test]
     fn sort_ranks_w1_first() {
         let s = sort(&paper_files());
-        assert_eq!(s.ranked[0], (1, 6));
-        assert_eq!(s.ranked[1], (2, 5));
+        assert_eq!(s[0], (1, 6));
+        assert_eq!(s[1], (2, 5));
     }
 
     #[test]
     fn inverted_index_paper_corpus() {
         let idx = inverted_index(&paper_files());
-        assert_eq!(idx.files_for(3), &[0]);
-        assert_eq!(idx.files_for(1), &[0, 1]);
-        assert_eq!(idx.files_for(4), &[0]);
+        assert_eq!(idx.get(&[3]), &[0]);
+        assert_eq!(idx.get(&[1]), &[0, 1]);
+        assert_eq!(idx.get(&[4]), &[0]);
     }
 
     #[test]
     fn term_vector_paper_corpus() {
         let tv = term_vector(&paper_files());
-        assert_eq!(tv.frequency(0, 1), 4);
-        assert_eq!(tv.frequency(1, 1), 2);
-        assert_eq!(tv.frequency(1, 3), 0);
+        assert_eq!(tv.values_at(0), &[(1, 4), (2, 4), (3, 2), (4, 2)]);
+        assert_eq!(tv.values_at(1), &[(1, 2), (2, 1)]);
     }
 
     #[test]
@@ -183,7 +182,7 @@ mod tests {
         assert_eq!(sc.count(&[1, 2, 3]), 2);
         assert_eq!(sc.count(&[1, 2, 1]), 1);
         assert_eq!(sc.count(&[1, 2, 4]), 2);
-        let total: u64 = sc.total_occurrences();
+        let total: u64 = sc.counts().iter().sum();
         assert_eq!(total, (12 - 2) + (3 - 2));
     }
 
@@ -198,14 +197,14 @@ mod tests {
         let files = vec![vec![1, 2, 1, 2], vec![1, 2, 9, 1, 2, 9, 1, 2]];
         let rii = ranked_inverted_index(&files, 2);
         // (1,2) occurs 2x in file0 and 3x in file1 → file1 first.
-        assert_eq!(rii.files_for(&[1, 2]), &[(1, 3), (0, 2)]);
+        assert_eq!(rii.get(&[1, 2]), &[(1, 3), (0, 2)]);
     }
 
     #[test]
     fn ranked_inverted_index_tie_breaks_by_file_id() {
         let files = vec![vec![1, 2, 3], vec![1, 2, 3]];
         let rii = ranked_inverted_index(&files, 3);
-        assert_eq!(rii.files_for(&[1, 2, 3]), &[(0, 1), (1, 1)]);
+        assert_eq!(rii.get(&[1, 2, 3]), &[(0, 1), (1, 1)]);
     }
 
     #[test]
@@ -213,7 +212,7 @@ mod tests {
         let files = paper_files();
         let sc = sequence_count(&files, 1);
         let wc = word_count(&files);
-        assert_eq!(sc.count(&[1]), wc.count(1));
-        assert_eq!(sc.distinct_sequences(), wc.distinct_words());
+        // The same table; only the task it answers differs.
+        assert_eq!(sc, wc);
     }
 }

@@ -1,17 +1,26 @@
-//! Result types of the six CompressDirect analytics tasks.
+//! The two tables every keyed analytics answer is held in.
 //!
-//! The same types are produced by the CPU baseline (`tadoc`), by G-TADOC
+//! A word is the `l` = 1 case of a sequence, so the six tasks need two
+//! ordered columnar layouts and one ranked vector:
+//!
+//! * [`CountTable`] — a flat key arena of `width` words per row, rows
+//!   strictly ascending, next to one count per row: `wordCount` (width 1)
+//!   and `sequenceCount` (width `l`);
+//! * [`PostingTable`] — the same key arena beside a CSR offsets column into
+//!   a flat value column: `invertedIndex` (width 1, ascending file ids),
+//!   `rankedInvertedIndex` (width `l`, `(file, count)` in rank order) and
+//!   `termVector` (width 0: no keys, one row per file in file order, each
+//!   row ascending `(word, count)`);
+//! * `sort` keeps its `(word, count)` vector in rank order ([`rank`]).
+//!
+//! The same tables are produced by the CPU baseline (`tadoc`), by G-TADOC
 //! (`gtadoc`), and by the uncompressed baselines, which makes cross-checking
-//! the three implementations trivial.
-//!
-//! Every result is **ordered and columnar**: a sorted key column next to its
-//! value column ([`SortedTable`]), or a CSR-style key arena with offsets into
-//! flat posting columns ([`PostingTable`]).  Nothing here owns a hash table —
-//! the fine-grained engine's workers write their parts in these columns'
-//! own layout, and it assembles the parts into columns of exactly their
-//! length (`fine_grained::merge`); lookups are `O(log n)` binary searches,
-//! iteration is always in ascending key order, and a serving layer can return
-//! rank- or key-ordered rows as plain slices without copying.
+//! the three implementations trivial.  Nothing here owns a hash table — the
+//! fine-grained engine's workers write their parts in these tables' own
+//! layout, and it assembles the parts into columns of exactly their length
+//! (`fine_grained::merge`); lookups are `O(log n)` binary searches,
+//! iteration is always in row order, and a serving layer can return rank-
+//! or key-ordered rows as plain slices without copying.
 
 use crate::apps::Task;
 use sequitur::WordId;
@@ -21,84 +30,13 @@ pub type Sequence = Vec<WordId>;
 /// File identifier (index into the archive's file list).
 pub type FileId = u32;
 
-// ---------------------------------------------------------------------------
-// Ordered columnar containers
-// ---------------------------------------------------------------------------
-
-/// A sorted key column next to its value column.
-///
-/// Invariant: `keys` is strictly ascending (every key distinct) and
-/// `keys.len() == values.len()`.  Lookup is a binary search, iteration is in
-/// ascending key order, and both columns are exposed as slices.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SortedTable<K, V> {
-    keys: Vec<K>,
-    values: Vec<V>,
-}
-
-impl<K: Ord, V> SortedTable<K, V> {
-    /// An empty table.
-    pub fn new() -> Self {
-        Self {
-            keys: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Builds from columns that are already strictly ascending by key —
-    /// the zero-copy path out of a sorted-run merge.
-    pub fn from_sorted_columns(keys: Vec<K>, values: Vec<V>) -> Self {
-        debug_assert_eq!(keys.len(), values.len());
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "keys must be strictly ascending"
-        );
-        Self { keys, values }
-    }
-
-    /// Builds from unsorted `(key, value)` pairs with distinct keys — the
-    /// one-sort finalize path of the hash-based baselines.
-    pub fn from_unsorted_pairs(pairs: Vec<(K, V)>) -> Self {
-        let mut pairs = pairs;
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut values = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            keys.push(k);
-            values.push(v);
-        }
-        Self::from_sorted_columns(keys, values)
-    }
-
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The sorted key column.
-    pub fn keys(&self) -> &[K] {
-        &self.keys
-    }
-
-    /// The value column (parallel to [`keys`](Self::keys)).
-    pub fn values(&self) -> &[V] {
-        &self.values
-    }
-
-    /// Binary-search lookup.
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.keys.binary_search(key).ok().map(|i| &self.values[i])
-    }
-
-    /// Iterates `(key, value)` in ascending key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.keys.iter().zip(self.values.iter())
-    }
+/// Whether the `width`-word rows of `keys` are strictly ascending.
+fn rows_ascending(keys: &[u32], width: usize) -> bool {
+    width == 0
+        || keys
+            .chunks_exact(width)
+            .zip(keys.chunks_exact(width).skip(1))
+            .all(|(a, b)| a < b)
 }
 
 /// Binary search for a fixed-width key inside a flat `u32` key arena.
@@ -120,13 +58,113 @@ fn find_flat_key(keys: &[u32], width: usize, needle: &[u32]) -> Option<usize> {
     None
 }
 
+/// A key arena of `width` words per row next to one count per row: the
+/// `wordCount` table at width 1, the `sequenceCount` table at width `l`.
+///
+/// Invariants: `width` ≥ 1, `keys.len() == counts.len() * width`, and the
+/// key rows are strictly ascending.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CountTable {
+    width: usize,
+    keys: Vec<u32>,
+    counts: Vec<u64>,
+}
+
+impl CountTable {
+    /// Builds from a key arena whose rows are already strictly ascending
+    /// and its count column — the zero-copy path out of a sorted-run merge
+    /// and a decoder that has validated both.
+    pub fn from_sorted_columns(width: usize, keys: Vec<u32>, counts: Vec<u64>) -> Self {
+        assert!(width >= 1, "a count table's rows hold at least one word");
+        debug_assert_eq!(keys.len(), counts.len() * width);
+        debug_assert!(
+            rows_ascending(&keys, width),
+            "key rows must be strictly ascending"
+        );
+        Self {
+            width,
+            keys,
+            counts,
+        }
+    }
+
+    /// Builds from unsorted `(key, count)` pairs with distinct keys of
+    /// `width` words (one sort) — the finalize path of the hash-based
+    /// baselines.  A key is any word slice, so a caller keyed by one word
+    /// passes `[word]` and allocates nothing per key.
+    pub fn from_unsorted_pairs<K: AsRef<[u32]> + Ord>(
+        width: usize,
+        mut pairs: Vec<(K, u64)>,
+    ) -> Self {
+        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut keys = Vec::with_capacity(pairs.len() * width);
+        let mut counts = Vec::with_capacity(pairs.len());
+        for (key, count) in pairs {
+            keys.extend_from_slice(key.as_ref());
+            counts.push(count);
+        }
+        Self::from_sorted_columns(width, keys, counts)
+    }
+
+    /// Words per key row: 1 for `wordCount`, `l` for `sequenceCount`.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows (distinct keys).
+    pub fn len(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// Whether the table has no row.
+    pub fn is_empty(&self) -> bool {
+        self.counts.is_empty()
+    }
+
+    /// The flat key arena: `width` words per row, rows ascending.
+    pub fn keys(&self) -> &[u32] {
+        &self.keys
+    }
+
+    /// The count column (one per key row).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// The count of `key` (0 if absent or of another width).
+    pub fn count(&self, key: &[u32]) -> u64 {
+        find_flat_key(&self.keys, self.width, key).map_or(0, |i| self.counts[i])
+    }
+
+    /// Iterates `(key row, count)` in ascending key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64)> {
+        (self.keys.chunks_exact(self.width)).zip(self.counts.iter().copied())
+    }
+}
+
+/// *sort*'s answer from a width-1 word table: `(word, count)` by
+/// descending count, ties by ascending word.
+pub fn rank(words: &CountTable) -> Vec<(WordId, u64)> {
+    debug_assert_eq!(words.width, 1);
+    let mut ranked: Vec<_> = words
+        .keys
+        .iter()
+        .copied()
+        .zip(words.counts.iter().copied())
+        .collect();
+    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked
+}
+
 /// A CSR-style posting table: a flat, lexicographically sorted `u32` key
 /// arena (`width` words per key), an offsets column, and a flat value column.
 ///
-/// Invariants: `keys.len() == num_keys * width`, the width-sized key rows are
-/// strictly ascending, `offsets.len() == num_keys + 1` with `offsets[0] == 0`
-/// and `offsets[num_keys] == values.len()`.  Key `i`'s posting list is
+/// Invariants: `keys.len() == rows * width`, the width-sized key rows are
+/// strictly ascending, `offsets.len() == rows + 1` with `offsets[0] == 0`
+/// and `offsets[rows] == values.len()`.  Row `i`'s list is
 /// `values[offsets[i]..offsets[i + 1]]`; lookup binary-searches the arena.
+/// At width 0 there is no key arena: the rows are positional (term
+/// vector's files, in file order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostingTable<V> {
     width: usize,
@@ -135,25 +173,10 @@ pub struct PostingTable<V> {
     values: Vec<V>,
 }
 
-impl<V> Default for PostingTable<V> {
-    fn default() -> Self {
-        Self::empty(0)
-    }
-}
-
 impl<V> PostingTable<V> {
-    /// An empty table of the given key width.
-    pub fn empty(width: usize) -> Self {
-        Self {
-            width,
-            keys: Vec::new(),
-            offsets: vec![0],
-            values: Vec::new(),
-        }
-    }
-
     /// Builds from already-merged columns (sorted key arena + offsets +
-    /// values) — the zero-copy path out of a sorted-run merge.
+    /// values) — the zero-copy path out of a sorted-run merge and a decoder
+    /// that has validated them.
     pub fn from_sorted_parts(
         width: usize,
         keys: Vec<u32>,
@@ -166,11 +189,7 @@ impl<V> PostingTable<V> {
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         debug_assert_eq!(keys.len(), n * width);
         debug_assert!(
-            width == 0
-                || keys
-                    .chunks_exact(width)
-                    .zip(keys.chunks_exact(width).skip(1))
-                    .all(|(a, b)| a < b),
+            rows_ascending(&keys, width),
             "key rows must be strictly ascending"
         );
         Self {
@@ -181,434 +200,116 @@ impl<V> PostingTable<V> {
         }
     }
 
-    /// Builds from unsorted `(key, posting-list)` rows with distinct keys —
-    /// the one-sort finalize path of the hash-based baselines.
-    pub fn from_unsorted_rows(width: usize, rows: Vec<(Vec<u32>, Vec<V>)>) -> Self {
-        let mut rows = rows;
+    /// Builds from unsorted `(key, posting-list)` rows with distinct keys of
+    /// `width` ≥ 1 words (one sort) — the finalize path of the hash-based
+    /// baselines.  As for [`CountTable::from_unsorted_pairs`], a one-word
+    /// key is passed as `[word]`.
+    pub fn from_unsorted_rows<K: AsRef<[u32]> + Ord>(
+        width: usize,
+        mut rows: Vec<(K, Vec<V>)>,
+    ) -> Self {
         rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Self::from_ordered_rows(width, rows)
+    }
+
+    /// Builds the width-0 table of `rows` in the order given (term vector:
+    /// one row per file, in file order).
+    pub fn from_rows(rows: Vec<Vec<V>>) -> Self {
+        Self::from_ordered_rows(0, rows.into_iter().map(|row| ([], row)).collect())
+    }
+
+    /// Builds from `(key, list)` rows already in row order.
+    fn from_ordered_rows<K: AsRef<[u32]>>(width: usize, rows: Vec<(K, Vec<V>)>) -> Self {
         let mut keys = Vec::with_capacity(rows.len() * width);
         let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut values = Vec::with_capacity(rows.iter().map(|(_, v)| v.len()).sum());
+        let mut values = Vec::with_capacity(rows.iter().map(|(_, list)| list.len()).sum());
         offsets.push(0);
         for (key, list) in rows {
-            debug_assert_eq!(key.len(), width);
-            keys.extend_from_slice(&key);
+            keys.extend_from_slice(key.as_ref());
             values.extend(list);
             offsets.push(values.len());
         }
-        Self {
-            width,
-            keys,
-            offsets,
-            values,
-        }
+        Self::from_sorted_parts(width, keys, offsets, values)
     }
 
-    /// Words per key row.
+    /// Words per key row (0: positional rows).
     pub fn width(&self) -> usize {
         self.width
     }
 
-    /// Number of distinct keys.
-    pub fn num_keys(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
     }
 
-    /// Total posting entries across all keys.
-    pub fn total_values(&self) -> usize {
-        self.values.len()
+    /// Whether the table has no row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// The `i`-th key row (ascending order).
+    /// The `i`-th key row (ascending order; empty at width 0).
     pub fn key_at(&self, i: usize) -> &[u32] {
         &self.keys[i * self.width..(i + 1) * self.width]
     }
 
-    /// The `i`-th posting list.
+    /// The `i`-th row's list.
     pub fn values_at(&self, i: usize) -> &[V] {
         &self.values[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// Binary-search lookup: the index of `key`, if present.
-    pub fn find(&self, key: &[u32]) -> Option<usize> {
-        find_flat_key(&self.keys, self.width, key)
-    }
-
-    /// The posting list for `key` (empty slice if absent).
+    /// The list for `key` (empty if absent or of another width).
     pub fn get(&self, key: &[u32]) -> &[V] {
-        self.find(key).map(|i| self.values_at(i)).unwrap_or(&[])
+        find_flat_key(&self.keys, self.width, key).map_or(&[], |i| self.values_at(i))
     }
 
-    /// Iterates `(key-row, posting-list)` in ascending key order.
+    /// Iterates every row's list in row order.
+    pub fn rows(&self) -> impl Iterator<Item = &[V]> {
+        self.offsets.windows(2).map(|w| &self.values[w[0]..w[1]])
+    }
+
+    /// Iterates `(key row, list)` in row order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &[V])> {
-        (0..self.num_keys()).map(move |i| (self.key_at(i), self.values_at(i)))
+        (0..self.len()).map(move |i| (self.key_at(i), self.values_at(i)))
     }
 
-    /// The flat key arena.
-    pub fn keys_flat(&self) -> &[u32] {
-        &self.keys
-    }
-
-    /// The offsets column (`num_keys + 1` entries).
+    /// The offsets column (`rows + 1` entries).
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
     /// The flat value column.
-    pub fn values_flat(&self) -> &[V] {
+    pub fn values(&self) -> &[V] {
         &self.values
     }
 
     /// Row count and columns (see [`AnalyticsOutput::columns`]): the key
-    /// arena, the offsets, then the values as `values` wraps them.
+    /// arena (none at width 0), the offsets, then the values as `values`
+    /// wraps them.
     fn columns<'a>(&'a self, values: fn(&'a [V]) -> Column<'a>) -> (usize, Vec<Column<'a>>) {
-        let keys = Column::U32(&self.keys);
-        (
-            self.num_keys(),
-            vec![keys, Column::Offsets(&self.offsets), values(&self.values)],
-        )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Task results
-// ---------------------------------------------------------------------------
-
-/// *word count*: total frequency of every word across the corpus.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WordCountResult {
-    /// word → total occurrences, as a sorted word column + count column.
-    pub table: SortedTable<WordId, u64>,
-}
-
-impl WordCountResult {
-    /// Builds from columns already sorted by word id.
-    pub fn from_sorted_columns(words: Vec<WordId>, counts: Vec<u64>) -> Self {
-        Self {
-            table: SortedTable::from_sorted_columns(words, counts),
-        }
-    }
-
-    /// Builds from unsorted `(word, count)` pairs (one sort).
-    pub fn from_unsorted_pairs(pairs: Vec<(WordId, u64)>) -> Self {
-        Self {
-            table: SortedTable::from_unsorted_pairs(pairs),
-        }
-    }
-
-    /// Total number of word occurrences (sums all counts).
-    pub fn total_occurrences(&self) -> u64 {
-        self.table.values().iter().sum()
-    }
-
-    /// Number of distinct words observed.
-    pub fn distinct_words(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Occurrences of `word` (0 if absent).
-    pub fn count(&self, word: WordId) -> u64 {
-        self.table.get(&word).copied().unwrap_or(0)
-    }
-
-    /// Iterates `(word, count)` in ascending word order.
-    pub fn iter(&self) -> impl Iterator<Item = (WordId, u64)> + '_ {
-        self.table.iter().map(|(&w, &c)| (w, c))
-    }
-}
-
-/// *sort*: words ranked by total frequency (descending, ties by word id).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SortResult {
-    /// `(word, frequency)` in rank order.
-    pub ranked: Vec<(WordId, u64)>,
-}
-
-impl SortResult {
-    /// Builds the ranking from a word-count result.
-    pub fn from_word_count(wc: &WordCountResult) -> Self {
-        let mut ranked: Vec<_> = wc.iter().collect();
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        Self { ranked }
-    }
-
-    /// The `k` most frequent words.
-    pub fn top_k(&self, k: usize) -> &[(WordId, u64)] {
-        &self.ranked[..k.min(self.ranked.len())]
-    }
-}
-
-/// *inverted index*: word → sorted list of files containing it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InvertedIndexResult {
-    /// word → ascending file ids, as a width-1 posting table.
-    pub table: PostingTable<FileId>,
-}
-
-impl Default for InvertedIndexResult {
-    fn default() -> Self {
-        Self {
-            table: PostingTable::empty(1),
-        }
-    }
-}
-
-impl InvertedIndexResult {
-    /// Builds from already-merged columns sorted by word id.
-    pub fn from_sorted_parts(words: Vec<u32>, offsets: Vec<usize>, files: Vec<FileId>) -> Self {
-        Self {
-            table: PostingTable::from_sorted_parts(1, words, offsets, files),
-        }
-    }
-
-    /// Builds from unsorted `(word, files)` rows (one sort).
-    pub fn from_unsorted_rows(rows: Vec<(WordId, Vec<FileId>)>) -> Self {
-        Self {
-            table: PostingTable::from_unsorted_rows(
-                1,
-                rows.into_iter().map(|(w, fs)| (vec![w], fs)).collect(),
-            ),
-        }
-    }
-
-    /// Number of indexed words.
-    pub fn distinct_words(&self) -> usize {
-        self.table.num_keys()
-    }
-
-    /// Total posting-list entries.
-    pub fn total_postings(&self) -> usize {
-        self.table.total_values()
-    }
-
-    /// Files containing `word` (empty slice if absent).
-    pub fn files_for(&self, word: WordId) -> &[FileId] {
-        self.table.get(&[word])
-    }
-
-    /// Iterates `(word, files)` in ascending word order.
-    pub fn iter(&self) -> impl Iterator<Item = (WordId, &[FileId])> {
-        self.table.iter().map(|(k, v)| (k[0], v))
-    }
-}
-
-/// *term vector*: per-file word-frequency vector, file-major CSR.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TermVectorResult {
-    /// `offsets[f]..offsets[f + 1]` bounds file `f`'s terms.
-    offsets: Vec<usize>,
-    /// Flat `(word, count)` pairs, ascending by word within each file.
-    terms: Vec<(WordId, u64)>,
-}
-
-impl Default for TermVectorResult {
-    fn default() -> Self {
-        Self {
-            offsets: vec![0],
-            terms: Vec::new(),
-        }
-    }
-}
-
-impl TermVectorResult {
-    /// Builds from one ascending `(word, count)` row per file.
-    pub fn from_rows(rows: Vec<Vec<(WordId, u64)>>) -> Self {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut terms = Vec::with_capacity(rows.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for row in rows {
-            debug_assert!(row.windows(2).all(|w| w[0].0 < w[1].0));
-            terms.extend(row);
-            offsets.push(terms.len());
-        }
-        Self { offsets, terms }
-    }
-
-    /// Builds from already-flat columns: `offsets` (one entry per file plus
-    /// a closing one, starting at 0, never decreasing, ending at
-    /// `terms.len()`) and `terms` ascending by word within each file — the
-    /// zero-copy path out of a decoder that has validated both.
-    pub fn from_sorted_parts(offsets: Vec<usize>, terms: Vec<(WordId, u64)>) -> Self {
-        debug_assert_eq!(offsets.first().copied(), Some(0));
-        debug_assert_eq!(offsets.last().copied(), Some(terms.len()));
-        debug_assert!(offsets
-            .windows(2)
-            .all(|w| w[0] <= w[1] && terms[w[0]..w[1]].windows(2).all(|t| t[0].0 < t[1].0)));
-        Self { offsets, terms }
-    }
-
-    /// Number of files covered.
-    pub fn num_files(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Total `(word, count)` entries across all files.
-    pub fn total_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// File `f`'s vector: ascending `(word, count)` pairs (empty if out of
-    /// range).
-    pub fn vector(&self, file: FileId) -> &[(WordId, u64)] {
-        let f = file as usize;
-        if f + 1 >= self.offsets.len() {
-            return &[];
-        }
-        &self.terms[self.offsets[f]..self.offsets[f + 1]]
-    }
-
-    /// Frequency of `word` in `file` (0 if absent).
-    pub fn frequency(&self, file: FileId, word: WordId) -> u64 {
-        let v = self.vector(file);
-        v.binary_search_by_key(&word, |&(w, _)| w)
-            .ok()
-            .map(|i| v[i].1)
-            .unwrap_or(0)
-    }
-
-    /// Iterates every file's vector in file order.
-    pub fn iter(&self) -> impl Iterator<Item = &[(WordId, u64)]> {
-        (0..self.num_files()).map(move |f| self.vector(f as FileId))
-    }
-}
-
-/// *sequence count*: global frequency of every `l`-word consecutive sequence
-/// (sequences never span file boundaries).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SequenceCountResult {
-    /// Sequence length `l`.
-    pub l: usize,
-    /// Flat key arena: `l` words per sequence, lexicographically ascending.
-    keys: Vec<u32>,
-    /// One total count per sequence (parallel to the key rows).
-    counts: Vec<u64>,
-}
-
-impl SequenceCountResult {
-    /// Builds from an already-sorted flat key arena and its count column.
-    pub fn from_sorted_columns(l: usize, keys: Vec<u32>, counts: Vec<u64>) -> Self {
-        debug_assert_eq!(keys.len(), counts.len() * l);
-        debug_assert!(
-            l == 0
-                || keys
-                    .chunks_exact(l)
-                    .zip(keys.chunks_exact(l).skip(1))
-                    .all(|(a, b)| a < b)
-        );
-        Self { l, keys, counts }
-    }
-
-    /// Builds from unsorted `(sequence, count)` pairs (one sort).
-    pub fn from_unsorted_pairs(l: usize, pairs: Vec<(Sequence, u64)>) -> Self {
-        let mut pairs = pairs;
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut keys = Vec::with_capacity(pairs.len() * l);
-        let mut counts = Vec::with_capacity(pairs.len());
-        for (seq, c) in pairs {
-            debug_assert_eq!(seq.len(), l);
-            keys.extend_from_slice(&seq);
-            counts.push(c);
-        }
-        Self { l, keys, counts }
-    }
-
-    /// Number of distinct sequences.
-    pub fn distinct_sequences(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Whether no sequence was observed.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Total sequence occurrences.
-    pub fn total_occurrences(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Occurrences of `seq` (0 if absent).
-    pub fn count(&self, seq: &[WordId]) -> u64 {
-        find_flat_key(&self.keys, self.l, seq)
-            .map(|i| self.counts[i])
-            .unwrap_or(0)
-    }
-
-    /// The `i`-th sequence in lexicographic order.
-    pub fn key_at(&self, i: usize) -> &[u32] {
-        &self.keys[i * self.l..(i + 1) * self.l]
-    }
-
-    /// Iterates `(sequence, count)` in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u32], u64)> {
-        (0..self.counts.len()).map(move |i| (self.key_at(i), self.counts[i]))
-    }
-}
-
-/// *ranked inverted index*: every `l`-word sequence → files containing it,
-/// ranked by in-file frequency (descending, ties by file id).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RankedInvertedIndexResult {
-    /// Sequence length `l`.
-    pub l: usize,
-    /// sequence → `(file, count)` in rank order, as a width-`l` posting
-    /// table.
-    pub table: PostingTable<(FileId, u64)>,
-}
-
-impl RankedInvertedIndexResult {
-    /// Builds from already-merged columns sorted by sequence.
-    pub fn from_sorted_parts(
-        l: usize,
-        keys: Vec<u32>,
-        offsets: Vec<usize>,
-        postings: Vec<(FileId, u64)>,
-    ) -> Self {
-        Self {
-            l,
-            table: PostingTable::from_sorted_parts(l, keys, offsets, postings),
-        }
-    }
-
-    /// Builds from unsorted `(sequence, ranked-files)` rows (one sort).
-    pub fn from_unsorted_rows(l: usize, rows: Vec<(Sequence, Vec<(FileId, u64)>)>) -> Self {
-        Self {
-            l,
-            table: PostingTable::from_unsorted_rows(l, rows),
-        }
-    }
-
-    /// Number of indexed sequences.
-    pub fn distinct_sequences(&self) -> usize {
-        self.table.num_keys()
-    }
-
-    /// The ranked posting list for `seq` (empty if absent).
-    pub fn files_for(&self, seq: &[WordId]) -> &[(FileId, u64)] {
-        self.table.get(seq)
-    }
-
-    /// Iterates `(sequence, ranked-files)` in lexicographic order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u32], &[(FileId, u64)])> {
-        self.table.iter()
+        let keys = (self.width > 0).then_some(Column::U32(&self.keys));
+        let rest = [Column::Offsets(&self.offsets), values(&self.values)];
+        (self.len(), keys.into_iter().chain(rest).collect())
     }
 }
 
 /// Output of any of the six tasks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AnalyticsOutput {
-    /// Word count output.
-    WordCount(WordCountResult),
-    /// Sort output.
-    Sort(SortResult),
-    /// Inverted index output.
-    InvertedIndex(InvertedIndexResult),
-    /// Term vector output.
-    TermVector(TermVectorResult),
-    /// Sequence count output.
-    SequenceCount(SequenceCountResult),
-    /// Ranked inverted index output.
-    RankedInvertedIndex(RankedInvertedIndexResult),
+    /// word → total occurrences: a width-1 count table.
+    WordCount(CountTable),
+    /// `(word, frequency)` by descending frequency, ties by word.
+    Sort(Vec<(WordId, u64)>),
+    /// word → ascending files containing it: a width-1 posting table.
+    InvertedIndex(PostingTable<FileId>),
+    /// One ascending `(word, count)` row per file, in file order: a
+    /// width-0 posting table.
+    TermVector(PostingTable<(WordId, u64)>),
+    /// `l`-word sequence → total occurrences (never across file
+    /// boundaries): a width-`l` count table.
+    SequenceCount(CountTable),
+    /// `l`-word sequence → `(file, count)` ranked by count (descending,
+    /// ties by file): a width-`l` posting table.
+    RankedInvertedIndex(PostingTable<(FileId, u64)>),
 }
 
 /// One column of a result table, borrowed (see [`AnalyticsOutput::columns`]).
@@ -637,12 +338,12 @@ impl AnalyticsOutput {
         }
     }
 
-    /// The sequence length `l` of a sequence task's table; `None` for the
-    /// other tasks.
+    /// The sequence length `l` of a sequence task's table — its width;
+    /// `None` for the other tasks.
     pub fn sequence_length(&self) -> Option<usize> {
         match self {
-            Self::SequenceCount(r) => Some(r.l),
-            Self::RankedInvertedIndex(r) => Some(r.l),
+            Self::SequenceCount(t) => Some(t.width()),
+            Self::RankedInvertedIndex(t) => Some(t.width()),
             _ => None,
         }
     }
@@ -654,17 +355,15 @@ impl AnalyticsOutput {
     /// columns in this order, and [`heap_bytes`](Self::heap_bytes) sums
     /// them.
     pub fn columns(&self) -> (usize, Vec<Column<'_>>) {
-        use Column::{Offsets, Pairs, U32, U64};
+        use Column::{Pairs, U32, U64};
         match self {
-            Self::WordCount(r) => {
-                let t = &r.table;
-                (t.len(), vec![U32(t.keys()), U64(t.values())])
+            Self::WordCount(t) | Self::SequenceCount(t) => {
+                (t.len(), vec![U32(&t.keys), U64(&t.counts)])
             }
-            Self::Sort(r) => (r.ranked.len(), vec![Pairs(&r.ranked)]),
-            Self::InvertedIndex(r) => r.table.columns(U32),
-            Self::TermVector(r) => (r.num_files(), vec![Offsets(&r.offsets), Pairs(&r.terms)]),
-            Self::SequenceCount(r) => (r.counts.len(), vec![U32(&r.keys), U64(&r.counts)]),
-            Self::RankedInvertedIndex(r) => r.table.columns(Pairs),
+            Self::Sort(ranked) => (ranked.len(), vec![Pairs(ranked)]),
+            Self::InvertedIndex(t) => t.columns(U32),
+            Self::TermVector(t) => t.columns(Pairs),
+            Self::RankedInvertedIndex(t) => t.columns(Pairs),
         }
     }
 
@@ -690,31 +389,33 @@ impl AnalyticsOutput {
     /// the hash-map era, which cloned and sorted every key per call — this
     /// only walks the columns.  The mixing function, seeds, and iteration
     /// order are unchanged from the hash-map representation, and
-    /// `tests/digest_stability.rs` pins the values.
+    /// `tests/digest_stability.rs` pins the values.  Each task keeps its
+    /// own seed, so a `sequenceCount` at `l` = 1 does not digest like the
+    /// `wordCount` of the same words.
     pub fn digest(&self) -> u64 {
         fn mix(h: u64, v: u64) -> u64 {
             (h ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(27)
         }
         match self {
-            AnalyticsOutput::WordCount(r) => {
+            AnalyticsOutput::WordCount(t) => {
                 let mut h = 1u64;
-                for (w, c) in r.iter() {
+                for (&w, &c) in t.keys.iter().zip(&t.counts) {
                     h = mix(h, (w as u64) << 32 | c & 0xffff_ffff);
                     h = mix(h, c);
                 }
                 h
             }
-            AnalyticsOutput::Sort(r) => {
+            AnalyticsOutput::Sort(ranked) => {
                 let mut h = 2u64;
-                for &(w, c) in &r.ranked {
+                for &(w, c) in ranked {
                     h = mix(h, w as u64);
                     h = mix(h, c);
                 }
                 h
             }
-            AnalyticsOutput::InvertedIndex(r) => {
+            AnalyticsOutput::InvertedIndex(t) => {
                 let mut h = 3u64;
-                for (w, files) in r.iter() {
+                for (&w, files) in t.keys.iter().zip(t.rows()) {
                     h = mix(h, w as u64);
                     for &f in files {
                         h = mix(h, f as u64);
@@ -722,9 +423,9 @@ impl AnalyticsOutput {
                 }
                 h
             }
-            AnalyticsOutput::TermVector(r) => {
+            AnalyticsOutput::TermVector(t) => {
                 let mut h = 4u64;
-                for v in r.iter() {
+                for v in t.rows() {
                     for &(w, c) in v {
                         h = mix(h, w as u64);
                         h = mix(h, c);
@@ -733,9 +434,9 @@ impl AnalyticsOutput {
                 }
                 h
             }
-            AnalyticsOutput::SequenceCount(r) => {
+            AnalyticsOutput::SequenceCount(t) => {
                 let mut h = 5u64;
-                for (k, c) in r.iter() {
+                for (k, c) in t.iter() {
                     for &w in k {
                         h = mix(h, w as u64);
                     }
@@ -743,9 +444,9 @@ impl AnalyticsOutput {
                 }
                 h
             }
-            AnalyticsOutput::RankedInvertedIndex(r) => {
+            AnalyticsOutput::RankedInvertedIndex(t) => {
                 let mut h = 6u64;
-                for (k, files) in r.iter() {
+                for (k, files) in t.iter() {
                     for &w in k {
                         h = mix(h, w as u64);
                     }
@@ -761,15 +462,19 @@ impl AnalyticsOutput {
 }
 
 #[cfg(test)]
+fn capacity<T>(v: &Vec<T>) -> (usize, usize) {
+    (v.len(), v.capacity())
+}
+
+#[cfg(test)]
 impl<V> PostingTable<V> {
-    /// The `(length, capacity)` of the key arena, the offsets and the
-    /// values.
+    /// The `(length, capacity)` of the key arena (none at width 0), the
+    /// offsets and the values.
     pub(crate) fn column_capacities(&self) -> Vec<(usize, usize)> {
-        vec![
-            (self.keys.len(), self.keys.capacity()),
-            (self.offsets.len(), self.offsets.capacity()),
-            (self.values.len(), self.values.capacity()),
-        ]
+        let keys = (self.width > 0).then(|| capacity(&self.keys));
+        (keys.into_iter())
+            .chain([capacity(&self.offsets), capacity(&self.values)])
+            .collect()
     }
 }
 
@@ -778,16 +483,14 @@ impl AnalyticsOutput {
     /// The `(length, capacity)` of every `Vec` this output owns, in
     /// [`columns`](Self::columns) order.
     pub(crate) fn column_capacities(&self) -> Vec<(usize, usize)> {
-        fn of<T>(v: &Vec<T>) -> (usize, usize) {
-            (v.len(), v.capacity())
-        }
         match self {
-            Self::WordCount(r) => vec![of(&r.table.keys), of(&r.table.values)],
-            Self::Sort(r) => vec![of(&r.ranked)],
-            Self::InvertedIndex(r) => r.table.column_capacities(),
-            Self::TermVector(r) => vec![of(&r.offsets), of(&r.terms)],
-            Self::SequenceCount(r) => vec![of(&r.keys), of(&r.counts)],
-            Self::RankedInvertedIndex(r) => r.table.column_capacities(),
+            Self::WordCount(t) | Self::SequenceCount(t) => {
+                vec![capacity(&t.keys), capacity(&t.counts)]
+            }
+            Self::Sort(ranked) => vec![capacity(ranked)],
+            Self::InvertedIndex(t) => t.column_capacities(),
+            Self::TermVector(t) => t.column_capacities(),
+            Self::RankedInvertedIndex(t) => t.column_capacities(),
         }
     }
 }
@@ -796,30 +499,22 @@ impl AnalyticsOutput {
 mod tests {
     use super::*;
 
-    fn wc(pairs: &[(u32, u64)]) -> WordCountResult {
-        WordCountResult::from_unsorted_pairs(pairs.to_vec())
+    fn wc(pairs: &[(u32, u64)]) -> CountTable {
+        CountTable::from_unsorted_pairs(1, pairs.iter().map(|&(w, c)| ([w], c)).collect())
     }
 
     #[test]
     fn word_count_accessors() {
         let r = wc(&[(2, 1), (0, 5), (1, 3)]);
-        assert_eq!(r.total_occurrences(), 9);
-        assert_eq!(r.distinct_words(), 3);
-        assert_eq!(r.iter().collect::<Vec<_>>(), [(0, 5), (1, 3), (2, 1)]);
-        assert_eq!(r.count(0), 5);
-        assert_eq!(r.count(7), 0);
-    }
-
-    #[test]
-    fn sorted_table_lookup_and_columns() {
-        let t = SortedTable::from_unsorted_pairs(vec![(3u32, "c"), (1, "a"), (2, "b")]);
-        assert_eq!(t.keys(), &[1, 2, 3]);
-        assert_eq!(t.values(), &["a", "b", "c"]);
-        assert_eq!(t.get(&2), Some(&"b"));
-        assert_eq!(t.get(&9), None);
-        assert_eq!(t.len(), 3);
-        assert!(!t.is_empty());
-        assert_eq!(SortedTable::<u32, u32>::new().len(), 0);
+        assert_eq!(r.len(), 3);
+        assert!(!r.is_empty());
+        assert_eq!(r.keys(), &[0, 1, 2]);
+        assert_eq!(r.counts(), &[5, 3, 1]);
+        let rows: Vec<_> = r.iter().collect();
+        assert_eq!(rows, [(&[0][..], 5), (&[1][..], 3), (&[2][..], 1)]);
+        assert_eq!(r.count(&[0]), 5);
+        assert_eq!(r.count(&[7]), 0);
+        assert_eq!(r.count(&[0, 1]), 0); // wrong width
     }
 
     #[test]
@@ -828,52 +523,56 @@ mod tests {
             2,
             vec![(vec![4, 1], vec![9u32]), (vec![1, 2], vec![5, 6, 7])],
         );
-        assert_eq!(t.num_keys(), 2);
+        assert_eq!(t.len(), 2);
         assert_eq!(t.key_at(0), &[1, 2]);
         assert_eq!(t.values_at(0), &[5, 6, 7]);
         assert_eq!(t.get(&[4, 1]), &[9]);
         assert_eq!(t.get(&[4, 2]), &[] as &[u32]);
         assert_eq!(t.get(&[4]), &[] as &[u32]); // wrong width
-        assert_eq!(t.total_values(), 4);
+        assert_eq!(t.values().len(), 4);
         assert_eq!(t.offsets(), &[0, 3, 4]);
-        assert_eq!(t.keys_flat(), &[1, 2, 4, 1]);
+        assert_eq!(t.key_at(1), &[4, 1]);
     }
 
     #[test]
     fn sort_ranks_by_frequency_then_word() {
-        let r = SortResult::from_word_count(&wc(&[(5, 3), (1, 7), (2, 3)]));
-        assert_eq!(r.ranked, vec![(1, 7), (2, 3), (5, 3)]);
-        assert_eq!(r.top_k(2), &[(1, 7), (2, 3)]);
-        assert_eq!(r.top_k(10).len(), 3);
+        let ranked = rank(&wc(&[(5, 3), (1, 7), (2, 3)]));
+        assert_eq!(ranked, vec![(1, 7), (2, 3), (5, 3)]);
     }
 
     #[test]
     fn inverted_index_lookup() {
-        let r = InvertedIndexResult::from_unsorted_rows(vec![(3u32, vec![0u32, 2, 5])]);
-        assert_eq!(r.files_for(3), &[0, 2, 5]);
-        assert_eq!(r.files_for(9), &[] as &[u32]);
-        assert_eq!(r.total_postings(), 3);
-        assert_eq!(r.distinct_words(), 1);
+        let r = PostingTable::from_unsorted_rows(1, vec![([3u32], vec![0u32, 2, 5])]);
+        assert_eq!(r.get(&[3]), &[0, 2, 5]);
+        assert_eq!(r.get(&[9]), &[] as &[u32]);
+        assert_eq!(r.values().len(), 3);
+        assert_eq!(r.len(), 1);
     }
 
+    /// A width-0 table keeps its rows in the order given — file order —
+    /// where a keyed build would sort them.
     #[test]
     fn term_vector_frequency_lookup() {
-        let r = TermVectorResult::from_rows(vec![vec![(1, 4), (7, 2)], vec![]]);
-        assert_eq!(r.frequency(0, 7), 2);
-        assert_eq!(r.frequency(0, 2), 0);
-        assert_eq!(r.frequency(1, 1), 0);
-        assert_eq!(r.frequency(9, 1), 0);
-        assert_eq!(r.num_files(), 2);
-        assert_eq!(r.vector(0), &[(1, 4), (7, 2)]);
-        assert_eq!(r.vector(1), &[] as &[(u32, u64)]);
+        let r = PostingTable::from_rows(vec![vec![(7, 2)], vec![], vec![(1, 4), (3, 1)]]);
+        assert_eq!(r.width(), 0);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.values_at(0), &[(7, 2)]);
+        assert_eq!(r.values_at(1), &[] as &[(u32, u64)]);
+        assert_eq!(r.values_at(2), &[(1, 4), (3, 1)]);
+        assert_eq!(r.key_at(2), &[] as &[u32]);
+        assert_eq!(r.get(&[]), &[] as &[(u32, u64)]);
     }
 
     #[test]
     fn term_vector_from_sorted_parts_is_the_flat_form_of_from_rows() {
         let rows = vec![vec![(1, 4), (7, 2)], vec![], vec![(3, 9)]];
-        let flat =
-            TermVectorResult::from_sorted_parts(vec![0, 2, 2, 3], vec![(1, 4), (7, 2), (3, 9)]);
-        assert_eq!(flat, TermVectorResult::from_rows(rows));
+        let flat = PostingTable::from_sorted_parts(
+            0,
+            Vec::new(),
+            vec![0, 2, 2, 3],
+            vec![(1, 4), (7, 2), (3, 9)],
+        );
+        assert_eq!(flat, PostingTable::from_rows(rows));
         let out = AnalyticsOutput::TermVector(flat.clone());
         let (files, columns) = out.columns();
         assert_eq!(files, 3);
@@ -885,8 +584,8 @@ mod tests {
             ]
         );
         assert_eq!(
-            TermVectorResult::from_sorted_parts(vec![0], Vec::new()),
-            TermVectorResult::default()
+            PostingTable::<(u32, u64)>::from_sorted_parts(0, Vec::new(), vec![0], Vec::new()),
+            PostingTable::from_rows(Vec::new())
         );
     }
 
@@ -900,13 +599,12 @@ mod tests {
                 2 * (4 + 8),
             ),
             (
-                AnalyticsOutput::Sort(SortResult {
-                    ranked: vec![(1, 7), (2, 3), (5, 3)],
-                }),
+                AnalyticsOutput::Sort(vec![(1, 7), (2, 3), (5, 3)]),
                 3 * pair,
             ),
             (
-                AnalyticsOutput::InvertedIndex(InvertedIndexResult::from_sorted_parts(
+                AnalyticsOutput::InvertedIndex(PostingTable::from_sorted_parts(
+                    1,
                     vec![2, 4],
                     vec![0, 2, 3],
                     vec![0, 1, 1],
@@ -914,14 +612,14 @@ mod tests {
                 2 * 4 + 3 * word + 3 * 4,
             ),
             (
-                AnalyticsOutput::TermVector(TermVectorResult::from_rows(vec![
+                AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
                     vec![(1, 4), (7, 2)],
                     vec![],
                 ])),
                 3 * word + 2 * pair,
             ),
             (
-                AnalyticsOutput::SequenceCount(SequenceCountResult::from_sorted_columns(
+                AnalyticsOutput::SequenceCount(CountTable::from_sorted_columns(
                     2,
                     vec![1, 2, 1, 3],
                     vec![4, 1],
@@ -929,7 +627,7 @@ mod tests {
                 4 * 4 + 2 * 8,
             ),
             (
-                AnalyticsOutput::RankedInvertedIndex(RankedInvertedIndexResult::from_sorted_parts(
+                AnalyticsOutput::RankedInvertedIndex(PostingTable::from_sorted_parts(
                     2,
                     vec![1, 2, 1, 3],
                     vec![0, 1, 3],
@@ -946,26 +644,21 @@ mod tests {
 
     #[test]
     fn sequence_count_accessors() {
-        let r = SequenceCountResult::from_unsorted_pairs(
-            3,
-            vec![(vec![2, 3, 4], 1u64), (vec![1, 2, 3], 4u64)],
-        );
-        assert_eq!(r.distinct_sequences(), 2);
-        assert_eq!(r.total_occurrences(), 5);
+        let r =
+            CountTable::from_unsorted_pairs(3, vec![(vec![2, 3, 4], 1u64), (vec![1, 2, 3], 4u64)]);
+        assert_eq!(r.width(), 3);
+        assert_eq!(r.len(), 2);
         assert_eq!(r.count(&[1, 2, 3]), 4);
         assert_eq!(r.count(&[9, 9, 9]), 0);
-        assert_eq!(r.key_at(0), &[1, 2, 3]);
+        assert_eq!(r.keys(), &[1, 2, 3, 2, 3, 4]);
     }
 
     #[test]
     fn ranked_inverted_index_lookup() {
-        let r = RankedInvertedIndexResult::from_unsorted_rows(
-            2,
-            vec![(vec![1, 2], vec![(3u32, 9u64), (0, 2)])],
-        );
-        assert_eq!(r.files_for(&[1, 2]), &[(3, 9), (0, 2)]);
-        assert!(r.files_for(&[9, 9]).is_empty());
-        assert_eq!(r.distinct_sequences(), 1);
+        let r = PostingTable::from_unsorted_rows(2, vec![(vec![1, 2], vec![(3u32, 9u64), (0, 2)])]);
+        assert_eq!(r.get(&[1, 2]), &[(3, 9), (0, 2)]);
+        assert!(r.get(&[9, 9]).is_empty());
+        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -973,20 +666,16 @@ mod tests {
         // Equality must not depend on which construction path produced an
         // empty result (cross-implementation checks compare empties too).
         assert_eq!(
-            InvertedIndexResult::default(),
-            InvertedIndexResult::from_unsorted_rows(Vec::new())
+            PostingTable::<u32>::from_sorted_parts(1, Vec::new(), vec![0], Vec::new()),
+            PostingTable::from_unsorted_rows(1, Vec::<([u32; 1], _)>::new())
         );
         assert_eq!(
-            TermVectorResult::default(),
-            TermVectorResult::from_rows(Vec::new())
+            CountTable::from_sorted_columns(3, Vec::new(), Vec::new()),
+            CountTable::from_unsorted_pairs(3, Vec::<(Sequence, _)>::new())
         );
         assert_eq!(
-            SequenceCountResult::from_sorted_columns(3, Vec::new(), Vec::new()),
-            SequenceCountResult::from_unsorted_pairs(3, Vec::new())
-        );
-        assert_eq!(
-            RankedInvertedIndexResult::from_sorted_parts(3, Vec::new(), vec![0], Vec::new()),
-            RankedInvertedIndexResult::from_unsorted_rows(3, Vec::new())
+            PostingTable::<(u32, u64)>::from_sorted_parts(3, Vec::new(), vec![0], Vec::new()),
+            PostingTable::from_unsorted_rows(3, Vec::<(Sequence, _)>::new())
         );
     }
 
@@ -1001,13 +690,10 @@ mod tests {
 
     #[test]
     fn task_names() {
-        assert_eq!(
-            AnalyticsOutput::Sort(SortResult::default()).task(),
-            Task::Sort
-        );
-        assert_eq!(
-            AnalyticsOutput::SequenceCount(SequenceCountResult::default()).task(),
-            Task::SequenceCount
-        );
+        assert_eq!(AnalyticsOutput::Sort(Vec::new()).task(), Task::Sort);
+        let empty = CountTable::from_sorted_columns(3, Vec::new(), Vec::new());
+        let out = AnalyticsOutput::SequenceCount(empty);
+        assert_eq!(out.task(), Task::SequenceCount);
+        assert_eq!(out.sequence_length(), Some(3));
     }
 }

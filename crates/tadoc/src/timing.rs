@@ -37,11 +37,6 @@ impl WorkStats {
         self.bytes_moved += other.bytes_moved;
         self.sync_ops += other.sync_ops;
     }
-
-    /// Total abstract operations (used by simple throughput models).
-    pub fn total_ops(&self) -> u64 {
-        self.elements_scanned + self.table_ops + self.words_emitted + self.sync_ops
-    }
 }
 
 /// Why a query was served by the sequential fallback instead of the
@@ -182,7 +177,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.elements_scanned, 11);
         assert_eq!(a.bytes_moved, 101);
-        assert_eq!(a.total_ops(), 11 + 6 + 3 + 2);
     }
 
     #[test]

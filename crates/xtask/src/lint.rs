@@ -680,7 +680,7 @@ impl<'s> FileLint<'s> {
                 tok.line,
                 format!(
                     "`{}` on the hash-free finalize path: merge the per-shard sorted \
-                     runs into ordered columns (`SortedTable`/`PostingTable`) instead \
+                     runs into ordered columns (`CountTable`/`PostingTable`) instead \
                      of rebuilding a hash table",
                     self.text(tok)
                 ),

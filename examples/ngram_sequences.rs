@@ -31,7 +31,7 @@ fn main() {
     if let AnalyticsOutput::SequenceCount(result) = &sc.output {
         println!(
             "sequence count found {} distinct trigrams in {:.3} ms of modelled GPU time",
-            result.distinct_sequences(),
+            result.len(),
             sc.total_seconds() * 1e3
         );
         let mut top: Vec<(&[u32], u64)> = result.iter().collect();
@@ -52,7 +52,7 @@ fn main() {
     if let AnalyticsOutput::RankedInvertedIndex(result) = &rii.output {
         println!(
             "indexed {} distinct trigram phrases in {:.3} ms of modelled GPU time",
-            result.distinct_sequences(),
+            result.len(),
             rii.total_seconds() * 1e3
         );
         // Look up the most widely shared phrase.

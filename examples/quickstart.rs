@@ -61,7 +61,7 @@ fn main() {
         println!("\n== word count (Figure 2) ==");
         let mut rows: Vec<(String, u64)> = result
             .iter()
-            .map(|(w, c)| (archive.dictionary.word(w).to_string(), c))
+            .map(|(w, c)| (archive.dictionary.word(w[0]).to_string(), c))
             .collect();
         rows.sort();
         for (word, count) in rows {

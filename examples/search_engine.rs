@@ -37,8 +37,8 @@ fn main() {
     };
     println!(
         "built inverted index ({} words, {} postings, strategy {}) and term vectors in {:.3} ms of modelled GPU time\n",
-        index.distinct_words(),
-        index.total_postings(),
+        index.len(),
+        index.values().len(),
         index_exec.strategy,
         (index_exec.total_seconds() + vectors_exec.total_seconds()) * 1e3
     );
@@ -60,16 +60,22 @@ fn main() {
             println!("  (a query word is not in the corpus)\n");
             continue;
         }
-        // Intersect posting lists.
-        let mut candidates: Vec<u32> = index.files_for(ids[0]).to_vec();
+        // Intersect posting lists: a word's row of the inverted index.
+        let mut candidates: Vec<u32> = index.get(&[ids[0]]).to_vec();
         for &w in &ids[1..] {
-            let postings = index.files_for(w);
+            let postings = index.get(&[w]);
             candidates.retain(|f| postings.binary_search(f).is_ok());
         }
-        // Rank by summed term frequency from the term vectors.
+        // Rank by summed term frequency: file `f`'s row of the term
+        // vectors holds its `(word, count)` pairs, ascending by word.
+        let frequency = |f: u32, w: u32| {
+            let row = vectors.values_at(f as usize);
+            row.binary_search_by_key(&w, |&(word, _)| word)
+                .map_or(0, |i| row[i].1)
+        };
         let mut ranked: Vec<(u32, u64)> = candidates
             .into_iter()
-            .map(|f| (f, ids.iter().map(|&w| vectors.frequency(f, w)).sum()))
+            .map(|f| (f, ids.iter().map(|&w| frequency(f, w)).sum()))
             .collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         for (file, score) in ranked.iter().take(5) {

@@ -59,7 +59,7 @@ fn main() {
     assert_eq!(gpu.output, *cpu.output, "G-TADOC must agree with TADOC");
 
     println!("top 10 words (all three implementations agree):");
-    for (word, count) in oracle.top_k(10) {
+    for (word, count) in oracle.iter().take(10) {
         println!("  {:<12} {count}", corpus.dictionary.word(*word));
     }
 

@@ -38,7 +38,7 @@
 //! // 3. The result matches the CPU baseline and the uncompressed oracle.
 //! if let AnalyticsOutput::WordCount(wc) = &execution.output {
 //!     let the = archive.dictionary.get("the").unwrap();
-//!     assert_eq!(wc.count(the), 5);
+//!     assert_eq!(wc.count(&[the]), 5);
 //! }
 //! ```
 
