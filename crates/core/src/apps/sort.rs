@@ -47,12 +47,7 @@ pub fn run(
     strategy: TraversalStrategy,
 ) -> Vec<(u32, u64)> {
     let wc: CountTable = super::word_count::run(device, layout, plan, params, strategy);
-    let pairs: Vec<(u32, u64)> = wc
-        .keys()
-        .iter()
-        .copied()
-        .zip(wc.counts().iter().copied())
-        .collect();
+    let pairs: Vec<(u32, u64)> = wc.iter().map(|(w, c)| (w[0], c)).collect();
     let mut kernel = SortPairsKernel {
         pairs,
         sorted: false,

@@ -146,12 +146,7 @@ impl CountTable {
 /// descending count, ties by ascending word.
 pub fn rank(words: &CountTable) -> Vec<(WordId, u64)> {
     debug_assert_eq!(words.width, 1);
-    let mut ranked: Vec<_> = words
-        .keys
-        .iter()
-        .copied()
-        .zip(words.counts.iter().copied())
-        .collect();
+    let mut ranked: Vec<_> = words.iter().map(|(w, c)| (w[0], c)).collect();
     ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     ranked
 }
