@@ -162,7 +162,7 @@ fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
     match out {
         AnalyticsOutput::WordCount(t) => RawPayload::tagged(1)
             .u64(t.len() as u64)
-            .u32s(t.keys().iter().copied())
+            .u32s(t.iter().map(|(key, _)| key[0]))
             .u64s(t.counts().iter().copied()),
         AnalyticsOutput::Sort(ranked) => {
             RawPayload::tagged(2).u64(ranked.len() as u64).pairs(ranked)

@@ -121,11 +121,6 @@ impl CountTable {
         self.counts.is_empty()
     }
 
-    /// The flat key arena: `width` words per row, rows ascending.
-    pub fn keys(&self) -> &[u32] {
-        &self.keys
-    }
-
     /// The count column (one per key row).
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -503,7 +498,6 @@ mod tests {
         let r = wc(&[(2, 1), (0, 5), (1, 3)]);
         assert_eq!(r.len(), 3);
         assert!(!r.is_empty());
-        assert_eq!(r.keys(), &[0, 1, 2]);
         assert_eq!(r.counts(), &[5, 3, 1]);
         let rows: Vec<_> = r.iter().collect();
         assert_eq!(rows, [(&[0][..], 5), (&[1][..], 3), (&[2][..], 1)]);
@@ -645,7 +639,8 @@ mod tests {
         assert_eq!(r.len(), 2);
         assert_eq!(r.count(&[1, 2, 3]), 4);
         assert_eq!(r.count(&[9, 9, 9]), 0);
-        assert_eq!(r.keys(), &[1, 2, 3, 2, 3, 4]);
+        let keys: Vec<&[u32]> = r.iter().map(|(key, _)| key).collect();
+        assert_eq!(keys, [&[1, 2, 3][..], &[2, 3, 4][..]]);
     }
 
     #[test]
