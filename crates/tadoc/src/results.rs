@@ -507,6 +507,25 @@ mod tests {
     }
 
     #[test]
+    fn sorted_table_lookup_and_columns() {
+        let t =
+            CountTable::from_unsorted_pairs(2, vec![([3u32, 0], 30), ([1, 9], 10), ([1, 2], 12)]);
+        assert_eq!(t.width(), 2);
+        let keys: Vec<_> = t.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, [&[1, 2][..], &[1, 9], &[3, 0]]);
+        assert_eq!(t.counts(), &[12, 10, 30]);
+        assert_eq!(t.count(&[1, 9]), 10);
+        assert_eq!(t.count(&[3, 1]), 0);
+        assert_eq!(t.count(&[3]), 0); // wrong width
+        assert_eq!(t.len(), 3);
+        assert!(!t.is_empty());
+        let empty = CountTable::from_sorted_columns(2, Vec::new(), Vec::new());
+        assert_eq!(empty.len(), 0);
+        assert!(empty.is_empty());
+        assert_eq!(empty.count(&[1, 2]), 0);
+    }
+
+    #[test]
     fn posting_table_csr_invariants() {
         let t = PostingTable::from_unsorted_rows(
             2,
