@@ -16,7 +16,7 @@ use crate::sequence::head_tail::{init_head_tail, HeadTail};
 use crate::traversal::top_down::compute_file_weights;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
 use sequitur::fxhash::FxHashMap;
-use tadoc::results::{FileId, PostingTable, Sequence};
+use tadoc::results::{rank_order, FileId, PostingTable, Sequence};
 
 /// One thread per non-root rule attributes its local sequences to every file
 /// it occurs in; the root is split across one thread per chunk, each chunk
@@ -105,7 +105,7 @@ pub fn run(
         .into_iter()
         .map(|(packed, files)| {
             let mut ranked: Vec<(FileId, u64)> = files.into_iter().collect();
-            ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            ranked.sort_unstable_by(rank_order);
             (unpack_sequence(packed, l), ranked)
         })
         .collect();
@@ -168,7 +168,7 @@ mod tests {
         let plan = ThreadPlan::fine_grained(&layout, &GtadocParams::default());
         let mut device = Device::new(GpuSpec::gtx_1080());
         let result = run(&mut device, &layout, &plan, &GtadocParams::default());
-        for ranked in result.rows() {
+        for ranked in result.csr().rows() {
             for pair in ranked.windows(2) {
                 assert!(pair[0].1 >= pair[1].1);
             }

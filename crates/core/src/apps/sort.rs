@@ -9,7 +9,7 @@ use crate::params::GtadocParams;
 use crate::schedule::ThreadPlan;
 use crate::traversal::TraversalStrategy;
 use gpu_sim::{Device, Kernel, LaunchConfig, ThreadCtx};
-use tadoc::results::CountTable;
+use tadoc::results::{rank_order, CountTable};
 
 /// Device sort kernel: functionally sorts `(word, count)` pairs by descending
 /// count; each simulated thread accounts for its share of an `n log n`
@@ -31,8 +31,7 @@ impl Kernel for SortPairsKernel {
         ctx.global_read(12 * log_n);
         ctx.global_write(12);
         if !self.sorted {
-            self.pairs
-                .sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            self.pairs.sort_unstable_by(rank_order);
             self.sorted = true;
         }
     }

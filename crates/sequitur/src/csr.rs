@@ -1,9 +1,10 @@
 //! Compressed sparse rows: variable-length rows stored back to back in one
 //! column, row `r` being `data[offsets[r] .. offsets[r + 1]]`.
 //!
-//! The grammar's rule bodies and the DAG's edge and local-word tables all
-//! take this shape, so a load allocates a handful of columns instead of one
-//! vector per rule, and a device layout copies the columns as they are.
+//! The grammar's rule bodies, the DAG's edge and local-word tables and the
+//! rows of every analytics posting table (`tadoc::results::PostingTable`)
+//! all take this shape, so a load allocates a handful of columns instead of
+//! one vector per row, and a device layout copies the columns as they are.
 
 /// Rows of `T` stored back to back behind a `u32` offset column.
 ///
@@ -28,9 +29,19 @@ impl<T> Csr<T> {
         }
     }
 
+    /// The table of `rows`, in order, at exactly its size.
+    pub fn from_rows(rows: Vec<Vec<T>>) -> Self {
+        let mut table = Self::with_capacity(rows.len(), rows.iter().map(Vec::len).sum());
+        for row in rows {
+            table.data.extend(row);
+            table.end_row();
+        }
+        table
+    }
+
     /// Builds a table from its columns: `offsets` starts at 0, never
     /// decreases and ends at `data.len()`.
-    pub(crate) fn from_parts(offsets: Vec<u32>, data: Vec<T>) -> Self {
+    pub fn from_parts(offsets: Vec<u32>, data: Vec<T>) -> Self {
         debug_assert_eq!(offsets.first(), Some(&0));
         debug_assert_eq!(offsets.last().map(|&o| o as usize), Some(data.len()));
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
@@ -87,6 +98,15 @@ impl<T> Csr<T> {
     #[inline]
     pub fn data(&self) -> &[T] {
         &self.data
+    }
+
+    /// The `(length, capacity)` of the offset and data columns: a table
+    /// built at its exact size holds no spare room.
+    pub fn capacities(&self) -> [(usize, usize); 2] {
+        [
+            (self.offsets.len(), self.offsets.capacity()),
+            (self.data.len(), self.data.capacity()),
+        ]
     }
 }
 

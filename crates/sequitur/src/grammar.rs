@@ -150,14 +150,7 @@ impl Facts {
 impl Grammar {
     /// Creates a grammar from rule bodies. Rule 0 must be the root.
     pub fn new(rules: Vec<Vec<Symbol>>) -> Self {
-        let mut bodies = Csr::with_capacity(rules.len(), rules.iter().map(Vec::len).sum());
-        for body in rules {
-            for sym in body {
-                bodies.push(sym);
-            }
-            bodies.end_row();
-        }
-        Self::from_bodies(bodies)
+        Self::from_bodies(Csr::from_rows(rules))
     }
 
     /// A grammar over `bodies`, its facts computed on first use.

@@ -37,10 +37,10 @@ fn summarize(out: &AnalyticsOutput) -> String {
         }
         AnalyticsOutput::Sort(ranked) => format!("{} ranked words", ranked.len()),
         AnalyticsOutput::InvertedIndex(t) => {
-            format!("{} words, {} postings", t.len(), t.values().len())
+            format!("{} words, {} postings", t.len(), t.csr().data().len())
         }
         AnalyticsOutput::TermVector(t) => {
-            format!("{} files, {} terms", t.len(), t.values().len())
+            format!("{} files, {} terms", t.len(), t.csr().data().len())
         }
         AnalyticsOutput::SequenceCount(t) => format!(
             "{} distinct {}-sequences, {} occurrences",
@@ -52,7 +52,7 @@ fn summarize(out: &AnalyticsOutput) -> String {
             "{} {}-sequences, {} postings",
             t.len(),
             t.width(),
-            t.values().len()
+            t.csr().data().len()
         ),
     }
 }

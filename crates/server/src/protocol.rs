@@ -12,7 +12,8 @@
 //! checked against the remaining payload before anything is allocated, all
 //! arithmetic on untrusted lengths is checked, and every structural
 //! invariant of the ordered columnar result types (strictly ascending keys,
-//! consistent offsets) is validated *before* the corresponding constructor
+//! offsets that start at 0 and never decrease, posting lists ascending or
+//! in rank order) is validated *before* the corresponding constructor
 //! runs, so a hostile peer can produce [`ProtocolError`]s but never a panic
 //! or an oversized allocation.
 //!
@@ -37,10 +38,11 @@
 //!
 //! Every integer column travels as one or two **runs**: a width byte `w`
 //! (1, 2, 4 or 8), then the column's values as `w`-byte integers.  `w` is
-//! the narrowest width that holds the run's largest value (an offsets
-//! column's last offset; 1 for an empty run), so a file id below 256 takes
-//! one byte and a count below 65,536 two.  A `U32`, `U64` or offsets column
-//! is one run, a pair column two: its ids, then its counts.  The decoder
+//! the narrowest width that holds the run's largest value (1 for an empty
+//! run), so a file id below 256 takes one byte and a count below 65,536
+//! two.  A `U32` column — ids, a key arena or a posting table's CSR
+//! offsets — or a `U64` column is one run, a pair column two: its ids,
+//! then its counts.  The decoder
 //! refuses a width that is not the narrowest, so every frame it accepts
 //! re-encodes to the same bytes.  Every byte moves once: the encoder
 //! computes each run's width once, takes the exact frame length from the
@@ -48,11 +50,12 @@
 //! into one buffer of that size; the decoder builds each result column
 //! straight from its byte range.
 
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::EngineError;
-use tadoc::results::{AnalyticsOutput, Column, CountTable, PostingTable};
+use tadoc::results::{rank_order, AnalyticsOutput, Column, CountTable, PostingTable};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"TDQP";
@@ -408,7 +411,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a sequence task's `l`: at least 1, and small enough that a row
-    /// of `l` key words and its 8-byte count or offset is addressable,
+    /// of `l` key words and its 8-byte count is addressable,
     /// whatever the row count.
     fn sequence_length(&mut self) -> Result<usize, ProtocolError> {
         let what = self.what;
@@ -482,35 +485,48 @@ impl<'a> Cursor<'a> {
         Ok(keys)
     }
 
-    /// Reads the rest of a posting table after its `keys`: a CSR offsets
-    /// column of `rows + 1` entries and the value column it closes on.
+    /// Reads the rest of a posting table after its `keys`: a `u32` CSR
+    /// offsets column of `rows + 1` entries, which must start at 0 and
+    /// never decrease, and the value column its last offset closes on.
     fn postings<V: Element>(
         &mut self,
         width: usize,
         keys: Vec<u32>,
         rows: usize,
     ) -> Result<PostingTable<V>, ProtocolError> {
-        let offsets: Vec<usize> = self.column(rows.checked_add(1))?;
-        let values = self.column(offsets.last().copied())?;
+        let what = self.what;
+        let offsets: Vec<u32> = self.column(rows.checked_add(1))?;
+        if offsets.first().is_some_and(|&first| first != 0) {
+            return Err(malformed(format!("{what}: offsets do not start at 0")));
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(malformed(format!("{what}: offsets decrease")));
+        }
+        let values = self.column(offsets.last().map(|&end| end as usize))?;
         Ok(PostingTable::from_sorted_parts(
             width, keys, offsets, values,
         ))
     }
 
-    /// Refuses `table` unless the ids `id` reads off its values are
-    /// strictly ascending within every row: an inverted index's files, a
-    /// term vector file's words.
-    fn ascending<V>(
+    /// Refuses `rows` unless every row's values are strictly in `order`
+    /// (`how` names it), each before the next: an inverted index's files
+    /// and a term vector file's words ascending, a ranked posting list and
+    /// sort's one list of rows in rank order.
+    fn ordered<'r, V: 'r>(
         &self,
-        table: PostingTable<V>,
-        id: impl Fn(&V) -> u32,
-    ) -> Result<PostingTable<V>, ProtocolError> {
-        for (i, row) in table.rows().enumerate() {
-            if row.windows(2).any(|w| id(&w[0]) >= id(&w[1])) {
-                return Err(malformed(format!("{}: row {i} not ascending", self.what)));
+        rows: impl Iterator<Item = &'r [V]>,
+        how: &str,
+        order: impl Fn(&V, &V) -> Ordering,
+    ) -> Result<(), ProtocolError> {
+        for (i, row) in rows.enumerate() {
+            if !row
+                .windows(2)
+                .fold(true, |ok, w| ok & order(&w[0], &w[1]).is_lt())
+            {
+                return Err(malformed(format!("{}: row {i} not {how}", self.what)));
             }
         }
-        Ok(table)
+        Ok(())
     }
 
     fn finish(&self) -> Result<(), ProtocolError> {
@@ -556,24 +572,6 @@ impl Run<'_> {
         self.check_narrowest(bits)
     }
 
-    /// Stores the run's values into `slots`, one each, with `set`.
-    fn store_into<T>(
-        &self,
-        slots: &mut [T],
-        set: impl Fn(&mut T, u64),
-    ) -> Result<(), ProtocolError> {
-        let bits = by_width!(self.width, N => {
-            let mut bits = 0;
-            for (slot, b) in slots.iter_mut().zip(self.bytes.chunks_exact(N)) {
-                let v = uint::<N>(b);
-                bits |= v;
-                set(slot, v);
-            }
-            bits
-        });
-        self.check_narrowest(bits)
-    }
-
     /// A run travels at the narrowest width its values allow (`bits` is
     /// their OR), so every table has exactly one frame.
     fn check_narrowest(&self, bits: u64) -> Result<(), ProtocolError> {
@@ -609,32 +607,25 @@ impl Element for u64 {
 }
 
 /// A pair column travels as its ids run followed by its counts run, and
-/// decodes straight into the pairs: the ids first, then each count into
-/// its pair.
+/// decodes straight into the pairs in one pass over both runs.
 impl Element for (u32, u64) {
     fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError> {
         let ids = c.run(len, 4)?;
         let counts = c.run(len, 8)?;
         let mut pairs = Vec::with_capacity(ids.len());
-        ids.push_into(&mut pairs, |id| (id as u32, 0))?;
-        counts.store_into(&mut pairs, |pair, count| pair.1 = count)?;
+        let (mut id_bits, mut count_bits) = (0, 0);
+        by_width!(ids.width, I => by_width!(counts.width, C => {
+            let runs = ids.bytes.chunks_exact(I).zip(counts.bytes.chunks_exact(C));
+            pairs.extend(runs.map(|(id, count)| {
+                let (id, count) = (uint::<I>(id), uint::<C>(count));
+                id_bits |= id;
+                count_bits |= count;
+                (id as u32, count)
+            }));
+        }));
+        ids.check_narrowest(id_bits)?;
+        counts.check_narrowest(count_bits)?;
         Ok(pairs)
-    }
-}
-
-/// CSR offsets must start at 0, never decrease, and fit `usize`: the run
-/// may be no wider than `usize`, so every offset it carries fits.
-impl Element for usize {
-    fn read(c: &mut Cursor<'_>, len: Option<usize>) -> Result<Vec<Self>, ProtocolError> {
-        let what = c.what;
-        let offsets = c.ints(len, size_of::<usize>(), |v| v as usize)?;
-        if offsets.first().is_some_and(|&first| first != 0) {
-            return Err(malformed(format!("{what}: offsets do not start at 0")));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(malformed(format!("{what}: offsets decrease")));
-        }
-        Ok(offsets)
     }
 }
 
@@ -648,13 +639,11 @@ struct WireColumn<'a> {
 }
 
 impl<'a> WireColumn<'a> {
-    /// One pass over the column for the OR of its values; an offsets
-    /// column, which never decreases, reads only its last offset.
+    /// One pass over the column for the OR of its values.
     fn new(column: Column<'a>) -> Self {
         let widths = match column {
             Column::U32(v) => [width_of(v.iter().fold(0, |bits, &x| bits | x).into()), 0],
             Column::U64(v) => [width_of(v.iter().fold(0, |bits, &x| bits | x)), 0],
-            Column::Offsets(v) => [width_of(v.last().map_or(0, |&o| o as u64)), 0],
             Column::Pairs(v) => {
                 let (ids, counts) = v.iter().fold((0, 0), |(ids, counts), &(id, count)| {
                     (ids | id, counts | count)
@@ -671,7 +660,6 @@ impl<'a> WireColumn<'a> {
         let (len, runs) = match self.column {
             Column::U32(v) => (v.len(), 1),
             Column::U64(v) => (v.len(), 1),
-            Column::Offsets(v) => (v.len(), 1),
             Column::Pairs(v) => (v.len(), 2),
         };
         let run = |&width: &usize| 1 + len as u64 * width as u64;
@@ -746,7 +734,6 @@ impl Writer {
         match column.column {
             Column::U32(v) => self.run(v, width, u64::from),
             Column::U64(v) => self.run(v, width, |count| count),
-            Column::Offsets(v) => self.run(v, width, |o| o as u64),
             Column::Pairs(v) => {
                 self.run(v, width, |(id, _)| u64::from(id));
                 self.run(v, counts_width, |(_, count)| count);
@@ -969,17 +956,25 @@ fn decode_output(payload: &[u8]) -> Result<AnalyticsOutput, ProtocolError> {
                 _ => AnalyticsOutput::SequenceCount(table),
             }
         }
-        Task::Sort => AnalyticsOutput::Sort(c.column(Some(rows))?),
+        Task::Sort => {
+            let ranked: Vec<_> = c.column(Some(rows))?;
+            c.ordered(std::iter::once(&ranked[..]), "in rank order", rank_order)?;
+            AnalyticsOutput::Sort(ranked)
+        }
         Task::InvertedIndex => {
             let table = c.postings(width, keys, rows)?;
-            AnalyticsOutput::InvertedIndex(c.ascending(table, |&file| file)?)
+            c.ordered(table.csr().rows(), "ascending", Ord::cmp)?;
+            AnalyticsOutput::InvertedIndex(table)
         }
         Task::TermVector => {
-            let table = c.postings(width, keys, rows)?;
-            AnalyticsOutput::TermVector(c.ascending(table, |&(word, _)| word)?)
+            let table: PostingTable<(u32, u64)> = c.postings(width, keys, rows)?;
+            c.ordered(table.csr().rows(), "ascending", |a, b| a.0.cmp(&b.0))?;
+            AnalyticsOutput::TermVector(table)
         }
         Task::RankedInvertedIndex => {
-            AnalyticsOutput::RankedInvertedIndex(c.postings(width, keys, rows)?)
+            let table = c.postings(width, keys, rows)?;
+            c.ordered(table.csr().rows(), "in rank order", rank_order)?;
+            AnalyticsOutput::RankedInvertedIndex(table)
         }
     };
     c.finish()?;

@@ -34,7 +34,7 @@ use server::protocol::{
 };
 use tadoc::apps::{Task, TaskConfig};
 use tadoc::fine_grained::FRAME_HEADROOM;
-use tadoc::results::{AnalyticsOutput, Column, CountTable, PostingTable};
+use tadoc::results::{rank, AnalyticsOutput, Column, CountTable, PostingTable};
 
 /// Sorts by key and deduplicates, producing the strictly-ascending columns
 /// the ordered result types require.
@@ -107,8 +107,8 @@ impl RawPayload {
         self.run(vs)
     }
 
-    fn offsets(self, offsets: &[usize]) -> Self {
-        self.u64s(offsets.iter().map(|&o| o as u64))
+    fn offsets(self, offsets: &[u32]) -> Self {
+        self.u32s(offsets.iter().copied())
     }
 
     fn pairs(self, pairs: &[(u32, u64)]) -> Self {
@@ -143,11 +143,20 @@ fn v1_len_and_runs(out: &AnalyticsOutput) -> (usize, usize) {
         0
     };
     let (mut len, mut runs) = (HEADER_LEN + 1 + l_len + 8, 0);
-    for column in out.columns().1 {
+    let columns = out.columns().1;
+    // A posting table's offsets are the `u32` column before its values.
+    let posting = matches!(
+        out,
+        AnalyticsOutput::InvertedIndex(_)
+            | AnalyticsOutput::TermVector(_)
+            | AnalyticsOutput::RankedInvertedIndex(_)
+    );
+    let offsets_at = posting.then(|| columns.len() - 2);
+    for (i, column) in columns.into_iter().enumerate() {
         let (bytes, column_runs) = match column {
+            Column::U32(v) if Some(i) == offsets_at => (8 * v.len(), 1),
             Column::U32(v) => (4 * v.len(), 1),
             Column::U64(v) => (8 * v.len(), 1),
-            Column::Offsets(v) => (8 * v.len(), 1),
             Column::Pairs(v) => (12 * v.len(), 2),
         };
         len += bytes;
@@ -170,14 +179,14 @@ fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
         AnalyticsOutput::InvertedIndex(t) => RawPayload::tagged(3)
             .u64(t.len() as u64)
             .u32s(t.iter().flat_map(|(key, _)| key.iter().copied()))
-            .offsets(t.offsets())
-            .u32s(t.values().iter().copied()),
+            .offsets(t.csr().offsets())
+            .u32s(t.csr().data().iter().copied()),
         AnalyticsOutput::TermVector(t) => {
-            let mut offsets = vec![0usize];
-            for row in t.rows() {
-                offsets.push(offsets[offsets.len() - 1] + row.len());
+            let mut offsets = vec![0u32];
+            for row in t.csr().rows() {
+                offsets.push(offsets[offsets.len() - 1] + row.len() as u32);
             }
-            let terms: Vec<(u32, u64)> = t.rows().flatten().copied().collect();
+            let terms: Vec<(u32, u64)> = t.csr().rows().flatten().copied().collect();
             RawPayload::tagged(4)
                 .u64(t.len() as u64)
                 .offsets(&offsets)
@@ -192,8 +201,8 @@ fn reference_frame(out: &AnalyticsOutput) -> Vec<u8> {
             .u64(t.width() as u64)
             .u64(t.len() as u64)
             .u32s(t.iter().flat_map(|(key, _)| key.iter().copied()))
-            .offsets(t.offsets())
-            .pairs(t.values()),
+            .offsets(t.csr().offsets())
+            .pairs(t.csr().data()),
     }
     .framed()
 }
@@ -265,11 +274,11 @@ proptest! {
 
     #[test]
     fn word_count_and_sort_round_trip(pairs in vec((0u32..1_000_000, 1u64..1_000_000), 0..40)) {
-        let (keys, counts) = sorted_dedup(pairs.clone());
-        assert_round_trips(AnalyticsOutput::WordCount(CountTable::from_sorted_columns(1, keys, counts,
-        )));
-        // Sort carries rank order, not key order: arbitrary pairs are legal.
-        assert_round_trips(AnalyticsOutput::Sort(pairs));
+        let (keys, counts) = sorted_dedup(pairs);
+        let words = CountTable::from_sorted_columns(1, keys, counts);
+        // Sort carries the same words in rank order, not key order.
+        assert_round_trips(AnalyticsOutput::Sort(rank(&words)));
+        assert_round_trips(AnalyticsOutput::WordCount(words));
     }
 
     #[test]
@@ -278,11 +287,11 @@ proptest! {
         rows.sort_by_key(|&(k, _)| k);
         rows.dedup_by_key(|&mut (k, _)| k);
         let keys: Vec<u32> = rows.iter().map(|&(k, _)| k).collect();
-        let mut offsets = vec![0usize];
+        let mut offsets = vec![0u32];
         let mut files = Vec::new();
         for &(k, n) in &rows {
             files.extend((0..n as u32).map(|i| k.wrapping_add(i)));
-            offsets.push(files.len());
+            offsets.push(files.len() as u32);
         }
         assert_round_trips(AnalyticsOutput::InvertedIndex(
             PostingTable::from_sorted_parts(1, keys, offsets, files),
@@ -309,10 +318,11 @@ proptest! {
         ));
 
         // The same key rows as a ranked inverted index, with derived
-        // postings (two per key row).
+        // postings in rank order: two per key row, tied on their count,
+        // so ascending files break the tie.
         let n = counts.len();
-        let offsets: Vec<usize> = (0..=n).map(|i| i * 2).collect();
-        let postings: Vec<(u32, u64)> = (0..2 * n).map(|i| (i as u32, i as u64 + 1)).collect();
+        let offsets: Vec<u32> = (0..=n as u32).map(|i| i * 2).collect();
+        let postings: Vec<(u32, u64)> = (0..2 * n).map(|i| (i as u32, (n - i / 2) as u64)).collect();
         assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
             PostingTable::from_sorted_parts(l, keys, offsets, postings),
         ));
@@ -905,6 +915,33 @@ fn malformed_result_payloads_are_rejected() {
     }
 }
 
+/// A ranked posting list and sort's rows travel in rank order (count
+/// descending, then id ascending): the row `[(1, 1), (2, 5)]` climbs, and
+/// `[(2, 5), (1, 5)]` breaks a tie the wrong way, so neither decodes.
+#[test]
+fn unranked_rows_are_rejected() {
+    for (row, defect) in [([(1, 1), (2, 5)], "climbs"), ([(2, 5), (1, 5)], "tie")] {
+        let ranked = RawPayload::tagged(6)
+            .u64(1)
+            .u64(1)
+            .u32s([3])
+            .offsets(&[0, 2])
+            .pairs(&row)
+            .framed();
+        let sort = RawPayload::tagged(2).u64(2).pairs(&row).framed();
+        for (what, frame) in [("rankedInvertedIndex", ranked), ("sort", sort)] {
+            match decode_response(&frame) {
+                Err(ProtocolError::Malformed(why)) => assert_eq!(
+                    why,
+                    format!("{what}: row 0 not in rank order"),
+                    "{what}, {defect}"
+                ),
+                other => panic!("{what}, {defect}: expected a malformed payload, got {other:?}"),
+            }
+        }
+    }
+}
+
 /// A header may declare nothing or the cap; one byte more is refused from
 /// the header alone.
 #[test]
@@ -975,17 +1012,17 @@ fn values_at_every_width_boundary_round_trip_at_the_narrowest_width() {
     }
     // An offsets column's width is its last offset's: a short first row,
     // then a row that closes on `last` postings.
-    for last in [0usize, 0xff, 0x100, 0xffff, 0x1_0000] {
+    for last in [0u32, 0xff, 0x100, 0xffff, 0x1_0000] {
         let first = last.min(1);
         let offsets = vec![0, first, last];
-        let files: Vec<u32> = (0..last as u32).collect();
+        let files: Vec<u32> = (0..last).collect();
         let terms: Vec<(u32, u64)> = files.iter().map(|&f| (f, 1)).collect();
         assert_round_trips(AnalyticsOutput::InvertedIndex(
             PostingTable::from_sorted_parts(1, vec![7, 8], offsets.clone(), files),
         ));
         assert_round_trips(AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
-            terms[..first].to_vec(),
-            terms[first..].to_vec(),
+            terms[..first as usize].to_vec(),
+            terms[first as usize..].to_vec(),
         ])));
         assert_round_trips(AnalyticsOutput::RankedInvertedIndex(
             PostingTable::from_sorted_parts(1, vec![7, 8], offsets, terms),

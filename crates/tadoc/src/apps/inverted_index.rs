@@ -138,7 +138,7 @@ mod tests {
             .collect();
         let (archive, dag) = build(&corpus);
         let (result, _) = run(&archive, &dag);
-        for files in result.rows() {
+        for files in result.csr().rows() {
             let mut sorted = files.to_vec();
             sorted.sort_unstable();
             sorted.dedup();

@@ -3,7 +3,7 @@
 //! frequency.  Like sequence count, the CPU baseline follows TADOC's
 //! recursive traversal, so its work is proportional to the uncompressed size.
 
-use crate::results::{FileId, PostingTable, Sequence};
+use crate::results::{rank_order, FileId, PostingTable, Sequence};
 use crate::timing::{PhaseTimings, Timer, WorkStats};
 use crate::weights::{file_segments, stream_file_words};
 use sequitur::fxhash::FxHashMap;
@@ -53,7 +53,7 @@ pub fn run(
         .into_iter()
         .map(|(seq, files)| {
             let mut ranked: Vec<(FileId, u64)> = files.into_iter().collect();
-            ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            ranked.sort_unstable_by(rank_order);
             trav_work.bytes_moved += ranked.len() as u64 * 12;
             (seq, ranked)
         })

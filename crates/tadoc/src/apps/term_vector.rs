@@ -109,7 +109,7 @@ mod tests {
         let banana = archive.dictionary.get("banana").unwrap();
         let mut file_a = vec![(apple, 2), (banana, 1)];
         file_a.sort_unstable();
-        assert_eq!(result.values_at(0), file_a);
-        assert_eq!(result.values_at(1), &[(banana, 3)]);
+        assert_eq!(result.csr().row(0), file_a);
+        assert_eq!(result.csr().row(1), &[(banana, 3)]);
     }
 }

@@ -68,13 +68,13 @@ where
 /// [`RunCharge`] it threads through the `ensure_*` calls becomes
 /// `shared_init` / `warm`, plus what a window fill it ran measured),
 /// `traverse` + `finalize` as the traversal phase, and `finalize` alone as
-/// its finalize portion.  `traverse` may record stage timings of its own.
+/// its finalize portion.
 /// `init_work` / `traversal_work` stay at their default: the fine engine
 /// counts no abstract work (the sequential reference does, for
 /// `tadoc::cost`).
 pub(crate) fn run_phases<P, T>(
     prepare: impl FnOnce(&mut RunCharge) -> P,
-    traverse: impl FnOnce(&P, &mut PhaseTimings) -> T,
+    traverse: impl FnOnce(&P) -> T,
     finalize: impl FnOnce(P, T) -> AnalyticsOutput,
 ) -> TaskExecution {
     let init_timer = Timer::start();
@@ -88,7 +88,7 @@ pub(crate) fn run_phases<P, T>(
     };
 
     let traversal_timer = Timer::start();
-    let partial = traverse(&prepared, &mut timings);
+    let partial = traverse(&prepared);
     let finalize_timer = Timer::start();
     let output = finalize(prepared, partial);
     timings.finalize = finalize_timer.elapsed();

@@ -515,9 +515,10 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
 
 /// Splits `n` items into `parts` contiguous ranges of near-equal cost.
 /// `bounds` is their running-cost column: `n + 1` entries from 0, so item
-/// `i` costs `bounds[i + 1] - bounds[i]` (a table's offsets, a counting
-/// sort's starts, a layout's record ends).  Part `p` ends at the item
-/// boundary nearest `total × (p + 1) / parts` — the lower one on a tie —
+/// `i` costs `bounds[i + 1] - bounds[i]` (a table's `u32` CSR offsets, a
+/// counting sort's `usize` starts, a layout's record ends), each read in
+/// place as a `usize`.  Part `p` ends at the item boundary nearest
+/// `total × (p + 1) / parts` — the lower one on a tie —
 /// and together the ranges cover `0..n` exactly once.  Every static split
 /// of the engine's pool passes is this one.
 ///
@@ -531,8 +532,8 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
 /// ```
 /// use tadoc::fine_grained::exec::split;
 ///
-/// // Costs 3, 1, 1, 1, 3, 3.
-/// let ranges = split(&[0, 3, 4, 5, 6, 9, 12], 3);
+/// // Costs 3, 1, 1, 1, 3, 3, as a table's `u32` CSR offsets.
+/// let ranges = split(&[0u32, 3, 4, 5, 6, 9, 12], 3);
 /// assert_eq!(ranges, vec![0..2, 2..5, 5..6]);
 ///
 /// // One item dwarfing the rest (costs 100, 1, 1, 1) still leaves no part
@@ -540,10 +541,14 @@ fn helper_loop(shared: &PoolShared, worker: usize) {
 /// let ranges = split(&[0, 100, 101, 102, 103], 4);
 /// assert_eq!(ranges, vec![0..1, 1..2, 2..3, 3..4]);
 /// ```
-pub fn split(bounds: &[usize], parts: usize) -> Vec<Range<usize>> {
+pub fn split<B: Copy>(bounds: &[B], parts: usize) -> Vec<Range<usize>>
+where
+    usize: TryFrom<B>,
+{
+    let get = |b: B| usize::try_from(b).unwrap_or(usize::MAX);
     let parts = parts.max(1);
     let n = bounds.len().saturating_sub(1);
-    let total = bounds.last().copied().unwrap_or(0);
+    let total = bounds.last().map_or(0, |&b| get(b));
     let mut start = 0;
     (0..parts)
         .map(|p| {
@@ -557,8 +562,8 @@ pub fn split(bounds: &[usize], parts: usize) -> Vec<Range<usize>> {
                 let target = total * (p + 1) / parts;
                 let lo = start + 1;
                 let hi = (n + p + 1).saturating_sub(parts).max(lo);
-                let past = lo + bounds[lo..hi].partition_point(|&b| b < target);
-                if past > lo && bounds[past - 1] + bounds[past] >= 2 * target {
+                let past = lo + bounds[lo..hi].partition_point(|&b| get(b) < target);
+                if past > lo && get(bounds[past - 1]) + get(bounds[past]) >= 2 * target {
                     past - 1
                 } else {
                     past
@@ -819,7 +824,11 @@ mod tests {
         assert_eq!(split(&bounds(&[0, 0, 0]), 2), vec![0..1, 1..3]);
         assert_eq!(split(&bounds(&[5]), 4), vec![0..1, 1..1, 1..1, 1..1]);
         assert_eq!(split(&bounds(&[1, 1]), 0), vec![0..2]);
-        assert_eq!(split(&[], 2), vec![0..0, 0..0], "no column, no items");
+        assert_eq!(
+            split::<u32>(&[], 2),
+            vec![0..0, 0..0],
+            "no column, no items"
+        );
     }
 
     /// Regression for the pre-chunking degenerate case: one item whose cost

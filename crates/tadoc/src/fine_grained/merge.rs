@@ -30,17 +30,23 @@ pub(super) struct Part<V> {
 /// copied into it once.  The offsets are a leading `0`, then every part's
 /// `ends` rebased onto the values before it (so `[0]` for a count table).
 /// A column that only one part fills is moved and shrunk to fit instead.
-pub(super) fn assemble<V: Copy>(parts: Vec<Part<V>>) -> (Vec<u32>, Vec<usize>, Vec<V>) {
+pub(super) fn assemble<V: Copy>(parts: Vec<Part<V>>) -> (Vec<u32>, Vec<u32>, Vec<V>) {
     let rows = parts.iter().map(|p| p.ends.len()).sum::<usize>();
     let mut offsets = Vec::with_capacity(rows + 1);
     offsets.push(0);
     let mut base = 0;
     for part in &parts {
-        offsets.extend(part.ends.iter().map(|end| end + base));
+        offsets.extend(part.ends.iter().map(|end| offset(end + base)));
         base += part.values.len();
     }
     let (keys, values) = parts.into_iter().map(|p| (p.keys, p.values)).unzip();
     (concat_exact(keys), offsets, concat_exact(values))
+}
+
+/// A row's end as a CSR offset.  An answer past `u32::MAX` values panics
+/// here, never truncates, and the engine reports the fault as a typed error.
+pub(super) fn offset(end: usize) -> u32 {
+    u32::try_from(end).expect("a posting table holds at most u32::MAX values")
 }
 
 /// `columns` end to end, at exactly their total length.
@@ -75,7 +81,7 @@ mod tests {
     }
 
     /// [`assemble`], asserting that every column is exactly its length.
-    fn assembled(parts: Vec<Part<u32>>) -> (Vec<u32>, Vec<usize>, Vec<u32>) {
+    fn assembled(parts: Vec<Part<u32>>) -> (Vec<u32>, Vec<u32>, Vec<u32>) {
         let (keys, offsets, values) = assemble(parts);
         assert_eq!(keys.capacity(), keys.len());
         assert_eq!(offsets.capacity(), offsets.len());

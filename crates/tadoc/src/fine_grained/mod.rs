@@ -47,7 +47,10 @@
 //!    per session, so no warm query sorts anything: every task is one pass
 //!    over contiguous window ranges of a cached table (`over_key_ranges`),
 //!    whose parts, in the answer's own layout, `merge::assemble` lays end
-//!    to end into the ordered result columns.
+//!    to end into the ordered result columns.  A window table and every
+//!    posting answer keep their rows in one [`sequitur::Csr`] behind `u32`
+//!    offsets, beside their key arena; `exec::split` cuts those offsets in
+//!    place, as it cuts the fills' `usize` word starts.
 //!    The limit: one leading word is never split, so a word that starts
 //!    more than 1/threads of all windows is sorted by one worker — the
 //!    answer is unchanged, that fill slower.
@@ -215,7 +218,7 @@ fn inverted_index(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
             let num_files = a.ensure_segments(charge).len();
             (fw, num_files, a.ensure_word_table(pool, charge))
         },
-        |&(fw, num_files, words), _| postings(words, fw, num_files, pool),
+        |&(fw, num_files, words)| postings(words, fw, num_files, pool),
         |_, parts| AnalyticsOutput::InvertedIndex(posting_table(1, parts)),
     )
 }
@@ -456,13 +459,7 @@ pub(crate) fn build_term_vector_prep(
     for (f, row) in locals.into_iter().flat_map(|p| p.rows) {
         rows[f] = row;
     }
-    let mut csr = Csr::with_capacity(num_files, rows.iter().map(Vec::len).sum());
-    for row in rows {
-        for entry in row {
-            csr.push(entry);
-        }
-        csr.end_row();
-    }
+    let csr = Csr::from_rows(rows);
     let mut bounds = vec![0];
     for f in 0..num_files {
         let (start, end) = segments[f];
@@ -499,7 +496,7 @@ fn term_vector_fine(a: &Analysis<'_>, pool: &WorkerPool) -> TaskExecution {
         // perfect hash of the vocabulary, so the accumulate is a direct
         // array add (no probing at all) and the per-file drain touches only
         // the file's own words.
-        |&(prep, segments), _| {
+        |&(prep, segments)| {
             pool.map_workers(exec::split(&prep.bounds, threads), |_, files| {
                 let mut counts = DenseCounts::new(prep.vocab);
                 let mut part = Part::default();
@@ -589,7 +586,7 @@ pub(crate) fn sequence_work_items(
 /// table of width `l`.  Window `i`'s words are its key row
 /// ([`PostingTable::key_at`]; ascending, the key layout of the result
 /// tables), and its `(source, local count)` pairs are its posting list
-/// ([`PostingTable::values_at`]).  A source is a rule id, or `num_rules +
+/// (row `i` of [`PostingTable::csr`]).  A source is a rule id, or `num_rules +
 /// file` for a window of that file's root segment.  The table depends only
 /// on the archive and `l` — no rule or file weights — so an engine fills it
 /// once per `l` ([`fill_window_table`]) and both sequence tasks read it.  At
@@ -673,10 +670,9 @@ pub(crate) fn word_table(
     let present = |w: &usize| starts[*w] < starts[*w + 1];
     let mut keys = Vec::with_capacity((0..vocab).filter(present).count());
     keys.extend((0..vocab).filter(present).map(|w| w as u32));
-    let offsets = keys
-        .iter()
-        .map(|&w| starts[w as usize])
+    let offsets = (keys.iter().map(|&w| starts[w as usize]))
         .chain([pairs])
+        .map(merge::offset)
         .collect();
     PostingTable::from_sorted_parts(1, keys, offsets, values)
 }
@@ -691,7 +687,7 @@ fn over_key_ranges<R: Send>(
     pool: &WorkerPool,
     pass: impl Fn(std::ops::Range<usize>) -> R + Sync,
 ) -> Vec<R> {
-    let ranges = exec::split(table.offsets(), pool.threads());
+    let ranges = exec::split(table.csr().offsets(), pool.threads());
     pool.map_workers(ranges, |_, windows| {
         pool.checkpoint();
         pass(windows)
@@ -709,9 +705,7 @@ fn weighted_totals(table: &WindowTable, weights: &[u64], pool: &WorkerPool) -> V
             values: Vec::with_capacity(windows.len()),
         };
         for i in windows {
-            let total: u64 = table
-                .values_at(i)
-                .iter()
+            let total: u64 = (table.csr().row(i).iter())
                 .map(|&(s, c)| weights.get(s as usize).map_or(c, |w| c * w))
                 .sum();
             if total > 0 {
@@ -764,7 +758,7 @@ fn postings(
         };
         let mut part = Part::default();
         for i in range {
-            for &(source, _) in words.values_at(i) {
+            for &(source, _) in words.csr().row(i) {
                 if source < num_rules {
                     for &(file, _) in fw.row(source as usize) {
                         files.set(file);
@@ -802,7 +796,7 @@ fn ranked_postings(
         let mut per_file = DenseCounts::new(num_files);
         let mut part = Part::default();
         for i in windows {
-            for &(source, count) in table.values_at(i) {
+            for &(source, count) in table.csr().row(i) {
                 if source < num_rules {
                     for &(file, occ) in fw.row(source as usize) {
                         per_file.add(file, count * occ);
@@ -815,7 +809,7 @@ fn ranked_postings(
             per_file.drain_into(&mut part.values);
             let postings = &mut part.values[before..];
             if !postings.is_empty() {
-                postings.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                postings.sort_unstable_by(rank_order);
                 part.keys.extend_from_slice(table.key_at(i));
                 part.ends.push(part.values.len());
             }
@@ -956,7 +950,7 @@ fn fill_windows<E: WindowEntry>(
     // Every column at its exact length, cut at the workers' counts.
     let (l, windows) = (ht.l, counted.iter().map(|c| c.2).sum::<usize>());
     let mut keys = vec![0u32; windows * l];
-    let mut offsets = vec![0usize; windows + 1];
+    let mut offsets = vec![0u32; windows + 1];
     let mut values = vec![(0u32, 0u64); counted.iter().map(|c| c.3).sum()];
     let (mut k, mut o, mut v, mut base) = (&mut keys[..], &mut offsets[1..], &mut values[..], 0);
     let inputs: Vec<_> = (counted.into_iter())
@@ -979,7 +973,7 @@ fn fill_windows<E: WindowEntry>(
                     values[pair] = (run[0].source(layout), run.len() as u64);
                     pair += 1;
                 }
-                ends[window] = base + pair;
+                ends[window] = merge::offset(base + pair);
                 window += 1;
             }
             if std::mem::needs_drop::<E>() {
@@ -1009,7 +1003,7 @@ fn count(a: &Analysis<'_>, task: Task, l: usize, pool: &WorkerPool) -> TaskExecu
             let weights = a.ensure_rule_weights(pool, charge);
             (weights, a.ensure_window_table(l, pool, charge))
         },
-        |(weights, slot), _| weighted_totals(slot.windows(), weights, pool),
+        |(weights, slot)| weighted_totals(slot.windows(), weights, pool),
         |_, parts| count_table(task, l, parts),
     )
 }
@@ -1023,7 +1017,7 @@ fn ranked_inverted_index(a: &Analysis<'_>, l: usize, pool: &WorkerPool) -> TaskE
             let num_files = a.ensure_segments(charge).len();
             (fw, num_files, a.ensure_window_table(l, pool, charge))
         },
-        |(fw, num_files, slot), _| ranked_postings(slot.windows(), fw, *num_files, pool),
+        |(fw, num_files, slot)| ranked_postings(slot.windows(), fw, *num_files, pool),
         |_, parts| AnalyticsOutput::RankedInvertedIndex(posting_table(l, parts)),
     )
 }

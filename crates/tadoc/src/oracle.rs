@@ -113,7 +113,7 @@ pub fn ranked_inverted_index(files: &[Vec<WordId>], l: usize) -> PostingTable<(F
         .into_iter()
         .map(|(seq, files)| {
             let mut ranked: Vec<(FileId, u64)> = files.into_iter().collect();
-            ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+            ranked.sort_unstable_by(rank_order);
             (seq, ranked)
         })
         .collect();
@@ -171,8 +171,8 @@ mod tests {
     #[test]
     fn term_vector_paper_corpus() {
         let tv = term_vector(&paper_files());
-        assert_eq!(tv.values_at(0), &[(1, 4), (2, 4), (3, 2), (4, 2)]);
-        assert_eq!(tv.values_at(1), &[(1, 2), (2, 1)]);
+        assert_eq!(tv.csr().row(0), &[(1, 4), (2, 4), (3, 2), (4, 2)]);
+        assert_eq!(tv.csr().row(1), &[(1, 2), (2, 1)]);
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! * [`CountTable`] — a flat key arena of `width` words per row, rows
 //!   strictly ascending, next to one count per row: `wordCount` (width 1)
 //!   and `sequenceCount` (width `l`);
-//! * [`PostingTable`] — the same key arena beside a CSR offsets column into
-//!   a flat value column: `invertedIndex` (width 1, ascending file ids),
-//!   `rankedInvertedIndex` (width `l`, `(file, count)` in rank order) and
-//!   `termVector` (width 0: no keys, one row per file in file order, each
-//!   row ascending `(word, count)`);
-//! * `sort` keeps its `(word, count)` vector in rank order ([`rank`]).
+//! * [`PostingTable`] — the same key arena beside one [`sequitur::Csr`] of
+//!   lists (`u32` offsets into a flat value column, the layout of the
+//!   grammar's rule bodies and the DAG's tables too): `invertedIndex`
+//!   (width 1, ascending file ids), `rankedInvertedIndex` (width `l`,
+//!   `(file, count)` in rank order) and `termVector` (width 0: no keys, one
+//!   row per file in file order, each row ascending `(word, count)`);
+//! * `sort` keeps its `(word, count)` vector in rank order ([`rank`],
+//!   [`rank_order`]).
 //!
 //! The same tables are produced by the CPU baseline (`tadoc`), by G-TADOC
 //! (`gtadoc`), and by the uncompressed baselines, which makes cross-checking
@@ -23,7 +25,7 @@
 //! or key-ordered rows as plain slices without copying.
 
 use crate::apps::Task;
-use sequitur::WordId;
+use sequitur::{Csr, WordId};
 
 /// A fixed-length word sequence (the key of sequence-sensitive tasks).
 pub type Sequence = Vec<WordId>;
@@ -137,57 +139,58 @@ impl CountTable {
     }
 }
 
+/// Rank order of `(id, count)` pairs: descending count, ties by ascending
+/// id — *sort*'s rows and every `rankedInvertedIndex` posting list.
+pub fn rank_order(a: &(u32, u64), b: &(u32, u64)) -> std::cmp::Ordering {
+    b.1.cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
 /// *sort*'s answer from a width-1 word table: `(word, count)` by
 /// descending count, ties by ascending word.
 pub fn rank(words: &CountTable) -> Vec<(WordId, u64)> {
     debug_assert_eq!(words.width, 1);
     let mut ranked: Vec<_> = words.iter().map(|(w, c)| (w[0], c)).collect();
-    ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.sort_unstable_by(rank_order);
     ranked
 }
 
-/// A CSR-style posting table: a flat, lexicographically sorted `u32` key
-/// arena (`width` words per key), an offsets column, and a flat value column.
+/// A posting table: a flat, lexicographically sorted `u32` key arena
+/// (`width` words per key) beside one [`Csr`] of lists, row `i`'s list
+/// being the `i`-th CSR row.
 ///
-/// Invariants: `keys.len() == rows * width`, the width-sized key rows are
-/// strictly ascending, `offsets.len() == rows + 1` with `offsets[0] == 0`
-/// and `offsets[rows] == values.len()`.  Row `i`'s list is
-/// `values[offsets[i]..offsets[i + 1]]`; lookup binary-searches the arena.
-/// At width 0 there is no key arena: the rows are positional (term
-/// vector's files, in file order).
+/// Invariants: `keys.len() == rows * width` and the width-sized key rows
+/// are strictly ascending; the CSR keeps its own (`u32` offsets from 0,
+/// never decreasing, closing on its value column).  Lookup binary-searches
+/// the arena.  At width 0 there is no key arena: the rows are positional
+/// (term vector's files, in file order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PostingTable<V> {
     width: usize,
     keys: Vec<u32>,
-    offsets: Vec<usize>,
-    values: Vec<V>,
+    rows: Csr<V>,
 }
 
 impl<V> PostingTable<V> {
-    /// Builds from already-merged columns (sorted key arena + offsets +
-    /// values) — the zero-copy path out of a sorted-run merge and a decoder
-    /// that has validated them.
+    /// Builds from already-merged columns (sorted key arena, `u32` CSR
+    /// offsets, values) — the zero-copy path out of a sorted-run merge, a
+    /// window fill and a decoder that has validated them.
     pub fn from_sorted_parts(
         width: usize,
         keys: Vec<u32>,
-        offsets: Vec<usize>,
+        offsets: Vec<u32>,
         values: Vec<V>,
     ) -> Self {
-        let n = offsets.len().saturating_sub(1);
-        debug_assert_eq!(offsets.first().copied().unwrap_or(0), 0);
-        debug_assert_eq!(offsets.last().copied().unwrap_or(0), values.len());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert_eq!(keys.len(), n * width);
+        Self::new(width, keys, Csr::from_parts(offsets, values))
+    }
+
+    /// The table of `keys` beside `rows`, one key row per CSR row.
+    fn new(width: usize, keys: Vec<u32>, rows: Csr<V>) -> Self {
+        debug_assert_eq!(keys.len(), rows.num_rows() * width);
         debug_assert!(
             rows_ascending(&keys, width),
             "key rows must be strictly ascending"
         );
-        Self {
-            width,
-            keys,
-            offsets,
-            values,
-        }
+        Self { width, keys, rows }
     }
 
     /// Builds from unsorted `(key, posting-list)` rows with distinct keys of
@@ -199,27 +202,22 @@ impl<V> PostingTable<V> {
         mut rows: Vec<(K, Vec<V>)>,
     ) -> Self {
         rows.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        Self::from_ordered_rows(width, rows)
+        let mut keys = Vec::with_capacity(rows.len() * width);
+        // Collected in place: the lists take over the rows' buffer, and
+        // each key is freed as its words reach the arena.
+        let lists = (rows.into_iter())
+            .map(|(key, list)| {
+                keys.extend_from_slice(key.as_ref());
+                list
+            })
+            .collect();
+        Self::new(width, keys, Csr::from_rows(lists))
     }
 
     /// Builds the width-0 table of `rows` in the order given (term vector:
     /// one row per file, in file order).
     pub fn from_rows(rows: Vec<Vec<V>>) -> Self {
-        Self::from_ordered_rows(0, rows.into_iter().map(|row| ([], row)).collect())
-    }
-
-    /// Builds from `(key, list)` rows already in row order.
-    fn from_ordered_rows<K: AsRef<[u32]>>(width: usize, rows: Vec<(K, Vec<V>)>) -> Self {
-        let mut keys = Vec::with_capacity(rows.len() * width);
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut values = Vec::with_capacity(rows.iter().map(|(_, list)| list.len()).sum());
-        offsets.push(0);
-        for (key, list) in rows {
-            keys.extend_from_slice(key.as_ref());
-            values.extend(list);
-            offsets.push(values.len());
-        }
-        Self::from_sorted_parts(width, keys, offsets, values)
+        Self::new(0, Vec::new(), Csr::from_rows(rows))
     }
 
     /// Words per key row (0: positional rows).
@@ -229,7 +227,7 @@ impl<V> PostingTable<V> {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.num_rows()
     }
 
     /// Whether the table has no row.
@@ -242,42 +240,27 @@ impl<V> PostingTable<V> {
         &self.keys[i * self.width..(i + 1) * self.width]
     }
 
-    /// The `i`-th row's list.
-    pub fn values_at(&self, i: usize) -> &[V] {
-        &self.values[self.offsets[i]..self.offsets[i + 1]]
+    /// The lists: row `i` is the `i`-th key row's list.
+    pub fn csr(&self) -> &Csr<V> {
+        &self.rows
     }
 
     /// The list for `key` (empty if absent or of another width).
     pub fn get(&self, key: &[u32]) -> &[V] {
-        find_flat_key(&self.keys, self.width, key).map_or(&[], |i| self.values_at(i))
-    }
-
-    /// Iterates every row's list in row order.
-    pub fn rows(&self) -> impl Iterator<Item = &[V]> {
-        self.offsets.windows(2).map(|w| &self.values[w[0]..w[1]])
+        find_flat_key(&self.keys, self.width, key).map_or(&[], |i| self.rows.row(i))
     }
 
     /// Iterates `(key row, list)` in row order.
     pub fn iter(&self) -> impl Iterator<Item = (&[u32], &[V])> {
-        (0..self.len()).map(move |i| (self.key_at(i), self.values_at(i)))
-    }
-
-    /// The offsets column (`rows + 1` entries).
-    pub fn offsets(&self) -> &[usize] {
-        &self.offsets
-    }
-
-    /// The flat value column.
-    pub fn values(&self) -> &[V] {
-        &self.values
+        (0..self.len()).map(move |i| (self.key_at(i), self.rows.row(i)))
     }
 
     /// Row count and columns (see [`AnalyticsOutput::columns`]): the key
-    /// arena (none at width 0), the offsets, then the values as `values`
-    /// wraps them.
+    /// arena (none at width 0), the CSR offsets, then the values as
+    /// `values` wraps them.
     fn columns<'a>(&'a self, values: fn(&'a [V]) -> Column<'a>) -> (usize, Vec<Column<'a>>) {
         let keys = (self.width > 0).then_some(Column::U32(&self.keys));
-        let rest = [Column::Offsets(&self.offsets), values(&self.values)];
+        let rest = [Column::U32(self.rows.offsets()), values(self.rows.data())];
         (self.len(), keys.into_iter().chain(rest).collect())
     }
 }
@@ -305,12 +288,11 @@ pub enum AnalyticsOutput {
 /// One column of a result table, borrowed (see [`AnalyticsOutput::columns`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Column<'a> {
-    /// Word ids, file ids, or a key arena of `l` words per row.
+    /// Word ids, file ids, a key arena of `l` words per row, or CSR
+    /// offsets (one per row, then a closing one).
     U32(&'a [u32]),
     /// Counts.
     U64(&'a [u64]),
-    /// CSR offsets: one per row, then a closing one.
-    Offsets(&'a [usize]),
     /// `(id, count)` pairs.
     Pairs(&'a [(u32, u64)]),
 }
@@ -365,7 +347,6 @@ impl AnalyticsOutput {
         let bytes = |column| match column {
             Column::U32(v) => size_of_val(v),
             Column::U64(v) => size_of_val(v),
-            Column::Offsets(v) => size_of_val(v),
             Column::Pairs(v) => size_of_val(v),
         };
         self.columns().1.into_iter().map(bytes).sum()
@@ -405,7 +386,7 @@ impl AnalyticsOutput {
             }
             AnalyticsOutput::InvertedIndex(t) => {
                 let mut h = 3u64;
-                for (&w, files) in t.keys.iter().zip(t.rows()) {
+                for (&w, files) in t.keys.iter().zip(t.rows.rows()) {
                     h = mix(h, w as u64);
                     for &f in files {
                         h = mix(h, f as u64);
@@ -415,7 +396,7 @@ impl AnalyticsOutput {
             }
             AnalyticsOutput::TermVector(t) => {
                 let mut h = 4u64;
-                for v in t.rows() {
+                for v in t.rows.rows() {
                     for &(w, c) in v {
                         h = mix(h, w as u64);
                         h = mix(h, c);
@@ -462,9 +443,7 @@ impl<V> PostingTable<V> {
     /// offsets and the values.
     pub(crate) fn column_capacities(&self) -> Vec<(usize, usize)> {
         let keys = (self.width > 0).then(|| capacity(&self.keys));
-        (keys.into_iter())
-            .chain([capacity(&self.offsets), capacity(&self.values)])
-            .collect()
+        (keys.into_iter()).chain(self.rows.capacities()).collect()
     }
 }
 
@@ -533,12 +512,12 @@ mod tests {
         );
         assert_eq!(t.len(), 2);
         assert_eq!(t.key_at(0), &[1, 2]);
-        assert_eq!(t.values_at(0), &[5, 6, 7]);
+        assert_eq!(t.csr().row(0), &[5, 6, 7]);
         assert_eq!(t.get(&[4, 1]), &[9]);
         assert_eq!(t.get(&[4, 2]), &[] as &[u32]);
         assert_eq!(t.get(&[4]), &[] as &[u32]); // wrong width
-        assert_eq!(t.values().len(), 4);
-        assert_eq!(t.offsets(), &[0, 3, 4]);
+        assert_eq!(t.csr().data().len(), 4);
+        assert_eq!(t.csr().offsets(), &[0, 3, 4]);
         assert_eq!(t.key_at(1), &[4, 1]);
     }
 
@@ -553,7 +532,7 @@ mod tests {
         let r = PostingTable::from_unsorted_rows(1, vec![([3u32], vec![0u32, 2, 5])]);
         assert_eq!(r.get(&[3]), &[0, 2, 5]);
         assert_eq!(r.get(&[9]), &[] as &[u32]);
-        assert_eq!(r.values().len(), 3);
+        assert_eq!(r.csr().data().len(), 3);
         assert_eq!(r.len(), 1);
     }
 
@@ -564,9 +543,9 @@ mod tests {
         let r = PostingTable::from_rows(vec![vec![(7, 2)], vec![], vec![(1, 4), (3, 1)]]);
         assert_eq!(r.width(), 0);
         assert_eq!(r.len(), 3);
-        assert_eq!(r.values_at(0), &[(7, 2)]);
-        assert_eq!(r.values_at(1), &[] as &[(u32, u64)]);
-        assert_eq!(r.values_at(2), &[(1, 4), (3, 1)]);
+        assert_eq!(r.csr().row(0), &[(7, 2)]);
+        assert_eq!(r.csr().row(1), &[] as &[(u32, u64)]);
+        assert_eq!(r.csr().row(2), &[(1, 4), (3, 1)]);
         assert_eq!(r.key_at(2), &[] as &[u32]);
         assert_eq!(r.get(&[]), &[] as &[(u32, u64)]);
     }
@@ -587,7 +566,7 @@ mod tests {
         assert_eq!(
             columns,
             [
-                Column::Offsets(&[0, 2, 2, 3]),
+                Column::U32(&[0, 2, 2, 3]),
                 Column::Pairs(&[(1, 4), (7, 2), (3, 9)])
             ]
         );
@@ -600,7 +579,6 @@ mod tests {
     #[test]
     fn heap_bytes_counts_every_column() {
         let pair = std::mem::size_of::<(u32, u64)>();
-        let word = std::mem::size_of::<usize>();
         let cases = [
             (
                 AnalyticsOutput::WordCount(wc(&[(0, 5), (1, 3)])),
@@ -617,14 +595,14 @@ mod tests {
                     vec![0, 2, 3],
                     vec![0, 1, 1],
                 )),
-                2 * 4 + 3 * word + 3 * 4,
+                2 * 4 + 3 * 4 + 3 * 4,
             ),
             (
                 AnalyticsOutput::TermVector(PostingTable::from_rows(vec![
                     vec![(1, 4), (7, 2)],
                     vec![],
                 ])),
-                3 * word + 2 * pair,
+                3 * 4 + 2 * pair,
             ),
             (
                 AnalyticsOutput::SequenceCount(CountTable::from_sorted_columns(
@@ -641,7 +619,7 @@ mod tests {
                     vec![0, 1, 3],
                     vec![(0, 9), (1, 3), (0, 1)],
                 )),
-                4 * 4 + 3 * word + 3 * pair,
+                4 * 4 + 3 * 4 + 3 * pair,
             ),
         ];
         for (out, want) in cases {

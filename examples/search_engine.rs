@@ -38,7 +38,7 @@ fn main() {
     println!(
         "built inverted index ({} words, {} postings, strategy {}) and term vectors in {:.3} ms of modelled GPU time\n",
         index.len(),
-        index.values().len(),
+        index.csr().data().len(),
         index_exec.strategy,
         (index_exec.total_seconds() + vectors_exec.total_seconds()) * 1e3
     );
@@ -69,7 +69,7 @@ fn main() {
         // Rank by summed term frequency: file `f`'s row of the term
         // vectors holds its `(word, count)` pairs, ascending by word.
         let frequency = |f: u32, w: u32| {
-            let row = vectors.values_at(f as usize);
+            let row = vectors.csr().row(f as usize);
             row.binary_search_by_key(&w, |&(word, _)| word)
                 .map_or(0, |i| row[i].1)
         };
